@@ -1,5 +1,6 @@
-//! Defense-algorithm benches: one verification per baseline on both the
-//! wild simulated graph and a synthetic injected-cluster graph.
+//! Defense-algorithm benches: each baseline's two phases (`prepare` a
+//! verifier, `judge` one suspect) on the wild simulated graph, and one
+//! build-and-verify round on a synthetic injected-cluster graph.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use osn_graph::NodeId;
@@ -26,36 +27,33 @@ fn bench_defenses(c: &mut Criterion) {
         .find(|&s| g.degree(s) >= 10)
         .expect("a connected sybil exists");
 
-    let sg = SybilGuard::new(g, Some(120), 1);
-    c.bench_function("sybilguard_verify_wild", |b| {
-        b.iter(|| black_box(sg.verify(g, verifier, suspect) == Verdict::Accept))
-    });
-
     let sl = SybilLimit::new(g, 2);
     println!(
         "[defense] SybilLimit wild: r={} w={} min_intersections={}",
         sl.instances, sl.route_len, sl.min_intersections
     );
-    c.bench_function("sybillimit_verify_wild", |b| {
-        b.iter(|| black_box(sl.verify(g, verifier, suspect) == Verdict::Accept))
-    });
-
+    // The two phases apart: `prepare` is paid once per (graph, verifier),
+    // `judge` once per suspect.
+    let sg = SybilGuard::new(g, Some(120), 1);
     let si = SybilInfer::new(g, 3);
-    si.verify(g, verifier, suspect); // warm the per-verifier profile cache
-    c.bench_function("sybilinfer_verify_wild_cached", |b| {
-        b.iter(|| black_box(si.verify(g, verifier, suspect) == Verdict::Accept))
-    });
-
-    let su = SumUp::new(50);
-    c.bench_function("sumup_verify_wild", |b| {
-        b.iter(|| black_box(su.verify(g, verifier, suspect) == Verdict::Accept))
-    });
-
     let cr = ConductanceRanking::new();
-    cr.verify(g, verifier, suspect); // warm the community cache
-    c.bench_function("conductance_verify_wild_cached", |b| {
-        b.iter(|| black_box(cr.verify(g, verifier, suspect) == Verdict::Accept))
-    });
+    let su = SumUp::new(50);
+    let defenses: [(&str, &dyn SybilDefense); 5] = [
+        ("sybilguard", &sg),
+        ("sybillimit", &sl),
+        ("sybilinfer", &si),
+        ("conductance", &cr),
+        ("sumup", &su),
+    ];
+    for (name, defense) in defenses {
+        c.bench_function(&format!("{name}_prepare_wild"), |b| {
+            b.iter(|| drop(black_box(defense.prepare(g, verifier))))
+        });
+        let prepared = defense.prepare(g, verifier);
+        c.bench_function(&format!("{name}_judge_wild"), |b| {
+            b.iter(|| black_box(prepared.judge(black_box(suspect)) == Verdict::Accept))
+        });
+    }
 
     // Injected-cluster setup cost (graph build + one verification round).
     c.bench_function("injected_cluster_build_and_verify", |b| {

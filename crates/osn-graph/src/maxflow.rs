@@ -131,7 +131,13 @@ impl FlowNetwork {
 
     /// Tail (origin) node of arc `a` — the head of its paired reverse arc.
     pub fn arc_from_endpoint(&self, a: usize) -> usize {
-        self.to[a ^ 1] as usize
+        self.to[self.reverse_arc(a)] as usize
+    }
+
+    /// The arc paired with `a` in the residual network (`a`'s reverse;
+    /// pushing along it cancels flow pushed along `a`).
+    pub fn reverse_arc(&self, a: usize) -> usize {
+        a ^ 1
     }
 
     /// Push one unit of flow along arc `a`, updating the residual pair.
@@ -213,6 +219,19 @@ mod tests {
         let mut net = FlowNetwork::new(3);
         net.add_arc(0, 1, 10);
         assert_eq!(net.max_flow(0, 2), 0);
+    }
+
+    #[test]
+    fn pushing_along_the_reverse_arc_cancels_a_push() {
+        let mut net = FlowNetwork::new(2);
+        net.add_arc(0, 1, 2);
+        let arc = net.arcs_from(0)[0] as usize;
+        let reverse = net.reverse_arc(arc);
+        assert_eq!(net.arc_from_endpoint(reverse), 1);
+        net.push_unit(arc);
+        assert_eq!((net.arc_cap(arc as u32), net.arc_cap(reverse as u32)), (1, 1));
+        net.push_unit(reverse);
+        assert_eq!((net.arc_cap(arc as u32), net.arc_cap(reverse as u32)), (2, 0));
     }
 
     #[test]

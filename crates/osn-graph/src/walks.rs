@@ -8,7 +8,7 @@
 //! both protocols exploit. Plain uniform random walks are also provided for
 //! SybilInfer and general diagnostics.
 
-use crate::graph::{NodeId, TemporalGraph};
+use crate::graph::{EdgeId, NodeId, TemporalGraph};
 use rand::prelude::*;
 
 /// A plain uniform random walk of `len` steps starting at `start`.
@@ -70,6 +70,52 @@ pub struct RouteStart {
     pub first_edge: usize,
 }
 
+/// One hop of a random route: the undirected edge `edge`, traversed from
+/// `from` to `to`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RouteHop {
+    /// Node the hop leaves.
+    pub from: NodeId,
+    /// Node the hop enters.
+    pub to: NodeId,
+    /// The edge traversed.
+    pub edge: EdgeId,
+}
+
+/// Iterator over a route's hops; see [`RouteTables::hops`].
+#[derive(Clone, Debug)]
+pub struct RouteHops<'a> {
+    tables: &'a RouteTables,
+    g: &'a TemporalGraph,
+    cur: NodeId,
+    /// Adjacency position in `cur` of the next edge to take.
+    out_pos: usize,
+    remaining: usize,
+}
+
+impl Iterator for RouteHops<'_> {
+    type Item = RouteHop;
+
+    fn next(&mut self) -> Option<RouteHop> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let next = self.g.neighbors(self.cur)[self.out_pos];
+        let hop = RouteHop {
+            from: self.cur,
+            to: next.node,
+            edge: next.edge,
+        };
+        if self.remaining > 0 {
+            let in_pos = self.tables.pos_at(self.g, next.edge, next.node);
+            self.out_pos = self.tables.perm[next.node.index()][in_pos] as usize;
+        }
+        self.cur = next.node;
+        Some(hop)
+    }
+}
+
 impl RouteTables {
     /// Draw fresh random routing tables for `g`.
     pub fn new<R: Rng + ?Sized>(g: &TemporalGraph, rng: &mut R) -> Self {
@@ -96,7 +142,7 @@ impl RouteTables {
     }
 
     /// Position of edge `e` in the adjacency list of endpoint `n`.
-    fn pos_at(&self, g: &TemporalGraph, e: crate::graph::EdgeId, n: NodeId) -> usize {
+    fn pos_at(&self, g: &TemporalGraph, e: EdgeId, n: NodeId) -> usize {
         let rec = g.edge(e);
         let (pa, pb) = self.edge_pos[e.index()];
         if rec.a == n {
@@ -107,30 +153,37 @@ impl RouteTables {
         }
     }
 
+    /// The hops of the random route of `len` hops from `start`, one at a
+    /// time and without materializing the route (nothing is allocated).
+    ///
+    /// Empty if the start is isolated or `len == 0`. Routes are fully
+    /// deterministic: the same `start` always produces the same hops for
+    /// fixed tables.
+    pub fn hops<'a>(
+        &'a self,
+        g: &'a TemporalGraph,
+        start: RouteStart,
+        len: usize,
+    ) -> RouteHops<'a> {
+        let isolated = g.neighbors(start.node).is_empty();
+        debug_assert!(isolated || start.first_edge < g.degree(start.node));
+        RouteHops {
+            tables: self,
+            g,
+            cur: start.node,
+            out_pos: start.first_edge,
+            remaining: if isolated { 0 } else { len },
+        }
+    }
+
     /// Walk a random route of `len` hops from `start`.
     ///
     /// Returns the node sequence (start first, ≤ `len + 1` entries; shorter
-    /// only if the start is isolated). Routes are fully deterministic: the
-    /// same `start` always produces the same route for fixed tables.
+    /// only if the start is isolated) — [`Self::hops`], collected.
     pub fn route(&self, g: &TemporalGraph, start: RouteStart, len: usize) -> Vec<NodeId> {
         let mut path = Vec::with_capacity(len + 1);
         path.push(start.node);
-        let nb = g.neighbors(start.node);
-        if nb.is_empty() || len == 0 {
-            return path;
-        }
-        debug_assert!(start.first_edge < nb.len());
-        let mut edge = nb[start.first_edge].edge;
-        let mut cur = nb[start.first_edge].node;
-        path.push(cur);
-        for _ in 1..len {
-            let in_pos = self.pos_at(g, edge, cur);
-            let out_pos = self.perm[cur.index()][in_pos] as usize;
-            let next = g.neighbors(cur)[out_pos];
-            edge = next.edge;
-            cur = next.node;
-            path.push(cur);
-        }
+        path.extend(self.hops(g, start, len).map(|hop| hop.to));
         path
     }
 
@@ -142,12 +195,9 @@ impl RouteTables {
         start: RouteStart,
         len: usize,
     ) -> Option<(NodeId, NodeId)> {
-        let p = self.route(g, start, len);
-        if p.len() < 2 {
-            None
-        } else {
-            Some((p[p.len() - 2], p[p.len() - 1]))
-        }
+        self.hops(g, start, len)
+            .last()
+            .map(|hop| (hop.from, hop.to))
     }
 }
 
@@ -263,6 +313,36 @@ mod tests {
         let p = rt.route(&g, s, 4);
         let tail = rt.route_tail(&g, s, 4).unwrap();
         assert_eq!(tail, (p[p.len() - 2], p[p.len() - 1]));
+    }
+
+    #[test]
+    fn hops_are_the_routes_consecutive_pairs() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let g = crate::generators::barabasi_albert(60, 3, Timestamp::ZERO, &mut rng);
+        let rt = RouteTables::new(&g, &mut rng);
+        for node in g.nodes() {
+            for first_edge in 0..g.degree(node) {
+                let s = RouteStart { node, first_edge };
+                let path = rt.route(&g, s, 9);
+                let hops: Vec<RouteHop> = rt.hops(&g, s, 9).collect();
+                assert_eq!(hops.len(), 9);
+                for (hop, w) in hops.iter().zip(path.windows(2)) {
+                    assert_eq!((hop.from, hop.to), (w[0], w[1]));
+                    let rec = g.edge(hop.edge);
+                    assert!(
+                        rec.other(hop.from) == Some(hop.to),
+                        "edge must join the hop"
+                    );
+                }
+            }
+        }
+        let isolated = TemporalGraph::with_nodes(1);
+        let rt = RouteTables::new(&isolated, &mut rng);
+        let s = RouteStart {
+            node: NodeId(0),
+            first_edge: 0,
+        };
+        assert_eq!(rt.hops(&isolated, s, 5).count(), 0);
     }
 
     #[test]

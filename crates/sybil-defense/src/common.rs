@@ -20,17 +20,66 @@ pub enum Verdict {
 
 /// A decentralized graph-based Sybil defense.
 ///
-/// `Sync` is a supertrait: `verify` takes `&self` and the evaluation
-/// harness fans suspects out across threads, so implementations must keep
-/// any internal caching behind a lock (see `SybilInfer`'s posterior
-/// cache) and deterministic — a cache hit and a recompute must yield the
-/// same verdict.
+/// Judging is two-phase. [`prepare`](Self::prepare) does everything that
+/// depends only on the graph and the verifier — the verifier's routes,
+/// walk profile, community or flow network — and
+/// [`PreparedVerifier::judge`] answers for one suspect from that value, so
+/// judging many suspects from one verifier pays for the verifier's half
+/// once. A prepared value borrows its graph and is never reused across
+/// graphs or verifiers, so a defense needs no interior cache.
+///
+/// `Sync` is a supertrait because [`evaluate_defense`] shares one prepared
+/// verifier between worker threads.
 pub trait SybilDefense: Sync {
     /// Human-readable name.
     fn name(&self) -> &'static str;
 
-    /// Judge `suspect` from the perspective of honest `verifier`.
-    fn verify(&self, g: &TemporalGraph, verifier: NodeId, suspect: NodeId) -> Verdict;
+    /// Do the verifier-side work for judging suspects on `g` from the
+    /// perspective of honest `verifier`.
+    fn prepare<'a>(
+        &'a self,
+        g: &'a TemporalGraph,
+        verifier: NodeId,
+    ) -> Box<dyn PreparedVerifier + 'a>;
+
+    /// Judge one `suspect` from the perspective of honest `verifier`:
+    /// [`prepare`](Self::prepare), then one [`PreparedVerifier::judge`].
+    fn verify(&self, g: &TemporalGraph, verifier: NodeId, suspect: NodeId) -> Verdict {
+        self.prepare(g, verifier).judge(suspect)
+    }
+}
+
+/// A defense bound to one graph and one verifier; see
+/// [`SybilDefense::prepare`].
+///
+/// `judge` is a pure function of the suspect: it runs serially (the
+/// harness parallelizes *across* suspects) and leaves the prepared value
+/// untouched, so verdicts do not depend on the order or the thread they
+/// are asked in.
+pub trait PreparedVerifier: Sync {
+    /// Judge `suspect`.
+    fn judge(&self, suspect: NodeId) -> Verdict;
+}
+
+/// The prepared form of a verifier that can vouch for nobody (it has no
+/// edges to route, walk or push flow through).
+pub(crate) struct RejectAll;
+
+impl PreparedVerifier for RejectAll {
+    fn judge(&self, _: NodeId) -> Verdict {
+        Verdict::Reject
+    }
+}
+
+impl Verdict {
+    /// `Accept` if `accepted`, else `Reject`.
+    pub(crate) fn accept_if(accepted: bool) -> Verdict {
+        if accepted {
+            Verdict::Accept
+        } else {
+            Verdict::Reject
+        }
+    }
 }
 
 /// Error rates of one defense on one graph.
@@ -68,10 +117,10 @@ impl DefenseEvaluation {
 
 /// Run `defense` from `verifier` against the given suspect samples.
 ///
-/// Each suspect's verdict is independent, so both sample sets are judged
-/// in parallel (`osn_graph::par`, honoring `RENREN_THREADS`); the verdicts
-/// are tallied in suspect order, so the counts match the serial loop
-/// exactly.
+/// The verifier is prepared once; each suspect's verdict is then
+/// independent, so both sample sets are judged in parallel
+/// (`osn_graph::par`, honoring `RENREN_THREADS`); the verdicts are tallied
+/// in suspect order, so the counts match the serial loop exactly.
 pub fn evaluate_defense<D: SybilDefense + ?Sized>(
     defense: &D,
     g: &TemporalGraph,
@@ -79,12 +128,9 @@ pub fn evaluate_defense<D: SybilDefense + ?Sized>(
     sybil_suspects: &[NodeId],
     honest_suspects: &[NodeId],
 ) -> DefenseEvaluation {
-    let sybil_verdicts = osn_graph::par::map_slice(sybil_suspects, |&s| {
-        defense.verify(g, verifier, s)
-    });
-    let honest_verdicts = osn_graph::par::map_slice(honest_suspects, |&h| {
-        defense.verify(g, verifier, h)
-    });
+    let prepared = defense.prepare(g, verifier);
+    let sybil_verdicts = osn_graph::par::map_slice(sybil_suspects, |&s| prepared.judge(s));
+    let honest_verdicts = osn_graph::par::map_slice(honest_suspects, |&h| prepared.judge(h));
     DefenseEvaluation {
         sybils_accepted: sybil_verdicts
             .iter()
@@ -147,7 +193,16 @@ mod tests {
         fn name(&self) -> &'static str {
             "accept-all"
         }
-        fn verify(&self, _: &TemporalGraph, _: NodeId, _: NodeId) -> Verdict {
+        fn prepare<'a>(
+            &'a self,
+            _: &'a TemporalGraph,
+            _: NodeId,
+        ) -> Box<dyn PreparedVerifier + 'a> {
+            Box::new(AlwaysAccept)
+        }
+    }
+    impl PreparedVerifier for AlwaysAccept {
+        fn judge(&self, _: NodeId) -> Verdict {
             Verdict::Accept
         }
     }

@@ -9,9 +9,8 @@
 //! degree-normalized PPR, sweep for the minimum-conductance prefix, and
 //! accept exactly the nodes inside it.
 
-use crate::common::{SybilDefense, Verdict};
+use crate::common::{PreparedVerifier, RejectAll, SybilDefense, Verdict};
 use osn_graph::{NodeId, TemporalGraph};
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Conductance-sweep community detector.
@@ -25,7 +24,6 @@ pub struct ConductanceRanking {
     /// Floor on the sweep prefix: tiny min-conductance pockets (a clique
     /// of close friends) are not meaningful honest regions.
     pub min_community: usize,
-    cache: Mutex<Option<(NodeId, HashSet<NodeId>)>>,
 }
 
 impl ConductanceRanking {
@@ -36,7 +34,6 @@ impl ConductanceRanking {
             epsilon: 1e-5,
             max_community: 50_000,
             min_community: 16,
-            cache: Mutex::new(None),
         }
     }
 
@@ -112,18 +109,6 @@ impl ConductanceRanking {
         order.truncate(best.1.max(1));
         order.into_iter().map(|(n, _)| n).collect()
     }
-
-    fn community_for(&self, g: &TemporalGraph, verifier: NodeId) -> HashSet<NodeId> {
-        let mut cache = self.cache.lock();
-        if let Some((v, c)) = cache.as_ref() {
-            if *v == verifier {
-                return c.clone();
-            }
-        }
-        let c = self.community(g, verifier);
-        *cache = Some((verifier, c.clone()));
-        c
-    }
 }
 
 impl Default for ConductanceRanking {
@@ -137,15 +122,31 @@ impl SybilDefense for ConductanceRanking {
         "ConductanceRanking"
     }
 
-    fn verify(&self, g: &TemporalGraph, verifier: NodeId, suspect: NodeId) -> Verdict {
-        if g.degree(verifier) == 0 || g.degree(suspect) == 0 {
-            return Verdict::Reject;
+    /// Sweeps the verifier's community once.
+    fn prepare<'a>(
+        &'a self,
+        g: &'a TemporalGraph,
+        verifier: NodeId,
+    ) -> Box<dyn PreparedVerifier + 'a> {
+        if g.degree(verifier) == 0 {
+            return Box::new(RejectAll);
         }
-        if self.community_for(g, verifier).contains(&suspect) {
-            Verdict::Accept
-        } else {
-            Verdict::Reject
-        }
+        Box::new(Community {
+            g,
+            members: self.community(g, verifier),
+        })
+    }
+}
+
+/// ConductanceRanking bound to one verifier: its sweep community.
+struct Community<'a> {
+    g: &'a TemporalGraph,
+    members: HashSet<NodeId>,
+}
+
+impl PreparedVerifier for Community<'_> {
+    fn judge(&self, suspect: NodeId) -> Verdict {
+        Verdict::accept_if(self.g.degree(suspect) > 0 && self.members.contains(&suspect))
     }
 }
 

@@ -9,10 +9,11 @@
 //! attack edge, no matter how many identities they forge — *if* the cut is
 //! small.
 
-use crate::common::{SybilDefense, Verdict};
+use crate::common::{PreparedVerifier, SybilDefense, Verdict};
 use osn_graph::bfs;
 use osn_graph::maxflow::FlowNetwork;
 use osn_graph::{NodeId, TemporalGraph};
+use std::collections::VecDeque;
 
 /// SumUp vote collector.
 pub struct SumUp {
@@ -73,6 +74,16 @@ impl SumUp {
         net
     }
 
+    /// Build the ticket-envelope network around `collector` once, to
+    /// collect any number of voter sets from.
+    pub fn collector(&self, g: &TemporalGraph, collector: NodeId) -> VoteCollector {
+        VoteCollector {
+            net: self.build_network(g, collector),
+            collector,
+            c_max: self.c_max,
+        }
+    }
+
     /// Collect votes from `voters` in order; returns, per voter, whether
     /// the vote was accepted. Flow consumed by earlier voters persists
     /// (capacities are shared), capping total accepted votes.
@@ -82,76 +93,105 @@ impl SumUp {
         collector: NodeId,
         voters: &[NodeId],
     ) -> Vec<bool> {
-        let mut net = self.build_network(g, collector);
+        self.collector(g, collector).collect_votes(voters)
+    }
+}
+
+/// SumUp bound to one graph and one collector: the ticket-envelope
+/// capacity network, at full capacity between calls.
+pub struct VoteCollector {
+    net: FlowNetwork,
+    collector: NodeId,
+    c_max: usize,
+}
+
+impl VoteCollector {
+    /// Collect votes from `voters` in order, as [`SumUp::collect_votes`]
+    /// does. The flow they consumed is handed back before returning, so
+    /// the next voter set starts from the same untouched envelope.
+    pub fn collect_votes(&mut self, voters: &[NodeId]) -> Vec<bool> {
+        let t = self.collector.index();
+        let mut search = PathSearch::new(self.net.num_nodes());
+        let mut pushed = Vec::new();
         let mut accepted_total = 0usize;
-        voters
+        let accepted = voters
             .iter()
             .map(|&v| {
-                if v == collector || accepted_total >= self.c_max {
+                if v == self.collector || accepted_total >= self.c_max {
                     return false;
                 }
-                // Push one unit along the residual network; cap per-voter
-                // flow at 1 by bounding with a temporary source arc.
-                let flow = push_one(&mut net, v.index(), collector.index());
+                let flow = search.find(&self.net, v.index(), t);
                 if flow {
+                    search.push_one(&mut self.net, v.index(), t, &mut pushed);
                     accepted_total += 1;
                 }
                 flow
             })
-            .collect()
+            .collect();
+        for &arc in pushed.iter().rev() {
+            self.net.push_unit(self.net.reverse_arc(arc));
+        }
+        accepted
     }
 }
 
-/// Push a single unit of flow `s → t` on the residual network, consuming
-/// capacity if successful.
-fn push_one(net: &mut FlowNetwork, s: usize, t: usize) -> bool {
-    // A unit augmenting path: run max-flow but stop after one unit — we
-    // emulate by temporarily bounding with a 1-capacity super source.
-    // FlowNetwork has no node splitting, so use an added source node trick:
-    // instead, run one BFS augment via Dinic with early exit: simplest is
-    // to add a fresh 1-capacity arc from a virtual node each call, but
-    // FlowNetwork is fixed-size. We instead run full max_flow on a clone
-    // bounded by the unit arc — cheap enough at our scales.
-    // To keep capacity consumption, do it manually: find an augmenting
-    // path of positive residual capacity with BFS and push 1 along it.
-    let n = net.num_nodes();
-    let mut parent_arc: Vec<Option<u32>> = vec![None; n];
-    let mut visited = vec![false; n];
-    let mut q = std::collections::VecDeque::new();
-    visited[s] = true;
-    q.push_back(s);
-    while let Some(u) = q.pop_front() {
-        if u == t {
-            break;
+/// Breadth-first search for an augmenting path, with its state reused
+/// across voters: a node counts as visited in the current search when its
+/// stamp equals `epoch`, so starting a search is one increment, not an
+/// O(n) clear.
+struct PathSearch {
+    epoch: usize,
+    stamp: Vec<usize>,
+    parent_arc: Vec<u32>,
+    queue: VecDeque<usize>,
+}
+
+impl PathSearch {
+    fn new(n: usize) -> Self {
+        PathSearch {
+            epoch: 0,
+            stamp: vec![0; n],
+            parent_arc: vec![0; n],
+            queue: VecDeque::new(),
         }
-        for &a in net.arcs_from(u) {
-            let v = net.arc_to(a);
-            if !visited[v] && net.arc_cap(a) > 0 {
-                visited[v] = true;
-                parent_arc[v] = Some(a);
-                q.push_back(v);
+    }
+
+    /// Whether `t` can be reached from `s` over arcs with residual
+    /// capacity. The search stops when `t` is discovered — its parent arc,
+    /// and so the tree path to it, is fixed at that moment.
+    fn find(&mut self, net: &FlowNetwork, s: usize, t: usize) -> bool {
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.stamp[s] = epoch;
+        self.queue.clear();
+        self.queue.push_back(s);
+        while let Some(u) = self.queue.pop_front() {
+            for &a in net.arcs_from(u) {
+                let v = net.arc_to(a);
+                if self.stamp[v] != epoch && net.arc_cap(a) > 0 {
+                    self.stamp[v] = epoch;
+                    self.parent_arc[v] = a;
+                    if v == t {
+                        return true;
+                    }
+                    self.queue.push_back(v);
+                }
             }
         }
+        false
     }
-    if !visited[t] {
-        return false;
+
+    /// Push one unit of flow along the path the last successful
+    /// [`find`](Self::find)`(net, s, t)` found, recording the arcs used.
+    fn push_one(&self, net: &mut FlowNetwork, s: usize, t: usize, pushed: &mut Vec<usize>) {
+        let mut v = t;
+        while v != s {
+            let a = self.parent_arc[v] as usize;
+            net.push_unit(a);
+            pushed.push(a);
+            v = net.arc_from_endpoint(a);
+        }
     }
-    // Walk back collecting the path first, so a broken parent chain
-    // (impossible once `visited[t]` holds, but recoverable regardless)
-    // rejects the vote instead of aborting mid-push.
-    let mut path = Vec::new();
-    let mut v = t;
-    while v != s {
-        let Some(a) = parent_arc[v] else {
-            return false;
-        };
-        path.push(a as usize);
-        v = net.arc_from_endpoint(a as usize);
-    }
-    for a in path {
-        net.push_unit(a);
-    }
-    true
 }
 
 impl SybilDefense for SumUp {
@@ -159,18 +199,30 @@ impl SybilDefense for SumUp {
         "SumUp"
     }
 
+    /// Builds the ticket-envelope network around the verifier-as-collector
+    /// once.
+    fn prepare<'a>(
+        &'a self,
+        g: &'a TemporalGraph,
+        verifier: NodeId,
+    ) -> Box<dyn PreparedVerifier + 'a> {
+        Box::new(self.collector(g, verifier))
+    }
+}
+
+impl PreparedVerifier for VoteCollector {
     /// Single-suspect verdict: can the suspect deliver a vote to the
-    /// verifier-as-collector on a fresh network?
-    fn verify(&self, g: &TemporalGraph, verifier: NodeId, suspect: NodeId) -> Verdict {
-        if g.degree(verifier) == 0 || g.degree(suspect) == 0 || verifier == suspect {
-            return Verdict::Reject;
-        }
-        let accepted = self.collect_votes(g, verifier, &[suspect]);
-        if accepted[0] {
-            Verdict::Accept
-        } else {
-            Verdict::Reject
-        }
+    /// collector on a fresh network? One vote needs one augmenting path
+    /// and consumes nothing the verdict depends on, so the path is only
+    /// looked for. (The collector itself cannot vote, a node without edges
+    /// has no arc to leave through, and a zero budget admits nobody.)
+    fn judge(&self, suspect: NodeId) -> Verdict {
+        let (s, t) = (suspect.index(), self.collector.index());
+        Verdict::accept_if(
+            self.c_max > 0
+                && s != t
+                && PathSearch::new(self.net.num_nodes()).find(&self.net, s, t),
+        )
     }
 }
 

@@ -12,12 +12,11 @@
 //! single global table set stands in for the per-node exchanged
 //! witnesses, and the majority rule is a configurable fraction.
 
-use crate::common::{SybilDefense, Verdict};
-use osn_graph::walks::{RouteStart, RouteTables};
-use osn_graph::{NodeId, TemporalGraph};
+use crate::common::{PreparedVerifier, RejectAll, SybilDefense, Verdict};
+use osn_graph::walks::{RouteHops, RouteStart, RouteTables};
+use osn_graph::{EdgeId, NodeId, TemporalGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 
 /// SybilGuard verifier.
 pub struct SybilGuard {
@@ -47,29 +46,18 @@ impl SybilGuard {
         self.route_len
     }
 
-    /// The undirected edges traversed by one route of `who`.
-    fn route_edges(&self, g: &TemporalGraph, who: NodeId, first_edge: usize) -> Vec<(u32, u32)> {
-        self.tables
-            .route(
-                g,
-                RouteStart {
-                    node: who,
-                    first_edge,
-                },
-                self.route_len,
-            )
-            .windows(2)
-            .map(|w| (w[0].0.min(w[1].0), w[0].0.max(w[1].0)))
-            .collect()
-    }
-
-    /// Union of edges over all of `who`'s routes (one per incident edge).
-    fn all_route_edges(&self, g: &TemporalGraph, who: NodeId) -> HashSet<(u32, u32)> {
-        let mut set = HashSet::new();
-        for e in 0..g.degree(who) {
-            set.extend(self.route_edges(g, who, e));
-        }
-        set
+    /// The hops of `who`'s route through its `first_edge`-th adjacency slot.
+    fn route_hops<'a>(
+        &'a self,
+        g: &'a TemporalGraph,
+        who: NodeId,
+        first_edge: usize,
+    ) -> RouteHops<'a> {
+        let start = RouteStart {
+            node: who,
+            first_edge,
+        };
+        self.tables.hops(g, start, self.route_len)
     }
 }
 
@@ -78,33 +66,78 @@ impl SybilDefense for SybilGuard {
         "SybilGuard"
     }
 
+    /// Walks the verifier's routes (one per incident edge) once and
+    /// indexes them by the edges they cross.
+    fn prepare<'a>(
+        &'a self,
+        g: &'a TemporalGraph,
+        verifier: NodeId,
+    ) -> Box<dyn PreparedVerifier + 'a> {
+        let routes = g.degree(verifier);
+        if routes == 0 {
+            return Box::new(RejectAll); // disconnected nodes are unverifiable
+        }
+        let mut crossing: Vec<(EdgeId, u32)> = (0..routes)
+            .flat_map(|route| {
+                self.route_hops(g, verifier, route)
+                    .map(move |hop| (hop.edge, route as u32))
+            })
+            .collect();
+        crossing.sort_unstable();
+        crossing.dedup();
+        Box::new(VerifierRoutes {
+            guard: self,
+            g,
+            routes,
+            crossing,
+        })
+    }
+}
+
+/// SybilGuard bound to one verifier: every (edge, verifier route crossing
+/// it) pair, sorted, over the verifier's `routes` routes.
+struct VerifierRoutes<'a> {
+    guard: &'a SybilGuard,
+    g: &'a TemporalGraph,
+    routes: usize,
+    crossing: Vec<(EdgeId, u32)>,
+}
+
+impl PreparedVerifier for VerifierRoutes<'_> {
     /// SybilGuard's acceptance rule, edge-intersection variant: the
     /// verifier accepts when at least `accept_fraction` of **its own**
     /// routes share an edge with the suspect's routes. Judging from the
     /// verifier's side keeps a handful of escaped routes (through attack
     /// edges) from blanketing a small Sybil region.
-    fn verify(&self, g: &TemporalGraph, verifier: NodeId, suspect: NodeId) -> Verdict {
-        let vd = g.degree(verifier);
-        let sd = g.degree(suspect);
-        if vd == 0 || sd == 0 {
+    fn judge(&self, suspect: NodeId) -> Verdict {
+        let sd = self.g.degree(suspect);
+        if sd == 0 {
             return Verdict::Reject; // disconnected nodes are unverifiable
         }
-        let suspect_edges = self.all_route_edges(g, suspect);
+        let enough = |routes_hit: usize| {
+            routes_hit as f64 >= self.guard.accept_fraction * self.routes as f64
+        };
+        // Mark the verifier routes the suspect's routes touch. The count
+        // only grows, so the walk stops as soon as it is enough.
+        let mut hit = vec![false; self.routes];
         let mut intersecting = 0usize;
-        for e in 0..vd {
-            if self
-                .route_edges(g, verifier, e)
-                .iter()
-                .any(|edge| suspect_edges.contains(edge))
-            {
-                intersecting += 1;
+        for e in 0..sd {
+            if enough(intersecting) {
+                break;
+            }
+            for hop in self.guard.route_hops(self.g, suspect, e) {
+                let first = self.crossing.partition_point(|&(edge, _)| edge < hop.edge);
+                for &(edge, route) in &self.crossing[first..] {
+                    if edge != hop.edge {
+                        break;
+                    }
+                    if !std::mem::replace(&mut hit[route as usize], true) {
+                        intersecting += 1;
+                    }
+                }
             }
         }
-        if intersecting as f64 >= self.accept_fraction * vd as f64 {
-            Verdict::Accept
-        } else {
-            Verdict::Reject
-        }
+        Verdict::accept_if(enough(intersecting))
     }
 }
 

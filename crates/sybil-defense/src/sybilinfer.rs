@@ -15,10 +15,9 @@
 //! predicts: Sybils woven into the honest region mix just as fast and
 //! become indistinguishable.
 
-use crate::common::{SybilDefense, Verdict};
+use crate::common::{PreparedVerifier, RejectAll, SybilDefense, Verdict};
 use osn_graph::walks;
 use osn_graph::{NodeId, TemporalGraph};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,8 +31,6 @@ pub struct SybilInfer {
     /// fraction of the honest median.
     pub accept_fraction: f64,
     seed: u64,
-    // Cache of per-verifier visit profiles (verifier -> normalized visits).
-    cache: Mutex<Option<(NodeId, Vec<f64>)>>,
 }
 
 impl SybilInfer {
@@ -47,7 +44,6 @@ impl SybilInfer {
             walk_len: ((1.5 * n.ln()).ceil() as usize).max(3),
             accept_fraction: 0.05,
             seed,
-            cache: Mutex::new(None),
         }
     }
 
@@ -77,18 +73,6 @@ impl SybilInfer {
             })
             .collect()
     }
-
-    fn profile_for(&self, g: &TemporalGraph, verifier: NodeId) -> Vec<f64> {
-        let mut cache = self.cache.lock();
-        if let Some((v, profile)) = cache.as_ref() {
-            if *v == verifier {
-                return profile.clone();
-            }
-        }
-        let profile = self.visit_profile(g, verifier);
-        *cache = Some((verifier, profile.clone()));
-        profile
-    }
 }
 
 impl SybilDefense for SybilInfer {
@@ -96,22 +80,45 @@ impl SybilDefense for SybilInfer {
         "SybilInfer"
     }
 
-    fn verify(&self, g: &TemporalGraph, verifier: NodeId, suspect: NodeId) -> Verdict {
-        if g.degree(verifier) == 0 || g.degree(suspect) == 0 {
-            return Verdict::Reject;
+    /// Runs the verifier's walks once and keeps their visit profile with
+    /// the honest baseline derived from it.
+    fn prepare<'a>(
+        &'a self,
+        g: &'a TemporalGraph,
+        verifier: NodeId,
+    ) -> Box<dyn PreparedVerifier + 'a> {
+        if g.degree(verifier) == 0 {
+            return Box::new(RejectAll);
         }
-        let profile = self.profile_for(g, verifier);
+        let profile = self.visit_profile(g, verifier);
         // Honest baseline: mean normalized visit rate over visited nodes.
-        let visited: Vec<f64> = profile.iter().copied().filter(|&x| x > 0.0).collect();
-        if visited.is_empty() {
-            return Verdict::Reject;
+        let visited = profile.iter().filter(|&&x| x > 0.0);
+        let count = visited.clone().count();
+        if count == 0 {
+            return Box::new(RejectAll);
         }
-        let mean = visited.iter().sum::<f64>() / visited.len() as f64;
-        if profile[suspect.index()] >= self.accept_fraction * mean {
-            Verdict::Accept
-        } else {
-            Verdict::Reject
-        }
+        let mean = visited.sum::<f64>() / count as f64;
+        Box::new(VisitProfile {
+            g,
+            profile,
+            accept_at: self.accept_fraction * mean,
+        })
+    }
+}
+
+/// SybilInfer bound to one verifier: the degree-normalized visit profile
+/// of its walks and the visit rate a suspect must reach.
+struct VisitProfile<'a> {
+    g: &'a TemporalGraph,
+    profile: Vec<f64>,
+    accept_at: f64,
+}
+
+impl PreparedVerifier for VisitProfile<'_> {
+    fn judge(&self, suspect: NodeId) -> Verdict {
+        Verdict::accept_if(
+            self.g.degree(suspect) > 0 && self.profile[suspect.index()] >= self.accept_at,
+        )
     }
 }
 
@@ -153,18 +160,6 @@ mod tests {
             eval.sybil_acceptance_rate() < 1.0 - eval.honest_rejection_rate(),
             "must separate regions"
         );
-    }
-
-    #[test]
-    fn cache_reuses_profile_per_verifier() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = generators::barabasi_albert(200, 3, Timestamp::ZERO, &mut rng);
-        let si = SybilInfer::new(&g, 7);
-        // Two verifications from the same verifier must agree (cached
-        // profile; also deterministic seeding).
-        let a = si.verify(&g, NodeId(0), NodeId(10));
-        let b = si.verify(&g, NodeId(0), NodeId(10));
-        assert_eq!(a, b);
     }
 
     #[test]

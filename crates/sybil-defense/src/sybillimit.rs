@@ -12,8 +12,13 @@
 //! a seed (deterministic, stateless) — the same trick a decentralized node
 //! would use with a keyed PRF. The balance condition is simplified to a
 //! per-tail load cap.
+//!
+//! Only the slot a route enters through is ever read from a permutation,
+//! so each hop runs the shuffle just far enough to fix that slot (see
+//! `shuffled_slot`). The verifier's tails are walked once per prepared
+//! verifier; judging a suspect walks the suspect's routes only.
 
-use crate::common::{SybilDefense, Verdict};
+use crate::common::{PreparedVerifier, RejectAll, SybilDefense, Verdict};
 use osn_graph::{NodeId, TemporalGraph};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -52,19 +57,23 @@ impl SybilLimit {
     }
 
     /// Stateless per-instance permutation: the out-position for a route
-    /// entering `node` at `in_pos` under instance `inst`.
-    fn out_pos(&self, node: NodeId, degree: usize, in_pos: usize, inst: usize) -> usize {
-        debug_assert!(in_pos < degree);
+    /// entering `node` at `in_pos` under instance `inst`. `perm` is scratch
+    /// (its contents on entry are irrelevant).
+    fn out_pos(
+        &self,
+        node: NodeId,
+        degree: usize,
+        in_pos: usize,
+        inst: usize,
+        perm: &mut Vec<u32>,
+    ) -> usize {
         // Derive the node's permutation for this instance from a seed.
         let node_seed = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((node.0 as u64) << 20)
             .wrapping_add(inst as u64);
-        let mut rng = StdRng::seed_from_u64(node_seed);
-        let mut perm: Vec<u32> = (0..degree as u32).collect();
-        perm.shuffle(&mut rng);
-        perm[in_pos] as usize
+        shuffled_slot(&mut StdRng::seed_from_u64(node_seed), degree, in_pos, perm)
     }
 
     /// The tail (final directed edge) of the instance-`inst` route leaving
@@ -75,6 +84,7 @@ impl SybilLimit {
         who: NodeId,
         first_edge: usize,
         inst: usize,
+        perm: &mut Vec<u32>,
     ) -> Option<(NodeId, NodeId)> {
         let nb = g.neighbors(who);
         if nb.is_empty() {
@@ -89,7 +99,7 @@ impl SybilLimit {
             // edge was taken from the adjacency list one hop back, so a
             // miss means the graph is inconsistent — abandon the route.
             let in_pos = g.neighbors(cur).iter().position(|x| x.edge == edge)?;
-            let out = self.out_pos(cur, d, in_pos, inst);
+            let out = self.out_pos(cur, d, in_pos, inst, perm);
             let next = g.neighbors(cur)[out];
             prev = cur;
             edge = next.edge;
@@ -99,27 +109,34 @@ impl SybilLimit {
     }
 
     /// One route tail per instance for `who`, in instance order (the
-    /// protocol runs one instance per edge slot in rotation). Routes are
-    /// stateless and independent, so they run across threads; the output
-    /// vector is ordered by instance regardless of thread count.
-    fn instance_tails(&self, g: &TemporalGraph, who: NodeId) -> Vec<Option<(NodeId, NodeId)>> {
+    /// protocol runs one instance per edge slot in rotation); abandoned
+    /// routes are skipped. `who` must have at least one edge.
+    fn tails<'a>(
+        &'a self,
+        g: &'a TemporalGraph,
+        who: NodeId,
+    ) -> impl Iterator<Item = (NodeId, NodeId)> + 'a {
         let d = g.degree(who);
-        if d == 0 {
-            return Vec::new();
-        }
-        osn_graph::par::map_indexed(self.instances, |inst| {
-            self.route_tail(g, who, inst % d, inst)
-        })
+        let mut perm = Vec::new();
+        (0..self.instances)
+            .filter_map(move |inst| self.route_tail(g, who, inst % d, inst, &mut perm))
     }
+}
 
-    /// Tail multiset of one node across all instances.
-    fn tails(&self, g: &TemporalGraph, who: NodeId) -> HashMap<(NodeId, NodeId), usize> {
-        let mut map = HashMap::new();
-        for tail in self.instance_tails(g, who).into_iter().flatten() {
-            *map.entry(tail).or_insert(0) += 1;
-        }
-        map
+/// `perm[in_pos]` of the Fisher–Yates shuffle of `0..degree` that
+/// `SliceRandom::shuffle` would draw from `rng`, stopping early: the
+/// shuffle fixes slots from the top down (step `i` swaps slot `i` with a
+/// slot `≤ i` and never touches `i` again), so once step `in_pos` has run
+/// the wanted slot is final and the remaining draws cannot change it.
+fn shuffled_slot(rng: &mut StdRng, degree: usize, in_pos: usize, perm: &mut Vec<u32>) -> usize {
+    debug_assert!(in_pos < degree);
+    perm.clear();
+    perm.extend(0..degree as u32);
+    for i in (in_pos.max(1)..degree).rev() {
+        let j = rng.random_range(0..=i);
+        perm.swap(i, j);
     }
+    perm[in_pos] as usize
 }
 
 impl SybilDefense for SybilLimit {
@@ -127,22 +144,50 @@ impl SybilDefense for SybilLimit {
         "SybilLimit"
     }
 
-    fn verify(&self, g: &TemporalGraph, verifier: NodeId, suspect: NodeId) -> Verdict {
-        if g.degree(verifier) == 0 || g.degree(suspect) == 0 {
-            return Verdict::Reject;
+    /// Walks the verifier's `r` routes once and keeps its tail multiset.
+    fn prepare<'a>(
+        &'a self,
+        g: &'a TemporalGraph,
+        verifier: NodeId,
+    ) -> Box<dyn PreparedVerifier + 'a> {
+        if g.degree(verifier) == 0 {
+            return Box::new(RejectAll);
         }
-        let v_tails = self.tails(g, verifier);
         // Balance condition (simplified): each verifier tail admits a
         // bounded number of suspect intersections.
-        let mut remaining: HashMap<(NodeId, NodeId), usize> = v_tails
-            .iter()
-            .map(|(&tail, &cnt)| (tail, cnt * 2))
-            .collect();
-        // Route computation is the expensive, parallel part; the balance
-        // caps below are consumed serially in instance order so the match
-        // count is independent of thread count.
+        let mut tail_caps = HashMap::new();
+        for tail in self.tails(g, verifier) {
+            *tail_caps.entry(tail).or_insert(0) += 2;
+        }
+        Box::new(VerifierTails {
+            limit: self,
+            g,
+            tail_caps,
+        })
+    }
+}
+
+/// SybilLimit bound to one verifier: how many suspect intersections each
+/// of the verifier's tails still admits.
+struct VerifierTails<'a> {
+    limit: &'a SybilLimit,
+    g: &'a TemporalGraph,
+    tail_caps: HashMap<(NodeId, NodeId), usize>,
+}
+
+impl PreparedVerifier for VerifierTails<'_> {
+    fn judge(&self, suspect: NodeId) -> Verdict {
+        if self.g.degree(suspect) == 0 {
+            return Verdict::Reject;
+        }
+        let needed = self.limit.min_intersections;
+        // The caps are consumed in instance order, and the count only
+        // grows, so stopping at `needed` matches cannot change the verdict.
+        let mut remaining = self.tail_caps.clone();
         let mut matched = 0usize;
-        for tail in self.instance_tails(g, suspect).into_iter().flatten() {
+        let mut tails = self.limit.tails(self.g, suspect);
+        while matched < needed {
+            let Some(tail) = tails.next() else { break };
             // Tails are undirected-intersected: either direction works.
             let rev = (tail.1, tail.0);
             for key in [tail, rev] {
@@ -155,11 +200,7 @@ impl SybilDefense for SybilLimit {
                 }
             }
         }
-        if matched >= self.min_intersections {
-            Verdict::Accept
-        } else {
-            Verdict::Reject
-        }
+        Verdict::accept_if(matched >= needed)
     }
 }
 
@@ -205,16 +246,39 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let g = generators::barabasi_albert(50, 3, Timestamp::ZERO, &mut rng);
         let sl = SybilLimit::new(&g, 9);
-        let a = sl.route_tail(&g, NodeId(1), 0, 4);
-        let b = sl.route_tail(&g, NodeId(1), 0, 4);
+        let mut perm = Vec::new();
+        let a = sl.route_tail(&g, NodeId(1), 0, 4, &mut perm);
+        let b = sl.route_tail(&g, NodeId(1), 0, 4, &mut perm);
         assert_eq!(a, b, "same instance must reproduce the same route");
         // Permutation property: out positions for distinct in positions
         // are distinct.
         let d = g.degree(NodeId(1));
         if d >= 2 {
-            let outs: std::collections::HashSet<usize> =
-                (0..d).map(|p| sl.out_pos(NodeId(1), d, p, 0)).collect();
+            let outs: std::collections::HashSet<usize> = (0..d)
+                .map(|p| sl.out_pos(NodeId(1), d, p, 0, &mut perm))
+                .collect();
             assert_eq!(outs.len(), d);
+        }
+    }
+
+    #[test]
+    fn early_exit_shuffle_reads_the_full_shuffles_slot() {
+        // A dirty scratch buffer on entry must not matter either.
+        let mut perm = vec![7; 100];
+        for degree in 1..=64usize {
+            for instance in 0..8u64 {
+                let seed = instance.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ degree as u64;
+                let mut full: Vec<u32> = (0..degree as u32).collect();
+                full.shuffle(&mut StdRng::seed_from_u64(seed));
+                for (in_pos, &slot) in full.iter().enumerate() {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    assert_eq!(
+                        shuffled_slot(&mut rng, degree, in_pos, &mut perm),
+                        slot as usize,
+                        "degree {degree} in_pos {in_pos} instance {instance}"
+                    );
+                }
+            }
         }
     }
 

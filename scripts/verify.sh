@@ -4,6 +4,7 @@
 # budget, --fix-allowlist byte-identity, and SARIF-catalog snapshot
 # gates), the thread-count
 # bit-identity smoke test (the sanitizer stand-in — see DESIGN.md), the
+# §3.1 defenses thread-identity smoke, the
 # parallel-substrate bench-regression guard, the serving-engine
 # serve-vs-replay equivalence smoke, the metrics bit-identity guard
 # (logical section of metrics.json across threads × shards), the
@@ -91,11 +92,23 @@ echo "== sanitizer stand-in: RENREN_THREADS=1 vs 8 bit-identity =="
 # leans on end-to-end thread-count invariance instead.
 cargo run -q --release -p sybil-bench --bin thread_identity
 
+bench_tmp="$(mktemp -d)"
+trap 'rm -rf "$bench_tmp"' EXIT
+
+echo "== defenses: RENREN_THREADS=1 vs 2 verdict identity =="
+# §3.1's verdict counts must not depend on how suspects are spread over
+# workers: one prepared verifier, judged from 1 thread and from 2.
+for threads in 1 2; do
+    RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
+        --scale tiny --out "$bench_tmp/defenses_t$threads" defenses >/dev/null
+done
+cmp "$bench_tmp/defenses_t1/tiny-seed1/defenses.json" \
+    "$bench_tmp/defenses_t2/tiny-seed1/defenses.json"
+echo "defenses guard: defenses.json identical at RENREN_THREADS=1 and 2"
+
 echo "== bench-regression guard: perf_snapshot =="
 # Run in a temp dir so BENCH_parallel.json never dirties the checkout;
 # re-check the acceptance floor from the JSON the bench emits.
-bench_tmp="$(mktemp -d)"
-trap 'rm -rf "$bench_tmp"' EXIT
 (cd "$bench_tmp" && cargo run -q --release -p sybil-bench --bin perf_snapshot \
     --manifest-path "$root/Cargo.toml" >/dev/null)
 python3 - "$bench_tmp/BENCH_parallel.json" <<'PY'
