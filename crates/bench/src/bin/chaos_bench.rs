@@ -5,7 +5,7 @@
 //! (production path, `NoFaults` plane) and the same session with a
 //! journal-only [`ChaosPlane`] at the default digest cadence (every
 //! epoch write-ahead journaled, per-shard digests every
-//! [`DEFAULT_DIGEST_CADENCE`](sybil_chaos::DEFAULT_DIGEST_CADENCE)th
+//! [`DEFAULT_DIGEST_EVERY`](sybil_store::DEFAULT_DIGEST_EVERY)th
 //! epoch — the `repro chaos` drill configuration), paired per rep and
 //! order-rotated across `REPS` reps (minimum paired overhead is what
 //! the gate sees). A third strict-cadence run (digests *every* epoch)
@@ -28,11 +28,11 @@ use std::io::Cursor;
 use std::time::Instant;
 use sybil_chaos::{
     run_chaos_in_memory, ChaosOutcome, ChaosPlane, FaultSchedule, FaultSpec, FaultSpecKind,
-    Journal,
 };
 use sybil_core::realtime::RealtimeConfig;
 use sybil_core::ThresholdClassifier;
 use sybil_serve::{ServeConfig, ServeSession};
+use sybil_store::{Journal, JournalPlane};
 
 const REPS: usize = 9;
 /// Epoch the smoke's shard crash lands in (mid-stream for the small
@@ -95,14 +95,15 @@ fn main() {
         let run_on = |on_s: &mut f64| {
             let journal =
                 Journal::create(Cursor::new(Vec::new())).expect("in-memory journal");
-            let mut plane = ChaosPlane::new(FaultSchedule::journal_only(42), journal);
+            let mut plane =
+                ChaosPlane::new(FaultSchedule::journal_only(42), JournalPlane::new(journal));
             let o = ServeSession::new(cfg)
                 .clock(&clock)
                 .plane(&mut plane)
                 .run(&out)
                 .expect("serve failed");
             *on_s = o.stats.critical_path_s;
-            (o.report, plane.into_journal().len_bytes())
+            (o.report, plane.inner().journal().len_bytes())
         };
         let mut strict_s = 0.0;
         // Strict cadence: per-shard digests at every barrier — the
@@ -110,8 +111,10 @@ fn main() {
         let run_strict = |strict_s: &mut f64| {
             let journal =
                 Journal::create(Cursor::new(Vec::new())).expect("in-memory journal");
-            let mut strict =
-                ChaosPlane::with_digest_cadence(FaultSchedule::journal_only(42), journal, 1);
+            let mut strict = ChaosPlane::new(
+                FaultSchedule::journal_only(42),
+                JournalPlane::with_digest_cadence(journal, 1),
+            );
             let o = ServeSession::new(cfg)
                 .clock(&clock)
                 .plane(&mut strict)

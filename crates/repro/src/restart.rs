@@ -56,7 +56,6 @@ impl std::fmt::Display for RestartError {
                 let verb = match op {
                     IoOp::Read => "reading",
                     IoOp::Write => "writing",
-                    IoOp::Sync => "syncing",
                     IoOp::Rename => "renaming",
                     IoOp::CreateDir => "creating",
                     IoOp::List => "listing",

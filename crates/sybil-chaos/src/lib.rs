@@ -5,10 +5,14 @@
 //! claim on purpose. A seeded, serializable [`FaultSchedule`] injects
 //! shard stalls, staging-queue overflow, delayed and reordered epoch
 //! barriers, and mid-stream shard crashes into an unmodified
-//! `sybil_serve` coordinator, through the [`FaultPlane`] hooks it
-//! already consults. A write-ahead [`Journal`] records every epoch's
-//! full input at barrier time, so a crashed shard is rebuilt to
-//! byte-identical `realtime::state` by replaying the journal.
+//! `sybil_serve` coordinator, through the `FaultPlane` hooks it
+//! already consults. The [`ChaosPlane`] answers the schedule and hands
+//! every durability hook to the plane it wraps — `sybil-store`'s
+//! write-ahead [`Journal`], which records every epoch's full input at
+//! barrier time so a crashed shard is rebuilt to byte-identical
+//! `realtime::state` by replay; in memory for a plain chaos run, or a
+//! whole `StorePlane`, so the same schedule runs through a persisted,
+//! killed and warm-restarted session.
 //!
 //! The contract, enforced by [`run_chaos`] and the headline proptest:
 //! **any** fault schedule yields either a report byte-identical to the
@@ -27,12 +31,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod journal;
 pub mod plane;
 pub mod report;
 pub mod schedule;
 
-pub use journal::{Journal, JournalError};
 pub use plane::{ChaosPlane, FaultTally};
 pub use report::{ChaosOutcome, RecoveryReport};
 pub use schedule::{FaultSchedule, FaultSpec, FaultSpecKind};
@@ -41,6 +43,7 @@ use osn_sim::SimOutput;
 use std::io::{Cursor, Read, Seek, Write};
 use sybil_serve::fault::{ChaosError, FaultKind};
 use sybil_serve::{ServeConfig, ServeError, ServeSession};
+use sybil_store::{Journal, JournalPlane};
 
 /// Outputs of one chaos run: the deterministic report plus the journal
 /// (handed back so callers can persist or re-verify it).
@@ -68,9 +71,9 @@ fn journal_chaos_err() -> ServeError {
 /// fault-free run.
 ///
 /// The fault-free oracle runs first (a bare session, no plane, no
-/// journal); the chaos run follows with a [`ChaosPlane`] journaling
-/// into `store`. A surfaced [`ServeError::QueueOverflow`] whose
-/// `(epoch, shard)` site matches a scheduled
+/// journal); the chaos run follows with a [`ChaosPlane`] over a
+/// [`JournalPlane`] journaling into `store`. A surfaced
+/// [`ServeError::QueueOverflow`] whose `(epoch, shard)` site matches a scheduled
 /// [`QueueClamp`](FaultSpecKind::QueueClamp) is *attributed* — rewritten
 /// to a typed [`ChaosOutcome::Fault`] — while an overflow at an
 /// un-clamped site is a genuine engine bug and propagates as the error
@@ -91,7 +94,7 @@ pub fn run_chaos<S: Read + Write + Seek>(
     let journal = Journal::create(store).map_err(|_| journal_chaos_err())?;
     let faults_scheduled = schedule.faults.len() as u64;
     let seed = schedule.seed;
-    let mut plane = ChaosPlane::new(schedule, journal);
+    let mut plane = ChaosPlane::new(schedule, JournalPlane::new(journal));
     // With a registry, the chaos run's shard tallies land under the
     // same keys as `serve_observed` — comparable against fault-free.
     let result = match obs {
@@ -130,21 +133,21 @@ pub fn run_chaos<S: Read + Write + Seek>(
         Err(e) => return Err(e),
     };
 
-    let shards = plane
-        .journal()
+    let journal = plane.inner().journal();
+    let shards = journal
         .finished()
         .map(|(_, d)| d.len() as u64)
         .unwrap_or_else(|| resolved_shards(cfg) as u64);
     let report = RecoveryReport {
         seed,
         shards,
-        epochs: plane.journal().epochs_journaled(),
+        epochs: journal.epochs_journaled(),
         faults_scheduled,
         injected: plane.injected(),
         epochs_replayed: plane.epochs_replayed(),
         replay_digest_checks: plane.replay_digest_checks(),
         recovery_latency_epochs: plane.recovery_latency_epochs(),
-        journal_bytes: plane.journal().len_bytes(),
+        journal_bytes: journal.len_bytes(),
         outcome,
     };
     if let Some(reg) = obs {
@@ -154,7 +157,7 @@ pub fn run_chaos<S: Read + Write + Seek>(
         report,
         baseline_json,
         chaos_json,
-        journal: plane.into_journal(),
+        journal: plane.into_inner().into_journal(),
     })
 }
 
@@ -189,7 +192,7 @@ impl JournalVerification {
 
 /// Open a journal byte store and prove it alone reconstructs the live
 /// run's final state: replay every shard through a fresh
-/// [`ChaosPlane`] (no faults) and compare digests against the run-end
+/// [`JournalPlane`] (no faults) and compare digests against the run-end
 /// record. A journal without a run-end record (the run died before
 /// finishing) is a typed [`FaultKind::Journal`] error.
 pub fn verify_journal<S: Read + Write + Seek>(
@@ -206,7 +209,7 @@ pub fn verify_journal<S: Read + Write + Seek>(
         shards,
         ..*cfg
     };
-    let mut plane = ChaosPlane::new(FaultSchedule::journal_only(0), journal);
+    let mut plane = JournalPlane::new(journal);
     let mut replayed = Vec::with_capacity(shards);
     for sid in 0..shards {
         replayed.push(sybil_serve::replay_shard(&mut plane, sid, out, &replay_cfg)?);

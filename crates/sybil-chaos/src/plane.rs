@@ -1,14 +1,17 @@
-//! [`ChaosPlane`]: the fault-injecting, journal-writing implementation
-//! of `sybil-serve`'s [`FaultPlane`] trait.
+//! [`ChaosPlane`]: the fault-injecting implementation of
+//! `sybil-serve`'s [`FaultPlane`] trait, layered over a durable plane.
 //!
 //! The plane is where the declarative [`FaultSchedule`] meets the
 //! coordinator's hook points: schedule entries are indexed by
-//! `(epoch, shard)` at construction, every hook answers from that index
-//! in O(log n), and the write-ahead [`Journal`] rides the
-//! `epoch_begin` / `epoch_commit` / `run_end` barrier hooks. All
-//! journal failures surface as typed [`ChaosError`]s with
-//! `FaultKind::Journal` — the engine's headline invariant forbids a
-//! broken journal from producing a silently different answer.
+//! `(epoch, shard)` at construction and the schedule hooks
+//! (`queue_clamp`, `shard_fault`, `deliver_order`) answer from that
+//! index in O(log n). It owns no journal. Every durability hook —
+//! write-ahead append, commit, replay reads, run end, checkpoint, resume
+//! — is forwarded to the plane it wraps: `sybil-store`'s `JournalPlane`
+//! over memory for a plain chaos run, its `StorePlane` for faults
+//! injected into a persisted, killable, restartable session. Production
+//! code runs unmodified either way; faults enter at the same boundaries
+//! as the real side effects.
 //!
 //! The plane also keeps the ledger the recovery report is built from:
 //! how many faults of each kind were injected (tallied at `epoch_begin`,
@@ -16,13 +19,12 @@
 //! epochs crash recovery replayed, and the total absorbed latency in
 //! logical epochs.
 
-use crate::journal::Journal;
 use crate::schedule::{FaultSchedule, FaultSpecKind};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Seek, Write};
 use sybil_serve::fault::{
-    ChaosError, EpochRecord, EpochRecordRef, FaultKind, FaultPlane, ShardFault,
+    ChaosError, EpochRecord, EpochRecordRef, FaultPlane, ResumeState, SessionCheckpoint,
+    ShardFault,
 };
 
 /// How many faults of each kind a run injected. Serialized into the
@@ -48,9 +50,9 @@ impl FaultTally {
     }
 }
 
-/// The chaos implementation of [`FaultPlane`], generic over the journal
-/// store (a file, or `Cursor<Vec<u8>>` in memory).
-pub struct ChaosPlane<S> {
+/// The chaos implementation of [`FaultPlane`], generic over the durable
+/// plane `P` it injects faults in front of.
+pub struct ChaosPlane<P> {
     schedule: FaultSchedule,
     /// `(epoch, shard) → stall epochs`.
     stalls: BTreeMap<(u64, usize), u32>,
@@ -62,10 +64,8 @@ pub struct ChaosPlane<S> {
     delays: BTreeMap<u64, u32>,
     /// Epochs with shuffled barrier arrival.
     reorders: BTreeSet<u64>,
-    journal: Journal<S>,
-    /// Take per-shard digests every this many epochs (0 = never; the
-    /// run-end digests are always taken by the engine regardless).
-    digest_every: u64,
+    /// The plane every durability hook is forwarded to.
+    inner: P,
     injected: FaultTally,
     /// Epochs re-run out of the journal by crash recovery.
     epochs_replayed: u64,
@@ -76,29 +76,9 @@ pub struct ChaosPlane<S> {
     absorbed_latency_epochs: u64,
 }
 
-/// Default digest cadence: per-shard state digests every 4th epoch.
-/// Digesting is O(total state) and lands on the barrier, so this is the
-/// knob behind the <5% journal-overhead acceptance gate; the run-end
-/// record always carries final digests, so sparser commits only widen
-/// the window between *intermediate* divergence checks (to at most 3
-/// epochs), never weaken the end-state byte-identity proof.
-pub const DEFAULT_DIGEST_CADENCE: u64 = 4;
-
-impl<S: Read + Write + Seek> ChaosPlane<S> {
-    /// Build a plane from a schedule and a journal, digesting every
-    /// [`DEFAULT_DIGEST_CADENCE`] epochs.
-    pub fn new(schedule: FaultSchedule, journal: Journal<S>) -> Self {
-        Self::with_digest_cadence(schedule, journal, DEFAULT_DIGEST_CADENCE)
-    }
-
-    /// [`new`](ChaosPlane::new) with a digest cadence: per-shard state
-    /// digests are journaled every `digest_every` epochs (digesting is
-    /// O(total state), so long runs may want a sparser cadence).
-    pub fn with_digest_cadence(
-        schedule: FaultSchedule,
-        journal: Journal<S>,
-        digest_every: u64,
-    ) -> Self {
+impl<P: FaultPlane> ChaosPlane<P> {
+    /// Inject `schedule` in front of `inner`.
+    pub fn new(schedule: FaultSchedule, inner: P) -> Self {
         let mut p = ChaosPlane {
             schedule,
             stalls: BTreeMap::new(),
@@ -106,8 +86,7 @@ impl<S: Read + Write + Seek> ChaosPlane<S> {
             crashes: BTreeSet::new(),
             delays: BTreeMap::new(),
             reorders: BTreeSet::new(),
-            journal,
-            digest_every,
+            inner,
             injected: FaultTally::default(),
             epochs_replayed: 0,
             replay_digest_checks: 0,
@@ -140,14 +119,14 @@ impl<S: Read + Write + Seek> ChaosPlane<S> {
         &self.schedule
     }
 
-    /// The journal (for byte counts and post-run reads).
-    pub fn journal(&self) -> &Journal<S> {
-        &self.journal
+    /// The wrapped durable plane (journal byte counts, resume facts).
+    pub fn inner(&self) -> &P {
+        &self.inner
     }
 
-    /// Consume the plane, returning the journal.
-    pub fn into_journal(self) -> Journal<S> {
-        self.journal
+    /// Consume the plane, returning the wrapped one.
+    pub fn into_inner(self) -> P {
+        self.inner
     }
 
     /// Faults injected so far.
@@ -177,17 +156,9 @@ impl<S: Read + Write + Seek> ChaosPlane<S> {
     pub fn clamp_scheduled(&self, epoch: u64, shard: usize) -> bool {
         self.clamps.contains_key(&(epoch, shard))
     }
-
-    fn journal_err(epoch: u64) -> ChaosError {
-        ChaosError {
-            epoch,
-            shard: None,
-            fault_kind: FaultKind::Journal,
-        }
-    }
 }
 
-impl<S: Read + Write + Seek> FaultPlane for ChaosPlane<S> {
+impl<P: FaultPlane> FaultPlane for ChaosPlane<P> {
     fn enabled(&self) -> bool {
         true
     }
@@ -213,9 +184,7 @@ impl<S: Read + Write + Seek> FaultPlane for ChaosPlane<S> {
                 FaultSpecKind::Crash => self.injected.crashes += 1,
             }
         }
-        self.journal
-            .append_begin(rec)
-            .map_err(|_| Self::journal_err(rec.epoch))
+        self.inner.epoch_begin(rec)
     }
 
     fn queue_clamp(&self, epoch: u64, shard: usize) -> Option<usize> {
@@ -239,20 +208,15 @@ impl<S: Read + Write + Seek> FaultPlane for ChaosPlane<S> {
     }
 
     fn wants_digests(&self, epoch: u64) -> bool {
-        self.digest_every != 0 && epoch.is_multiple_of(self.digest_every)
+        self.inner.wants_digests(epoch)
     }
 
     fn epoch_commit(&mut self, epoch: u64, digests: Option<&[u64]>) -> Result<(), ChaosError> {
-        self.journal
-            .append_commit(epoch, digests)
-            .map_err(|_| Self::journal_err(epoch))
+        self.inner.epoch_commit(epoch, digests)
     }
 
     fn replay_epoch(&mut self, epoch: u64) -> Result<Option<EpochRecord>, ChaosError> {
-        let rec = self
-            .journal
-            .read_epoch(epoch)
-            .map_err(|_| Self::journal_err(epoch))?;
+        let rec = self.inner.replay_epoch(epoch)?;
         if rec.is_some() {
             self.epochs_replayed += 1;
         }
@@ -260,7 +224,7 @@ impl<S: Read + Write + Seek> FaultPlane for ChaosPlane<S> {
     }
 
     fn committed_digest(&mut self, epoch: u64, shard: usize) -> Option<u64> {
-        let d = self.journal.committed_digest(epoch, shard);
+        let d = self.inner.committed_digest(epoch, shard);
         if d.is_some() {
             self.replay_digest_checks += 1;
         }
@@ -268,9 +232,19 @@ impl<S: Read + Write + Seek> FaultPlane for ChaosPlane<S> {
     }
 
     fn run_end(&mut self, epochs: u64, digests: &[u64]) -> Result<(), ChaosError> {
-        self.journal
-            .append_end(epochs, digests)
-            .map_err(|_| Self::journal_err(epochs))
+        self.inner.run_end(epochs, digests)
+    }
+
+    fn wants_checkpoint(&self, epoch: u64) -> bool {
+        self.inner.wants_checkpoint(epoch)
+    }
+
+    fn checkpoint(&mut self, cp: &SessionCheckpoint) -> Result<(), ChaosError> {
+        self.inner.checkpoint(cp)
+    }
+
+    fn load_resume(&mut self) -> Result<Option<ResumeState>, ChaosError> {
+        self.inner.load_resume()
     }
 }
 
@@ -278,13 +252,12 @@ impl<S: Read + Write + Seek> FaultPlane for ChaosPlane<S> {
 mod tests {
     use super::*;
     use crate::schedule::FaultSpec;
-    use std::io::Cursor;
+    use sybil_serve::fault::NoFaults;
 
-    fn plane(faults: Vec<FaultSpec>) -> ChaosPlane<Cursor<Vec<u8>>> {
+    fn plane(faults: Vec<FaultSpec>) -> ChaosPlane<NoFaults> {
         let mut schedule = FaultSchedule { seed: 1, faults };
         schedule.normalize();
-        let journal = Journal::create(Cursor::new(Vec::new())).unwrap();
-        ChaosPlane::new(schedule, journal)
+        ChaosPlane::new(schedule, NoFaults)
     }
 
     #[test]

@@ -179,9 +179,35 @@ mod tests {
         let s_out = mean(&sybils, |f| f.outgoing_accept_ratio);
         let n_out = mean(&normals, |f| f.outgoing_accept_ratio);
         assert!(s_out + 0.2 < n_out, "out ratio: sybil {s_out} normal {n_out}");
-        // Fig. 3: incoming accept ratio ~1 for Sybils.
-        let s_in = mean(&sybils, |f| f.incoming_accept_ratio);
-        assert!(s_in > 0.85, "sybil incoming ratio {s_in}");
+        // Fig. 3's claim is a fraction, not a mean: ≈80% of Sybils accept
+        // 100% of their incoming requests and the rest "were banned
+        // before answering", while normal users spread out. Two halves.
+        // The mechanism, exactly: a Sybil that has answered anything has
+        // accepted all of it — any shortfall is requests still pending
+        // at the ban, never a rejection.
+        for &s in &sybils {
+            let answered = fx.received_by(s).iter().map(|&i| out.log.get(i as usize).outcome);
+            assert!(
+                answered.filter(|o| o.is_resolved()).all(|o| o.is_accepted()),
+                "sybil {s:?} declined a request"
+            );
+        }
+        // The population shape: most Sybils sit at exactly 1.0, almost no
+        // normal user does. With 60 Sybils the fraction swings with how
+        // many requests the bans happen to strand (0.58 here, 0.73–0.80
+        // on seeds 1/7/11/42; `repro fig3` 0.76; paper ≈ 0.8) — and the
+        // mean this test used to bound at 0.85 swings with it (0.82 here,
+        // up to 0.94), which is why that bound, not the simulator, was
+        // wrong.
+        let accepting_all = |ids: &[NodeId]| {
+            let all = ids
+                .iter()
+                .filter(|&&n| fx.features_for(n).incoming_accept_ratio == 1.0);
+            all.count() as f64 / ids.len() as f64
+        };
+        let (s_all, n_all) = (accepting_all(&sybils), accepting_all(&normals));
+        assert!(s_all > 0.5, "sybils accepting everything: {s_all}");
+        assert!(n_all < 0.1, "normals accepting everything: {n_all}");
     }
 
     #[test]

@@ -153,7 +153,8 @@ pub struct EffectConfig {
     pub byte_stable_sinks: Vec<String>,
     /// S118 roots: the production fault-plane surface (the `FaultPlane`
     /// trait's no-op defaults and `NoFaults`), which must not reach
-    /// filesystem/stdio IO — journaling belongs to the chaos plane only.
+    /// filesystem/stdio IO — journaling belongs to sybil-store's durable
+    /// planes only.
     pub fault_plane_roots: Vec<String>,
 }
 
@@ -431,9 +432,11 @@ const SPAWN_SANCTIONED: [&str; 2] = [
 /// format module below.
 const VERSIONED_STATE_DIR: &str = "crates/sybil-store/src/";
 
-/// The one module allowed to do file IO on versioned state: it owns the
-/// `SYBS` header, the length-prefixed framing, the trailer digest, and
-/// the version-compatibility policy.
+/// The one module allowed to do file IO on versioned state: it owns
+/// every filesystem touch (atomic checkpoint writes, journal open and
+/// torn-tail repair, directory scans), so the crate's byte layouts —
+/// `SYBS` there, `SYBJ` in `journal.rs`, both on `codec.rs` — are the
+/// only way bytes reach disk.
 const FORMAT_MODULE: &str = "crates/sybil-store/src/format.rs";
 
 /// Run S109–S112 over the inferred effects, appending findings to `out`.
@@ -490,7 +493,7 @@ pub(crate) fn check_effects(
             mask: io,
             role: "production fault-plane hook",
             fix: "keep the production plane a pure no-op — journal writes \
-                  and other IO belong in the chaos plane's override, never \
+                  and other IO belong in a durable plane's override, never \
                   in the default the real engine runs",
         },
     ];
@@ -609,10 +612,10 @@ pub(crate) fn check_effects(
                 col: site.col,
                 message: format!(
                     "`{}` ({}) touches versioned state outside \
-                     `sybil-store::format`; the SYBS header, framing, and \
-                     trailer digest live in format.rs — express the \
-                     operation as a `format` helper so those rules apply \
-                     to every byte that reaches disk",
+                     `sybil-store::format`; every file touch lives in \
+                     format.rs, under the SYBS/SYBJ headers, framing, and \
+                     digests — express the operation as a `format` helper \
+                     so those rules apply to every byte that reaches disk",
                     site.what,
                     site.effect.name()
                 ),

@@ -301,8 +301,8 @@ pub fn rule_explanation(code: &str) -> Option<&'static str> {
                    be spurious — two unrelated `step` methods wiring into each other; \
                    renaming one of the methods is usually the cleanest fix and sharpens \
                    every other S-rule at the same time.",
-        "S118" => "S118 — IO reachable from a production fault-plane hook\n\nThe chaos \
-                   subsystem hooks the serving engine through the FaultPlane trait: the \
+        "S118" => "S118 — IO reachable from a production fault-plane hook\n\nFault \
+                   injection and persistence hook the serving engine through the FaultPlane trait: the \
                    engine consults the plane at every decision point, and production runs \
                    pass the no-op plane, whose hooks must compile down to nothing. An IO \
                    effect (file open/read/write, stdio) reachable from one of the \
@@ -313,16 +313,19 @@ pub fn rule_explanation(code: &str) -> Option<&'static str> {
                    plane.\n\nS118 reuses the S110 IO effect inference (intrinsic sites \
                    plus interprocedural fixpoint) but roots it at the fault-plane \
                    surface: the trait's default methods and the NoFaults impl. Fix by \
-                   moving the IO into the chaos plane's override (sybil-chaos owns the \
-                   write-ahead journal) and keeping the default a pure return. There is \
+                   moving the IO into a durable plane's override (sybil-store owns the \
+                   write-ahead journal and the checkpoints; sybil-chaos's plane only \
+                   forwards to one) and keeping the default a pure return. There is \
                    deliberately no allowlist story here — a production hook that needs \
                    IO is a design error, not a reviewable exception.",
         "S119" => "S119 — file IO on versioned state outside the format module\n\nEvery \
-                   byte sybil-store puts on disk is versioned: the SYBS magic + version \
-                   header, the length-prefixed section framing, and the trailing content \
-                   digest all live in `format.rs`, and the compatibility policy (same \
+                   byte sybil-store puts on disk is versioned: SYBS checkpoints (`format.rs`) \
+                   and SYBJ journal frames (`journal.rs`) share one field codec, each with \
+                   its magic + version header and length-prefixed framing, and the \
+                   compatibility policy (same \
                    version decodes byte-identically forever; unknown versions are refused, \
-                   never guessed) is enforced by that one module. A filesystem or stdio \
+                   never guessed) rests on every file touch going through `format.rs`, \
+                   which writes only those layouts. A filesystem or stdio \
                    call anywhere else in `crates/sybil-store/src/` writes bytes the \
                    version policy cannot see — a checkpoint that `latest()` cannot \
                    fall back across, a journal frame the digest never covered, a format \

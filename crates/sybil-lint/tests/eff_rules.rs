@@ -263,7 +263,7 @@ fn s118_default_hook_reaching_io_reports_chain() {
         "`fs::write` (IO write) is reachable from production fault-plane hook \
          `eff_fault_bad::plane::epoch_commit` (1 call away); keep the \
          production plane a pure no-op — journal writes and other IO belong \
-         in the chaos plane's override, never in the default the real engine \
+         in a durable plane's override, never in the default the real engine \
          runs"
     );
     assert_eq!(
@@ -438,9 +438,10 @@ fn s119_store_io_outside_the_format_module() {
     assert_eq!(
         v.message,
         "`fs::write` (IO write) touches versioned state outside \
-         `sybil-store::format`; the SYBS header, framing, and trailer \
-         digest live in format.rs — express the operation as a `format` \
-         helper so those rules apply to every byte that reaches disk"
+         `sybil-store::format`; every file touch lives in format.rs, under \
+         the SYBS/SYBJ headers, framing, and digests — express the \
+         operation as a `format` helper so those rules apply to every byte \
+         that reaches disk"
     );
     assert_eq!(
         v.trace,

@@ -15,8 +15,6 @@ pub enum IoOp {
     Read,
     /// Writing a file (including its temporary sibling).
     Write,
-    /// Flushing written bytes to stable storage.
-    Sync,
     /// Renaming the temporary file over the final path.
     Rename,
     /// Creating the store directory.
@@ -32,7 +30,6 @@ impl std::fmt::Display for IoOp {
         let s = match self {
             IoOp::Read => "read",
             IoOp::Write => "write",
-            IoOp::Sync => "sync",
             IoOp::Rename => "rename",
             IoOp::CreateDir => "create-dir",
             IoOp::List => "list",
@@ -71,7 +68,7 @@ pub enum StoreError {
         /// The digest recomputed over the sections actually read.
         found: u64,
     },
-    /// A section carried a tag this version does not define.
+    /// A checkpoint section carried a tag this version does not define.
     UnknownSection {
         /// The offending tag.
         tag: u8,
@@ -82,7 +79,7 @@ pub enum StoreError {
         tag: u8,
     },
     /// A field held a value outside its domain (e.g. a boolean byte
-    /// that is neither 0 nor 1).
+    /// that is neither 0 nor 1, or an unknown journal frame tag).
     BadField {
         /// Byte offset of the offending field.
         offset: u64,
@@ -94,18 +91,18 @@ pub enum StoreError {
         /// The error kind the filesystem reported.
         kind: std::io::ErrorKind,
     },
-    /// The write-ahead journal beneath the store failed at this epoch.
-    Journal {
-        /// Epoch of the failed journal operation.
-        epoch: u64,
-    },
+}
+
+/// Carry an `io::Error` from operation `op` as a [`StoreError::Io`].
+pub(crate) fn io_err(op: IoOp) -> impl Fn(std::io::Error) -> StoreError {
+    move |e| StoreError::Io { op, kind: e.kind() }
 }
 
 impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::BadMagic { found } => {
-                write!(f, "store file missing SYBS magic (found {found:02x?})")
+                write!(f, "store file has neither SYBS nor SYBJ magic (found {found:02x?})")
             }
             StoreError::VersionMismatch { found, expected } => {
                 write!(f, "store format version {found} unsupported (this build reads {expected})")
@@ -127,9 +124,6 @@ impl std::fmt::Display for StoreError {
                 write!(f, "store field out of domain at byte {offset}")
             }
             StoreError::Io { op, kind } => write!(f, "store {op} failed ({kind:?})"),
-            StoreError::Journal { epoch } => {
-                write!(f, "write-ahead journal failed at epoch {epoch}")
-            }
         }
     }
 }

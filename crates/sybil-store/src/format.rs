@@ -4,8 +4,8 @@
 //! ## Format
 //!
 //! A checkpoint file is a header, a run of tagged sections, and a digest
-//! trailer. All integers are little-endian; floats are IEEE-754 bit
-//! patterns written as `u64`; `usize` never appears on disk. The byte
+//! trailer, in the crate's one field encoding (little-endian,
+//! width-explicit — see `codec.rs`, shared with the journal). The byte
 //! stream is a pure function of the logical checkpoint, so two encodes of
 //! equal state are byte-identical on every platform — the golden-bytes
 //! regression test pins exactly this.
@@ -27,7 +27,8 @@
 //! The trailer is a [`Digest64`] fold over the version, the section
 //! count, and every section's tag, length, and payload. A flipped bit
 //! anywhere surfaces as [`StoreError::DigestMismatch`] before any field
-//! reaches the engine.
+//! reaches the engine. The digest is not cryptographic, so the section
+//! decoders still treat every count behind it as outside input.
 //!
 //! ## IO policy
 //!
@@ -35,23 +36,29 @@
 //! to this module: checkpoint writes go through [`write_atomic`]
 //! (temporary sibling + rename, so a crash mid-write never leaves a
 //! half-checkpoint under the final name), journal files are
-//! opened through [`open_or_create_journal`] (which first truncates a
-//! torn tail back to the last whole frame, because
-//! `Journal::open` is strict about truncation), and directory scans go
-//! through [`list_checkpoints`].
+//! opened through [`open_or_create_journal`] (which cuts a torn tail
+//! back to the last whole frame the journal's own scan found), and
+//! directory scans go through [`list_checkpoints`].
+//!
+//! The durability contract is *process kill*, not power loss: appends
+//! and renames reach the OS before a hook returns, and nothing here
+//! calls `sync_data`, so state survives the serving process dying at any
+//! instruction but not the machine losing power with dirty pages.
 
-use crate::error::{IoOp, StoreError};
+use crate::codec::{
+    get_features, get_feedback, put_bool, put_features, put_feedback, put_u32, put_u64, put_u8,
+    Fields, FEATURES_LEN, FEEDBACK_LEN,
+};
+use crate::error::{io_err, IoOp, StoreError};
+use crate::journal::{self, Journal};
 use osn_graph::{NodeId, Timestamp};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use sybil_chaos::journal::{self, Journal, JournalError};
 use sybil_core::digest::Digest64;
 use sybil_core::realtime::state::AccountState;
 use sybil_core::realtime::{Detection, ReplayCounters};
-use sybil_features::FeatureVector;
-use sybil_serve::fault::FeedbackRecord;
 use sybil_serve::{SessionCheckpoint, ShardSnapshot};
 
 /// Checkpoint magic: `b"SYBS"`.
@@ -69,94 +76,16 @@ const TAG_CARRY: u8 = 6;
 const TAG_TOTALS: u8 = 7;
 
 // ---------------------------------------------------------------------
-// Field encoders (little-endian, width-explicit).
+// Section payload codecs. The constants are each record's encoded size
+// (`_LEN`) or smallest possible encoding (`_MIN`) — what `Fields::count`
+// bounds counts by.
 // ---------------------------------------------------------------------
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    put_u8(buf, u8::from(v));
-}
-
-/// Little-endian field decoder with absolute offsets for error reports.
-struct Fields<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    base: u64,
-}
-
-impl<'a> Fields<'a> {
-    fn new(buf: &'a [u8], base: u64) -> Self {
-        Fields { buf, pos: 0, base }
-    }
-
-    fn offset(&self) -> u64 {
-        self.base + self.pos as u64
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(StoreError::TruncatedFrame {
-                offset: self.offset(),
-            }),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        let s = self.take(4)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(s);
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        let s = self.take(8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, StoreError> {
-        let off = self.offset();
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(StoreError::BadField { offset: off }),
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Section payload codecs.
-// ---------------------------------------------------------------------
+const ACCOUNT_MIN: usize = 6 * 4 + 2;
+const PENDING_FEEDBACK_LEN: usize = 8 + FEATURES_LEN + 1;
+const SHARD_MIN: usize = 4 + 31 * 8 + 4 + 8 + 8;
+const EDGE_LEN: usize = 4 + 4 + 8;
+const TAGGED_LEN: usize = 8 + 4 + 8 + 1;
 
 fn put_account(buf: &mut Vec<u8>, st: &AccountState) {
     put_u32(buf, st.sent);
@@ -179,17 +108,9 @@ fn get_account(f: &mut Fields<'_>) -> Result<AccountState, StoreError> {
     let sent = f.u32()?;
     let accepted = f.u32()?;
     let rejected = f.u32()?;
-    let n_recent = f.u32()? as usize;
-    let mut recent_sends = std::collections::VecDeque::with_capacity(n_recent);
-    for _ in 0..n_recent {
-        recent_sends.push_back(f.u64()?);
-    }
+    let recent_sends = f.counted(8, Fields::u64)?.into();
     let peak_1h = f.u32()?;
-    let n_friends = f.u32()? as usize;
-    let mut friends = Vec::with_capacity(n_friends);
-    for _ in 0..n_friends {
-        friends.push(NodeId(f.u32()?));
-    }
+    let friends = f.counted(4, |f| Ok(NodeId(f.u32()?)))?;
     let friends_dup = f.bool()?;
     let detected = f.bool()?;
     Ok(AccountState {
@@ -201,22 +122,6 @@ fn get_account(f: &mut Fields<'_>) -> Result<AccountState, StoreError> {
         friends,
         friends_dup,
         detected,
-    })
-}
-
-fn put_features(buf: &mut Vec<u8>, fv: &FeatureVector) {
-    for v in fv.as_array() {
-        put_f64(buf, v);
-    }
-}
-
-fn get_features(f: &mut Fields<'_>) -> Result<FeatureVector, StoreError> {
-    Ok(FeatureVector {
-        inv_freq_1h: f.f64()?,
-        inv_freq_400h: f.f64()?,
-        outgoing_accept_ratio: f.f64()?,
-        incoming_accept_ratio: f.f64()?,
-        clustering_coefficient: f.f64()?,
     })
 }
 
@@ -239,23 +144,14 @@ fn put_shard(buf: &mut Vec<u8>, s: &ShardSnapshot) {
 }
 
 fn get_shard(f: &mut Fields<'_>) -> Result<ShardSnapshot, StoreError> {
-    let n_states = f.u32()? as usize;
-    let mut states = Vec::with_capacity(n_states);
-    for _ in 0..n_states {
-        states.push(get_account(f)?);
-    }
+    let states = f.counted(ACCOUNT_MIN, get_account)?;
     let mut adaptive = [0u64; 31];
     for w in &mut adaptive {
         *w = f.u64()?;
     }
-    let n_feedback = f.u32()? as usize;
-    let mut feedback_queue = Vec::with_capacity(n_feedback);
-    for _ in 0..n_feedback {
-        let due = Timestamp(f.u64()?);
-        let fv = get_features(f)?;
-        let truth = f.bool()?;
-        feedback_queue.push((due, fv, truth));
-    }
+    let feedback_queue = f.counted(PENDING_FEEDBACK_LEN, |f| {
+        Ok((Timestamp(f.u64()?), get_features(f)?, f.bool()?))
+    })?;
     let sends_until_audit = f.u64()?;
     let audit_cursor = f.u64()?;
     Ok(ShardSnapshot {
@@ -277,37 +173,8 @@ fn put_edges(buf: &mut Vec<u8>, edges: &[(NodeId, NodeId, Timestamp)]) {
 }
 
 fn get_edges(f: &mut Fields<'_>) -> Result<Vec<(NodeId, NodeId, Timestamp)>, StoreError> {
-    let n = f.u32()? as usize;
-    let mut edges = Vec::with_capacity(n);
-    for _ in 0..n {
-        let u = NodeId(f.u32()?);
-        let v = NodeId(f.u32()?);
-        let t = Timestamp(f.u64()?);
-        edges.push((u, v, t));
-    }
-    Ok(edges)
-}
-
-fn put_feedback_record(buf: &mut Vec<u8>, fb: &FeedbackRecord) {
-    put_u64(buf, fb.seq);
-    put_u8(buf, fb.intra);
-    put_u64(buf, fb.due.as_secs());
-    put_features(buf, &fb.features);
-    put_bool(buf, fb.truth);
-}
-
-fn get_feedback_record(f: &mut Fields<'_>) -> Result<FeedbackRecord, StoreError> {
-    let seq = f.u64()?;
-    let intra = f.u8()?;
-    let due = Timestamp(f.u64()?);
-    let features = get_features(f)?;
-    let truth = f.bool()?;
-    Ok(FeedbackRecord {
-        seq,
-        intra,
-        due,
-        features,
-        truth,
+    f.counted(EDGE_LEN, |f| {
+        Ok((NodeId(f.u32()?), NodeId(f.u32()?), Timestamp(f.u64()?)))
     })
 }
 
@@ -327,15 +194,15 @@ fn sections(cp: &SessionCheckpoint) -> BTreeMap<u8, Vec<u8>> {
     }
     map.insert(TAG_SHARDS, shards);
 
-    let mut folded = Vec::with_capacity(4 + cp.folded_edges.len() * 16);
+    let mut folded = Vec::with_capacity(4 + cp.folded_edges.len() * EDGE_LEN);
     put_edges(&mut folded, &cp.folded_edges);
     map.insert(TAG_FOLDED, folded);
 
-    let mut staged = Vec::with_capacity(4 + cp.staged_edges.len() * 16);
+    let mut staged = Vec::with_capacity(4 + cp.staged_edges.len() * EDGE_LEN);
     put_edges(&mut staged, &cp.staged_edges);
     map.insert(TAG_STAGED, staged);
 
-    let mut tagged = Vec::with_capacity(4 + cp.tagged.len() * 21);
+    let mut tagged = Vec::with_capacity(4 + cp.tagged.len() * TAGGED_LEN);
     put_u32(&mut tagged, cp.tagged.len() as u32);
     for &(seq, det) in &cp.tagged {
         put_u64(&mut tagged, seq);
@@ -345,10 +212,10 @@ fn sections(cp: &SessionCheckpoint) -> BTreeMap<u8, Vec<u8>> {
     }
     map.insert(TAG_TAGGED, tagged);
 
-    let mut carry = Vec::with_capacity(4 + cp.carry_feedback.len() * 58);
+    let mut carry = Vec::with_capacity(4 + cp.carry_feedback.len() * FEEDBACK_LEN);
     put_u32(&mut carry, cp.carry_feedback.len() as u32);
     for fb in &cp.carry_feedback {
-        put_feedback_record(&mut carry, fb);
+        put_feedback(&mut carry, fb);
     }
     map.insert(TAG_CARRY, carry);
 
@@ -364,12 +231,13 @@ fn sections(cp: &SessionCheckpoint) -> BTreeMap<u8, Vec<u8>> {
     map
 }
 
-/// Fold the header fields and every section into the trailer digest.
-fn trailer_digest(map: &BTreeMap<u8, Vec<u8>>) -> u64 {
+/// Fold the header fields and every section (ascending by tag) into the
+/// trailer digest.
+fn trailer_digest<'a>(sections: impl ExactSizeIterator<Item = (u8, &'a [u8])>) -> u64 {
     let mut d = Digest64::new();
     d.write_u32(VERSION);
-    d.write_usize(map.len());
-    for (&tag, payload) in map {
+    d.write_usize(sections.len());
+    for (tag, payload) in sections {
         d.write_u32(u32::from(tag));
         d.write_usize(payload.len());
         for chunk in payload.chunks(8) {
@@ -395,7 +263,10 @@ pub fn encode_checkpoint(cp: &SessionCheckpoint) -> Vec<u8> {
         put_u32(&mut out, payload.len() as u32);
         out.extend_from_slice(payload);
     }
-    put_u64(&mut out, trailer_digest(&map));
+    put_u64(
+        &mut out,
+        trailer_digest(map.iter().map(|(&tag, p)| (tag, p.as_slice()))),
+    );
     out
 }
 
@@ -440,11 +311,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
     if !f.done() {
         return Err(StoreError::BadField { offset: f.offset() });
     }
-    let mut owned: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
-    for (&tag, &(_, payload)) in &map {
-        owned.insert(tag, payload.to_vec());
-    }
-    let found = trailer_digest(&owned);
+    let found = trailer_digest(map.iter().map(|(&tag, &(_, payload))| (tag, payload)));
     if found != expected {
         return Err(StoreError::DigestMismatch { expected, found });
     }
@@ -457,9 +324,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
 
     let mut meta = section(TAG_META)?;
     let epochs = meta.u64()?;
-    let n_shards = meta.u32()? as usize;
-
     let mut sh = section(TAG_SHARDS)?;
+    let n_shards = sh.fits(meta.u32()? as usize, SHARD_MIN)?;
     let mut shards = Vec::with_capacity(n_shards);
     for _ in 0..n_shards {
         shards.push(get_shard(&mut sh)?);
@@ -468,23 +334,15 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
     let folded_edges = get_edges(&mut section(TAG_FOLDED)?)?;
     let staged_edges = get_edges(&mut section(TAG_STAGED)?)?;
 
-    let mut tg = section(TAG_TAGGED)?;
-    let n_tagged = tg.u32()? as usize;
-    let mut tagged = Vec::with_capacity(n_tagged);
-    for _ in 0..n_tagged {
-        let seq = tg.u64()?;
-        let account = NodeId(tg.u32()?);
-        let at = Timestamp(tg.u64()?);
-        let correct = tg.bool()?;
-        tagged.push((seq, Detection { account, at, correct }));
-    }
+    let tagged = section(TAG_TAGGED)?.counted(TAGGED_LEN, |f| {
+        let seq = f.u64()?;
+        let account = NodeId(f.u32()?);
+        let at = Timestamp(f.u64()?);
+        let correct = f.bool()?;
+        Ok((seq, Detection { account, at, correct }))
+    })?;
 
-    let mut cf = section(TAG_CARRY)?;
-    let n_carry = cf.u32()? as usize;
-    let mut carry_feedback = Vec::with_capacity(n_carry);
-    for _ in 0..n_carry {
-        carry_feedback.push(get_feedback_record(&mut cf)?);
-    }
+    let carry_feedback = section(TAG_CARRY)?.counted(FEEDBACK_LEN, get_feedback)?;
 
     let mut tot = section(TAG_TOTALS)?;
     let totals = ReplayCounters {
@@ -511,10 +369,6 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
 // Filesystem operations — the only ones in the crate (lint rule S119).
 // ---------------------------------------------------------------------
 
-fn io_err(op: IoOp) -> impl Fn(std::io::Error) -> StoreError {
-    move |e| StoreError::Io { op, kind: e.kind() }
-}
-
 /// Create the store directory (and parents) if absent.
 pub(crate) fn ensure_dir(dir: &Path) -> Result<(), StoreError> {
     std::fs::create_dir_all(dir).map_err(io_err(IoOp::CreateDir))
@@ -528,12 +382,11 @@ pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
 /// Write `bytes` to `path` atomically: a temporary sibling is written
 /// first, then renamed over the final name, so a crash at any point
 /// leaves either the old file or the complete new one under the final
-/// name — never a torn checkpoint. There is deliberately no fsync on
-/// this path: checkpoints are a recovery *accelerator*, not the source
-/// of durability (the write-ahead journal is), and a checkpoint lost to
-/// power failure just means recovery falls back to an older one plus a
-/// longer journal tail. The trailer digest catches any file the rename
-/// contract didn't protect.
+/// name — never a torn checkpoint. There is no fsync here or anywhere
+/// else in the crate (see the module's durability contract): a
+/// checkpoint is a recovery *accelerator* over the journal, and one lost
+/// or torn by power failure is caught by its trailer digest, so recovery
+/// falls back to an older one plus a longer journal tail.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let tmp = path.with_extension("tmp");
     let mut file = File::create(&tmp).map_err(io_err(IoOp::Write))?;
@@ -570,113 +423,40 @@ pub(crate) fn checkpoint_name(epochs: u64) -> String {
     format!("checkpoint-{epochs:08}.sybs")
 }
 
-/// Map a journal-layer error onto the store's typed surface.
-fn map_journal(e: JournalError) -> StoreError {
-    match e {
-        JournalError::Io { kind, .. } => StoreError::Io { op: IoOp::Read, kind },
-        // `open_or_create_journal` validates magic and version from the
-        // raw bytes before handing the file to `Journal::open`, so these
-        // two arms are defensive.
-        JournalError::BadMagic => StoreError::BadMagic { found: [0; 4] },
-        JournalError::BadVersion(v) => StoreError::VersionMismatch {
-            found: v,
-            expected: journal::VERSION,
-        },
-        JournalError::Truncated { offset } => StoreError::TruncatedFrame { offset },
-        JournalError::BadTag { offset, .. } | JournalError::BadField { offset } => {
-            StoreError::BadField { offset }
-        }
-    }
-}
-
-/// Length of the longest valid prefix of a `SYBJ` stream: the header
-/// plus every whole frame. Bytes past it are a torn append.
-fn journal_valid_prefix(bytes: &[u8]) -> Result<u64, StoreError> {
-    if bytes.len() < 8 {
-        return Err(StoreError::TruncatedFrame {
-            offset: bytes.len() as u64,
-        });
-    }
-    if bytes[..4] != journal::MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(&bytes[..4]);
-        return Err(StoreError::BadMagic { found });
-    }
-    let mut vb = [0u8; 4];
-    vb.copy_from_slice(&bytes[4..8]);
-    let version = u32::from_le_bytes(vb);
-    if version != journal::VERSION {
-        return Err(StoreError::VersionMismatch {
-            found: version,
-            expected: journal::VERSION,
-        });
-    }
-    let mut pos = 8usize;
-    loop {
-        let Some(lenb) = bytes.get(pos..pos + 4) else {
-            return Ok(pos as u64);
-        };
-        let mut b = [0u8; 4];
-        b.copy_from_slice(lenb);
-        let len = u32::from_le_bytes(b) as usize;
-        if len == 0 {
-            // A zero length can never be written; treat the rest as torn.
-            return Ok(pos as u64);
-        }
-        match pos.checked_add(4 + len) {
-            Some(end) if end <= bytes.len() => pos = end,
-            _ => return Ok(pos as u64),
-        }
-    }
-}
-
 /// Open the write-ahead journal at `path` for appending, creating it if
 /// absent. An existing journal with a torn tail (the process died inside
-/// an append) is first truncated back to its last whole frame —
-/// `Journal::open` is deliberately strict about truncation, so the
-/// repair happens here, at the only layer that owns the file.
+/// an append) is cut back to the last whole frame its scan found — the
+/// repair happens here, at the only layer that owns the file. Corruption
+/// *inside* a whole frame is not repaired: it is a typed error.
 pub(crate) fn open_or_create_journal(path: &Path) -> Result<Journal<File>, StoreError> {
-    let existing = match std::fs::metadata(path) {
-        Ok(m) => m.len() > 0,
-        Err(_) => false,
-    };
-    if !existing {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(io_err(IoOp::Write))?;
-        return Journal::create(file).map_err(map_journal);
-    }
-    let bytes = read_file(path)?;
-    // A file shorter than its own header was torn during creation; start
-    // it over rather than refusing to serve.
-    if bytes.len() < 8 {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .truncate(true)
-            .open(path)
-            .map_err(io_err(IoOp::Truncate))?;
-        return Journal::create(file).map_err(map_journal);
-    }
-    let valid = journal_valid_prefix(&bytes)?;
     let file = OpenOptions::new()
         .read(true)
         .write(true)
+        .create(true)
+        .truncate(false)
         .open(path)
-        .map_err(io_err(IoOp::Read))?;
-    if valid < bytes.len() as u64 {
-        file.set_len(valid).map_err(io_err(IoOp::Truncate))?;
+        .map_err(io_err(IoOp::Write))?;
+    let len = file.metadata().map_err(io_err(IoOp::Read))?.len();
+    // A file shorter than its own header is new, or was torn during
+    // creation; start it over rather than refusing to serve.
+    if len < journal::HEADER_LEN {
+        return Journal::create(file);
     }
-    Journal::open(file).map_err(map_journal)
+    let journal = Journal::open_to_last_whole_frame(file)?;
+    if journal.len_bytes() < len {
+        journal
+            .store()
+            .set_len(journal.len_bytes())
+            .map_err(io_err(IoOp::Truncate))?;
+    }
+    Ok(journal)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sybil_features::FeatureVector;
+    use sybil_serve::fault::FeedbackRecord;
 
     /// A small synthetic checkpoint exercising every section and every
     /// field kind (floats included, with a negative zero to pin bit
@@ -814,21 +594,5 @@ mod tests {
             ),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn journal_prefix_walk_finds_last_whole_frame() {
-        // header + one 5-byte frame + one torn frame.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&journal::MAGIC);
-        bytes.extend_from_slice(&journal::VERSION.to_le_bytes());
-        bytes.extend_from_slice(&5u32.to_le_bytes());
-        bytes.extend_from_slice(&[1, 2, 3, 4, 5]);
-        let whole = bytes.len() as u64;
-        bytes.extend_from_slice(&100u32.to_le_bytes());
-        bytes.extend_from_slice(&[9, 9]); // frame cut short
-        assert_eq!(journal_valid_prefix(&bytes).unwrap(), whole);
-        // A clean stream keeps its full length.
-        assert_eq!(journal_valid_prefix(&bytes[..whole as usize]).unwrap(), whole);
     }
 }

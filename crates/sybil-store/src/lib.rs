@@ -6,7 +6,7 @@
 //! state — per-shard `realtime::state`, adaptive thresholds, the
 //! `GraphMirror`'s folded and staged edges, merged detections, pending
 //! feedback, logical totals — as versioned, byte-stable `SYBS`
-//! checkpoint files, and wires them together with the `sybil-chaos`
+//! checkpoint files, and wires them together with the `SYBJ`
 //! write-ahead epoch journal into **warm restart**:
 //!
 //! 1. [`StorePlane::load_resume`] loads the newest readable checkpoint;
@@ -34,22 +34,26 @@
 //! std::fs::remove_dir_all(&dir).ok();
 //! ```
 //!
-//! Module layout mirrors the trust boundaries: [`format`] owns every
-//! byte layout **and every filesystem touch** (workspace lint rule S119
-//! keeps versioned-state IO inside it), [`store`] is the
-//! checkpoint-directory and fault-plane layer above it, [`ingest`] is
-//! the batched event front-end with bounded-queue backpressure, and
-//! [`error`] is the typed failure surface — no strings, no leaked
-//! `io::Error`.
+//! Module layout mirrors the trust boundaries: both byte layouts — the
+//! [`journal`]'s `SYBJ` frames and [`format`]'s `SYBS` checkpoints —
+//! sit on one private field/record codec (`codec.rs`), the only place
+//! that turns bytes from disk into counts and values; [`format`] also
+//! owns **every filesystem touch** (workspace lint rule S119 keeps
+//! versioned-state IO inside it); [`store`] is the checkpoint-directory
+//! and fault-plane layer above them; and [`error`] is the one typed
+//! failure surface — no strings, no leaked `io::Error`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod codec;
 pub mod error;
 pub mod format;
-pub mod ingest;
+pub mod journal;
 pub mod store;
 
 pub use error::{IoOp, StoreError};
-pub use ingest::{EventBatch, IngestQueue};
-pub use store::{SnapshotStore, StorePlane, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DIGEST_EVERY};
+pub use journal::Journal;
+pub use store::{
+    JournalPlane, SnapshotStore, StorePlane, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DIGEST_EVERY,
+};

@@ -1,5 +1,7 @@
-//! [`SnapshotStore`]: versioned checkpoints on disk, and [`StorePlane`]:
-//! the `FaultPlane` implementation that makes a `ServeSession` durable.
+//! [`SnapshotStore`]: versioned checkpoints on disk; [`JournalPlane`]:
+//! the one `FaultPlane` implementation that writes and reads a
+//! [`Journal`]; and [`StorePlane`]: a `JournalPlane` over a file plus
+//! checkpoints — what makes a `ServeSession` durable.
 //!
 //! A store directory holds numbered checkpoint files plus the write-ahead
 //! epoch journal:
@@ -8,7 +10,7 @@
 //! store/
 //!   checkpoint-00000004.sybs   # session state after 4 completed epochs
 //!   checkpoint-00000008.sybs
-//!   journal.sybj               # PR-9 epoch journal (SYBJ frames)
+//!   journal.sybj               # write-ahead epoch journal (SYBJ frames)
 //! ```
 //!
 //! [`SnapshotStore::latest`] walks checkpoints newest-first and skips any
@@ -16,10 +18,14 @@
 //! a half-migrated version), so recovery degrades to an older checkpoint
 //! plus a longer journal tail rather than refusing to start.
 //!
-//! [`StorePlane`] rides the serving coordinator's fault-plane hooks:
-//! `epoch_begin`/`epoch_commit` append to the journal (write-ahead, then
-//! commit after the barrier merge), `wants_checkpoint`/`checkpoint`
-//! persist a full [`SessionCheckpoint`] every `checkpoint_every` epochs,
+//! Both planes ride the serving coordinator's fault-plane hooks.
+//! [`JournalPlane`] answers the five journal hooks over any byte store:
+//! `epoch_begin`/`epoch_commit` append (write-ahead, then commit after
+//! the barrier merge), `replay_epoch`/`committed_digest` read back for
+//! crash replay, `run_end` seals the run. [`StorePlane`] hands those
+//! five to a file-backed `JournalPlane` and adds the rest:
+//! `wants_checkpoint`/`checkpoint` persist a full
+//! [`SessionCheckpoint`] every `checkpoint_every` epochs,
 //! and `load_resume` assembles a [`ResumeState`] from the newest readable
 //! checkpoint plus every *committed* journal epoch after it. An epoch
 //! with a begin record but no commit was in flight when the process died;
@@ -33,12 +39,16 @@
 //! between the journal append and the barrier would. The restart
 //! proptests drive this at arbitrary epochs and require byte-identity
 //! with the uninterrupted run.
+//!
+//! A fault injector (`sybil-chaos`'s `ChaosPlane`) wraps either plane
+//! and forwards every hook here, so faults compose with persistence.
 
 use crate::error::StoreError;
 use crate::format;
+use crate::journal::Journal;
 use std::fs::File;
+use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
-use sybil_chaos::Journal;
 use sybil_serve::fault::{
     ChaosError, EpochRecord, EpochRecordRef, FaultKind, FaultPlane, ResumeState,
     SessionCheckpoint,
@@ -56,9 +66,12 @@ use sybil_serve::fault::{
 /// the `repro restart` drill runs at cadence 1.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
 
-/// Default digest cadence for journal commits, matching the chaos
-/// plane's: per-shard state digests every 4th epoch, so tail replay is
-/// verified against committed digests at that granularity.
+/// Default digest cadence for journal commits: per-shard state digests
+/// every 4th epoch. Digesting is O(total state) and lands on the
+/// barrier, so this is the knob behind the <5% journal-overhead gate;
+/// the run-end record always carries final digests, so sparser commits
+/// only widen the window between *intermediate* divergence checks (to at
+/// most 3 epochs), never weaken the end-state byte-identity proof.
 pub const DEFAULT_DIGEST_EVERY: u64 = 4;
 
 /// A directory of versioned `SYBS` checkpoints plus the epoch journal.
@@ -125,17 +138,110 @@ impl SnapshotStore {
     }
 }
 
+/// Every journal failure surfaces as a typed [`ChaosError`] with
+/// `FaultKind::Journal` — the engine's headline invariant forbids a
+/// broken journal from producing a silently different answer.
+fn journal_err(epoch: u64) -> ChaosError {
+    ChaosError {
+        epoch,
+        shard: None,
+        fault_kind: FaultKind::Journal,
+    }
+}
+
+/// The write-ahead plane: the coordinator's journal hooks over a
+/// [`Journal`] on any byte store — a `Cursor<Vec<u8>>` for in-memory
+/// chaos runs, a file inside a [`StorePlane`].
+pub struct JournalPlane<S> {
+    journal: Journal<S>,
+    /// Take per-shard digests every this many epochs (0 = never; the
+    /// run-end digests are always taken by the engine regardless).
+    digest_every: u64,
+    /// `Some(epochs)` when the journal already carried a run-end record
+    /// when the plane was built — a restart of a finished run must not
+    /// append a second.
+    finished_at_open: Option<u64>,
+}
+
+impl<S: Read + Write + Seek> JournalPlane<S> {
+    /// Journal through `journal`, digesting every
+    /// [`DEFAULT_DIGEST_EVERY`] epochs.
+    pub fn new(journal: Journal<S>) -> Self {
+        Self::with_digest_cadence(journal, DEFAULT_DIGEST_EVERY)
+    }
+
+    /// [`new`](Self::new) with per-shard state digests journaled every
+    /// `digest_every` epochs (0 = never).
+    pub fn with_digest_cadence(journal: Journal<S>, digest_every: u64) -> Self {
+        let finished_at_open = journal.finished().map(|(epochs, _)| epochs);
+        JournalPlane {
+            journal,
+            digest_every,
+            finished_at_open,
+        }
+    }
+
+    /// The journal (byte counts, committed digests, post-run reads).
+    pub fn journal(&self) -> &Journal<S> {
+        &self.journal
+    }
+
+    /// Consume the plane, returning the journal.
+    pub fn into_journal(self) -> Journal<S> {
+        self.journal
+    }
+}
+
+impl<S: Read + Write + Seek> FaultPlane for JournalPlane<S> {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn epoch_begin(&mut self, rec: EpochRecordRef<'_>) -> Result<(), ChaosError> {
+        self.journal
+            .append_begin(rec)
+            .map_err(|_| journal_err(rec.epoch))
+    }
+
+    fn wants_digests(&self, epoch: u64) -> bool {
+        self.digest_every != 0 && epoch.is_multiple_of(self.digest_every)
+    }
+
+    fn epoch_commit(&mut self, epoch: u64, digests: Option<&[u64]>) -> Result<(), ChaosError> {
+        self.journal
+            .append_commit(epoch, digests)
+            .map_err(|_| journal_err(epoch))
+    }
+
+    fn replay_epoch(&mut self, epoch: u64) -> Result<Option<EpochRecord>, ChaosError> {
+        self.journal
+            .read_epoch(epoch)
+            .map_err(|_| journal_err(epoch))
+    }
+
+    fn committed_digest(&mut self, epoch: u64, shard: usize) -> Option<u64> {
+        self.journal.committed_digest(epoch, shard)
+    }
+
+    fn run_end(&mut self, epochs: u64, digests: &[u64]) -> Result<(), ChaosError> {
+        // A warm restart of an already-finished run replays to the same
+        // end; the journal already carries this exact record.
+        if self.finished_at_open == Some(epochs) {
+            return Ok(());
+        }
+        self.journal
+            .append_end(epochs, digests)
+            .map_err(|_| journal_err(epochs))
+    }
+}
+
 /// The durable fault plane: write-ahead journal + periodic checkpoints +
 /// warm restart, all through the hooks the coordinator already consults.
 pub struct StorePlane {
     store: SnapshotStore,
-    journal: Journal<File>,
+    wal: JournalPlane<File>,
     checkpoint_every: u64,
-    digest_every: u64,
     kill_at: Option<u64>,
-    /// `Some(epochs)` when the journal already carried a run-end record
-    /// at open — a restart of a finished run must not append a second.
-    finished_at_open: Option<u64>,
     resumed_from: Option<u64>,
     tail_replayed: u64,
 }
@@ -156,14 +262,11 @@ impl StorePlane {
     ) -> Result<Self, StoreError> {
         let store = SnapshotStore::open(dir)?;
         let journal = format::open_or_create_journal(&store.journal_path())?;
-        let finished_at_open = journal.finished().map(|(epochs, _)| epochs);
         Ok(StorePlane {
             store,
-            journal,
+            wal: JournalPlane::with_digest_cadence(journal, digest_every),
             checkpoint_every,
-            digest_every,
             kill_at: None,
-            finished_at_open,
             resumed_from: None,
             tail_replayed: 0,
         })
@@ -185,7 +288,7 @@ impl StorePlane {
 
     /// The journal (byte counts, committed digests).
     pub fn journal(&self) -> &Journal<File> {
-        &self.journal
+        self.wal.journal()
     }
 
     /// Epoch count of the checkpoint this run resumed from, when it
@@ -198,14 +301,6 @@ impl StorePlane {
     pub fn tail_replayed(&self) -> u64 {
         self.tail_replayed
     }
-
-    fn store_err(epoch: u64) -> ChaosError {
-        ChaosError {
-            epoch,
-            shard: None,
-            fault_kind: FaultKind::Journal,
-        }
-    }
 }
 
 impl FaultPlane for StorePlane {
@@ -214,9 +309,7 @@ impl FaultPlane for StorePlane {
     }
 
     fn epoch_begin(&mut self, rec: EpochRecordRef<'_>) -> Result<(), ChaosError> {
-        self.journal
-            .append_begin(rec)
-            .map_err(|_| Self::store_err(rec.epoch))?;
+        self.wal.epoch_begin(rec)?;
         if self.kill_at == Some(rec.epoch) {
             return Err(ChaosError {
                 epoch: rec.epoch,
@@ -228,34 +321,23 @@ impl FaultPlane for StorePlane {
     }
 
     fn wants_digests(&self, epoch: u64) -> bool {
-        self.digest_every != 0 && epoch.is_multiple_of(self.digest_every)
+        self.wal.wants_digests(epoch)
     }
 
     fn epoch_commit(&mut self, epoch: u64, digests: Option<&[u64]>) -> Result<(), ChaosError> {
-        self.journal
-            .append_commit(epoch, digests)
-            .map_err(|_| Self::store_err(epoch))
+        self.wal.epoch_commit(epoch, digests)
     }
 
     fn replay_epoch(&mut self, epoch: u64) -> Result<Option<EpochRecord>, ChaosError> {
-        self.journal
-            .read_epoch(epoch)
-            .map_err(|_| Self::store_err(epoch))
+        self.wal.replay_epoch(epoch)
     }
 
     fn committed_digest(&mut self, epoch: u64, shard: usize) -> Option<u64> {
-        self.journal.committed_digest(epoch, shard)
+        self.wal.committed_digest(epoch, shard)
     }
 
     fn run_end(&mut self, epochs: u64, digests: &[u64]) -> Result<(), ChaosError> {
-        // A warm restart of an already-finished run replays to the same
-        // end; the journal already carries this exact record.
-        if self.finished_at_open == Some(epochs) {
-            return Ok(());
-        }
-        self.journal
-            .append_end(epochs, digests)
-            .map_err(|_| Self::store_err(epochs))
+        self.wal.run_end(epochs, digests)
     }
 
     fn wants_checkpoint(&self, epoch: u64) -> bool {
@@ -266,22 +348,20 @@ impl FaultPlane for StorePlane {
         self.store
             .save(cp)
             .map(|_| ())
-            .map_err(|_| Self::store_err(cp.epochs))
+            .map_err(|_| journal_err(cp.epochs))
     }
 
     fn load_resume(&mut self) -> Result<Option<ResumeState>, ChaosError> {
-        let latest = self.store.latest().map_err(|_| Self::store_err(0))?;
+        let latest = self.store.latest().map_err(|_| journal_err(0))?;
         let Some(checkpoint) = latest else {
             return Ok(None);
         };
         let mut tail = Vec::new();
         let mut epoch = checkpoint.epochs;
-        while self.journal.committed(epoch) {
-            let rec = self
-                .journal
-                .read_epoch(epoch)
-                .map_err(|_| Self::store_err(epoch))?;
-            let Some(rec) = rec else { break };
+        while self.journal().committed(epoch) {
+            let Some(rec) = self.wal.replay_epoch(epoch)? else {
+                break;
+            };
             tail.push(rec);
             epoch += 1;
         }

@@ -1,8 +1,9 @@
-//! Format-drift guard: the `SYBS` v1 encoding of a fixed checkpoint is
-//! pinned against committed golden bytes.
+//! Format-drift guard: the `SYBS` v1 encoding of a fixed checkpoint and
+//! the `SYBJ` v1 encoding of a fixed journal are pinned against
+//! committed golden bytes.
 //!
-//! If this test fails, the on-disk format changed. That is only legal
-//! together with a [`format::VERSION`] bump and a new golden file for
+//! If a test here fails, the on-disk format changed. That is only legal
+//! together with a `VERSION` bump and a new golden file for
 //! the new version (keep the old one — old files must keep decoding or
 //! keep being *rejected by version*, never misread). Regenerate with:
 //!
@@ -11,11 +12,14 @@
 //! ```
 
 use osn_graph::{NodeId, Timestamp};
+use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
+use std::io::Cursor;
 use std::path::PathBuf;
+use sybil_store::journal::{self, Journal};
 use sybil_core::realtime::state::AccountState;
 use sybil_core::realtime::{Detection, ReplayCounters};
 use sybil_features::FeatureVector;
-use sybil_serve::fault::FeedbackRecord;
+use sybil_serve::fault::{EpochRecord, EpochRecordRef, FeedbackRecord};
 use sybil_serve::{SessionCheckpoint, ShardSnapshot};
 use sybil_store::format;
 
@@ -84,26 +88,28 @@ fn golden_checkpoint() -> SessionCheckpoint {
     }
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+/// The committed bytes of golden file `name`, rewritten from `bytes`
+/// first under `BLESS=1`.
+fn committed_golden(name: &str, bytes: &[u8]) -> Vec<u8> {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join("checkpoint_v1.sybs")
+        .join(name);
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+    }
+    std::fs::read(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); run `BLESS=1 cargo test -p sybil-store --test golden`",
+            path.display()
+        )
+    })
 }
 
 #[test]
 fn encoding_matches_committed_golden_bytes() {
     let bytes = format::encode_checkpoint(&golden_checkpoint());
-    let path = golden_path();
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &bytes).unwrap();
-    }
-    let committed = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); run `BLESS=1 cargo test -p sybil-store --test golden`",
-            path.display()
-        )
-    });
+    let committed = committed_golden("checkpoint_v1.sybs", &bytes);
     assert_eq!(
         bytes,
         committed,
@@ -123,4 +129,100 @@ fn header_prefix_is_pinned() {
     assert_eq!(&bytes[..4], b"SYBS");
     assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 1);
     assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 7, "7 sections");
+}
+
+/// Epoch `epoch` of the fixed journal: two events (one of each kind),
+/// and — on odd epochs — one feedback record carrying a negative zero.
+/// Frozen: changing it invalidates the golden file.
+fn golden_epoch(epoch: u64) -> EpochRecord {
+    let feedback = if epoch % 2 == 1 {
+        vec![FeedbackRecord {
+            seq: 5 + epoch,
+            intra: 1,
+            due: Timestamp(9000 + epoch),
+            features: FeatureVector {
+                inv_freq_1h: 1.5,
+                inv_freq_400h: 0.25,
+                outgoing_accept_ratio: 2.0 / 3.0,
+                incoming_accept_ratio: 1.0,
+                clustering_coefficient: -0.0,
+            },
+            truth: true,
+        }]
+    } else {
+        Vec::new()
+    };
+    EpochRecord {
+        epoch,
+        events: vec![
+            StreamEvent {
+                seq: 7 + epoch,
+                at: Timestamp(3600 * (epoch + 1)),
+                kind: StreamEventKind::Sent(4),
+            },
+            StreamEvent {
+                seq: 8 + epoch,
+                at: Timestamp(3600 * (epoch + 1) + 400),
+                kind: StreamEventKind::Decided(4),
+            },
+        ],
+        details: vec![
+            EventDetail {
+                from: 1,
+                to: 2,
+                accepted: false,
+            },
+            EventDetail {
+                from: 1,
+                to: 2,
+                accepted: true,
+            },
+        ],
+        feedback,
+    }
+}
+
+/// The fixed journal: three epochs, commits with digests (epochs 0, 2)
+/// and without (epoch 1), and a run-end record.
+fn golden_journal() -> Vec<u8> {
+    let mut j = Journal::create(Cursor::new(Vec::new())).unwrap();
+    for e in 0..3u64 {
+        let rec = golden_epoch(e);
+        j.append_begin(EpochRecordRef {
+            epoch: e,
+            events: &rec.events,
+            details: &rec.details,
+            feedback: &rec.feedback,
+        })
+        .unwrap();
+        let digests = [0x1111_0000 + e, 0x2222_0000 + e];
+        j.append_commit(e, (e != 1).then_some(&digests[..])).unwrap();
+    }
+    j.append_end(3, &[0xaaaa, 0xbbbb]).unwrap();
+    j.into_store().into_inner()
+}
+
+#[test]
+fn journal_matches_committed_golden_bytes() {
+    let bytes = golden_journal();
+    let committed = committed_golden("journal_v1.sybj", &bytes);
+    assert_eq!(
+        bytes, committed,
+        "SYBJ v1 encoding drifted from the committed golden bytes — \
+         a format change requires a VERSION bump and a new golden file"
+    );
+    assert_eq!(&committed[..4], b"SYBJ");
+    assert_eq!(journal::VERSION, 1);
+    // And the committed bytes still open to the exact records.
+    let mut j = Journal::open(Cursor::new(committed)).unwrap();
+    for e in 0..3u64 {
+        let rec = j.read_epoch(e).unwrap().unwrap();
+        let want = golden_epoch(e);
+        assert_eq!(rec.events, want.events);
+        assert_eq!(rec.details, want.details);
+        assert_eq!(rec.feedback, want.feedback);
+        assert!(j.committed(e));
+        assert_eq!(j.committed_digest(e, 1), (e != 1).then_some(0x2222_0000 + e));
+    }
+    assert_eq!(j.finished(), Some((3, &[0xaaaa_u64, 0xbbbb][..])));
 }
