@@ -5,14 +5,14 @@
 //! like `(0..len).map(f).collect()` with a pure `f`. This module runs that
 //! shape across threads while keeping the output **bit-identical** to the
 //! serial loop: the index range is split into contiguous chunks, each
-//! worker computes its chunk in index order, and the collector reassembles
-//! chunks by position. No reduction reassociation, no work stealing — so
+//! worker computes its chunk in index order, and the workers are joined in
+//! spawn order. No reduction reassociation, no work stealing — so
 //! floating-point results cannot differ from the serial path.
 //!
 //! Thread count comes from the `RENREN_THREADS` environment variable when
 //! set (any value ≥ 1), otherwise from `std::thread::available_parallelism`.
 //! With one thread (or one-element inputs) everything runs inline on the
-//! calling thread with zero spawn/channel overhead.
+//! calling thread with zero spawn overhead.
 
 use std::thread;
 
@@ -60,34 +60,32 @@ where
     }
 
     let chunk = len.div_ceil(threads);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Vec<T>)>();
     thread::scope(|scope| {
-        for (ci, start) in (0..len).step_by(chunk).enumerate() {
-            let end = (start + chunk).min(len);
-            let tx = tx.clone();
-            let init = &init;
-            let f = &f;
-            scope.spawn(move || {
-                let mut scratch = init();
-                let vals: Vec<T> = (start..end).map(|i| f(&mut scratch, i)).collect();
-                // The receiver outlives the scope; a send can only fail if
-                // the collector below was dropped, which cannot happen.
-                let _ = tx.send((ci, vals));
-            });
-        }
-    });
-    drop(tx);
+        let workers: Vec<_> = (0..len)
+            .step_by(chunk)
+            .map(|start| {
+                let end = (start + chunk).min(len);
+                let (init, f) = (&init, &f);
+                scope.spawn(move || {
+                    let mut scratch = init();
+                    (start..end).map(|i| f(&mut scratch, i)).collect()
+                })
+            })
+            .collect();
+        join_in_order(workers, len)
+    })
+}
 
-    let chunks_total = len.div_ceil(chunk);
-    let mut parts: Vec<Option<Vec<T>>> = std::iter::repeat_with(|| None)
-        .take(chunks_total)
-        .collect();
-    for (ci, vals) in rx.iter() {
-        parts[ci] = Some(vals);
-    }
+/// Join `workers` in spawn order and concatenate their chunks, so output
+/// position is fixed by construction. A worker's panic is re-raised here
+/// with its own payload.
+fn join_in_order<T>(workers: Vec<thread::ScopedJoinHandle<'_, Vec<T>>>, len: usize) -> Vec<T> {
     let mut out = Vec::with_capacity(len);
-    for part in parts {
-        out.extend(part.expect("worker chunk missing"));
+    for worker in workers {
+        match worker.join() {
+            Ok(vals) => out.extend(vals),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
     }
     out
 }
@@ -124,33 +122,16 @@ where
         chunks.push(part);
     }
 
-    let chunks_total = chunks.len();
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Vec<U>)>();
     thread::scope(|scope| {
-        for (ci, part) in chunks.into_iter().enumerate() {
-            let tx = tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                let vals: Vec<U> = part.into_iter().map(f).collect();
-                // The receiver outlives the scope; a send can only fail if
-                // the collector below was dropped, which cannot happen.
-                let _ = tx.send((ci, vals));
-            });
-        }
-    });
-    drop(tx);
-
-    let mut parts: Vec<Option<Vec<U>>> = std::iter::repeat_with(|| None)
-        .take(chunks_total)
-        .collect();
-    for (ci, vals) in rx.iter() {
-        parts[ci] = Some(vals);
-    }
-    let mut out = Vec::with_capacity(len);
-    for part in parts {
-        out.extend(part.expect("worker chunk missing"));
-    }
-    out
+        let workers: Vec<_> = chunks
+            .into_iter()
+            .map(|part| {
+                let f = &f;
+                scope.spawn(move || part.into_iter().map(f).collect())
+            })
+            .collect();
+        join_in_order(workers, len)
+    })
 }
 
 /// `items.iter().map(f).collect()` across threads, order-preserving.
@@ -243,6 +224,19 @@ mod tests {
         }
         with_threads_env(Some("4"), || {
             assert_eq!(map_owned(Vec::<u8>::new(), |b| b), Vec::<u8>::new());
+        });
+    }
+
+    #[test]
+    fn worker_panic_is_reraised_with_its_payload() {
+        with_threads_env(Some("4"), || {
+            // Caught here so the env lock is released unpoisoned.
+            let payload = std::panic::catch_unwind(|| {
+                map_indexed(16, |i| assert_ne!(i, 7, "boom at {i}"))
+            })
+            .expect_err("worker 7 panics");
+            let msg = payload.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains("boom at 7"), "{msg}");
         });
     }
 

@@ -179,8 +179,8 @@ pub struct AttackerParams {
     pub min_target_age_h: f64,
     /// Ablation override for every tool's snowball popularity bias β
     /// (`None` = use each tool's own value). Setting 0.0 disables the
-    /// popularity bias entirely — the knob behind the `ablation_snowball`
-    /// bench.
+    /// popularity bias entirely — the knob behind the snowball ablation
+    /// (`crates/repro/tests/ablations.rs`).
     pub degree_bias_override: Option<f64>,
 }
 

@@ -241,9 +241,11 @@ mod tests {
     use super::*;
     use crate::scenario::Scale;
 
-    fn drill_spec(seed: u64) -> RunSpec {
+    /// Tests run on parallel threads and the drill wipes its directory,
+    /// so each test gets a store of its own.
+    fn drill_spec(test: &str, seed: u64) -> RunSpec {
         let dir = std::env::temp_dir().join(format!(
-            "sybil-repro-restart-{}-{seed}",
+            "sybil-repro-restart-{}-{test}-{seed}",
             std::process::id()
         ));
         RunSpec::builder()
@@ -257,7 +259,7 @@ mod tests {
     #[test]
     fn drill_restarts_byte_identically() {
         let ctx = Ctx::build(Scale::Tiny, 11);
-        let spec = drill_spec(11);
+        let spec = drill_spec("byte_identically", 11);
         let r = run(&ctx, &spec).expect("drill failed");
         assert!(r.matches_oracle, "{r:?}");
         assert_eq!(r.kill_epoch, 1 + 11 % 4);
@@ -274,7 +276,7 @@ mod tests {
     #[test]
     fn drill_is_deterministic() {
         let ctx = Ctx::build(Scale::Tiny, 11);
-        let spec = drill_spec(11);
+        let spec = drill_spec("deterministic", 11);
         let a = serde_json::to_string(&run(&ctx, &spec).expect("drill failed")).unwrap();
         let b = serde_json::to_string(&run(&ctx, &spec).expect("drill failed")).unwrap();
         assert_eq!(a, b, "restart drill must be byte-reproducible");

@@ -101,7 +101,7 @@ impl<'a> FeatureExtractor<'a> {
     }
 
     /// Record indices of requests sent by `n`, in time order.
-    pub fn sent_by(&self, n: NodeId) -> &[u32] {
+    pub(crate) fn sent_by(&self, n: NodeId) -> &[u32] {
         self.send_idx.of(n.index())
     }
 

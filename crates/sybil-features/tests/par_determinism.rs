@@ -32,7 +32,7 @@ proptest! {
         let nodes: Vec<NodeId> = (0..out.accounts.len() as u32).map(NodeId).collect();
         let serial: Vec<FeatureVector> =
             nodes.iter().map(|&n| fx.features_for(n)).collect();
-        for threads in ["1", "2", "3", "6"] {
+        for threads in ["1", "2", "3", "6", "8"] {
             let mut parallel = Vec::new();
             with_threads_env(threads, || {
                 parallel = fx.features_for_all(&nodes);

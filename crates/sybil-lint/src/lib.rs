@@ -29,7 +29,7 @@
 //! | code | invariant |
 //! |------|-----------|
 //! | D001 | no unordered `HashMap`/`HashSet` iteration in library code |
-//! | D002 | no wall-clock reads outside `crates/bench` and the repro CLI |
+//! | D002 | no wall-clock reads outside the repro CLI |
 //! | D003 | no raw threading primitives outside `osn_graph::par` |
 //! | D004 | no panics (`unwrap`/`expect`/`panic!`) in non-test library code |
 //! | D005 | every library crate carries `#![forbid(unsafe_code)]` |

@@ -56,7 +56,7 @@ pub fn is_known_rule(code: &str) -> bool {
 pub fn rule_summary(code: &str) -> &'static str {
     match code {
         "D001" => "unordered HashMap/HashSet iteration in library code (use BTreeMap or sort before emit)",
-        "D002" => "wall-clock read (Instant::now / SystemTime) outside bench and the repro CLI",
+        "D002" => "wall-clock read (Instant::now / SystemTime) outside the repro CLI",
         "D003" => "raw threading primitive (thread::spawn / Mutex / atomics) outside osn_graph::par",
         "D004" => "panic in non-test library code (unwrap / expect / panic! / todo! / unreachable!)",
         "D005" => "library crate missing #![forbid(unsafe_code)]",
@@ -92,8 +92,7 @@ pub fn rule_explanation(code: &str) -> Option<&'static str> {
                    between runs. Library code must iterate BTreeMap/BTreeSet or sort before \
                    emitting.",
         "D002" => "D002 — wall-clock reads\n\nInstant::now()/SystemTime readings leak \
-                   nondeterminism into results. Only crates/bench and the repro CLI may \
-                   measure time.",
+                   nondeterminism into results. Only the repro CLI may measure time.",
         "D003" => "D003 — raw threading primitives\n\nAll parallelism flows through \
                    osn_graph::par, whose deterministic map is the one reviewed concurrency \
                    surface. thread::spawn/Mutex/atomics elsewhere bypass that review.",
@@ -777,15 +776,14 @@ fn collect_hash_typed_idents<'s>(src: &'s str, toks: &[Token]) -> Vec<&'s str> {
 }
 
 /// D002: wall-clock reads. Simulation and analytics must run on sim time;
-/// only `crates/bench` and the repro CLI's timing lines may consult the
-/// host clock.
+/// only the repro CLI's timing lines may consult the host clock.
 fn d002_wall_clock(
     ctx: &FileCtx<'_>,
     toks: &[Token],
     in_test: &dyn Fn(u32) -> bool,
     out: &mut Vec<Finding>,
 ) {
-    if ctx.crate_name == "sybil-bench" || ctx.rel_path.ends_with("src/bin/repro.rs") {
+    if ctx.rel_path.ends_with("src/bin/repro.rs") {
         return;
     }
     let src = ctx.src;

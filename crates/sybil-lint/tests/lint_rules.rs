@@ -58,15 +58,8 @@ fn d002_good_is_clean() {
 }
 
 #[test]
-fn d002_exempts_bench_crate_and_repro_cli() {
+fn d002_exempts_repro_cli() {
     let src = std::fs::read_to_string(fixture_dir().join("d002_bad.rs")).unwrap();
-    let bench = check_file(&FileCtx {
-        rel_path: "crates/bench/src/lib.rs",
-        crate_name: "sybil-bench",
-        kind: FileKind::Lib,
-        src: &src,
-    });
-    assert!(bench.iter().all(|f| f.rule != "D002"), "{bench:#?}");
     let repro = check_file(&FileCtx {
         rel_path: "crates/repro/src/bin/repro.rs",
         crate_name: "sybil-repro",

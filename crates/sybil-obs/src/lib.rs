@@ -17,15 +17,16 @@
 //!   check, since the partition itself changes.
 //! * **wall** — span timings fed from an *injected* clock
 //!   ([`Clock`]). Library code never reads a wall clock (lint rule D002);
-//!   callers that may (the `repro` binary, benches) pass one in. Wall
+//!   callers that may (the `repro` binary, the benchmark) pass one in. Wall
 //!   quantities are explicitly nondeterministic and live in their own
 //!   section so the logical sections stay comparable.
 //!
 //! The registry is handle-based: instruments are created (or looked up)
 //! by name once, then updated through copy-able ids on the hot path —
 //! an array index and an integer add, cheap enough to leave on
-//! permanently (the `obs_overhead` bench holds the serve critical path to
-//! <5% overhead with metrics enabled).
+//! permanently (the benchmark's `sybil-serve.obs_overhead_pct` on
+//! `checks_sim` measures a serve job with metrics on against one with
+//! them off, paired: a median of 0.41%, q1 −5.5, q3 +10.8).
 //!
 //! Merging follows the serve engine's barrier design: each worker
 //! accumulates privately, and the coordinator absorbs per-worker

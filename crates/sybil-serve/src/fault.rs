@@ -4,11 +4,14 @@
 //! Production serving runs with [`NoFaults`] — every hook is an inlined
 //! empty default, the coordinator gates all per-epoch chaos bookkeeping
 //! behind [`FaultPlane::enabled`], and the monomorphized `serve()` path
-//! is the same code it was before the plane existed. The `sybil-chaos`
-//! crate provides the other implementation: a seeded `FaultSchedule`
-//! answering these hooks plus a write-ahead epoch journal behind
+//! is the same code it was before the plane existed. The other
+//! implementations live above this crate: `sybil-store`'s `JournalPlane`
+//! keeps the write-ahead epoch journal behind
 //! [`epoch_begin`](FaultPlane::epoch_begin) /
-//! [`epoch_commit`](FaultPlane::epoch_commit).
+//! [`epoch_commit`](FaultPlane::epoch_commit) (`StorePlane` adds
+//! checkpoints and warm restart to it), and `sybil-chaos`'s
+//! `ChaosPlane<P>` wraps either durable plane and answers the fault
+//! hooks from a seeded `FaultSchedule`.
 //!
 //! The hooks sit at the coordinator's *existing* decision points, in
 //! epoch order:

@@ -68,8 +68,7 @@ pub struct Journal<S> {
     /// Next append offset (== stream length for a well-formed journal).
     end: u64,
     /// Total frame bytes appended by *this* handle (excludes the header
-    /// and anything already present at `open`); the overhead bench reads
-    /// this.
+    /// and anything already present at `open`).
     appended: u64,
     /// Offset and length of each epoch's begin frame payload, by epoch.
     begins: BTreeMap<u64, (u64, usize)>,

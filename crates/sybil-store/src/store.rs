@@ -60,17 +60,20 @@ use sybil_serve::fault::{
 /// costs roughly one epoch of live serving, so sparse checkpoints buy a
 /// large write-amortization win for a small bounded restart-latency
 /// cost (at most `checkpoint_every - 1` epochs of tail to replay).
-/// `restart_bench` gates the checkpoint overhead at <5% of the
-/// fault-free critical path at exactly this default. Lower the cadence
-/// (`with_cadence`) when restart latency matters more than throughput —
-/// the `repro restart` drill runs at cadence 1.
+/// What a persisted run costs at this default is the benchmark's
+/// `sybil-store.durability_overhead_pct` on `durable_250k` (median
+/// 60.1%, q1 57.9, q3 87.7 — open), of which
+/// `sybil-store.checkpoint_s` is the checkpoint writes. Lower the
+/// cadence (`with_cadence`) when restart latency matters more than
+/// throughput — the `repro restart` drill runs at cadence 1.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
 
 /// Default digest cadence for journal commits: per-shard state digests
 /// every 4th epoch. Digesting is O(total state) and lands on the
-/// barrier, so this is the knob behind the <5% journal-overhead gate;
-/// the run-end record always carries final digests, so sparser commits
-/// only widen the window between *intermediate* divergence checks (to at
+/// barrier, so this is the knob for the digest share of that overhead
+/// (`sybil-store.commit_s`, `sybil-serve.plane_residual_s`); the
+/// run-end record always carries final digests, so sparser commits only
+/// widen the window between *intermediate* divergence checks (to at
 /// most 3 epochs), never weaken the end-state byte-identity proof.
 pub const DEFAULT_DIGEST_EVERY: u64 = 4;
 
@@ -172,7 +175,7 @@ impl<S: Read + Write + Seek> JournalPlane<S> {
 
     /// [`new`](Self::new) with per-shard state digests journaled every
     /// `digest_every` epochs (0 = never).
-    pub fn with_digest_cadence(journal: Journal<S>, digest_every: u64) -> Self {
+    pub(crate) fn with_digest_cadence(journal: Journal<S>, digest_every: u64) -> Self {
         let finished_at_open = journal.finished().map(|(epochs, _)| epochs);
         JournalPlane {
             journal,

@@ -17,7 +17,7 @@
 //! * [`repro`] — the per-figure/table experiment harness (`sybil-repro`)
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the experiment
-//! index mapping every paper figure and table to a module and bench.
+//! index mapping every paper figure and table to a module.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
