@@ -183,6 +183,12 @@ pub fn import_dataset<P: AsRef<Path>>(dir: P, config: SimConfig) -> io::Result<S
         let from = NodeId(cols[0].parse().map_err(|_| bad(lineno + 1, "bad from"))?);
         let to = NodeId(cols[1].parse().map_err(|_| bad(lineno + 1, "bad to"))?);
         let sent = Timestamp(cols[2].parse().map_err(|_| bad(lineno + 1, "bad sent"))?);
+        // The log's contract (send order, no decision before its send) is
+        // only debug-asserted downstream; a file that breaks it would make
+        // the serving stream silently disagree with the time-sorted replay.
+        if log.records().last().is_some_and(|p| sent < p.sent_at) {
+            return Err(bad(lineno + 1, "sent_secs goes backwards"));
+        }
         let idx = log.push(RequestRecord {
             from,
             to,
@@ -195,6 +201,9 @@ pub fn import_dataset<P: AsRef<Path>>(dir: P, config: SimConfig) -> io::Result<S
                 let t = Timestamp(
                     cols[4].parse().map_err(|_| bad(lineno + 1, "bad decided"))?,
                 );
+                if t < sent {
+                    return Err(bad(lineno + 1, "decided_secs before sent_secs"));
+                }
                 let outcome = if cols[3] == "accepted" {
                     RequestOutcome::Accepted(t)
                 } else {
@@ -263,6 +272,41 @@ mod tests {
         fs::write(dir.join("requests.csv"), "header\n").unwrap();
         let err = import_dataset(&dir, SimConfig::tiny(0)).unwrap_err();
         assert!(err.to_string().contains("bad kind"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Rows that break the log's well-formedness contract are rejected
+    /// with their line number instead of reaching the stream merge.
+    #[test]
+    fn import_rejects_ill_formed_requests() {
+        let dir = std::env::temp_dir().join("osn_sim_io_ill_formed");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("edges.csv"), "src,dst,time_secs\n0,1,5\n").unwrap();
+        fs::write(
+            dir.join("accounts.csv"),
+            "header\n0,normal,,,0,,f,0.5\n1,normal,,,0,,m,0.5\n",
+        )
+        .unwrap();
+        for (rows, want) in [
+            (
+                "0,1,10,accepted,9\n",
+                "line 2: decided_secs before sent_secs",
+            ),
+            (
+                "0,1,10,pending,\n1,0,9,pending,\n",
+                "line 3: sent_secs goes backwards",
+            ),
+        ] {
+            fs::write(dir.join("requests.csv"), format!("header\n{rows}")).unwrap();
+            let err = import_dataset(&dir, SimConfig::tiny(0)).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
+        // Equal timestamps are well-formed: answered the second it was sent.
+        let tied = "header\n0,1,10,rejected,10\n1,0,10,pending,\n";
+        fs::write(dir.join("requests.csv"), tied).unwrap();
+        let back = import_dataset(&dir, SimConfig::tiny(0)).unwrap();
+        assert_eq!(back.log.len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -53,7 +53,7 @@ pub use output::SimOutput;
 pub use profile::{Gender, Profile};
 pub use request::{RequestOutcome, RequestRecord};
 pub use scale::{generate as generate_scale, splitmix64, ScaleConfig};
-pub use stream::{EpochBatches, EventDetail, EventStream, PullStream, StreamEvent, StreamEventKind};
+pub use stream::{EpochBatches, EventDetail, EventStream, StreamEvent, StreamEventKind};
 pub use tools::{ToolKind, ToolSpec};
 
 /// Run a full simulation from a configuration. Convenience for

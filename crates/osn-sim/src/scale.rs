@@ -242,7 +242,7 @@ pub const GRAPH_MATERIALIZE_LIMIT: usize = 100_000;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{EventStream, PullStream};
+    use crate::stream::{EpochBatches, EventStream};
 
     #[test]
     fn workload_is_deterministic_and_well_formed() {
@@ -299,8 +299,12 @@ mod tests {
     fn generated_stream_is_mergeable_both_ways() {
         let out = generate(&ScaleConfig::at(1_500, 3));
         let eager: Vec<_> = EventStream::new(&out.log).collect();
-        let pulled: Vec<_> = PullStream::new(&out.log).collect();
-        assert_eq!(eager, pulled);
+        let mut batches = EpochBatches::new(&out.log, 48 * 3600);
+        let mut batched = Vec::new();
+        while let Some((events, _)) = batches.next_epoch() {
+            batched.extend_from_slice(events);
+        }
+        assert_eq!(eager, batched);
     }
 
     #[test]

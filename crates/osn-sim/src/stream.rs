@@ -18,20 +18,20 @@
 //! This is exactly the order the seed's stable `sort_by_key((t, kind))`
 //! produced, so replaying through the stream is bit-identical.
 //!
-//! Two generations of laziness live here. [`EventStream`] (the sequential
-//! replay's path) still sorts one `u32` per resolved request up front and
-//! honors even pathological logs whose decisions precede their sends.
-//! [`PullStream`] goes further for the serving engine: decisions enter a
-//! min-heap as their sends are emitted, so nothing proportional to the
-//! log length is materialized and the working set is the in-flight
-//! decision window — with [`EpochBatches`] layering absolute-grid epoch
-//! slicing (one reused buffer) on top. Both yield the identical event
-//! sequence on well-formed logs, so replay and serve stay bit-identical.
+//! Two mergers live here. [`EventStream`] (the sequential replay's path,
+//! and the tests' oracle) sorts one `u32` per resolved request up front
+//! and honors even pathological logs whose decisions precede their
+//! sends. [`EpochBatches`] (the serving engine's path) materializes
+//! nothing proportional to the log: it hands out one absolute-grid epoch
+//! at a time, merging that cell's contiguous run of sends with the
+//! decisions an *epoch calendar* filed under the cell as their sends went
+//! by — so the only state is the decisions in flight. Both yield the
+//! identical event sequence on well-formed logs (see [`EpochBatches`]
+//! for the argument and the contract), so replay and serve stay
+//! bit-identical.
 
 use crate::log::RequestLog;
 use osn_graph::Timestamp;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// What happened at one point of the merged stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,12 +72,10 @@ pub struct EventStream<'a> {
 impl<'a> EventStream<'a> {
     /// Build the stream for `log`.
     pub fn new(log: &'a RequestLog) -> Self {
-        let mut decided: Vec<u32> = Vec::new();
-        for (i, r) in log.records().iter().enumerate() {
-            if r.outcome.is_resolved() {
-                decided.push(i as u32);
-            }
-        }
+        let mut decided: Vec<u32> = (0..log.len())
+            .filter(|&i| log.get(i).outcome.is_resolved())
+            .map(|i| i as u32)
+            .collect();
         decided.sort_by_key(|&i| (decide_time(log, i), i));
         EventStream {
             log,
@@ -141,44 +139,13 @@ impl Iterator for EventStream<'_> {
     }
 }
 
-/// Fully pull-based merge for **well-formed** logs (every decision at or
-/// after its send — the discrete-event engine's invariant, debug-asserted
-/// here).
-///
-/// [`EventStream`] still materializes one `u32` per resolved request up
-/// front to sort decisions globally — 4 bytes/event, the last O(total)
-/// side array on the serving path. `PullStream` drops that too: a
-/// record's decision key enters a min-heap only when its *send* is
-/// emitted, so the working set is the decisions in flight (sent, not yet
-/// decided at the stream position) — bounded by the feedback/decision
-/// delay window, not the log length.
-///
-/// Why the order still matches [`EventStream`] exactly: sends win ties,
-/// so every send at time `t` is emitted before any decision at `t` is
-/// popped; by well-formedness any decision with time ≤ `t` belongs to an
-/// already-emitted send and is therefore in the heap; and the heap pops
-/// by `(time, record index)` — precisely `EventStream`'s decision order.
-/// (For pathological logs with decisions before sends, only
-/// `EventStream` reproduces the seed's pure time-sort; the sequential
-/// replay keeps using it for that reason.)
-pub struct PullStream<'a> {
-    log: &'a RequestLog,
-    /// Next unsent record (records are already in `sent_at` order).
-    send_cursor: usize,
-    /// Decisions in flight, ordered by `(decided_at, record index)`; the
-    /// payload carries the record's endpoints and outcome so consumers
-    /// never have to re-fetch the (cache-cold) record at decision time.
-    pending: BinaryHeap<Reverse<(Timestamp, u32, EventDetail)>>,
-    next_seq: u64,
-}
-
 /// Endpoints and outcome of the record behind a [`StreamEvent`], emitted
-/// alongside it by [`PullStream::next_with_detail`]. Engines that process
+/// alongside it by [`EpochBatches::next_epoch`]. Engines that process
 /// tens of millions of events per second read these three fields from a
 /// hot sequential array instead of chasing the record in the log (a
 /// guaranteed cache miss for decisions, whose records were appended at
 /// send time, long out of cache).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EventDetail {
     /// Sender of the underlying request.
     pub from: u32,
@@ -189,108 +156,91 @@ pub struct EventDetail {
     pub accepted: bool,
 }
 
-impl<'a> PullStream<'a> {
-    /// Build the stream for `log`.
-    pub fn new(log: &'a RequestLog) -> Self {
-        PullStream {
-            log,
-            send_cursor: 0,
-            pending: BinaryHeap::new(),
-            next_seq: 0,
+/// A decision in flight: when it falls due, its record, and the detail
+/// it will be emitted with (so the cache-cold record is never re-read).
+type Due = (Timestamp, u32, EventDetail);
+
+/// Sort a bucket by `(time, record)`. Buckets fill in record order, so a
+/// stable sort by time alone is that order, and a least-significant-digit
+/// radix sort is stable. Digits cover the bucket's own time span — two
+/// counting passes for a span of one cell, never more than six.
+fn sort_by_time(bucket: &mut Vec<Due>, scratch: &mut Vec<Due>) {
+    const BITS: u32 = 11;
+    let times = || bucket.iter().map(|d| d.0.as_secs());
+    let (Some(lo), Some(hi)) = (times().min(), times().max()) else {
+        return;
+    };
+    let mut shift = 0;
+    while shift < u64::BITS && (hi - lo) >> shift > 0 {
+        let digit = |d: &Due| ((d.0.as_secs() - lo) >> shift) as usize & ((1 << BITS) - 1);
+        // Count each digit, turn the counts into first slots, scatter.
+        let mut slots = [0usize; 1 << BITS];
+        for d in bucket.iter() {
+            slots[digit(d)] += 1;
         }
-    }
-
-    /// Total number of events this stream will yield (sends + decisions).
-    /// One counting pass, no allocation.
-    pub fn total_events(&self) -> usize {
-        self.log.len()
-            + self
-                .log
-                .records()
-                .iter()
-                .filter(|r| r.outcome.is_resolved())
-                .count()
-    }
-
-    /// The next event plus its record's endpoints/outcome. Same sequence
-    /// as the `Iterator` impl (which discards the detail).
-    pub fn next_with_detail(&mut self) -> Option<(StreamEvent, EventDetail)> {
-        let send_at = (self.send_cursor < self.log.len())
-            .then(|| self.log.get(self.send_cursor).sent_at);
-        let decide_at = self.pending.peek().map(|&Reverse((t, _, _))| t);
-        let take_send = match (send_at, decide_at) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            // Sends win ties: a request exists before it is answered.
-            (Some(s), Some(d)) => s <= d,
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        Some(if take_send {
-            let i = self.send_cursor;
-            self.send_cursor += 1;
-            let r = self.log.get(i);
-            if let Some(d) = r.outcome.decided_at() {
-                debug_assert!(
-                    r.sent_at <= d,
-                    "PullStream requires decisions at or after their send"
-                );
-                let detail = EventDetail {
-                    from: r.from.0,
-                    to: r.to.0,
-                    accepted: r.outcome.is_accepted(),
-                };
-                self.pending.push(Reverse((d, i as u32, detail)));
-            }
-            (
-                StreamEvent {
-                    seq,
-                    at: r.sent_at,
-                    kind: StreamEventKind::Sent(i as u32),
-                },
-                EventDetail {
-                    from: r.from.0,
-                    to: r.to.0,
-                    accepted: false,
-                },
-            )
-        } else {
-            // The peek above proved the heap non-empty, so `?` never fires.
-            let Reverse((t, i, detail)) = self.pending.pop()?;
-            (
-                StreamEvent {
-                    seq,
-                    at: t,
-                    kind: StreamEventKind::Decided(i),
-                },
-                detail,
-            )
-        })
+        let mut sum = 0;
+        for slot in slots.iter_mut() {
+            sum += std::mem::replace(slot, sum);
+        }
+        scratch.clear();
+        scratch.resize(bucket.len(), bucket[0]);
+        for d in bucket.iter() {
+            let slot = &mut slots[digit(d)];
+            scratch[*slot] = *d;
+            *slot += 1;
+        }
+        std::mem::swap(bucket, scratch);
+        shift += BITS;
     }
 }
 
-impl Iterator for PullStream<'_> {
-    type Item = StreamEvent;
-
-    fn next(&mut self) -> Option<StreamEvent> {
-        self.next_with_detail().map(|(ev, _)| ev)
-    }
-}
-
-/// Epoch-sliced view of a [`PullStream`]: batches events on an absolute
-/// time grid (`epoch_s`-second cells anchored at 0, so boundaries are
-/// independent of where previous epochs happened to end), reusing one
-/// pair of buffers. A consumer holds at most one epoch of events plus the
-/// stream's in-flight decision heap — the serving engine's bounded
-/// working set. Each event comes with its [`EventDetail`] in a parallel
-/// slice, so per-event consumers read endpoints and outcomes from hot
-/// sequential memory instead of the log.
+/// The merged stream in epoch-sized batches on an absolute time grid
+/// (`epoch_s`-second cells anchored at 0, so boundaries are independent
+/// of where previous epochs happened to end), for **well-formed** logs:
+/// records in nondecreasing `sent_at` order, every decision at or after
+/// its send. That is the discrete-event engine's invariant, and
+/// `io::import_dataset` rejects files that break it.
+///
+/// A cell's sends are one contiguous run of the send-ordered log. As a
+/// run is walked, each resolved send files its decision in the *epoch
+/// calendar* under the cell it falls due in; [`next_epoch`] takes the
+/// earlier of the next send's cell and the first calendar entry, sorts
+/// that one bucket by `(time, record)` (a stable radix sort by time: it
+/// filled in record order) and two-way merges it with the run, sends
+/// winning ties, numbering events as it goes. The calendar
+/// holds only non-empty cells and recycles drained buckets, so the
+/// working set is the decisions in flight (bounded by the decision-delay
+/// window, not the log length) plus one epoch of events. Each event comes
+/// with its [`EventDetail`] in a parallel slice, so per-event consumers
+/// read endpoints and outcomes from hot sequential memory, not the log.
+///
+/// Why this is exactly [`EventStream`]'s sequence: that order is `(time,
+/// sends before decisions, record)`, so it visits grid cells in order and
+/// within a cell is the merge of the cell's sends (already in `(time,
+/// record)` order) with the cell's decisions sorted by `(time, record)`.
+/// By well-formedness every decision due in a cell was sent in that cell
+/// or an earlier one, so it has been filed by the time the cell's run has
+/// been walked — the bucket *is* the cell's decision set.
+///
+/// Outside the contract nothing panics or over-allocates, but the order
+/// is unspecified: a decision "due" before the cell its send sits in is
+/// filed under that cell (it cannot join a batch already handed out).
+/// Only [`EventStream`] reproduces a pure time-sort for such logs.
+///
+/// [`next_epoch`]: EpochBatches::next_epoch
 pub struct EpochBatches<'a> {
-    stream: PullStream<'a>,
-    /// One-slot lookahead (the first event of the *next* epoch).
-    peeked: Option<(StreamEvent, EventDetail)>,
+    log: &'a RequestLog,
     epoch_s: u64,
+    /// Next unsent record (records are already in `sent_at` order).
+    send_cursor: usize,
+    /// The epoch calendar: in-flight decisions by the grid cell they fall
+    /// due in, as `(cell, bucket)` ascending by cell, no bucket empty.
+    calendar: Vec<(u64, Vec<Due>)>,
+    /// Drained buckets, kept for their capacity.
+    spare: Vec<Vec<Due>>,
+    /// The other half of [`sort_by_time`]'s ping-pong.
+    sort_scratch: Vec<Due>,
+    next_seq: u64,
     buf: Vec<StreamEvent>,
     details: Vec<EventDetail>,
 }
@@ -300,19 +250,16 @@ impl<'a> EpochBatches<'a> {
     pub fn new(log: &'a RequestLog, epoch_s: u64) -> Self {
         debug_assert!(epoch_s > 0);
         EpochBatches {
-            stream: PullStream::new(log),
-            peeked: None,
+            log,
             epoch_s,
+            send_cursor: 0,
+            calendar: Vec::new(),
+            spare: Vec::new(),
+            sort_scratch: Vec::new(),
+            next_seq: 0,
             buf: Vec::new(),
             details: Vec::new(),
         }
-    }
-
-    fn peek(&mut self) -> Option<&(StreamEvent, EventDetail)> {
-        if self.peeked.is_none() {
-            self.peeked = self.stream.next_with_detail();
-        }
-        self.peeked.as_ref()
     }
 
     /// The next non-empty epoch's events and their parallel details, or
@@ -320,18 +267,88 @@ impl<'a> EpochBatches<'a> {
     /// next call (the buffers are reused).
     #[allow(clippy::should_implement_trait)]
     pub fn next_epoch(&mut self) -> Option<(&[StreamEvent], &[EventDetail])> {
-        let &(first, _) = self.peek()?;
-        let epoch_end = (first.at.as_secs() / self.epoch_s + 1) * self.epoch_s;
-        self.buf.clear();
-        self.details.clear();
-        while let Some(&(ev, detail)) = self.peek() {
-            if ev.at.as_secs() < epoch_end {
-                self.buf.push(ev);
-                self.details.push(detail);
-                self.peeked = None;
-            } else {
-                break;
+        let records = self.log.records();
+        let send_cell = records
+            .get(self.send_cursor)
+            .map(|r| r.sent_at.as_secs() / self.epoch_s);
+        let first_due = self.calendar.first().map(|b| b.0);
+        let cell = send_cell.into_iter().chain(first_due).min()?;
+        // Inclusive, so a cell that reaches past `u64::MAX` still ends.
+        let cell_last = (cell * self.epoch_s).saturating_add(self.epoch_s - 1);
+
+        // Walk the cell's run of sends, filing each decision under the
+        // cell it falls due in (this one included).
+        let run_start = self.send_cursor;
+        let mut run_end = run_start;
+        while let Some(r) = records
+            .get(run_end)
+            .filter(|r| r.sent_at.as_secs() <= cell_last)
+        {
+            if let Some(d) = r.outcome.decided_at() {
+                // At or before this cell's end means this cell: it is
+                // the earliest batch the decision can still join.
+                let due_cell = if d.as_secs() <= cell_last {
+                    cell
+                } else {
+                    d.as_secs() / self.epoch_s
+                };
+                let at = self.calendar.partition_point(|b| b.0 < due_cell);
+                if self.calendar.get(at).is_none_or(|b| b.0 != due_cell) {
+                    let recycled = self.spare.pop().unwrap_or_default();
+                    self.calendar.insert(at, (due_cell, recycled));
+                }
+                let detail = EventDetail {
+                    from: r.from.0,
+                    to: r.to.0,
+                    accepted: r.outcome.is_accepted(),
+                };
+                let bucket = &mut self.calendar[at].1;
+                // Record ids are u32 by the log's id contract.
+                bucket.push((d, run_end as u32, detail));
             }
+            run_end += 1;
+        }
+        self.send_cursor = run_end;
+
+        let mut bucket = match self.calendar.first() {
+            Some(b) if b.0 == cell => self.calendar.remove(0).1,
+            _ => Vec::new(),
+        };
+        sort_by_time(&mut bucket, &mut self.sort_scratch);
+        let Self {
+            buf,
+            details,
+            next_seq,
+            ..
+        } = self;
+        buf.clear();
+        details.clear();
+        let mut emit = |at, kind, detail| {
+            let seq = *next_seq;
+            buf.push(StreamEvent { seq, at, kind });
+            details.push(detail);
+            *next_seq += 1;
+        };
+        let mut due = bucket.iter().peekable();
+        for (i, r) in (run_start..run_end).zip(&records[run_start..run_end]) {
+            // Sends win ties: a request exists before it is answered.
+            while let Some(&(t, j, detail)) = due.next_if(|d| d.0 < r.sent_at) {
+                emit(t, StreamEventKind::Decided(j), detail);
+            }
+            let detail = EventDetail {
+                from: r.from.0,
+                to: r.to.0,
+                accepted: false,
+            };
+            emit(r.sent_at, StreamEventKind::Sent(i as u32), detail);
+        }
+        for &(t, j, detail) in due {
+            emit(t, StreamEventKind::Decided(j), detail);
+        }
+        // A cell without decisions took no bucket: nothing to recycle.
+        if bucket.capacity() > 0 {
+            bucket.clear();
+            self.spare.push(bucket);
         }
         Some((&self.buf, &self.details))
     }
@@ -424,16 +441,47 @@ mod tests {
         }
     }
 
+    /// Drain `EpochBatches`, checking what every batch must satisfy —
+    /// non-empty, one grid cell, details that match the records, dense
+    /// `seq` — and return the concatenation.
+    fn batched(log: &RequestLog, epoch_s: u64) -> Vec<StreamEvent> {
+        let mut batches = EpochBatches::new(log, epoch_s);
+        let mut cat: Vec<StreamEvent> = Vec::new();
+        while let Some((events, details)) = batches.next_epoch() {
+            assert!(!events.is_empty());
+            assert_eq!(events.len(), details.len());
+            let cell = events[0].at.as_secs() / epoch_s;
+            assert!(
+                events.iter().all(|e| e.at.as_secs() / epoch_s == cell),
+                "one grid cell per batch"
+            );
+            for (ev, d) in events.iter().zip(details) {
+                let (i, decided) = match ev.kind {
+                    StreamEventKind::Sent(i) => (i, false),
+                    StreamEventKind::Decided(i) => (i, true),
+                };
+                let r = log.get(i as usize);
+                assert_eq!((d.from, d.to), (r.from.0, r.to.0));
+                assert_eq!(d.accepted, decided && r.outcome.is_accepted());
+            }
+            cat.extend_from_slice(events);
+        }
+        for (i, e) in cat.iter().enumerate() {
+            assert_eq!(e.seq, i as u64);
+        }
+        cat
+    }
+
     #[test]
     fn empty_log_yields_nothing() {
         let log = RequestLog::new();
         assert_eq!(EventStream::new(&log).count(), 0);
-        assert_eq!(PullStream::new(&log).count(), 0);
         assert!(EpochBatches::new(&log, 3600).next_epoch().is_none());
     }
 
-    /// On well-formed logs (decisions at or after sends) the heap-based
-    /// pull merge must reproduce `EventStream` event for event.
+    /// On well-formed logs (decisions at or after sends) the calendar
+    /// merge must reproduce `EventStream` event for event, at any epoch
+    /// length.
     #[test]
     fn pull_stream_matches_event_stream_on_well_formed_logs() {
         let log = log_with(&[
@@ -445,9 +493,9 @@ mod tests {
             (4, 6, 9, Some((9, false))),
         ]);
         let eager: Vec<StreamEvent> = EventStream::new(&log).collect();
-        let pulled: Vec<StreamEvent> = PullStream::new(&log).collect();
-        assert_eq!(pulled, eager);
-        assert_eq!(PullStream::new(&log).total_events(), eager.len());
+        for epoch_s in [1, 3600, 2 * 3600, 24 * 3600] {
+            assert_eq!(batched(&log, epoch_s), eager, "epoch_s {epoch_s}");
+        }
     }
 
     /// Randomized well-formed logs: same equivalence, denser tie pressure.
@@ -472,8 +520,7 @@ mod tests {
             }
             let log = log_with(&rows);
             let eager: Vec<StreamEvent> = EventStream::new(&log).collect();
-            let pulled: Vec<StreamEvent> = PullStream::new(&log).collect();
-            assert_eq!(pulled, eager);
+            assert_eq!(batched(&log, (1 + next(5)) * 3600), eager);
         }
     }
 
@@ -488,27 +535,81 @@ mod tests {
             (3, 4, 41, Some((41, true))),
         ]);
         let all: Vec<StreamEvent> = EventStream::new(&log).collect();
-        let epoch_s = 24 * 3600;
-        let mut batches = EpochBatches::new(&log, epoch_s);
-        let mut cat: Vec<StreamEvent> = Vec::new();
-        while let Some((events, details)) = batches.next_epoch() {
-            assert!(!events.is_empty());
-            assert_eq!(events.len(), details.len());
-            let cell = events[0].at.as_secs() / epoch_s;
-            assert!(events
-                .iter()
-                .all(|e| e.at.as_secs() / epoch_s == cell), "one grid cell per batch");
-            for (ev, d) in events.iter().zip(details) {
-                let (i, decided) = match ev.kind {
-                    StreamEventKind::Sent(i) => (i, false),
-                    StreamEventKind::Decided(i) => (i, true),
-                };
-                let r = log.get(i as usize);
-                assert_eq!((d.from, d.to), (r.from.0, r.to.0));
-                assert_eq!(d.accepted, decided && r.outcome.is_accepted());
+        assert_eq!(batched(&log, 24 * 3600), all);
+    }
+
+    /// A log outside the contract — decisions "due" long before the cell
+    /// their send sits in, and one due at the end of time — must neither
+    /// index the calendar below its first cell nor size it by the time
+    /// span: every event still comes out exactly once, and the calendar
+    /// never holds more buckets than decisions in flight. (No
+    /// `debug_assert` guards this path, so debug and release agree.)
+    #[test]
+    fn ill_formed_log_neither_panics_nor_sizes_the_calendar_by_time() {
+        let far = u64::MAX / 3600;
+        let log = log_with(&[
+            (0, 1, 1_000_000, Some((0, true))),    // due a million cells early
+            (1, 2, 1_000_000, Some((far, false))), // due at the end of time
+            (2, 3, 1_000_001, Some((999_999, true))), // one cell early
+            (3, 4, 2_000_000, Some((5, false))),
+        ]);
+        let mut batches = EpochBatches::new(&log, 3600);
+        let (mut sends, mut decisions, mut seq) = (0, 0, 0u64);
+        while let Some((events, _)) = batches.next_epoch() {
+            for ev in events {
+                assert_eq!(ev.seq, seq);
+                seq += 1;
+                match ev.kind {
+                    StreamEventKind::Sent(_) => sends += 1,
+                    StreamEventKind::Decided(_) => decisions += 1,
+                }
             }
-            cat.extend_from_slice(events);
+            assert!(batches.calendar.len() <= 4);
         }
-        assert_eq!(cat, all);
+        assert_eq!((sends, decisions), (4, 4));
+    }
+
+    proptest::proptest! {
+        /// `EpochBatches` ≡ `EventStream` over arbitrary well-formed logs
+        /// × epoch lengths: the concatenated batches are the stream, every
+        /// batch sits on one grid cell, `seq` is dense (`batched` checks
+        /// the last two). Each step is `(gap shape, gap, delay shape,
+        /// delay, outcome)`; the shapes skew the draw toward what the
+        /// calendar adds — send gaps of 0 pile up timestamp ties, rare
+        /// long gaps leave runs of empty cells, cells holding decisions
+        /// but no sends, and a calendar that drains to empty and is
+        /// refilled from recycled buckets; long delays reach many cells
+        /// ahead.
+        #[test]
+        fn epoch_batches_equal_event_stream(
+            steps in proptest::collection::vec(
+                (0u8..8, 0u64..400, 0u8..8, 0u64..1000, 0u8..5),
+                0..80
+            ),
+            epoch_ix in 0usize..6,
+        ) {
+            let mut rows: Vec<Row> = Vec::new();
+            let mut h = 0u64;
+            for (k, &(gap_shape, gap, delay_shape, delay, outcome)) in steps.iter().enumerate() {
+                h += match gap_shape {
+                    0..=3 => 0,
+                    4..=6 => gap % 3,
+                    _ => gap,
+                };
+                let delay = match delay_shape {
+                    0..=2 => 0,
+                    3..=5 => delay % 4,
+                    _ => delay,
+                };
+                // One in five stays pending; the rest split accept/reject.
+                let decision = (outcome > 0).then_some((h + delay, outcome % 2 == 0));
+                rows.push((k as u32 % 7, k as u32 % 5 + 7, h, decision));
+            }
+            let log = log_with(&rows);
+            let eager: Vec<StreamEvent> = EventStream::new(&log).collect();
+            // 5000 h: a bucket's time span then needs a third radix digit.
+            let epoch_h = [1u64, 2, 7, 48, 1000, 5000][epoch_ix];
+            proptest::prop_assert_eq!(batched(&log, epoch_h * 3600), eager);
+        }
     }
 }

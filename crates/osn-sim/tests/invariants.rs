@@ -100,31 +100,34 @@ proptest! {
         }
     }
 
-    /// Every event pulled with detail carries its record's endpoints, and
-    /// the acceptance flag is false on sends and the record's outcome on
-    /// decisions — for any configuration.
+    /// Every event handed out with detail carries its record's endpoints,
+    /// and the acceptance flag is false on sends and the record's outcome
+    /// on decisions — for any configuration.
     #[test]
     fn pull_stream_details_match_records(cfg in arb_config()) {
         let out = simulate(cfg);
-        let mut stream = osn_sim::PullStream::new(&out.log);
+        let mut batches = osn_sim::EpochBatches::new(&out.log, 48 * 3600);
         let mut pulled = 0usize;
-        while let Some((ev, d)) = stream.next_with_detail() {
-            let i = match ev.kind {
-                osn_sim::StreamEventKind::Sent(i)
-                | osn_sim::StreamEventKind::Decided(i) => i as usize,
-            };
-            let r = &out.log.records()[i];
-            prop_assert_eq!(d.from, r.from.0);
-            prop_assert_eq!(d.to, r.to.0);
-            match ev.kind {
-                osn_sim::StreamEventKind::Sent(_) => prop_assert!(!d.accepted),
-                osn_sim::StreamEventKind::Decided(_) => {
-                    prop_assert_eq!(d.accepted, r.outcome.is_accepted())
+        while let Some((events, details)) = batches.next_epoch() {
+            prop_assert_eq!(events.len(), details.len());
+            for (ev, d) in events.iter().zip(details) {
+                let i = match ev.kind {
+                    osn_sim::StreamEventKind::Sent(i)
+                    | osn_sim::StreamEventKind::Decided(i) => i as usize,
+                };
+                let r = &out.log.records()[i];
+                prop_assert_eq!(d.from, r.from.0);
+                prop_assert_eq!(d.to, r.to.0);
+                match ev.kind {
+                    osn_sim::StreamEventKind::Sent(_) => prop_assert!(!d.accepted),
+                    osn_sim::StreamEventKind::Decided(_) => {
+                        prop_assert_eq!(d.accepted, r.outcome.is_accepted())
+                    }
                 }
             }
-            pulled += 1;
+            pulled += events.len();
         }
-        prop_assert_eq!(pulled, osn_sim::PullStream::new(&out.log).total_events());
+        prop_assert_eq!(pulled, osn_sim::EventStream::new(&out.log).total_events());
     }
 }
 

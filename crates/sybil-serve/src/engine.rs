@@ -4,16 +4,17 @@
 //!
 //! The determinism argument, end to end:
 //!
-//! 1. [`EventStream`] gives every event a global `seq` in exactly the
-//!    sequential replay's processing order.
+//! 1. [`EpochBatches`] gives every event a global `seq` in exactly the
+//!    sequential replay's processing order (it is `EventStream`'s
+//!    sequence, merged one epoch at a time).
 //! 2. Within an epoch, each shard applies owned-account transitions in
 //!    event order and stages detections/feedback tagged with `seq`. All
 //!    shared inputs a check reads are either owned by that shard,
 //!    replicated identically on every shard (the audit cursor and
 //!    adaptive replica — all shards scan all events), or read-only for
-//!    the epoch (the coordinator's edge mirror plus the seq-tagged epoch
-//!    index, restricted to edges created at or before the checking
-//!    event), so no value depends on cross-shard timing.
+//!    the epoch (the coordinator's edge mirror, probed below the
+//!    link-arena watermark of the checking event so only edges created
+//!    at or before it count), so no value depends on cross-shard timing.
 //! 3. At the barrier the coordinator sorts detections by `(timestamp,
 //!    seq)` (account ownership makes `seq` already unique) and feedback by
 //!    `(seq, intra)`, recovering the sequential emission order; feedback
@@ -137,6 +138,64 @@ pub struct ServeStats {
     pub shard_busy_s: Vec<f64>,
 }
 
+/// The coordinator's own stages, recorded per epoch as `stage.*` wall
+/// spans beside `epoch` when a registry is attached: pulling the batch
+/// off the stream, the mirror's index pass, the parallel shard scan, the
+/// barrier merge, the mirror fold (rotation included), and every
+/// fault-plane hook call (with the crash recovery they drive).
+#[derive(Clone, Copy)]
+enum Stage {
+    Pull,
+    Index,
+    Scan,
+    Merge,
+    Fold,
+    Plane,
+}
+
+/// Span names, in [`Stage`] order.
+const STAGE_SPANS: [&str; 6] = [
+    "stage.pull",
+    "stage.index",
+    "stage.scan",
+    "stage.merge",
+    "stage.fold",
+    "stage.plane",
+];
+
+/// Splits the epoch loop's time among the [`Stage`]s by the injected clock:
+/// each [`lap`](Self::lap) charges everything since the previous one to
+/// one stage, so the stages partition the loop and never overlap.
+struct StageClock<'a> {
+    clock: Clock<'a>,
+    last: f64,
+    spent: [f64; STAGE_SPANS.len()],
+}
+
+impl<'a> StageClock<'a> {
+    fn start(clock: Clock<'a>) -> Self {
+        StageClock {
+            clock,
+            last: clock(),
+            spent: [0.0; STAGE_SPANS.len()],
+        }
+    }
+
+    fn lap(&mut self, stage: Stage) {
+        let now = (self.clock)();
+        self.spent[stage as usize] += now - self.last;
+        self.last = now;
+    }
+
+    /// Record the epoch's stage times and start the next epoch's at zero.
+    fn flush(&mut self, reg: &mut sybil_obs::Registry) {
+        for (name, spent) in STAGE_SPANS.iter().zip(&mut self.spent) {
+            let id = reg.span(name);
+            reg.record_span(id, std::mem::take(spent));
+        }
+    }
+}
+
 /// The one coordinator loop behind
 /// [`ServeSession`](crate::ServeSession) — run it through the builder,
 /// which owns the optional-capability wiring (clock, metrics, fault
@@ -173,9 +232,9 @@ pub(crate) fn serve_inner<P: FaultPlane>(
         .collect();
     let mut mirror = GraphMirror::new(n, cfg.rotate_floor);
 
-    // Pull-based epoch slicing: at most one epoch of events is buffered,
-    // and no decision-index array proportional to the log is built (see
-    // `osn_sim::stream::PullStream`).
+    // Epoch slicing off the calendar merge: at most one epoch of events
+    // plus the decisions in flight is buffered, and nothing proportional
+    // to the log is built (see `osn_sim::stream::EpochBatches`).
     let mut batches = EpochBatches::new(&out.log, epoch_s);
     // Feedback staged last epoch, merged, awaiting redistribution.
     let mut carry_feedback: Vec<TaggedFeedback> = Vec::new();
@@ -215,7 +274,7 @@ pub(crate) fn serve_inner<P: FaultPlane>(
             }
             shards = cp
                 .shards
-                .iter()
+                .into_iter()
                 .enumerate()
                 .map(|(s, snap)| ShardState::from_snapshot(s, shards_n, n, &rt, snap))
                 .collect();
@@ -255,7 +314,13 @@ pub(crate) fn serve_inner<P: FaultPlane>(
         }
     }
 
-    while let Some((events, details)) = batches.next_epoch() {
+    let mut stages = StageClock::start(clock);
+    loop {
+        let batch = batches.next_epoch();
+        stages.lap(Stage::Pull);
+        let Some((events, details)) = batch else {
+            break;
+        };
         if resume_skip > 0 {
             // This epoch finished before the restart (restored from the
             // checkpoint or replayed from the journal tail): consume its
@@ -278,19 +343,25 @@ pub(crate) fn serve_inner<P: FaultPlane>(
                     feedback: &feed,
                 })
                 .map_err(ServeError::Chaos)?;
+            stages.lap(Stage::Plane);
         }
-        // Sequential prepass: collect the epoch's new edges, seq-tagged,
-        // so shards can read them without maintaining their own mirrors.
+        // Sequential stream-order pass: the epoch's new edges enter the
+        // mirror now, and the index lets a shard's check hide the ones
+        // created after it — shards maintain no mirrors of their own.
         let eidx = mirror.index_epoch(events, details);
-        let clamps: Vec<Option<usize>> = if chaos {
-            (0..shards_n).map(|s| plane.queue_clamp(epoch_no, s)).collect()
-        } else {
-            Vec::new()
-        };
+        stages.lap(Stage::Index);
+        // The plane's per-shard decisions for this epoch, asked once.
         // Barrier digests are per-shard work: each worker digests its own
         // state inside the parallel section (and inside its busy window)
         // instead of the coordinator folding all shards serially.
-        let want_dig = chaos && plane.wants_digests(epoch_no);
+        let (mut clamps, mut faults, mut want_dig) = (Vec::new(), Vec::new(), false);
+        if chaos {
+            clamps = (0..shards_n).map(|s| plane.queue_clamp(epoch_no, s)).collect();
+            faults = (0..shards_n).map(|s| plane.shard_fault(epoch_no, s)).collect();
+            want_dig = plane.wants_digests(epoch_no);
+            stages.lap(Stage::Plane);
+        }
+        let crashed = |sid: usize| faults.get(sid) == Some(&ShardFault::Crash);
         let mut results = par::map_owned(std::mem::take(&mut shards), |mut s| {
             let sid = s.id();
             let clamp = clamps.get(sid).copied().flatten();
@@ -301,6 +372,7 @@ pub(crate) fn serve_inner<P: FaultPlane>(
             let busy = clock() - t0;
             staged.map(|e| (sid, s, e, busy, dig))
         });
+        stages.lap(Stage::Scan);
 
         epochs += 1;
         totals.events_processed += events.len() as u64;
@@ -311,6 +383,7 @@ pub(crate) fn serve_inner<P: FaultPlane>(
             if let Some(ord) = plane.deliver_order(epoch_no, shards_n) {
                 results = permute(results, &ord);
             }
+            stages.lap(Stage::Plane);
         }
         // Collect arrivals; a crashed shard's result (or its overflow
         // error) dies with the crash and is replaced by journal replay.
@@ -319,25 +392,21 @@ pub(crate) fn serve_inner<P: FaultPlane>(
         for r in results {
             match r {
                 Ok((sid, s, eout, busy, dig)) => {
-                    if chaos && plane.shard_fault(epoch_no, sid) == ShardFault::Crash {
-                        continue;
+                    if !crashed(sid) {
+                        arrived.push((sid, s, eout, busy, dig));
                     }
-                    arrived.push((sid, s, eout, busy, dig));
                 }
                 Err(q) => {
-                    let crashed = chaos
-                        && q.site.is_some_and(|site| {
-                            plane.shard_fault(epoch_no, site.shard) == ShardFault::Crash
-                        });
-                    if !crashed {
+                    if !q.site.is_some_and(|site| crashed(site.shard)) {
                         return Err(ServeError::QueueOverflow(q));
                     }
                 }
             }
         }
-        if chaos && arrived.len() < shards_n {
+        if arrived.len() < shards_n {
+            stages.lap(Stage::Merge);
             for sid in 0..shards_n {
-                if plane.shard_fault(epoch_no, sid) == ShardFault::Crash {
+                if crashed(sid) {
                     let (s, eout, _) = rebuild_shard(
                         plane,
                         sid,
@@ -358,6 +427,7 @@ pub(crate) fn serve_inner<P: FaultPlane>(
                     arrived.push((sid, s, eout, 0.0, dig));
                 }
             }
+            stages.lap(Stage::Plane);
         }
         let mut epoch_dets: Vec<TaggedDetection> = Vec::new();
         let mut epoch_fb: Vec<TaggedFeedback> = Vec::new();
@@ -413,7 +483,9 @@ pub(crate) fn serve_inner<P: FaultPlane>(
         tagged.extend(epoch_dets);
         epoch_fb.sort_by_key(|f| (f.seq, f.intra));
         carry_feedback = epoch_fb;
+        stages.lap(Stage::Merge);
         mirror.absorb(eidx);
+        stages.lap(Stage::Fold);
         if chaos {
             epoch_digs.sort_by_key(|&(sid, _)| sid);
             let digests: Option<Vec<u64>> =
@@ -436,6 +508,10 @@ pub(crate) fn serve_inner<P: FaultPlane>(
                 };
                 plane.checkpoint(&cp).map_err(ServeError::Chaos)?;
             }
+            stages.lap(Stage::Plane);
+        }
+        if let Some(reg) = obs.as_deref_mut() {
+            stages.flush(reg);
         }
     }
 

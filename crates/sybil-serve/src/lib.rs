@@ -8,10 +8,10 @@
 //! each owning its accounts' running state ([`AccountState`] from
 //! `sybil_core::realtime::state`). Clustering features are served from
 //! the coordinator's single accepted-edge mirror — a rotating
-//! [`CsrSnapshot`](osn_graph::CsrSnapshot) plus an unfolded delta and a
-//! seq-tagged index of the running epoch's edges — lent to shards
-//! read-only, so per-shard cost is owned-account work, not edge
-//! bookkeeping.
+//! [`CsrSnapshot`](osn_graph::CsrSnapshot) plus an unfolded delta that
+//! already holds the running epoch's edges, each check bounded to its
+//! stream position by a watermark — lent to shards read-only, so
+//! per-shard cost is owned-account work, not edge bookkeeping.
 //!
 //! Cross-shard effects — detections and verification feedback — are
 //! staged in bounded SPSC [`queue::DeltaQueue`]s and merged

@@ -3,10 +3,19 @@
 //! Exactly one copy of the accepted-friendship state exists: the
 //! coordinator maintains it sequentially and lends it to every shard
 //! read-only for the duration of an epoch. Edges accepted *within* the
-//! running epoch live in a seq-tagged [`EpochIndex`] built in a cheap
-//! sequential prepass, so a mid-epoch check at stream position `s` counts
-//! exactly the edges the sequential engine had inserted by `s`:
-//! `mirror ∪ {epoch edges with seq ≤ s}`.
+//! running epoch are already in it when the shards start — one
+//! stream-order pass ([`GraphMirror::index_epoch`]) appends them to the
+//! delta's link arena before the scan — and a mid-epoch check at stream
+//! position `s` sees exactly the edges the sequential engine had inserted
+//! by `s` by *bounding* its delta probes with a link-arena watermark
+//! ([`EpochIndex::watermark`]): `mirror ∪ {epoch edges with seq ≤ s}`.
+//!
+//! Why the watermark is exact: links are appended in stream (seq) order
+//! and never move until the next rotation, which happens only at a
+//! barrier, so "created at or before `s`" is the arena prefix below
+//! `links-at-epoch-start + 2 × #{new edges with seq ≤ s}` (two links per
+//! edge). Chains run newest-first, so the links a check must ignore are a
+//! prefix of each chain.
 //!
 //! # Compact layout
 //!
@@ -22,8 +31,9 @@
 //!   a generation-stamped head array plus one link arena (8 B/half-edge,
 //!   O(1) clear by generation bump — no O(V) sweep at rotation), probed
 //!   by short chain walks;
-//! * [`EpochIndex`] — this epoch's new edges as one sorted
-//!   `(node, neighbor, seq)` triple array with binary-search probes.
+//! * [`EpochIndex`] — the running epoch's share of that arena: where it
+//!   starts and the creating seq of each edge in it, one `u64` per new
+//!   edge.
 //!
 //! Rotation folds the delta into the [`CsrSnapshot`] via
 //! [`CsrSnapshot::merge_delta`], which re-materializes only the column
@@ -39,7 +49,7 @@
 
 use osn_graph::{CsrSnapshot, MergeScratch, NeighborScratch, NodeId, Timestamp};
 use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
-use sybil_core::realtime::state;
+use sybil_core::ids::saturating_u32;
 
 /// Default rotation floor: rotate the snapshot once the unfolded delta
 /// reaches this many edges or the folded edge count, whichever is larger
@@ -48,7 +58,8 @@ use sybil_core::realtime::state;
 /// many rotations).
 pub(crate) const ROTATE_FLOOR: usize = 1024;
 
-/// Sentinel for "no link" in [`FlatDelta`] chains.
+/// Sentinel for "no link" in [`FlatDelta`] chains. As a watermark it
+/// bounds nothing: every real link index is below it.
 const NONE: u32 = u32::MAX;
 
 /// Edges accepted since the last snapshot rotation, as per-node linked
@@ -56,9 +67,9 @@ const NONE: u32 = u32::MAX;
 ///
 /// `heads[v]` is `(generation, first-link)` — valid only when the
 /// generation matches the current one, so clearing after a rotation is a
-/// generation bump, not an O(V) sweep. Chains iterate in reverse
-/// insertion order, which is fine: the only consumer counts marked
-/// neighbors, an order-free reduction.
+/// generation bump, not an O(V) sweep. Links are appended in stream order
+/// and each chain runs newest-first, so a probe bounded by a watermark
+/// (see the module docs) skips a chain prefix and reads the rest.
 pub(crate) struct FlatDelta {
     gen: u32,
     /// Per-node `(generation, first link index)`.
@@ -84,47 +95,32 @@ impl FlatDelta {
         for (a, b) in [(u, v), (v, u)] {
             let head = &mut self.heads[a.index()];
             let first = if head.0 == self.gen { head.1 } else { NONE };
-            *head = (self.gen, self.links.len() as u32);
+            // Saturates at the `NONE` sentinel; an arena that long (2^31
+            // staged edges, 48 GiB of `edges` alone) cannot be allocated.
+            *head = (self.gen, saturating_u32(self.links.len()));
             self.links.push((first, b.0));
         }
         self.edges.push((u, v, t));
     }
 
-    /// Whether `a`–`b` is a staged delta edge. A chain walk over `a`'s
-    /// delta neighbors — the delta is bounded by the rotation threshold,
-    /// so chains stay short on average.
+    /// `a`'s delta neighbors whose link index is below `watermark`,
+    /// newest first. The delta is bounded by the rotation threshold, so
+    /// chains stay short on average.
     #[inline]
-    fn linked(&self, a: u32, b: u32) -> bool {
+    fn neighbors_below(&self, a: u32, watermark: u32) -> impl Iterator<Item = u32> + '_ {
         let head = self.heads[a as usize];
-        if head.0 != self.gen {
-            return false;
-        }
-        let mut cur = head.1;
-        while cur != NONE {
-            let (next, nbr) = self.links[cur as usize];
-            if nbr == b {
-                return true;
+        let mut cur = if head.0 == self.gen { head.1 } else { NONE };
+        std::iter::from_fn(move || {
+            while cur != NONE {
+                let at = cur;
+                let (next, nbr) = self.links[at as usize];
+                cur = next;
+                if at < watermark {
+                    return Some(nbr);
+                }
             }
-            cur = next;
-        }
-        false
-    }
-
-    /// Count delta neighbors of `u` in the marked set.
-    #[inline]
-    fn marked_count(&self, u: u32, scratch: &NeighborScratch) -> usize {
-        let head = self.heads[u as usize];
-        if head.0 != self.gen {
-            return 0;
-        }
-        let mut count = 0;
-        let mut cur = head.1;
-        while cur != NONE {
-            let (next, nbr) = self.links[cur as usize];
-            count += usize::from(scratch.is_marked(nbr));
-            cur = next;
-        }
-        count
+            None
+        })
     }
 
     /// Number of staged (undirected) edges.
@@ -145,9 +141,11 @@ impl FlatDelta {
     }
 }
 
-/// Canonical accepted-edge state as of the start of the current epoch.
-/// `snapshot ∪ delta` *is* the accepted-edge set — there is no separate
-/// membership structure to keep in sync or pay memory for.
+/// Canonical accepted-edge state. `snapshot ∪ delta` *is* the
+/// accepted-edge set — there is no separate membership structure to keep
+/// in sync or pay memory for. During an epoch the delta already holds
+/// the epoch's own edges; probes see the state as of a stream position
+/// through a watermark ([`NONE`] for "everything").
 pub(crate) struct GraphMirror {
     /// Folded prefix of the edge stream.
     pub snapshot: CsrSnapshot,
@@ -159,44 +157,27 @@ pub(crate) struct GraphMirror {
     /// re-allocating it every rotation pays first-touch page faults on
     /// hundreds of megabytes at the million-account sizes).
     merge_scratch: MergeScratch,
-    /// Reused [`Self::index_epoch`] candidate buffer.
-    cand: Vec<(u64, u64, NodeId, NodeId, Timestamp)>,
     /// Recycled [`EpochIndex`] storage, taken back in [`Self::absorb`].
-    spare_adj: Vec<(u32, u32, u64)>,
-    /// Recycled new-edge storage, taken back in [`Self::absorb`].
-    spare_edges: Vec<(NodeId, NodeId, Timestamp)>,
+    spare_seqs: Vec<u64>,
 }
 
-/// New edges of the epoch being processed, tagged with the stream
-/// position that created them: one flat `(node, neighbor, seq)` array
-/// sorted by `(node, neighbor)`, both directions present, each pair
-/// unique (the prepass dedups repeat accepts, keeping the earliest seq).
+/// The running epoch's share of the delta's link arena: edge `k` created
+/// this epoch owns links `base + 2k` and `base + 2k + 1`.
 pub(crate) struct EpochIndex {
-    adj: Vec<(u32, u32, u64)>,
-    /// The same edges in stream order, for [`GraphMirror::absorb`].
-    new_edges: Vec<(NodeId, NodeId, Timestamp)>,
+    /// Link-arena length when the epoch began.
+    base: u32,
+    /// Creating stream position of each edge the epoch added, ascending.
+    seqs: Vec<u64>,
 }
 
 impl EpochIndex {
-    /// Whether `a`–`b` was created in this epoch at or before `seq`.
-    /// Binary search — O(log K) against the old linear row scan.
+    /// Link-arena watermark for a check at stream position `seq`: links
+    /// at or above it belong to edges created after `seq`.
     #[inline]
-    pub(crate) fn linked(&self, a: u32, b: u32, seq: u64) -> bool {
-        self.adj
-            .binary_search_by(|&(n, v, _)| (n, v).cmp(&(a, b)))
-            .is_ok_and(|i| self.adj[i].2 <= seq)
-    }
-
-    /// Count epoch neighbors of `u` created at or before `seq` that are
-    /// in the marked set.
-    #[inline]
-    pub(crate) fn marked_count_at(&self, u: u32, seq: u64, scratch: &NeighborScratch) -> usize {
-        let lo = self.adj.partition_point(|&(n, _, _)| n < u);
-        let hi = self.adj.partition_point(|&(n, _, _)| n <= u);
-        self.adj[lo..hi]
-            .iter()
-            .filter(|&&(_, v, s)| s <= seq && scratch.is_marked(v))
-            .count()
+    pub(crate) fn watermark(&self, seq: u64) -> u32 {
+        let visible = self.seqs.partition_point(|&s| s <= seq);
+        self.base
+            .saturating_add(saturating_u32(visible.saturating_mul(2)))
     }
 }
 
@@ -213,14 +194,15 @@ impl GraphMirror {
                 rotate_floor
             },
             merge_scratch: MergeScratch::default(),
-            cand: Vec::new(),
-            spare_adj: Vec::new(),
-            spare_edges: Vec::new(),
+            spare_seqs: Vec::new(),
         }
     }
 
-    /// Sequential prepass over one epoch's events: collect the accepts
-    /// that create a new edge, in order, tagged with their seq. `details`
+    /// One stream-order pass over an epoch's events: every accepted
+    /// decision whose pair is not yet linked enters the delta at once,
+    /// and its seq is noted. Earlier accepts of the same epoch are
+    /// already in the chain, so the one probe covers folded, staged and
+    /// same-epoch repeats — keep-first holds by construction. `details`
     /// is the epoch slice's parallel [`EventDetail`] array, so the pass
     /// never touches the log.
     pub(crate) fn index_epoch(
@@ -229,71 +211,50 @@ impl GraphMirror {
         details: &[EventDetail],
     ) -> EpochIndex {
         debug_assert_eq!(events.len(), details.len());
-        // Pass 1: every accepted decision, keyed by packed pair.
-        // Candidates arrive in stream (seq) order; repeat accepts of one
-        // pair within the epoch are removed by a keep-first sort pass —
-        // no hash set needed. The candidate buffer (like the index's own
-        // arrays, recycled through `absorb`) is reused across epochs.
-        let cand = &mut self.cand;
-        cand.clear();
+        let base = saturating_u32(self.delta.links.len());
+        let mut seqs = std::mem::take(&mut self.spare_seqs);
+        seqs.clear();
         for (ev, d) in events.iter().zip(details) {
             if !matches!(ev.kind, StreamEventKind::Decided(_)) || !d.accepted {
                 continue;
             }
-            let (from, to) = (NodeId(d.from), NodeId(d.to));
-            cand.push((state::pack_edge(from, to), ev.seq, from, to, ev.at));
-        }
-        // Keep-first dedup: sort by (pair, seq), drop repeats. Probing
-        // the mirror *after* the sort visits snapshot blocks in ascending
-        // node order — sequential, not scattered by stream arrival.
-        cand.sort_unstable_by_key(|&(e, seq, ..)| (e, seq));
-        cand.dedup_by_key(|&mut (e, ..)| e);
-        let (snapshot, delta) = (&self.snapshot, &self.delta);
-        cand.retain(|&(e, ..)| {
-            // Probe the low endpoint's row: with candidates sorted by
-            // packed key the walk is block-sequential.
-            let (lo, hi) = ((e >> 32) as u32, e as u32);
-            snapshot
+            let (lo, hi) = (d.from.min(d.to), d.from.max(d.to));
+            let known = self
+                .snapshot
                 .neighbors_sorted(NodeId(lo))
                 .binary_search(&hi)
-                .is_err()
-                && !delta.linked(lo, hi)
-        });
-        // Restore stream (seq) order for the fold.
-        cand.sort_unstable_by_key(|&(_, seq, ..)| seq);
-
-        let mut idx = EpochIndex {
-            adj: std::mem::take(&mut self.spare_adj),
-            new_edges: std::mem::take(&mut self.spare_edges),
-        };
-        idx.adj.reserve(2 * cand.len());
-        idx.new_edges.reserve(cand.len());
-        for &(_, seq, from, to, at) in cand.iter() {
-            idx.adj.push((from.0, to.0, seq));
-            idx.adj.push((to.0, from.0, seq));
-            idx.new_edges.push((from, to, at));
+                .is_ok()
+                || self.delta.neighbors_below(lo, NONE).any(|v| v == hi);
+            if !known {
+                self.delta.push(NodeId(d.from), NodeId(d.to), ev.at);
+                seqs.push(ev.seq);
+            }
         }
-        idx.adj.sort_unstable_by_key(|&(n, v, _)| (n, v));
-        debug_assert!(idx
-            .adj
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        idx
+        EpochIndex { base, seqs }
     }
 
-    /// Whether `a`–`b` existed at epoch start (pair-probe path): a
+    /// Whether `a`–`b` is linked below `watermark` (pair-probe path): a
     /// row-local binary search of the snapshot plus a short delta chain
     /// walk.
     #[inline]
-    pub(crate) fn pair_linked(&self, a: NodeId, b: NodeId) -> bool {
-        self.snapshot.has_edge(a, b) || self.delta.linked(a.0, b.0)
+    pub(crate) fn pair_linked(&self, a: NodeId, b: NodeId, watermark: u32) -> bool {
+        self.snapshot.has_edge(a, b) || self.delta.neighbors_below(a.0, watermark).any(|v| v == b.0)
     }
 
-    /// Count mirror-delta neighbors of `u` in the marked set (the probe
-    /// companion to the snapshot's marked-set kernel).
+    /// Count `u`'s delta neighbors below `watermark` that are in the
+    /// marked set (the probe companion to the snapshot's marked-set
+    /// kernel).
     #[inline]
-    pub(crate) fn delta_marked_count(&self, u: u32, scratch: &NeighborScratch) -> usize {
-        self.delta.marked_count(u, scratch)
+    pub(crate) fn delta_marked_count(
+        &self,
+        u: u32,
+        watermark: u32,
+        scratch: &NeighborScratch,
+    ) -> usize {
+        self.delta
+            .neighbors_below(u, watermark)
+            .filter(|&v| scratch.is_marked(v))
+            .count()
     }
 
     /// Folded (snapshot) edges as undirected `(u, v, t)` triples with
@@ -344,15 +305,12 @@ impl GraphMirror {
         m
     }
 
-    /// Fold an epoch's new edges in after the barrier, rotating the
-    /// snapshot when the delta outgrows the threshold. Rotation timing is
-    /// value-neutral — a link counts the same from the snapshot, the
-    /// delta, or the epoch index — and deterministic, since the delta is
-    /// a pure function of the event stream and the configured floor.
+    /// Close an epoch after the barrier: its edges are already in the
+    /// delta, so this is the rotation test plus buffer recycling.
+    /// Rotation timing is value-neutral — a link counts the same from the
+    /// snapshot or the delta — and deterministic, since the delta is a
+    /// pure function of the event stream and the configured floor.
     pub(crate) fn absorb(&mut self, idx: EpochIndex) {
-        for &(u, v, t) in &idx.new_edges {
-            self.delta.push(u, v, t);
-        }
         // Rotate once the delta matches the folded size (doubling): total
         // rebuild traffic stays ~2× the final CSR while delta chains stay
         // O(average degree) — they are walked on every pair probe.
@@ -362,35 +320,43 @@ impl GraphMirror {
                 .merge_delta_with(&self.delta.edges, &mut self.merge_scratch);
             self.delta.clear();
         }
-        // Recycle the index's storage for the next epoch's build.
-        self.spare_adj = idx.adj;
-        self.spare_adj.clear();
-        self.spare_edges = idx.new_edges;
-        self.spare_edges.clear();
+        self.spare_seqs = idx.seqs;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn pair_probe_covers_snapshot_and_delta() {
         let mut m = GraphMirror::new(5, 1_000_000);
-        assert!(!m.pair_linked(NodeId(0), NodeId(1)));
+        assert!(!m.pair_linked(NodeId(0), NodeId(1), NONE));
         // Folded edge: rotate a one-edge delta into the snapshot.
         m.delta.push(NodeId(0), NodeId(1), Timestamp::ZERO);
         m.snapshot.merge_delta(&m.delta.edges);
         m.delta.clear();
         // Staged edge: still in the delta.
         m.delta.push(NodeId(2), NodeId(3), Timestamp::ZERO);
-        assert!(m.pair_linked(NodeId(0), NodeId(1)));
-        assert!(m.pair_linked(NodeId(1), NodeId(0)));
-        assert!(m.pair_linked(NodeId(2), NodeId(3)));
-        assert!(m.pair_linked(NodeId(3), NodeId(2)));
-        assert!(!m.pair_linked(NodeId(0), NodeId(2)));
-        assert!(!m.pair_linked(NodeId(1), NodeId(3)));
-        assert!(!m.pair_linked(NodeId(0), NodeId(4)));
+        assert!(m.pair_linked(NodeId(0), NodeId(1), NONE));
+        assert!(m.pair_linked(NodeId(1), NodeId(0), NONE));
+        assert!(m.pair_linked(NodeId(2), NodeId(3), NONE));
+        assert!(m.pair_linked(NodeId(3), NodeId(2), NONE));
+        assert!(!m.pair_linked(NodeId(0), NodeId(2), NONE));
+        assert!(!m.pair_linked(NodeId(1), NodeId(3), NONE));
+        assert!(!m.pair_linked(NodeId(0), NodeId(4), NONE));
+        // A watermark at the arena's start hides the staged edge, never
+        // the folded one.
+        assert!(!m.pair_linked(NodeId(2), NodeId(3), 0));
+        assert!(m.pair_linked(NodeId(0), NodeId(1), 0));
+    }
+
+    fn marked_count(d: &FlatDelta, u: u32, scratch: &NeighborScratch) -> usize {
+        d.neighbors_below(u, NONE)
+            .filter(|&v| scratch.is_marked(v))
+            .count()
     }
 
     #[test]
@@ -405,16 +371,16 @@ mod tests {
         scratch.mark(1);
         scratch.mark(2);
         scratch.mark(4);
-        assert_eq!(d.marked_count(0, &scratch), 2);
-        assert_eq!(d.marked_count(1, &scratch), 0); // 0 is unmarked
-        assert_eq!(d.marked_count(3, &scratch), 1);
+        assert_eq!(marked_count(&d, 0, &scratch), 2);
+        assert_eq!(marked_count(&d, 1, &scratch), 0); // 0 is unmarked
+        assert_eq!(marked_count(&d, 3, &scratch), 1);
         assert_eq!(d.len(), 3);
         d.clear();
         assert_eq!(d.len(), 0);
-        assert_eq!(d.marked_count(0, &scratch), 0);
+        assert_eq!(marked_count(&d, 0, &scratch), 0);
         // Reuse after clear starts clean chains.
         d.push(NodeId(0), NodeId(4), t);
-        assert_eq!(d.marked_count(0, &scratch), 1);
+        assert_eq!(marked_count(&d, 0, &scratch), 1);
     }
 
     #[test]
@@ -425,10 +391,83 @@ mod tests {
         let mut scratch = NeighborScratch::new(3);
         scratch.begin(3);
         scratch.mark(1);
-        assert_eq!(d.marked_count(0, &scratch), 1);
+        assert_eq!(marked_count(&d, 0, &scratch), 1);
         d.clear(); // wraps to 0 → resets heads, lands on gen 1
-        assert_eq!(d.marked_count(0, &scratch), 0);
+        assert_eq!(marked_count(&d, 0, &scratch), 0);
         d.push(NodeId(0), NodeId(1), Timestamp::ZERO);
-        assert_eq!(d.marked_count(0, &scratch), 1);
+        assert_eq!(marked_count(&d, 0, &scratch), 1);
+    }
+
+    proptest! {
+        /// Watermark-bounded probes against a brute-force edge set: for
+        /// arbitrary accept sequences — pairs repeated inside one epoch,
+        /// across epochs, and across rotations at tiny floors — and every
+        /// `seq` of every epoch, `pair_linked` and `delta_marked_count`
+        /// see exactly the edges created at or before `seq`.
+        #[test]
+        fn watermark_probes_equal_brute_force(
+            accepts in prop::collection::vec((0u32..6, 0u32..6, 0usize..4), 0..40),
+            rotate_floor in 1usize..5,
+        ) {
+            const N: u32 = 6;
+            let mut m = GraphMirror::new(N as usize, rotate_floor);
+            let mut scratch = NeighborScratch::new(N as usize);
+            // Every node marked: the marked count is the visible degree.
+            let mark_all = |scratch: &mut NeighborScratch| {
+                scratch.begin(N as usize);
+                (0..N).for_each(|v| scratch.mark(v));
+            };
+            let mut known: BTreeSet<(u32, u32)> = BTreeSet::new();
+            let mut seq = 0u64;
+            let mut rest = accepts.as_slice();
+            while !rest.is_empty() {
+                // An epoch is the next 1–4 accepts, each followed by a
+                // non-accept event so some seqs create nothing.
+                let (epoch, tail) = rest.split_at(rest[0].2.clamp(1, rest.len()));
+                rest = tail;
+                let mut events = Vec::new();
+                let mut details = Vec::new();
+                for &(a, b, _) in epoch {
+                    let b = if a == b { (b + 1) % N } else { b };
+                    for accepted in [true, false] {
+                        events.push(StreamEvent {
+                            seq,
+                            at: Timestamp(seq),
+                            kind: StreamEventKind::Decided(0),
+                        });
+                        details.push(EventDetail { from: a, to: b, accepted });
+                        seq += 1;
+                    }
+                }
+                let idx = m.index_epoch(&events, &details);
+                mark_all(&mut scratch);
+                for (ev, d) in events.iter().zip(&details) {
+                    if d.accepted {
+                        known.insert((d.from.min(d.to), d.from.max(d.to)));
+                    }
+                    let watermark = idx.watermark(ev.seq);
+                    for a in 0..N {
+                        let mut degree = 0;
+                        for b in (0..N).filter(|&b| b != a) {
+                            let want = known.contains(&(a.min(b), a.max(b)));
+                            prop_assert_eq!(
+                                m.pair_linked(NodeId(a), NodeId(b), watermark),
+                                want,
+                                "pair {}-{} at seq {}", a, b, ev.seq
+                            );
+                            degree += usize::from(want);
+                        }
+                        let folded = m.snapshot.neighbors_sorted(NodeId(a)).len();
+                        prop_assert_eq!(
+                            folded + m.delta_marked_count(a, watermark, &scratch),
+                            degree,
+                            "degree of {} at seq {}", a, ev.seq
+                        );
+                    }
+                }
+                m.absorb(idx);
+                prop_assert_eq!(m.snapshot.num_edges() + m.delta.len(), known.len());
+            }
+        }
     }
 }

@@ -24,7 +24,8 @@
 //! * [`metrics`](ServeSession::metrics) — an observability registry;
 //!   logical tallies land under the same keys (and with equal values) as
 //!   the sequential `replay_observed`, per-shard quantities under
-//!   `shard{N}.*`.
+//!   `shard{N}.*`, and (by the injected clock) the wall spans `epoch` and
+//!   `stage.{pull,index,scan,merge,fold,plane}` — where each epoch went.
 //! * [`plane`](ServeSession::plane) — a [`FaultPlane`]: chaos injection
 //!   and the write-ahead epoch journal.
 //! * [`store`](ServeSession::store) — a persistence plane (checkpoint
@@ -185,5 +186,49 @@ mod tests {
             serde_json::to_string(&full.report).unwrap()
         );
         assert!(full.stats.wall_s > 0.0);
+    }
+
+    /// The in-engine ledger: with a registry and a clock, every epoch
+    /// records the six `stage.*` spans beside `epoch`, none negative, and
+    /// — the stages partition the epoch loop — summing to no more than
+    /// the run's wall. The fake clock advances one second per reading, so
+    /// the arithmetic is exact.
+    #[test]
+    fn stage_spans_are_present_and_sum_to_at_most_the_wall() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        /// Every hook still a no-op, but consulted: `stage.plane` gets laps.
+        struct Consulted;
+        impl FaultPlane for Consulted {
+            fn enabled(&self) -> bool {
+                true
+            }
+        }
+        let out = simulate(SimConfig::tiny(3));
+        let cfg = ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        };
+        let ticks = AtomicU32::new(0);
+        let clock = || f64::from(ticks.fetch_add(1, Ordering::Relaxed));
+        let mut reg = sybil_obs::Registry::new();
+        let outcome = ServeSession::new(cfg)
+            .clock(&clock)
+            .metrics(&mut reg)
+            .plane(&mut Consulted)
+            .run(&out)
+            .expect("serve failed");
+        let wall = reg.snapshot().wall;
+        let epochs = wall["epoch"].count;
+        assert!(epochs > 0);
+        let mut sum = 0.0;
+        for stage in ["pull", "index", "scan", "merge", "fold", "plane"] {
+            let span = &wall[&format!("stage.{stage}")];
+            assert_eq!(span.count, epochs, "stage.{stage}: once per epoch");
+            assert!(span.total_s > 0.0, "stage.{stage}");
+            assert!(span.max_s <= span.total_s, "stage.{stage}");
+            sum += span.total_s;
+        }
+        let wall_s = outcome.stats.wall_s;
+        assert!(sum <= wall_s, "{sum} > {wall_s}");
     }
 }

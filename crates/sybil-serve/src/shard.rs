@@ -6,8 +6,10 @@
 //! counter and a branch: a send by anyone advances the global audit
 //! cadence, while per-account state transitions, rule checks, and feature
 //! computation run only on the shard that owns the account. All edge
-//! state lives in the coordinator's read-only [`GraphMirror`] +
-//! [`EpochIndex`] (see `mirror`), so shards write nothing shared. That
+//! state lives in the coordinator's read-only [`GraphMirror`], which
+//! already holds the running epoch's edges; the [`EpochIndex`] turns a
+//! stream position into the watermark that hides the ones created after
+//! it (see `mirror`), so shards write nothing shared. That
 //! full-scan/shared-read design is what makes the engine byte-identical
 //! to the sequential replay: a check in the middle of an epoch sees
 //! exactly the same friend lists, edge set, audit cursor, and
@@ -16,11 +18,11 @@
 //!
 //! A feature check marks the account's ≤ 50 tracked friends and counts
 //! links with the [`CsrSnapshot`](osn_graph::CsrSnapshot) kernel plus
-//! marked probes of the mirror's unfolded delta and the epoch index
-//! (restricted to edges created at or before the checking event's seq) —
-//! integer-equal to the sequential pair-probe loop whenever the friend
-//! list is duplicate-free (the shard falls back to exact pair probes for
-//! the rare duplicate case, flagged by [`AccountState::friends_dup`]).
+//! marked probes of the mirror's delta below the checking event's
+//! watermark (one `partition_point` per check) — integer-equal to the
+//! sequential pair-probe loop whenever the friend list is duplicate-free
+//! (the shard falls back to exact pair probes for the rare duplicate
+//! case, flagged by [`AccountState::friends_dup`]).
 
 use crate::mirror::{EpochIndex, GraphMirror};
 use crate::queue::{DeltaQueue, QueueFull};
@@ -193,7 +195,7 @@ impl ShardState {
     /// Everything [`digest`](Self::digest) covers that is not derivable
     /// from `(shard, shards, num_accounts, cfg)` — the persisted half of
     /// the shard. Pairs with [`from_snapshot`](Self::from_snapshot):
-    /// `from_snapshot(.., &s.snapshot()).digest() == s.digest()`.
+    /// `from_snapshot(.., s.snapshot()).digest() == s.digest()`.
     pub(crate) fn snapshot(&self) -> crate::fault::ShardSnapshot {
         crate::fault::ShardSnapshot {
             states: self.states.clone(),
@@ -204,7 +206,8 @@ impl ShardState {
         }
     }
 
-    /// Rebuild a shard from a persisted [`ShardSnapshot`]: derived
+    /// Rebuild a shard from a persisted [`ShardSnapshot`], taken by value
+    /// so the account states move in instead of being cloned: derived
     /// fields (ownership mask, scratch, capacities) come from the
     /// constructor path; persisted fields overwrite the cold-start
     /// values. `obs` starts empty — tallies are drained at every
@@ -214,12 +217,12 @@ impl ShardState {
         shards: usize,
         num_accounts: usize,
         cfg: &RealtimeConfig,
-        snap: &crate::fault::ShardSnapshot,
+        snap: crate::fault::ShardSnapshot,
     ) -> Self {
         let mut s = ShardState::new(shard, shards, num_accounts, cfg);
-        s.states = snap.states.clone();
+        s.states = snap.states;
         s.adaptive = AdaptiveThresholds::from_raw(snap.adaptive);
-        s.feedback_queue = snap.feedback_queue.iter().cloned().collect();
+        s.feedback_queue = snap.feedback_queue.into();
         s.sends_until_audit = snap.sends_until_audit as usize;
         s.audit_cursor = snap.audit_cursor as usize;
         s
@@ -231,8 +234,9 @@ impl ShardState {
     /// endpoints and outcomes from it sequentially and only touches the
     /// log for the rare audit sample. `new_feedback` is the
     /// barrier-merged feedback generated in earlier epochs, in global
-    /// `(seq, intra)` order; `mirror`/`eidx` are the coordinator's edge
-    /// state as of epoch start and the epoch's own new edges. `epoch` is
+    /// `(seq, intra)` order; `mirror` is the coordinator's edge state with
+    /// the epoch's own new edges already in it, `eidx` the index that
+    /// bounds a probe to a stream position. `epoch` is
     /// the 0-based barrier count (overflow errors carry it as part of
     /// their exact `(epoch, shard, seq)` site); `queue_clamp` is the
     /// fault plane's optional staging-capacity override — `None` in
@@ -354,8 +358,8 @@ impl ShardState {
 
     /// Features of an owned account at stream position `seq`, counting
     /// clustering links with the snapshot kernel + marked probes of the
-    /// mirror delta and the epoch index (or exact pair probes when the
-    /// friend list holds duplicates).
+    /// mirror delta below `seq`'s watermark (or exact pair probes when
+    /// the friend list holds duplicates).
     pub fn features_of(
         &mut self,
         who: NodeId,
@@ -374,13 +378,14 @@ impl ShardState {
         } = self;
         let st = &states[li];
         let f = state::features_with(st, cfg, |friends| {
+            let watermark = eidx.watermark(seq);
             if st.friends_dup {
                 // Duplicate friend ids break the marked-set kernel's
                 // one-count-per-edge property; use reference pair probes.
                 let mut links = 0usize;
                 for (i, &a) in friends.iter().enumerate() {
                     for &b in friends.iter().skip(i + 1) {
-                        if mirror.pair_linked(a, b) || eidx.linked(a.0, b.0, seq) {
+                        if mirror.pair_linked(a, b, watermark) {
                             links += 1;
                         }
                     }
@@ -394,12 +399,11 @@ impl ShardState {
                 scratch.mark(u);
             }
             let folded = mirror.snapshot.links_among_marked(friend_ids, scratch);
-            // Delta and epoch edges appear in both directions, so a link
-            // among marked friends is seen twice.
+            // Delta edges appear in both directions, so a link among
+            // marked friends is seen twice.
             let mut twice = 0usize;
             for &u in friend_ids.iter() {
-                twice += mirror.delta_marked_count(u, scratch);
-                twice += eidx.marked_count_at(u, seq, scratch);
+                twice += mirror.delta_marked_count(u, watermark, scratch);
             }
             folded + twice / 2
         });

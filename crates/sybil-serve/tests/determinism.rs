@@ -284,6 +284,60 @@ fn logical_metrics_are_thread_and_shard_invariant() {
     }
 }
 
+/// Regression for the mirror's keep-first rule under the one-pass index:
+/// the pair A–B is accepted twice inside one epoch (hours 10 and 20), and
+/// three accounts that each befriend A and B are checked before, between
+/// and after the two accepts. The edge exists from the *first* accept, so
+/// only the account checked before it (clustering 0) trips the rule; an
+/// engine that dated the edge by the repeat accept would also flag the
+/// one checked in between.
+#[test]
+fn repeat_accept_inside_one_epoch_with_a_check_between() {
+    const A: u32 = 0;
+    const B: u32 = 1;
+    let mut rows: Vec<RequestSpec> = vec![
+        (A, B, 1, Some((9, true))),  // accepted at hour 10
+        (B, A, 2, Some((18, true))), // the same pair again, at hour 20
+    ];
+    // (account, hour B accepts it): a check needs ≥ 2 friends and runs on
+    // each decision, so B's accept is the check that sees both friends.
+    for (who, b_accepts_h) in [(2u32, 6u64), (3, 15), (4, 25)] {
+        rows.push((who, 5, 3, Some((1, false))));
+        rows.push((who, A, 3, Some((2, true))));
+        rows.push((who, B, 3, Some((b_accepts_h - 3, true))));
+        rows.push((who, 6, 3, None));
+    }
+    let out = synthetic(8, 3, &rows);
+    let detect = RealtimeConfig {
+        rule: ThresholdClassifier {
+            max_cc: 0.5,
+            ..eager_cfg(false).rule
+        },
+        ..eager_cfg(false)
+    };
+    let sequential = replay(&out, &detect);
+    let flagged: Vec<u32> = sequential.detections.iter().map(|d| d.account.0).collect();
+    assert_eq!(flagged, [2], "only the check before the first accept fires");
+    let sequential = serde_json::to_string(&sequential).unwrap();
+    // 48 h: both accepts and all three checks share an epoch. 12 h: the
+    // repeat lands in a later epoch than the first (hours 10 and 20).
+    for (epoch_hours, rotate_floor) in [(48, 0), (48, 1), (12, 0), (12, 1)] {
+        for shards in [1usize, 2, 8] {
+            let cfg = ServeConfig {
+                shards,
+                epoch_hours,
+                detect,
+                rotate_floor,
+            };
+            assert_eq!(
+                report_bytes(&out, &cfg),
+                sequential,
+                "{shards} shards, {epoch_hours} h epochs, rotate_floor {rotate_floor}"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
