@@ -80,6 +80,9 @@ fn main() {
     };
 
     let per_class = spec.per_class();
+    // A failed experiment is reported where it happens, the rest still
+    // run, and the process exits non-zero at the end.
+    let mut failed = false;
     for e in &spec.experiments {
         let t = std::time::Instant::now();
         match e.as_str() {
@@ -144,14 +147,21 @@ fn main() {
                 save("deployment", &r, &r.render());
             }
             "serve" => {
-                let r = if let Some(m) = master.as_mut() {
-                    let (r, snap) = serve::run_observed(&ctx, &spec, &clock);
-                    m.absorb(&snap);
-                    r
+                let result = if let Some(m) = master.as_mut() {
+                    serve::run_observed(&ctx, &spec, &clock).map(|(r, snap)| {
+                        m.absorb(&snap);
+                        r
+                    })
                 } else {
                     serve::run(&ctx, &spec)
                 };
-                save("serve", &r, &r.render());
+                match result {
+                    Ok(r) => save("serve", &r, &r.render()),
+                    Err(e) => {
+                        eprintln!("serve experiment failed: {e}");
+                        failed = true;
+                    }
+                }
             }
             "chaos" => {
                 let result = if master.is_some() {
@@ -166,12 +176,18 @@ fn main() {
                 };
                 match result {
                     Ok(r) => save("chaos", &r, &r.render()),
-                    Err(e) => eprintln!("chaos drill failed: {e}"),
+                    Err(e) => {
+                        eprintln!("chaos drill failed: {e}");
+                        failed = true;
+                    }
                 }
             }
             "restart" => match restart::run(&ctx, &spec) {
                 Ok(r) => save("restart", &r, &r.render()),
-                Err(e) => eprintln!("restart drill failed: {e}"),
+                Err(e) => {
+                    eprintln!("restart drill failed: {e}");
+                    failed = true;
+                }
             },
             "reach" => {
                 let r = reach::run(&ctx, spec.reach_trials());
@@ -193,6 +209,9 @@ fn main() {
         }
     }
     eprintln!("results written under {}", dir.display());
+    if failed {
+        std::process::exit(1);
+    }
 }
 
 /// Tiny object-safe serialization shim so `save` can take any result.

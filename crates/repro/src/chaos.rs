@@ -144,20 +144,16 @@ fn run_inner(
         adaptive: true,
         ..RealtimeConfig::default()
     };
-    // Resolve `--shards 0` the same way the engine does, so the
-    // schedule's shard targets line up with the shards that actually run.
-    let shards = sybil_chaos::resolved_shards(&ServeConfig {
+    let mut cfg = ServeConfig {
         shards: spec.shards,
         epoch_hours: 48,
         detect,
         rotate_floor: 0,
-    });
-    let cfg = ServeConfig {
-        shards,
-        epoch_hours: 48,
-        detect,
-        rotate_floor: 0,
     };
+    // Resolve `--shards 0` the way the engine does, so the schedule's
+    // shard targets line up with the shards that actually run.
+    cfg.shards = cfg.resolved_shards();
+    let shards = cfg.shards;
     let (schedule, faults_from_file) = load_schedule(spec, shards)?;
     let chaos = run_chaos(
         &ctx.out,

@@ -121,18 +121,14 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<RestartRun, RestartError> {
         adaptive: true,
         ..RealtimeConfig::default()
     };
-    let shards = sybil_chaos::resolved_shards(&ServeConfig {
+    let mut cfg = ServeConfig {
         shards: spec.shards,
         epoch_hours: DRILL_EPOCH_HOURS,
         detect,
         rotate_floor: 0,
-    });
-    let cfg = ServeConfig {
-        shards,
-        epoch_hours: DRILL_EPOCH_HOURS,
-        detect,
-        rotate_floor: 0,
     };
+    cfg.shards = cfg.resolved_shards();
+    let shards = cfg.shards;
     // Same seed, same kill point, on every machine.
     let kill_epoch = 1 + spec.seed % 4;
 

@@ -10,14 +10,34 @@
 use crate::fig1::ground_truth_sample;
 use crate::runspec::RunSpec;
 use crate::scenario::Ctx;
-use osn_graph::par;
 use serde::{Deserialize, Serialize};
 use sybil_core::realtime::{replay, replay_observed, DeploymentReport, RealtimeConfig};
 use sybil_core::ThresholdClassifier;
 use sybil_obs::{Registry, Snapshot};
 use sybil_serve::{ServeConfig, ServeError, ServeOutcome, ServeSession};
 use sybil_stats::table::Table;
-use sybil_store::StorePlane;
+use sybil_store::{StoreError, StorePlane};
+
+/// Why the serving experiment could not run.
+#[derive(Debug)]
+pub enum ServeExpError {
+    /// The `--store` directory could not be opened.
+    Store(StoreError),
+    /// The engine failed — with `--store`, typically because the
+    /// directory holds another run's state.
+    Engine(ServeError),
+}
+
+impl std::fmt::Display for ServeExpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeExpError::Store(e) => write!(f, "snapshot store failed: {e}"),
+            ServeExpError::Engine(e) => write!(f, "serving engine failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ServeExpError {}
 
 /// Result of the sharded serving experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -45,8 +65,8 @@ pub struct ServeRun {
 
 /// Run the experiment. The sharded engine is the product; the sequential
 /// replay is kept only as the equivalence oracle.
-pub fn run(ctx: &Ctx, spec: &RunSpec) -> ServeRun {
-    run_inner(ctx, spec, None).0
+pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<ServeRun, ServeExpError> {
+    Ok(run_inner(ctx, spec, None)?.0)
 }
 
 /// [`run`] with metrics: both engines run through their observed entry
@@ -56,9 +76,13 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> ServeRun {
 /// byte-identical across thread and shard counts. The clock is injected
 /// because this is library code (lint D002 forbids reading one here);
 /// the `repro` binary constructs the real clock.
-pub fn run_observed(ctx: &Ctx, spec: &RunSpec, clock: sybil_obs::Clock<'_>) -> (ServeRun, Snapshot) {
-    let (run, snap) = run_inner(ctx, spec, Some(clock));
-    (run, snap.unwrap_or_default())
+pub fn run_observed(
+    ctx: &Ctx,
+    spec: &RunSpec,
+    clock: sybil_obs::Clock<'_>,
+) -> Result<(ServeRun, Snapshot), ServeExpError> {
+    let (run, snap) = run_inner(ctx, spec, Some(clock))?;
+    Ok((run, snap.unwrap_or_default()))
 }
 
 /// Run one engine pass with whatever optional capabilities the caller
@@ -83,18 +107,16 @@ fn run_inner(
     ctx: &Ctx,
     spec: &RunSpec,
     observe: Option<sybil_obs::Clock<'_>>,
-) -> (ServeRun, Option<Snapshot>) {
+) -> Result<(ServeRun, Option<Snapshot>), ServeExpError> {
     let ds = ground_truth_sample(ctx, spec.per_class());
     let rule = ThresholdClassifier::calibrate(&ds);
-    let epoch_hours = 48;
-    let shards = if spec.shards == 0 {
-        par::num_threads().max(1)
-    } else {
-        spec.shards
+    let base = ServeConfig {
+        shards: spec.shards,
+        ..ServeConfig::default()
     };
+    let shards = base.resolved_shards();
     let mut reports = Vec::new();
     let mut matches = Vec::new();
-    let mut persisted = spec.store_dir.is_some();
     let mut master = observe.map(|_| Snapshot::default());
     for adaptive in [false, true] {
         let variant = if adaptive { "adaptive" } else { "static" };
@@ -105,49 +127,35 @@ fn run_inner(
         };
         let cfg = ServeConfig {
             shards,
-            epoch_hours,
             detect,
-            rotate_floor: 0,
+            ..base
         };
         // With `--store DIR`, each variant persists under its own
         // subdirectory; a rerun over the same directory warm-restarts
         // (and, over a finished journal, replays without recomputing).
         let mut plane = match &spec.store_dir {
-            Some(dir) => match StorePlane::open(dir.join(variant)) {
-                Ok(p) => Some(p),
-                Err(_) => {
-                    persisted = false;
-                    None
-                }
-            },
+            Some(dir) => Some(StorePlane::open(dir.join(variant)).map_err(ServeExpError::Store)?),
             None => None,
         };
-        let (report, sequential) = match observe {
-            Some(clock) => {
-                let mut sreg = Registry::new();
-                let served =
-                    run_engine(cfg, &ctx.out, Some((clock, &mut sreg)), plane.as_mut());
-                let report = match served {
-                    Ok(o) => o.report,
-                    // Serving constraints (e.g. zero feedback delay) fall
-                    // back to the sequential engine rather than failing.
-                    Err(_) => replay(&ctx.out, &detect),
-                };
+        let mut sreg = Registry::new();
+        let observed = observe.map(|clock| (clock, &mut sreg));
+        let report = match run_engine(cfg, &ctx.out, observed, plane.as_mut()) {
+            Ok(o) => o.report,
+            // The one serving constraint the sequential engine stands in
+            // for; any other failure is the experiment's failure, not a
+            // reason to report a run the engine did not make.
+            Err(ServeError::ZeroFeedbackDelay) => replay(&ctx.out, &detect),
+            Err(e) => return Err(ServeExpError::Engine(e)),
+        };
+        let sequential = match (observe, master.as_mut()) {
+            (Some(clock), Some(m)) => {
                 let mut rreg = Registry::new();
                 let sequential = replay_observed(&ctx.out, &detect, &mut rreg, Some(clock));
-                if let Some(m) = master.as_mut() {
-                    m.absorb(&sreg.snapshot().prefixed(&format!("serve.{variant}")));
-                    m.absorb(&rreg.snapshot().prefixed(&format!("replay.{variant}")));
-                }
-                (report, sequential)
+                m.absorb(&sreg.snapshot().prefixed(&format!("serve.{variant}")));
+                m.absorb(&rreg.snapshot().prefixed(&format!("replay.{variant}")));
+                sequential
             }
-            None => {
-                let report = match run_engine(cfg, &ctx.out, None, plane.as_mut()) {
-                    Ok(o) => o.report,
-                    Err(_) => replay(&ctx.out, &detect),
-                };
-                (report, replay(&ctx.out, &detect))
-            }
+            _ => replay(&ctx.out, &detect),
         };
         matches.push(
             serde_json::to_string(&report).ok() == serde_json::to_string(&sequential).ok(),
@@ -156,19 +164,19 @@ fn run_inner(
     }
     let adaptive_report = reports.pop().unwrap_or_default();
     let static_report = reports.pop().unwrap_or_default();
-    (
+    Ok((
         ServeRun {
             rule,
             shards,
-            epoch_hours,
+            epoch_hours: base.epoch_hours,
             static_report,
             adaptive_report,
             matches_replay_static: matches[0],
             matches_replay_adaptive: matches[1],
-            persisted,
+            persisted: spec.store_dir.is_some(),
         },
         master,
-    )
+    ))
 }
 
 /// Format a catch rate, which is NaN when no Sybil was eligible.
@@ -213,7 +221,11 @@ impl ServeRun {
              sequential engine\n\n{}",
             self.shards,
             self.epoch_hours,
-            if self.persisted { ", persisted" } else { "" },
+            if self.persisted {
+                ", persisted (survives a process kill, not power loss: nothing is fsynced)"
+            } else {
+                ""
+            },
             t.render()
         )
     }
@@ -228,7 +240,7 @@ mod tests {
     fn sharded_run_matches_sequential_replay() {
         let ctx = Ctx::build(Scale::Tiny, 11);
         let spec = RunSpec::builder().scale(Scale::Tiny).build();
-        let r = run(&ctx, &spec);
+        let r = run(&ctx, &spec).expect("serve failed");
         assert!(r.matches_replay_static);
         assert!(r.matches_replay_adaptive);
         assert!(r.shards >= 1);
@@ -242,7 +254,7 @@ mod tests {
     fn observed_run_matches_and_aligns_engines() {
         let ctx = Ctx::build(Scale::Tiny, 11);
         let spec = RunSpec::builder().scale(Scale::Tiny).shards(2).build();
-        let (r, snap) = run_observed(&ctx, &spec, &|| 0.0);
+        let (r, snap) = run_observed(&ctx, &spec, &|| 0.0).expect("serve failed");
         assert!(r.matches_replay_static && r.matches_replay_adaptive);
         for variant in ["static", "adaptive"] {
             for key in [
@@ -277,11 +289,11 @@ mod tests {
             .shards(2)
             .store_dir(&dir)
             .build();
-        let cold = run(&ctx, &spec);
+        let cold = run(&ctx, &spec).expect("cold run failed");
         assert!(cold.persisted);
         assert!(cold.matches_replay_static && cold.matches_replay_adaptive);
         assert!(cold.render().contains("persisted"));
-        let warm = run(&ctx, &spec);
+        let warm = run(&ctx, &spec).expect("warm restart failed");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
             serde_json::to_string(&warm).unwrap(),

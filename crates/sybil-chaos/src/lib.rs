@@ -9,10 +9,12 @@
 //! already consults. The [`ChaosPlane`] answers the schedule and hands
 //! every durability hook to the plane it wraps — `sybil-store`'s
 //! write-ahead [`Journal`], which records every epoch's full input at
-//! barrier time so a crashed shard is rebuilt to byte-identical
-//! `realtime::state` by replay; in memory for a plain chaos run, or a
-//! whole `StorePlane`, so the same schedule runs through a persisted,
-//! killed and warm-restarted session.
+//! barrier time so the shards an epoch lost are rebuilt to byte-identical
+//! `realtime::state` by one shared replay, through the same epoch step
+//! live serving runs; in memory for a plain chaos run, or a whole
+//! `StorePlane`, so the same schedule runs through a persisted, killed
+//! and warm-restarted session. [`verify_journal`] is that replay over
+//! every shard and the whole journal, from its bytes alone.
 //!
 //! The contract, enforced by [`run_chaos`] and the headline proptest:
 //! **any** fault schedule yields either a report byte-identical to the
@@ -42,7 +44,7 @@ pub use schedule::{FaultSchedule, FaultSpec, FaultSpecKind};
 use osn_sim::SimOutput;
 use std::io::{Cursor, Read, Seek, Write};
 use sybil_serve::fault::{ChaosError, FaultKind};
-use sybil_serve::{ServeConfig, ServeError, ServeSession};
+use sybil_serve::{replay_journal, ServeConfig, ServeError, ServeSession};
 use sybil_store::{Journal, JournalPlane};
 
 /// Outputs of one chaos run: the deterministic report plus the journal
@@ -60,11 +62,7 @@ pub struct ChaosRun<S> {
 }
 
 fn journal_chaos_err() -> ServeError {
-    ServeError::Chaos(ChaosError {
-        epoch: 0,
-        shard: None,
-        fault_kind: FaultKind::Journal,
-    })
+    ServeError::fault(0, None, FaultKind::Journal)
 }
 
 /// Run `schedule` against `out` and compare byte-for-byte with the
@@ -137,7 +135,7 @@ pub fn run_chaos<S: Read + Write + Seek>(
     let shards = journal
         .finished()
         .map(|(_, d)| d.len() as u64)
-        .unwrap_or_else(|| resolved_shards(cfg) as u64);
+        .unwrap_or_else(|| cfg.resolved_shards() as u64);
     let report = RecoveryReport {
         seed,
         shards,
@@ -191,7 +189,7 @@ impl JournalVerification {
 }
 
 /// Open a journal byte store and prove it alone reconstructs the live
-/// run's final state: replay every shard through a fresh
+/// run's final state: replay all shards in one pass through a fresh
 /// [`JournalPlane`] (no faults) and compare digests against the run-end
 /// record. A journal without a run-end record (the run died before
 /// finishing) is a typed [`FaultKind::Journal`] error.
@@ -204,32 +202,16 @@ pub fn verify_journal<S: Read + Write + Seek>(
     let Some((epochs, committed)) = journal.finished().map(|(e, d)| (e, d.to_vec())) else {
         return Err(journal_chaos_err());
     };
-    let shards = committed.len();
     let replay_cfg = ServeConfig {
-        shards,
+        shards: committed.len(),
         ..*cfg
     };
-    let mut plane = JournalPlane::new(journal);
-    let mut replayed = Vec::with_capacity(shards);
-    for sid in 0..shards {
-        replayed.push(sybil_serve::replay_shard(&mut plane, sid, out, &replay_cfg)?);
-    }
+    let replayed = replay_journal(&mut JournalPlane::new(journal), out, &replay_cfg)?;
     Ok(JournalVerification {
         epochs,
         replayed,
         committed,
     })
-}
-
-/// The shard count `cfg` resolves to, mirroring the engine's rule
-/// (`0` = ambient thread count).
-pub fn resolved_shards(cfg: &ServeConfig) -> usize {
-    if cfg.shards == 0 {
-        osn_graph::par::num_threads()
-    } else {
-        cfg.shards
-    }
-    .max(1)
 }
 
 #[cfg(test)]

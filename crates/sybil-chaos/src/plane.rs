@@ -16,8 +16,8 @@
 //! The plane also keeps the ledger the recovery report is built from:
 //! how many faults of each kind were injected (tallied at `epoch_begin`,
 //! so faults in an epoch that later errors are still counted), how many
-//! epochs crash recovery replayed, and the total absorbed latency in
-//! logical epochs.
+//! journaled epochs were read back for replay, and the total absorbed
+//! latency in logical epochs.
 
 use crate::schedule::{FaultSchedule, FaultSpecKind};
 use serde::{Deserialize, Serialize};
@@ -67,7 +67,9 @@ pub struct ChaosPlane<P> {
     /// The plane every durability hook is forwarded to.
     inner: P,
     injected: FaultTally,
-    /// Epochs re-run out of the journal by crash recovery.
+    /// Journaled epochs read back for replay: crash recovery's (one pass
+    /// per faulted epoch, however many shards it lost) and a warm
+    /// restart's committed tail.
     epochs_replayed: u64,
     /// Digest verifications performed during replay.
     replay_digest_checks: u64,
@@ -134,7 +136,7 @@ impl<P: FaultPlane> ChaosPlane<P> {
         self.injected
     }
 
-    /// Epochs crash recovery re-ran out of the journal.
+    /// Epochs re-run out of the journal (crash recovery and restart tail).
     pub fn epochs_replayed(&self) -> u64 {
         self.epochs_replayed
     }

@@ -63,7 +63,10 @@ pub struct RecoveryReport {
     pub faults_scheduled: u64,
     /// Faults actually injected, by kind.
     pub injected: FaultTally,
-    /// Epochs crash recovery re-ran out of the write-ahead journal.
+    /// Epochs re-run out of the write-ahead journal — epochs, not
+    /// shard-epochs: the shards lost in one epoch are rebuilt by one
+    /// shared pass. Crash recovery's, plus, when the schedule runs over a
+    /// warm-restarted store, the committed tail the restart re-ran.
     pub epochs_replayed: u64,
     /// Replayed states verified against committed digests.
     pub replay_digest_checks: u64,

@@ -88,29 +88,41 @@ proptest! {
 
     /// Crash faults specifically: recovery must land byte-identical
     /// (crashes are always recoverable — the write-ahead journal has the
-    /// in-flight epoch by construction).
+    /// in-flight epoch by construction). With more than one shard, the
+    /// same crash is then repeated with a second shard lost in the same
+    /// epoch: both are rebuilt in one shared pass over the journal, so
+    /// the replay count is epochs, not shard-epochs.
     #[test]
     fn crashes_always_recover_identical(
         epoch in 0u64..12,
         shard in 0usize..8,
         shards_i in 0usize..3,
+        also in 0usize..7,
     ) {
         let shards = [1usize, 2, 8][shards_i];
         let out = shared_sim();
         let cfg = serve_cfg(shards);
-        let schedule = FaultSchedule {
-            seed: 0,
-            faults: vec![FaultSpec {
-                epoch,
-                shard: shard % shards,
-                kind: FaultSpecKind::Crash,
-            }],
-        };
-        let run = run_chaos_in_memory(out, &cfg, schedule, None)
-            .map_err(|e| TestCaseError::fail(format!("engine error: {e}")))?;
-        prop_assert_eq!(&run.report.outcome, &ChaosOutcome::Identical);
-        prop_assert_eq!(run.report.injected.crashes, 1);
-        prop_assert_eq!(run.report.epochs_replayed, epoch + 1);
+        let first = shard % shards;
+        let mut lost = vec![first];
+        for _ in 0..shards.min(2) {
+            let schedule = FaultSchedule {
+                seed: 0,
+                faults: lost
+                    .iter()
+                    .map(|&shard| FaultSpec {
+                        epoch,
+                        shard,
+                        kind: FaultSpecKind::Crash,
+                    })
+                    .collect(),
+            };
+            let run = run_chaos_in_memory(out, &cfg, schedule, None)
+                .map_err(|e| TestCaseError::fail(format!("engine error: {e}")))?;
+            prop_assert_eq!(&run.report.outcome, &ChaosOutcome::Identical);
+            prop_assert_eq!(run.report.injected.crashes, lost.len() as u64);
+            prop_assert_eq!(run.report.epochs_replayed, epoch + 1);
+            lost.push((first + 1 + also % (shards - 1).max(1)) % shards);
+        }
     }
 }
 

@@ -27,13 +27,21 @@
 //! rule is read off shard 0's replica, so the assembled
 //! [`DeploymentReport`] is byte-identical to [`replay`]'s at every shard
 //! and thread count.
+//!
+//! There is one epoch step — index → scan → fold tallies → merge →
+//! absorb, on the `Coordinator` below — and whatever processes an epoch
+//! runs it: live serving (shards under `par::map_owned`, faults absorbed
+//! between its halves) and journal replay, which is both the committed
+//! tail after a warm restart and crash rebuild (shards in order, digests
+//! compared). Recovery cannot drift from serving.
 
 use crate::fault::{
     ChaosError, EpochRecord, EpochRecordRef, FaultKind, FaultPlane, SessionCheckpoint, ShardFault,
 };
-use crate::mirror::GraphMirror;
+use crate::meter::{Meter, Stage};
+use crate::mirror::{EpochIndex, GraphMirror};
 use crate::queue::QueueFull;
-use crate::shard::{EpochOutput, ShardObs, ShardState, TaggedDetection, TaggedFeedback};
+use crate::shard::{EpochOutput, ShardState, TaggedDetection, TaggedFeedback};
 use osn_graph::par;
 use osn_sim::stream::EpochBatches;
 use osn_sim::SimOutput;
@@ -79,6 +87,26 @@ impl ServeConfig {
             ..ServeConfig::default()
         }
     }
+
+    /// The shard count a run of this configuration uses: `shards`, or the
+    /// ambient thread count when it is 0. The one place that rule lives:
+    /// the engine, journal replay and the drills all resolve through it.
+    pub fn resolved_shards(&self) -> usize {
+        match self.shards {
+            0 => par::num_threads().max(1),
+            n => n,
+        }
+    }
+
+    /// What a run actually uses: the shard count resolved, the detector
+    /// sanitized. Sessions are built from this, never from the raw input.
+    fn resolved(&self) -> Self {
+        ServeConfig {
+            shards: self.resolved_shards(),
+            detect: self.detect.sanitized(),
+            ..*self
+        }
+    }
 }
 
 /// Why the serving engine could not produce a report.
@@ -93,9 +121,21 @@ pub enum ServeError {
     /// engine would apply it between adjacent events.
     ZeroFeedbackDelay,
     /// A fault-plane failure: an injected fault that could not be
-    /// absorbed, a journal failure, or a crash replay that diverged.
-    /// Always attributed — never a silent wrong answer.
+    /// absorbed, a journal failure (a store another run wrote included),
+    /// or a replay that diverged. Always attributed — never a silent
+    /// wrong answer.
     Chaos(ChaosError),
+}
+
+impl ServeError {
+    /// The fault-plane failure at `epoch` (and `shard`, if shard-scoped).
+    pub fn fault(epoch: u64, shard: Option<usize>, fault_kind: FaultKind) -> Self {
+        ServeError::Chaos(ChaosError {
+            epoch,
+            shard,
+            fault_kind,
+        })
+    }
 }
 
 impl std::fmt::Display for ServeError {
@@ -115,6 +155,12 @@ impl std::error::Error for ServeError {}
 impl From<QueueFull> for ServeError {
     fn from(q: QueueFull) -> Self {
         ServeError::QueueOverflow(q)
+    }
+}
+
+impl From<ChaosError> for ServeError {
+    fn from(c: ChaosError) -> Self {
+        ServeError::Chaos(c)
     }
 }
 
@@ -138,62 +184,278 @@ pub struct ServeStats {
     pub shard_busy_s: Vec<f64>,
 }
 
-/// The coordinator's own stages, recorded per epoch as `stage.*` wall
-/// spans beside `epoch` when a registry is attached: pulling the batch
-/// off the stream, the mirror's index pass, the parallel shard scan, the
-/// barrier merge, the mirror fold (rotation included), and every
-/// fault-plane hook call (with the crash recovery they drive).
+/// One shard's epoch reaching the barrier: its state, what it staged,
+/// its busy seconds, and its post-epoch digest when one was taken.
+type Arrival = (ShardState, EpochOutput, f64, Option<u64>);
+
+/// How a step drives its shard vector: `par::map_owned` for live
+/// epochs, a plain in-order map for journaled ones — replaying them in
+/// parallel measured slower (DESIGN.md §Persistence & warm restart).
 #[derive(Clone, Copy)]
-enum Stage {
-    Pull,
-    Index,
-    Scan,
-    Merge,
-    Fold,
-    Plane,
+enum Drive {
+    Parallel,
+    InOrder,
 }
 
-/// Span names, in [`Stage`] order.
-const STAGE_SPANS: [&str; 6] = [
-    "stage.pull",
-    "stage.index",
-    "stage.scan",
-    "stage.merge",
-    "stage.fold",
-    "stage.plane",
-];
-
-/// Splits the epoch loop's time among the [`Stage`]s by the injected clock:
-/// each [`lap`](Self::lap) charges everything since the previous one to
-/// one stage, so the stages partition the loop and never overlap.
-struct StageClock<'a> {
-    clock: Clock<'a>,
-    last: f64,
-    spent: [f64; STAGE_SPANS.len()],
+/// The coordinator's barrier-time state — exactly what a
+/// [`SessionCheckpoint`] snapshots — and the one epoch step over it, in
+/// two halves: [`scan`](Self::scan) (index → shard scan) and
+/// [`merge`](Self::merge) (fold tallies → sort → absorb). Between them
+/// sits all that differs between the two drivers: live serving absorbs
+/// faults there, journal replay ([`rerun`](Self::rerun)) compares
+/// digests. A session *carries* all the run's shards or, for crash
+/// replay, the crashed ones.
+struct Coordinator<'a> {
+    out: &'a SimOutput,
+    shards: Vec<ShardState>,
+    mirror: GraphMirror,
+    /// All detections so far, in global stream order.
+    tagged: Vec<TaggedDetection>,
+    /// Feedback staged last epoch, merged, awaiting redistribution.
+    carry_feedback: Vec<TaggedFeedback>,
+    /// Logical totals, folded from per-shard tallies at each barrier.
+    totals: ReplayCounters,
+    /// Completed epochs.
+    epochs: u64,
 }
 
-impl<'a> StageClock<'a> {
-    fn start(clock: Clock<'a>) -> Self {
-        StageClock {
-            clock,
-            last: clock(),
-            spent: [0.0; STAGE_SPANS.len()],
+impl<'a> Coordinator<'a> {
+    /// A session at epoch 0 carrying the shards `carried` names; `cfg`
+    /// is the run's [`resolved`](ServeConfig::resolved) configuration.
+    fn new(out: &'a SimOutput, cfg: ServeConfig, carried: impl Iterator<Item = usize>) -> Self {
+        let n = out.accounts.len();
+        let shard = |s| ShardState::new(s, cfg.shards, n, &cfg.detect);
+        Coordinator {
+            out,
+            shards: carried.map(shard).collect(),
+            mirror: GraphMirror::new(n, cfg.rotate_floor),
+            tagged: Vec::new(),
+            carry_feedback: Vec::new(),
+            totals: ReplayCounters::default(),
+            epochs: 0,
         }
     }
 
-    fn lap(&mut self, stage: Stage) {
-        let now = (self.clock)();
-        self.spent[stage as usize] += now - self.last;
-        self.last = now;
+    /// The session `cp` was taken from, resumed at its barrier. A
+    /// checkpoint is outside input: its shard count, each shard's owned
+    /// count and audit countdown, and every edge endpoint are checked
+    /// against *this* run before anything is indexed by them, so another
+    /// run's store is a typed journal fault, never a panic.
+    fn restore(
+        out: &'a SimOutput,
+        cfg: ServeConfig,
+        cp: SessionCheckpoint,
+    ) -> Result<Self, ServeError> {
+        let (n, mut co) = (out.accounts.len(), Coordinator::new(out, cfg, 0..0));
+        let foreign = ServeError::fault(cp.epochs, None, FaultKind::Journal);
+        if cp.shards.len() != cfg.shards {
+            return Err(foreign);
+        }
+        let shard = |(s, snap)| ShardState::from_snapshot(s, cfg.shards, n, &cfg.detect, snap);
+        let shards = cp.shards.into_iter().enumerate().map(shard);
+        co.shards = shards.collect::<Option<_>>().ok_or(foreign)?;
+        let (folded, staged) = (&cp.folded_edges, &cp.staged_edges);
+        co.mirror = GraphMirror::restore(n, cfg.rotate_floor, folded, staged).ok_or(foreign)?;
+        let tagged = |(seq, detection)| TaggedDetection { seq, detection };
+        co.tagged = cp.tagged.into_iter().map(tagged).collect();
+        (co.carry_feedback, co.totals, co.epochs) = (cp.carry_feedback, cp.totals, cp.epochs);
+        Ok(co)
     }
 
-    /// Record the epoch's stage times and start the next epoch's at zero.
-    fn flush(&mut self, reg: &mut sybil_obs::Registry) {
-        for (name, spent) in STAGE_SPANS.iter().zip(&mut self.spent) {
-            let id = reg.span(name);
-            reg.record_span(id, std::mem::take(spent));
+    /// What [`restore`](Self::restore) takes. Called post-commit,
+    /// post-fold: exactly the state the next epoch starts from.
+    fn checkpoint(&self) -> SessionCheckpoint {
+        SessionCheckpoint {
+            epochs: self.epochs,
+            shards: self.shards.iter().map(ShardState::snapshot).collect(),
+            folded_edges: self.mirror.folded_edges(),
+            staged_edges: self.mirror.staged_edges().to_vec(),
+            tagged: self.tagged.iter().map(|t| (t.seq, t.detection)).collect(),
+            carry_feedback: self.carry_feedback.clone(),
+            totals: self.totals,
         }
     }
+
+    /// First half of the step. A sequential stream-order pass puts the
+    /// epoch's new edges into the mirror — the index lets a shard's check
+    /// hide the ones created after it; shards keep no mirrors of their
+    /// own — then every carried shard scans the epoch (under the fault
+    /// plane's `clamps`, if any) and, with `want_dig`, digests its own
+    /// state there, in its busy window, not serially on the coordinator.
+    fn scan(
+        &mut self,
+        rec: EpochRecordRef<'_>,
+        clamps: &[Option<usize>],
+        want_dig: bool,
+        drive: Drive,
+        meter: &mut Meter<'_>,
+    ) -> (EpochIndex, Vec<Result<Arrival, QueueFull>>) {
+        let eidx = self.mirror.index_epoch(rec.events, rec.details);
+        meter.lap(Stage::Index);
+        self.totals.events_processed += rec.events.len() as u64;
+        let (out, mirror, clock) = (self.out, &self.mirror, meter.clock);
+        let scan_one = |mut shard: ShardState| {
+            let clamp = clamps.get(shard.id()).copied().flatten();
+            let t0 = clock();
+            let staged = shard.run_epoch(rec, out, mirror, &eidx, clamp);
+            let digest = (want_dig && staged.is_ok()).then(|| shard.digest());
+            let busy = clock() - t0;
+            staged.map(|staged| (shard, staged, busy, digest))
+        };
+        let shards = std::mem::take(&mut self.shards);
+        let results = match drive {
+            Drive::Parallel => par::map_owned(shards, scan_one),
+            Drive::InOrder => shards.into_iter().map(scan_one).collect(),
+        };
+        meter.lap(Stage::Scan);
+        (eidx, results)
+    }
+
+    /// Second half of the step: fold the arrivals (the shard vector with
+    /// them) back into the session, close the epoch, return the digests
+    /// in shard order. Arrival-order-insensitive by construction: totals
+    /// are commutative integer adds, detections and feedback are sorted,
+    /// everything keyed (busy time, sharded metrics, digests, the shard-0
+    /// feedback rule) goes by shard id.
+    fn merge(&mut self, idx: EpochIndex, arrived: Vec<Arrival>, meter: &mut Meter<'_>) -> Vec<u64> {
+        self.epochs += 1;
+        let (mut epoch_dets, mut epoch_fb, mut epoch_digs) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut busy_sum, mut busy_max) = (0.0f64, 0.0f64);
+        for (mut shard, staged, busy, digest) in arrived {
+            let sid = shard.id();
+            epoch_digs.extend(digest.map(|d| (sid, d)));
+            meter.stats.shard_busy_s[sid] += busy;
+            busy_sum += busy;
+            busy_max = busy_max.max(busy);
+            let sobs = std::mem::take(&mut shard.obs);
+            self.totals.checks_run += sobs.checks_run;
+            self.totals.detections += sobs.detections;
+            self.totals.features_computed += sobs.features_computed;
+            self.totals.audits_sampled += sobs.audits_sampled;
+            // The adaptive replica applies the same feedback on every
+            // shard; shard 0's count is the sequential engine's count.
+            if sid == 0 {
+                self.totals.feedback_applied += sobs.feedback_applied;
+            }
+            if let Some(reg) = meter.obs.as_deref_mut() {
+                reg.add_sharded(sid, "checks_run", sobs.checks_run);
+                reg.max_sharded(sid, "det_queue_hwm", staged.detections.len() as u64);
+                reg.max_sharded(sid, "fb_queue_hwm", staged.feedback.len() as u64);
+            }
+            self.shards.push(shard);
+            epoch_dets.extend(staged.detections.into_items());
+            epoch_fb.extend(staged.feedback.into_items());
+        }
+        self.shards.sort_by_key(ShardState::id);
+        meter.epoch_end(busy_sum, busy_max);
+        // Deterministic merge: (timestamp, seq) recovers the sequential
+        // emission order (seq is unique; account ownership partitions the
+        // stream, so no two shards stage the same seq+kind).
+        epoch_dets.sort_by_key(|d: &TaggedDetection| (d.detection.at, d.seq));
+        self.tagged.extend(epoch_dets);
+        epoch_fb.sort_by_key(|f: &TaggedFeedback| (f.seq, f.intra));
+        self.carry_feedback = epoch_fb;
+        meter.lap(Stage::Merge);
+        self.mirror.absorb(idx);
+        meter.lap(Stage::Fold);
+        epoch_digs.sort_by_key(|&(sid, _)| sid);
+        epoch_digs.into_iter().map(|(_, d)| d).collect()
+    }
+
+    /// Re-run journaled epoch `rec` — the next one this session is due —
+    /// through the step live serving runs, writing nothing to the plane.
+    /// `run_epoch` is a pure function of (state, epoch input) and the
+    /// journal captured exactly that input, so the carried shards reach
+    /// byte-identical `realtime::state`; each is compared with the digest
+    /// the original barrier committed, when one was. An `in_flight` epoch
+    /// never reached its barrier: its arrivals are handed back unmerged,
+    /// digests taken. A record that is not this run's next epoch, or
+    /// names an account it does not have, is [`FaultKind::Journal`]; a
+    /// digest mismatch, or an overflow of bounds the original ran inside,
+    /// is [`FaultKind::ReplayDivergence`].
+    fn rerun<P: FaultPlane>(
+        &mut self,
+        plane: &mut P,
+        rec: &EpochRecord,
+        in_flight: bool,
+        meter: &mut Meter<'_>,
+    ) -> Result<Option<Vec<Arrival>>, ServeError> {
+        let (e, n) = (rec.epoch, self.out.accounts.len());
+        let known = |id: u32| (id as usize) < n;
+        if e != self.epochs || !rec.details.iter().all(|d| known(d.from) && known(d.to)) {
+            return Err(ServeError::fault(e, None, FaultKind::Journal));
+        }
+        let input = EpochRecordRef {
+            epoch: e,
+            events: &rec.events,
+            details: &rec.details,
+            feedback: &rec.feedback,
+        };
+        let (eidx, results) = self.scan(input, &[], in_flight, Drive::InOrder, meter);
+        let diverged = |sid| ServeError::fault(e, sid, FaultKind::ReplayDivergence);
+        let arrived: Vec<Arrival> = results
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .map_err(|q: QueueFull| diverged(q.site.map(|s| s.shard)))?;
+        if in_flight {
+            return Ok(Some(arrived));
+        }
+        for (shard, ..) in &arrived {
+            let want = plane.committed_digest(e, shard.id());
+            if want.is_some_and(|want| shard.digest() != want) {
+                return Err(diverged(Some(shard.id())));
+            }
+        }
+        meter.lap(Stage::Plane);
+        self.merge(eidx, arrived, meter);
+        Ok(None)
+    }
+}
+
+/// The one journal-replay routine: a fresh one-mirror session carrying
+/// the shards `carried` names re-runs the plane's journal from epoch 0.
+/// With `in_flight = Some(k)` (crash recovery) what epochs `0..k`
+/// re-stage is dropped with the session — the original barriers merged
+/// it already — and epoch `k`'s arrivals are returned to the barrier
+/// waiting on them; however many shards crashed, they share the pass.
+/// With `None` the whole journal is replayed (the round-trip check).
+fn rebuild<'a, P: FaultPlane>(
+    plane: &mut P,
+    out: &'a SimOutput,
+    cfg: ServeConfig,
+    carried: impl Iterator<Item = usize>,
+    in_flight: Option<u64>,
+) -> Result<(Coordinator<'a>, Vec<Arrival>), ServeError> {
+    let mut co = Coordinator::new(out, cfg, carried);
+    let zero = || 0.0;
+    let mut unmetered = Meter::start(&zero, None, cfg.shards);
+    while let Some(rec) = plane.replay_epoch(co.epochs)? {
+        let last = in_flight == Some(rec.epoch);
+        if let Some(arrived) = co.rerun(plane, &rec, last, &mut unmetered)? {
+            return Ok((co, arrived));
+        }
+    }
+    match in_flight {
+        // Write-ahead contract broken: the crashed epoch's begin record
+        // must exist before the epoch ran.
+        Some(k) => Err(ServeError::fault(k, None, FaultKind::Journal)),
+        None => Ok((co, Vec::new())),
+    }
+}
+
+/// The journal round-trip check: replay every shard's entire history
+/// out of `plane`'s journal, in one pass, and return the digests of the
+/// reconstructed `realtime::state` in shard order. That they equal what
+/// the live run committed at its final barrier proves the on-disk
+/// journal alone reaches byte-identical state.
+pub fn replay_journal<P: FaultPlane>(
+    plane: &mut P,
+    out: &SimOutput,
+    cfg: &ServeConfig,
+) -> Result<Vec<u64>, ServeError> {
+    let cfg = cfg.resolved();
+    let (co, _) = rebuild(plane, out, cfg, 0..cfg.shards, None)?;
+    Ok(co.shards.iter().map(ShardState::digest).collect())
 }
 
 /// The one coordinator loop behind
@@ -206,407 +468,145 @@ pub(crate) fn serve_inner<P: FaultPlane>(
     out: &SimOutput,
     cfg: &ServeConfig,
     clock: Clock<'_>,
-    mut obs: Option<&mut sybil_obs::Registry>,
+    obs: Option<&mut sybil_obs::Registry>,
     plane: &mut P,
 ) -> Result<(DeploymentReport, ServeStats), ServeError> {
-    let rt = cfg.detect.sanitized();
+    let cfg = cfg.resolved();
+    let (rt, shards_n) = (cfg.detect, cfg.shards);
     if rt.adaptive && rt.feedback_delay_h == 0 {
         return Err(ServeError::ZeroFeedbackDelay);
     }
-    let shards_n = if cfg.shards == 0 {
-        par::num_threads()
-    } else {
-        cfg.shards
-    }
-    .max(1);
     let epoch_h = if rt.adaptive {
         cfg.epoch_hours.clamp(1, rt.feedback_delay_h)
     } else {
         cfg.epoch_hours.max(1)
     };
-    let epoch_s = epoch_h * 3600;
-
-    let n = out.accounts.len();
-    let mut shards: Vec<ShardState> = (0..shards_n)
-        .map(|s| ShardState::new(s, shards_n, n, &rt))
-        .collect();
-    let mut mirror = GraphMirror::new(n, cfg.rotate_floor);
-
-    // Epoch slicing off the calendar merge: at most one epoch of events
-    // plus the decisions in flight is buffered, and nothing proportional
-    // to the log is built (see `osn_sim::stream::EpochBatches`).
-    let mut batches = EpochBatches::new(&out.log, epoch_s);
-    // Feedback staged last epoch, merged, awaiting redistribution.
-    let mut carry_feedback: Vec<TaggedFeedback> = Vec::new();
-    // All detections so far, in global stream order.
-    let mut tagged: Vec<TaggedDetection> = Vec::new();
-    let mut stats = ServeStats {
-        shard_busy_s: vec![0.0; shards_n],
-        ..ServeStats::default()
-    };
-    let mut epochs_wall_s = 0.0f64;
-    // Logical totals, folded from per-shard tallies at each barrier.
-    let mut totals = ReplayCounters::default();
-    let mut epochs: u64 = 0;
     let t_start = clock();
 
     // One branch per run, not per epoch: a disabled plane (production)
     // skips every chaos block below.
     let chaos = plane.enabled();
 
-    // Warm restart: the plane may hand back the latest checkpoint plus
-    // the journal tail written after it. Restore the barrier-time state,
-    // replay the tail sequentially (same inputs, same merge keys, same
-    // fold order as the live barrier), then skip the already-completed
-    // epochs in the live loop below and continue mid-stream.
-    let mut resume_skip = 0u64;
-    if chaos {
-        if let Some(resume) = plane.load_resume().map_err(ServeError::Chaos)? {
-            let cp = resume.checkpoint;
-            if cp.shards.len() != shards_n {
-                // A checkpoint from a different shard topology cannot
-                // resume this run.
-                return Err(ServeError::Chaos(ChaosError {
-                    epoch: cp.epochs,
-                    shard: None,
-                    fault_kind: FaultKind::Journal,
-                }));
-            }
-            shards = cp
-                .shards
-                .into_iter()
-                .enumerate()
-                .map(|(s, snap)| ShardState::from_snapshot(s, shards_n, n, &rt, snap))
-                .collect();
-            mirror =
-                GraphMirror::restore(n, cfg.rotate_floor, &cp.folded_edges, &cp.staged_edges);
-            tagged = cp
-                .tagged
-                .into_iter()
-                .map(|(seq, detection)| TaggedDetection { seq, detection })
-                .collect();
-            carry_feedback = cp.carry_feedback;
-            totals = cp.totals;
-            epochs = cp.epochs;
-            for rec in &resume.tail {
-                if rec.epoch != epochs {
-                    // The tail must continue exactly where the
-                    // checkpoint stopped, gap- and overlap-free.
-                    return Err(ServeError::Chaos(ChaosError {
-                        epoch: rec.epoch,
-                        shard: None,
-                        fault_kind: FaultKind::Journal,
-                    }));
-                }
-                replay_tail_epoch(
-                    plane,
-                    rec,
-                    out,
-                    &mut shards,
-                    &mut mirror,
-                    &mut tagged,
-                    &mut carry_feedback,
-                    &mut totals,
-                )?;
-                epochs += 1;
-            }
-            resume_skip = epochs;
-        }
-    }
+    // Warm restart: the plane may hand back its latest checkpoint and
+    // the epoch its committed journal tail ends at. The loop then drops
+    // the batches the checkpoint covers, re-runs the tail epochs out of
+    // the journal, and goes live where the tail ends.
+    let resume = if chaos { plane.load_resume()? } else { None };
+    let tail_end = resume.as_ref().map_or(0, |r| r.tail_end);
+    let mut co = match resume {
+        Some(r) => Coordinator::restore(out, cfg, r.checkpoint)?,
+        None => Coordinator::new(out, cfg, 0..shards_n),
+    };
+    let mut skip = co.epochs;
 
-    let mut stages = StageClock::start(clock);
+    // Epoch slicing off the calendar merge: at most one epoch of events
+    // plus the decisions in flight is buffered, and nothing proportional
+    // to the log is built (see `osn_sim::stream::EpochBatches`).
+    let mut batches = EpochBatches::new(&out.log, epoch_h * 3600);
+    let mut meter = Meter::start(clock, obs, shards_n);
     loop {
         let batch = batches.next_epoch();
-        stages.lap(Stage::Pull);
+        meter.lap(Stage::Pull);
         let Some((events, details)) = batch else {
             break;
         };
-        if resume_skip > 0 {
-            // This epoch finished before the restart (restored from the
-            // checkpoint or replayed from the journal tail): consume its
-            // batch and move on.
-            resume_skip -= 1;
+        if skip > 0 {
+            // The checkpoint already holds this epoch: drop its batch.
+            skip -= 1;
             continue;
         }
-        let feed = std::mem::take(&mut carry_feedback);
-        let t_epoch = clock();
-        let epoch_no = epochs;
+        meter.t_epoch = clock();
+        let epoch_no = co.epochs;
+        if chaos && epoch_no < tail_end {
+            // A committed tail epoch: one journaled epoch in memory at a
+            // time, and only if it is the epoch the stream says it is — a
+            // same-shape store from another run stops here, digests or no.
+            let rec = plane.replay_epoch(epoch_no)?;
+            let rec = rec
+                .filter(|rec| rec.events == events && rec.details == details)
+                .ok_or(ServeError::fault(epoch_no, None, FaultKind::Journal))?;
+            meter.lap(Stage::Plane);
+            co.rerun(plane, &rec, false, &mut meter)?;
+            meter.flush();
+            continue;
+        }
+        let feed = std::mem::take(&mut co.carry_feedback);
+        let rec = EpochRecordRef {
+            epoch: epoch_no,
+            events,
+            details,
+            feedback: &feed,
+        };
+        // The plane's per-shard decisions for this epoch, asked once.
+        let (mut clamps, mut faults, mut want_dig) = (Vec::new(), Vec::new(), false);
         if chaos {
             // Write-ahead: the journal records the epoch's full input
             // *before* any shard touches it, so a mid-epoch crash can
             // always replay the in-flight epoch.
-            plane
-                .epoch_begin(EpochRecordRef {
-                    epoch: epoch_no,
-                    events,
-                    details,
-                    feedback: &feed,
-                })
-                .map_err(ServeError::Chaos)?;
-            stages.lap(Stage::Plane);
-        }
-        // Sequential stream-order pass: the epoch's new edges enter the
-        // mirror now, and the index lets a shard's check hide the ones
-        // created after it — shards maintain no mirrors of their own.
-        let eidx = mirror.index_epoch(events, details);
-        stages.lap(Stage::Index);
-        // The plane's per-shard decisions for this epoch, asked once.
-        // Barrier digests are per-shard work: each worker digests its own
-        // state inside the parallel section (and inside its busy window)
-        // instead of the coordinator folding all shards serially.
-        let (mut clamps, mut faults, mut want_dig) = (Vec::new(), Vec::new(), false);
-        if chaos {
-            clamps = (0..shards_n).map(|s| plane.queue_clamp(epoch_no, s)).collect();
-            faults = (0..shards_n).map(|s| plane.shard_fault(epoch_no, s)).collect();
+            plane.epoch_begin(rec)?;
+            for s in 0..shards_n {
+                clamps.push(plane.queue_clamp(epoch_no, s));
+                faults.push(plane.shard_fault(epoch_no, s));
+            }
             want_dig = plane.wants_digests(epoch_no);
-            stages.lap(Stage::Plane);
+            meter.lap(Stage::Plane);
         }
         let crashed = |sid: usize| faults.get(sid) == Some(&ShardFault::Crash);
-        let mut results = par::map_owned(std::mem::take(&mut shards), |mut s| {
-            let sid = s.id();
-            let clamp = clamps.get(sid).copied().flatten();
-            let t0 = clock();
-            let staged =
-                s.run_epoch(events, details, out, &feed, &mirror, &eidx, epoch_no, clamp);
-            let dig = (want_dig && staged.is_ok()).then(|| s.digest());
-            let busy = clock() - t0;
-            staged.map(|e| (sid, s, e, busy, dig))
-        });
-        stages.lap(Stage::Scan);
-
-        epochs += 1;
-        totals.events_processed += events.len() as u64;
+        let (eidx, mut results) = co.scan(rec, &clamps, want_dig, Drive::Parallel, &mut meter);
         if chaos {
             // Delivery-order fault: results may reach the barrier in any
-            // order. The fold below is keyed by the shard-id tag, so a
-            // permutation must be output-neutral.
+            // order. The merge is keyed by shard id, so a permutation
+            // must be output-neutral.
             if let Some(ord) = plane.deliver_order(epoch_no, shards_n) {
                 results = permute(results, &ord);
             }
-            stages.lap(Stage::Plane);
+            meter.lap(Stage::Plane);
         }
         // Collect arrivals; a crashed shard's result (or its overflow
         // error) dies with the crash and is replaced by journal replay.
-        let mut arrived: Vec<(usize, ShardState, EpochOutput, f64, Option<u64>)> =
-            Vec::with_capacity(shards_n);
+        let mut arrived: Vec<Arrival> = Vec::with_capacity(shards_n);
         for r in results {
-            match r {
-                Ok((sid, s, eout, busy, dig)) => {
-                    if !crashed(sid) {
-                        arrived.push((sid, s, eout, busy, dig));
-                    }
-                }
-                Err(q) => {
-                    if !q.site.is_some_and(|site| crashed(site.shard)) {
-                        return Err(ServeError::QueueOverflow(q));
-                    }
-                }
+            let sid = match &r {
+                Ok((shard, ..)) => Some(shard.id()),
+                Err(q) => q.site.map(|site| site.shard),
+            };
+            if !sid.is_some_and(&crashed) {
+                arrived.push(r?);
             }
         }
         if arrived.len() < shards_n {
-            stages.lap(Stage::Merge);
-            for sid in 0..shards_n {
-                if crashed(sid) {
-                    let (s, eout, _) = rebuild_shard(
-                        plane,
-                        sid,
-                        shards_n,
-                        out,
-                        &rt,
-                        cfg.rotate_floor,
-                        Some(epoch_no),
-                    )?;
-                    let Some(eout) = eout else {
-                        return Err(ServeError::Chaos(ChaosError {
-                            epoch: epoch_no,
-                            shard: Some(sid),
-                            fault_kind: FaultKind::Journal,
-                        }));
-                    };
-                    let dig = want_dig.then(|| s.digest());
-                    arrived.push((sid, s, eout, 0.0, dig));
-                }
-            }
-            stages.lap(Stage::Plane);
+            meter.lap(Stage::Merge);
+            let lost = (0..shards_n).filter(|&s| crashed(s));
+            arrived.append(&mut rebuild(plane, out, cfg, lost, Some(epoch_no))?.1);
+            meter.lap(Stage::Plane);
         }
-        let mut epoch_dets: Vec<TaggedDetection> = Vec::new();
-        let mut epoch_fb: Vec<TaggedFeedback> = Vec::new();
-        let mut epoch_digs: Vec<(usize, u64)> = Vec::new();
-        let (mut busy_sum, mut busy_max) = (0.0f64, 0.0f64);
-        // The fold is arrival-order-insensitive by construction: totals
-        // are commutative integer adds, detections and feedback are
-        // sorted below, and everything keyed (busy time, sharded
-        // metrics, the shard-0 feedback rule) uses the shard-id tag.
-        let mut merged: Vec<(usize, ShardState)> = Vec::with_capacity(shards_n);
-        for (sid, mut s, eout, busy, dig) in arrived {
-            if let Some(d) = dig {
-                epoch_digs.push((sid, d));
-            }
-            stats.shard_busy_s[sid] += busy;
-            busy_sum += busy;
-            busy_max = busy_max.max(busy);
-            let sobs = std::mem::take(&mut s.obs);
-            totals.checks_run += sobs.checks_run;
-            totals.detections += sobs.detections;
-            totals.features_computed += sobs.features_computed;
-            totals.audits_sampled += sobs.audits_sampled;
-            // The adaptive replica applies the same feedback on every
-            // shard; shard 0's count is the sequential engine's count.
-            if sid == 0 {
-                totals.feedback_applied += sobs.feedback_applied;
-            }
-            if let Some(reg) = obs.as_deref_mut() {
-                reg.add_sharded(sid, "checks_run", sobs.checks_run);
-                reg.max_sharded(sid, "det_queue_hwm", eout.detections.len() as u64);
-                reg.max_sharded(sid, "fb_queue_hwm", eout.feedback.len() as u64);
-            }
-            merged.push((sid, s));
-            epoch_dets.extend(eout.detections.into_items());
-            epoch_fb.extend(eout.feedback.into_items());
-        }
-        merged.sort_by_key(|(sid, _)| *sid);
-        shards.extend(merged.into_iter().map(|(_, s)| s));
-        // Coordinator work is everything in the epoch that is not shard
-        // busy time; the critical path pays it plus the slowest shard.
-        let epoch_wall = clock() - t_epoch;
-        let coord = (epoch_wall - busy_sum).max(0.0);
-        stats.critical_path_s += coord + busy_max;
-        epochs_wall_s += epoch_wall;
-        if let Some(reg) = obs.as_deref_mut() {
-            let sid = reg.span("epoch");
-            reg.record_span(sid, epoch_wall);
-        }
-        // Deterministic merge: (timestamp, seq) recovers the sequential
-        // emission order (seq is unique; account ownership partitions the
-        // stream, so no two shards stage the same seq+kind).
-        epoch_dets.sort_by_key(|d| (d.detection.at, d.seq));
-        tagged.extend(epoch_dets);
-        epoch_fb.sort_by_key(|f| (f.seq, f.intra));
-        carry_feedback = epoch_fb;
-        stages.lap(Stage::Merge);
-        mirror.absorb(eidx);
-        stages.lap(Stage::Fold);
+        let digests = co.merge(eidx, arrived, &mut meter);
         if chaos {
-            epoch_digs.sort_by_key(|&(sid, _)| sid);
-            let digests: Option<Vec<u64>> =
-                want_dig.then(|| epoch_digs.iter().map(|&(_, d)| d).collect());
-            plane
-                .epoch_commit(epoch_no, digests.as_deref())
-                .map_err(ServeError::Chaos)?;
+            plane.epoch_commit(epoch_no, want_dig.then_some(&digests[..]))?;
             if plane.wants_checkpoint(epoch_no) {
-                // Post-commit, post-fold: the checkpoint captures
-                // exactly the state the next epoch starts from, so a
-                // restart resumes at this barrier.
-                let cp = SessionCheckpoint {
-                    epochs,
-                    shards: shards.iter().map(ShardState::snapshot).collect(),
-                    folded_edges: mirror.folded_edges(),
-                    staged_edges: mirror.staged_edges().to_vec(),
-                    tagged: tagged.iter().map(|t| (t.seq, t.detection)).collect(),
-                    carry_feedback: carry_feedback.clone(),
-                    totals,
-                };
-                plane.checkpoint(&cp).map_err(ServeError::Chaos)?;
+                plane.checkpoint(&co.checkpoint())?;
             }
-            stages.lap(Stage::Plane);
+            meter.lap(Stage::Plane);
         }
-        if let Some(reg) = obs.as_deref_mut() {
-            stages.flush(reg);
-        }
+        meter.flush();
     }
 
     if chaos {
-        let final_digests: Vec<u64> = shards.iter().map(|s| s.digest()).collect();
-        plane
-            .run_end(epochs, &final_digests)
-            .map_err(ServeError::Chaos)?;
+        if skip > 0 || co.epochs < tail_end {
+            // The store holds more epochs than this run's stream has.
+            return Err(ServeError::fault(co.epochs, None, FaultKind::Journal));
+        }
+        let final_digests: Vec<u64> = co.shards.iter().map(ShardState::digest).collect();
+        plane.run_end(co.epochs, &final_digests)?;
     }
-    let report = assemble(out, &rt, &shards, &tagged);
-    stats.wall_s = clock() - t_start;
-    // Stream buffering and final assembly are sequential coordinator
-    // work: everything outside the per-epoch windows joins the path.
-    stats.critical_path_s += (stats.wall_s - epochs_wall_s).max(0.0);
+    let report = assemble(out, &rt, &co.shards, &co.tagged);
+    let (stats, obs) = meter.finish(t_start);
     if let Some(reg) = obs {
-        totals.export(reg);
+        co.totals.export(reg);
         let id = reg.counter("epochs");
-        reg.add(id, epochs);
+        reg.add(id, co.epochs);
     }
     Ok((report, stats))
-}
-
-/// Re-run one journaled epoch on every shard during a warm restart: the
-/// same inputs, merge keys, and fold order as the live barrier, so the
-/// restored session reaches state byte-identical to the run that wrote
-/// the journal. Obs tallies fold into `totals` exactly as live (shard
-/// 0's feedback count only); per-shard registry metrics are *not*
-/// replayed — a restarted process reports its own work, and the
-/// byte-identity contract is on the [`DeploymentReport`]. Each shard's
-/// reconstructed state is verified against the journal's committed
-/// digest when one was recorded.
-#[allow(clippy::too_many_arguments)]
-fn replay_tail_epoch<P: FaultPlane>(
-    plane: &mut P,
-    rec: &EpochRecord,
-    out: &SimOutput,
-    shards: &mut [ShardState],
-    mirror: &mut GraphMirror,
-    tagged: &mut Vec<TaggedDetection>,
-    carry_feedback: &mut Vec<TaggedFeedback>,
-    totals: &mut ReplayCounters,
-) -> Result<(), ServeError> {
-    let feed = std::mem::take(carry_feedback);
-    let eidx = mirror.index_epoch(&rec.events, &rec.details);
-    totals.events_processed += rec.events.len() as u64;
-    let mut epoch_dets: Vec<TaggedDetection> = Vec::new();
-    let mut epoch_fb: Vec<TaggedFeedback> = Vec::new();
-    for s in shards.iter_mut() {
-        let sid = s.id();
-        let eout = s
-            .run_epoch(
-                &rec.events,
-                &rec.details,
-                out,
-                &feed,
-                mirror,
-                &eidx,
-                rec.epoch,
-                None,
-            )
-            .map_err(|_| {
-                // The original epoch ran inside its invariant bounds; a
-                // replay that overflows them has diverged.
-                ServeError::Chaos(ChaosError {
-                    epoch: rec.epoch,
-                    shard: Some(sid),
-                    fault_kind: FaultKind::ReplayDivergence,
-                })
-            })?;
-        let sobs = std::mem::take(&mut s.obs);
-        totals.checks_run += sobs.checks_run;
-        totals.detections += sobs.detections;
-        totals.features_computed += sobs.features_computed;
-        totals.audits_sampled += sobs.audits_sampled;
-        if sid == 0 {
-            totals.feedback_applied += sobs.feedback_applied;
-        }
-        if let Some(want) = plane.committed_digest(rec.epoch, sid) {
-            if s.digest() != want {
-                return Err(ServeError::Chaos(ChaosError {
-                    epoch: rec.epoch,
-                    shard: Some(sid),
-                    fault_kind: FaultKind::ReplayDivergence,
-                }));
-            }
-        }
-        epoch_dets.extend(eout.detections.into_items());
-        epoch_fb.extend(eout.feedback.into_items());
-    }
-    epoch_dets.sort_by_key(|d| (d.detection.at, d.seq));
-    tagged.extend(epoch_dets);
-    epoch_fb.sort_by_key(|f| (f.seq, f.intra));
-    *carry_feedback = epoch_fb;
-    mirror.absorb(eidx);
-    Ok(())
 }
 
 /// Reorder `items` according to `ord` (a permutation of `0..len`).
@@ -619,133 +619,10 @@ fn permute<T>(items: Vec<T>, ord: &[usize]) -> Vec<T> {
         return items;
     }
     let mut slots: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut picked = Vec::with_capacity(slots.len());
-    for &i in ord {
-        if let Some(slot) = slots.get_mut(i) {
-            if let Some(v) = slot.take() {
-                picked.push(v);
-            }
-        }
-    }
-    for slot in &mut slots {
-        if let Some(v) = slot.take() {
-            picked.push(v);
-        }
-    }
+    let pick = |&i: &usize| slots.get_mut(i).and_then(Option::take);
+    let mut picked: Vec<T> = ord.iter().filter_map(pick).collect();
+    picked.extend(slots.into_iter().flatten());
     picked
-}
-
-/// Rebuild shard `sid` from the plane's write-ahead journal: a fresh
-/// [`ShardState`] and a fresh recovery mirror replay journaled epochs in
-/// order, which reconstructs byte-identical `realtime::state` because
-/// `run_epoch` is a pure function of (state, epoch inputs) and the
-/// journal captured exactly those inputs.
-///
-/// With `crash_epoch = Some(k)`: epochs `0..k` are replayed with their
-/// re-staged outputs discarded (the original barriers already merged
-/// them) and their post-epoch digests verified against the journal's
-/// commits; epoch `k` is then re-run for real and its output returned as
-/// the crashed shard's contribution. With `None`, the whole journal is
-/// replayed (the journal round-trip check).
-///
-/// Every failure is typed: a missing record is
-/// [`FaultKind::Journal`], a digest mismatch or replay overflow is
-/// [`FaultKind::ReplayDivergence`].
-fn rebuild_shard<P: FaultPlane>(
-    plane: &mut P,
-    sid: usize,
-    shards_n: usize,
-    out: &SimOutput,
-    rt: &RealtimeConfig,
-    rotate_floor: usize,
-    crash_epoch: Option<u64>,
-) -> Result<(ShardState, Option<EpochOutput>, u64), ServeError> {
-    let n = out.accounts.len();
-    let mut s = ShardState::new(sid, shards_n, n, rt);
-    let mut rmirror = GraphMirror::new(n, rotate_floor);
-    let mut replayed = 0u64;
-    let mut e = 0u64;
-    loop {
-        let Some(rec) = plane.replay_epoch(e).map_err(ServeError::Chaos)? else {
-            if let Some(k) = crash_epoch {
-                // Write-ahead contract broken: the crashed epoch's begin
-                // record must exist before the epoch ran.
-                return Err(ServeError::Chaos(ChaosError {
-                    epoch: k,
-                    shard: Some(sid),
-                    fault_kind: FaultKind::Journal,
-                }));
-            }
-            break;
-        };
-        let eidx = rmirror.index_epoch(&rec.events, &rec.details);
-        let eout = s
-            .run_epoch(
-                &rec.events,
-                &rec.details,
-                out,
-                &rec.feedback,
-                &rmirror,
-                &eidx,
-                e,
-                None,
-            )
-            .map_err(|_| {
-                // The original epoch ran inside its invariant bounds; a
-                // replay that overflows them has diverged.
-                ServeError::Chaos(ChaosError {
-                    epoch: e,
-                    shard: Some(sid),
-                    fault_kind: FaultKind::ReplayDivergence,
-                })
-            })?;
-        replayed += 1;
-        if crash_epoch == Some(e) {
-            // The in-flight epoch: keep the re-run output and tallies as
-            // the crashed shard's contribution to the current barrier.
-            return Ok((s, Some(eout), replayed));
-        }
-        // A completed epoch: its effects were already merged at the
-        // original barrier — discard the re-staged copies, then verify
-        // the reconstructed state against the committed digest.
-        drop(eout);
-        s.obs = ShardObs::default();
-        rmirror.absorb(eidx);
-        if let Some(want) = plane.committed_digest(e, sid) {
-            if s.digest() != want {
-                return Err(ServeError::Chaos(ChaosError {
-                    epoch: e,
-                    shard: Some(sid),
-                    fault_kind: FaultKind::ReplayDivergence,
-                }));
-            }
-        }
-        e += 1;
-    }
-    Ok((s, None, replayed))
-}
-
-/// Replay shard `sid`'s entire history out of `plane`'s journal and
-/// return the digest of the reconstructed `realtime::state` — the
-/// journal round-trip check. Comparing the result against the digest the
-/// live run committed at its final barrier proves the on-disk journal
-/// alone reaches byte-identical state. Shard resolution follows the
-/// engine's: `cfg.shards == 0` means the ambient thread count.
-pub fn replay_shard<P: FaultPlane>(
-    plane: &mut P,
-    sid: usize,
-    out: &SimOutput,
-    cfg: &ServeConfig,
-) -> Result<u64, ServeError> {
-    let rt = cfg.detect.sanitized();
-    let shards_n = if cfg.shards == 0 {
-        par::num_threads()
-    } else {
-        cfg.shards
-    }
-    .max(1);
-    let (s, _, _) = rebuild_shard(plane, sid, shards_n, out, &rt, cfg.rotate_floor, None)?;
-    Ok(s.digest())
 }
 
 /// Fold merged detections and final shard states into the report, in the
@@ -756,10 +633,7 @@ fn assemble(
     shards: &[ShardState],
     tagged: &[TaggedDetection],
 ) -> DeploymentReport {
-    let mut report = DeploymentReport {
-        final_rule: rt.rule,
-        ..Default::default()
-    };
+    let mut report = DeploymentReport::default();
     for td in tagged {
         let d = td.detection;
         report.detections.push(d);

@@ -32,7 +32,9 @@
 //! 5. [`epoch_commit`](FaultPlane::epoch_commit) — after the merge, with
 //!    per-shard state digests when requested: the journal's commit point.
 //!
-//! Crash recovery reads journaled epochs back through
+//! Journal replay — crash recovery, and the committed tail after a warm
+//! restart ([`load_resume`](FaultPlane::load_resume)) — reads journaled
+//! epochs back one at a time through
 //! [`replay_epoch`](FaultPlane::replay_epoch) and verifies each replayed
 //! epoch against [`committed_digest`](FaultPlane::committed_digest); any
 //! mismatch is a typed [`ChaosError`], never silent divergence.
@@ -207,14 +209,17 @@ pub struct SessionCheckpoint {
 }
 
 /// What [`FaultPlane::load_resume`] hands the coordinator on a warm
-/// restart: the latest checkpoint plus the journal tail — every epoch
-/// journaled after the checkpoint, to be replayed sequentially before
-/// live processing resumes.
+/// restart: the latest checkpoint, and where the committed journal tail
+/// after it ends. The tail itself stays in the journal: the coordinator
+/// pulls epochs `checkpoint.epochs..tail_end` one at a time through
+/// [`FaultPlane::replay_epoch`] — the hook crash replay reads by — so at
+/// most one journaled epoch is in memory, and goes live at `tail_end`.
 pub struct ResumeState {
     /// The checkpoint to restore.
     pub checkpoint: SessionCheckpoint,
-    /// Journaled epochs `checkpoint.epochs..`, in epoch order.
-    pub tail: Vec<EpochRecord>,
+    /// First epoch past the committed tail (`checkpoint.epochs` when no
+    /// epoch committed after the checkpoint).
+    pub tail_end: u64,
 }
 
 /// The coordinator's chaos decision points. Every method has a no-op
@@ -269,8 +274,9 @@ pub trait FaultPlane {
         Ok(())
     }
 
-    /// Read one journaled epoch back for crash replay. `Ok(None)` means
-    /// the journal has no record for `epoch` (past its end).
+    /// Read one journaled epoch back for replay (crash recovery, and the
+    /// tail after a warm restart). `Ok(None)` means the journal has no
+    /// record for `epoch` (past its end).
     fn replay_epoch(&mut self, _epoch: u64) -> Result<Option<EpochRecord>, ChaosError> {
         Ok(None)
     }
@@ -302,8 +308,9 @@ pub trait FaultPlane {
     }
 
     /// Warm-restart hook, consulted once before the coordinator loop
-    /// starts: `Some` restores the checkpoint, replays the journal tail,
-    /// and resumes mid-stream; `None` (the default) starts cold.
+    /// starts: `Some` restores the checkpoint, re-runs the journal tail
+    /// (pulled through [`replay_epoch`](Self::replay_epoch)), and resumes
+    /// mid-stream; `None` (the default) starts cold.
     fn load_resume(&mut self) -> Result<Option<ResumeState>, ChaosError> {
         Ok(None)
     }

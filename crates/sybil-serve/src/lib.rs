@@ -34,12 +34,13 @@
 
 pub mod engine;
 pub mod fault;
+mod meter;
 mod mirror;
 pub mod queue;
 mod session;
 mod shard;
 
-pub use engine::{replay_shard, Clock, ServeConfig, ServeError, ServeStats};
+pub use engine::{replay_journal, Clock, ServeConfig, ServeError, ServeStats};
 pub use fault::{
     ChaosError, FaultKind, FaultPlane, NoFaults, ResumeState, SessionCheckpoint, ShardSnapshot,
 };

@@ -288,13 +288,21 @@ impl GraphMirror {
     /// [`Self::staged_edges`] output: one merge re-folds the snapshot,
     /// then staged edges re-enter the delta. The fold/delta split is
     /// restored exactly as persisted, so rotation timing — and therefore
-    /// every downstream probe — continues deterministically.
+    /// every downstream probe — continues deterministically. `None` when
+    /// an endpoint is not an account of this run (rows and chain heads
+    /// are indexed by it).
     pub(crate) fn restore(
         num_accounts: usize,
         rotate_floor: usize,
         folded: &[(NodeId, NodeId, Timestamp)],
         staged: &[(NodeId, NodeId, Timestamp)],
-    ) -> Self {
+    ) -> Option<Self> {
+        let inside = |&(u, v, _): &(NodeId, NodeId, Timestamp)| {
+            u.index() < num_accounts && v.index() < num_accounts
+        };
+        if !folded.iter().chain(staged).all(inside) {
+            return None;
+        }
         let mut m = GraphMirror::new(num_accounts, rotate_floor);
         if !folded.is_empty() {
             m.snapshot.merge_delta_with(folded, &mut m.merge_scratch);
@@ -302,7 +310,7 @@ impl GraphMirror {
         for &(u, v, t) in staged {
             m.delta.push(u, v, t);
         }
-        m
+        Some(m)
     }
 
     /// Close an epoch after the barrier: its edges are already in the

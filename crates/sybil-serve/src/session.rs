@@ -26,6 +26,9 @@
 //!   the sequential `replay_observed`, per-shard quantities under
 //!   `shard{N}.*`, and (by the injected clock) the wall spans `epoch` and
 //!   `stage.{pull,index,scan,merge,fold,plane}` — where each epoch went.
+//!   After a warm restart the logical tallies equal the uninterrupted
+//!   run's; spans and `shard{N}.*` cover what this process ran — the
+//!   journal tail it re-ran and the live remainder.
 //! * [`plane`](ServeSession::plane) — a [`FaultPlane`]: chaos injection
 //!   and the write-ahead epoch journal.
 //! * [`store`](ServeSession::store) — a persistence plane (checkpoint
@@ -145,15 +148,15 @@ impl<'a, P: FaultPlane> ServeSession<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{
+        ChaosError, EpochRecord, EpochRecordRef, FaultKind, ResumeState, SessionCheckpoint,
+    };
     use osn_sim::{simulate, SimConfig};
 
     #[test]
     fn bare_session_matches_sequential_replay() {
         let out = simulate(SimConfig::tiny(3));
-        let cfg = ServeConfig {
-            shards: 2,
-            ..ServeConfig::default()
-        };
+        let cfg = two_shards();
         let outcome = ServeSession::new(cfg).run(&out).expect("serve failed");
         let seq = sybil_core::realtime::replay(&out, &cfg.detect);
         assert_eq!(
@@ -166,10 +169,7 @@ mod tests {
     #[test]
     fn capabilities_chain_without_changing_the_report() {
         let out = simulate(SimConfig::tiny(3));
-        let cfg = ServeConfig {
-            shards: 2,
-            ..ServeConfig::default()
-        };
+        let cfg = two_shards();
         let bare = ServeSession::new(cfg).run(&out).expect("serve failed");
         let t = std::time::Instant::now();
         let clock = move || t.elapsed().as_secs_f64();
@@ -188,41 +188,28 @@ mod tests {
         assert!(full.stats.wall_s > 0.0);
     }
 
-    /// The in-engine ledger: with a registry and a clock, every epoch
-    /// records the six `stage.*` spans beside `epoch`, none negative, and
-    /// — the stages partition the epoch loop — summing to no more than
-    /// the run's wall. The fake clock advances one second per reading, so
-    /// the arithmetic is exact.
-    #[test]
-    fn stage_spans_are_present_and_sum_to_at_most_the_wall() {
+    /// Run `plane` under a registry and a fake clock that advances one
+    /// second per reading (so the arithmetic is exact), and check the
+    /// in-engine ledger: every epoch the process ran records the six
+    /// `stage.*` spans beside `epoch`, none negative, and — the stages
+    /// partition the epoch loop — summing to no more than the run's wall.
+    fn metered_run<P: FaultPlane>(out: &SimOutput, plane: &mut P) -> sybil_obs::Snapshot {
         use std::sync::atomic::{AtomicU32, Ordering};
-        /// Every hook still a no-op, but consulted: `stage.plane` gets laps.
-        struct Consulted;
-        impl FaultPlane for Consulted {
-            fn enabled(&self) -> bool {
-                true
-            }
-        }
-        let out = simulate(SimConfig::tiny(3));
-        let cfg = ServeConfig {
-            shards: 2,
-            ..ServeConfig::default()
-        };
         let ticks = AtomicU32::new(0);
         let clock = || f64::from(ticks.fetch_add(1, Ordering::Relaxed));
         let mut reg = sybil_obs::Registry::new();
-        let outcome = ServeSession::new(cfg)
+        let outcome = ServeSession::new(two_shards())
             .clock(&clock)
             .metrics(&mut reg)
-            .plane(&mut Consulted)
-            .run(&out)
+            .plane(plane)
+            .run(out)
             .expect("serve failed");
-        let wall = reg.snapshot().wall;
-        let epochs = wall["epoch"].count;
+        let snap = reg.snapshot();
+        let epochs = snap.wall["epoch"].count;
         assert!(epochs > 0);
         let mut sum = 0.0;
         for stage in ["pull", "index", "scan", "merge", "fold", "plane"] {
-            let span = &wall[&format!("stage.{stage}")];
+            let span = &snap.wall[&format!("stage.{stage}")];
             assert_eq!(span.count, epochs, "stage.{stage}: once per epoch");
             assert!(span.total_s > 0.0, "stage.{stage}");
             assert!(span.max_s <= span.total_s, "stage.{stage}");
@@ -230,5 +217,116 @@ mod tests {
         }
         let wall_s = outcome.stats.wall_s;
         assert!(sum <= wall_s, "{sum} > {wall_s}");
+        snap
+    }
+
+    fn two_shards() -> ServeConfig {
+        ServeConfig {
+            shards: 2,
+            ..ServeConfig::default()
+        }
+    }
+
+    #[test]
+    fn stage_spans_are_present_and_sum_to_at_most_the_wall() {
+        /// Every hook still a no-op, but consulted: `stage.plane` gets laps.
+        struct Consulted;
+        impl FaultPlane for Consulted {
+            fn enabled(&self) -> bool {
+                true
+            }
+        }
+        metered_run(&simulate(SimConfig::tiny(3)), &mut Consulted);
+    }
+
+    /// What `sybil-store`'s `StorePlane` keeps on disk (this crate cannot
+    /// depend on it), in memory: every epoch's input, the commit count,
+    /// the latest of a checkpoint every 4th epoch, and an optional kill
+    /// after a write-ahead record.
+    #[derive(Default)]
+    struct MemStore {
+        begun: Vec<EpochRecord>,
+        committed: u64,
+        checkpoint: Option<SessionCheckpoint>,
+        kill_at: Option<u64>,
+    }
+
+    impl FaultPlane for MemStore {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn epoch_begin(&mut self, rec: EpochRecordRef<'_>) -> Result<(), ChaosError> {
+            // The epoch in flight at the kill is journaled again live.
+            self.begun.truncate(rec.epoch as usize);
+            self.begun.push(EpochRecord {
+                epoch: rec.epoch,
+                events: rec.events.to_vec(),
+                details: rec.details.to_vec(),
+                feedback: rec.feedback.to_vec(),
+            });
+            if self.kill_at == Some(rec.epoch) {
+                return Err(ChaosError {
+                    epoch: rec.epoch,
+                    shard: None,
+                    fault_kind: FaultKind::Crash,
+                });
+            }
+            Ok(())
+        }
+        fn epoch_commit(&mut self, epoch: u64, _: Option<&[u64]>) -> Result<(), ChaosError> {
+            self.committed = epoch + 1;
+            Ok(())
+        }
+        fn replay_epoch(&mut self, epoch: u64) -> Result<Option<EpochRecord>, ChaosError> {
+            Ok(self.begun.get(epoch as usize).cloned())
+        }
+        fn wants_checkpoint(&self, epoch: u64) -> bool {
+            (epoch + 1).is_multiple_of(4)
+        }
+        fn checkpoint(&mut self, cp: &SessionCheckpoint) -> Result<(), ChaosError> {
+            self.checkpoint = Some(cp.clone());
+            Ok(())
+        }
+        fn load_resume(&mut self) -> Result<Option<ResumeState>, ChaosError> {
+            let tail_end = self.committed;
+            let resume = |checkpoint| ResumeState {
+                checkpoint,
+                tail_end,
+            };
+            Ok(self.checkpoint.clone().map(resume))
+        }
+    }
+
+    /// Tail epochs re-run after a warm restart go through the step live
+    /// epochs go through, instrumentation included: a killed and
+    /// restarted run's logical counters equal the uninterrupted run's,
+    /// and its spans cover exactly the epochs the process ran — the
+    /// committed tail and the live remainder, not what the checkpoint
+    /// restored.
+    #[test]
+    fn a_restarted_run_meters_the_tail_it_re_ran() {
+        let out = simulate(SimConfig::tiny(3));
+        let mut whole = sybil_obs::Registry::new();
+        ServeSession::new(two_shards())
+            .metrics(&mut whole)
+            .run(&out)
+            .expect("serve failed");
+        // Killed in epoch 6: the checkpoint holds epochs 0..4, the
+        // committed tail is epochs 4 and 5.
+        let mut store = MemStore {
+            kill_at: Some(6),
+            ..MemStore::default()
+        };
+        let killed = ServeSession::new(two_shards()).plane(&mut store).run(&out);
+        assert!(matches!(killed, Err(ServeError::Chaos(c)) if c.fault_kind == FaultKind::Crash));
+        assert_eq!((store.committed, store.begun.len()), (6, 7));
+        store.kill_at = None;
+        let restarted = metered_run(&out, &mut store);
+        let whole = whole.snapshot();
+        assert_eq!(restarted.logical, whole.logical);
+        let Some(sybil_obs::MetricValue::Count(epochs)) = whole.logical.get("epochs") else {
+            panic!("no epochs counter: {:?}", whole.logical);
+        };
+        assert_eq!(restarted.wall["epoch"].count, epochs - 4);
     }
 }

@@ -24,10 +24,11 @@
 //! (the shard falls back to exact pair probes for the rare duplicate
 //! case, flagged by [`AccountState::friends_dup`]).
 
+use crate::fault::EpochRecordRef;
 use crate::mirror::{EpochIndex, GraphMirror};
 use crate::queue::{DeltaQueue, QueueFull};
 use osn_graph::{NeighborScratch, NodeId, Timestamp};
-use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
+use osn_sim::stream::StreamEventKind;
 use osn_sim::SimOutput;
 use std::collections::VecDeque;
 use sybil_core::adaptive::AdaptiveThresholds;
@@ -211,58 +212,60 @@ impl ShardState {
     /// fields (ownership mask, scratch, capacities) come from the
     /// constructor path; persisted fields overwrite the cold-start
     /// values. `obs` starts empty — tallies are drained at every
-    /// barrier, and checkpoints are taken at barriers.
+    /// barrier, and checkpoints are taken at barriers. `None` when the
+    /// snapshot cannot be this shard's: a state count other than its
+    /// owned count (slots are indexed by account id), or an audit
+    /// countdown outside `1..=audit_every` (0 would underflow it).
     pub(crate) fn from_snapshot(
         shard: usize,
         shards: usize,
         num_accounts: usize,
         cfg: &RealtimeConfig,
         snap: crate::fault::ShardSnapshot,
-    ) -> Self {
+    ) -> Option<Self> {
         let mut s = ShardState::new(shard, shards, num_accounts, cfg);
+        let countdown = usize::try_from(snap.sends_until_audit).ok()?;
+        if snap.states.len() != s.owned || !(1..=cfg.audit_every).contains(&countdown) {
+            return None;
+        }
         s.states = snap.states;
         s.adaptive = AdaptiveThresholds::from_raw(snap.adaptive);
         s.feedback_queue = snap.feedback_queue.into();
-        s.sends_until_audit = snap.sends_until_audit as usize;
+        s.sends_until_audit = countdown;
         s.audit_cursor = snap.audit_cursor as usize;
-        s
+        Some(s)
     }
 
-    /// Scan one epoch's event slice: apply owned-account transitions,
-    /// advance shared bookkeeping, stage outward effects. `details` is
-    /// the slice's parallel [`EventDetail`] array — the scan loop reads
-    /// endpoints and outcomes from it sequentially and only touches the
-    /// log for the rare audit sample. `new_feedback` is the
-    /// barrier-merged feedback generated in earlier epochs, in global
-    /// `(seq, intra)` order; `mirror` is the coordinator's edge state with
-    /// the epoch's own new edges already in it, `eidx` the index that
-    /// bounds a probe to a stream position. `epoch` is
-    /// the 0-based barrier count (overflow errors carry it as part of
-    /// their exact `(epoch, shard, seq)` site); `queue_clamp` is the
-    /// fault plane's optional staging-capacity override — `None` in
-    /// production, where capacities come from the epoch invariants
-    /// alone.
-    #[allow(clippy::too_many_arguments)]
+    /// Scan one epoch: apply owned-account transitions, advance shared
+    /// bookkeeping, stage outward effects. `rec` is the epoch's input —
+    /// its event slice with the parallel `EventDetail` array (the scan
+    /// loop reads endpoints and outcomes from it sequentially and only
+    /// touches the log for the rare audit sample), the barrier-merged
+    /// feedback generated in earlier epochs, in global `(seq, intra)`
+    /// order, and the 0-based barrier count (overflow errors carry it as
+    /// part of their exact `(epoch, shard, seq)` site). `mirror` is the
+    /// coordinator's edge state with the epoch's own new edges already in
+    /// it, `eidx` the index that bounds a probe to a stream position.
+    /// `queue_clamp` is the fault plane's optional staging-capacity
+    /// override — `None` in production, where capacities come from the
+    /// epoch invariants alone.
     pub(crate) fn run_epoch(
         &mut self,
-        events: &[StreamEvent],
-        details: &[EventDetail],
+        rec: EpochRecordRef<'_>,
         out: &SimOutput,
-        new_feedback: &[TaggedFeedback],
         mirror: &GraphMirror,
         eidx: &EpochIndex,
-        epoch: u64,
         queue_clamp: Option<usize>,
     ) -> Result<EpochOutput, QueueFull> {
-        debug_assert_eq!(events.len(), details.len());
-        for f in new_feedback {
+        debug_assert_eq!(rec.events.len(), rec.details.len());
+        for f in rec.feedback {
             self.feedback_queue.push_back((f.due, f.features, f.truth));
         }
         // Epoch invariants bound the queues: at most one detection per
         // owned account ever, at most one audit per audit_every events
         // (plus one per detection when adaptive). A fault-plane clamp
         // can only shrink the bound (overflow injection), never grow it.
-        let audits = events.len() / self.cfg.audit_every + 1;
+        let audits = rec.events.len() / self.cfg.audit_every + 1;
         let det_cap = queue_clamp.map_or(self.owned, |c| c.min(self.owned));
         let fb_cap = queue_clamp.map_or(self.owned + audits, |c| c.min(self.owned + audits));
         let mut eout = EpochOutput {
@@ -272,7 +275,7 @@ impl ShardState {
         let window_s = self.cfg.trailing_window_h * 3600;
         let delay_s = self.cfg.feedback_delay_h * 3600;
 
-        for (ev, d) in events.iter().zip(details) {
+        for (ev, d) in rec.events.iter().zip(rec.details) {
             let t = ev.at;
             // Deliver due verification feedback (replicated on every
             // shard, same order, same positions as the sequential loop).
@@ -294,7 +297,7 @@ impl ShardState {
                         if !st.detected {
                             st.on_send(t, window_s);
                             if st.should_check_on_send(&self.cfg) {
-                                self.check(from, epoch, ev.seq, t, delay_s, out, mirror, eidx,
+                                self.check(from, rec.epoch, ev.seq, t, delay_s, out, mirror, eidx,
                                     &mut eout)?;
                             }
                         }
@@ -321,7 +324,7 @@ impl ShardState {
                                             features: f,
                                             truth: out.is_sybil(sample.from),
                                         })
-                                        .map_err(|q| q.at(epoch, self.shard, ev.seq))?;
+                                        .map_err(|q| q.at(rec.epoch, self.shard, ev.seq))?;
                                 }
                             }
                         }
@@ -346,7 +349,7 @@ impl ShardState {
                     if owns_from {
                         let st = &self.states[self.local(from)];
                         if !st.detected && st.should_check_on_decide(&self.cfg) {
-                            self.check(from, epoch, ev.seq, t, delay_s, out, mirror, eidx,
+                            self.check(from, rec.epoch, ev.seq, t, delay_s, out, mirror, eidx,
                                 &mut eout)?;
                         }
                     }

@@ -9,9 +9,13 @@
 //! checkpoint files, and wires them together with the `SYBJ`
 //! write-ahead epoch journal into **warm restart**:
 //!
-//! 1. [`StorePlane::load_resume`] loads the newest readable checkpoint;
-//! 2. the engine replays every *committed* journal epoch after it,
-//!    verifying committed per-shard digests along the way;
+//! 1. [`StorePlane::load_resume`] loads the newest readable checkpoint
+//!    and finds where the *committed* journal tail after it ends;
+//! 2. the engine checks the checkpoint against the run it is resuming
+//!    (shard count, owned counts, edge endpoints), then pulls the tail
+//!    one epoch at a time — each must equal the stream's own batch — and
+//!    re-runs it through the step live epochs run, verifying committed
+//!    per-shard digests along the way;
 //! 3. live processing resumes at the next epoch, and the final
 //!    `DeploymentReport` is **byte-identical** to an uninterrupted run —
 //!    the restart proptests kill at arbitrary epochs across shard counts

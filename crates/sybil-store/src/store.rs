@@ -22,16 +22,19 @@
 //! [`JournalPlane`] answers the five journal hooks over any byte store:
 //! `epoch_begin`/`epoch_commit` append (write-ahead, then commit after
 //! the barrier merge), `replay_epoch`/`committed_digest` read back for
-//! crash replay, `run_end` seals the run. [`StorePlane`] hands those
+//! replay, `run_end` seals the run. [`StorePlane`] hands those
 //! five to a file-backed `JournalPlane` and adds the rest:
 //! `wants_checkpoint`/`checkpoint` persist a full
 //! [`SessionCheckpoint`] every `checkpoint_every` epochs,
-//! and `load_resume` assembles a [`ResumeState`] from the newest readable
-//! checkpoint plus every *committed* journal epoch after it. An epoch
-//! with a begin record but no commit was in flight when the process died;
-//! it is not replayed — the engine re-runs it live from the stream, which
-//! produces the identical bytes (the begin record exists precisely so
-//! crash replay inside an epoch stays possible for shard faults).
+//! and `load_resume` hands back a [`ResumeState`]: the newest readable
+//! checkpoint and the epoch the *committed* journal tail after it ends
+//! at. The tail itself is not read here — the engine pulls it one epoch
+//! at a time through `replay_epoch`, the route crash replay reads by. An
+//! epoch with a begin record but no commit was in flight when the
+//! process died; it is not replayed — the engine re-runs it live from
+//! the stream, which produces the identical bytes (the begin record
+//! exists precisely so crash replay inside an epoch stays possible for
+//! shard faults).
 //!
 //! The `kill_at_epoch` knob simulates the process dying at an epoch
 //! boundary: the write-ahead record lands, then the hook returns a typed
@@ -62,7 +65,7 @@ use sybil_serve::fault::{
 /// cost (at most `checkpoint_every - 1` epochs of tail to replay).
 /// What a persisted run costs at this default is the benchmark's
 /// `sybil-store.durability_overhead_pct` on `durable_250k` (median
-/// 60.1%, q1 57.9, q3 87.7 — open), of which
+/// 81%, n=12, q1 65.0, q3 99.7 — open), of which
 /// `sybil-store.checkpoint_s` is the checkpoint writes. Lower the
 /// cadence (`with_cadence`) when restart latency matters more than
 /// throughput — the `repro restart` drill runs at cadence 1.
@@ -300,7 +303,8 @@ impl StorePlane {
         self.resumed_from
     }
 
-    /// Committed journal epochs replayed after the checkpoint on resume.
+    /// Committed journal epochs after the checkpoint on resume — the tail
+    /// the engine re-runs before going live.
     pub fn tail_replayed(&self) -> u64 {
         self.tail_replayed
     }
@@ -359,18 +363,16 @@ impl FaultPlane for StorePlane {
         let Some(checkpoint) = latest else {
             return Ok(None);
         };
-        let mut tail = Vec::new();
-        let mut epoch = checkpoint.epochs;
-        while self.journal().committed(epoch) {
-            let Some(rec) = self.wal.replay_epoch(epoch)? else {
-                break;
-            };
-            tail.push(rec);
-            epoch += 1;
+        let mut tail_end = checkpoint.epochs;
+        while self.journal().committed(tail_end) {
+            tail_end += 1;
         }
         self.resumed_from = Some(checkpoint.epochs);
-        self.tail_replayed = tail.len() as u64;
-        Ok(Some(ResumeState { checkpoint, tail }))
+        self.tail_replayed = tail_end - checkpoint.epochs;
+        Ok(Some(ResumeState {
+            checkpoint,
+            tail_end,
+        }))
     }
 }
 
@@ -476,7 +478,8 @@ mod tests {
         let mut plane = StorePlane::open(&dir).unwrap();
         let resume = plane.load_resume().unwrap().unwrap();
         assert_eq!(resume.checkpoint, tiny_checkpoint(1));
-        assert_eq!(resume.tail.len(), 0, "no committed epochs past the checkpoint");
+        assert_eq!(resume.tail_end, 1, "no committed epochs past the checkpoint");
+        assert_eq!(plane.tail_replayed(), 0);
         assert_eq!(plane.resumed_from(), Some(1));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -503,8 +506,8 @@ mod tests {
         let mut plane = StorePlane::open(&dir).unwrap();
         let resume = plane.load_resume().unwrap().unwrap();
         assert_eq!(resume.checkpoint.epochs, 1);
-        assert_eq!(resume.tail.len(), 1, "only epoch 1 is committed");
-        assert_eq!(resume.tail[0].epoch, 1);
+        assert_eq!(resume.tail_end, 2, "only epoch 1 is committed");
+        assert_eq!(plane.tail_replayed(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -165,6 +165,53 @@ fn sparse_checkpoints_recover_through_the_journal_tail() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A store directory is outside input. Reopened by a run it does not
+/// belong to, the restart stops on a typed journal fault: no panic, and
+/// no report assembled out of another run's state.
+#[test]
+fn a_store_from_another_run_is_a_typed_journal_fault() {
+    let cfg = serve_cfg(2, true);
+    let writer = small_sim();
+    let tiny = SimConfig::tiny(11);
+    // Who reopens the store, the digest cadence, where the writer is
+    // killed (checkpoints every 4 epochs, so a checkpoint and a two-epoch
+    // committed tail are on disk each time), and the epoch the fault names.
+    let cases = [
+        // A smaller account table: the checkpoint's ids are out of range,
+        // and the checkpoint (4 epochs) is refused.
+        ("smaller", SimConfig { n_normal: 400, ..tiny.clone() }, 4, 6, 4),
+        // The same table from another seed, digests off: only comparing
+        // the journaled tail with the stream can tell, at its first epoch.
+        ("other-seed", SimConfig::tiny(12), 0, 6, 4),
+        // The same table over a shorter horizon: the checkpoint (68
+        // epochs) covers more epochs than the stream has.
+        ("shorter", SimConfig { hours: 600, ..tiny.clone() }, 4, 70, 68),
+    ];
+    for (tag, reopener, digest_every, kill_epoch, fault_epoch) in cases {
+        let dir = tmpdir(&format!("foreign-{tag}"));
+        let mut doomed = StorePlane::with_cadence(&dir, 4, digest_every)
+            .unwrap()
+            .kill_at_epoch(kill_epoch);
+        ServeSession::new(cfg)
+            .store(&mut doomed)
+            .run(&writer)
+            .expect_err("killed");
+        drop(doomed);
+        let mut reopened = StorePlane::with_cadence(&dir, 4, digest_every).unwrap();
+        let err = ServeSession::new(cfg)
+            .store(&mut reopened)
+            .run(&simulate(reopener))
+            .expect_err("another run's store must not resume");
+        match err {
+            ServeError::Chaos(c) => {
+                assert_eq!((c.fault_kind, c.epoch), (FaultKind::Journal, fault_epoch), "{tag}: {c}")
+            }
+            other => panic!("{tag}: expected a journal fault, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

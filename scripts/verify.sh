@@ -5,7 +5,8 @@
 # gates), the §3.1 defenses thread-identity smoke, the serving-engine
 # serve-vs-replay equivalence smoke, the metrics bit-identity guard
 # (logical section of metrics.json across threads × shards), the chaos
-# proptests in release, the kill + warm-restart byte-identity drill, and
+# proptests in release, the kill + warm-restart byte-identity drill, the
+# mismatched-store smoke (another run's store is a typed error), and
 # one step over the repo's benchmark (benchmark/run.sh): no failed job,
 # peak RSS inside the DESIGN.md budget, no resolved observability
 # overhead above 5%. Durability overhead and restart latency are
@@ -172,6 +173,29 @@ print(f"restart drill: killed at epoch {r['kill_epoch']}, resumed from "
       f"report≡oracle={r['matches_oracle']}")
 sys.exit(0 if ok else 1)
 PY
+
+echo "== persistence: a store another run wrote is a typed error (mismatched-store smoke) =="
+# A store directory is outside input: `repro serve --store` over one that
+# a bigger run wrote must stop on the engine's typed journal fault with a
+# non-zero exit — no panic, and no report from the sequential fallback.
+s_dir="$bench_tmp/mismatched_store"
+mkdir -p "$s_dir"
+serve_into_store() {
+    cargo run -q --release -p sybil-repro --bin repro -- \
+        --scale "$1" --seed 3 --shards 2 --out "$s_dir" --store "$s_dir/store" serve
+}
+serve_into_store small >/dev/null 2>&1
+if serve_into_store tiny >/dev/null 2>"$s_dir/stderr.log"; then
+    echo "mismatched store: repro exited 0 over another run's store"
+    exit 1
+fi
+if ! grep -q "serve experiment failed: .*journal" "$s_dir/stderr.log" ||
+    grep -q "panicked" "$s_dir/stderr.log"; then
+    cat "$s_dir/stderr.log"
+    echo "mismatched store: expected the typed journal fault on stderr and no panic"
+    exit 1
+fi
+echo "mismatched-store smoke: non-zero exit, '$(grep -o "serving engine failed: .*" "$s_dir/stderr.log")'"
 
 echo "== benchmark: failed jobs, RSS budget, observability overhead (benchmark/run.sh) =="
 # The repo's one benchmark, run short. Every job's report bytes are
