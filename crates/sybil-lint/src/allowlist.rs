@@ -17,8 +17,8 @@
 //! required; unknown keys and malformed lines are hard errors so the file
 //! cannot silently rot.
 //!
-//! Besides `[[allow]]` entries, the file may designate effect-analysis
-//! roots and sinks (see [`crate::effects`]):
+//! Besides `[[allow]]` entries, the file designates the roots of the
+//! effect rules S109/S110/S118 (see [`crate::effects`]):
 //!
 //! ```toml
 //! [effects.roots]
@@ -26,9 +26,6 @@
 //! io_free = [
 //!     "sybil-serve::shard::*",
 //! ]
-//!
-//! [effects.sinks]
-//! byte_stable = ["sybil-obs::Snapshot::*"]
 //! ```
 //!
 //! and the per-event hot-path cores for the cost rules S113–S117 (see
@@ -49,7 +46,7 @@ use crate::report::Finding;
 /// One reviewed exception.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowEntry {
-    /// Rule code the entry silences (`D001`…`D006`, `S101`…`S117`).
+    /// Rule code the entry silences, a row of [`crate::rules::RULES`].
     pub rule: String,
     /// Workspace-relative path the entry applies to.
     pub path: String,
@@ -67,7 +64,7 @@ pub struct AllowEntry {
 pub struct Allowlist {
     /// All entries, in file order.
     pub entries: Vec<AllowEntry>,
-    /// Effect-rule roots and sinks from the `[effects.*]` tables.
+    /// Effect-rule roots from the `[effects.roots]` table.
     pub effects: EffectConfig,
     /// Cost-rule hot-path roots from the `[hotpaths.roots]` table.
     pub hotpaths: HotPathConfig,
@@ -137,7 +134,6 @@ impl ParseError {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum EffTable {
     Roots,
-    Sinks,
     HotRoots,
 }
 
@@ -174,14 +170,13 @@ pub fn parse(content: &str) -> Result<Allowlist, ParseError> {
             }
             table = match line.as_str() {
                 "[effects.roots]" => Some(EffTable::Roots),
-                "[effects.sinks]" => Some(EffTable::Sinks),
                 "[hotpaths.roots]" => Some(EffTable::HotRoots),
                 _ => {
                     return Err(ParseError::at(
                         lineno,
                         format!(
                             "unknown table {line:?} (supported: [[allow]], \
-                             [effects.roots], [effects.sinks], [hotpaths.roots])"
+                             [effects.roots], [hotpaths.roots])"
                         ),
                     ))
                 }
@@ -196,7 +191,7 @@ pub fn parse(content: &str) -> Result<Allowlist, ParseError> {
         };
         let (key, mut value) = (key.trim(), value.trim().to_string());
         if let Some(t) = table {
-            // Effect tables: every value is a string array, possibly
+            // Root tables: every value is a string array, possibly
             // spanning multiple lines — accumulate until it closes.
             while !value.ends_with(']') && i < lines.len() {
                 value.push(' ');
@@ -208,18 +203,11 @@ pub fn parse(content: &str) -> Result<Allowlist, ParseError> {
                 (EffTable::Roots, "clockless") => &mut effects.clockless_roots,
                 (EffTable::Roots, "io_free") => &mut effects.io_free_roots,
                 (EffTable::Roots, "fault_plane") => &mut effects.fault_plane_roots,
-                (EffTable::Sinks, "byte_stable") => &mut effects.byte_stable_sinks,
                 (EffTable::HotRoots, "per_event") => &mut hotpaths.per_event_roots,
                 (EffTable::Roots, _) => {
                     return Err(ParseError::at(
                         lineno,
                         format!("unknown key {key:?} in [effects.roots] (allowed: clockless, io_free, fault_plane)"),
-                    ))
-                }
-                (EffTable::Sinks, _) => {
-                    return Err(ParseError::at(
-                        lineno,
-                        format!("unknown key {key:?} in [effects.sinks] (allowed: byte_stable)"),
                     ))
                 }
                 (EffTable::HotRoots, _) => {
@@ -476,7 +464,7 @@ path = "crates/sybil-defense/src/ranking.rs"
 justification = "memo cache; results value-identical under any interleaving"
 
 [[allow]]
-rule = "D004"
+rule = "S101"
 path = "crates/core/src/eval.rs"
 line = 12
 justification = "index comes from the same vec's enumerate()"
@@ -494,7 +482,7 @@ justification = "index comes from the same vec's enumerate()"
     fn matching_respects_line() {
         let a = parse(GOOD).unwrap();
         let mk = |line| Finding {
-            rule: "D004",
+            rule: "S101",
             path: "crates/core/src/eval.rs".into(),
             line,
             col: 1,
@@ -562,7 +550,7 @@ justification = "index comes from the same vec's enumerate()"
         assert!(out.contains("crates/core/src/eval.rs"), "{out}");
         let reparsed = parse(&out).unwrap();
         assert_eq!(reparsed.entries.len(), 1);
-        assert_eq!(reparsed.entries[0].rule, "D004");
+        assert_eq!(reparsed.entries[0].rule, "S101");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! deliberately over-approximates where dynamic dispatch makes the callee
 //! ambiguous — a `.verify(…)` call links to *every* workspace method named
 //! `verify`. Over-approximation is the safe direction for reachability
-//! rules (S101/S102): it can only add candidate paths, never hide one.
+//! rules: it can only add candidate paths, never hide one.
 //! Calls that resolve to nothing are assumed to target `std`/vendored
 //! code and produce no edge.
 //!
@@ -119,20 +119,11 @@ impl CallGraph {
 
     /// Nearest ancestor of `target` (over reverse edges) satisfying
     /// `pred`, together with the forward path from that ancestor down to
-    /// `target`. Used to answer "which pub function reaches this panic?".
+    /// `target` — "which pub function reaches this panic?" — restricted
+    /// to paths whose every node passes `admit`. The root-anchored rules
+    /// admit library functions only, so a bench or test caller can never
+    /// appear on the chain of a core-path finding.
     pub fn nearest_ancestor(
-        &self,
-        target: FnIdx,
-        pred: impl Fn(FnIdx) -> bool,
-    ) -> Option<(FnIdx, Vec<Edge>)> {
-        self.nearest_ancestor_where(target, pred, |_| true)
-    }
-
-    /// [`nearest_ancestor`](CallGraph::nearest_ancestor) restricted to
-    /// paths whose every node passes `admit`. The effect rules use this
-    /// to confine propagation traces to library functions, so a bench or
-    /// test caller can never appear as the "root" of a core-path finding.
-    pub fn nearest_ancestor_where(
         &self,
         target: FnIdx,
         pred: impl Fn(FnIdx) -> bool,
@@ -305,11 +296,13 @@ mod tests {
         let panicky = idx(&m, "a::deep::panicky");
         let path = cg.path(entry, panicky).expect("path exists");
         assert_eq!(path.len(), 3, "entry→helper→walk→panicky: {path:?}");
-        let (anc, up) = cg
-            .nearest_ancestor(panicky, |i| m.is_pub_api(i) && m.fns[i].def.self_ty.is_none() && m.fns[i].def.name == "entry")
-            .expect("pub ancestor");
+        let is_entry = |i| i == entry;
+        let (anc, up) = cg.nearest_ancestor(panicky, is_entry, |_| true).expect("pub ancestor");
         assert_eq!(anc, entry);
         assert_eq!(up.len(), 3);
+        // Ancestry confined by `admit`: forbidding every intermediate
+        // node leaves the panic site rootless.
+        assert!(cg.nearest_ancestor(panicky, is_entry, |_| false).is_none());
     }
 
     #[test]

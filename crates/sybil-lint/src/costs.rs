@@ -1,157 +1,31 @@
-//! Interprocedural cost inference over the workspace call graph: the
-//! loop-context + cost dataflow layer behind rules S113–S117.
+//! Hot-path context for the cost rows of the rule table (S113–S117):
+//! the `[hotpaths.roots]` table of `lint.toml`, the loop context, and the
+//! recursion seed.
 //!
-//! Each function gets a [`CostSet`] — a bitmask over the five cost kinds
-//! in [`Cost`] — seeded from *leaf intrinsics* found by scanning the
-//! function's body tokens (`Vec::new`/`with_capacity`, `format!`,
-//! `Box::new`, `.clone()`, `.collect()`, `.push(…)`, `.lock()`,
-//! `.recv()`, hash-container scans, …) and propagated to a least
-//! fixpoint over the name-resolved [`CallGraph`] exactly like
-//! [`crate::effects`] — same lib-to-lib adjacency, same union join, same
-//! [`fixpoint`] contract (and the same order-independence proptest in
-//! `tests/cost_rules.rs`).
-//!
-//! What makes cost different from effect is *where* a site matters. An
-//! allocation once per epoch is amortized noise; the same allocation
-//! inside the per-event scan loop is a per-event cost at 5M accounts.
-//! So the check is anchored by the `[hotpaths.roots]` table in
-//! `lint.toml` ([`HotPathConfig`]) naming the per-event cores, and uses
-//! [`crate::loops`] to split each hot function into loop and non-loop
-//! regions:
+//! What makes a cost different from an effect is *where* a site matters.
+//! An allocation once per epoch is amortized noise; the same allocation
+//! inside the per-event scan loop is a per-event cost at 5M accounts. So
+//! the cost rows are anchored by [`HotPathConfig`] naming the per-event
+//! cores, and the loop-scoped ones (S113 allocation, S114 growth, S116
+//! blocking) ask [`HotContext::in_hot_loop`] about each site:
 //!
 //! - the **hot set** is the forward lib-to-lib closure of the roots;
 //! - the **loop context** is the forward closure of every call a hot
-//!   function makes *from inside one of its own loops* — code that runs
-//!   per event even though its own body has no loop.
+//!   function makes *from inside one of its own loops* ([`crate::loops`])
+//!   — code that runs per event even though its own body has no loop.
 //!
-//! S113 (allocation), S114 (monotonic growth), and S116 (blocking) fire
-//! on intrinsic sites that are in the loop context, or in a hot
-//! function's own loop span. S115 (truncating `as` casts) and S117
-//! (recursion) fire anywhere in the hot set — a truncation or an
-//! unbounded stack is wrong on the critical path whether or not it sits
-//! in a loop. Every finding carries the full root→leaf propagation
-//! chain, same shape as S101/S109 traces.
-//!
-//! Growth sites model drains: a `push`/`insert`/`extend` on a receiver
-//! that is also `clear`ed / `drain`ed / `truncate`d (or popped, retained,
-//! split) *in the same function* is the recycled-scratch idiom the hot
-//! path is built on — balanced, and never reported. Only receivers with
-//! no drain in their fixpoint region survive as S114 candidates.
+//! A site is in a hot loop when its function is in the loop context, or
+//! is hot and holds the site inside one of its own loop bodies. S115
+//! (truncating casts) and S117 (recursion) judge the whole hot set — a
+//! truncation or an unbounded stack is wrong on the critical path whether
+//! or not it sits in a loop. Recursion is the one site kind no token
+//! shows: [`recursion_sites`] seeds it from the call graph's cycles.
 
 use crate::callgraph::CallGraph;
-use crate::effects::{edge_step_eff, path_prefixed, EffectConfig};
-use crate::lexer::{lex, TokKind, Token};
+use crate::effects::EffectConfig;
 use crate::loops::{body_loop_spans, in_loop, LoopSpan};
-use crate::parser::FnDef;
-use crate::report::Finding;
-use crate::rules::{hash_iteration_sites, test_line_spans_for, FileKind};
+use crate::sites::{Site, SiteKind};
 use crate::symbols::{FnIdx, WorkspaceModel};
-
-/// One cost kind — a bit position in [`CostSet`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Cost {
-    /// Allocates: `Vec::new`/`with_capacity`, `Box::new`, `vec!`,
-    /// `format!`, `.clone()`, `.collect()`, `.to_string()`, ….
-    Alloc = 0,
-    /// Grows a collection with no drain on the same receiver in the
-    /// same function: `push`/`insert`/`extend` family.
-    ReallocGrowth = 1,
-    /// Scans a hash container (iteration over `HashMap`/`HashSet`).
-    CollectionScan = 2,
-    /// Blocking acquisition: `.lock()`, `.recv()`, `.wait()`,
-    /// `thread::sleep`.
-    Blocking = 3,
-    /// Participates in a call-graph cycle (direct or mutual recursion).
-    Recursion = 4,
-}
-
-impl Cost {
-    /// Human-readable cost name for messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            Cost::Alloc => "allocation",
-            Cost::ReallocGrowth => "monotonic collection growth",
-            Cost::CollectionScan => "hash-container scan",
-            Cost::Blocking => "blocking acquisition",
-            Cost::Recursion => "recursion",
-        }
-    }
-
-    /// The verb phrase used in the final trace step.
-    fn verb(self) -> &'static str {
-        match self {
-            Cost::Alloc => "allocates via",
-            Cost::ReallocGrowth => "grows a collection via",
-            Cost::CollectionScan => "scans a hash container via",
-            Cost::Blocking => "blocks via",
-            Cost::Recursion => "recurses via",
-        }
-    }
-}
-
-/// A set of [`Cost`]s as a bitmask. Union is the lattice join.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CostSet(pub u16);
-
-impl CostSet {
-    /// The empty set (lattice bottom).
-    pub const EMPTY: CostSet = CostSet(0);
-
-    /// Singleton set.
-    pub fn of(c: Cost) -> CostSet {
-        CostSet(1 << (c as u16))
-    }
-
-    /// Does the set contain `c`?
-    pub fn contains(self, c: Cost) -> bool {
-        self.0 & (1 << (c as u16)) != 0
-    }
-
-    /// Set union (the join).
-    pub fn union(self, other: CostSet) -> CostSet {
-        CostSet(self.0 | other.0)
-    }
-
-    /// Is any cost present?
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-}
-
-/// One leaf cost intrinsic found in a function body: the evidence a
-/// finding's final trace step points at.
-#[derive(Clone, Debug)]
-pub struct CostSite {
-    /// Which cost the site contributes.
-    pub cost: Cost,
-    /// The token pattern that identifies it (`Vec::new()`,
-    /// `detections.push(…)`, `.lock()`, …).
-    pub what: String,
-    /// For growth sites, the receiver the growth accumulates on.
-    pub recv: Option<String>,
-    /// Token index of the identifying token — tested against the
-    /// enclosing function's loop spans.
-    pub tok: usize,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-}
-
-/// One truncating `as` cast found in a function body (S115 evidence).
-/// Casts are not lattice members — a cast doesn't propagate to callers —
-/// so they live beside the cost sites, keyed by the same hot set.
-#[derive(Clone, Debug)]
-pub struct CastSite {
-    /// The narrow target type (`u8`/`u16`/`u32`/`i8`/`i16`/`i32`).
-    pub target: &'static str,
-    /// Token index of the `as` keyword.
-    pub tok: usize,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-}
 
 /// The `[hotpaths.roots]` table from `lint.toml`: fully qualified
 /// function-name patterns (exact, or `prefix*`, same grammar as the
@@ -164,222 +38,137 @@ pub struct HotPathConfig {
     pub per_event_roots: Vec<String>,
 }
 
-/// Per-function cost information for the whole workspace.
-#[derive(Clone, Debug, Default)]
-pub struct CostModel {
-    /// Leaf costs found in each function's own body.
-    pub intrinsic: Vec<CostSet>,
-    /// The fixpoint: own costs plus everything reachable.
-    pub inferred: Vec<CostSet>,
-    /// The intrinsic evidence sites, per function, in source order.
-    pub sites: Vec<Vec<CostSite>>,
-    /// Truncating casts, per function, in source order.
-    pub casts: Vec<Vec<CastSite>>,
-    /// Loop-body token spans, per function.
-    pub loops: Vec<Vec<LoopSpan>>,
+/// Which code runs per event under the `[hotpaths.roots]` cores.
+pub(crate) struct HotContext {
+    /// Membership in the loop context, per function.
+    ctx: Vec<bool>,
+    /// Loop-body token spans of each hot function (empty for the rest).
+    loops: Vec<Vec<LoopSpan>>,
 }
 
-/// Compute the least fixpoint of `cost(f) = intrinsic(f) ∪ ⋃ cost(g)`
-/// for every forward edge `f → g` in `out`, visiting functions in
-/// `order` each round until nothing changes.
-///
-/// The cost lattice joins by set union exactly like the effect lattice,
-/// so this delegates to [`crate::effects::fixpoint`]; the explicit
-/// `order` argument exists so the cost layer's order-independence
-/// proptest (`tests/cost_rules.rs`) pins the property at this boundary.
-pub fn fixpoint(out: &[Vec<usize>], intrinsic: &[u16], order: &[usize]) -> Vec<u16> {
-    crate::effects::fixpoint(out, intrinsic, order)
-}
-
-/// Container types whose `new`/`with_capacity` constructors allocate (or
-/// will on first growth — the arc of a fresh `Vec::new` inside a hot
-/// loop always ends in `grow`).
-const ALLOC_TYPES: [&str; 10] = [
-    "Vec", "VecDeque", "String", "HashMap", "HashSet", "BTreeMap", "BTreeSet", "Box", "Rc",
-    "Arc",
-];
-
-/// Method calls that allocate their result.
-const ALLOC_METHODS: [&str; 6] = [
-    "clone",
-    "collect",
-    "to_string",
-    "to_owned",
-    "to_vec",
-    "into_owned",
-];
-
-/// Method calls that grow a collection (candidate S114 sites until a
-/// drain on the same receiver balances them).
-const GROWTH_METHODS: [&str; 7] = [
-    "push",
-    "push_back",
-    "push_front",
-    "insert",
-    "extend",
-    "extend_from_slice",
-    "append",
-];
-
-/// Method calls that shrink or recycle a collection — the drain family
-/// S114 models. Any receiver drained in a function balances every growth
-/// on the same receiver in that function.
-const DRAIN_METHODS: [&str; 9] = [
-    "clear",
-    "drain",
-    "truncate",
-    "pop",
-    "pop_front",
-    "pop_back",
-    "remove",
-    "retain",
-    "split_off",
-];
-
-/// Method calls that block the calling thread until another party acts.
-const BLOCKING_METHODS: [&str; 4] = ["lock", "recv", "recv_timeout", "wait"];
-
-/// Narrow integer types an `as` cast can silently truncate id/count
-/// values into. Widening targets (`u64`, `usize`, `f64`, …) are never
-/// flagged.
-const NARROW_TARGETS: [&str; 6] = ["u8", "u16", "u32", "i8", "i16", "i32"];
-
-/// Infer costs for every function: collect intrinsics and loop spans
-/// from library-code bodies, then propagate over lib-to-lib call edges
-/// to a fixpoint. Recursion is seeded from the call graph itself — a
-/// function on a lib-to-lib cycle gets a [`Cost::Recursion`] site at its
-/// cycle-entering call.
-///
-/// Propagation is confined to library functions (`is_lib_fn`) for the
-/// same reason as the effect layer: costs in bins, benches, and
-/// `#[cfg(test)]` code neither seed nor transmit.
-pub fn infer(model: &WorkspaceModel, cg: &CallGraph) -> CostModel {
-    let n = model.fns.len();
-    let mut sites: Vec<Vec<CostSite>> = vec![Vec::new(); n];
-    let mut casts: Vec<Vec<CastSite>> = vec![Vec::new(); n];
-    let mut loop_spans: Vec<Vec<LoopSpan>> = vec![Vec::new(); n];
-
-    for (fi, file) in model.files.iter().enumerate() {
-        if file.kind != FileKind::Lib {
-            continue;
-        }
-        let src = file.src.as_str();
-        let toks = lex(src);
-        let spans = test_line_spans_for(src);
-        let in_test = |line: u32| spans.iter().any(|&(a, b)| line >= a && line <= b);
-        let hash_sites = hash_iteration_sites(src, &toks);
-        for (f, node) in model.fns.iter().enumerate() {
-            if node.file != fi || !model.is_lib_fn(f) {
-                continue;
-            }
-            loop_spans[f] = body_loop_spans(src, &toks, node.def.body);
-            collect_cost_sites(src, &toks, &node.def, &mut sites[f], &mut casts[f]);
-            for hs in &hash_sites {
-                if hs.tok > node.def.body.0 && hs.tok < node.def.body.1 && !in_test(hs.line) {
-                    sites[f].push(CostSite {
-                        cost: Cost::CollectionScan,
-                        what: hs.describe(),
-                        recv: None,
-                        tok: hs.tok,
-                        line: hs.line,
-                        col: hs.col,
-                    });
+impl HotContext {
+    pub(crate) fn build(model: &WorkspaceModel, cg: &CallGraph, cfg: &HotPathConfig) -> HotContext {
+        let n = model.fns.len();
+        let roots: Vec<FnIdx> = (0..n)
+            .filter(|&i| EffectConfig::matches(&cfg.per_event_roots, &model.fq_name(i)))
+            .collect();
+        let hot = lib_closure(model, cg, &roots);
+        let mut loops: Vec<Vec<LoopSpan>> = vec![Vec::new(); n];
+        let mut seed: Vec<FnIdx> = Vec::new();
+        for f in (0..n).filter(|&f| hot[f]) {
+            let def = &model.fns[f].def;
+            let file = &model.files[model.fns[f].file];
+            loops[f] = body_loop_spans(&file.src, &file.toks, def.body);
+            for e in &cg.out[f] {
+                let callee = &model.fns[e.to].def.name;
+                let looped = def
+                    .calls
+                    .iter()
+                    .any(|c| c.line == e.line && c.name == *callee && in_loop(&loops[f], c.tok));
+                if looped {
+                    seed.push(e.to);
                 }
             }
-            sites[f].sort_by_key(|s| (s.line, s.col, s.cost as u16));
+        }
+        HotContext {
+            ctx: lib_closure(model, cg, &seed),
+            loops,
         }
     }
 
-    // Lib-to-lib adjacency, shared by the recursion seed and the fixpoint.
-    let out_adj: Vec<Vec<usize>> = (0..n)
+    /// Does token `tok` of function `f` run per event?
+    pub(crate) fn in_hot_loop(&self, f: FnIdx, tok: usize) -> bool {
+        self.ctx[f] || in_loop(&self.loops[f], tok)
+    }
+}
+
+/// Forward lib-to-lib closure of `seeds` (library seeds included), as a
+/// membership vector over all functions. Confined to library functions:
+/// costs in bins, benches, and `#[cfg(test)]` code neither seed nor
+/// transmit.
+fn lib_closure(model: &WorkspaceModel, cg: &CallGraph, seeds: &[FnIdx]) -> Vec<bool> {
+    let mut seen = vec![false; model.fns.len()];
+    let mut stack: Vec<FnIdx> = Vec::new();
+    for &s in seeds {
+        if model.is_lib_fn(s) && !seen[s] {
+            seen[s] = true;
+            stack.push(s);
+        }
+    }
+    while let Some(u) = stack.pop() {
+        for e in &cg.out[u] {
+            if model.is_lib_fn(e.to) && !seen[e.to] {
+                seen[e.to] = true;
+                stack.push(e.to);
+            }
+        }
+    }
+    seen
+}
+
+/// One [`SiteKind::Recursion`] site per library function on a lib-to-lib
+/// call-graph cycle, at its cycle-entering call, with its file's index.
+///
+/// Same-name method dispatch is excluded from cycle detection: the call
+/// graph's name-based method resolution links `self.inner.len()` to
+/// *every* `len` in the workspace — including the delegating wrapper
+/// itself — so every `fn is_empty() { self.nodes.is_empty() }` would read
+/// as a self-cycle. An edge f → g with matching names participates only
+/// if f also makes a bare or `Type::name` call by that name (true direct
+/// recursion); mutual recursion between differently-named functions is
+/// unaffected.
+pub(crate) fn recursion_sites(model: &WorkspaceModel, cg: &CallGraph) -> Vec<(usize, Site)> {
+    let n = model.fns.len();
+    let rec_adj: Vec<Vec<usize>> = (0..n)
         .map(|f| {
             if !model.is_lib_fn(f) {
                 return Vec::new();
             }
+            let def = &model.fns[f].def;
             cg.out[f]
                 .iter()
-                .filter(|e| model.is_lib_fn(e.to))
                 .map(|e| e.to)
-                .collect()
-        })
-        .collect();
-
-    // Recursion: f is on a cycle iff some callee g of f reaches f again.
-    // One BFS per function with a non-empty out list keeps this linear in
-    // practice and far under the lint-runtime budget.
-    //
-    // Same-name method dispatch is excluded from cycle detection: the
-    // call graph's name-based method resolution links `self.inner.len()`
-    // to *every* `len` in the workspace — including the delegating
-    // wrapper itself — so every `fn is_empty() { self.nodes.is_empty() }`
-    // would read as a self-cycle. An edge f → g with matching names
-    // participates only if f also makes a bare or `Type::name` call by
-    // that name (true direct recursion); mutual recursion between
-    // differently-named functions is unaffected.
-    let rec_adj: Vec<Vec<usize>> = (0..n)
-        .map(|f| {
-            let fname = &model.fns[f].def.name;
-            out_adj[f]
-                .iter()
-                .copied()
                 .filter(|&g| {
                     let gname = &model.fns[g].def.name;
-                    if fname != gname {
-                        return true;
-                    }
-                    model.fns[f]
-                        .def
-                        .calls
-                        .iter()
-                        .any(|c| c.name == *gname && !c.method)
+                    model.is_lib_fn(g)
+                        && (def.name != *gname
+                            || def.calls.iter().any(|c| c.name == *gname && !c.method))
                 })
                 .collect()
         })
         .collect();
+    let mut out = Vec::new();
     for f in 0..n {
-        if rec_adj[f].is_empty() {
-            continue;
-        }
-        let Some(back) = rec_adj[f].iter().copied().find(|&g| reaches(&rec_adj, g, f)) else {
+        // f is on a cycle iff some callee g of f reaches f again. One
+        // search per function with callees stays far under the lint
+        // runtime budget.
+        let Some(back) = rec_adj[f]
+            .iter()
+            .copied()
+            .find(|&g| reaches(&rec_adj, g, f))
+        else {
             continue;
         };
         let def = &model.fns[f].def;
         let callee = &model.fns[back].def.name;
-        let call = def.calls.iter().find(|c| c.name == *callee);
-        let (tok, line, col) = call
-            .map(|c| (c.tok, c.line, c.col))
-            .unwrap_or((def.body.0 + 1, def.line, 1));
-        sites[f].push(CostSite {
-            cost: Cost::Recursion,
-            what: format!("recursive cycle through `{}`", model.fq_name(back)),
-            recv: None,
-            tok,
-            line,
-            col,
-        });
+        let (tok, line, col) = def
+            .calls
+            .iter()
+            .find(|c| c.name == *callee)
+            .map_or((def.body.0 + 1, def.line, 1), |c| (c.tok, c.line, c.col));
+        let what = format!("recursive cycle through `{}`", model.fq_name(back));
+        out.push((
+            model.fns[f].file,
+            Site {
+                kind: SiteKind::Recursion,
+                what,
+                tok,
+                line,
+                col,
+            },
+        ));
     }
-
-    let intrinsic: Vec<CostSet> = sites
-        .iter()
-        .map(|s| {
-            s.iter()
-                .fold(CostSet::EMPTY, |acc, site| acc.union(CostSet::of(site.cost)))
-        })
-        .collect();
-    let raw: Vec<u16> = intrinsic.iter().map(|s| s.0).collect();
-    let order: Vec<usize> = (0..n).collect();
-    let inferred = fixpoint(&out_adj, &raw, &order)
-        .into_iter()
-        .map(CostSet)
-        .collect();
-
-    CostModel {
-        intrinsic,
-        inferred,
-        sites,
-        casts,
-        loops: loop_spans,
-    }
+    out
 }
 
 /// Does `from` reach `to` over `adj` (forward edges, `from` excluded
@@ -405,335 +194,9 @@ fn reaches(adj: &[Vec<usize>], from: usize, to: usize) -> bool {
     false
 }
 
-/// Scan one function's body-token span for leaf cost intrinsics and
-/// truncating casts. Growth sites are balanced against drain calls on
-/// the same receiver before anything is emitted.
-fn collect_cost_sites(
-    src: &str,
-    toks: &[Token],
-    def: &FnDef,
-    out: &mut Vec<CostSite>,
-    casts: &mut Vec<CastSite>,
-) {
-    let (open, close) = def.body;
-    let lo = (open + 1).min(toks.len());
-    let hi = close.min(toks.len());
-    let mut growth: Vec<CostSite> = Vec::new();
-    let mut drained: Vec<&str> = Vec::new();
-    for i in lo..hi {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let text = t.text(src);
-        let next_is = |ch: u8| toks.get(i + 1).is_some_and(|n| n.is_punct(ch));
-        let prev_is_dot = i > 0 && toks[i - 1].is_punct(b'.');
-        let push = |out: &mut Vec<CostSite>, cost: Cost, what: String, recv: Option<String>| {
-            out.push(CostSite {
-                cost,
-                what,
-                recv,
-                tok: i,
-                line: t.line,
-                col: t.col,
-            });
-        };
-        match text {
-            // Constructors on allocating containers: `Vec::new()`,
-            // `HashMap::with_capacity(n)`, `Box::new(v)`, ….
-            "new" | "with_capacity" if next_is(b'(') => {
-                if let Some(qual) = ALLOC_TYPES
-                    .iter()
-                    .find(|q| path_prefixed(src, toks, i, q))
-                {
-                    push(out, Cost::Alloc, format!("{qual}::{text}"), None);
-                }
-            }
-            // Allocating macros.
-            "vec" if next_is(b'!') => push(out, Cost::Alloc, "vec![…]".into(), None),
-            "format" if next_is(b'!') => push(out, Cost::Alloc, "format!(…)".into(), None),
-            // Allocating methods; `.collect::<Vec<_>>()` carries a
-            // turbofish, so `(` or `::` both count.
-            _ if ALLOC_METHODS.contains(&text)
-                && prev_is_dot
-                && (next_is(b'(') || next_is(b':')) =>
-            {
-                push(out, Cost::Alloc, format!(".{text}()"), None);
-            }
-            // Growth and drain, matched by receiver: the ident before
-            // the `.` (the field for `self.q.push(…)`); a non-ident
-            // receiver (`)…].push`) stays unmatched and conservative.
-            _ if GROWTH_METHODS.contains(&text) && prev_is_dot && next_is(b'(') => {
-                let recv = recv_name(src, toks, i);
-                growth.push(CostSite {
-                    cost: Cost::ReallocGrowth,
-                    what: format!(
-                        "{}.{text}(…)",
-                        recv.as_deref().unwrap_or("<expr>")
-                    ),
-                    recv,
-                    tok: i,
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-            _ if DRAIN_METHODS.contains(&text)
-                && prev_is_dot
-                && next_is(b'(')
-                && i >= 2
-                && toks[i - 2].kind == TokKind::Ident =>
-            {
-                drained.push(toks[i - 2].text(src));
-            }
-            // Blocking acquisition.
-            _ if BLOCKING_METHODS.contains(&text) && prev_is_dot && next_is(b'(') => {
-                push(out, Cost::Blocking, format!(".{text}()"), None);
-            }
-            "sleep" if path_prefixed(src, toks, i, "thread") && next_is(b'(') => {
-                push(out, Cost::Blocking, "thread::sleep".into(), None);
-            }
-            // Truncating casts: `expr as u32` where the target is a
-            // narrow integer type. Widening casts are never flagged.
-            "as" => {
-                if let Some(nt) = toks.get(i + 1) {
-                    if nt.kind == TokKind::Ident {
-                        if let Some(target) =
-                            NARROW_TARGETS.iter().find(|n| nt.is_ident(src, n))
-                        {
-                            casts.push(CastSite {
-                                target,
-                                tok: i,
-                                line: t.line,
-                                col: t.col,
-                            });
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    // Drain modeling: growth on a receiver that is drained anywhere in
-    // the same function is the recycled-scratch idiom — balanced.
-    out.extend(
-        growth
-            .into_iter()
-            .filter(|g| match g.recv.as_deref() {
-                Some(r) => !drained.contains(&r),
-                None => true,
-            }),
-    );
-}
-
-/// The receiver identifier of a method call at token `i` (`recv.m(…)` or
-/// `path.to.recv.m(…)` → `recv`), if it is a plain identifier.
-fn recv_name(src: &str, toks: &[Token], i: usize) -> Option<String> {
-    let r = toks.get(i.checked_sub(2)?)?;
-    if r.kind == TokKind::Ident {
-        let name = r.text(src);
-        if name != "self" {
-            return Some(name.to_string());
-        }
-    }
-    None
-}
-
-/// Run S113–S117 over the inferred costs, appending findings to `out`.
-pub(crate) fn check_costs(
-    model: &WorkspaceModel,
-    cg: &CallGraph,
-    cfg: &HotPathConfig,
-    out: &mut Vec<Finding>,
-) {
-    if cfg.per_event_roots.is_empty() {
-        return;
-    }
-    let n = model.fns.len();
-    let is_root = |i: FnIdx| {
-        model.is_lib_fn(i) && EffectConfig::matches(&cfg.per_event_roots, &model.fq_name(i))
-    };
-    let roots: Vec<FnIdx> = (0..n).filter(|&i| is_root(i)).collect();
-    if roots.is_empty() {
-        return;
-    }
-    let cm = infer(model, cg);
-
-    // Hot set: forward lib-to-lib closure of the roots.
-    let hot = lib_closure(model, cg, &roots);
-    // Loop context: closure of calls made from inside a hot function's
-    // own loops — per-event code whether or not its body loops.
-    let mut seed: Vec<FnIdx> = Vec::new();
-    for (f, _) in hot.iter().enumerate().filter(|&(_, &h)| h) {
-        let def = &model.fns[f].def;
-        for e in &cg.out[f] {
-            if !model.is_lib_fn(e.to) {
-                continue;
-            }
-            let callee = &model.fns[e.to].def.name;
-            let looped = def.calls.iter().any(|c| {
-                c.line == e.line && c.name == *callee && in_loop(&cm.loops[f], c.tok)
-            });
-            if looped {
-                seed.push(e.to);
-            }
-        }
-    }
-    let ctx = lib_closure(model, cg, &seed);
-    let in_hot_loop =
-        |f: FnIdx, tok: usize| ctx[f] || (hot[f] && in_loop(&cm.loops[f], tok));
-
-    // The per-site rules: which rule a cost kind reports under, plus the
-    // role word and remediation clause for the message.
-    struct Family {
-        rule: &'static str,
-        cost: Cost,
-        loop_scoped: bool,
-        fix: &'static str,
-    }
-    let families = [
-        Family {
-            rule: "S113",
-            cost: Cost::Alloc,
-            loop_scoped: true,
-            fix: "hoist it into a recycled scratch buffer owned by the caller, \
-                  or allowlist with the amortization invariant",
-        },
-        Family {
-            rule: "S114",
-            cost: Cost::ReallocGrowth,
-            loop_scoped: true,
-            fix: "drain the collection at the epoch barrier or allowlist with \
-                  the occupancy bound that caps it",
-        },
-        Family {
-            rule: "S116",
-            cost: Cost::Blocking,
-            loop_scoped: true,
-            fix: "stage the data before the loop or allowlist with the wait \
-                  bound",
-        },
-        Family {
-            rule: "S117",
-            cost: Cost::Recursion,
-            loop_scoped: false,
-            fix: "bound the depth or rewrite iteratively; the hot path needs \
-                  statically bounded stack and work",
-        },
-    ];
-
-    for (f, _) in hot.iter().enumerate().filter(|&(_, &h)| h) {
-        let file = &model.files[model.fns[f].file];
-        for fam in &families {
-            if !cm.intrinsic[f].contains(fam.cost) {
-                continue;
-            }
-            for site in &cm.sites[f] {
-                if site.cost != fam.cost {
-                    continue;
-                }
-                if fam.loop_scoped && !in_hot_loop(f, site.tok) {
-                    continue;
-                }
-                let Some((anc, path)) =
-                    cg.nearest_ancestor_where(f, is_root, |i| model.is_lib_fn(i))
-                else {
-                    continue;
-                };
-                let mut trace: Vec<String> =
-                    path.iter().map(|e| edge_step_eff(model, e)).collect();
-                trace.push(format!(
-                    "{} {} `{}` at {}:{}",
-                    model.fq_name(f),
-                    site.cost.verb(),
-                    site.what,
-                    file.rel,
-                    site.line
-                ));
-                out.push(Finding {
-                    rule: fam.rule,
-                    path: file.rel.clone(),
-                    line: site.line,
-                    col: site.col,
-                    message: format!(
-                        "`{}` ({}) {} hot-path root `{}` ({}); {}",
-                        site.what,
-                        site.cost.name(),
-                        if fam.loop_scoped {
-                            "runs per event inside the hot loop under"
-                        } else {
-                            "is reachable from"
-                        },
-                        model.fq_name(anc),
-                        hops(path.len()),
-                        fam.fix,
-                    ),
-                    snippet: line_text(&file.src, site.line),
-                    trace,
-                });
-            }
-        }
-
-        // S115: truncating casts anywhere in the hot set.
-        for cast in &cm.casts[f] {
-            let Some((anc, path)) =
-                cg.nearest_ancestor_where(f, is_root, |i| model.is_lib_fn(i))
-            else {
-                continue;
-            };
-            let mut trace: Vec<String> = path.iter().map(|e| edge_step_eff(model, e)).collect();
-            trace.push(format!(
-                "{} truncates via `as {}` at {}:{}",
-                model.fq_name(f),
-                cast.target,
-                file.rel,
-                cast.line
-            ));
-            out.push(Finding {
-                rule: "S115",
-                path: file.rel.clone(),
-                line: cast.line,
-                col: cast.col,
-                message: format!(
-                    "`as {}` (truncating cast) is reachable from hot-path root \
-                     `{}` ({}); convert with try_into and a typed \
-                     Error::IdOverflow, or allowlist with the range invariant \
-                     that rules out overflow",
-                    cast.target,
-                    model.fq_name(anc),
-                    hops(path.len()),
-                ),
-                snippet: line_text(&file.src, cast.line),
-                trace,
-            });
-        }
-    }
-}
-
-/// Forward lib-to-lib closure of `seeds` (seeds included), as a
-/// membership vector over all functions.
-fn lib_closure(model: &WorkspaceModel, cg: &CallGraph, seeds: &[FnIdx]) -> Vec<bool> {
-    let mut seen = vec![false; model.fns.len()];
-    let mut stack: Vec<FnIdx> = Vec::new();
-    for &s in seeds {
-        if model.is_lib_fn(s) && !seen[s] {
-            seen[s] = true;
-            stack.push(s);
-        }
-    }
-    while let Some(u) = stack.pop() {
-        for e in &cg.out[u] {
-            if model.is_lib_fn(e.to) && !seen[e.to] {
-                seen[e.to] = true;
-                stack.push(e.to);
-            }
-        }
-    }
-    seen
-}
-
-/// `"N calls away"` for trace messages, or `"in its own body"` when the
-/// site sits in the root itself.
-fn hops(n: usize) -> String {
+/// `"N calls away"` for messages, or `"in its own body"` when the site
+/// sits in the root itself.
+pub(crate) fn hops(n: usize) -> String {
     match n {
         0 => "in its own body".to_string(),
         1 => "1 call away".to_string(),
@@ -741,37 +204,9 @@ fn hops(n: usize) -> String {
     }
 }
 
-fn line_text(src: &str, line: u32) -> String {
-    src.lines()
-        .nth(line as usize - 1)
-        .unwrap_or("")
-        .trim()
-        .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cost_set_ops() {
-        let s = CostSet::of(Cost::Alloc).union(CostSet::of(Cost::Blocking));
-        assert!(s.contains(Cost::Alloc));
-        assert!(s.contains(Cost::Blocking));
-        assert!(!s.contains(Cost::Recursion));
-        assert!(CostSet::EMPTY.is_empty());
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn fixpoint_delegates_and_converges() {
-        // 0 → 1 → 2 → 1 (cycle), intrinsic only on 2.
-        let out = vec![vec![1], vec![2], vec![1]];
-        let intr = vec![0u16, 0, 0b1];
-        let eff = fixpoint(&out, &intr, &[0, 1, 2]);
-        assert_eq!(eff, vec![0b1, 0b1, 0b1]);
-        assert_eq!(fixpoint(&out, &intr, &[2, 1, 0]), eff);
-    }
 
     #[test]
     fn reaches_detects_cycles_and_dead_ends() {

@@ -2,13 +2,13 @@
 //! stream and the parser's body spans.
 //!
 //! The cost rules (S113–S117, see [`crate::costs`]) need to know whether
-//! a call or an intrinsic site executes *inside a loop* of its enclosing
-//! function: an allocation that runs once per epoch is amortized, the
-//! same allocation inside the per-event scan loop is a per-event cost.
-//! The parser already tracks a loop stack while scanning bodies (for the
+//! a call or a site executes *inside a loop* of its enclosing function:
+//! an allocation that runs once per epoch is amortized, the same
+//! allocation inside the per-event scan loop is a per-event cost. The
+//! parser already tracks a loop stack while scanning bodies (for the
 //! float-reduction rule) but discards the spans; this pass re-derives
-//! them as token-index ranges so later passes can test containment the
-//! same way effect-intrinsic collection tests `FnDef::body`.
+//! them as token-index ranges, tested for containment the same way
+//! `FnDef::body` is.
 //!
 //! Recovery mirrors the parser's approximation exactly: a `for` /
 //! `while` / `loop` keyword arms the *next* brace that opens one level
@@ -80,11 +80,10 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
     use crate::parser;
-    use crate::rules::test_line_spans_for;
 
     fn spans_of(src: &str, fn_name: &str) -> (Vec<Token>, Vec<LoopSpan>) {
         let toks = lex(src);
-        let parsed = parser::parse(src, &test_line_spans_for(src));
+        let parsed = parser::parse(src, &toks, &[]);
         let def = parsed
             .fns
             .iter()

@@ -1,15 +1,18 @@
 //! The `sybil-lint` CLI.
 //!
 //! ```text
-//! sybil-lint --workspace [--format human|json|sarif] [--root DIR]
+//! sybil-lint --workspace [--format human|json] [--root DIR]
 //!            [--allowlist FILE | --no-allowlist] [--fix-allowlist]
 //!            [--list-rules] [--explain CODE] [PATH...]
 //! ```
 //!
-//! `--workspace` runs the token rules (D-series) *and* the semantic
-//! call-graph rules (S-series); explicit `PATH` arguments alone run only
-//! the token rules, since S-rules need every file to resolve calls.
-//! `--explain CODE` prints the full rationale for one rule.
+//! `--workspace` runs every rule; explicit `PATH` arguments alone run
+//! the per-file rules and the site rules over the call graph those
+//! files provide — S102–S108 need every file, to resolve calls and to
+//! know who names an export. `--explain CODE` prints the full rationale
+//! for one rule. `--no-allowlist` reports the `[[allow]]`-suppressed
+//! findings as violations; the root tables of lint.toml stay in force
+//! (they say what the rules mean, not what they excuse).
 //! `--fix-allowlist` deletes lint.toml entries that matched nothing
 //! (byte-identical rewrite when none are stale).
 //!
@@ -27,7 +30,6 @@ use sybil_lint::{allowlist, report, rules};
 enum Format {
     Human,
     Json,
-    Sarif,
 }
 
 struct Args {
@@ -42,7 +44,7 @@ struct Args {
     paths: Vec<PathBuf>,
 }
 
-const USAGE: &str = "usage: sybil-lint [--workspace] [--format human|json|sarif] [--root DIR] \
+const USAGE: &str = "usage: sybil-lint [--workspace] [--format human|json] [--root DIR] \
                      [--allowlist FILE] [--no-allowlist] [--fix-allowlist] [--list-rules] \
                      [--explain CODE] [PATH...]";
 
@@ -72,8 +74,7 @@ fn parse_args() -> Result<Args, String> {
             "--format" => match it.next().as_deref() {
                 Some("json") => args.format = Format::Json,
                 Some("human") => args.format = Format::Human,
-                Some("sarif") => args.format = Format::Sarif,
-                other => return Err(format!("--format expects human|json|sarif, got {other:?}")),
+                other => return Err(format!("--format expects human|json, got {other:?}")),
             },
             "--root" => {
                 args.root = Some(PathBuf::from(
@@ -110,24 +111,21 @@ fn main() -> ExitCode {
         }
     };
     if args.list_rules {
-        for code in rules::ALL_RULES.iter().chain(rules::SEM_RULES.iter()) {
-            println!("{code}  {}", rules::rule_summary(code));
+        for rule in &rules::RULES {
+            println!("{}  {}", rule.code, rule.summary);
         }
         return ExitCode::SUCCESS;
     }
     if let Some(code) = &args.explain {
         let code = code.to_uppercase();
-        match rules::rule_explanation(&code) {
-            Some(text) => {
-                println!("{text}");
+        match rules::rule(&code) {
+            Some(rule) => {
+                println!("{}", rule.explain);
                 return ExitCode::SUCCESS;
             }
             None => {
-                eprintln!(
-                    "sybil-lint: unknown rule {code:?} (known: {} / {})",
-                    rules::ALL_RULES.join(" "),
-                    rules::SEM_RULES.join(" ")
-                );
+                let known: Vec<&str> = rules::RULES.iter().map(|r| r.code).collect();
+                eprintln!("sybil-lint: unknown rule {code:?} (known: {})", known.join(" "));
                 return ExitCode::from(2);
             }
         }
@@ -178,33 +176,33 @@ fn main() -> ExitCode {
         });
     }
 
-    // Load the allowlist (default <root>/lint.toml; absence is fine).
+    // Load lint.toml (default <root>/lint.toml; absence is fine).
     let allow_path = args
         .allowlist
         .clone()
         .unwrap_or_else(|| root.join("lint.toml"));
     let mut allow_content = String::new();
-    let allow = if args.no_allowlist {
-        allowlist::Allowlist::default()
-    } else {
-        match std::fs::read_to_string(&allow_path) {
-            Ok(content) => match allowlist::parse(&content) {
-                Ok(a) => {
-                    allow_content = content;
-                    a
-                }
-                Err(e) => {
-                    eprintln!("sybil-lint: {}: {e}", display(&allow_path));
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) if args.allowlist.is_none() => allowlist::Allowlist::default(),
+    let mut allow = match std::fs::read_to_string(&allow_path) {
+        Ok(content) => match allowlist::parse(&content) {
+            Ok(a) => {
+                allow_content = content;
+                a
+            }
             Err(e) => {
-                eprintln!("sybil-lint: cannot read {}: {e}", display(&allow_path));
+                eprintln!("sybil-lint: {}: {e}", display(&allow_path));
                 return ExitCode::from(2);
             }
+        },
+        Err(_) if args.allowlist.is_none() => allowlist::Allowlist::default(),
+        Err(e) => {
+            eprintln!("sybil-lint: cannot read {}: {e}", display(&allow_path));
+            return ExitCode::from(2);
         }
     };
+    if args.no_allowlist {
+        // Drop the suppressions only: the root tables are configuration.
+        allow.entries.clear();
+    }
 
     let run = if args.workspace {
         workspace::run_workspace
@@ -241,7 +239,6 @@ fn main() -> ExitCode {
 
     match args.format {
         Format::Json => print!("{}", report::render_json(&rep)),
-        Format::Sarif => print!("{}", sybil_lint::sarif::render_sarif(&rep)),
         Format::Human => print!("{}", report::render_human(&rep)),
     }
     if rep.is_clean() {

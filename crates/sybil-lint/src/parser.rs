@@ -1,25 +1,26 @@
 //! Item-level Rust parser on top of the token [`lexer`](crate::lexer).
 //!
 //! This is not a grammar-complete parser — it extracts exactly the item
-//! structure the semantic rules (S101–S105) need from one file:
+//! structure the rules need from one file:
 //!
+//! * the line spans of test-only code (`#[cfg(test)]` / `#[test]` items),
 //! * function definitions with visibility, enclosing module path, and
 //!   enclosing `impl` type,
 //! * call expressions inside each function body (free calls, `path::`
 //!   calls, and `.method()` calls, including turbofish forms),
-//! * panic sites (`unwrap`/`expect`/panic-family macros) and guard-free
-//!   indexing sites,
 //! * floating-point reduction sites (`sum`/`product`/`fold`, and `+=` /
 //!   `*=` inside loops, in functions with float evidence),
-//! * `par::` parallel-map call sites together with the mutable state and
-//!   RNG handles their closure arguments capture,
+//! * `par::` parallel-map call sites and their argument spans,
 //! * non-`fn` `pub` items (structs, enums, traits, consts, …) for the
-//!   dead-export analysis.
+//!   dead-export analysis,
+//! * the file's leaf-pattern [`Site`]s, scanned by [`crate::sites`] once
+//!   the function bodies are known.
 //!
 //! Everything is resolved later against the whole workspace by
 //! [`symbols`](crate::symbols) and [`callgraph`](crate::callgraph).
 
-use crate::lexer::{lex, TokKind, Token};
+use crate::lexer::{TokKind, Token};
+use crate::sites::{self, Site};
 
 /// Visibility of an item as written at its definition site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,33 +51,6 @@ pub struct Call {
     pub col: u32,
 }
 
-/// What kind of potential panic a [`PanicSite`] is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `.unwrap()`.
-    Unwrap,
-    /// `.expect(…)`.
-    Expect,
-    /// `panic!` / `todo!` / `unimplemented!` / `unreachable!` / `assert!`-family is *not* counted.
-    Macro,
-    /// `x[i]` indexing in a function with no guard evidence at all.
-    Index,
-}
-
-/// One potential panic site inside a function body.
-#[derive(Clone, Debug)]
-pub struct PanicSite {
-    /// What shape of panic this is.
-    pub kind: PanicKind,
-    /// Token text that identifies the site (`unwrap`, `panic`, the indexed
-    /// name, …).
-    pub what: String,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-}
-
 /// One floating-point reduction site inside a function body.
 #[derive(Clone, Debug)]
 pub struct ReductionSite {
@@ -93,32 +67,27 @@ pub struct ReductionSite {
     pub col: u32,
 }
 
-/// A captured binding observed inside a closure passed to a `par::` call.
-#[derive(Clone, Debug)]
-pub struct Capture {
-    /// The captured identifier.
-    pub name: String,
-    /// `"&mut"` or `"rng"` — how the capture was detected.
-    pub how: &'static str,
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-}
-
 /// One `par::map*` / `par::sweep*` call site.
 #[derive(Clone, Debug)]
 pub struct ParCall {
     /// The entry-point name (`map_indexed`, `map_slice`, …).
     pub entry: String,
-    /// Token index range `(open, close)` of the argument parentheses.
-    pub args: (usize, usize),
-    /// Mutable state / RNG handles captured from outside the closures.
-    pub captures: Vec<Capture>,
+    /// Token spans `(open, close)` whose inside runs under the entry: the
+    /// argument parentheses, and the body of each closure the enclosing
+    /// function `let`-binds and passes by name (`let scan_one = |s| …;
+    /// par::map_owned(shards, scan_one)`).
+    pub bodies: Vec<(usize, usize)>,
     /// 1-based line of the entry-point name.
     pub line: u32,
     /// 1-based column.
     pub col: u32,
+}
+
+impl ParCall {
+    /// Does token `tok` sit inside a closure passed to this entry?
+    pub(crate) fn holds(&self, tok: usize) -> bool {
+        self.bodies.iter().any(|&(a, b)| tok > a && tok < b)
+    }
 }
 
 /// A function definition extracted from one file.
@@ -137,22 +106,17 @@ pub struct FnDef {
     pub line: u32,
     /// Calls made in the body, in source order.
     pub calls: Vec<Call>,
-    /// Potential panic sites in the body.
-    pub panics: Vec<PanicSite>,
     /// Floating-point reduction sites in the body.
     pub reductions: Vec<ReductionSite>,
     /// `par::` parallel-map call sites in the body.
     pub par_calls: Vec<ParCall>,
     /// The body mentions `f32`/`f64` or a float literal.
     pub float_evidence: bool,
-    /// The body contains bounds-guard evidence (asserts, `len`, `get`,
-    /// `min`, `clamp`, `position`, …) — suppresses `Index` panic sites.
-    pub has_guard: bool,
     /// The definition sits inside `#[cfg(test)]` / `#[test]` code.
     pub in_test: bool,
     /// Token-index span `(open, close)` of the body braces in the file's
-    /// token stream — lets later passes (effect-intrinsic collection)
-    /// re-lex the file and attribute token patterns to this function.
+    /// token stream: a site or a loop belongs to this function when its
+    /// token index falls strictly inside.
     pub body: (usize, usize),
 }
 
@@ -184,30 +148,10 @@ pub struct ParsedFile {
     /// Identifiers occurring inside `#[cfg(test)]`/`#[test]` spans
     /// (deduplicated, sorted) — inline unit tests keep exports alive.
     pub test_idents: Vec<String>,
+    /// Leaf-pattern sites of the non-test code, in token order.
+    pub(crate) sites: Vec<Site>,
 }
 
-/// Bodies containing any of these identifiers are considered
-/// bounds-guarded, suppressing `Index` panic sites. Deliberately broad:
-/// S101's indexing arm only exists to catch *completely* unguarded
-/// accessors.
-const GUARD_IDENTS: [&str; 14] = [
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-    "len",
-    "get",
-    "get_mut",
-    "min",
-    "clamp",
-    "position",
-    "is_empty",
-    "resize",
-];
-
-const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unimplemented", "unreachable"];
 
 /// Keywords that look like calls (`if (…)`, `match (…)`) but are not.
 const NON_CALL_KEYWORDS: [&str; 14] = [
@@ -215,21 +159,86 @@ const NON_CALL_KEYWORDS: [&str; 14] = [
     "where", "impl",
 ];
 
-/// Keywords that may directly precede `[` without the bracket being an
-/// index expression (`for x in [...]`, `return [...]`, `&mut [...]`).
-const EXPR_KEYWORDS: [&str; 10] = [
-    "in", "return", "if", "else", "match", "break", "mut", "ref", "move", "const",
-];
-
 /// The `osn_graph::par` entry points whose closures cross the thread
 /// boundary.
-const PAR_ENTRIES: [&str; 3] = ["map_indexed", "map_indexed_with", "map_slice"];
+const PAR_ENTRIES: [&str; 4] = ["map_indexed", "map_indexed_with", "map_owned", "map_slice"];
 
-/// Parse one file. `test_spans` are the `#[cfg(test)]`/`#[test]` line
-/// ranges computed by the token rules (shared so both layers agree on
-/// what counts as test code).
-pub fn parse(src: &str, test_spans: &[(u32, u32)]) -> ParsedFile {
-    let toks = lex(src);
+/// Compute the (start, end) line spans of test-only code: items annotated
+/// `#[cfg(test)]` or `#[test]`, including whole `mod tests { ... }` blocks.
+pub fn test_line_spans(src: &str, toks: &[Token]) -> Vec<(u32, u32)> {
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i + 1 < toks.len() {
+        if toks[i].is_punct(b'#') && toks[i + 1].is_punct(b'[') {
+            // Collect the attribute's tokens up to the matching `]`.
+            let mut j = i + 2;
+            let mut depth = 1usize;
+            let mut attr_idents: Vec<&str> = Vec::new();
+            while j < toks.len() && depth > 0 {
+                match toks[j].kind {
+                    TokKind::Punct(b'[') => depth += 1,
+                    TokKind::Punct(b']') => depth -= 1,
+                    TokKind::Ident => attr_idents.push(toks[j].text(src)),
+                    _ => {}
+                }
+                j += 1;
+            }
+            let is_test_attr = attr_idents.first() == Some(&"test")
+                || (attr_idents.first() == Some(&"cfg") && attr_idents.contains(&"test"));
+            if is_test_attr {
+                // The annotated item runs to its closing brace (or `;`).
+                let start_line = toks[i].line;
+                let mut k = j;
+                let mut end_line = start_line;
+                // Skip any further attributes between this one and the item.
+                while k + 1 < toks.len() && toks[k].is_punct(b'#') && toks[k + 1].is_punct(b'[') {
+                    let mut d = 1usize;
+                    k += 2;
+                    while k < toks.len() && d > 0 {
+                        match toks[k].kind {
+                            TokKind::Punct(b'[') => d += 1,
+                            TokKind::Punct(b']') => d -= 1,
+                            _ => {}
+                        }
+                        k += 1;
+                    }
+                }
+                while k < toks.len() {
+                    if toks[k].is_punct(b';') {
+                        end_line = toks[k].line;
+                        break;
+                    }
+                    if toks[k].is_punct(b'{') {
+                        let mut d = 1usize;
+                        let mut m = k + 1;
+                        while m < toks.len() && d > 0 {
+                            match toks[m].kind {
+                                TokKind::Punct(b'{') => d += 1,
+                                TokKind::Punct(b'}') => d -= 1,
+                                _ => {}
+                            }
+                            m += 1;
+                        }
+                        end_line = toks[m.saturating_sub(1).min(toks.len() - 1)].line;
+                        break;
+                    }
+                    k += 1;
+                }
+                spans.push((start_line, end_line));
+                i = j;
+                continue;
+            }
+            i = j;
+            continue;
+        }
+        i += 1;
+    }
+    spans
+}
+
+/// Parse one file from its tokens; `test_spans` are its
+/// [`test_line_spans`].
+pub fn parse(src: &str, toks: &[Token], test_spans: &[(u32, u32)]) -> ParsedFile {
     let in_test = |line: u32| test_spans.iter().any(|&(a, b)| line >= a && line <= b);
     let mut out = ParsedFile::default();
 
@@ -289,7 +298,7 @@ pub fn parse(src: &str, test_spans: &[(u32, u32)]) -> ParsedFile {
                         i += 1;
                     }
                     "impl" => {
-                        if let Some((ty, body_open)) = impl_self_type(src, &toks, i) {
+                        if let Some((ty, body_open)) = impl_self_type(src, toks, i) {
                             impls.push((ty, depth + 1));
                             depth += 1;
                             i = body_open + 1;
@@ -298,7 +307,7 @@ pub fn parse(src: &str, test_spans: &[(u32, u32)]) -> ParsedFile {
                         }
                     }
                     "fn" => {
-                        let (def, next) = parse_fn(src, &toks, i, &mods, &impls, &in_test);
+                        let (def, next) = parse_fn(src, toks, i, &mods, &impls, &in_test);
                         if let Some(def) = def {
                             out.fns.push(def);
                         }
@@ -317,7 +326,7 @@ pub fn parse(src: &str, test_spans: &[(u32, u32)]) -> ParsedFile {
                                     out.items.push(ItemDef {
                                         kind: text.to_string(),
                                         name: name_tok.text(src).to_string(),
-                                        vis: visibility(src, &toks, i),
+                                        vis: visibility(src, toks, i),
                                         line: t.line,
                                         in_test: in_test(t.line),
                                     });
@@ -332,6 +341,7 @@ pub fn parse(src: &str, test_spans: &[(u32, u32)]) -> ParsedFile {
             _ => i += 1,
         }
     }
+    out.sites = sites::scan(src, toks, &in_test, &out.fns);
     out
 }
 
@@ -510,11 +520,9 @@ fn parse_fn(
         vis: visibility(src, toks, fn_idx),
         line: toks[fn_idx].line,
         calls: Vec::new(),
-        panics: Vec::new(),
         reductions: Vec::new(),
         par_calls: Vec::new(),
         float_evidence: false,
-        has_guard: false,
         in_test: in_test(toks[fn_idx].line),
         body: (open, close),
     };
@@ -522,12 +530,11 @@ fn parse_fn(
     (Some(def), close + 1)
 }
 
-/// Walk a function body's tokens collecting calls, panic sites, float
-/// reductions, and `par::` call sites.
+/// Walk a function body's tokens collecting calls, float reductions, and
+/// `par::` call sites.
 fn scan_body(src: &str, toks: &[Token], open: usize, close: usize, def: &mut FnDef) {
     let mut loop_stack: Vec<i32> = Vec::new(); // brace depth of loop bodies
     let mut depth = 0i32;
-    let mut index_sites: Vec<(String, u32, u32)> = Vec::new();
     let mut i = open;
     while i <= close && i < toks.len() {
         let t = &toks[i];
@@ -537,44 +544,6 @@ fn scan_body(src: &str, toks: &[Token], open: usize, close: usize, def: &mut FnD
                 depth -= 1;
                 while loop_stack.last().is_some_and(|&d| d > depth) {
                     loop_stack.pop();
-                }
-            }
-            TokKind::Punct(b'[') => {
-                // Indexing: previous token ends an expression. `#[…]`
-                // attributes are excluded by the `#` check; a keyword
-                // before `[` means an array literal, not indexing.
-                let prev = i.checked_sub(1).map(|p| &toks[p]);
-                let indexes = prev.is_some_and(|p| {
-                    matches!(p.kind, TokKind::Ident | TokKind::Punct(b')') | TokKind::Punct(b']'))
-                        && !EXPR_KEYWORDS.iter().any(|k| p.is_ident(src, k))
-                });
-                if indexes {
-                    // Only *computed* indices (arithmetic inside the
-                    // brackets — the off-by-one class) count as panic
-                    // sites. Plain `v[i]` lookups are the NodeId-indexing
-                    // idiom whose bounds the container's constructor
-                    // established; flagging them would drown the report.
-                    let mut j = i + 1;
-                    let mut d = 1;
-                    let mut computed = false;
-                    while j <= close && j < toks.len() && d > 0 {
-                        match toks[j].kind {
-                            TokKind::Punct(b'[') => d += 1,
-                            TokKind::Punct(b']') => d -= 1,
-                            TokKind::Punct(b'+' | b'-' | b'*' | b'/' | b'%') if d == 1 => {
-                                computed = true
-                            }
-                            _ => {}
-                        }
-                        j += 1;
-                    }
-                    if computed {
-                        let what = prev
-                            .filter(|p| p.kind == TokKind::Ident)
-                            .map(|p| p.text(src).to_string())
-                            .unwrap_or_else(|| "<expr>".to_string());
-                        index_sites.push((what, t.line, t.col));
-                    }
                 }
             }
             TokKind::Punct(b'+') | TokKind::Punct(b'*')
@@ -608,41 +577,11 @@ fn scan_body(src: &str, toks: &[Token], open: usize, close: usize, def: &mut FnD
                 if text == "f32" || text == "f64" {
                     def.float_evidence = true;
                 }
-                if GUARD_IDENTS.contains(&text) {
-                    def.has_guard = true;
-                }
                 if text == "for" || text == "while" || text == "loop" {
                     // The loop body opens at the next depth level.
                     loop_stack.push(depth + 1);
                 }
-                // Panic macros.
-                if PANIC_MACROS.contains(&text)
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct(b'!'))
-                {
-                    def.panics.push(PanicSite {
-                        kind: PanicKind::Macro,
-                        what: format!("{text}!"),
-                        line: t.line,
-                        col: t.col,
-                    });
-                }
-                // Method-style panic sites.
                 let is_method = i >= 1 && toks[i - 1].is_punct(b'.');
-                if is_method
-                    && (text == "unwrap" || text == "expect")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct(b'('))
-                {
-                    def.panics.push(PanicSite {
-                        kind: if text == "unwrap" {
-                            PanicKind::Unwrap
-                        } else {
-                            PanicKind::Expect
-                        },
-                        what: format!(".{text}()"),
-                        line: t.line,
-                        col: t.col,
-                    });
-                }
                 // Calls: `name(`, `name::<T>(`, `path::name(`, `.name(`.
                 let mut call_paren = None;
                 if toks.get(i + 1).is_some_and(|n| n.is_punct(b'(')) {
@@ -703,17 +642,21 @@ fn scan_body(src: &str, toks: &[Token], open: usize, close: usize, def: &mut FnD
                             });
                         }
                         let path = if method { Vec::new() } else { path_before(src, toks, i) };
-                        // `par::map_*` entry points get closure-capture
-                        // analysis over their argument span.
+                        // `par::map_*` entry points: the argument span is
+                        // where the closure body sits.
                         if !method
                             && PAR_ENTRIES.contains(&text)
                             && path.last().is_some_and(|p| p == "par")
                         {
-                            let close_paren = matching_paren(toks, paren);
+                            let args = (paren, matching_paren(toks, paren));
+                            let mut bodies = vec![args];
+                            bodies.extend(
+                                bare_args(toks, args)
+                                    .filter_map(|a| bound_closure(src, toks, open, i, toks[a].text(src))),
+                            );
                             def.par_calls.push(ParCall {
                                 entry: text.to_string(),
-                                args: (paren, close_paren),
-                                captures: closure_captures(src, toks, paren, close_paren),
+                                bodies,
                                 line: t.line,
                                 col: t.col,
                             });
@@ -733,17 +676,6 @@ fn scan_body(src: &str, toks: &[Token], open: usize, close: usize, def: &mut FnD
         }
         i += 1;
     }
-    if !def.has_guard {
-        for (what, line, col) in index_sites {
-            def.panics.push(PanicSite {
-                kind: PanicKind::Index,
-                what: format!("{what}[…]"),
-                line,
-                col,
-            });
-        }
-        def.panics.sort_by_key(|a| (a.line, a.col));
-    }
 }
 
 /// Path segments written before the ident at `idx` (`a::b::name` → `[a, b]`).
@@ -759,6 +691,53 @@ fn path_before(src: &str, toks: &[Token], idx: usize) -> Vec<String> {
     }
     segs.reverse();
     segs
+}
+
+/// The identifiers that are a whole argument of the call spanning
+/// `(open, close)`, or of a call nested in it (a closure handed on from
+/// inside the par closure runs under the entry all the same), as token
+/// indices.
+fn bare_args(toks: &[Token], (open, close): (usize, usize)) -> impl Iterator<Item = usize> + '_ {
+    let windows = toks[open..=close].windows(3).enumerate();
+    windows.filter_map(move |(k, w)| {
+        let bare = w[1].kind == TokKind::Ident
+            && (w[0].is_punct(b'(') || w[0].is_punct(b','))
+            && (w[2].is_punct(b',') || w[2].is_punct(b')'));
+        bare.then_some(open + k + 1)
+    })
+}
+
+/// The body span of the closure `name` is bound to by the last
+/// `let [mut] name = [move] |…| …;` between tokens `from` and `upto`:
+/// from the opening `|` to the statement's `;`.
+fn bound_closure(
+    src: &str,
+    toks: &[Token],
+    from: usize,
+    upto: usize,
+    name: &str,
+) -> Option<(usize, usize)> {
+    let pipe = (from..upto).rev().find_map(|l| {
+        // `let name = |` once the optional keywords are set aside.
+        let mut sig =
+            (l..upto).filter(|&j| !toks[j].is_ident(src, "mut") && !toks[j].is_ident(src, "move"));
+        let (kw, bound, eq, pipe) = (sig.next()?, sig.next()?, sig.next()?, sig.next()?);
+        (toks[kw].is_ident(src, "let")
+            && toks[bound].is_ident(src, name)
+            && toks[eq].is_punct(b'=')
+            && toks[pipe].is_punct(b'|'))
+        .then_some(pipe)
+    })?;
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().take(upto).skip(pipe) {
+        match t.kind {
+            TokKind::Punct(b'(' | b'[' | b'{') => depth += 1,
+            TokKind::Punct(b')' | b']' | b'}') => depth -= 1,
+            TokKind::Punct(b';') if depth == 0 => return Some((pipe, j)),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Index of the `)` matching the `(` at `open`.
@@ -777,105 +756,15 @@ fn matching_paren(toks: &[Token], open: usize) -> usize {
     toks.len().saturating_sub(1)
 }
 
-/// Analyze the argument span of a `par::` call for mutable state and RNG
-/// handles captured from the enclosing scope.
-///
-/// Locals are approximated as: closure parameters (idents between `|…|`
-/// pairs), `let` bindings inside the span, and `for` loop variables. Any
-/// `&mut NAME` or `NAME.method(…)` where `NAME` looks like an RNG
-/// (contains "rng") referring to a non-local is reported.
-fn closure_captures(src: &str, toks: &[Token], open: usize, close: usize) -> Vec<Capture> {
-    let mut locals: Vec<&str> = Vec::new();
-    let mut i = open;
-    while i < close {
-        let t = &toks[i];
-        if t.is_punct(b'|') {
-            // Closure parameter list: idents up to the next `|`.
-            let mut j = i + 1;
-            while j < close && !toks[j].is_punct(b'|') {
-                if toks[j].kind == TokKind::Ident && !toks[j].is_ident(src, "mut") {
-                    locals.push(toks[j].text(src));
-                }
-                j += 1;
-            }
-            i = j + 1;
-            continue;
-        }
-        if t.is_ident(src, "let") {
-            let mut j = i + 1;
-            if toks.get(j).is_some_and(|x| x.is_ident(src, "mut")) {
-                j += 1;
-            }
-            // Bind simple and tuple patterns: idents up to `=` or `:`.
-            while j < close
-                && !toks[j].is_punct(b'=')
-                && !toks[j].is_punct(b';')
-                && j - i < 16
-            {
-                if toks[j].kind == TokKind::Ident && !toks[j].is_ident(src, "mut") {
-                    locals.push(toks[j].text(src));
-                }
-                j += 1;
-            }
-        }
-        if t.is_ident(src, "for") {
-            let mut j = i + 1;
-            while j < close && !toks[j].is_ident(src, "in") && j - i < 16 {
-                if toks[j].kind == TokKind::Ident {
-                    locals.push(toks[j].text(src));
-                }
-                j += 1;
-            }
-        }
-        i += 1;
-    }
-
-    let mut out = Vec::new();
-    for i in open..close {
-        let t = &toks[i];
-        // `& mut NAME`
-        if t.is_punct(b'&')
-            && toks.get(i + 1).is_some_and(|x| x.is_ident(src, "mut"))
-            && toks.get(i + 2).is_some_and(|x| x.kind == TokKind::Ident)
-        {
-            let name = toks[i + 2].text(src);
-            if !locals.contains(&name) {
-                out.push(Capture {
-                    name: name.to_string(),
-                    how: "&mut",
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-        }
-        // `NAME.method(` where NAME contains "rng"
-        if t.kind == TokKind::Ident
-            && t.text(src).to_ascii_lowercase().contains("rng")
-            && toks.get(i + 1).is_some_and(|x| x.is_punct(b'.'))
-            && toks.get(i + 2).is_some_and(|x| x.kind == TokKind::Ident)
-            && toks.get(i + 3).is_some_and(|x| x.is_punct(b'('))
-        {
-            let name = t.text(src);
-            if !locals.contains(&name) {
-                out.push(Capture {
-                    name: name.to_string(),
-                    how: "rng",
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::test_line_spans_for;
+    use crate::lexer::lex;
+    use crate::sites::SiteKind;
 
     fn parse_src(src: &str) -> ParsedFile {
-        parse(src, &test_line_spans_for(src))
+        let toks = lex(src);
+        parse(src, &toks, &test_line_spans(src, &toks))
     }
 
     #[test]
@@ -924,13 +813,17 @@ mod tests {
                    fn plain(v: &[u32], i: usize) -> u32 { v[i] }\n\
                    fn lit() -> u32 { let mut s = 0; for x in [1, 2] { s += x; } s }\n";
         let p = parse_src(src);
-        assert_eq!(p.fns[0].panics.len(), 1);
-        assert_eq!(p.fns[0].panics[0].kind, PanicKind::Index);
-        assert!(p.fns[1].panics.is_empty(), "len() guard suppresses indexing");
-        assert_eq!(p.fns[2].panics[0].kind, PanicKind::Unwrap);
-        assert_eq!(p.fns[3].panics[0].kind, PanicKind::Macro);
-        assert!(p.fns[4].panics.is_empty(), "plain v[i] is not a panic site");
-        assert!(p.fns[5].panics.is_empty(), "array literal after `in` is not indexing");
+        let kinds = |f: usize| -> Vec<SiteKind> {
+            let (open, close) = p.fns[f].body;
+            let inside = p.sites.iter().filter(|s| s.tok > open && s.tok < close);
+            inside.map(|s| s.kind).collect()
+        };
+        assert_eq!(kinds(0), [SiteKind::PanicIndex]);
+        assert!(kinds(1).is_empty(), "len() guard suppresses indexing");
+        assert_eq!(kinds(2), [SiteKind::PanicCall]);
+        assert_eq!(kinds(3), [SiteKind::PanicMacro]);
+        assert!(kinds(4).is_empty(), "plain v[i] is not a panic site");
+        assert!(kinds(5).is_empty(), "array literal after `in` is not indexing");
     }
 
     #[test]
@@ -952,15 +845,27 @@ mod tests {
         let src = "fn f(n: usize, rng: &mut R) -> Vec<u32> {\n\
                    par::map_indexed(n, |i| { let mut acc = 0; acc += i; rng.next(acc) })\n\
                    }\n\
-                   fn ok(n: usize) -> Vec<usize> { par::map_indexed(n, |i| { let mut v = vec![]; v.push(i); v.len() }) }\n";
+                   fn by_name(v: Vec<u32>) -> Vec<u32> {\n\
+                   let other = |x: u32| inert(x);\n\
+                   let one = move |x: u32| { step(x) };\n\
+                   after(); par::map_owned(v, one)\n\
+                   }\n";
         let p = parse_src(src);
+        let call = |f: usize, name: &str| {
+            p.fns[f].calls.iter().find(|c| c.name == name).unwrap_or_else(|| panic!("{name}")).tok
+        };
         assert_eq!(p.fns[0].par_calls.len(), 1);
         let pc = &p.fns[0].par_calls[0];
         assert_eq!(pc.entry, "map_indexed");
-        assert_eq!(pc.captures.len(), 1);
-        assert_eq!(pc.captures[0].name, "rng");
-        assert_eq!(pc.captures[0].how, "rng");
-        assert!(p.fns[1].par_calls[0].captures.is_empty());
+        // The argument span holds the closure body.
+        assert!(pc.holds(call(0, "next")));
+        // A closure bound by `let` and passed by name: its body is under
+        // the entry, the other binding and the code around are not.
+        let pc = &p.fns[1].par_calls[0];
+        assert_eq!(pc.entry, "map_owned");
+        assert_eq!(pc.bodies.len(), 2);
+        assert!(pc.holds(call(1, "step")));
+        assert!(!pc.holds(call(1, "inert")) && !pc.holds(call(1, "after")));
     }
 
     #[test]

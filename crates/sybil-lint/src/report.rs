@@ -12,7 +12,7 @@ use crate::allowlist::AllowEntry;
 /// One rule violation at a specific source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule code (`D001`…`D006`).
+    /// Rule code, a row of [`crate::rules::RULES`].
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub path: String,
@@ -24,7 +24,7 @@ pub struct Finding {
     pub message: String,
     /// The trimmed source line the finding points at.
     pub snippet: String,
-    /// Call-chain explanation (semantic rules only; empty for D-rules).
+    /// Call-chain explanation (empty for the per-file D-rules).
     /// Each entry is one step, e.g. `a::entry calls a::helper at src/lib.rs:3`.
     pub trace: Vec<String>,
 }
@@ -155,9 +155,8 @@ where
     }
 }
 
-/// Escape a string for JSON output. Shared with the SARIF renderer so
-/// every machine format escapes identically.
-pub(crate) fn json_str(s: &str) -> String {
+/// Escape a string for JSON output.
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -1,124 +1,29 @@
-//! The semantic S-series rules (S101–S104, S106–S108) over the
-//! workspace model.
+//! The semantic rules that are not site rules: S102, S104, S107, S108.
 //!
-//! Unlike the token rules (D001–D006), which judge one file at a time,
-//! these rules need the whole-workspace [`WorkspaceModel`] and
-//! [`CallGraph`]: panic *reachability*, parallel-boundary *escape*, and
-//! dead-*export* analysis are all cross-file properties, and S106's
-//! sanctioned-location exemption is a workspace-layout judgment. Every
-//! call-graph finding carries a trace explaining, edge by edge, why the
-//! rule fired. S105 (allowlist staleness) lives in
+//! Unlike the per-file judgments, these need the whole-workspace
+//! [`WorkspaceModel`]: which closures cross the `par::` boundary and what
+//! they reach, and who names an export, are cross-file properties (S107
+//! and S108 judge one file at a time; they sit here with the rules that
+//! run under `--workspace` only). The reachability rules carry a trace
+//! explaining, edge by edge, why they fired. The site
+//! rules (S101, S109–S119) are rows of [`crate::rules::RULES`]; S105
+//! (allowlist staleness) lives in
 //! [`workspace::run_workspace`](crate::workspace::run_workspace) because
 //! it judges the allowlist itself, not the source.
 
-use crate::callgraph::{CallGraph, Edge};
-use crate::costs::HotPathConfig;
-use crate::effects::EffectConfig;
-use crate::lexer::lex;
-use crate::parser::{PanicKind, Vis};
+use crate::callgraph::CallGraph;
+use crate::lexer::Token;
+use crate::parser::{ParCall, Vis};
 use crate::report::Finding;
-use crate::rules::{test_line_spans_for, FileKind};
+use crate::rules::{edge_step, FileKind};
 use crate::symbols::{FnIdx, WorkspaceModel};
 
-/// Run S101–S108 plus the effect rules S109–S112 and the cost rules
-/// S113–S117 with default (empty) configurations — no roots or sinks
-/// designated, so only S112 of the config-anchored families can fire.
-/// Findings sorted by (path, line, col, rule).
-pub fn check_workspace(model: &WorkspaceModel) -> Vec<Finding> {
-    check_workspace_with(model, &EffectConfig::default(), &HotPathConfig::default())
-}
-
-/// Run every semantic rule, with the effect-rule roots and sinks taken
-/// from `effects` (parsed out of `lint.toml`'s `[effects.*]` tables) and
-/// the cost-rule hot-path roots from `hotpaths` (`[hotpaths.roots]`).
-pub fn check_workspace_with(
-    model: &WorkspaceModel,
-    effects: &EffectConfig,
-    hotpaths: &HotPathConfig,
-) -> Vec<Finding> {
-    let cg = CallGraph::build(model);
-    let mut out = Vec::new();
-    s101_panic_reachability(model, &cg, &mut out);
-    s102_float_reductions(model, &cg, &mut out);
-    s103_par_captures(model, &mut out);
-    s104_dead_exports(model, &mut out);
-    s106_unbounded_channels(model, &mut out);
-    s107_stringly_errors(model, &mut out);
-    s108_hot_path_hash_keys(model, &mut out);
-    crate::effects::check_effects(model, &cg, effects, &mut out);
-    crate::costs::check_costs(model, &cg, hotpaths, &mut out);
-    out.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
-    });
-    out
-}
-
-fn line_text(src: &str, line: u32) -> String {
-    src.lines()
-        .nth(line as usize - 1)
-        .unwrap_or("")
-        .trim()
-        .to_string()
-}
-
-/// `caller calls callee at file:line` for one forward edge.
-fn edge_step(model: &WorkspaceModel, e: &Edge) -> String {
-    format!(
-        "{} calls {} at {}:{}",
-        model.fq_name(e.from),
-        model.fq_name(e.to),
-        model.path_of(e.from),
-        e.line
-    )
-}
-
-/// S101: panic reachability. Any `pub` library function from which a
-/// panic site (`unwrap` / `expect` / panic-family macro / guard-free
-/// indexing) is reachable through the call graph is a violation, reported
-/// at the panic site with the full call chain from the nearest `pub`
-/// entry point.
-fn s101_panic_reachability(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<Finding>) {
-    for f in 0..model.fns.len() {
-        if !model.is_lib_fn(f) || model.fns[f].def.panics.is_empty() {
-            continue;
-        }
-        let Some((anc, path)) = cg.nearest_ancestor(f, |i| model.is_pub_api(i)) else {
-            continue; // not reachable from any exported function
-        };
-        let file = &model.files[model.fns[f].file];
-        for site in &model.fns[f].def.panics {
-            let verb = match site.kind {
-                PanicKind::Unwrap | PanicKind::Expect => "panics via",
-                PanicKind::Macro => "panics with",
-                PanicKind::Index => "may panic on unguarded index",
-            };
-            let mut trace: Vec<String> = path.iter().map(|e| edge_step(model, e)).collect();
-            trace.push(format!(
-                "{} {} `{}` at {}:{}",
-                model.fq_name(f),
-                verb,
-                site.what,
-                file.rel,
-                site.line
-            ));
-            out.push(Finding {
-                rule: "S101",
-                path: file.rel.clone(),
-                line: site.line,
-                col: site.col,
-                message: format!(
-                    "`{}` is reachable from pub `{}` ({} call{} away); propagate \
-                     Result/Option or allowlist with the guarding invariant",
-                    site.what,
-                    model.fq_name(anc),
-                    path.len(),
-                    if path.len() == 1 { "" } else { "s" },
-                ),
-                snippet: line_text(&file.src, site.line),
-                trace,
-            });
-        }
-    }
+/// Run S102, S104, S107 and S108, appending to `out`.
+pub(crate) fn check_workspace(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<Finding>) {
+    s102_float_reductions(model, cg, out);
+    s104_dead_exports(model, out);
+    s107_stringly_errors(model, out);
+    s108_hot_path_hash_keys(model, out);
 }
 
 /// S102: non-associative floating-point reductions (`sum` / `fold` /
@@ -128,12 +33,13 @@ fn s101_panic_reachability(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec
 /// whose reduction order is fixed per item belong in the allowlist.
 fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<Finding>) {
     // Par entry sites in deterministic order: (fn, par-call position).
-    struct Entry {
+    struct Entry<'m> {
         caller: FnIdx,
         label: String,
         at: String,
-        roots: Vec<FnIdx>,
-        args: (usize, usize),
+        /// The closures' callees, each with how the trace introduces it.
+        roots: Vec<(FnIdx, String)>,
+        pc: &'m ParCall,
     }
     let mut entries: Vec<Entry> = Vec::new();
     for f in 0..model.fns.len() {
@@ -141,26 +47,35 @@ fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<F
             continue;
         }
         let def = &model.fns[f].def;
+        let file = &model.files[model.fns[f].file];
         for pc in &def.par_calls {
-            // Roots: calls lexically inside the par call's argument span.
-            let mut roots: Vec<FnIdx> = Vec::new();
+            // Roots: calls lexically inside a closure passed to the entry —
+            // written in the argument list, or `let`-bound and passed by
+            // name.
+            let mut roots: Vec<(FnIdx, String)> = Vec::new();
             for call in &def.calls {
-                if call.tok > pc.args.0 && call.tok < pc.args.1 {
-                    for e in &cg.out[f] {
-                        if e.line == call.line && model.fns[e.to].def.name == call.name {
-                            roots.push(e.to);
-                        }
+                let Some(k) = pc.bodies.iter().position(|&(a, b)| call.tok > a && call.tok < b)
+                else {
+                    continue;
+                };
+                let closure = match k {
+                    0 => "closure".to_string(),
+                    _ => format!("closure bound at {}:{}", file.rel, file.toks[pc.bodies[k].0].line),
+                };
+                for e in &cg.out[f] {
+                    if e.line == call.line && model.fns[e.to].def.name == call.name {
+                        roots.push((e.to, format!("{closure} calls {}", model.fq_name(e.to))));
                     }
                 }
             }
-            roots.sort_unstable();
-            roots.dedup();
+            roots.sort();
+            roots.dedup_by_key(|r| r.0);
             entries.push(Entry {
                 caller: f,
                 label: format!("par::{}", pc.entry),
-                at: format!("{}:{}", model.path_of(f), pc.line),
+                at: format!("{}:{}", file.rel, pc.line),
                 roots,
-                args: pc.args,
+                pc,
             });
         }
     }
@@ -189,19 +104,16 @@ fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<F
                  with its ordering argument",
                 site.what, entry_label
             ),
-            snippet: line_text(&file.src, site.line),
+            snippet: file.line_text(site.line),
             trace,
         });
     };
 
     for entry in &entries {
         let def = &model.fns[entry.caller].def;
-        // Reductions written directly inside the closure argument span.
+        // Reductions written directly inside a closure.
         for site in &def.reductions {
-            if site.tok > entry.args.0
-                && site.tok < entry.args.1
-                && (site.definite || def.float_evidence)
-            {
+            if entry.pc.holds(site.tok) && (site.definite || def.float_evidence) {
                 let trace = vec![
                     format!("parallel entry `{}` at {}", entry.label, entry.at),
                     format!(
@@ -216,7 +128,8 @@ fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<F
             }
         }
         // Reductions in functions reachable from the closure's callees.
-        for target in cg.reachable_from(&entry.roots) {
+        let roots: Vec<FnIdx> = entry.roots.iter().map(|r| r.0).collect();
+        for target in cg.reachable_from(&roots) {
             if !model.is_lib_fn(target) {
                 continue;
             }
@@ -230,12 +143,12 @@ fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<F
                 let path = entry
                     .roots
                     .iter()
-                    .filter_map(|&r| cg.path(r, target).map(|p| (r, p)))
-                    .min_by_key(|(r, p)| (p.len(), *r));
-                let Some((root, path)) = path else { continue };
+                    .filter_map(|(r, via)| cg.path(*r, target).map(|p| (*r, via, p)))
+                    .min_by_key(|(r, _, p)| (p.len(), *r));
+                let Some((_, via, path)) = path else { continue };
                 let mut trace = vec![
                     format!("parallel entry `{}` at {}", entry.label, entry.at),
-                    format!("closure calls {}", model.fq_name(root)),
+                    via.clone(),
                 ];
                 trace.extend(path.iter().map(|e| edge_step(model, e)));
                 trace.push(format!(
@@ -246,50 +159,6 @@ fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<F
                     site.line
                 ));
                 emit(model, out, target, site, trace, &entry.label);
-            }
-        }
-    }
-}
-
-/// S103: mutable state (`&mut` bindings, RNG handles) captured by
-/// closures passed across the `par` boundary. Shared mutable state inside
-/// a parallel map makes results depend on thread interleaving — exactly
-/// what the deterministic map exists to prevent.
-fn s103_par_captures(model: &WorkspaceModel, out: &mut Vec<Finding>) {
-    for f in 0..model.fns.len() {
-        if !model.is_lib_fn(f) {
-            continue;
-        }
-        let def = &model.fns[f].def;
-        let file = &model.files[model.fns[f].file];
-        for pc in &def.par_calls {
-            for cap in &pc.captures {
-                let what = match cap.how {
-                    "&mut" => format!("`&mut {}`", cap.name),
-                    _ => format!("RNG handle `{}`", cap.name),
-                };
-                out.push(Finding {
-                    rule: "S103",
-                    path: file.rel.clone(),
-                    line: cap.line,
-                    col: cap.col,
-                    message: format!(
-                        "{what} is captured by a closure crossing the `par::{}` \
-                         boundary; thread interleaving would order its mutations \
-                         — move the state inside the closure or restructure",
-                        pc.entry
-                    ),
-                    snippet: line_text(&file.src, cap.line),
-                    trace: vec![
-                        format!(
-                            "parallel entry `par::{}` at {}:{}",
-                            pc.entry,
-                            file.rel,
-                            pc.line
-                        ),
-                        format!("{} captured at {}:{}", what, file.rel, cap.line),
-                    ],
-                });
             }
         }
     }
@@ -308,7 +177,7 @@ fn s104_dead_exports(model: &WorkspaceModel, out: &mut Vec<Finding>) {
         let name = name.to_string();
         model.files.iter().enumerate().any(|(fi, file)| {
             let external = file.crate_name != *def_crate
-                || file.kind != crate::rules::FileKind::Lib;
+                || file.kind != FileKind::Lib;
             if external && fi != def_file {
                 file.parsed.idents.binary_search(&name).is_ok()
             } else {
@@ -347,7 +216,7 @@ fn s104_dead_exports(model: &WorkspaceModel, out: &mut Vec<Finding>) {
                  other crate; demote to pub(crate) or remove",
                 item.kind, item.name
             ),
-            snippet: line_text(&file.src, item.line),
+            snippet: file.line_text(item.line),
             trace: vec![format!(
                 "`{}` is exported at {}:{} but only its own crate's library \
                  code ever names it",
@@ -361,7 +230,7 @@ fn s104_dead_exports(model: &WorkspaceModel, out: &mut Vec<Finding>) {
         let node = &model.fns[f];
         if node.def.vis != Vis::Pub
             || node.def.in_test
-            || model.files[node.file].kind != crate::rules::FileKind::Lib
+            || model.files[node.file].kind != FileKind::Lib
             || node.def.name == "main"
         {
             continue;
@@ -380,7 +249,7 @@ fn s104_dead_exports(model: &WorkspaceModel, out: &mut Vec<Finding>) {
                  other crate; demote to pub(crate) or remove",
                 model.fq_name(f)
             ),
-            snippet: line_text(&file.src, node.def.line),
+            snippet: file.line_text(node.def.line),
             trace: vec![format!(
                 "`{}` is exported at {}:{} but only its own crate's library \
                  code ever names it",
@@ -389,65 +258,6 @@ fn s104_dead_exports(model: &WorkspaceModel, out: &mut Vec<Finding>) {
                 node.def.line
             )],
         });
-    }
-}
-
-/// S106: unbounded channel constructors. The serving engine stages every
-/// cross-shard effect in a bounded `DeltaQueue` so overflow is an
-/// explicit error; an `unbounded()` / `unbounded_channel()` constructor
-/// anywhere else trades that guarantee for silent memory growth under
-/// backpressure. Only `sybil-serve`'s queue module — the one reviewed
-/// staging surface — is exempt; reviewed uses elsewhere (with a proof of
-/// the message bound) belong in lint.toml.
-fn s106_unbounded_channels(model: &WorkspaceModel, out: &mut Vec<Finding>) {
-    const NAMES: [&str; 2] = ["unbounded", "unbounded_channel"];
-    for file in &model.files {
-        if file.kind == FileKind::Test {
-            continue;
-        }
-        if file.crate_name == "sybil-serve" && file.rel.ends_with("src/queue.rs") {
-            continue;
-        }
-        let src = file.src.as_str();
-        let toks = lex(src);
-        let spans = test_line_spans_for(src);
-        let in_test = |line: u32| spans.iter().any(|&(a, b)| line >= a && line <= b);
-        for (i, t) in toks.iter().enumerate() {
-            if !NAMES.iter().any(|n| t.is_ident(src, n)) || in_test(t.line) {
-                continue;
-            }
-            // Constructor *calls* only: `unbounded(` or `unbounded::<T>(`.
-            // A bare mention (doc string, field name) is not a channel.
-            let rest = &toks[i + 1..];
-            let is_call = rest.first().is_some_and(|n| n.is_punct(b'('))
-                || (rest.len() >= 3
-                    && rest[0].is_punct(b':')
-                    && rest[1].is_punct(b':')
-                    && rest[2].is_punct(b'<'));
-            if !is_call {
-                continue;
-            }
-            out.push(Finding {
-                rule: "S106",
-                path: file.rel.clone(),
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "unbounded channel constructor `{}`; stage cross-task effects in a \
-                     bounded queue (see sybil-serve's DeltaQueue) so overflow is an \
-                     explicit error, or allowlist with the message-count bound",
-                    t.text(src)
-                ),
-                snippet: line_text(src, t.line),
-                trace: vec![format!(
-                    "`{}` constructs a channel with no capacity bound at {}:{}, \
-                     outside the sanctioned crates/sybil-serve/src/queue.rs",
-                    t.text(src),
-                    file.rel,
-                    t.line
-                )],
-            });
-        }
     }
 }
 
@@ -463,10 +273,8 @@ fn s107_stringly_errors(model: &WorkspaceModel, out: &mut Vec<Finding>) {
         if file.kind == FileKind::Test {
             continue;
         }
-        let src = file.src.as_str();
-        let toks = lex(src);
-        let spans = test_line_spans_for(src);
-        let in_test = |line: u32| spans.iter().any(|&(a, b)| line >= a && line <= b);
+        let (src, toks) = (file.src.as_str(), &file.toks);
+        let in_test = |line: u32| file.in_test(line);
 
         // (a) `pub fn … -> Result<_, String>`, in libraries and binaries
         // alike — a pub signature is API surface either way. Restricted
@@ -481,7 +289,7 @@ fn s107_stringly_errors(model: &WorkspaceModel, out: &mut Vec<Finding>) {
             }
             let Some(name_tok) = toks.get(i + 2) else { break };
             let fn_name = name_tok.text(src);
-            if let Some(res_tok) = stringly_result_in_return(src, &toks, i + 3) {
+            if let Some(res_tok) = stringly_result_in_return(src, toks, i + 3) {
                 out.push(Finding {
                     rule: "S107",
                     path: file.rel.clone(),
@@ -492,7 +300,7 @@ fn s107_stringly_errors(model: &WorkspaceModel, out: &mut Vec<Finding>) {
                          cannot be matched on and carries no source — return a typed \
                          error (see sybil_core::Error) and keep prose in Display"
                     ),
-                    snippet: line_text(src, res_tok.line),
+                    snippet: file.line_text(res_tok.line),
                     trace: vec![format!(
                         "`{fn_name}` declares a stringly-typed error at {}:{}; callers \
                          can only string-match or rewrap it",
@@ -514,7 +322,7 @@ fn s107_stringly_errors(model: &WorkspaceModel, out: &mut Vec<Finding>) {
             if !toks.get(i + 1).is_some_and(|n| n.is_punct(b'(')) {
                 continue;
             }
-            if call_args_invoke_process_exit(src, &toks, i + 2) {
+            if call_args_invoke_process_exit(src, toks, i + 2) {
                 out.push(Finding {
                     rule: "S107",
                     path: file.rel.clone(),
@@ -523,7 +331,7 @@ fn s107_stringly_errors(model: &WorkspaceModel, out: &mut Vec<Finding>) {
                     message: "library code exits the process inside `unwrap_or_else`; \
                               return the error and let the binary choose the exit code"
                         .to_string(),
-                    snippet: line_text(src, t.line),
+                    snippet: file.line_text(t.line),
                     trace: vec![format!(
                         "`unwrap_or_else` at {}:{} reaches `process::exit`, killing the \
                          process from library code no caller can intercept",
@@ -561,10 +369,8 @@ fn s108_hot_path_hash_keys(model: &WorkspaceModel, out: &mut Vec<Finding>) {
         if !hot || file.kind == FileKind::Test {
             continue;
         }
-        let src = file.src.as_str();
-        let toks = lex(src);
-        let spans = test_line_spans_for(src);
-        let in_test = |line: u32| spans.iter().any(|&(a, b)| line >= a && line <= b);
+        let (src, toks) = (file.src.as_str(), &file.toks);
+        let in_test = |line: u32| file.in_test(line);
         for (i, t) in toks.iter().enumerate() {
             let container = if t.is_ident(src, "HashMap") {
                 "HashMap"
@@ -578,7 +384,7 @@ fn s108_hot_path_hash_keys(model: &WorkspaceModel, out: &mut Vec<Finding>) {
             }
             // Only a generic argument list names a key type: `HashMap<K,…>`
             // or turbofish `HashMap::<K,…>`. A bare mention (an import, a
-            // doc reference, `HashMap::new()` whose key is inferred at a
+            // doc reference, `HashMap::new()` whose key type is written at a
             // flagged annotation elsewhere) keys nothing by itself.
             let mut j = i + 1;
             if toks.get(j).is_some_and(|n| n.is_punct(b':'))
@@ -611,7 +417,7 @@ fn s108_hot_path_hash_keys(model: &WorkspaceModel, out: &mut Vec<Finding>) {
                      the flat layouts (CSR row probes, the FlatDelta arena, sorted \
                      arrays) or allowlist with the proven size bound",
                 ),
-                snippet: line_text(src, t.line),
+                snippet: file.line_text(t.line),
                 trace: vec![format!(
                     "`{container}` keyed by `{key_name}` at {}:{} sits on the \
                      million-account hot path; this module's layout contract is flat \
@@ -627,9 +433,9 @@ fn s108_hot_path_hash_keys(model: &WorkspaceModel, out: &mut Vec<Finding>) {
 /// name) return `Result<_, String>`? Returns the `Result` token when so.
 fn stringly_result_in_return<'t>(
     src: &str,
-    toks: &'t [crate::lexer::Token],
+    toks: &'t [Token],
     start: usize,
-) -> Option<&'t crate::lexer::Token> {
+) -> Option<&'t Token> {
     // Find `->` at paren depth 0, stopping at the body or a `;`.
     let mut paren = 0i32;
     let mut j = start;
@@ -694,7 +500,7 @@ fn stringly_result_in_return<'t>(
 /// `(`) contain a `process :: exit` invocation?
 fn call_args_invoke_process_exit(
     src: &str,
-    toks: &[crate::lexer::Token],
+    toks: &[Token],
     start: usize,
 ) -> bool {
     let mut depth = 1i32;

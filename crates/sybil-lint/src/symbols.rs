@@ -6,8 +6,9 @@
 //! source position, so every downstream analysis (BFS orders, finding
 //! emission) is deterministic regardless of discovery order.
 
+use crate::lexer::{lex, Token};
 use crate::parser::{self, FnDef, ItemDef, ParsedFile, Vis};
-use crate::rules::{self, FileKind};
+use crate::rules::FileKind;
 use crate::workspace::SourceFile;
 use std::collections::BTreeMap;
 
@@ -28,8 +29,49 @@ pub struct FileModel {
     pub module: String,
     /// Full source text (for finding snippets).
     pub src: String,
-    /// Parsed items, functions, and identifier usage.
+    /// The file's tokens — lexed once, here; every rule reads these.
+    pub toks: Vec<Token>,
+    /// `(start, end)` line spans of `#[cfg(test)]` / `#[test]` code.
+    pub test_spans: Vec<(u32, u32)>,
+    /// Parsed items, functions, identifier usage, and leaf-pattern sites.
     pub parsed: ParsedFile,
+    /// Index in [`WorkspaceModel::fns`] of this file's first function;
+    /// the rest follow in source order.
+    pub first_fn: FnIdx,
+}
+
+impl FileModel {
+    fn new(f: &SourceFile, src: &str, first_fn: FnIdx) -> FileModel {
+        let toks = lex(src);
+        let test_spans = parser::test_line_spans(src, &toks);
+        let parsed = parser::parse(src, &toks, &test_spans);
+        FileModel {
+            rel: f.rel.clone(),
+            crate_name: f.crate_name.clone(),
+            kind: f.kind,
+            module: file_module(&f.rel, &f.crate_name),
+            src: src.to_string(),
+            toks,
+            test_spans,
+            parsed,
+            first_fn,
+        }
+    }
+
+    /// Does 1-based `line` sit inside test-only code?
+    pub(crate) fn in_test(&self, line: u32) -> bool {
+        self.test_spans.iter().any(|&(a, b)| line >= a && line <= b)
+    }
+
+    /// The trimmed text of 1-based `line` — a finding's snippet.
+    pub(crate) fn line_text(&self, line: u32) -> String {
+        self.src
+            .lines()
+            .nth(line as usize - 1)
+            .unwrap_or("")
+            .trim()
+            .to_string()
+    }
 }
 
 /// One function in the workspace: its definition plus owning file.
@@ -60,32 +102,25 @@ impl WorkspaceModel {
         let mut order: Vec<usize> = (0..files.len()).collect();
         order.sort_by(|&a, &b| files[a].rel.cmp(&files[b].rel));
         for &fi in &order {
-            let f = &files[fi];
-            let src = &sources[fi];
-            let parsed = parser::parse(src, &rules::test_line_spans_for(src));
-            model.files.push(FileModel {
-                rel: f.rel.clone(),
-                crate_name: f.crate_name.clone(),
-                kind: f.kind,
-                module: file_module(&f.rel, &f.crate_name),
-                src: src.clone(),
-                parsed,
-            });
-        }
-        let mut fns = Vec::new();
-        for (file_idx, file) in model.files.iter().enumerate() {
+            let file = FileModel::new(&files[fi], &sources[fi], model.fns.len());
             for def in &file.parsed.fns {
-                fns.push(FnNode {
-                    file: file_idx,
+                model.by_name.entry(def.name.clone()).or_default().push(model.fns.len());
+                model.fns.push(FnNode {
+                    file: model.files.len(),
                     def: def.clone(),
                 });
             }
+            model.files.push(file);
         }
-        for (idx, f) in fns.iter().enumerate() {
-            model.by_name.entry(f.def.name.clone()).or_default().push(idx);
-        }
-        model.fns = fns;
         model
+    }
+
+    /// The function of file `file` whose body holds token `tok`, if any
+    /// (bodies are disjoint and in source order).
+    pub(crate) fn fn_at(&self, file: usize, tok: usize) -> Option<FnIdx> {
+        let fns = &self.files[file].parsed.fns;
+        let k = fns.partition_point(|d| d.body.1 <= tok);
+        (fns.get(k)?.body.0 < tok).then_some(self.files[file].first_fn + k)
     }
 
     /// The fully qualified display name of function `idx`:
@@ -123,7 +158,7 @@ impl WorkspaceModel {
     }
 
     /// Is function `idx` exported (`pub`) from a library target?
-    pub fn is_pub_api(&self, idx: FnIdx) -> bool {
+    pub(crate) fn is_pub_api(&self, idx: FnIdx) -> bool {
         self.is_lib_fn(idx) && self.fns[idx].def.vis == Vis::Pub
     }
 

@@ -8,7 +8,7 @@
 
 use crate::allowlist::Allowlist;
 use crate::report::{Finding, Report};
-use crate::rules::{check_file, FileCtx, FileKind};
+use crate::rules::{check_model, FileKind};
 use crate::symbols::WorkspaceModel;
 use std::fs;
 use std::io;
@@ -149,16 +149,18 @@ fn package_name(manifest: &Path) -> Option<String> {
     None
 }
 
-/// Lint the given files with the per-file token rules only (D-series).
-/// Semantic rules need whole-workspace context; see [`run_workspace`].
+/// Lint the given files with the rules that can judge any set of files:
+/// D001, D005, and the site rules over the call graph these files
+/// provide. S102–S108 need whole-workspace context; see
+/// [`run_workspace`].
 pub fn run(files: &[SourceFile], allowlist: &Allowlist) -> io::Result<Report> {
     run_impl(files, allowlist, false)
 }
 
-/// Lint the given files with the token rules *and* the semantic S-series
-/// (call-graph rules S101–S104 plus the S105 staleness check, which
-/// promotes every unused allowlist entry to an error anchored at its
-/// `[[allow]]` line in lint.toml).
+/// Lint the given files — the whole workspace — with every rule,
+/// including the S105 staleness check, which promotes every unused
+/// allowlist entry to an error anchored at its `[[allow]]` line in
+/// lint.toml.
 pub fn run_workspace(files: &[SourceFile], allowlist: &Allowlist) -> io::Result<Report> {
     run_impl(files, allowlist, true)
 }
@@ -174,23 +176,8 @@ fn run_impl(files: &[SourceFile], allowlist: &Allowlist, semantic: bool) -> io::
         sources.push(fs::read_to_string(&f.abs)?);
     }
 
-    let mut findings: Vec<Finding> = Vec::new();
-    for (f, src) in files.iter().zip(&sources) {
-        findings.extend(check_file(&FileCtx {
-            rel_path: &f.rel,
-            crate_name: &f.crate_name,
-            kind: f.kind,
-            src,
-        }));
-    }
-    if semantic {
-        let model = WorkspaceModel::build(files, &sources);
-        findings.extend(crate::rules_sem::check_workspace_with(
-            &model,
-            &allowlist.effects,
-            &allowlist.hotpaths,
-        ));
-    }
+    let model = WorkspaceModel::build(files, &sources);
+    let findings = check_model(&model, &allowlist.effects, &allowlist.hotpaths, semantic);
 
     for finding in findings {
         match allowlist.matching(&finding) {

@@ -1,15 +1,13 @@
 //! Cost-rule fixture tests (S113–S117): every fixture asserts the exact
-//! propagation chain its finding carries — including an allocation
-//! reached through a trait-object edge, the drain-balanced negative
-//! case, and an allowlisted scratch buffer — plus the cost-fixpoint
-//! order-independence proptest, mirroring `eff_rules.rs`.
+//! call chain its finding carries — including an allocation reached
+//! through a trait-object edge, the drain-balanced negative case, and an
+//! allowlisted scratch buffer.
 
-use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use sybil_lint::costs::{fixpoint, HotPathConfig};
+use sybil_lint::costs::HotPathConfig;
 use sybil_lint::effects::EffectConfig;
 use sybil_lint::report::Finding;
-use sybil_lint::rules_sem::check_workspace_with;
+use sybil_lint::rules::check_model;
 use sybil_lint::workspace::{classify, run_workspace, SourceFile};
 use sybil_lint::{allowlist, WorkspaceModel};
 
@@ -49,9 +47,12 @@ fn hot(roots: &[&str]) -> HotPathConfig {
     }
 }
 
-/// Run every semantic rule over a fixture with the given hot-path roots.
+/// The S-series findings on a fixture with the given hot-path roots (the
+/// D-series has its own fixtures in `lint_rules.rs`).
 fn cost_findings(name: &str, layout: &[(&str, &str)], cfg: &HotPathConfig) -> Vec<Finding> {
-    check_workspace_with(&cost_model(name, layout), &EffectConfig::default(), cfg)
+    let mut f = check_model(&cost_model(name, layout), &EffectConfig::default(), cfg, true);
+    f.retain(|f| f.rule.starts_with('S'));
+    f
 }
 
 const ONE: &[(&str, &str)] = &[("lib.rs", "src/lib.rs"), ("use_api.rs", "tests/use_api.rs")];
@@ -298,43 +299,4 @@ fn s116_blocking_and_s117_recursion_report_together() {
         ],
         "{rec:#?}"
     );
-}
-
-// ---------------------------------------------------------------------
-// Fixpoint order independence: the cost lattice joins by set union, so
-// every visit order reaches the same least fixpoint. Pinned at the
-// `costs::fixpoint` boundary (which delegates to the effect engine).
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn cost_fixpoint_is_visit_order_independent(
-        edges in proptest::collection::vec((0usize..8, 0usize..8), 0..32),
-        intr in proptest::collection::vec(0u16..=31, 8),
-        keys1 in proptest::collection::vec(0u32..1000, 8),
-        keys2 in proptest::collection::vec(0u32..1000, 8),
-    ) {
-        // Random sort keys induce arbitrary visit-order permutations.
-        let perm = |keys: &[u32]| {
-            let mut order: Vec<usize> = (0..8).collect();
-            order.sort_by_key(|&i| (keys[i], i));
-            order
-        };
-        let (order1, order2) = (perm(&keys1), perm(&keys2));
-        let mut out = vec![Vec::new(); 8];
-        for &(a, b) in &edges {
-            out[a].push(b);
-        }
-        let a = fixpoint(&out, &intr, &order1);
-        let b = fixpoint(&out, &intr, &order2);
-        prop_assert_eq!(&a, &b);
-        // The fixpoint is sound: every function includes its own
-        // intrinsic costs and each callee's final set.
-        for f in 0..8 {
-            prop_assert_eq!(a[f] & intr[f], intr[f]);
-            for &g in &out[f] {
-                prop_assert_eq!(a[f] & a[g], a[g]);
-            }
-        }
-    }
 }

@@ -1,16 +1,16 @@
-//! Effect-rule fixture tests (S109–S112): every fixture asserts the
-//! exact propagation chain its finding carries — including a trait-object
-//! edge, a `par::` closure edge, and an allowlisted sink — plus the
-//! fixpoint order-independence proptest and the SARIF snapshot.
+//! Effect-rule fixture tests (S109, S110, S118, S119): every fixture
+//! asserts the exact call chain its finding carries — including a
+//! trait-object edge and a `par::` closure edge. The fixtures of the
+//! retired S111 and S112 stay, and show D001 and D003 flag the same
+//! `path:line`.
 
-use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use sybil_lint::callgraph::CallGraph;
-use sybil_lint::effects::{fixpoint, infer, Effect, EffectConfig};
+use sybil_lint::costs::HotPathConfig;
+use sybil_lint::effects::EffectConfig;
 use sybil_lint::report::Finding;
-use sybil_lint::rules_sem::check_workspace_with;
-use sybil_lint::workspace::{classify, run_workspace, SourceFile};
-use sybil_lint::{allowlist, WorkspaceModel};
+use sybil_lint::rules::check_model;
+use sybil_lint::workspace::{classify, SourceFile};
+use sybil_lint::WorkspaceModel;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
@@ -42,21 +42,24 @@ fn eff_model(name: &str, layout: &[(&str, &str)]) -> WorkspaceModel {
     WorkspaceModel::build(&files, &sources)
 }
 
-/// Run every semantic rule over a fixture with the given effect config.
-fn eff_findings(name: &str, layout: &[(&str, &str)], cfg: &EffectConfig) -> Vec<Finding> {
-    check_workspace_with(
-        &eff_model(name, layout),
-        cfg,
-        &sybil_lint::costs::HotPathConfig::default(),
-    )
+/// Every finding on a fixture with the given effect config.
+fn all_findings(name: &str, layout: &[(&str, &str)], cfg: &EffectConfig) -> Vec<Finding> {
+    check_model(&eff_model(name, layout), cfg, &HotPathConfig::default(), true)
 }
 
-fn cfg(clockless: &[&str], io_free: &[&str], sinks: &[&str]) -> EffectConfig {
+/// The S-series findings on a fixture (the D-series has its own fixtures
+/// in `lint_rules.rs`).
+fn eff_findings(name: &str, layout: &[(&str, &str)], cfg: &EffectConfig) -> Vec<Finding> {
+    let mut f = all_findings(name, layout, cfg);
+    f.retain(|f| f.rule.starts_with('S'));
+    f
+}
+
+fn cfg(clockless: &[&str], io_free: &[&str]) -> EffectConfig {
     let v = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect();
     EffectConfig {
         clockless_roots: v(clockless),
         io_free_roots: v(io_free),
-        byte_stable_sinks: v(sinks),
         ..EffectConfig::default()
     }
 }
@@ -108,7 +111,7 @@ fn s109_clock_reports_two_edge_chain() {
     let f = eff_findings(
         "eff_clock_bad",
         CLOCK,
-        &cfg(&["eff_clock_bad::serve"], &[], &[]),
+        &cfg(&["eff_clock_bad::serve"], &[]),
     );
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
@@ -150,7 +153,7 @@ fn s109_trait_object_edge() {
     let f = eff_findings(
         "eff_trait_bad",
         TRAIT,
-        &cfg(&["eff_trait_bad::replay"], &[], &[]),
+        &cfg(&["eff_trait_bad::replay"], &[]),
     );
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
@@ -183,7 +186,7 @@ fn s109_par_closure_edge_is_annotated() {
     let f = eff_findings(
         "eff_par_bad",
         PAR,
-        &cfg(&["eff_par_bad::sweep"], &[], &[]),
+        &cfg(&["eff_par_bad::sweep"], &[]),
     );
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
@@ -219,7 +222,7 @@ fn s109_par_closure_edge_is_annotated() {
 
 #[test]
 fn s110_io_write_reports_chain() {
-    let f = eff_findings("eff_io_bad", IO, &cfg(&[], &["eff_io_bad::step"], &[]));
+    let f = eff_findings("eff_io_bad", IO, &cfg(&[], &["eff_io_bad::step"]));
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
     assert_eq!(v.rule, "S110");
@@ -289,103 +292,35 @@ fn s118_is_silent_for_an_io_free_plane() {
 }
 
 // ---------------------------------------------------------------------
-// S111: unordered hash iteration reachable from byte-stable sinks.
+// Retired codes, redundancy shown on their own fixtures. S111 reported
+// hash iteration reachable from a byte-stable sink: D001 reports the same
+// site with no sink to designate. S112 reported a spawn outside two
+// sanctioned files: D003 reports the same site outside one.
 
 #[test]
 fn s111_nondet_iter_reports_chain() {
-    let f = eff_findings(
-        "eff_export_bad",
-        EXPORT,
-        &cfg(&[], &[], &["eff_export_bad::export::to_json"]),
-    );
+    let mut f = all_findings("eff_export_bad", EXPORT, &EffectConfig::default());
+    f.retain(|f| f.rule == "D001");
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
-    assert_eq!(v.rule, "S111");
+    // The path:line S111 anchored its chain at.
     assert_eq!(v.path, "crates/eff_export_bad/src/export.rs");
     assert_eq!(v.line, 9);
-    assert_eq!(
-        v.message,
-        "`for … in metrics` (unordered hash iteration) is reachable from \
-         byte-stable export sink `eff_export_bad::export::to_json` \
-         (1 call away); iterate a BTree container or collect-and-sort \
-         before serializing so the exported bytes are order-stable"
-    );
-    assert_eq!(
-        v.trace,
-        vec![
-            "eff_export_bad::export::to_json calls eff_export_bad::export::render at \
-             crates/eff_export_bad/src/export.rs:4"
-                .to_string(),
-            "eff_export_bad::export::render iterates unordered via `for … in metrics` \
-             at crates/eff_export_bad/src/export.rs:9"
-                .to_string(),
-        ],
-        "{v:#?}"
-    );
+    assert!(v.message.starts_with("unordered `for … in metrics` over a HashMap/HashSet"), "{v:#?}");
 }
-
-#[test]
-fn s111_allowlisted_sink_is_suppressed_with_justification() {
-    let toml = r#"
-[effects.sinks]
-byte_stable = [
-    "eff_export_bad::export::to_json",
-]
-
-[[allow]]
-rule = "S111"
-path = "crates/eff_export_bad/src/export.rs"
-justification = "fixture: hash order is reviewed as irrelevant to this export"
-
-[[allow]]
-rule = "D001"
-path = "crates/eff_export_bad/src/export.rs"
-justification = "fixture: same reviewed iteration, flagged by the token rule too"
-"#;
-    let allow = allowlist::parse(toml).expect("valid toml");
-    assert_eq!(
-        allow.effects.byte_stable_sinks,
-        vec!["eff_export_bad::export::to_json".to_string()]
-    );
-    let rep = run_workspace(&eff_files("eff_export_bad", EXPORT), &allow).unwrap();
-    assert!(rep.is_clean(), "{:#?}", rep.violations);
-    assert_eq!(rep.allowed.len(), 2, "{:#?}", rep.allowed);
-    let (s111, just) = rep
-        .allowed
-        .iter()
-        .find(|(f, _)| f.rule == "S111")
-        .expect("S111 suppressed");
-    assert_eq!(s111.path, "crates/eff_export_bad/src/export.rs");
-    assert!(just.contains("reviewed as irrelevant"));
-    assert!(rep.unused_allowlist.is_empty());
-}
-
-// ---------------------------------------------------------------------
-// S112: spawns outside the sanctioned scheduler files (no config needed).
 
 #[test]
 fn s112_spawn_outside_sanctioned_files() {
-    let f = eff_findings("eff_spawn_bad", ONE, &EffectConfig::default());
+    let mut f = all_findings("eff_spawn_bad", ONE, &EffectConfig::default());
+    f.retain(|f| f.rule == "D003");
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
-    assert_eq!(v.rule, "S112");
+    // The path:line S112 reported.
     assert_eq!(v.path, "crates/eff_spawn_bad/src/lib.rs");
     assert_eq!(v.line, 5);
     assert_eq!(
         v.message,
-        "`thread::scope` spawns outside the sanctioned scheduler files \
-         (osn_graph::par, sybil-serve's coordinator); route parallelism \
-         through `par::` so the capture and reduction rules can see it"
-    );
-    assert_eq!(
-        v.trace,
-        vec![
-            "eff_spawn_bad::fanout spawns a thread via `thread::scope` at \
-             crates/eff_spawn_bad/src/lib.rs:5, outside the sanctioned \
-             scheduler files"
-                .to_string(),
-        ],
-        "{v:#?}"
+        "`thread::scope` outside osn_graph::par; use the deterministic parallel map instead"
     );
 }
 
@@ -418,11 +353,10 @@ fn store_findings() -> Vec<Finding> {
         .iter()
         .map(|f| std::fs::read_to_string(&f.abs).expect("fixture exists"))
         .collect();
-    check_workspace_with(
-        &WorkspaceModel::build(&files, &sources),
-        &EffectConfig::default(),
-        &sybil_lint::costs::HotPathConfig::default(),
-    )
+    let model = WorkspaceModel::build(&files, &sources);
+    let mut f = check_model(&model, &EffectConfig::default(), &HotPathConfig::default(), true);
+    f.retain(|f| f.rule.starts_with('S'));
+    f
 }
 
 #[test]
@@ -456,108 +390,17 @@ fn s119_store_io_outside_the_format_module() {
 }
 
 // ---------------------------------------------------------------------
-// Clean fixture: root + sink designation with no effects stays silent.
+// Clean fixture: designated as every kind of effect root, with no
+// effects, it stays silent.
 
 #[test]
 fn eff_clean_is_silent_as_root_and_sink() {
-    let f = eff_findings(
-        "eff_clean",
-        ONE,
-        &cfg(
-            &["eff_clean::serve"],
-            &["eff_clean::serve"],
-            &["eff_clean::serve"],
-        ),
-    );
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-// ---------------------------------------------------------------------
-// The inference layer directly: inferred sets and confined ancestry.
-
-#[test]
-fn inferred_effects_flow_to_the_root() {
-    let model = eff_model("eff_clock_bad", CLOCK);
-    let cg = CallGraph::build(&model);
-    let em = infer(&model, &cg);
-    let serve = (0..model.fns.len())
-        .find(|&i| model.fq_name(i) == "eff_clock_bad::serve")
-        .expect("serve exists");
-    let now_ms = (0..model.fns.len())
-        .find(|&i| model.fq_name(i) == "eff_clock_bad::tick::now_ms")
-        .expect("now_ms exists");
-    assert!(em.intrinsic[now_ms].contains(Effect::ReadsWallClock));
-    assert!(em.intrinsic[serve].is_empty());
-    assert!(em.inferred[serve].contains(Effect::ReadsWallClock));
-    // Ancestry confined by `admit`: forbidding every intermediate node
-    // leaves the intrinsic function rootless.
-    assert!(cg
-        .nearest_ancestor_where(now_ms, |i| i == serve, |_| false)
-        .is_none());
-    assert!(cg
-        .nearest_ancestor_where(now_ms, |i| i == serve, |_| true)
-        .is_some());
-}
-
-// ---------------------------------------------------------------------
-// Fixpoint order independence: the join is a set union, so every visit
-// order reaches the same least fixpoint.
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-    #[test]
-    fn fixpoint_is_visit_order_independent(
-        edges in proptest::collection::vec((0usize..8, 0usize..8), 0..32),
-        intr in proptest::collection::vec(0u16..=255, 8),
-        keys1 in proptest::collection::vec(0u32..1000, 8),
-        keys2 in proptest::collection::vec(0u32..1000, 8),
-    ) {
-        // Random sort keys induce arbitrary visit-order permutations.
-        let perm = |keys: &[u32]| {
-            let mut order: Vec<usize> = (0..8).collect();
-            order.sort_by_key(|&i| (keys[i], i));
-            order
-        };
-        let (order1, order2) = (perm(&keys1), perm(&keys2));
-        let mut out = vec![Vec::new(); 8];
-        for &(a, b) in &edges {
-            out[a].push(b);
-        }
-        let a = fixpoint(&out, &intr, &order1);
-        let b = fixpoint(&out, &intr, &order2);
-        prop_assert_eq!(&a, &b);
-        // The fixpoint is sound: every function includes its own
-        // intrinsics and each callee's final set.
-        for f in 0..8 {
-            prop_assert_eq!(a[f] & intr[f], intr[f]);
-            for &g in &out[f] {
-                prop_assert_eq!(a[f] & a[g], a[g]);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// SARIF snapshot over a fixture workspace.
-
-#[test]
-fn sarif_snapshot_matches_fixture() {
-    let allow = allowlist::Allowlist {
-        entries: Vec::new(),
-        effects: cfg(&["eff_clock_bad::serve"], &[], &[]),
-        hotpaths: sybil_lint::costs::HotPathConfig::default(),
+    let roots = vec!["eff_clean::serve".to_string()];
+    let every = EffectConfig {
+        clockless_roots: roots.clone(),
+        io_free_roots: roots.clone(),
+        fault_plane_roots: roots,
     };
-    let rep = run_workspace(&eff_files("eff_clock_bad", CLOCK), &allow).unwrap();
-    let sarif = sybil_lint::sarif::render_sarif(&rep);
-    let expected_path = fixture_dir().join("eff_clock_bad/expected.sarif");
-    if std::env::var_os("EFF_SARIF_REGEN").is_some() {
-        std::fs::write(&expected_path, &sarif).expect("write snapshot");
-        return;
-    }
-    let expected = std::fs::read_to_string(&expected_path).expect("snapshot exists");
-    assert_eq!(
-        sarif, expected,
-        "SARIF output drifted from the committed snapshot; if the change \
-         is intentional, rerun this test with EFF_SARIF_REGEN=1"
-    );
+    let f = eff_findings("eff_clean", ONE, &every);
+    assert!(f.is_empty(), "{f:#?}");
 }

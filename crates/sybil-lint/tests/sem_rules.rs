@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use sybil_lint::allowlist;
 use sybil_lint::report::{render_human, render_json, Finding};
-use sybil_lint::rules_sem::check_workspace;
+use sybil_lint::rules::check_model;
 use sybil_lint::workspace::{classify, run_workspace, SourceFile};
 use sybil_lint::WorkspaceModel;
 
@@ -32,14 +32,22 @@ fn sem_files(name: &str, layout: &[(&str, &str)]) -> Vec<SourceFile> {
         .collect()
 }
 
-/// Build the workspace model for a fixture crate and run S101–S104.
-fn sem_findings(name: &str, layout: &[(&str, &str)]) -> Vec<Finding> {
-    let files = sem_files(name, layout);
+/// The S-series findings on `files` with no root list designated (the
+/// D-series has its own fixtures in `lint_rules.rs`).
+fn semantic(files: &[SourceFile]) -> Vec<Finding> {
     let sources: Vec<String> = files
         .iter()
         .map(|f| std::fs::read_to_string(&f.abs).expect("fixture exists"))
         .collect();
-    check_workspace(&WorkspaceModel::build(&files, &sources))
+    let model = WorkspaceModel::build(files, &sources);
+    let mut f = check_model(&model, &Default::default(), &Default::default(), true);
+    f.retain(|f| f.rule.starts_with('S'));
+    f
+}
+
+/// Build the workspace model for a fixture crate and run the S-series.
+fn sem_findings(name: &str, layout: &[(&str, &str)]) -> Vec<Finding> {
+    semantic(&sem_files(name, layout))
 }
 
 const TWO_FILE: &[(&str, &str)] = &[
@@ -121,50 +129,36 @@ fn s102_bad_reports_kernel_behind_par_entry() {
 }
 
 #[test]
+fn s102_closure_passed_by_name_to_map_owned_reports_chain() {
+    let f = sem_findings("s102_byname", ONE_FILE);
+    assert_eq!(f.len(), 1, "{f:#?}");
+    let v = &f[0];
+    assert_eq!(v.rule, "S102");
+    assert_eq!(v.path, "crates/s102_byname/src/lib.rs");
+    assert_eq!(v.line, 16);
+    assert_eq!(
+        v.message,
+        "float reduction `sum` runs under the parallel entry `par::map_owned`; \
+         keep reductions off the par boundary or allowlist the kernel with \
+         its ordering argument"
+    );
+    assert_eq!(
+        v.trace,
+        vec![
+            "parallel entry `par::map_owned` at crates/s102_byname/src/lib.rs:12".to_string(),
+            "closure bound at crates/s102_byname/src/lib.rs:8 calls s102_byname::total"
+                .to_string(),
+            "s102_byname::total reduces floats via `sum` at crates/s102_byname/src/lib.rs:16"
+                .to_string(),
+        ],
+        "{v:#?}"
+    );
+}
+
+#[test]
 fn s102_good_serial_reduction_is_clean() {
     // `total` reduces floats, but no par:: entry reaches it.
     let f = sem_findings("s102_good", KERNEL);
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-// ---------------------------------------------------------------------
-// S103: captures crossing the par boundary.
-
-#[test]
-fn s103_bad_reports_mut_and_rng_captures() {
-    let f = sem_findings("s103_bad", ONE_FILE);
-    assert_eq!(f.len(), 2, "{f:#?}");
-    assert!(f.iter().all(|v| v.rule == "S103"));
-    assert!(f.iter().all(|v| v.path == "crates/s103_bad/src/lib.rs"));
-    assert_eq!((f[0].line, f[1].line), (12, 13), "{f:#?}");
-    assert!(
-        f[0].message.starts_with(
-            "`&mut total` is captured by a closure crossing the `par::map_indexed` boundary"
-        ),
-        "{}",
-        f[0].message
-    );
-    assert!(
-        f[1].message.starts_with(
-            "RNG handle `rng` is captured by a closure crossing the `par::map_indexed` boundary"
-        ),
-        "{}",
-        f[1].message
-    );
-    assert_eq!(
-        f[0].trace,
-        vec![
-            "parallel entry `par::map_indexed` at crates/s103_bad/src/lib.rs:11".to_string(),
-            "`&mut total` captured at crates/s103_bad/src/lib.rs:12".to_string(),
-        ],
-        "{f:#?}"
-    );
-}
-
-#[test]
-fn s103_good_closure_locals_are_clean() {
-    // `&mut acc` targets a closure-local binding — not a capture.
-    let f = sem_findings("s103_good", ONE_FILE);
     assert!(f.is_empty(), "{f:#?}");
 }
 
@@ -205,69 +199,6 @@ fn s104_good_test_usage_keeps_exports_alive() {
         "s104_good",
         &[("lib.rs", "src/lib.rs"), ("api.rs", "tests/api.rs")],
     );
-    assert!(f.is_empty(), "{f:#?}");
-}
-
-// ---------------------------------------------------------------------
-// S106: unbounded channel constructors outside the sanctioned queue
-// module.
-
-#[test]
-fn s106_bad_reports_unbounded_constructors() {
-    // Two constructor calls (plain and turbofish) are flagged; the bare
-    // `unbounded` parameter name and the `#[cfg(test)]` use are not.
-    let f = sem_findings("s106_bad", ONE_FILE);
-    assert_eq!(f.len(), 2, "{f:#?}");
-    assert!(f.iter().all(|v| v.rule == "S106"));
-    assert!(f.iter().all(|v| v.path == "crates/s106_bad/src/lib.rs"));
-    assert_eq!((f[0].line, f[1].line), (7, 17), "{f:#?}");
-    assert!(
-        f[0].message
-            .starts_with("unbounded channel constructor `unbounded`;"),
-        "{}",
-        f[0].message
-    );
-    assert!(
-        f[1].message
-            .starts_with("unbounded channel constructor `unbounded_channel`;"),
-        "{}",
-        f[1].message
-    );
-    assert_eq!(
-        f[0].trace,
-        vec![
-            "`unbounded` constructs a channel with no capacity bound at \
-             crates/s106_bad/src/lib.rs:7, outside the sanctioned \
-             crates/sybil-serve/src/queue.rs"
-                .to_string()
-        ],
-        "{f:#?}"
-    );
-}
-
-#[test]
-fn s106_good_queue_module_is_exempt() {
-    // The same constructor inside sybil-serve's queue module — the one
-    // reviewed staging surface — raises nothing.
-    let dir = sem_dir().join("s106_good");
-    let layout = [
-        ("queue.rs", "crates/sybil-serve/src/queue.rs"),
-        ("use_api.rs", "crates/sybil-serve/tests/use_api.rs"),
-    ];
-    let files: Vec<SourceFile> = layout
-        .iter()
-        .map(|(disk, rel)| SourceFile {
-            abs: dir.join(disk),
-            rel: rel.to_string(),
-            crate_name: "sybil-serve".to_string(),
-            kind: classify(rel),
-        })
-        .collect();
-    let sources: Vec<String> = files
-        .iter()
-        .map(|f| std::fs::read_to_string(&f.abs).expect("fixture exists"))
-        .collect();
-    let f = check_workspace(&WorkspaceModel::build(&files, &sources));
     assert!(f.is_empty(), "{f:#?}");
 }
 
@@ -342,11 +273,7 @@ fn s108_findings(name: &str, layout: &[(&str, &str)]) -> Vec<Finding> {
             kind: classify(rel),
         })
         .collect();
-    let sources: Vec<String> = files
-        .iter()
-        .map(|f| std::fs::read_to_string(&f.abs).expect("fixture exists"))
-        .collect();
-    check_workspace(&WorkspaceModel::build(&files, &sources))
+    semantic(&files)
 }
 
 #[test]
@@ -414,13 +341,12 @@ fn s108_good_flat_layouts_and_other_modules_are_clean() {
 
 #[test]
 fn s_codes_are_known_rules() {
-    for code in
-        ["S101", "S102", "S103", "S104", "S105", "S106", "S107", "S108", "D001", "D006"]
-    {
+    for code in ["S101", "S102", "S104", "S105", "S107", "S108", "D001", "D006"] {
         assert!(sybil_lint::rules::is_known_rule(code), "{code}");
     }
-    assert!(!sybil_lint::rules::is_known_rule("S999"));
-    assert!(!sybil_lint::rules::is_known_rule("D999"));
+    for retired in ["S103", "S106", "S111", "S112", "D004", "S999", "D999"] {
+        assert!(!sybil_lint::rules::is_known_rule(retired), "{retired}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -14,8 +14,8 @@
 //! audit cadence), so an overflow means an engine invariant is broken —
 //! the producer reports it as an error rather than growing silently or
 //! blocking (blocking inside a barrier-synchronized region would
-//! deadlock). Workspace lint rule S106 keeps unbounded channel
-//! constructors out of every other module.
+//! deadlock). Workspace lint rule D003 keeps channels (`mpsc`) out of
+//! every other module.
 
 /// The exact stream position at which a queue overflowed: which epoch,
 /// which shard, and the global event `seq` whose staged effect did not

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification: the tier-1 gate from ROADMAP.md plus a zero-warning
-# clippy pass, the sybil-lint semantic audit (with its <5s runtime
-# budget, --fix-allowlist byte-identity, and SARIF-catalog snapshot
-# gates), the §3.1 defenses thread-identity smoke, the serving-engine
-# serve-vs-replay equivalence smoke, the metrics bit-identity guard
+# clippy pass, the sybil-lint workspace audit (0 violations, stale
+# lint.toml entries included, inside its <5s runtime budget), the §3.1
+# defenses thread-identity smoke, the serving-engine serve-vs-replay
+# equivalence smoke, the metrics bit-identity guard
 # (logical section of metrics.json across threads × shards), the chaos
 # proptests in release, the kill + warm-restart byte-identity drill, the
 # mismatched-store smoke (another run's store is a typed error), and
@@ -25,67 +25,22 @@ cargo test -q
 echo "== lint: cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== lint: sybil-lint determinism & invariant audit (D + S series) =="
+echo "== lint: sybil-lint determinism & invariant audit =="
 # Release binary (built by the tier-1 step, whose default-members cover
-# every crate's binaries) so the <5s budget measures the analysis —
-# token rules, call-graph resolution, whole-workspace effect inference
-# (S109–S112), and the loop-context cost analysis (S113–S117) — not
-# rustc.
+# every crate's binaries) so the <5s budget measures the analysis — one
+# lex and one site scan per file, call-graph resolution, the rule table
+# — not rustc. A stale lint.toml entry is an S105 violation, so exit 0
+# also means `--fix-allowlist` would change nothing (the byte no-op
+# itself is asserted in tier-1, crates/sybil-lint/tests/workspace_clean.rs).
 lint_bin="$root/target/release/sybil-lint"
 python3 - "$lint_bin" <<'PY'
 import subprocess, sys, time
+rules = len(subprocess.check_output([sys.argv[1], "--list-rules"]).splitlines())
 t0 = time.monotonic()
 rc = subprocess.call([sys.argv[1], "--workspace"])
 dt = time.monotonic() - t0
-print(f"lint budget: {dt:.2f}s (<5s required)")
+print(f"lint budget: {rules} rules in {dt:.2f}s (<5s required)")
 sys.exit(rc if rc else (0 if dt < 5.0 else 1))
-PY
-
-echo "== lint: zero stale allowlist entries (--fix-allowlist is a no-op) =="
-# Every lint.toml entry must match a live finding; a clean tree means
-# --fix-allowlist rewrites the file byte-identically.
-lint_orig="$(mktemp)"
-cp lint.toml "$lint_orig"
-"$lint_bin" --workspace --fix-allowlist >/dev/null
-if ! cmp -s lint.toml "$lint_orig"; then
-    cp "$lint_orig" lint.toml
-    rm -f "$lint_orig"
-    echo "lint.toml has stale allowlist entries (--fix-allowlist changed it)"
-    exit 1
-fi
-rm -f "$lint_orig"
-
-echo "== lint: SARIF output validates against the committed catalog =="
-# `--format sarif` must stay parseable SARIF 2.1.0 whose rule catalog
-# (ids, summaries, --explain-sourced fullDescriptions, helpUris) is
-# byte-stable; the findings themselves churn with line numbers, so the
-# snapshot pins the catalog only. Regen:
-#   sybil-lint --workspace --format sarif | python3 -c 'import json,sys; \
-#     json.dump(json.load(sys.stdin)["runs"][0]["tool"]["driver"]["rules"], \
-#     open("crates/sybil-lint/tests/fixtures/sarif_catalog.json","w"), indent=2)'
-"$lint_bin" --workspace --format sarif > "$root/target/verify_ws.sarif"
-python3 - "$root/target/verify_ws.sarif" \
-    "$root/crates/sybil-lint/tests/fixtures/sarif_catalog.json" <<'PY'
-import json, sys
-sarif = json.load(open(sys.argv[1]))
-assert sarif["version"] == "2.1.0", sarif["version"]
-assert "sarif-2.1.0" in sarif["$schema"], sarif["$schema"]
-run = sarif["runs"][0]
-driver = run["tool"]["driver"]
-assert driver["name"] == "sybil-lint", driver["name"]
-rules = driver["rules"]
-for r in rules:
-    missing = [k for k in ("id", "shortDescription", "fullDescription", "helpUri") if k not in r]
-    assert not missing, f"rule {r.get('id')} missing {missing}"
-snapshot = json.load(open(sys.argv[2]))
-if json.dumps(rules, sort_keys=True) != json.dumps(snapshot, sort_keys=True):
-    print("SARIF rule catalog drifted from the committed snapshot "
-          "(crates/sybil-lint/tests/fixtures/sarif_catalog.json); regen per "
-          "the comment in verify.sh if the change is intentional")
-    sys.exit(1)
-n_sup = sum(1 for res in run.get("results", []) if res.get("suppressions"))
-print(f"sarif smoke: {len(rules)} rules in catalog, "
-      f"{len(run.get('results', []))} results ({n_sup} suppressed), catalog matches snapshot")
 PY
 
 bench_tmp="$(mktemp -d)"
