@@ -25,7 +25,7 @@ use osn_graph::{NodeId, Timestamp};
 use osn_sim::stream::{EventStream, StreamEvent, StreamEventKind};
 use osn_sim::SimOutput;
 use serde::{Deserialize, Serialize};
-use state::AccountState;
+use state::AccountTable;
 use std::collections::{HashSet, VecDeque};
 use sybil_features::FeatureVector;
 
@@ -250,7 +250,8 @@ impl SpanAgg {
 struct Replayer<'a> {
     out: &'a SimOutput,
     cfg: RealtimeConfig,
-    states: Vec<AccountState>,
+    /// Every account's running state; slot = account id.
+    states: AccountTable,
     /// Accepted friendships seen so far, as packed undirected keys.
     edges: HashSet<u64>,
     adaptive: AdaptiveThresholds,
@@ -272,7 +273,7 @@ impl<'a> Replayer<'a> {
         Replayer {
             out,
             cfg,
-            states: (0..n).map(|_| AccountState::default()).collect(),
+            states: AccountTable::new(n),
             edges: HashSet::new(),
             adaptive: AdaptiveThresholds::from_rule(&cfg.rule, 0.02),
             feedback_queue: VecDeque::new(),
@@ -311,10 +312,10 @@ impl<'a> Replayer<'a> {
         let r = self.out.log.get(i);
         self.processed_sends += 1;
         let window_s = self.cfg.trailing_window_h * 3600;
-        let st = &mut self.states[r.from.index()];
-        if !st.detected {
-            st.on_send(r.sent_at, window_s);
-            if st.should_check_on_send(&self.cfg) {
+        let from = r.from.index();
+        if !self.states.detected(from) {
+            self.states.on_send(from, r.sent_at, window_s);
+            if self.states.should_check_on_send(from, &self.cfg) {
                 self.check(r.from, t);
             }
         }
@@ -341,16 +342,16 @@ impl<'a> Replayer<'a> {
         let r = self.out.log.get(i);
         if r.outcome.is_accepted() {
             self.edges.insert(state::pack_edge(r.from, r.to));
-            self.states[r.from.index()].on_accept_out(r.to);
-            self.states[r.to.index()].on_accept_in(r.from);
+            self.states.on_accept_out(r.from.index(), r.to);
+            self.states.on_accept_in(r.to.index(), r.from);
         } else {
-            self.states[r.from.index()].on_reject_out();
+            self.states.on_reject_out(r.from.index());
         }
         // Decisions also update the sender's features (ratio and
         // clustering mature long after the last send), so the detector
         // re-evaluates here too.
-        let st = &self.states[r.from.index()];
-        if !st.detected && st.should_check_on_decide(&self.cfg) {
+        let from = r.from.index();
+        if !self.states.detected(from) && self.states.should_check_on_decide(from, &self.cfg) {
             self.check(r.from, t);
         }
     }
@@ -358,7 +359,7 @@ impl<'a> Replayer<'a> {
     /// The pure feature computation, shared by the timed and untimed
     /// paths of [`features_of`](Self::features_of).
     fn compute_features(&self, who: NodeId) -> Option<FeatureVector> {
-        state::features_with(&self.states[who.index()], &self.cfg, |friends| {
+        self.states.features_with(who.index(), &self.cfg, |friends| {
             state::links_via_edges(friends, &self.edges)
         })
     }
@@ -391,7 +392,7 @@ impl<'a> Replayer<'a> {
         };
         if rule.is_sybil(&f) {
             let truth = self.out.is_sybil(who);
-            self.states[who.index()].detected = true;
+            self.states.mark_detected(who.index());
             self.counters.detections += 1;
             self.report.detections.push(Detection {
                 account: who,
@@ -419,8 +420,8 @@ impl<'a> Replayer<'a> {
         // Count missed sybils.
         for (i, a) in self.out.accounts.iter().enumerate() {
             if a.is_sybil()
-                && self.states[i].sent as usize >= self.cfg.warmup_requests
-                && !self.states[i].detected
+                && self.states.sent(i) as usize >= self.cfg.warmup_requests
+                && !self.states.detected(i)
             {
                 self.report.missed += 1;
             }

@@ -68,6 +68,10 @@ pub struct Allowlist {
     pub effects: EffectConfig,
     /// Cost-rule hot-path roots from the `[hotpaths.roots]` table.
     pub hotpaths: HotPathConfig,
+    /// Every root pattern of both tables with the 1-based line of the
+    /// key it is listed under — where S105 anchors a pattern that
+    /// matches no function.
+    pub roots_at: Vec<(String, u32)>,
 }
 
 impl Allowlist {
@@ -142,6 +146,7 @@ pub fn parse(content: &str) -> Result<Allowlist, ParseError> {
     let mut entries: Vec<AllowEntry> = Vec::new();
     let mut effects = EffectConfig::default();
     let mut hotpaths = HotPathConfig::default();
+    let mut roots_at: Vec<(String, u32)> = Vec::new();
     let mut cur: Option<PartialEntry> = None;
     let mut table: Option<EffTable> = None;
     let lines: Vec<&str> = content.lines().collect();
@@ -217,6 +222,7 @@ pub fn parse(content: &str) -> Result<Allowlist, ParseError> {
                     ))
                 }
             };
+            roots_at.extend(pats.iter().map(|p| (p.clone(), lineno as u32)));
             *slot = pats;
             continue;
         }
@@ -254,6 +260,7 @@ pub fn parse(content: &str) -> Result<Allowlist, ParseError> {
         entries,
         effects,
         hotpaths,
+        roots_at,
     })
 }
 

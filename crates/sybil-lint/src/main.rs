@@ -228,7 +228,10 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-        rep.violations.retain(|f| f.rule != "S105");
+        // Only theirs: an unmatched root pattern is S105 too, and pruning
+        // cannot fix it.
+        let pruned = |f: &report::Finding| stale.iter().any(|e| e.defined_at == f.line);
+        rep.violations.retain(|f| f.rule != "S105" || !pruned(f));
         eprintln!(
             "sybil-lint: --fix-allowlist removed {} stale entr{} from {}",
             stale.len(),

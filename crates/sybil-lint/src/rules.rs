@@ -257,13 +257,19 @@ pub const RULES: [Rule; 20] = [
     },
     Rule {
         code: "S105",
-        summary: "stale lint.toml allowlist entry (matched nothing this run)",
-        explain: "S105 — stale allowlist entries\n\nAn [[allow]] entry in lint.toml that \
+        summary: "stale lint.toml entry: allowlist entry or root pattern that matched nothing \
+                 this run",
+        explain: "S105 — stale lint.toml entries\n\nAn [[allow]] entry in lint.toml that \
                  matched no finding this run documents an exception that no longer \
                  exists; left in place it would silently re-arm if the pattern ever came \
                  back. S105 reports the entry at its line in lint.toml as an error. Run \
                  `sybil-lint --workspace --fix-allowlist` to delete stale entries; when \
-                 nothing is stale the rewrite is byte-identical.",
+                 nothing is stale the rewrite is byte-identical.\n\nA pattern under \
+                 [effects.roots] or [hotpaths.roots] that matches no library function is \
+                 stale the same way, and worse: the rule it anchors is switched off for \
+                 that root without a word (renaming or moving the function does it). S105 \
+                 reports the pattern at its key's line; re-point it by hand — \
+                 --fix-allowlist does not touch the root tables.",
         sites: None,
     },
     Rule {

@@ -7,6 +7,7 @@
 //! code, and build output is noise.
 
 use crate::allowlist::Allowlist;
+use crate::effects::EffectConfig;
 use crate::report::{Finding, Report};
 use crate::rules::{check_model, FileKind};
 use crate::symbols::WorkspaceModel;
@@ -223,6 +224,26 @@ fn run_impl(files: &[SourceFile], allowlist: &Allowlist, semantic: bool) -> io::
                     e.defined_at, e.rule, e.path
                 )],
             });
+        }
+        // So is a root pattern no function answers to: the rule it
+        // anchors is silently off for it (a rename does this).
+        for (pat, line) in &allowlist.roots_at {
+            let pats = std::slice::from_ref(pat);
+            let hit = |i| model.is_lib_fn(i) && EffectConfig::matches(pats, &model.fq_name(i));
+            if !(0..model.fns.len()).any(hit) {
+                report.violations.push(Finding {
+                    rule: "S105",
+                    path: "lint.toml".to_string(),
+                    line: *line,
+                    col: 1,
+                    message: format!(
+                        "root pattern {pat:?} matches no library function; re-point it \
+                         at the function's new name or remove it"
+                    ),
+                    snippet: pat.clone(),
+                    trace: Vec::new(),
+                });
+            }
         }
     }
     report.violations.sort_by(|a, b| {

@@ -217,6 +217,42 @@ justification = "stale entry that matches nothing at all"
     assert!(json.contains("never_matches.rs"), "{json}");
 }
 
+/// A root pattern no function answers to silences its rule for that
+/// root; S105 names each one at the line of its key, and says nothing of
+/// the patterns (an exact name, a prefix) that still match.
+#[test]
+fn unmatched_root_patterns_are_s105_errors() {
+    let toml = std::fs::read_to_string(fixture_dir().join("roots_unmatched.toml")).unwrap();
+    let allow = allowlist::parse(&toml).unwrap();
+    let file = |disk: &str, kind| SourceFile {
+        abs: fixture_dir().join("cost_alloc_bad").join(disk),
+        rel: format!("crates/cost_alloc_bad/src/{disk}"),
+        crate_name: "cost_alloc_bad".into(),
+        kind,
+    };
+    let files = [
+        file("lib.rs", FileKind::Lib),
+        file("scan.rs", FileKind::Lib),
+        file("use_api.rs", FileKind::Bin),
+    ];
+    let rep = sybil_lint::workspace::run_workspace(&files, &allow).unwrap();
+    let s105: Vec<(&str, u32)> = rep
+        .violations
+        .iter()
+        .filter(|f| f.rule == "S105")
+        .map(|f| (f.snippet.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        s105,
+        [("cost_alloc_bad::journal::*", 4), ("cost_alloc_bad::serve_epoch", 7)],
+        "{rep:#?}"
+    );
+    assert!(rep.violations.iter().all(|f| f.path != "lint.toml" || f.message.contains(&f.snippet)));
+    // Only the workspace run has the whole function table to ask.
+    let partial = run(&files, &allow).unwrap();
+    assert!(partial.violations.iter().all(|f| f.rule != "S105"));
+}
+
 // ---------------------------------------------------------------------
 // The acceptance gate: the real workspace is clean under lint.toml —
 // token rules AND the semantic S-series, including S105 staleness — and

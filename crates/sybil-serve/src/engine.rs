@@ -189,8 +189,10 @@ pub struct ServeStats {
 type Arrival = (ShardState, EpochOutput, f64, Option<u64>);
 
 /// How a step drives its shard vector: `par::map_owned` for live
-/// epochs, a plain in-order map for journaled ones — replaying them in
-/// parallel measured slower (DESIGN.md §Persistence & warm restart).
+/// epochs, a plain in-order map for journaled ones. With the scan
+/// scaling, replaying them in parallel no longer loses, but over six
+/// alternating pairs it did not win either (DESIGN.md §Persistence &
+/// warm restart has the pairs), so the tail stays in order.
 #[derive(Clone, Copy)]
 enum Drive {
     Parallel,
@@ -650,8 +652,8 @@ fn assemble(
     let shards_n = shards.len();
     for (i, a) in out.accounts.iter().enumerate() {
         if a.is_sybil() {
-            let st = &shards[i % shards_n].states[i / shards_n];
-            if st.sent as usize >= rt.warmup_requests && !st.detected {
+            let (states, li) = (&shards[i % shards_n].states, i / shards_n);
+            if states.sent(li) as usize >= rt.warmup_requests && !states.detected(li) {
                 report.missed += 1;
             }
         }

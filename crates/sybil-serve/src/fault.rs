@@ -171,7 +171,8 @@ pub struct EpochRecord {
 /// kernel scratch) are rebuilt on restore, not persisted.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardSnapshot {
-    /// Owned accounts' states, in local-slot order.
+    /// Owned accounts' states as exchange records, in local-slot order
+    /// (materialised from, and restored into, the shard's flat table).
     pub states: Vec<AccountState>,
     /// `AdaptiveThresholds::to_raw` words (six trackers + `use_cc`).
     pub adaptive: [u64; 31],

@@ -5,8 +5,9 @@
 //! serving-scale counterpart of the sequential
 //! [`replay`](sybil_core::realtime::replay): the merged send/decision
 //! stream is processed by `N` worker shards partitioned by account id,
-//! each owning its accounts' running state ([`AccountState`] from
-//! `sybil_core::realtime::state`). Clustering features are served from
+//! each owning its accounts' running state (one flat `AccountTable` from
+//! `sybil_core::realtime::state` per shard). Clustering features are
+//! served from
 //! the coordinator's single accepted-edge mirror — a rotating
 //! [`CsrSnapshot`](osn_graph::CsrSnapshot) plus an unfolded delta that
 //! already holds the running epoch's edges, each check bounded to its

@@ -5,11 +5,15 @@
 //! event of an epoch, but the per-event cost for a non-owned account is a
 //! counter and a branch: a send by anyone advances the global audit
 //! cadence, while per-account state transitions, rule checks, and feature
-//! computation run only on the shard that owns the account. All edge
-//! state lives in the coordinator's read-only [`GraphMirror`], which
-//! already holds the running epoch's edges; the [`EpochIndex`] turns a
-//! stream position into the watermark that hides the ones created after
-//! it (see `mirror`), so shards write nothing shared. That
+//! computation run only on the shard that owns the account. The owned
+//! accounts' state is one flat [`AccountTable`] — fixed-size slots, send
+//! windows and friend runs in two block pools — so the scan loop does
+//! not call the allocator, which is what lets two shards scan side by
+//! side at close to their back-to-back speed. All edge state lives in
+//! the coordinator's read-only [`GraphMirror`], which already holds the
+//! running epoch's edges; the [`EpochIndex`] turns a stream position
+//! into the watermark that hides the ones created after it (see
+//! `mirror`), so shards write nothing shared. That
 //! full-scan/shared-read design is what makes the engine byte-identical
 //! to the sequential replay: a check in the middle of an epoch sees
 //! exactly the same friend lists, edge set, audit cursor, and
@@ -22,7 +26,7 @@
 //! watermark (one `partition_point` per check) — integer-equal to the
 //! sequential pair-probe loop whenever the friend list is duplicate-free
 //! (the shard falls back to exact pair probes for the rare duplicate
-//! case, flagged by [`AccountState::friends_dup`]).
+//! case, flagged by [`AccountTable::friends_dup`]).
 
 use crate::fault::EpochRecordRef;
 use crate::mirror::{EpochIndex, GraphMirror};
@@ -32,7 +36,7 @@ use osn_sim::stream::StreamEventKind;
 use osn_sim::SimOutput;
 use std::collections::VecDeque;
 use sybil_core::adaptive::AdaptiveThresholds;
-use sybil_core::realtime::state::{self, AccountState};
+use sybil_core::realtime::state::{self, AccountTable};
 use sybil_core::realtime::{Detection, RealtimeConfig};
 use sybil_core::threshold::ThresholdClassifier;
 use sybil_core::Classifier;
@@ -96,9 +100,9 @@ pub(crate) struct ShardState {
     /// power-of-two deployments get a mask instead of a division.
     owner_mask: Option<usize>,
     cfg: RealtimeConfig,
-    /// Owned accounts' states; local slot `i` holds account `i * shards +
-    /// shard`.
-    pub states: Vec<AccountState>,
+    /// Owned accounts' states, one flat table per shard; local slot `i`
+    /// holds account `i * shards + shard`.
+    pub states: AccountTable,
     scratch: NeighborScratch,
     /// Friend-id staging buffer for kernel calls.
     friend_ids: Vec<u32>,
@@ -127,7 +131,7 @@ impl ShardState {
             shards,
             owner_mask: shards.is_power_of_two().then(|| shards - 1),
             cfg: *cfg,
-            states: (0..owned).map(|_| AccountState::default()).collect(),
+            states: AccountTable::new(owned),
             scratch: NeighborScratch::new(num_accounts),
             friend_ids: Vec::with_capacity(state::MAX_TRACKED_FRIENDS),
             adaptive: AdaptiveThresholds::from_rule(&cfg.rule, 0.02),
@@ -176,9 +180,7 @@ impl ShardState {
         d.write_usize(self.shard);
         d.write_usize(self.shards);
         d.write_usize(self.owned);
-        for st in &self.states {
-            st.digest_into(&mut d);
-        }
+        self.states.digest_into(&mut d);
         self.adaptive.digest_into(&mut d);
         d.write_usize(self.feedback_queue.len());
         for (due, f, truth) in &self.feedback_queue {
@@ -199,7 +201,7 @@ impl ShardState {
     /// `from_snapshot(.., s.snapshot()).digest() == s.digest()`.
     pub(crate) fn snapshot(&self) -> crate::fault::ShardSnapshot {
         crate::fault::ShardSnapshot {
-            states: self.states.clone(),
+            states: self.states.accounts(),
             adaptive: self.adaptive.to_raw(),
             feedback_queue: self.feedback_queue.iter().cloned().collect(),
             sends_until_audit: self.sends_until_audit as u64,
@@ -228,7 +230,7 @@ impl ShardState {
         if snap.states.len() != s.owned || !(1..=cfg.audit_every).contains(&countdown) {
             return None;
         }
-        s.states = snap.states;
+        s.states = AccountTable::from_accounts(&snap.states)?;
         s.adaptive = AdaptiveThresholds::from_raw(snap.adaptive);
         s.feedback_queue = snap.feedback_queue.into();
         s.sends_until_audit = countdown;
@@ -262,12 +264,15 @@ impl ShardState {
             self.feedback_queue.push_back((f.due, f.features, f.truth));
         }
         // Epoch invariants bound the queues: at most one detection per
-        // owned account ever, at most one audit per audit_every events
-        // (plus one per detection when adaptive). A fault-plane clamp
-        // can only shrink the bound (overflow injection), never grow it.
+        // owned account ever and per event of the epoch, at most one
+        // audit per audit_every events (plus one per detection when
+        // adaptive). A fault-plane clamp can only shrink the bound
+        // (overflow injection), never grow it.
         let audits = rec.events.len() / self.cfg.audit_every + 1;
-        let det_cap = queue_clamp.map_or(self.owned, |c| c.min(self.owned));
-        let fb_cap = queue_clamp.map_or(self.owned + audits, |c| c.min(self.owned + audits));
+        let det_cap = self.owned.min(rec.events.len());
+        let fb_cap = det_cap + audits;
+        let (det_cap, fb_cap) =
+            queue_clamp.map_or((det_cap, fb_cap), |c| (c.min(det_cap), c.min(fb_cap)));
         let mut eout = EpochOutput {
             detections: DeltaQueue::with_capacity(det_cap),
             feedback: DeltaQueue::with_capacity(fb_cap),
@@ -293,10 +298,9 @@ impl ShardState {
                 StreamEventKind::Sent(_) => {
                     if self.owns(from) {
                         let li = self.local(from);
-                        let st = &mut self.states[li];
-                        if !st.detected {
-                            st.on_send(t, window_s);
-                            if st.should_check_on_send(&self.cfg) {
+                        if !self.states.detected(li) {
+                            self.states.on_send(li, t, window_s);
+                            if self.states.should_check_on_send(li, &self.cfg) {
                                 self.check(from, rec.epoch, ev.seq, t, delay_s, out, mirror, eidx,
                                     &mut eout)?;
                             }
@@ -336,19 +340,21 @@ impl ShardState {
                     if d.accepted {
                         if owns_from {
                             let li = self.local(from);
-                            self.states[li].on_accept_out(to);
+                            self.states.on_accept_out(li, to);
                         }
                         if self.owns(to) {
                             let li = self.local(to);
-                            self.states[li].on_accept_in(from);
+                            self.states.on_accept_in(li, from);
                         }
                     } else if owns_from {
                         let li = self.local(from);
-                        self.states[li].on_reject_out();
+                        self.states.on_reject_out(li);
                     }
                     if owns_from {
-                        let st = &self.states[self.local(from)];
-                        if !st.detected && st.should_check_on_decide(&self.cfg) {
+                        let li = self.local(from);
+                        if !self.states.detected(li)
+                            && self.states.should_check_on_decide(li, &self.cfg)
+                        {
                             self.check(from, rec.epoch, ev.seq, t, delay_s, out, mirror, eidx,
                                 &mut eout)?;
                         }
@@ -379,10 +385,9 @@ impl ShardState {
             obs,
             ..
         } = self;
-        let st = &states[li];
-        let f = state::features_with(st, cfg, |friends| {
+        let f = states.features_with(li, cfg, |friends| {
             let watermark = eidx.watermark(seq);
-            if st.friends_dup {
+            if states.friends_dup(li) {
                 // Duplicate friend ids break the marked-set kernel's
                 // one-count-per-edge property; use reference pair probes.
                 let mut links = 0usize;
@@ -441,7 +446,7 @@ impl ShardState {
         if rule.is_sybil(&f) {
             let truth = out.is_sybil(who);
             let li = self.local(who);
-            self.states[li].detected = true;
+            self.states.mark_detected(li);
             self.obs.detections += 1;
             eout.detections
                 .push(TaggedDetection {
@@ -466,5 +471,72 @@ impl ShardState {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::ShardSnapshot;
+    use sybil_core::realtime::state::{AccountState, MAX_TRACKED_FRIENDS};
+
+    const ACCOUNTS: usize = 8;
+
+    fn restored(shard: usize, snap: ShardSnapshot) -> Option<ShardState> {
+        ShardState::from_snapshot(shard, 2, ACCOUNTS, &RealtimeConfig::default(), snap)
+    }
+
+    /// Checkpoint bytes are a pure function of the snapshot (the `SYBS`
+    /// codec reads nothing else), so snapshot equality is byte equality.
+    #[test]
+    fn snapshot_round_trips_after_blocks_were_freed_and_reused() {
+        let mut s = ShardState::new(1, 2, ACCOUNTS, &RealtimeConfig::default());
+        // Slot 0 bursts through three ring classes and four friend
+        // classes, freeing a block at each step; slots 1–3 then pick the
+        // freed blocks up, one of them with its window slid (head ≠ 0).
+        for k in 0..20u64 {
+            s.states.on_send(0, Timestamp(1000 + k), 3600);
+            s.states.on_accept_out(0, NodeId(k as u32 * 2));
+        }
+        for slot in 1..4 {
+            for k in 0..6u64 {
+                s.states.on_send(slot, Timestamp(2000 + 900 * k), 3600);
+                s.states.on_accept_in(slot, NodeId(7));
+            }
+        }
+        s.states.mark_detected(2);
+        s.sends_until_audit = 3;
+        s.audit_cursor = 17;
+        let snap = s.snapshot();
+        assert_eq!(snap.states[0].recent_sends.len(), 20);
+        assert_eq!(snap.states[1].recent_sends, [3800, 4700, 5600, 6500]);
+        assert!(snap.states[1].friends_dup && snap.states[2].detected);
+        let back = restored(1, snap.clone()).expect("this shard's own snapshot");
+        assert_eq!(back.digest(), s.digest());
+        assert_eq!(back.snapshot(), snap);
+    }
+
+    /// Restoring writes the records as they are: a send at time 0 (which
+    /// `on_send` would evict on arrival) and a full friend list survive.
+    #[test]
+    fn snapshot_with_a_time_zero_send_and_full_friend_list_round_trips() {
+        let mut snap = ShardState::new(0, 2, ACCOUNTS, &RealtimeConfig::default()).snapshot();
+        snap.states[2] = AccountState {
+            sent: 60,
+            accepted: 55,
+            recent_sends: [0, 0, 5].into(),
+            peak_1h: 9,
+            friends: (0..MAX_TRACKED_FRIENDS as u32).map(NodeId).collect(),
+            ..AccountState::default()
+        };
+        let back = restored(0, snap.clone()).expect("a well-formed snapshot");
+        assert_eq!(back.snapshot(), snap);
+        assert_eq!(back.states.friends(2).len(), MAX_TRACKED_FRIENDS);
+
+        // What no table wrote is refused, as a wrong owned count is.
+        snap.states[2].friends.push(NodeId(99));
+        assert!(restored(0, snap.clone()).is_none());
+        snap.states.pop();
+        assert!(restored(0, snap).is_none());
     }
 }

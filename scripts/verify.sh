@@ -9,8 +9,8 @@
 # mismatched-store smoke (another run's store is a typed error), and
 # one step over the repo's benchmark (benchmark/run.sh): no failed job,
 # peak RSS inside the DESIGN.md budget, no resolved observability
-# overhead above 5%. Durability overhead and restart latency are
-# printed, not gated.
+# overhead above 5%. Durability overhead, restart latency and the two
+# shard-scaling ratios of the scan stream are printed, not gated.
 # Run from the workspace root: ./scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -161,13 +161,17 @@ echo "== benchmark: failed jobs, RSS budget, observability overhead (benchmark/r
 # overhead that is above 5% *resolved* — q1 of the paired on/off deltas,
 # not their median, which on this box sits inside ±10% of noise.
 # Durability overhead and restart latency are reported with their
-# spread and not gated: ROADMAP "Recovery that earns its name" owns them.
+# spread and not gated: ROADMAP "Durability that costs what it writes"
+# owns them. So are the scan stream's scaling ratios (2 shards on 2
+# threads against 1 shard, wall and shard busy time): ROADMAP "Shards
+# that scale" states its acceptance in them, and a short run on a box
+# whose two vCPUs do not always run side by side cannot gate on them.
 bench_out="$root/benchmark/out"
 rm -f "$bench_out"/result-*.json
 # A failed job makes run.sh exit non-zero after it has written the
 # result; the check below reads `failed`, and a missing result fails it.
-for run in "scan_250k --seconds 8 --trace 0" "checks_sim --seconds 30 --trace 1" \
-    "durable_250k --seconds 18 --trace 1"; do
+for run in "scan_250k --seconds 8 --trace 0" "scan_250k --seconds 8 --trace 1" \
+    "checks_sim --seconds 30 --trace 1" "durable_250k --seconds 18 --trace 1"; do
     # shellcheck disable=SC2086
     benchmark/run.sh --workload $run --seed 42 >/dev/null 2>>"$bench_tmp/benchmark.log" || true
 done
@@ -175,9 +179,11 @@ python3 - "$bench_out" <<'PY' || { cat "$bench_tmp/benchmark.log"; exit 1; }
 import json, sys
 load = lambda name: json.load(open(f"{sys.argv[1]}/result-{name}.json"))
 scan, checks, durable = load("scan_250k"), load("checks_sim-trace"), load("durable_250k-trace")
+scaling = load("scan_250k-trace")
 ok = True
 
-for name, r in (("scan_250k", scan), ("checks_sim", checks), ("durable_250k", durable)):
+for name, r in (("scan_250k", scan), ("scan_250k traced", scaling), ("checks_sim", checks),
+                ("durable_250k", durable)):
     res = r["result"]
     print(f"benchmark {name}: failed={res['failed']} of attempted={res['attempted']} "
           f"(0 required; every job's report bytes checked)")
@@ -198,9 +204,16 @@ print(f"benchmark checks_sim: sybil-serve.obs_overhead_pct q1={obs['q1']:+.1f}% 
       f"q1 <= 5% required)")
 ok &= obs["q1"] <= 5.0
 
-dm, ds = durable["result"]["metrics"], durable["summaries"]
 spread = lambda s: f"n={s['n']}, q1 {s['q1']:.2f}, q3 {s['q3']:.2f}"
-owner = "reported, not gated: ROADMAP 'Recovery that earns its name' owns it"
+ss = scaling["summaries"]
+for two, one in (("run_s_shards2", "run_s_shards1"), ("shard_busy_sum_s_shards2", "shard_busy_s_shards1")):
+    a, b = ss[f"sybil-serve.{two}"], ss[f"sybil-serve.{one}"]
+    print(f"benchmark scan_250k: sybil-serve.{two} ÷ {one} = {a['median'] / b['median']:.2f} "
+          f"(median {a['median']:.2f} s, {spread(a)} ÷ median {b['median']:.2f} s, {spread(b)}) — "
+          f"reported, not gated: ROADMAP 'Shards that scale' owns it")
+
+dm, ds = durable["result"]["metrics"], durable["summaries"]
+owner = "reported, not gated: ROADMAP 'Durability that costs what it writes' owns it"
 over = ds["sybil-store.durability_overhead_pct"]
 print(f"benchmark durable_250k: sybil-store.durability_overhead_pct median={over['median']:.1f}% "
       f"({spread(over)}; persisted vs plain run, paired) — {owner}")
