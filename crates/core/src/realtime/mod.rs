@@ -20,12 +20,11 @@ pub mod state;
 
 use crate::adaptive::AdaptiveThresholds;
 use crate::threshold::ThresholdClassifier;
-use crate::Classifier;
 use osn_graph::{NodeId, Timestamp};
 use osn_sim::stream::{EventStream, StreamEvent, StreamEventKind};
 use osn_sim::SimOutput;
 use serde::{Deserialize, Serialize};
-use state::AccountTable;
+use state::{AccountTable, Verdict};
 use std::collections::{HashSet, VecDeque};
 use sybil_features::FeatureVector;
 
@@ -202,7 +201,9 @@ pub struct ReplayCounters {
     pub checks_run: u64,
     /// Accounts flagged.
     pub detections: u64,
-    /// Feature vectors actually computed (feature gate passed).
+    /// Checks and audit samples that passed the feature gate (enough
+    /// decided requests and friends to judge). Of the checks among them,
+    /// only those whose counter conjuncts hold go on to count links.
     pub features_computed: u64,
     /// Adaptive feedback items applied to the threshold trackers.
     pub feedback_applied: u64,
@@ -265,6 +266,13 @@ struct Replayer<'a> {
     /// Injected wall clock; `None` outside observed runs.
     clock: Option<sybil_obs::Clock<'a>>,
     feat_span: SpanAgg,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Link counts [`Replayer`]s ran on this thread, for the test of the
+    /// rule's staging (a test has its thread to itself).
+    static LINKS_COUNTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl<'a> Replayer<'a> {
@@ -356,24 +364,31 @@ impl<'a> Replayer<'a> {
         }
     }
 
-    /// The pure feature computation, shared by the timed and untimed
-    /// paths of [`features_of`](Self::features_of).
-    fn compute_features(&self, who: NodeId) -> Option<FeatureVector> {
-        self.states.features_with(who.index(), &self.cfg, |friends| {
-            state::links_via_edges(friends, &self.edges)
-        })
+    /// The sequential link counter: exact pair probes of the edge set.
+    fn links(&self, friends: &[NodeId]) -> usize {
+        #[cfg(test)]
+        LINKS_COUNTED.with(|n| n.set(n.get() + 1));
+        state::links_via_edges(friends, &self.edges)
     }
 
-    fn features_of(&mut self, who: NodeId) -> Option<FeatureVector> {
-        let f = match self.clock {
-            Some(clock) => {
-                let t0 = clock();
-                let f = self.compute_features(who);
-                self.feat_span.record(clock() - t0);
-                f
-            }
-            None => self.compute_features(who),
+    /// Run `work`, wall-timed into the `feature_compute` span when a
+    /// clock was injected.
+    fn timed<T>(&mut self, work: impl FnOnce(&Self) -> T) -> T {
+        let Some(clock) = self.clock else {
+            return work(self);
         };
+        let t0 = clock();
+        let v = work(self);
+        self.feat_span.record(clock() - t0);
+        v
+    }
+
+    /// The full vector of `who`, for the audit sample.
+    fn features_of(&mut self, who: NodeId) -> Option<FeatureVector> {
+        let f = self.timed(|eng| {
+            eng.states
+                .features_with(who.index(), &eng.cfg, |friends| eng.links(friends))
+        });
         if f.is_some() {
             self.counters.features_computed += 1;
         }
@@ -382,37 +397,47 @@ impl<'a> Replayer<'a> {
 
     fn check(&mut self, who: NodeId, t: Timestamp) {
         self.counters.checks_run += 1;
-        let Some(f) = self.features_of(who) else {
-            return;
-        };
         let rule = if self.cfg.adaptive {
             self.adaptive.current_rule()
         } else {
             self.cfg.rule
         };
-        if rule.is_sybil(&f) {
-            let truth = self.out.is_sybil(who);
-            self.states.mark_detected(who.index());
-            self.counters.detections += 1;
-            self.report.detections.push(Detection {
-                account: who,
-                at: t,
-                correct: truth,
-            });
-            if truth {
-                self.report.true_positives += 1;
-                self.report.mean_latency_h +=
-                    t.as_hours() - self.out.accounts[who.index()].created_at.as_hours();
-            } else {
-                self.report.false_positives += 1;
-            }
-            if self.cfg.adaptive {
-                self.feedback_queue.push_back((
-                    t.plus_secs(self.cfg.feedback_delay_h * 3600),
-                    f,
-                    truth,
-                ));
-            }
+        let verdict = self.timed(|eng| {
+            eng.states
+                .check_with(who.index(), &eng.cfg, &rule, |friends| eng.links(friends))
+        });
+        if verdict != Verdict::NoData {
+            self.counters.features_computed += 1;
+        }
+        if let Verdict::Sybil(f) = verdict {
+            self.flag(who, t, f);
+        }
+    }
+
+    /// The rule fired on `who` at `t`, showing features `f`: record the
+    /// detection and queue the verification team's answer.
+    fn flag(&mut self, who: NodeId, t: Timestamp, f: FeatureVector) {
+        let truth = self.out.is_sybil(who);
+        self.states.mark_detected(who.index());
+        self.counters.detections += 1;
+        self.report.detections.push(Detection {
+            account: who,
+            at: t,
+            correct: truth,
+        });
+        if truth {
+            self.report.true_positives += 1;
+            self.report.mean_latency_h +=
+                t.as_hours() - self.out.accounts[who.index()].created_at.as_hours();
+        } else {
+            self.report.false_positives += 1;
+        }
+        if self.cfg.adaptive {
+            self.feedback_queue.push_back((
+                t.plus_secs(self.cfg.feedback_delay_h * 3600),
+                f,
+                truth,
+            ));
         }
     }
 
@@ -525,6 +550,117 @@ mod tests {
         let fp = report.detections.iter().filter(|d| !d.correct).count();
         assert_eq!(tp, report.true_positives);
         assert_eq!(fp, report.false_positives);
+    }
+
+    /// The order both engines ran before the rule was staged, kept as the
+    /// reference: the whole vector, link count included, for every check
+    /// past the feature gate, and only then the rule. The loop around it
+    /// is [`Replayer`]'s, restated.
+    fn eager_replay(out: &SimOutput, cfg: &RealtimeConfig) -> (DeploymentReport, ReplayCounters) {
+        use crate::Classifier;
+        fn check(eng: &mut Replayer, who: NodeId, t: Timestamp) {
+            eng.counters.checks_run += 1;
+            let Some(f) = eng.features_of(who) else {
+                return;
+            };
+            let rule = if eng.cfg.adaptive {
+                eng.adaptive.current_rule()
+            } else {
+                eng.cfg.rule
+            };
+            if rule.is_sybil(&f) {
+                eng.flag(who, t, f);
+            }
+        }
+
+        let mut eng = Replayer::new(out, cfg.sanitized(), None);
+        for ev in EventStream::new(&out.log) {
+            let t = ev.at;
+            eng.counters.events_processed += 1;
+            while let Some(&(due, f, truth)) = eng.feedback_queue.front() {
+                if due > t {
+                    break;
+                }
+                eng.adaptive.feedback(&f, truth);
+                eng.counters.feedback_applied += 1;
+                eng.feedback_queue.pop_front();
+            }
+            let (sent, r) = match ev.kind {
+                StreamEventKind::Sent(i) => (true, out.log.get(i as usize)),
+                StreamEventKind::Decided(i) => (false, out.log.get(i as usize)),
+            };
+            let from = r.from.index();
+            if sent {
+                eng.processed_sends += 1;
+                if !eng.states.detected(from) {
+                    eng.states
+                        .on_send(from, r.sent_at, eng.cfg.trailing_window_h * 3600);
+                    if eng.states.should_check_on_send(from, &eng.cfg) {
+                        check(&mut eng, r.from, t);
+                    }
+                }
+                if eng.cfg.adaptive && eng.processed_sends.is_multiple_of(eng.cfg.audit_every) {
+                    eng.audit_cursor = state::advance_audit_cursor(eng.audit_cursor, out.log.len());
+                    let sample = out.log.get(eng.audit_cursor).from;
+                    if let Some(f) = eng.features_of(sample) {
+                        eng.counters.audits_sampled += 1;
+                        let due = t.plus_secs(eng.cfg.feedback_delay_h * 3600);
+                        eng.feedback_queue.push_back((due, f, out.is_sybil(sample)));
+                    }
+                }
+            } else {
+                if r.outcome.is_accepted() {
+                    eng.edges.insert(state::pack_edge(r.from, r.to));
+                    eng.states.on_accept_out(from, r.to);
+                    eng.states.on_accept_in(r.to.index(), r.from);
+                } else {
+                    eng.states.on_reject_out(from);
+                }
+                if !eng.states.detected(from) && eng.states.should_check_on_decide(from, &eng.cfg) {
+                    check(&mut eng, r.from, t);
+                }
+            }
+        }
+        let counters = eng.counters;
+        (eng.finish(), counters)
+    }
+
+    /// The staged rule counts links for a small share of the checks the
+    /// eager order counted them for, and decides the same: report and
+    /// every logical tally equal the eager reference's, static and
+    /// adaptive.
+    #[test]
+    fn staged_rule_counts_links_for_few_checks_and_matches_the_eager_order() {
+        let out = simulate(SimConfig::tiny(26));
+        for adaptive in [false, true] {
+            let cfg = RealtimeConfig {
+                rule: rule_for_sim(),
+                adaptive,
+                ..RealtimeConfig::default()
+            };
+            LINKS_COUNTED.set(0);
+            let mut eng = Replayer::new(&out, cfg.sanitized(), None);
+            EventStream::new(&out.log).for_each(|ev| eng.on_event(ev));
+            let (counters, links_counted) = (eng.counters, LINKS_COUNTED.get());
+            let report = eng.finish();
+
+            let (eager_report, eager_counters) = eager_replay(&out, &cfg);
+            assert_eq!(counters, eager_counters, "adaptive={adaptive}");
+            assert_eq!(
+                serde_json::to_string(&report).unwrap(),
+                serde_json::to_string(&eager_report).unwrap(),
+                "adaptive={adaptive}"
+            );
+            assert!(counters.detections > 0 && counters.features_computed > counters.detections);
+            // An audit sample always counts links (the gate asks for 8
+            // friends); a check only past the counter conjuncts.
+            let by_checks = links_counted - counters.audits_sampled;
+            assert!(
+                by_checks * 10 <= counters.checks_run,
+                "{by_checks} link counts for {} checks (adaptive={adaptive})",
+                counters.checks_run
+            );
+        }
     }
 
     /// The `check_every: 0` footgun: `is_multiple_of(0)` is false for all

@@ -6,9 +6,11 @@
 //! here exactly once, on [`AccountTable`]. The engines differ only in who
 //! applies them (one loop over every account vs. the shard owning the
 //! account) and in how clustering links are counted (hash-set pair probes
-//! vs. CSR snapshot kernels) — which is why
-//! [`features_with`](AccountTable::features_with) takes the link counter
-//! as a closure.
+//! vs. CSR snapshot kernels) — which is why the rule check,
+//! [`check_with`](AccountTable::check_with), and the full vector,
+//! [`features_with`](AccountTable::features_with), take the link counter
+//! as a closure. A check calls it last: the rule is a conjunction, two of
+//! its conjuncts are slot reads, and most checks are decided by those.
 //!
 //! The table is flat: one fixed-size slot per account (counters, the
 //! window peak, flags and two block handles) and two size-classed block
@@ -29,6 +31,7 @@
 
 use crate::ids::saturating_u32;
 use crate::realtime::RealtimeConfig;
+use crate::threshold::ThresholdClassifier;
 use osn_graph::{NodeId, Timestamp};
 use std::collections::{HashSet, VecDeque};
 use sybil_features::FeatureVector;
@@ -59,6 +62,18 @@ pub struct AccountState {
     pub friends_dup: bool,
     /// The rule fired; the account is out of the stream.
     pub detected: bool,
+}
+
+/// What one rule check of an account came to
+/// ([`AccountTable::check_with`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Verdict {
+    /// Below the feature gate: too few decided requests or friends.
+    NoData,
+    /// Past the feature gate and not flagged.
+    Pass,
+    /// The rule fired, on these features.
+    Sybil(FeatureVector),
 }
 
 /// Smallest pool block, in elements. Class `c` blocks hold
@@ -333,37 +348,77 @@ impl AccountTable {
             && ((s.accepted + s.rejected) as usize).is_multiple_of(cfg.check_every)
     }
 
+    /// The feature gate and everything past it that the slot answers on
+    /// its own: account `i`'s vector with the clustering coefficient
+    /// still 0, and the friends a link count would run over. `None` when
+    /// the ratio condition lacks data (the detector stays conservative
+    /// rather than flagging accounts it barely knows).
+    #[inline]
+    fn counter_features(
+        &self,
+        i: usize,
+        cfg: &RealtimeConfig,
+    ) -> Option<(FeatureVector, &[NodeId])> {
+        let s = &self.slots[i];
+        let decided = s.accepted + s.rejected;
+        let friends = self.friends(i);
+        if (decided as usize) < cfg.min_decided || friends.len() < cfg.min_friends {
+            return None;
+        }
+        let f = FeatureVector {
+            inv_freq_1h: s.peak_1h as f64,
+            inv_freq_400h: s.sent as f64, // long-scale proxy: total so far
+            outgoing_accept_ratio: s.accepted as f64 / decided as f64,
+            incoming_accept_ratio: 1.0, // not used by the outgoing-side rule
+            clustering_coefficient: 0.0,
+        };
+        Some((f, friends))
+    }
+
     /// Account `i`'s features computable from the stream so far; `None`
-    /// when the ratio condition lacks data (the detector stays
-    /// conservative rather than flagging accounts it barely knows).
-    /// `links` counts friend-to-friend edges and must agree with
-    /// [`links_via_edges`] — engines may substitute a snapshot kernel
-    /// only where the counts are provably equal.
+    /// below the feature gate. `links` counts friend-to-friend edges and
+    /// must agree with [`links_via_edges`] — engines may substitute a
+    /// snapshot kernel only where the counts are provably equal. Always
+    /// the full vector: what the audit sample and offline callers need.
     pub fn features_with(
         &self,
         i: usize,
         cfg: &RealtimeConfig,
         links: impl FnOnce(&[NodeId]) -> usize,
     ) -> Option<FeatureVector> {
-        let s = &self.slots[i];
-        let decided = s.accepted + s.rejected;
-        let friends = self.friends(i);
-        let k = friends.len();
-        if (decided as usize) < cfg.min_decided || k < cfg.min_friends {
-            return None;
-        }
-        let cc = if k < 2 {
-            0.0
-        } else {
-            links(friends) as f64 / (k * (k - 1) / 2) as f64
+        let (mut f, friends) = self.counter_features(i, cfg)?;
+        f.clustering_coefficient = clustering(friends, links);
+        Some(f)
+    }
+
+    /// One rule check of account `i` — the routine both engines call, and
+    /// the only place the rule's evaluation order is written down: the
+    /// feature gate, then `rule`'s two counter conjuncts (slot reads),
+    /// and only if those hold the caller's `links` count and the
+    /// clustering conjunct. The verdict equals
+    /// `rule.is_sybil(&features_with(..))` for every input — `&&` over
+    /// the same three comparisons, NaN and infinite thresholds included —
+    /// and `links` has no effect to skip, so staging changes what a check
+    /// costs and nothing it decides.
+    pub fn check_with(
+        &self,
+        i: usize,
+        cfg: &RealtimeConfig,
+        rule: &ThresholdClassifier,
+        links: impl FnOnce(&[NodeId]) -> usize,
+    ) -> Verdict {
+        let Some((mut f, friends)) = self.counter_features(i, cfg) else {
+            return Verdict::NoData;
         };
-        Some(FeatureVector {
-            inv_freq_1h: s.peak_1h as f64,
-            inv_freq_400h: s.sent as f64, // long-scale proxy: total so far
-            outgoing_accept_ratio: s.accepted as f64 / decided as f64,
-            incoming_accept_ratio: 1.0, // not used by the outgoing-side rule
-            clustering_coefficient: cc,
-        })
+        if !rule.counter_conjuncts(f.outgoing_accept_ratio, f.inv_freq_1h) {
+            return Verdict::Pass;
+        }
+        f.clustering_coefficient = clustering(friends, links);
+        if rule.clustering_conjunct(f.clustering_coefficient) {
+            Verdict::Sybil(f)
+        } else {
+            Verdict::Pass
+        }
     }
 
     /// Fold every account in slot order, and of each every field —
@@ -447,6 +502,18 @@ impl AccountTable {
     }
 }
 
+/// First-friends clustering coefficient: `links` among `friends` over the
+/// pairs there are; 0 below two friends, without calling `links`.
+#[inline]
+fn clustering(friends: &[NodeId], links: impl FnOnce(&[NodeId]) -> usize) -> f64 {
+    let k = friends.len();
+    if k < 2 {
+        0.0
+    } else {
+        links(friends) as f64 / (k * (k - 1) / 2) as f64
+    }
+}
+
 /// Canonical packed key for the undirected edge `a — b`.
 #[inline]
 pub fn pack_edge(a: NodeId, b: NodeId) -> u64 {
@@ -484,6 +551,7 @@ pub fn advance_audit_cursor(cursor: usize, log_len: usize) -> usize {
 mod tests {
     use super::*;
     use crate::digest::Digest64;
+    use crate::Classifier;
     use proptest::prelude::*;
 
     #[test]
@@ -540,6 +608,66 @@ mod tests {
     #[test]
     fn slot_stays_within_forty_bytes() {
         assert!(std::mem::size_of::<Slot>() <= 40);
+    }
+
+    /// Account 0 after `sends` requests inside one window, `accepted` of
+    /// them accepted and `rejected` rejected.
+    fn account_with(sends: u64, accepted: u32, rejected: u32) -> AccountTable {
+        let mut t = AccountTable::new(1);
+        (0..sends).for_each(|k| t.on_send(0, Timestamp(100 + k), 3600));
+        (0..accepted).for_each(|k| t.on_accept_out(0, NodeId(k + 1)));
+        (0..rejected).for_each(|_| t.on_reject_out(0));
+        t
+    }
+
+    /// The paper's rule behind a gate of ten decided requests and four
+    /// friends.
+    fn gate() -> RealtimeConfig {
+        RealtimeConfig {
+            min_decided: 10,
+            min_friends: 4,
+            ..RealtimeConfig::default()
+        }
+    }
+
+    /// One check of account 0 with a link counter that counts its calls
+    /// and finds no links.
+    fn check_counting(t: &AccountTable, rule: &ThresholdClassifier) -> (Verdict, u32) {
+        let mut calls = 0;
+        let verdict = t.check_with(0, &gate(), rule, |friends| {
+            assert_eq!(friends, t.friends(0));
+            calls += 1;
+            0
+        });
+        (verdict, calls)
+    }
+
+    #[test]
+    fn links_are_counted_only_when_both_counter_conjuncts_hold() {
+        let rule = gate().rule;
+        // Below the feature gate (3 friends): no verdict, no count.
+        let (short, slow, welcome) = (
+            account_with(30, 3, 9),
+            account_with(12, 4, 8),
+            account_with(30, 8, 4),
+        );
+        assert_eq!(check_counting(&short, &rule), (Verdict::NoData, 0));
+        // Frequency conjunct fails (12 sends in the window): not asked.
+        assert_eq!(check_counting(&slow, &rule), (Verdict::Pass, 0));
+        // Ratio conjunct fails (8 of 12 accepted): not asked.
+        assert_eq!(check_counting(&welcome, &rule), (Verdict::Pass, 0));
+        // Both hold: asked exactly once, and the vector is the full one.
+        let bursty = account_with(30, 4, 8);
+        let (verdict, calls) = check_counting(&bursty, &rule);
+        let full = bursty.features_with(0, &gate(), |_| 0);
+        assert_eq!(calls, 1);
+        assert_eq!(Some(verdict), full.map(Verdict::Sybil));
+        // Both hold and the clustering conjunct decides against: still once.
+        let clustered = ThresholdClassifier {
+            max_cc: 0.0,
+            ..rule
+        };
+        assert_eq!(check_counting(&bursty, &clustered), (Verdict::Pass, 1));
     }
 
     /// The transitions as they were written on the two-container record:
@@ -613,6 +741,17 @@ mod tests {
         })
     }
 
+    /// A threshold in units of its feature's scale: ordinary cuts on
+    /// both sides of zero, the two infinities, NaN.
+    fn threshold() -> impl Strategy<Value = f64> {
+        (0u8..7, -50i32..150).prop_map(|(kind, cut)| match kind {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => f64::NAN,
+            _ => f64::from(cut) / 100.0,
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -673,6 +812,62 @@ mod tests {
             // at most the classes one ring climbed through, per account.
             prop_assert!(table.sends.data.len() <= 3 * 4 * largest_window.max(MIN_BLOCK));
             prop_assert!(table.friends.data.len() <= 3 * 2 * 64);
+        }
+
+        /// After any op sequence, under any rule — thresholds that are
+        /// infinite (`max_cc = ∞` is the benchmark's detector), NaN or
+        /// negative included — the staged check decides what the rule
+        /// decides over the full vector, returns that vector when it
+        /// fires, and counts links at most once.
+        #[test]
+        fn staged_check_equals_the_rule_over_the_full_vector(
+            ops in proptest::collection::vec(op(), 1..80),
+            rule in (threshold(), threshold(), threshold()),
+            gate in (0usize..4, 0usize..4),
+        ) {
+            let rule = ThresholdClassifier {
+                max_out_ratio: rule.0,
+                min_freq: rule.1 * 20.0,
+                max_cc: rule.2,
+            };
+            let cfg = RealtimeConfig {
+                min_decided: gate.0,
+                min_friends: gate.1,
+                ..RealtimeConfig::default()
+            };
+            // Any pure function of the friends serves as the counter.
+            let links = |friends: &[NodeId]| {
+                let pairs = friends.len() * (friends.len() - 1) / 2;
+                friends.iter().map(|f| f.0 as usize).sum::<usize>() % (pairs + 1)
+            };
+            let mut table = AccountTable::new(3);
+            let mut now = 0;
+            for (who, op) in ops {
+                match op {
+                    Op::Sends { n, gap } => {
+                        for _ in 0..n {
+                            now += gap;
+                            table.on_send(who, Timestamp(now), 100);
+                        }
+                    }
+                    Op::AcceptOut(id) => table.on_accept_out(who, NodeId(id)),
+                    Op::AcceptIn(id) => table.on_accept_in(who, NodeId(id)),
+                    Op::Reject => table.on_reject_out(who),
+                    Op::Detect => table.mark_detected(who),
+                }
+                let want = match table.features_with(who, &cfg, links) {
+                    None => Verdict::NoData,
+                    Some(f) if rule.is_sybil(&f) => Verdict::Sybil(f),
+                    Some(_) => Verdict::Pass,
+                };
+                let mut calls = 0;
+                let got = table.check_with(who, &cfg, &rule, |friends| {
+                    calls += 1;
+                    links(friends)
+                });
+                prop_assert_eq!(got, want);
+                prop_assert!(calls <= 1);
+            }
         }
     }
 

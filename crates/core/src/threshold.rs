@@ -64,6 +64,21 @@ impl ThresholdClassifier {
         }
     }
 
+    /// The two conjuncts an account's counters answer on their own:
+    /// `out_ratio < max_out_ratio` ∧ `freq_1h > min_freq`. The streaming
+    /// detector asks these first and counts clustering links only when
+    /// they hold.
+    #[inline]
+    pub(crate) fn counter_conjuncts(&self, out_ratio: f64, freq_1h: f64) -> bool {
+        out_ratio < self.max_out_ratio && freq_1h > self.min_freq
+    }
+
+    /// The conjunct that needs a link count: `cc < max_cc`.
+    #[inline]
+    pub(crate) fn clustering_conjunct(&self, cc: f64) -> bool {
+        cc < self.max_cc
+    }
+
     /// Derive thresholds from labeled training data.
     ///
     /// Two stages, mirroring how the authors tuned their rule on the
@@ -153,10 +168,11 @@ fn sweep_best<F: Fn(&FeatureVector) -> f64>(
 }
 
 impl Classifier for ThresholdClassifier {
+    /// The two halves in sequence — the one definition of the rule, so a
+    /// staged evaluation cannot drift from it.
     fn is_sybil(&self, f: &FeatureVector) -> bool {
-        f.outgoing_accept_ratio < self.max_out_ratio
-            && f.inv_freq_1h > self.min_freq
-            && f.clustering_coefficient < self.max_cc
+        self.counter_conjuncts(f.outgoing_accept_ratio, f.inv_freq_1h)
+            && self.clustering_conjunct(f.clustering_coefficient)
     }
 
     /// Soft score for ROC sweeps: the sum of normalized signed margins of

@@ -6,7 +6,10 @@
 //! shape across threads while keeping the output **bit-identical** to the
 //! serial loop: the index range is split into contiguous chunks, each
 //! worker computes its chunk in index order, and the workers are joined in
-//! spawn order. No reduction reassociation, no work stealing — so
+//! spawn order. The last chunk runs on the calling thread, which would
+//! otherwise sleep in `join`: one spawn fewer per call, and a caller that
+//! maps every few milliseconds (the serving engine's epoch scan) stays on
+//! a warm core. No reduction reassociation, no work stealing — so
 //! floating-point results cannot differ from the serial path.
 //!
 //! Thread count comes from the `RENREN_THREADS` environment variable when
@@ -60,26 +63,33 @@ where
     }
 
     let chunk = len.div_ceil(threads);
+    let run = |start: usize| -> Vec<T> {
+        let mut scratch = init();
+        (start..(start + chunk).min(len))
+            .map(|i| f(&mut scratch, i))
+            .collect()
+    };
+    let last = (len - 1) / chunk * chunk;
     thread::scope(|scope| {
-        let workers: Vec<_> = (0..len)
+        let run = &run;
+        let workers: Vec<_> = (0..last)
             .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(len);
-                let (init, f) = (&init, &f);
-                scope.spawn(move || {
-                    let mut scratch = init();
-                    (start..end).map(|i| f(&mut scratch, i)).collect()
-                })
-            })
+            .map(|start| scope.spawn(move || run(start)))
             .collect();
-        join_in_order(workers, len)
+        let tail = run(last);
+        join_in_order(workers, tail, len)
     })
 }
 
-/// Join `workers` in spawn order and concatenate their chunks, so output
-/// position is fixed by construction. A worker's panic is re-raised here
-/// with its own payload.
-fn join_in_order<T>(workers: Vec<thread::ScopedJoinHandle<'_, Vec<T>>>, len: usize) -> Vec<T> {
+/// Join `workers` in spawn order and concatenate their chunks, then
+/// `tail` — the last chunk, which the calling thread computed itself —
+/// so output position is fixed by construction. A worker's panic is
+/// re-raised here with its own payload.
+fn join_in_order<T>(
+    workers: Vec<thread::ScopedJoinHandle<'_, Vec<T>>>,
+    tail: Vec<T>,
+    len: usize,
+) -> Vec<T> {
     let mut out = Vec::with_capacity(len);
     for worker in workers {
         match worker.join() {
@@ -87,6 +97,7 @@ fn join_in_order<T>(workers: Vec<thread::ScopedJoinHandle<'_, Vec<T>>>, len: usi
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
+    out.extend(tail);
     out
 }
 
@@ -111,7 +122,7 @@ where
 
     let chunk = len.div_ceil(threads);
     // Split into contiguous per-worker chunks up front; ownership of each
-    // chunk moves into its worker thread.
+    // chunk but the last moves into its worker thread.
     let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
     let mut it = items.into_iter();
     loop {
@@ -122,6 +133,7 @@ where
         chunks.push(part);
     }
 
+    let tail = chunks.pop().unwrap_or_default();
     thread::scope(|scope| {
         let workers: Vec<_> = chunks
             .into_iter()
@@ -130,7 +142,8 @@ where
                 scope.spawn(move || part.into_iter().map(f).collect())
             })
             .collect();
-        join_in_order(workers, len)
+        let tail = tail.into_iter().map(&f).collect();
+        join_in_order(workers, tail, len)
     })
 }
 
@@ -237,6 +250,17 @@ mod tests {
             .expect_err("worker 7 panics");
             let msg = payload.downcast_ref::<String>().expect("formatted message");
             assert!(msg.contains("boom at 7"), "{msg}");
+        });
+    }
+
+    #[test]
+    fn last_chunk_runs_on_the_calling_thread() {
+        with_threads_env(Some("2"), || {
+            let me = thread::current().id();
+            let owned = map_owned(vec![(), ()], |()| thread::current().id());
+            assert!(owned[0] != me && owned[1] == me, "{owned:?}, {me:?}");
+            let indexed = map_indexed(2, |_| thread::current().id());
+            assert!(indexed[0] != me && indexed[1] == me, "{indexed:?}, {me:?}");
         });
     }
 

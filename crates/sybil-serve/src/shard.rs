@@ -36,10 +36,9 @@ use osn_sim::stream::StreamEventKind;
 use osn_sim::SimOutput;
 use std::collections::VecDeque;
 use sybil_core::adaptive::AdaptiveThresholds;
-use sybil_core::realtime::state::{self, AccountTable};
+use sybil_core::realtime::state::{self, AccountTable, Verdict};
 use sybil_core::realtime::{Detection, RealtimeConfig};
 use sybil_core::threshold::ThresholdClassifier;
-use sybil_core::Classifier;
 use sybil_features::FeatureVector;
 
 /// A detection tagged with its global stream position. Tags let the
@@ -365,10 +364,8 @@ impl ShardState {
         Ok(eout)
     }
 
-    /// Features of an owned account at stream position `seq`, counting
-    /// clustering links with the snapshot kernel + marked probes of the
-    /// mirror delta below `seq`'s watermark (or exact pair probes when
-    /// the friend list holds duplicates).
+    /// The full vector of an owned account at stream position `seq`, for
+    /// the audit sample; links counted by [`links_at`].
     pub fn features_of(
         &mut self,
         who: NodeId,
@@ -377,46 +374,13 @@ impl ShardState {
         eidx: &EpochIndex,
     ) -> Option<FeatureVector> {
         let li = self.local(who);
-        let ShardState {
-            states,
-            scratch,
-            friend_ids,
-            cfg,
-            obs,
-            ..
-        } = self;
-        let f = states.features_with(li, cfg, |friends| {
-            let watermark = eidx.watermark(seq);
-            if states.friends_dup(li) {
-                // Duplicate friend ids break the marked-set kernel's
-                // one-count-per-edge property; use reference pair probes.
-                let mut links = 0usize;
-                for (i, &a) in friends.iter().enumerate() {
-                    for &b in friends.iter().skip(i + 1) {
-                        if mirror.pair_linked(a, b, watermark) {
-                            links += 1;
-                        }
-                    }
-                }
-                return links;
-            }
-            friend_ids.clear();
-            friend_ids.extend(friends.iter().map(|f| f.0));
-            scratch.begin(mirror.snapshot.num_nodes());
-            for &u in friend_ids.iter() {
-                scratch.mark(u);
-            }
-            let folded = mirror.snapshot.links_among_marked(friend_ids, scratch);
-            // Delta edges appear in both directions, so a link among
-            // marked friends is seen twice.
-            let mut twice = 0usize;
-            for &u in friend_ids.iter() {
-                twice += mirror.delta_marked_count(u, watermark, scratch);
-            }
-            folded + twice / 2
+        let dup = self.states.friends_dup(li);
+        let (scratch, ids) = (&mut self.scratch, &mut self.friend_ids);
+        let f = self.states.features_with(li, &self.cfg, |friends| {
+            links_at(friends, dup, eidx.watermark(seq), mirror, scratch, ids)
         });
         if f.is_some() {
-            obs.features_computed += 1;
+            self.obs.features_computed += 1;
         }
         f
     }
@@ -435,17 +399,22 @@ impl ShardState {
         eout: &mut EpochOutput,
     ) -> Result<(), QueueFull> {
         self.obs.checks_run += 1;
-        let Some(f) = self.features_of(who, seq, mirror, eidx) else {
-            return Ok(());
-        };
         let rule = if self.cfg.adaptive {
             self.adaptive.current_rule()
         } else {
             self.cfg.rule
         };
-        if rule.is_sybil(&f) {
+        let li = self.local(who);
+        let dup = self.states.friends_dup(li);
+        let (scratch, ids) = (&mut self.scratch, &mut self.friend_ids);
+        let verdict = self.states.check_with(li, &self.cfg, &rule, |friends| {
+            links_at(friends, dup, eidx.watermark(seq), mirror, scratch, ids)
+        });
+        if verdict != Verdict::NoData {
+            self.obs.features_computed += 1;
+        }
+        if let Verdict::Sybil(f) = verdict {
             let truth = out.is_sybil(who);
-            let li = self.local(who);
             self.states.mark_detected(li);
             self.obs.detections += 1;
             eout.detections
@@ -472,6 +441,47 @@ impl ShardState {
         }
         Ok(())
     }
+}
+
+/// Links among an owned account's `friends` as of `watermark`: the
+/// snapshot kernel over the marked friends plus marked probes of the
+/// mirror delta below the watermark — or exact pair probes when the list
+/// holds duplicates (`dup`), which break the marked-set kernel's
+/// one-count-per-edge property. `ids` stages the friend ids for the
+/// kernel.
+fn links_at(
+    friends: &[NodeId],
+    dup: bool,
+    watermark: u32,
+    mirror: &GraphMirror,
+    scratch: &mut NeighborScratch,
+    ids: &mut Vec<u32>,
+) -> usize {
+    if dup {
+        let mut links = 0usize;
+        for (i, &a) in friends.iter().enumerate() {
+            for &b in friends.iter().skip(i + 1) {
+                if mirror.pair_linked(a, b, watermark) {
+                    links += 1;
+                }
+            }
+        }
+        return links;
+    }
+    ids.clear();
+    ids.extend(friends.iter().map(|f| f.0));
+    scratch.begin(mirror.snapshot.num_nodes());
+    for &u in ids.iter() {
+        scratch.mark(u);
+    }
+    let folded = mirror.snapshot.links_among_marked(ids, scratch);
+    // Delta edges appear in both directions, so a link among marked
+    // friends is seen twice.
+    let mut twice = 0usize;
+    for &u in ids.iter() {
+        twice += mirror.delta_marked_count(u, watermark, scratch);
+    }
+    folded + twice / 2
 }
 
 #[cfg(test)]

@@ -186,19 +186,23 @@ pub(crate) fn get_feedback(f: &mut Fields<'_>) -> Result<FeedbackRecord, StoreEr
     })
 }
 
-/// Encode one event + its parallel detail.
+/// Encode one event + its parallel detail: the [`EVENT_LEN`] bytes laid
+/// out on the stack and appended as one chunk (one capacity check per
+/// event, not one per field — an epoch writes tens of thousands).
 pub(crate) fn put_event(buf: &mut Vec<u8>, ev: &StreamEvent, det: &EventDetail) {
-    put_u64(buf, ev.seq);
-    put_u64(buf, ev.at.as_secs());
     let (kind, record) = match ev.kind {
         StreamEventKind::Sent(r) => (0u8, r),
         StreamEventKind::Decided(r) => (1u8, r),
     };
-    put_u8(buf, kind);
-    put_u32(buf, record);
-    put_u32(buf, det.from);
-    put_u32(buf, det.to);
-    put_bool(buf, det.accepted);
+    let mut b = [0u8; EVENT_LEN];
+    b[0..8].copy_from_slice(&ev.seq.to_le_bytes());
+    b[8..16].copy_from_slice(&ev.at.as_secs().to_le_bytes());
+    b[16] = kind;
+    b[17..21].copy_from_slice(&record.to_le_bytes());
+    b[21..25].copy_from_slice(&det.from.to_le_bytes());
+    b[25..29].copy_from_slice(&det.to.to_le_bytes());
+    b[29] = u8::from(det.accepted);
+    buf.extend_from_slice(&b);
 }
 
 pub(crate) fn get_event(f: &mut Fields<'_>) -> Result<(StreamEvent, EventDetail), StoreError> {

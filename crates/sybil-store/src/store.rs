@@ -64,11 +64,12 @@ use sybil_serve::fault::{
 /// large write-amortization win for a small bounded restart-latency
 /// cost (at most `checkpoint_every - 1` epochs of tail to replay).
 /// What a persisted run costs at this default is the benchmark's
-/// `sybil-store.durability_overhead_pct` on `durable_250k` (median
-/// 81%, n=12, q1 65.0, q3 99.7 — open), of which
-/// `sybil-store.checkpoint_s` is the checkpoint writes. Lower the
-/// cadence (`with_cadence`) when restart latency matters more than
-/// throughput — the `repro restart` drill runs at cadence 1.
+/// `sybil-store.durability_overhead_pct` on `durable_250k` (open;
+/// `scripts/verify.sh` prints it, DESIGN.md §Persistence keeps the
+/// dated readings), of which `sybil-store.checkpoint_s` is the
+/// checkpoint writes. Lower the cadence (`with_cadence`) when restart
+/// latency matters more than throughput — the `repro restart` drill
+/// runs at cadence 1.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
 
 /// Default digest cadence for journal commits: per-shard state digests
