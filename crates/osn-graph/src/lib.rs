@@ -23,8 +23,8 @@
 //!   “first 50 friends by time” variant (Fig. 4).
 //! * [`degree`] — degree sequences and distribution helpers (Figs. 5, 9).
 //! * [`bfs`] — breadth-first traversal and shortest-path helpers.
-//! * [`cascade`] — independent-cascade diffusion (the spam-reach model
-//!   behind the paper's motivation).
+//! * [`cascade`] — independent-cascade reach by coupled bond percolation
+//!   (the spam-reach model behind the paper's motivation).
 //! * [`walks`] — random walks and SybilGuard/SybilLimit random *routes*.
 //! * [`maxflow`] — Dinic max-flow used by the SumUp baseline.
 //! * [`subgraph`] — induced subgraphs with node re-indexing.

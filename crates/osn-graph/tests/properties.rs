@@ -152,8 +152,9 @@ proptest! {
         }
     }
 
-    /// Cascade reach is bounded by the union of seed components and always
-    /// includes the seeds; hops never exceed node count.
+    /// Cascade reach always includes the seed, never shrinks as `p` grows
+    /// within a sample, and is bounded by the seed's component, which
+    /// `p = 1` reaches exactly.
     #[test]
     fn cascade_bounds(
         n in 2usize..40,
@@ -164,18 +165,13 @@ proptest! {
         let g = graph_from(n, &edges);
         let seed = NodeId((seed_idx % n) as u32);
         let mut rng = StdRng::seed_from_u64(9);
-        let r = osn_graph::cascade::independent_cascade(&g, &[seed], p, &mut rng);
-        prop_assert!(r.reach() >= 1);
-        prop_assert!(r.activated[0] == seed);
-        prop_assert!(r.depth() as usize <= n);
-        // Reach can never exceed the seed's component size.
+        let r = osn_graph::cascade::percolation_reach(
+            &g, &[vec![seed]], &[0.0, p, 1.0], 1, &mut rng,
+        );
         let comp_size = osn_graph::bfs::bfs_order(&g, seed).len();
-        prop_assert!(r.reach() <= comp_size);
-        // Every activated node is connected to the seed.
-        let dist = osn_graph::bfs::distances(&g, seed);
-        for a in &r.activated {
-            prop_assert!(dist[a.index()].is_some());
-        }
+        prop_assert_eq!(r[0][0], 1.0);
+        prop_assert!(r[0][0] <= r[0][1] && r[0][1] <= r[0][2]);
+        prop_assert_eq!(r[0][2], comp_size as f64);
     }
 
     /// Spectral gap, when defined, is in [0, 1].

@@ -34,11 +34,22 @@ pub struct Fig1 {
     pub normals_above_40_per_h: f64,
 }
 
-/// Draw the ground-truth sample used by Figs. 1–4 and Table 1.
+/// The ground-truth sample used by Figs. 1–4, Table 1 and the detector
+/// experiments. A run asks for one size (`RunSpec::per_class`), so the
+/// context keeps the first size drawn and hands out copies of it; any
+/// other size is drawn afresh.
 pub fn ground_truth_sample(ctx: &Ctx, per_class: usize) -> GroundTruth {
-    let fx = FeatureExtractor::new(&ctx.out);
-    let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xF16);
-    GroundTruth::sample(&fx, per_class, &mut rng)
+    let draw = |per_class| {
+        let fx = FeatureExtractor::new(&ctx.out);
+        let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xF16);
+        GroundTruth::sample(&fx, per_class, &mut rng)
+    };
+    let (kept, sample) = ctx.sample.get_or_init(|| (per_class, draw(per_class)));
+    if *kept == per_class {
+        sample.clone()
+    } else {
+        draw(per_class)
+    }
 }
 
 /// Run the experiment.

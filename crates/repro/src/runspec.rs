@@ -154,8 +154,8 @@ impl RunSpec {
         }
     }
 
-    /// Cascade trials for the spam-reach experiment (fewer at paper
-    /// scale and above, where each trial is large).
+    /// Percolation trials for the spam-reach experiment (fewer at paper
+    /// scale and above).
     pub fn reach_trials(&self) -> usize {
         if matches!(self.scale, Scale::Paper | Scale::Xl) {
             20

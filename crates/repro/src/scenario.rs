@@ -4,6 +4,8 @@ use osn_graph::components::{self, Component};
 use osn_graph::NodeId;
 use osn_sim::{simulate, SimConfig, SimOutput};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
+use sybil_features::dataset::GroundTruth;
 
 /// Which scale to reproduce at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -74,6 +76,10 @@ pub struct Ctx {
     /// Connected components of the Sybil-induced subgraph, largest first,
     /// singletons excluded (§3.3's "Sybils with at least one Sybil edge").
     pub sybil_components: Vec<Component>,
+    /// The first ground-truth sample drawn and its `per_class`: the sample
+    /// is a pure function of `out`, `seed` and `per_class`, and most
+    /// experiments start from it (see `fig1::ground_truth_sample`).
+    pub(crate) sample: OnceLock<(usize, GroundTruth)>,
 }
 
 impl Ctx {
@@ -102,6 +108,7 @@ impl Ctx {
             sybils,
             normals,
             sybil_components: comps,
+            sample: OnceLock::new(),
         }
     }
 

@@ -13,7 +13,7 @@ use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A labeled behavioral dataset.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct GroundTruth {
     /// Feature vectors.
     pub features: Vec<FeatureVector>,
@@ -58,18 +58,13 @@ impl GroundTruth {
         normals.shuffle(rng);
         sybils.truncate(per_class);
         normals.truncate(per_class);
-        let mut ds = GroundTruth::default();
-        for n in sybils {
-            ds.nodes.push(n);
-            ds.features.push(fx.features_for(n));
-            ds.labels.push(true);
+        let labels = [vec![true; sybils.len()], vec![false; normals.len()]].concat();
+        let nodes = [sybils, normals].concat();
+        GroundTruth {
+            features: fx.features_for_all(&nodes),
+            labels,
+            nodes,
         }
-        for n in normals {
-            ds.nodes.push(n);
-            ds.features.push(fx.features_for(n));
-            ds.labels.push(false);
-        }
-        ds
     }
 
     /// Shuffle examples in place (keeping features/labels/nodes aligned).

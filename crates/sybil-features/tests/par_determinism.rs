@@ -1,10 +1,14 @@
 //! Serial-vs-parallel determinism of feature extraction: for randomly
 //! seeded simulations, `features_for_all` must return the exact bits of
-//! the per-node serial loop at every thread count.
+//! the per-node serial loop at every thread count, and so must the
+//! ground-truth sample that is extracted through it.
 
 use osn_graph::{par, NodeId};
 use osn_sim::{simulate, SimConfig};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sybil_features::dataset::GroundTruth;
 use sybil_features::{clustering, FeatureExtractor, FeatureVector};
 
 /// Run `body` with `RENREN_THREADS` pinned, restoring the prior value.
@@ -39,6 +43,24 @@ proptest! {
             });
             prop_assert_eq!(&parallel, &serial, "threads={}", threads);
         }
+    }
+
+    #[test]
+    fn ground_truth_sample_is_thread_count_invariant(seed in 0u64..1000) {
+        let out = simulate(SimConfig::tiny(seed));
+        let fx = FeatureExtractor::new(&out);
+        let mut samples = Vec::new();
+        for threads in ["1", "2"] {
+            with_threads_env(threads, || {
+                samples.push(GroundTruth::sample(&fx, 40, &mut StdRng::seed_from_u64(seed)));
+            });
+        }
+        let (one, two) = (&samples[0], &samples[1]);
+        prop_assert_eq!(one, two);
+        // Sybils first, then normals, each with its own serial features.
+        prop_assert!(one.labels.windows(2).all(|w| w[0] >= w[1]));
+        let serial: Vec<FeatureVector> = one.nodes.iter().map(|&n| fx.features_for(n)).collect();
+        prop_assert_eq!(&one.features, &serial);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 # Repo verification: the tier-1 gate from ROADMAP.md plus a zero-warning
 # clippy pass, the sybil-lint workspace audit (0 violations, stale
 # lint.toml entries included, inside its <5s runtime budget), the §3.1
-# defenses thread-identity smoke, the serving-engine serve-vs-replay
+# defenses thread-identity smoke, the same smoke over the experiments
+# that share the ground-truth sample and the reach estimator, the
+# serving-engine serve-vs-replay
 # equivalence smoke, the metrics bit-identity guard
 # (logical section of metrics.json across threads × shards), the chaos
 # proptests in release, the kill + warm-restart byte-identity drill, the
@@ -11,7 +13,8 @@
 # peak RSS inside the DESIGN.md budget, no resolved observability
 # overhead above 5%. Durability overhead, restart latency, the two
 # shard-scaling ratios of the scan stream and where a checks_sim job's
-# time sits (replay, one shard, the coordinator) are printed, not gated.
+# time sits (replay, one shard, the coordinator) are printed, not gated;
+# so are the experiment groups of a paper_batch job.
 # Run from the workspace root: ./scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,6 +60,21 @@ done
 cmp "$bench_tmp/defenses_t1/tiny-seed1/defenses.json" \
     "$bench_tmp/defenses_t2/tiny-seed1/defenses.json"
 echo "defenses guard: defenses.json identical at RENREN_THREADS=1 and 2"
+
+echo "== sample + reach: RENREN_THREADS=1 vs 2 result identity =="
+# The ground-truth sample is extracted on `par` and kept by the context
+# for the experiments that follow in the same process; reach draws its
+# percolation samples serially. None of it may show in a result.
+sample_users="fig1 table1 zoo reach"
+for threads in 1 2; do
+    # shellcheck disable=SC2086
+    RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
+        --scale tiny --seed 11 --out "$bench_tmp/sample_t$threads" $sample_users >/dev/null
+done
+for exp in $sample_users; do
+    cmp "$bench_tmp/sample_t1/tiny-seed11/$exp.json" "$bench_tmp/sample_t2/tiny-seed11/$exp.json"
+done
+echo "sample guard: $sample_users JSON identical at RENREN_THREADS=1 and 2"
 
 echo "== serving engine: serve-vs-replay equivalence at 1 and 8 shards =="
 # The sharded engine must reproduce the sequential replay byte-for-byte
@@ -167,12 +185,15 @@ echo "== benchmark: failed jobs, RSS budget, observability overhead (benchmark/r
 # threads against 1 shard, wall and shard busy time): ROADMAP "Shards
 # that scale" states its acceptance in them, and a short run on a box
 # whose two vCPUs do not always run side by side cannot gate on them.
+# A paper_batch job's experiment groups are reported the same way: where
+# the offline reproduction's time sits, for the next change that moves it.
 bench_out="$root/benchmark/out"
 rm -f "$bench_out"/result-*.json
 # A failed job makes run.sh exit non-zero after it has written the
 # result; the check below reads `failed`, and a missing result fails it.
 for run in "scan_250k --seconds 8 --trace 0" "scan_250k --seconds 8 --trace 1" \
-    "checks_sim --seconds 30 --trace 1" "durable_250k --seconds 18 --trace 1"; do
+    "checks_sim --seconds 30 --trace 1" "durable_250k --seconds 18 --trace 1" \
+    "paper_batch --seconds 8 --trace 1"; do
     # shellcheck disable=SC2086
     benchmark/run.sh --workload $run --seed 42 >/dev/null 2>>"$bench_tmp/benchmark.log" || true
 done
@@ -180,11 +201,11 @@ python3 - "$bench_out" <<'PY' || { cat "$bench_tmp/benchmark.log"; exit 1; }
 import json, sys
 load = lambda name: json.load(open(f"{sys.argv[1]}/result-{name}.json"))
 scan, checks, durable = load("scan_250k"), load("checks_sim-trace"), load("durable_250k-trace")
-scaling = load("scan_250k-trace")
+scaling, batch = load("scan_250k-trace"), load("paper_batch-trace")
 ok = True
 
 for name, r in (("scan_250k", scan), ("scan_250k traced", scaling), ("checks_sim", checks),
-                ("durable_250k", durable)):
+                ("durable_250k", durable), ("paper_batch", batch)):
     res = r["result"]
     print(f"benchmark {name}: failed={res['failed']} of attempted={res['attempted']} "
           f"(0 required; every job's report bytes checked)")
@@ -213,6 +234,11 @@ for layer in ("sybil-core.replay_s", "sybil-serve.shard_busy_s_shards1", "sybil-
     v = checks["result"]["metrics"][layer]["value"]
     s = checks["summaries"].get(layer, {"n": 1, "q1": v, "q3": v})
     print(f"benchmark checks_sim: {layer}={v:.3f} s "
+          f"(n={s['n']}, q1 {s['q1']:.3f}, q3 {s['q3']:.3f}) — reported, not gated")
+
+for layer in ("reach_s", "figs_s", "zoo_s", "defenses_s", "cpu_over_wall"):
+    s = batch["summaries"][f"sybil-repro.{layer}"]
+    print(f"benchmark paper_batch: sybil-repro.{layer}={s['median']:.3f} "
           f"(n={s['n']}, q1 {s['q1']:.3f}, q3 {s['q3']:.3f}) — reported, not gated")
 
 ss = scaling["summaries"]
