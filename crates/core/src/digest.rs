@@ -7,11 +7,19 @@
 //! pure function of the logical state — no addresses, no hash-map
 //! iteration order, no floating-point re-association — and stable across
 //! shard counts and thread counts. An xor-multiply-shift fold over 64-bit
-//! words satisfies all of that at roughly one multiply per field — the
-//! barrier digests full shard state every epoch, so the fold is sized for
-//! words, not bytes. This is an integrity check against divergence bugs,
-//! not a cryptographic commitment, so collision resistance beyond 64 bits
-//! is not a goal.
+//! words satisfies all of that at roughly one multiply per field.
+//!
+//! The fold digests the small parts of a shard whole (adaptive
+//! thresholds, feedback queue, audit bookkeeping). The account table is
+//! too large to fold every epoch, so it is digested as a wrapping *sum*
+//! of per-account terms — each the fold of one slot, finished by
+//! `mix64` — which a barrier keeps current by re-hashing only the
+//! accounts the epoch touched
+//! ([`AccountTable::digest`](crate::realtime::state::AccountTable::digest)).
+//! Both are integrity checks against divergence bugs, not cryptographic
+//! commitments: collision resistance beyond 64 bits is not a goal, and a
+//! sum of terms is weaker still against someone choosing states to
+//! collide, which crash detection does not face.
 
 /// Incremental word-wise digest over a canonical field encoding.
 ///
@@ -85,6 +93,17 @@ impl Digest64 {
     pub fn finish(&self) -> u64 {
         self.state
     }
+}
+
+/// SplitMix64's finalizer: a bijection on `u64` in which every input bit
+/// reaches every output bit. It finishes each term of a sum digest, so
+/// the terms added together keep no structure for a few changed accounts
+/// to cancel in.
+#[inline]
+pub(crate) fn mix64(z: u64) -> u64 {
+    let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

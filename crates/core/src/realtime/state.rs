@@ -24,11 +24,22 @@
 //! peak (never below [`MIN_BLOCK`]) — and freed blocks are reused by class
 //! before a pool grows.
 //!
-//! [`AccountState`] is the exchange record of one account: what a shard
-//! snapshot, the `SYBS` checkpoint codec and the tests read and write.
+//! A table is persisted and restored as it is: a codec reads each
+//! account's [`Counters`], [`window`](AccountTable::window) and
+//! [`friends`](AccountTable::friends), and builds a table back with
+//! [`push_account`](AccountTable::push_account), so a checkpoint
+//! materialises no per-account record. [`AccountState`] is the record
+//! form of one account, for tests and hand-built tables:
 //! [`AccountTable::accounts`] materialises it in slot order and
 //! [`AccountTable::from_accounts`] is the inverse.
+//!
+//! The table's [`digest`](AccountTable::digest) is a wrapping sum of one
+//! term per slot, so it depends on the accounts alone — not on block
+//! placement or on the order transitions happened in — and
+//! [`RunningDigest`] keeps it current by re-hashing only the slots that
+//! changed.
 
+use crate::digest::{mix64, Digest64};
 use crate::ids::saturating_u32;
 use crate::realtime::RealtimeConfig;
 use crate::threshold::ThresholdClassifier;
@@ -59,6 +70,38 @@ pub struct AccountState {
     /// True once `friends` holds a repeated id (two accepted requests
     /// between the same pair). Link counting must then fall back to exact
     /// pair probes: the marked-set kernel assumes distinct ids.
+    pub friends_dup: bool,
+    /// The rule fired; the account is out of the stream.
+    pub detected: bool,
+}
+
+impl AccountState {
+    /// The record's fixed-size fields.
+    pub fn counters(&self) -> Counters {
+        Counters {
+            sent: self.sent,
+            accepted: self.accepted,
+            rejected: self.rejected,
+            peak_1h: self.peak_1h,
+            friends_dup: self.friends_dup,
+            detected: self.detected,
+        }
+    }
+}
+
+/// One account's fixed-size fields: its [`AccountState`] without the
+/// send window and the friend list.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Counters {
+    /// Requests sent (frozen once the account is detected).
+    pub sent: u32,
+    /// Outgoing requests accepted.
+    pub accepted: u32,
+    /// Outgoing requests rejected.
+    pub rejected: u32,
+    /// Historical max sends in any trailing window.
+    pub peak_1h: u32,
+    /// The friend list holds a repeated id.
     pub friends_dup: bool,
     /// The rule fired; the account is out of the stream.
     pub detected: bool,
@@ -102,7 +145,7 @@ fn class_of(size: usize) -> usize {
 
 /// Size-classed blocks over one flat `Vec`. A handle is the block's
 /// offset; its size is the holder's to remember.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct BlockPool<T> {
     data: Vec<T>,
     /// Per class, the offsets of returned blocks: reused before `data`
@@ -187,12 +230,31 @@ impl Slot {
 /// Running state of a dense range of accounts, derived from the event
 /// stream so far; slot `i` is whatever account the owner maps to `i`
 /// (the account id for [`replay`](super::replay), the local index on a
-/// shard). See the module docs for the layout.
-#[derive(Debug)]
+/// shard). See the module docs for the layout. Two tables are equal when
+/// they hold the same accounts, wherever their blocks sit.
+#[derive(Clone, Debug)]
 pub struct AccountTable {
     slots: Vec<Slot>,
     sends: BlockPool<u64>,
     friends: BlockPool<NodeId>,
+}
+
+impl Default for AccountTable {
+    /// The table of no accounts; allocates nothing.
+    fn default() -> Self {
+        AccountTable::new(0)
+    }
+}
+
+impl PartialEq for AccountTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && (0..self.len()).all(|i| {
+                self.counters(i) == other.counters(i)
+                    && self.window(i).eq(other.window(i))
+                    && self.friends(i) == other.friends(i)
+            })
+    }
 }
 
 impl AccountTable {
@@ -202,6 +264,15 @@ impl AccountTable {
             slots: vec![Slot::default(); n],
             sends: BlockPool::new(0),
             friends: BlockPool::new(NodeId(0)),
+        }
+    }
+
+    /// No accounts yet, and room for `n` to be
+    /// [pushed](Self::push_account).
+    pub fn with_capacity(n: usize) -> Self {
+        AccountTable {
+            slots: Vec::with_capacity(n),
+            ..AccountTable::new(0)
         }
     }
 
@@ -251,8 +322,23 @@ impl AccountTable {
         self.slots[i].friends_dup
     }
 
+    /// Account `i`'s fixed-size fields.
+    #[inline]
+    pub fn counters(&self, i: usize) -> Counters {
+        let s = &self.slots[i];
+        Counters {
+            sent: s.sent,
+            accepted: s.accepted,
+            rejected: s.rejected,
+            peak_1h: s.peak_1h,
+            friends_dup: s.friends_dup,
+            detected: s.detected,
+        }
+    }
+
     /// Send times inside account `i`'s trailing window, oldest first.
-    fn window(&self, i: usize) -> impl Iterator<Item = u64> + '_ {
+    #[inline]
+    pub fn window(&self, i: usize) -> impl ExactSizeIterator<Item = u64> + '_ {
         let s = self.slots[i];
         debug_assert!(s.ring_in(&self.sends));
         let mask = s.ring_size.wrapping_sub(1);
@@ -421,30 +507,48 @@ impl AccountTable {
         }
     }
 
-    /// Fold every account in slot order, and of each every field —
-    /// counters, trailing-window contents, friend list in acquisition
-    /// order, flags — into `d`. Two tables with equal digests behave
-    /// identically on every future event, which is the property
-    /// crash-replay recovery verifies at epoch barriers. Block placement
-    /// is not state and is not folded.
-    pub fn digest_into(&self, d: &mut crate::digest::Digest64) {
-        for (i, s) in self.slots.iter().enumerate() {
-            d.write_u32(s.sent);
-            d.write_u32(s.accepted);
-            d.write_u32(s.rejected);
-            d.write_usize(s.ring_len as usize);
-            for t in self.window(i) {
-                d.write_u64(t);
-            }
-            d.write_u32(s.peak_1h);
-            let friends = self.friends(i);
-            d.write_usize(friends.len());
-            for f in friends {
-                d.write_u32(f.0);
-            }
-            d.write_bool(s.friends_dup);
-            d.write_bool(s.detected);
+    /// Account `i`'s term of the table [`digest`](Self::digest).
+    #[inline]
+    fn slot_digest(&self, i: usize) -> u64 {
+        let s = &self.slots[i];
+        let mut d = Digest64::new();
+        d.write_usize(i);
+        d.write_u32(s.sent);
+        d.write_u32(s.accepted);
+        d.write_u32(s.rejected);
+        d.write_u32(s.ring_len);
+        for t in self.window(i) {
+            d.write_u64(t);
         }
+        d.write_u32(s.peak_1h);
+        let friends = self.friends(i);
+        d.write_usize(friends.len());
+        for f in friends {
+            d.write_u32(f.0);
+        }
+        d.write_bool(s.friends_dup);
+        d.write_bool(s.detected);
+        // Called by path: sybil-lint links a `.finish()` call to every
+        // `finish` method in the workspace, and this runs per event.
+        mix64(Digest64::finish(&d))
+    }
+
+    /// The wrapping sum of one term per account: its slot index and
+    /// every field — counters, trailing-window contents oldest first,
+    /// friend list in acquisition order, flags — folded into a
+    /// [`Digest64`] and finished by an avalanche mix. Block placement is
+    /// not state and is not digested. Two tables with equal digests behave
+    /// identically on every future event, up to the collision bound of
+    /// a 64-bit sum hash — the property crash-replay recovery verifies
+    /// at epoch barriers. A sum changes by one term when one account
+    /// changes, which is what lets a [`RunningDigest`] follow the table
+    /// at the cost of the accounts an epoch touched.
+    pub fn digest(&self) -> u64 {
+        let mut sum = 0u64;
+        for i in 0..self.len() {
+            sum = sum.wrapping_add(self.slot_digest(i));
+        }
+        sum
     }
 
     /// Account `i` as an exchange record.
@@ -467,38 +571,118 @@ impl AccountTable {
         (0..self.len()).map(|i| self.account(i)).collect()
     }
 
+    /// Append one account: `c`, its `window` oldest first and its
+    /// `friends` in acquisition order, written into blocks as they are,
+    /// not re-applied as events (a send would evict). The inverse of
+    /// reading [`counters`](Self::counters), [`window`](Self::window)
+    /// and [`friends`](Self::friends). `None` when no table could hold
+    /// the account — more than [`MAX_TRACKED_FRIENDS`] friends, or a
+    /// window no block can hold; accounts may be outside input (a
+    /// checkpoint file).
+    pub fn push_account(
+        &mut self,
+        c: Counters,
+        window: impl ExactSizeIterator<Item = u64>,
+        friends: impl ExactSizeIterator<Item = NodeId>,
+    ) -> Option<()> {
+        let (n, k) = (window.len(), friends.len());
+        if k > MAX_TRACKED_FRIENDS {
+            return None;
+        }
+        let mut s = Slot {
+            sent: c.sent,
+            accepted: c.accepted,
+            rejected: c.rejected,
+            peak_1h: c.peak_1h,
+            friends_dup: c.friends_dup,
+            detected: c.detected,
+            ..Slot::default()
+        };
+        if n > 0 {
+            let size = block_for(n);
+            s.ring_off = self.sends.alloc(size)?;
+            (s.ring_size, s.ring_len) = (saturating_u32(size), saturating_u32(n));
+            let off = s.ring_off as usize;
+            let block = self.sends.data[off..off + n].iter_mut();
+            block.zip(window).for_each(|(slot, at)| *slot = at);
+        }
+        if k > 0 {
+            s.friends_off = self.friends.alloc(block_for(k))?;
+            s.friends_len = u8::try_from(k).ok()?;
+            let off = s.friends_off as usize;
+            let block = self.friends.data[off..off + k].iter_mut();
+            block.zip(friends).for_each(|(slot, id)| *slot = id);
+        }
+        self.slots.push(s);
+        Some(())
+    }
+
     /// The table holding exactly `accounts`, in slot order: the inverse
-    /// of [`accounts`](Self::accounts). Blocks are written straight from
-    /// the records, not by re-applying sends (which would evict). `None`
-    /// when a record cannot have come from a table — more than
-    /// [`MAX_TRACKED_FRIENDS`] friends, or a window no block can hold;
-    /// records may be outside input (a checkpoint file).
+    /// of [`accounts`](Self::accounts), through
+    /// [`push_account`](Self::push_account).
     pub fn from_accounts(accounts: &[AccountState]) -> Option<Self> {
-        let mut t = AccountTable::new(accounts.len());
-        for (s, a) in t.slots.iter_mut().zip(accounts) {
-            if a.friends.len() > MAX_TRACKED_FRIENDS {
-                return None;
-            }
-            (s.sent, s.accepted, s.rejected) = (a.sent, a.accepted, a.rejected);
-            (s.peak_1h, s.friends_dup, s.detected) = (a.peak_1h, a.friends_dup, a.detected);
-            if !a.recent_sends.is_empty() {
-                let size = block_for(a.recent_sends.len());
-                s.ring_off = t.sends.alloc(size)?;
-                s.ring_size = saturating_u32(size);
-                s.ring_len = saturating_u32(a.recent_sends.len());
-                let block = t.sends.data[s.ring_off as usize..].iter_mut();
-                block
-                    .zip(&a.recent_sends)
-                    .for_each(|(slot, &at)| *slot = at);
-            }
-            if !a.friends.is_empty() {
-                s.friends_off = t.friends.alloc(block_for(a.friends.len()))?;
-                s.friends_len = u8::try_from(a.friends.len()).ok()?;
-                let off = s.friends_off as usize;
-                t.friends.data[off..off + a.friends.len()].copy_from_slice(&a.friends);
-            }
+        let mut t = AccountTable::with_capacity(accounts.len());
+        for a in accounts {
+            let (window, friends) = (a.recent_sends.iter(), a.friends.iter());
+            t.push_account(a.counters(), window.copied(), friends.copied())?;
         }
         Some(t)
+    }
+}
+
+/// An [`AccountTable::digest`] kept current: each slot's term cached
+/// beside their sum, and a bit per slot marking the ones that changed,
+/// so bringing it up to date costs one re-hash per changed slot — each
+/// once, in slot order — not a pass over the table.
+#[derive(Debug)]
+pub struct RunningDigest {
+    terms: Vec<u64>,
+    /// Bit `i % 64` of word `i / 64`: slot `i` changed since the last
+    /// [`refresh`](Self::refresh).
+    dirty: Vec<u64>,
+    sum: u64,
+}
+
+impl RunningDigest {
+    /// The digest of `t`, every slot hashed once.
+    pub fn of(t: &AccountTable) -> Self {
+        let terms: Vec<u64> = (0..t.len()).map(|i| t.slot_digest(i)).collect();
+        let mut sum = 0u64;
+        for &term in &terms {
+            sum = sum.wrapping_add(term);
+        }
+        let dirty = vec![0; terms.len().div_ceil(64)];
+        RunningDigest { terms, dirty, sum }
+    }
+
+    /// Note that slot `i` of the table this digest follows changed. A
+    /// slot past the table's end has nothing to re-hash and is ignored.
+    #[inline]
+    pub fn mark(&mut self, i: usize) {
+        if let Some(word) = self.dirty.get_mut(i / 64).filter(|_| i < self.terms.len()) {
+            *word |= 1 << (i % 64);
+        }
+    }
+
+    /// Re-hash every slot of `t` [marked](Self::mark) since the last
+    /// refresh, and clear the marks.
+    pub fn refresh(&mut self, t: &AccountTable) {
+        for (w, word) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let term = t.slot_digest(i);
+                let old = std::mem::replace(&mut self.terms[i], term);
+                self.sum = self.sum.wrapping_sub(old).wrapping_add(term);
+            }
+        }
+    }
+
+    /// The digest: `t.digest()` once every slot that changed since
+    /// [`of`](Self::of) has been marked and refreshed.
+    pub fn value(&self) -> u64 {
+        self.sum
     }
 }
 
@@ -550,7 +734,6 @@ pub fn advance_audit_cursor(cursor: usize, log_len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digest::Digest64;
     use crate::Classifier;
     use proptest::prelude::*;
 
@@ -690,7 +873,10 @@ mod tests {
             }
         }
 
-        fn ref_digest(&self, d: &mut Digest64) {
+        /// The record's digest term as slot `i`.
+        fn ref_term(&self, i: usize) -> u64 {
+            let mut d = Digest64::new();
+            d.write_usize(i);
             d.write_u32(self.sent);
             d.write_u32(self.accepted);
             d.write_u32(self.rejected);
@@ -701,6 +887,30 @@ mod tests {
             self.friends.iter().for_each(|f| d.write_u32(f.0));
             d.write_bool(self.friends_dup);
             d.write_bool(self.detected);
+            mix64(d.finish())
+        }
+    }
+
+    /// The digest of a table holding `records`, from the records.
+    fn ref_digest(records: &[AccountState]) -> u64 {
+        let terms = records.iter().enumerate().map(|(i, r)| r.ref_term(i));
+        terms.fold(0, u64::wrapping_add)
+    }
+
+    /// Apply `op` to account `who` of `table` at clock `now` (advanced
+    /// by the op's sends), `window_s` wide.
+    fn apply(table: &mut AccountTable, who: usize, op: &Op, now: &mut u64, window_s: u64) {
+        match *op {
+            Op::Sends { n, gap } => {
+                for _ in 0..n {
+                    *now += gap;
+                    table.on_send(who, Timestamp(*now), window_s);
+                }
+            }
+            Op::AcceptOut(id) => table.on_accept_out(who, NodeId(id)),
+            Op::AcceptIn(id) => table.on_accept_in(who, NodeId(id)),
+            Op::Reject => table.on_reject_out(who),
+            Op::Detect => table.mark_detected(who),
         }
     }
 
@@ -801,10 +1011,7 @@ mod tests {
                 prop_assert_eq!(&table.accounts(), &reference);
                 prop_assert_eq!(table.friends(who), &reference[who].friends[..]);
                 prop_assert_eq!(table.friends_dup(who), reference[who].friends_dup);
-                let (mut got, mut want) = (Digest64::new(), Digest64::new());
-                table.digest_into(&mut got);
-                reference.iter().for_each(|r| r.ref_digest(&mut want));
-                prop_assert_eq!(got.finish(), want.finish());
+                prop_assert_eq!(table.digest(), ref_digest(&reference));
             }
             let restored = AccountTable::from_accounts(&reference).expect("records of a table");
             prop_assert_eq!(restored.accounts(), reference);
@@ -843,18 +1050,7 @@ mod tests {
             let mut table = AccountTable::new(3);
             let mut now = 0;
             for (who, op) in ops {
-                match op {
-                    Op::Sends { n, gap } => {
-                        for _ in 0..n {
-                            now += gap;
-                            table.on_send(who, Timestamp(now), 100);
-                        }
-                    }
-                    Op::AcceptOut(id) => table.on_accept_out(who, NodeId(id)),
-                    Op::AcceptIn(id) => table.on_accept_in(who, NodeId(id)),
-                    Op::Reject => table.on_reject_out(who),
-                    Op::Detect => table.mark_detected(who),
-                }
+                apply(&mut table, who, &op, &mut now, 100);
                 let want = match table.features_with(who, &cfg, links) {
                     None => Verdict::NoData,
                     Some(f) if rule.is_sybil(&f) => Verdict::Sybil(f),
@@ -868,6 +1064,79 @@ mod tests {
                 prop_assert_eq!(got, want);
                 prop_assert!(calls <= 1);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A running digest taken after any prefix of an op sequence,
+        /// with the slot each later op touched marked and a refresh
+        /// every third op, equals the sum from scratch after each
+        /// refresh; and a table restored from
+        /// the records — blocks packed, where the live table's were
+        /// freed and reused — is equal and digests equal.
+        #[test]
+        fn running_digest_equals_the_sum_from_scratch(
+            ops in proptest::collection::vec(op(), 1..120),
+            taken_after in 0usize..40,
+        ) {
+            let (mut table, mut now, mut running) = (AccountTable::new(3), 0, None);
+            for (k, (who, op)) in ops.iter().enumerate() {
+                if k == taken_after {
+                    running = Some(RunningDigest::of(&table));
+                }
+                apply(&mut table, *who, op, &mut now, 100);
+                if let Some(r) = &mut running {
+                    r.mark(*who);
+                    if k % 3 == 0 {
+                        r.refresh(&table);
+                        prop_assert_eq!(r.value(), table.digest());
+                    }
+                }
+            }
+            if let Some(r) = &mut running {
+                r.refresh(&table);
+                prop_assert_eq!(r.value(), table.digest());
+            }
+            let packed = AccountTable::from_accounts(&table.accounts()).expect("a table's records");
+            prop_assert_eq!(packed.digest(), table.digest());
+            prop_assert!(packed == table);
+        }
+
+        /// Changing any one field, window entry or friend of any one
+        /// account — one bit of it — changes the table digest.
+        #[test]
+        fn one_changed_field_changes_the_digest(
+            ops in proptest::collection::vec(op(), 1..80),
+            edit in (0usize..3, 0u8..8, 0usize..64, 0u32..32),
+        ) {
+            let (mut table, mut now) = (AccountTable::new(3), 0);
+            for (who, op) in &ops {
+                apply(&mut table, *who, op, &mut now, 100);
+            }
+            let (who, field, at, bit) = edit;
+            let mut records = table.accounts();
+            let r = &mut records[who];
+            match field {
+                0 => r.sent ^= 1 << bit,
+                1 => r.accepted ^= 1 << bit,
+                2 => r.rejected ^= 1 << bit,
+                3 => r.peak_1h ^= 1 << bit,
+                4 => r.friends_dup = !r.friends_dup,
+                5 if !r.recent_sends.is_empty() => {
+                    let len = r.recent_sends.len();
+                    r.recent_sends[at % len] ^= 1 << (bit * 2);
+                }
+                6 if !r.friends.is_empty() => {
+                    let len = r.friends.len();
+                    r.friends[at % len].0 ^= 1 << bit;
+                }
+                _ => r.detected = !r.detected,
+            }
+            let edited = AccountTable::from_accounts(&records).expect("records a table can hold");
+            prop_assert!(edited != table);
+            prop_assert_ne!(edited.digest(), table.digest());
         }
     }
 
@@ -905,6 +1174,9 @@ mod tests {
             "account 1 reuses 0's freed blocks"
         );
         assert_eq!(table.account(0), reference);
+        // Placed elsewhere, the same accounts digest the same.
+        let packed = AccountTable::from_accounts(&table.accounts()).expect("a table's records");
+        assert_eq!(packed.digest(), table.digest());
     }
 
     #[test]

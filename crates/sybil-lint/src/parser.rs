@@ -163,8 +163,49 @@ const NON_CALL_KEYWORDS: [&str; 14] = [
 /// boundary.
 const PAR_ENTRIES: [&str; 4] = ["map_indexed", "map_indexed_with", "map_owned", "map_slice"];
 
+/// Keywords an item (as opposed to a field, statement or expression) can
+/// start with, after its visibility.
+const ITEM_KEYWORDS: [&str; 15] = [
+    "fn",
+    "mod",
+    "impl",
+    "struct",
+    "enum",
+    "union",
+    "trait",
+    "type",
+    "const",
+    "static",
+    "use",
+    "extern",
+    "unsafe",
+    "async",
+    "macro_rules",
+];
+
+/// Whether the tokens from `k` start an item: a visibility (`pub`,
+/// `pub(…)`) and then an item keyword.
+fn starts_item(src: &str, toks: &[Token], mut k: usize) -> bool {
+    if toks.get(k).is_some_and(|t| t.is_ident(src, "pub")) {
+        k += 1;
+        if toks.get(k).is_some_and(|t| t.is_punct(b'(')) {
+            while k < toks.len() && !toks[k].is_punct(b')') {
+                k += 1;
+            }
+            k += 1;
+        }
+    }
+    toks.get(k)
+        .is_some_and(|t| ITEM_KEYWORDS.iter().any(|kw| t.is_ident(src, kw)))
+}
+
 /// Compute the (start, end) line spans of test-only code: items annotated
 /// `#[cfg(test)]` or `#[test]`, including whole `mod tests { ... }` blocks.
+/// An annotated item runs to its `;` or the end of its `{…}`. A
+/// field, struct-literal field, match arm or statement also ends at a `,`
+/// outside parentheses and brackets, and anything annotated ends where
+/// the block around it does — so `#[cfg(test)]` on the last field of a
+/// struct does not swallow the `impl` block after the struct.
 pub fn test_line_spans(src: &str, toks: &[Token]) -> Vec<(u32, u32)> {
     let mut spans = Vec::new();
     let mut i = 0;
@@ -203,7 +244,24 @@ pub fn test_line_spans(src: &str, toks: &[Token]) -> Vec<(u32, u32)> {
                         k += 1;
                     }
                 }
+                let item = starts_item(src, toks, k);
+                let mut nesting = 0usize;
                 while k < toks.len() {
+                    match toks[k].kind {
+                        TokKind::Punct(b'(' | b'[') => nesting += 1,
+                        TokKind::Punct(b')' | b']') => nesting = nesting.saturating_sub(1),
+                        TokKind::Punct(b',') if !item && nesting == 0 => {
+                            end_line = toks[k].line;
+                            break;
+                        }
+                        TokKind::Punct(b'}') => {
+                            // The enclosing block closes: what was
+                            // annotated ended on the token before.
+                            end_line = toks[k - 1].line;
+                            break;
+                        }
+                        _ => {}
+                    }
                     if toks[k].is_punct(b';') {
                         end_line = toks[k].line;
                         break;
@@ -765,6 +823,26 @@ mod tests {
     fn parse_src(src: &str) -> ParsedFile {
         let toks = lex(src);
         parse(src, &toks, &test_line_spans(src, &toks))
+    }
+
+    /// An annotated item runs to its `;` or closing brace, generics and
+    /// `where` commas included; an annotated field, struct-literal field
+    /// or match arm ends at its `,` or at the brace that closes the
+    /// block around it — never in a later item.
+    #[test]
+    fn test_spans_end_where_the_annotated_thing_does() {
+        let spans = |src: &str| test_line_spans(src, &lex(src));
+        let item =
+            "#[cfg(test)]\nfn f<A, B>(a: A, b: B)\nwhere A: Copy, B: Copy\n{\n}\nfn g() {}\n";
+        assert_eq!(spans(item), vec![(1, 5)]);
+        let last_field = "struct S {\n    a: u32,\n    #[cfg(test)]\n    b: u32\n}\nimpl S {\n    fn m() {}\n}\n";
+        assert_eq!(spans(last_field), vec![(3, 4)]);
+        let field = "pub struct S {\n    #[cfg(test)]\n    pub(crate) b: Vec<(u32, u32)>,\n    c: u32,\n}\n";
+        assert_eq!(spans(field), vec![(2, 3)]);
+        let literal = "fn f() -> S {\n    S { a: 1, #[cfg(test)] b: 2 }\n}\nfn g() {}\n";
+        assert_eq!(spans(literal), vec![(2, 2)]);
+        let arm = "fn f(x: u8) -> u8 {\n    match x {\n        #[cfg(test)]\n        0 => g(1, 2),\n        _ => 1,\n    }\n}\n";
+        assert_eq!(spans(arm), vec![(3, 4)]);
     }
 
     #[test]

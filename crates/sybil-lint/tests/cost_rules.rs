@@ -143,6 +143,33 @@ fn s113_alloc_through_trait_object_edge() {
 }
 
 // ---------------------------------------------------------------------
+// Test-only code ends where it is annotated: `#[cfg(test)]` on a struct's
+// last field (and on a struct-literal field) leaves the `impl` after the
+// struct in the hot set, so its per-event allocation is reported.
+
+#[test]
+fn s113_sees_the_impl_after_a_test_only_field() {
+    let f = cost_findings("cost_cfg_field", ONE, &hot(&["cost_cfg_field::serve"]));
+    assert_eq!(f.len(), 1, "{f:#?}");
+    let v = &f[0];
+    assert_eq!(v.rule, "S113");
+    assert_eq!(v.path, "crates/cost_cfg_field/src/lib.rs");
+    assert_eq!(v.line, 16);
+    assert_eq!(
+        v.trace,
+        vec![
+            "cost_cfg_field::serve calls cost_cfg_field::Counter::bump at \
+             crates/cost_cfg_field/src/lib.rs:26"
+                .to_string(),
+            "cost_cfg_field::Counter::bump allocates via `vec![…]` at \
+             crates/cost_cfg_field/src/lib.rs:16"
+                .to_string(),
+        ],
+        "{v:#?}"
+    );
+}
+
+// ---------------------------------------------------------------------
 // S114: growth with no drain on the same receiver, reached through a
 // method edge from the root's loop.
 

@@ -29,10 +29,10 @@
 //! and thread count.
 //!
 //! There is one epoch step — index → scan → fold tallies → merge →
-//! absorb, on the `Coordinator` below — and whatever processes an epoch
-//! runs it: live serving (shards under `par::map_owned`, faults absorbed
-//! between its halves) and journal replay, which is both the committed
-//! tail after a warm restart and crash rebuild (shards in order, digests
+//! absorb, on the `Coordinator` below, its shards under `par::map_owned`
+//! — and whatever processes an epoch runs it: live serving (faults
+//! absorbed between its halves) and journal replay, which is both the
+//! committed tail after a warm restart and crash rebuild (digests
 //! compared). Recovery cannot drift from serving.
 
 use crate::fault::{
@@ -188,17 +188,6 @@ pub struct ServeStats {
 /// its busy seconds, and its post-epoch digest when one was taken.
 type Arrival = (ShardState, EpochOutput, f64, Option<u64>);
 
-/// How a step drives its shard vector: `par::map_owned` for live
-/// epochs, a plain in-order map for journaled ones. With the scan
-/// scaling, replaying them in parallel no longer loses, but over six
-/// alternating pairs it did not win either (DESIGN.md §Persistence &
-/// warm restart has the pairs), so the tail stays in order.
-#[derive(Clone, Copy)]
-enum Drive {
-    Parallel,
-    InOrder,
-}
-
 /// The coordinator's barrier-time state — exactly what a
 /// [`SessionCheckpoint`] snapshots — and the one epoch step over it, in
 /// two halves: [`scan`](Self::scan) (index → shard scan) and
@@ -264,32 +253,40 @@ impl<'a> Coordinator<'a> {
         Ok(co)
     }
 
-    /// What [`restore`](Self::restore) takes. Called post-commit,
-    /// post-fold: exactly the state the next epoch starts from.
-    fn checkpoint(&self) -> SessionCheckpoint {
-        SessionCheckpoint {
+    /// Hand `plane` what [`restore`](Self::restore) takes. Called
+    /// post-commit, post-fold: exactly the state the next epoch starts
+    /// from. The shard tables move into the checkpoint for the hook and
+    /// back after it, so no account state is copied.
+    fn checkpoint<P: FaultPlane>(&mut self, plane: &mut P) -> Result<(), ChaosError> {
+        let shards = self.shards.iter_mut().map(ShardState::lend_snapshot);
+        let cp = SessionCheckpoint {
             epochs: self.epochs,
-            shards: self.shards.iter().map(ShardState::snapshot).collect(),
+            shards: shards.collect(),
             folded_edges: self.mirror.folded_edges(),
             staged_edges: self.mirror.staged_edges().to_vec(),
             tagged: self.tagged.iter().map(|t| (t.seq, t.detection)).collect(),
             carry_feedback: self.carry_feedback.clone(),
             totals: self.totals,
+        };
+        let written = plane.checkpoint(&cp);
+        for (shard, snap) in self.shards.iter_mut().zip(cp.shards) {
+            shard.put_back(snap);
         }
+        written
     }
 
     /// First half of the step. A sequential stream-order pass puts the
     /// epoch's new edges into the mirror — the index lets a shard's check
     /// hide the ones created after it; shards keep no mirrors of their
     /// own — then every carried shard scans the epoch (under the fault
-    /// plane's `clamps`, if any) and, with `want_dig`, digests its own
-    /// state there, in its busy window, not serially on the coordinator.
+    /// plane's `clamps`, if any), brings its running digest up to date
+    /// and, with `want_dig`, digests its own state there, in its busy
+    /// window, not serially on the coordinator.
     fn scan(
         &mut self,
         rec: EpochRecordRef<'_>,
         clamps: &[Option<usize>],
         want_dig: bool,
-        drive: Drive,
         meter: &mut Meter<'_>,
     ) -> (EpochIndex, Vec<Result<Arrival, QueueFull>>) {
         let eidx = self.mirror.index_epoch(rec.events, rec.details);
@@ -300,15 +297,14 @@ impl<'a> Coordinator<'a> {
             let clamp = clamps.get(shard.id()).copied().flatten();
             let t0 = clock();
             let staged = shard.run_epoch(rec, out, mirror, &eidx, clamp);
+            if staged.is_ok() {
+                shard.refresh_digest(rec.details);
+            }
             let digest = (want_dig && staged.is_ok()).then(|| shard.digest());
             let busy = clock() - t0;
             staged.map(|staged| (shard, staged, busy, digest))
         };
-        let shards = std::mem::take(&mut self.shards);
-        let results = match drive {
-            Drive::Parallel => par::map_owned(shards, scan_one),
-            Drive::InOrder => shards.into_iter().map(scan_one).collect(),
-        };
+        let results = par::map_owned(std::mem::take(&mut self.shards), scan_one);
         meter.lap(Stage::Scan);
         (eidx, results)
     }
@@ -393,16 +389,16 @@ impl<'a> Coordinator<'a> {
             details: &rec.details,
             feedback: &rec.feedback,
         };
-        let (eidx, results) = self.scan(input, &[], in_flight, Drive::InOrder, meter);
+        let (eidx, results) = self.scan(input, &[], in_flight, meter);
         let diverged = |sid| ServeError::fault(e, sid, FaultKind::ReplayDivergence);
-        let arrived: Vec<Arrival> = results
+        let mut arrived: Vec<Arrival> = results
             .into_iter()
             .collect::<Result<_, _>>()
             .map_err(|q: QueueFull| diverged(q.site.map(|s| s.shard)))?;
         if in_flight {
             return Ok(Some(arrived));
         }
-        for (shard, ..) in &arrived {
+        for (shard, ..) in &mut arrived {
             let want = plane.committed_digest(e, shard.id());
             if want.is_some_and(|want| shard.digest() != want) {
                 return Err(diverged(Some(shard.id())));
@@ -456,8 +452,8 @@ pub fn replay_journal<P: FaultPlane>(
     cfg: &ServeConfig,
 ) -> Result<Vec<u64>, ServeError> {
     let cfg = cfg.resolved();
-    let (co, _) = rebuild(plane, out, cfg, 0..cfg.shards, None)?;
-    Ok(co.shards.iter().map(ShardState::digest).collect())
+    let (mut co, _) = rebuild(plane, out, cfg, 0..cfg.shards, None)?;
+    Ok(co.shards.iter_mut().map(ShardState::digest).collect())
 }
 
 /// The one coordinator loop behind
@@ -554,7 +550,7 @@ pub(crate) fn serve_inner<P: FaultPlane>(
             meter.lap(Stage::Plane);
         }
         let crashed = |sid: usize| faults.get(sid) == Some(&ShardFault::Crash);
-        let (eidx, mut results) = co.scan(rec, &clamps, want_dig, Drive::Parallel, &mut meter);
+        let (eidx, mut results) = co.scan(rec, &clamps, want_dig, &mut meter);
         if chaos {
             // Delivery-order fault: results may reach the barrier in any
             // order. The merge is keyed by shard id, so a permutation
@@ -586,7 +582,7 @@ pub(crate) fn serve_inner<P: FaultPlane>(
         if chaos {
             plane.epoch_commit(epoch_no, want_dig.then_some(&digests[..]))?;
             if plane.wants_checkpoint(epoch_no) {
-                plane.checkpoint(&co.checkpoint())?;
+                co.checkpoint(plane)?;
             }
             meter.lap(Stage::Plane);
         }
@@ -598,7 +594,7 @@ pub(crate) fn serve_inner<P: FaultPlane>(
             // The store holds more epochs than this run's stream has.
             return Err(ServeError::fault(co.epochs, None, FaultKind::Journal));
         }
-        let final_digests: Vec<u64> = co.shards.iter().map(ShardState::digest).collect();
+        let final_digests: Vec<u64> = co.shards.iter_mut().map(ShardState::digest).collect();
         plane.run_end(co.epochs, &final_digests)?;
     }
     let report = assemble(out, &rt, &co.shards, &co.tagged);

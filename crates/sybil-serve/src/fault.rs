@@ -46,7 +46,7 @@
 
 use osn_graph::{NodeId, Timestamp};
 use osn_sim::stream::{EventDetail, StreamEvent};
-use sybil_core::realtime::state::AccountState;
+use sybil_core::realtime::state::AccountTable;
 use sybil_core::realtime::{Detection, ReplayCounters};
 use sybil_features::FeatureVector;
 
@@ -168,12 +168,17 @@ pub struct EpochRecord {
 /// states, the replicated adaptive thresholds (as raw IEEE-754 bit
 /// words, so persistence round-trips exactly), the pending feedback
 /// replica, and the audit bookkeeping. Derived fields (ownership masks,
-/// kernel scratch) are rebuilt on restore, not persisted.
+/// kernel scratch, the running digest) are rebuilt on restore, not
+/// persisted.
+///
+/// The accounts are the shard's own flat table, not records of it: for
+/// the [`checkpoint`](FaultPlane::checkpoint) hook the engine moves each
+/// shard's table into the snapshot and back once the hook returns, and a
+/// restore moves a decoded table in — neither copies account state.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardSnapshot {
-    /// Owned accounts' states as exchange records, in local-slot order
-    /// (materialised from, and restored into, the shard's flat table).
-    pub states: Vec<AccountState>,
+    /// Owned accounts, in local-slot order.
+    pub table: AccountTable,
     /// `AdaptiveThresholds::to_raw` words (six trackers + `use_cc`).
     pub adaptive: [u64; 31],
     /// Pending feedback replica: `(due, features, truth)` in global order.
@@ -262,8 +267,9 @@ pub trait FaultPlane {
     }
 
     /// Whether [`epoch_commit`](Self::epoch_commit) wants per-shard
-    /// state digests this epoch (digesting is O(state), so the plane
-    /// opts in per epoch).
+    /// state digests this epoch. A session's first digest is O(state);
+    /// from then on each epoch costs O(accounts it touched), asked for
+    /// or not.
     #[inline]
     fn wants_digests(&self, _epoch: u64) -> bool {
         false

@@ -32,11 +32,11 @@ use crate::fault::EpochRecordRef;
 use crate::mirror::{EpochIndex, GraphMirror};
 use crate::queue::{DeltaQueue, QueueFull};
 use osn_graph::{NeighborScratch, NodeId, Timestamp};
-use osn_sim::stream::StreamEventKind;
+use osn_sim::stream::{EventDetail, StreamEventKind};
 use osn_sim::SimOutput;
 use std::collections::VecDeque;
 use sybil_core::adaptive::AdaptiveThresholds;
-use sybil_core::realtime::state::{self, AccountTable, Verdict};
+use sybil_core::realtime::state::{self, AccountTable, RunningDigest, Verdict};
 use sybil_core::realtime::{Detection, RealtimeConfig};
 use sybil_core::threshold::ThresholdClassifier;
 use sybil_features::FeatureVector;
@@ -102,6 +102,11 @@ pub(crate) struct ShardState {
     /// Owned accounts' states, one flat table per shard; local slot `i`
     /// holds account `i * shards + shard`.
     pub states: AccountTable,
+    /// The table's digest, kept from the first [`digest`](Self::digest)
+    /// on by [`refresh_digest`](Self::refresh_digest) after every scan
+    /// (every transition of `states` happens in `run_epoch`); `None`
+    /// until then, so a run that never digests pays nothing.
+    table_digest: Option<RunningDigest>,
     scratch: NeighborScratch,
     /// Friend-id staging buffer for kernel calls.
     friend_ids: Vec<u32>,
@@ -124,13 +129,32 @@ pub(crate) struct ShardState {
 
 impl ShardState {
     pub fn new(shard: usize, shards: usize, num_accounts: usize, cfg: &RealtimeConfig) -> Self {
-        let owned = num_accounts / shards + usize::from(num_accounts % shards > shard);
+        let owned = Self::owned_by(shard, shards, num_accounts);
+        Self::with_table(shard, shards, num_accounts, cfg, AccountTable::new(owned))
+    }
+
+    /// How many of `num_accounts` shard `shard` of `shards` owns.
+    fn owned_by(shard: usize, shards: usize, num_accounts: usize) -> usize {
+        num_accounts / shards + usize::from(num_accounts % shards > shard)
+    }
+
+    /// A shard at the start of the stream but for its accounts, which
+    /// are `states` (one per owned account).
+    fn with_table(
+        shard: usize,
+        shards: usize,
+        num_accounts: usize,
+        cfg: &RealtimeConfig,
+        states: AccountTable,
+    ) -> Self {
+        let owned = states.len();
         ShardState {
             shard,
             shards,
             owner_mask: shards.is_power_of_two().then(|| shards - 1),
             cfg: *cfg,
-            states: AccountTable::new(owned),
+            states,
+            table_digest: None,
             scratch: NeighborScratch::new(num_accounts),
             friend_ids: Vec::with_capacity(state::MAX_TRACKED_FRIENDS),
             adaptive: AdaptiveThresholds::from_rule(&cfg.rule, 0.02),
@@ -169,17 +193,22 @@ impl ShardState {
     }
 
     /// Digest of everything that affects this shard's future behavior:
-    /// owned account states, the replicated adaptive thresholds and
-    /// feedback queue, and the audit bookkeeping. The transient `obs`
+    /// owned account states (the table's sum digest, kept running), the
+    /// replicated adaptive thresholds and feedback queue, and the audit
+    /// bookkeeping (folded whole: they are small). The transient `obs`
     /// tallies are excluded — they are drained at every barrier, which
     /// is exactly when digests are taken. Equal digests ⇒ byte-identical
-    /// `realtime::state` and identical behavior on every future event.
-    pub(crate) fn digest(&self) -> u64 {
+    /// `realtime::state` and identical behavior on every future event,
+    /// up to the collision bound. The first call hashes every account;
+    /// later ones read the running digest.
+    pub(crate) fn digest(&mut self) -> u64 {
+        let (states, running) = (&self.states, &mut self.table_digest);
+        let table = running.get_or_insert_with(|| RunningDigest::of(states));
         let mut d = sybil_core::digest::Digest64::new();
         d.write_usize(self.shard);
         d.write_usize(self.shards);
         d.write_usize(self.owned);
-        self.states.digest_into(&mut d);
+        d.write_u64(table.value());
         self.adaptive.digest_into(&mut d);
         d.write_usize(self.feedback_queue.len());
         for (due, f, truth) in &self.feedback_queue {
@@ -194,13 +223,42 @@ impl ShardState {
         d.finish()
     }
 
+    /// Re-hash, in the running table digest, exactly the owned slots
+    /// `details` — the epoch this shard just scanned — name: the sender
+    /// of every event and the recipient of every accepted decision.
+    /// Every table transition lands on one of those (a send, a decision
+    /// on an outgoing request and a detection on the sender, an accepted
+    /// request also on its recipient), so the running digest equals the
+    /// table's digest again. A no-op until the first digest.
+    pub(crate) fn refresh_digest(&mut self, details: &[EventDetail]) {
+        let Some(mut running) = self.table_digest.take() else {
+            return;
+        };
+        for d in details {
+            let from = NodeId(d.from);
+            if self.owns(from) {
+                running.mark(self.local(from));
+            }
+            let to = NodeId(d.to);
+            if d.accepted && self.owns(to) {
+                running.mark(self.local(to));
+            }
+        }
+        running.refresh(&self.states);
+        self.table_digest = Some(running);
+    }
+
     /// Everything [`digest`](Self::digest) covers that is not derivable
     /// from `(shard, shards, num_accounts, cfg)` — the persisted half of
-    /// the shard. Pairs with [`from_snapshot`](Self::from_snapshot):
-    /// `from_snapshot(.., s.snapshot()).digest() == s.digest()`.
-    pub(crate) fn snapshot(&self) -> crate::fault::ShardSnapshot {
+    /// the shard — with the account table *moved* into it: the shard
+    /// holds an empty table until [`put_back`](Self::put_back) returns
+    /// this snapshot's, so a checkpoint copies no account state. Pairs
+    /// with [`from_snapshot`](Self::from_snapshot):
+    /// `from_snapshot(.., s.lend_snapshot()).digest()` is the lender's
+    /// digest.
+    pub(crate) fn lend_snapshot(&mut self) -> crate::fault::ShardSnapshot {
         crate::fault::ShardSnapshot {
-            states: self.states.accounts(),
+            table: std::mem::take(&mut self.states),
             adaptive: self.adaptive.to_raw(),
             feedback_queue: self.feedback_queue.iter().cloned().collect(),
             sends_until_audit: self.sends_until_audit as u64,
@@ -208,15 +266,20 @@ impl ShardState {
         }
     }
 
+    /// Take back the table [`lend_snapshot`](Self::lend_snapshot) lent.
+    pub(crate) fn put_back(&mut self, snap: crate::fault::ShardSnapshot) {
+        self.states = snap.table;
+    }
+
     /// Rebuild a shard from a persisted [`ShardSnapshot`], taken by value
-    /// so the account states move in instead of being cloned: derived
+    /// so the account table moves in instead of being copied: derived
     /// fields (ownership mask, scratch, capacities) come from the
     /// constructor path; persisted fields overwrite the cold-start
     /// values. `obs` starts empty — tallies are drained at every
     /// barrier, and checkpoints are taken at barriers. `None` when the
-    /// snapshot cannot be this shard's: a state count other than its
-    /// owned count (slots are indexed by account id), or an audit
-    /// countdown outside `1..=audit_every` (0 would underflow it).
+    /// snapshot cannot be this shard's: a table of other than its owned
+    /// count (slots are indexed by account id), or an audit countdown
+    /// outside `1..=audit_every` (0 would underflow it).
     pub(crate) fn from_snapshot(
         shard: usize,
         shards: usize,
@@ -224,12 +287,12 @@ impl ShardState {
         cfg: &RealtimeConfig,
         snap: crate::fault::ShardSnapshot,
     ) -> Option<Self> {
-        let mut s = ShardState::new(shard, shards, num_accounts, cfg);
         let countdown = usize::try_from(snap.sends_until_audit).ok()?;
-        if snap.states.len() != s.owned || !(1..=cfg.audit_every).contains(&countdown) {
+        let owned = Self::owned_by(shard, shards, num_accounts);
+        if snap.table.len() != owned || !(1..=cfg.audit_every).contains(&countdown) {
             return None;
         }
-        s.states = AccountTable::from_accounts(&snap.states)?;
+        let mut s = ShardState::with_table(shard, shards, num_accounts, cfg, snap.table);
         s.adaptive = AdaptiveThresholds::from_raw(snap.adaptive);
         s.feedback_queue = snap.feedback_queue.into();
         s.sends_until_audit = countdown;
@@ -497,7 +560,8 @@ mod tests {
     }
 
     /// Checkpoint bytes are a pure function of the snapshot (the `SYBS`
-    /// codec reads nothing else), so snapshot equality is byte equality.
+    /// codec reads nothing else, and the table's equality is its
+    /// accounts'), so snapshot equality is byte equality.
     #[test]
     fn snapshot_round_trips_after_blocks_were_freed_and_reused() {
         let mut s = ShardState::new(1, 2, ACCOUNTS, &RealtimeConfig::default());
@@ -517,21 +581,27 @@ mod tests {
         s.states.mark_detected(2);
         s.sends_until_audit = 3;
         s.audit_cursor = 17;
-        let snap = s.snapshot();
-        assert_eq!(snap.states[0].recent_sends.len(), 20);
-        assert_eq!(snap.states[1].recent_sends, [3800, 4700, 5600, 6500]);
-        assert!(snap.states[1].friends_dup && snap.states[2].detected);
-        let back = restored(1, snap.clone()).expect("this shard's own snapshot");
-        assert_eq!(back.digest(), s.digest());
-        assert_eq!(back.snapshot(), snap);
+        let digest = s.digest();
+        let snap = s.lend_snapshot();
+        assert!(s.states.is_empty(), "the table is lent, not copied");
+        let records = snap.table.accounts();
+        assert_eq!(records[0].recent_sends.len(), 20);
+        assert_eq!(records[1].recent_sends, [3800, 4700, 5600, 6500]);
+        assert!(records[1].friends_dup && records[2].detected);
+        let mut back = restored(1, snap.clone()).expect("this shard's own snapshot");
+        s.put_back(snap.clone());
+        assert_eq!(s.digest(), digest, "the lender's digest survives the loan");
+        assert_eq!(back.digest(), digest);
+        assert_eq!(back.lend_snapshot(), snap);
     }
 
     /// Restoring writes the records as they are: a send at time 0 (which
     /// `on_send` would evict on arrival) and a full friend list survive.
     #[test]
     fn snapshot_with_a_time_zero_send_and_full_friend_list_round_trips() {
-        let mut snap = ShardState::new(0, 2, ACCOUNTS, &RealtimeConfig::default()).snapshot();
-        snap.states[2] = AccountState {
+        let mut snap = ShardState::new(0, 2, ACCOUNTS, &RealtimeConfig::default()).lend_snapshot();
+        let mut records = snap.table.accounts();
+        records[2] = AccountState {
             sent: 60,
             accepted: 55,
             recent_sends: [0, 0, 5].into(),
@@ -539,14 +609,43 @@ mod tests {
             friends: (0..MAX_TRACKED_FRIENDS as u32).map(NodeId).collect(),
             ..AccountState::default()
         };
-        let back = restored(0, snap.clone()).expect("a well-formed snapshot");
-        assert_eq!(back.snapshot(), snap);
+        snap.table = AccountTable::from_accounts(&records).expect("a well-formed table");
+        let mut back = restored(0, snap.clone()).expect("a well-formed snapshot");
         assert_eq!(back.states.friends(2).len(), MAX_TRACKED_FRIENDS);
+        assert_eq!(back.lend_snapshot(), snap);
 
-        // What no table wrote is refused, as a wrong owned count is.
-        snap.states[2].friends.push(NodeId(99));
-        assert!(restored(0, snap.clone()).is_none());
-        snap.states.pop();
+        // What no table wrote cannot be built, and a wrong owned count
+        // is refused.
+        records[2].friends.push(NodeId(99));
+        assert!(AccountTable::from_accounts(&records).is_none());
+        records.truncate(records.len() - 1);
+        records[2].friends.pop();
+        snap.table = AccountTable::from_accounts(&records).expect("a well-formed table");
         assert!(restored(0, snap).is_none());
+    }
+
+    /// A running digest refreshed from each epoch's details equals a
+    /// fresh one: the details name every slot a transition wrote.
+    #[test]
+    fn refreshed_digest_equals_a_fresh_one() {
+        let mut s = ShardState::new(0, 2, ACCOUNTS, &RealtimeConfig::default());
+        let fresh = s.digest();
+        // Account 2 (slot 1) sends to 5, is accepted, and befriends 4
+        // (slot 2) by accepting 4's request; every slot touched is named.
+        s.states.on_send(1, Timestamp(100), 3600);
+        s.states.on_accept_out(1, NodeId(5));
+        s.states.on_accept_in(2, NodeId(2));
+        s.states.on_accept_out(1, NodeId(4));
+        let decided = |to, accepted| EventDetail {
+            from: 2,
+            to,
+            accepted,
+        };
+        let details = [decided(5, false), decided(5, true), decided(4, true)];
+        s.refresh_digest(&details);
+        let running = s.digest();
+        s.table_digest = None;
+        assert_eq!(running, s.digest());
+        assert_ne!(running, fresh);
     }
 }

@@ -16,13 +16,24 @@
 //! section := tag:u8  len:u32  payload[len]
 //! ```
 //!
-//! Sections are held in a `BTreeMap` keyed by tag while encoding and are
-//! therefore written in strictly ascending tag order; the decoder rejects
-//! out-of-order or duplicate tags. Version 1 defines tags 1–7 (meta,
-//! shards, folded edges, staged edges, tagged detections, carried
-//! feedback, totals); an unknown tag is a typed
-//! [`StoreError::UnknownSection`], never skipped — adding a section means
-//! bumping [`VERSION`].
+//! Sections are written in strictly ascending tag order, each straight
+//! into the one output buffer (sized exactly beforehand), its length
+//! patched in after its payload; the decoder rejects out-of-order or
+//! duplicate tags. Version 1 defines tags 1–7 (meta, shards, folded
+//! edges, staged edges, tagged detections, carried feedback, totals); an
+//! unknown tag is a typed [`StoreError::UnknownSection`], never skipped —
+//! adding a section means bumping [`VERSION`].
+//!
+//! A shard's accounts are encoded from its `AccountTable` slot by slot
+//! and decoded straight into a new table, so no per-account record is
+//! built on either side. The bytes are the v1 account records they
+//! always were:
+//!
+//! ```text
+//! account := sent:u32 accepted:u32 rejected:u32
+//!            n_window:u32 send_secs[n_window]:u64  peak_1h:u32
+//!            n_friends:u32 friend[n_friends]:u32  friends_dup:u8 detected:u8
+//! ```
 //!
 //! The trailer is a [`Digest64`] fold over the version, the section
 //! count, and every section's tag, length, and payload. A flipped bit
@@ -57,7 +68,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use sybil_core::digest::Digest64;
-use sybil_core::realtime::state::AccountState;
+use sybil_core::realtime::state::{AccountTable, Counters};
 use sybil_core::realtime::{Detection, ReplayCounters};
 use sybil_serve::{SessionCheckpoint, ShardSnapshot};
 
@@ -87,49 +98,70 @@ const SHARD_MIN: usize = 4 + 31 * 8 + 4 + 8 + 8;
 const EDGE_LEN: usize = 4 + 4 + 8;
 const TAGGED_LEN: usize = 8 + 4 + 8 + 1;
 
-fn put_account(buf: &mut Vec<u8>, st: &AccountState) {
-    put_u32(buf, st.sent);
-    put_u32(buf, st.accepted);
-    put_u32(buf, st.rejected);
-    put_u32(buf, st.recent_sends.len() as u32);
-    for &s in &st.recent_sends {
-        put_u64(buf, s);
+/// Every account of `t`, counted, in slot order.
+fn put_accounts(buf: &mut Vec<u8>, t: &AccountTable) {
+    put_u32(buf, t.len() as u32);
+    for i in 0..t.len() {
+        let c = t.counters(i);
+        put_u32(buf, c.sent);
+        put_u32(buf, c.accepted);
+        put_u32(buf, c.rejected);
+        let window = t.window(i);
+        put_u32(buf, window.len() as u32);
+        window.for_each(|at| put_u64(buf, at));
+        put_u32(buf, c.peak_1h);
+        let friends = t.friends(i);
+        put_u32(buf, friends.len() as u32);
+        friends.iter().for_each(|f| put_u32(buf, f.0));
+        put_bool(buf, c.friends_dup);
+        put_bool(buf, c.detected);
     }
-    put_u32(buf, st.peak_1h);
-    put_u32(buf, st.friends.len() as u32);
-    for f in &st.friends {
-        put_u32(buf, f.0);
-    }
-    put_bool(buf, st.friends_dup);
-    put_bool(buf, st.detected);
 }
 
-fn get_account(f: &mut Fields<'_>) -> Result<AccountState, StoreError> {
-    let sent = f.u32()?;
-    let accepted = f.u32()?;
-    let rejected = f.u32()?;
-    let recent_sends = f.counted(8, Fields::u64)?.into();
-    let peak_1h = f.u32()?;
-    let friends = f.counted(4, |f| Ok(NodeId(f.u32()?)))?;
-    let friends_dup = f.bool()?;
-    let detected = f.bool()?;
-    Ok(AccountState {
-        sent,
-        accepted,
-        rejected,
-        recent_sends,
-        peak_1h,
-        friends,
-        friends_dup,
-        detected,
-    })
+/// The encoded size of [`put_accounts`]' output for `t`.
+fn accounts_len(t: &AccountTable) -> usize {
+    let each = |i| ACCOUNT_MIN + 8 * t.window(i).len() + 4 * t.friends(i).len();
+    4 + (0..t.len()).map(each).sum::<usize>()
+}
+
+/// A counted run of accounts, decoded into a table. An account no table
+/// could hold (more than the friend cap) is a typed error at its offset.
+fn get_accounts(f: &mut Fields<'_>) -> Result<AccountTable, StoreError> {
+    let n = f.count(ACCOUNT_MIN)?;
+    let mut t = AccountTable::with_capacity(n);
+    for _ in 0..n {
+        let at = f.offset();
+        let (sent, accepted, rejected) = (f.u32()?, f.u32()?, f.u32()?);
+        let n_window = f.count(8)?;
+        let window = f.take(8 * n_window)?.chunks_exact(8);
+        let window = window.map(|b| u64::from_le_bytes(le(b)));
+        let peak_1h = f.u32()?;
+        let n_friends = f.count(4)?;
+        let friends = f.take(4 * n_friends)?.chunks_exact(4);
+        let friends = friends.map(|b| NodeId(u32::from_le_bytes(le(b))));
+        let c = Counters {
+            sent,
+            accepted,
+            rejected,
+            peak_1h,
+            friends_dup: f.bool()?,
+            detected: f.bool()?,
+        };
+        t.push_account(c, window, friends)
+            .ok_or(StoreError::BadField { offset: at })?;
+    }
+    Ok(t)
+}
+
+/// The `N` bytes of a word (`b` is a `chunks_exact(N)` chunk).
+fn le<const N: usize>(b: &[u8]) -> [u8; N] {
+    let mut w = [0u8; N];
+    w.copy_from_slice(b);
+    w
 }
 
 fn put_shard(buf: &mut Vec<u8>, s: &ShardSnapshot) {
-    put_u32(buf, s.states.len() as u32);
-    for st in &s.states {
-        put_account(buf, st);
-    }
+    put_accounts(buf, &s.table);
     for &w in &s.adaptive {
         put_u64(buf, w);
     }
@@ -143,8 +175,12 @@ fn put_shard(buf: &mut Vec<u8>, s: &ShardSnapshot) {
     put_u64(buf, s.audit_cursor);
 }
 
+fn shard_len(s: &ShardSnapshot) -> usize {
+    accounts_len(&s.table) + SHARD_MIN - 4 + s.feedback_queue.len() * PENDING_FEEDBACK_LEN
+}
+
 fn get_shard(f: &mut Fields<'_>) -> Result<ShardSnapshot, StoreError> {
-    let states = f.counted(ACCOUNT_MIN, get_account)?;
+    let table = get_accounts(f)?;
     let mut adaptive = [0u64; 31];
     for w in &mut adaptive {
         *w = f.u64()?;
@@ -155,7 +191,7 @@ fn get_shard(f: &mut Fields<'_>) -> Result<ShardSnapshot, StoreError> {
     let sends_until_audit = f.u64()?;
     let audit_cursor = f.u64()?;
     Ok(ShardSnapshot {
-        states,
+        table,
         adaptive,
         feedback_queue,
         sends_until_audit,
@@ -178,57 +214,58 @@ fn get_edges(f: &mut Fields<'_>) -> Result<Vec<(NodeId, NodeId, Timestamp)>, Sto
     })
 }
 
-/// Build the version-1 section map for `cp`. The `BTreeMap` key order IS
-/// the file order.
-fn sections(cp: &SessionCheckpoint) -> BTreeMap<u8, Vec<u8>> {
-    let mut map = BTreeMap::new();
+/// The version-1 section tags, in file order.
+const TAGS: [u8; 7] = [
+    TAG_META, TAG_SHARDS, TAG_FOLDED, TAG_STAGED, TAG_TAGGED, TAG_CARRY, TAG_TOTALS,
+];
 
-    let mut meta = Vec::with_capacity(12);
-    put_u64(&mut meta, cp.epochs);
-    put_u32(&mut meta, cp.shards.len() as u32);
-    map.insert(TAG_META, meta);
-
-    let mut shards = Vec::new();
-    for s in &cp.shards {
-        put_shard(&mut shards, s);
+/// The encoded size of section `tag`'s payload for `cp`.
+fn section_len(tag: u8, cp: &SessionCheckpoint) -> usize {
+    match tag {
+        TAG_META => 12,
+        TAG_SHARDS => cp.shards.iter().map(shard_len).sum(),
+        TAG_FOLDED => 4 + cp.folded_edges.len() * EDGE_LEN,
+        TAG_STAGED => 4 + cp.staged_edges.len() * EDGE_LEN,
+        TAG_TAGGED => 4 + cp.tagged.len() * TAGGED_LEN,
+        TAG_CARRY => 4 + cp.carry_feedback.len() * FEEDBACK_LEN,
+        _ => 48,
     }
-    map.insert(TAG_SHARDS, shards);
+}
 
-    let mut folded = Vec::with_capacity(4 + cp.folded_edges.len() * EDGE_LEN);
-    put_edges(&mut folded, &cp.folded_edges);
-    map.insert(TAG_FOLDED, folded);
-
-    let mut staged = Vec::with_capacity(4 + cp.staged_edges.len() * EDGE_LEN);
-    put_edges(&mut staged, &cp.staged_edges);
-    map.insert(TAG_STAGED, staged);
-
-    let mut tagged = Vec::with_capacity(4 + cp.tagged.len() * TAGGED_LEN);
-    put_u32(&mut tagged, cp.tagged.len() as u32);
-    for &(seq, det) in &cp.tagged {
-        put_u64(&mut tagged, seq);
-        put_u32(&mut tagged, det.account.0);
-        put_u64(&mut tagged, det.at.as_secs());
-        put_bool(&mut tagged, det.correct);
+/// Append section `tag`'s payload for `cp`.
+fn put_section(buf: &mut Vec<u8>, tag: u8, cp: &SessionCheckpoint) {
+    match tag {
+        TAG_META => {
+            put_u64(buf, cp.epochs);
+            put_u32(buf, cp.shards.len() as u32);
+        }
+        TAG_SHARDS => cp.shards.iter().for_each(|s| put_shard(buf, s)),
+        TAG_FOLDED => put_edges(buf, &cp.folded_edges),
+        TAG_STAGED => put_edges(buf, &cp.staged_edges),
+        TAG_TAGGED => {
+            put_u32(buf, cp.tagged.len() as u32);
+            for &(seq, det) in &cp.tagged {
+                put_u64(buf, seq);
+                put_u32(buf, det.account.0);
+                put_u64(buf, det.at.as_secs());
+                put_bool(buf, det.correct);
+            }
+        }
+        TAG_CARRY => {
+            put_u32(buf, cp.carry_feedback.len() as u32);
+            for fb in &cp.carry_feedback {
+                put_feedback(buf, fb);
+            }
+        }
+        _ => {
+            put_u64(buf, cp.totals.events_processed);
+            put_u64(buf, cp.totals.checks_run);
+            put_u64(buf, cp.totals.detections);
+            put_u64(buf, cp.totals.features_computed);
+            put_u64(buf, cp.totals.feedback_applied);
+            put_u64(buf, cp.totals.audits_sampled);
+        }
     }
-    map.insert(TAG_TAGGED, tagged);
-
-    let mut carry = Vec::with_capacity(4 + cp.carry_feedback.len() * FEEDBACK_LEN);
-    put_u32(&mut carry, cp.carry_feedback.len() as u32);
-    for fb in &cp.carry_feedback {
-        put_feedback(&mut carry, fb);
-    }
-    map.insert(TAG_CARRY, carry);
-
-    let mut totals = Vec::with_capacity(48);
-    put_u64(&mut totals, cp.totals.events_processed);
-    put_u64(&mut totals, cp.totals.checks_run);
-    put_u64(&mut totals, cp.totals.detections);
-    put_u64(&mut totals, cp.totals.features_computed);
-    put_u64(&mut totals, cp.totals.feedback_applied);
-    put_u64(&mut totals, cp.totals.audits_sampled);
-    map.insert(TAG_TOTALS, totals);
-
-    map
 }
 
 /// Fold the header fields and every section (ascending by tag) into the
@@ -250,23 +287,29 @@ fn trailer_digest<'a>(sections: impl ExactSizeIterator<Item = (u8, &'a [u8])>) -
     d.finish()
 }
 
-/// Encode `cp` as one version-1 `SYBS` byte stream.
+/// Encode `cp` as one version-1 `SYBS` byte stream, every section
+/// written in place into the one buffer, which is allocated once at its
+/// final size.
 pub fn encode_checkpoint(cp: &SessionCheckpoint) -> Vec<u8> {
-    let map = sections(cp);
-    let body: usize = map.values().map(|p| 5 + p.len()).sum();
-    let mut out = Vec::with_capacity(16 + body + 8);
+    let body: usize = TAGS.iter().map(|&tag| 5 + section_len(tag, cp)).sum();
+    let size = 12 + body + 8;
+    let mut out = Vec::with_capacity(size);
     out.extend_from_slice(&MAGIC);
     put_u32(&mut out, VERSION);
-    put_u32(&mut out, map.len() as u32);
-    for (&tag, payload) in &map {
+    put_u32(&mut out, TAGS.len() as u32);
+    let mut spans = [(0u8, 0usize, 0usize); TAGS.len()];
+    for (span, &tag) in spans.iter_mut().zip(&TAGS) {
         put_u8(&mut out, tag);
-        put_u32(&mut out, payload.len() as u32);
-        out.extend_from_slice(payload);
+        let len_at = out.len();
+        put_u32(&mut out, 0);
+        put_section(&mut out, tag, cp);
+        let len = (out.len() - len_at - 4) as u32;
+        out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+        *span = (tag, len_at + 4, out.len());
     }
-    put_u64(
-        &mut out,
-        trailer_digest(map.iter().map(|(&tag, p)| (tag, p.as_slice()))),
-    );
+    let digest = trailer_digest(spans.iter().map(|&(tag, a, b)| (tag, &out[a..b])));
+    put_u64(&mut out, digest);
+    debug_assert_eq!(out.len(), size, "sections sized exactly");
     out
 }
 
@@ -455,6 +498,8 @@ pub(crate) fn open_or_create_journal(path: &Path) -> Result<Journal<File>, Store
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sybil_core::realtime::state::{AccountState, MAX_TRACKED_FRIENDS};
     use sybil_features::FeatureVector;
     use sybil_serve::fault::FeedbackRecord;
 
@@ -487,7 +532,7 @@ mod tests {
             *w = (i as u64).wrapping_mul(0x9e37_79b9) ^ 0xabcd;
         }
         let shard = ShardSnapshot {
-            states: vec![state, AccountState::default()],
+            table: AccountTable::from_accounts(&[state, AccountState::default()]).unwrap(),
             adaptive,
             feedback_queue: vec![(Timestamp(9000), fv, true)],
             sends_until_audit: 3,
@@ -594,5 +639,97 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    /// The v1 account encoder as it was written over records: the
+    /// reference the table-side encoder is held to.
+    fn put_account(buf: &mut Vec<u8>, st: &AccountState) {
+        put_u32(buf, st.sent);
+        put_u32(buf, st.accepted);
+        put_u32(buf, st.rejected);
+        put_u32(buf, st.recent_sends.len() as u32);
+        for &s in &st.recent_sends {
+            put_u64(buf, s);
+        }
+        put_u32(buf, st.peak_1h);
+        put_u32(buf, st.friends.len() as u32);
+        for f in &st.friends {
+            put_u32(buf, f.0);
+        }
+        put_bool(buf, st.friends_dup);
+        put_bool(buf, st.detected);
+    }
+
+    /// Three accounts sharing the pools after `ops`, in the shapes of the
+    /// table's own reference test: sends piling into one window and
+    /// sends that evict (rings grow with wrapped heads and free blocks
+    /// others reuse), accepts both ways over a small id range (friend
+    /// blocks grow, ids repeat), rejects, detections.
+    fn table_after(ops: &[(usize, u8, u32, u8)]) -> AccountTable {
+        let (mut t, mut now) = (AccountTable::new(3), 0u64);
+        for &(who, kind, id, n) in ops {
+            let (sends, gap) = match kind {
+                0..=2 => (n, u64::from(id % 2)),
+                3..=4 => (n % 6 + 1, [7, 50, 101, 400][id as usize % 4]),
+                _ => (0, 0),
+            };
+            for _ in 0..sends {
+                now += gap;
+                t.on_send(who, Timestamp(now), 100);
+            }
+            match kind {
+                5..=8 => t.on_accept_out(who, NodeId(id)),
+                9..=11 => t.on_accept_in(who, NodeId(id)),
+                12 => t.on_reject_out(who),
+                13 => t.mark_detected(who),
+                _ => {}
+            }
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The table-side encoder writes exactly the bytes the record
+        /// encoder writes for the table's records, sized as
+        /// `accounts_len` says; decoding them gives the table back
+        /// (equal accounts, packed blocks).
+        #[test]
+        fn table_encoder_writes_the_record_encoders_bytes(
+            ops in proptest::collection::vec((0usize..3, 0u8..14, 0u32..70, 1u8..=40), 1..120),
+        ) {
+            let table = table_after(&ops);
+            let records = table.accounts();
+            let mut want = Vec::new();
+            put_u32(&mut want, records.len() as u32);
+            records.iter().for_each(|r| put_account(&mut want, r));
+            let mut got = Vec::new();
+            put_accounts(&mut got, &table);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(accounts_len(&table), got.len());
+            let mut f = Fields::new(&got, 0);
+            let back = get_accounts(&mut f).expect("a table's own bytes");
+            prop_assert!(f.done());
+            prop_assert_eq!(back.accounts(), records);
+            prop_assert!(back == table);
+        }
+    }
+
+    /// An account past the friend cap is well-formed bytes but no table
+    /// could hold it: a typed error at the account's offset.
+    #[test]
+    fn an_account_past_the_friend_cap_is_typed() {
+        let crowded = AccountState {
+            friends: (0..=MAX_TRACKED_FRIENDS as u32).map(NodeId).collect(),
+            ..AccountState::default()
+        };
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, 2);
+        put_account(&mut bytes, &AccountState::default());
+        put_account(&mut bytes, &crowded);
+        let err = get_accounts(&mut Fields::new(&bytes, 100)).unwrap_err();
+        let offset = 100 + 4 + ACCOUNT_MIN as u64;
+        assert_eq!(err, StoreError::BadField { offset });
     }
 }

@@ -13,7 +13,7 @@
 //! committed through these exact bytes.
 //!
 //! ```text
-//! header :=  magic b"SYBJ"  version:u32 (= 1)
+//! header :=  magic b"SYBJ"  version:u32 (= 2)
 //! frame  :=  len:u32  tag:u8  payload[len-1]
 //!
 //! tag 1 (epoch begin, the write-ahead record):
@@ -30,6 +30,14 @@
 //! matching commit follows the barrier merge. Recovery therefore always
 //! finds the in-flight epoch's inputs, and every fully-committed epoch
 //! carries the per-shard state digests replay is verified against.
+//!
+//! The version names the digest kind as well as the frames. Version 2's
+//! frames are version 1's; its digests digest the account table as a sum
+//! of per-account terms (`AccountTable::digest`), where version 1's
+//! folded it whole in slot order. A version 1 journal's digests cannot be
+//! checked by this engine, so it is refused by version
+//! ([`StoreError::VersionMismatch`]), never replayed against the wrong
+//! digests.
 //!
 //! [`Journal`] is generic over any `Read + Write + Seek` store: a real
 //! file under a [`StorePlane`](crate::StorePlane), an in-memory
@@ -52,8 +60,8 @@ use sybil_serve::fault::{EpochRecord, EpochRecordRef};
 
 /// Journal magic: `b"SYBJ"`.
 pub const MAGIC: [u8; 4] = *b"SYBJ";
-/// Current format version.
-pub const VERSION: u32 = 1;
+/// Current format version: 2, the sum-digest journal.
+pub const VERSION: u32 = 2;
 /// Bytes before the first frame: magic + version.
 pub(crate) const HEADER_LEN: u64 = 8;
 

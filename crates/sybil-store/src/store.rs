@@ -58,8 +58,9 @@ use sybil_serve::fault::{
 };
 
 /// Default checkpoint cadence: persist the full session state every
-/// 32nd epoch barrier. A checkpoint is O(entire session state) — state
-/// snapshot, encode, write — while an epoch of journal tail replay
+/// 32nd epoch barrier. A checkpoint is O(entire session state) — encode
+/// and write; the shard tables are lent to it, not copied — while an
+/// epoch of journal tail replay
 /// costs roughly one epoch of live serving, so sparse checkpoints buy a
 /// large write-amortization win for a small bounded restart-latency
 /// cost (at most `checkpoint_every - 1` epochs of tail to replay).
@@ -73,13 +74,15 @@ use sybil_serve::fault::{
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
 
 /// Default digest cadence for journal commits: per-shard state digests
-/// every 4th epoch. Digesting is O(total state) and lands on the
-/// barrier, so this is the knob for the digest share of that overhead
-/// (`sybil-store.commit_s`, `sybil-serve.plane_residual_s`); the
-/// run-end record always carries final digests, so sparser commits only
-/// widen the window between *intermediate* divergence checks (to at
-/// most 3 epochs), never weaken the end-state byte-identity proof.
-pub const DEFAULT_DIGEST_EVERY: u64 = 4;
+/// at every epoch, so every live epoch commits digests and every
+/// replayed one — crash rebuild and a warm restart's tail — is checked
+/// against them at the epoch it diverges in. A session's first digest
+/// hashes every account; after it a shard re-hashes only the accounts
+/// its epoch touched, inside its own busy window, whether or not that
+/// epoch is digested — so a sparser cadence saves little and only
+/// widens the window between intermediate divergence checks (the
+/// run-end record always carries final digests either way).
+pub const DEFAULT_DIGEST_EVERY: u64 = 1;
 
 /// A directory of versioned `SYBS` checkpoints plus the epoch journal.
 #[derive(Debug)]
@@ -449,9 +452,8 @@ mod tests {
         let plane = StorePlane::open(&dir).unwrap();
         assert!(!plane.wants_checkpoint(0));
         assert!(plane.wants_checkpoint(DEFAULT_CHECKPOINT_EVERY - 1));
-        assert!(plane.wants_digests(0));
-        assert!(!plane.wants_digests(1));
-        assert!(plane.wants_digests(DEFAULT_DIGEST_EVERY));
+        assert_eq!(DEFAULT_DIGEST_EVERY, 1);
+        assert!((0..DEFAULT_CHECKPOINT_EVERY).all(|e| plane.wants_digests(e)));
         drop(plane);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -10,8 +10,11 @@
 //! [`largest_alloc_during`]. A count from disk may size an allocation
 //! only as far as the bytes present could fill it, so the largest single
 //! request is bounded by a small multiple of the input length
-//! ([`ALLOC_FACTOR`]: an in-memory `AccountState` is ~3× its smallest
-//! encoding) plus fixed-size index nodes ([`ALLOC_SLACK`]).
+//! ([`ALLOC_FACTOR`]: a decoded table's slot is 40 bytes for an account's
+//! 26 smallest, and a pool block holds up to twice the entries written,
+//! in a `Vec` grown by doubling) plus fixed-size index nodes
+//! ([`ALLOC_SLACK`]). Checkpoints decode straight into account tables,
+//! so the strategies below run against that decoder.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -20,10 +23,10 @@ use std::io::Cursor;
 use std::path::PathBuf;
 use sybil_core::digest::Digest64;
 use sybil_store::format::decode_checkpoint;
-use sybil_store::{Journal, StoreError, StorePlane};
+use sybil_store::{journal, Journal, StoreError, StorePlane};
 
 const CHECKPOINT: &[u8] = include_bytes!("golden/checkpoint_v1.sybs");
-const JOURNAL: &[u8] = include_bytes!("golden/journal_v1.sybj");
+const JOURNAL: &[u8] = include_bytes!("golden/journal_v2.sybj");
 
 const ALLOC_FACTOR: usize = 4;
 const ALLOC_SLACK: usize = 4096;
@@ -177,7 +180,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn commit_frame_claiming_four_billion_digests_is_a_typed_error() {
     let mut bytes = Vec::new();
     bytes.extend_from_slice(b"SYBJ");
-    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&journal::VERSION.to_le_bytes());
     bytes.extend_from_slice(&14u32.to_le_bytes()); // frame length
     bytes.push(2); // commit
     bytes.extend_from_slice(&0u64.to_le_bytes()); // epoch

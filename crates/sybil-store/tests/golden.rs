@@ -1,6 +1,7 @@
 //! Format-drift guard: the `SYBS` v1 encoding of a fixed checkpoint and
-//! the `SYBJ` v1 encoding of a fixed journal are pinned against
-//! committed golden bytes.
+//! the `SYBJ` v2 encoding of a fixed journal are pinned against
+//! committed golden bytes, and the `SYBJ` v1 golden is pinned as refused
+//! by its version.
 //!
 //! If a test here fails, the on-disk format changed. That is only legal
 //! together with a `VERSION` bump and a new golden file for
@@ -16,7 +17,8 @@ use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
 use std::io::Cursor;
 use std::path::PathBuf;
 use sybil_store::journal::{self, Journal};
-use sybil_core::realtime::state::AccountState;
+use sybil_store::StoreError;
+use sybil_core::realtime::state::{AccountState, AccountTable};
 use sybil_core::realtime::{Detection, ReplayCounters};
 use sybil_features::FeatureVector;
 use sybil_serve::fault::{EpochRecord, EpochRecordRef, FeedbackRecord};
@@ -51,7 +53,7 @@ fn golden_checkpoint() -> SessionCheckpoint {
         *w = (i as u64).wrapping_mul(0x9e37_79b9) ^ 0xabcd;
     }
     let shard = ShardSnapshot {
-        states: vec![state, AccountState::default()],
+        table: AccountTable::from_accounts(&[state, AccountState::default()]).unwrap(),
         adaptive,
         feedback_queue: vec![(Timestamp(9000), fv, true)],
         sends_until_audit: 3,
@@ -205,14 +207,14 @@ fn golden_journal() -> Vec<u8> {
 #[test]
 fn journal_matches_committed_golden_bytes() {
     let bytes = golden_journal();
-    let committed = committed_golden("journal_v1.sybj", &bytes);
+    let committed = committed_golden("journal_v2.sybj", &bytes);
     assert_eq!(
         bytes, committed,
-        "SYBJ v1 encoding drifted from the committed golden bytes — \
+        "SYBJ v2 encoding drifted from the committed golden bytes — \
          a format change requires a VERSION bump and a new golden file"
     );
     assert_eq!(&committed[..4], b"SYBJ");
-    assert_eq!(journal::VERSION, 1);
+    assert_eq!(journal::VERSION, 2);
     // And the committed bytes still open to the exact records.
     let mut j = Journal::open(Cursor::new(committed)).unwrap();
     for e in 0..3u64 {
@@ -225,4 +227,26 @@ fn journal_matches_committed_golden_bytes() {
         assert_eq!(j.committed_digest(e, 1), (e != 1).then_some(0x2222_0000 + e));
     }
     assert_eq!(j.finished(), Some((3, &[0xaaaa_u64, 0xbbbb][..])));
+}
+
+/// A v1 journal carries digests of the whole-table fold, which this
+/// engine no longer computes: it is refused by its version, never
+/// replayed against the wrong digests. Its frames are v2's, so the v1
+/// golden is the v2 golden's bytes under the old version word.
+#[test]
+fn v1_journal_is_refused_by_version() {
+    let v1 = std::fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/journal_v1.sybj"),
+    )
+    .expect("the v1 golden is kept");
+    assert_eq!(
+        Journal::open(Cursor::new(v1.clone())).unwrap_err(),
+        StoreError::VersionMismatch {
+            found: 1,
+            expected: 2
+        }
+    );
+    let mut v2 = golden_journal();
+    v2[4..8].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(v2, v1);
 }

@@ -16,7 +16,7 @@ use sybil_core::realtime::RealtimeConfig;
 use sybil_core::ThresholdClassifier;
 use sybil_serve::fault::FaultKind;
 use sybil_serve::{ServeConfig, ServeError, ServeSession};
-use sybil_store::StorePlane;
+use sybil_store::{StorePlane, DEFAULT_DIGEST_EVERY};
 
 fn small_sim() -> SimOutput {
     simulate(SimConfig::tiny(11))
@@ -210,6 +210,68 @@ fn a_store_from_another_run_is_a_typed_journal_fault() {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Flip the ground truth of the first feedback record epoch `epoch`'s
+/// begin frame carries in the journal at `path` (frames: `len:u32`, then
+/// `tag:u8 epoch:u64 n_events:u32 n_feedback:u32`, 30-byte events and
+/// 58-byte feedback records, `truth` their last byte). The journal has
+/// no frame checksum, so the record still decodes — to another input.
+fn flip_first_feedback_truth(path: &std::path::Path, epoch: u64) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+    let mut pos = 8;
+    loop {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let frame = pos + 4;
+        if bytes[frame] == 1 && word(&bytes[frame + 1..frame + 9]) == epoch {
+            let count = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            let (n_events, n_feedback) = (count(frame + 9) as usize, count(frame + 13));
+            assert!(n_feedback > 0, "epoch {epoch} delivers feedback");
+            bytes[frame + 17 + 30 * n_events + 57] ^= 1;
+            std::fs::write(path, &bytes).unwrap();
+            return;
+        }
+        pos = frame + len;
+    }
+}
+
+/// A replayed epoch that diverges is caught at that epoch, not at the
+/// next digest a sparser cadence would have taken: a warm restart whose
+/// journal tail (epochs 4–6, after the epoch-4 checkpoint) hands epoch 6
+/// — the first to carry feedback — a feedback record with its truth
+/// flipped stops with `ReplayDivergence` at epoch 6.
+#[test]
+fn a_tail_epoch_that_diverges_is_caught_at_that_epoch() {
+    let out = small_sim();
+    let cfg = serve_cfg(2, true);
+    let dir = tmpdir("diverge");
+    let mut doomed = StorePlane::with_cadence(&dir, 4, DEFAULT_DIGEST_EVERY)
+        .unwrap()
+        .kill_at_epoch(7);
+    ServeSession::new(cfg)
+        .store(&mut doomed)
+        .run(&out)
+        .expect_err("killed");
+    drop(doomed);
+    flip_first_feedback_truth(&dir.join("journal.sybj"), 6);
+    let mut revived = StorePlane::with_cadence(&dir, 4, DEFAULT_DIGEST_EVERY).unwrap();
+    let err = ServeSession::new(cfg)
+        .store(&mut revived)
+        .run(&out)
+        .expect_err("a tampered tail must not resume");
+    assert_eq!(revived.resumed_from(), Some(4));
+    match err {
+        ServeError::Chaos(c) => {
+            assert_eq!(
+                (c.fault_kind, c.epoch),
+                (FaultKind::ReplayDivergence, 6),
+                "{c}"
+            )
+        }
+        other => panic!("expected a replay divergence, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 proptest! {
