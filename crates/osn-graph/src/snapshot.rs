@@ -163,9 +163,10 @@ pub struct MergeScratch {
     grouped: Vec<(u32, u32, Timestamp)>,
     /// One block's additions, row-sorted, handed to the rebuild.
     block: Vec<(u32, u32, Timestamp)>,
-    /// One row's additions sorted by neighbor id, recycled across every
-    /// row of every rebuilt block instead of allocating per row.
-    tail: Vec<(u32, Timestamp)>,
+    /// One row's additions as `(neighbor, position in the row's
+    /// additions)`, sorted, recycled across every row of every rebuilt
+    /// block instead of allocating per row.
+    tail: Vec<(u32, u32)>,
 }
 
 impl CsrSnapshot {
@@ -374,10 +375,14 @@ impl CsrSnapshot {
     /// of the full O(V + E) copy [`Self::with_edges`] pays, and its
     /// transient allocation is one block, not a second CSR.
     ///
-    /// Same caller contract as [`Self::with_edges`] (debug-asserted):
-    /// in-range distinct endpoints, no duplicate edges, and additions
-    /// extend each endpoint row in time order. Element-for-element, the
-    /// result is identical to `*self = self.with_edges(additions)`.
+    /// The fold is a set union: an addition whose pair is already in the
+    /// snapshot, or repeats an earlier addition, is dropped, so the first
+    /// occurrence is the edge and keeps its time, and [`Self::num_edges`]
+    /// counts distinct edges. Otherwise the caller contract is
+    /// [`Self::with_edges`]' (debug-asserted): in-range distinct
+    /// endpoints, and additions extend each endpoint row in time order.
+    /// Element-for-element, the result is identical to
+    /// `*self = self.with_edges(first_occurrences_not_in_self)`.
     pub fn merge_delta(&mut self, additions: &[(NodeId, NodeId, Timestamp)]) {
         self.merge_delta_with(additions, &mut MergeScratch::default());
     }
@@ -408,7 +413,6 @@ impl CsrSnapshot {
         ms.half.reserve(2 * additions.len());
         for &(a, b, t) in additions {
             debug_assert!(a.index() < n && b.index() < n && a != b);
-            debug_assert!(!self.has_edge(a, b), "addition duplicates snapshot edge");
             ms.half.push((a.0, b.0, t));
             ms.half.push((b.0, a.0, t));
         }
@@ -432,6 +436,7 @@ impl CsrSnapshot {
             ms.cursor[b] += 1;
         }
 
+        let mut kept = 0usize;
         for b in 0..nblocks {
             let (lo, hi) = (ms.starts[b] as usize, ms.starts[b + 1] as usize);
             if lo == hi {
@@ -452,21 +457,24 @@ impl CsrSnapshot {
                 ms.block[row_starts[l] as usize] = (v, nbr, t);
                 row_starts[l] += 1;
             }
-            self.rebuild_block(b, &ms.block, &mut ms.tail);
+            kept += self.rebuild_block(b, &ms.block, &mut ms.tail);
         }
-        self.num_edges += additions.len();
+        // A pair is dropped from both of its rows or from neither.
+        self.num_edges += kept / 2;
     }
 
     /// Re-materialize one block, merging `adds` (half-edges sorted by row,
     /// stream-ordered within a row, all rows inside this block) into its
+    /// columns as a set union: an addition whose neighbor the row already
+    /// holds, or an earlier addition already brought, is dropped from both
     /// columns. `tail` is caller-owned row scratch (see [`MergeScratch`]),
-    /// cleared per row here.
+    /// cleared per row here. Returns the number of additions kept.
     fn rebuild_block(
         &mut self,
         blk: usize,
         adds: &[(u32, u32, Timestamp)],
-        tail: &mut Vec<(u32, Timestamp)>,
-    ) {
+        tail: &mut Vec<(u32, u32)>,
+    ) -> usize {
         let old = &self.blocks[blk];
         let rows = old.rows();
         let b0 = blk * BLOCK_ROWS;
@@ -479,7 +487,7 @@ impl CsrSnapshot {
             chrono_times: Vec::with_capacity(new_len),
         };
         nb.offsets.push(0);
-        let mut a = 0usize;
+        let (mut a, mut kept) = (0usize, 0usize);
         for l in 0..rows {
             let v = (b0 + l) as u32;
             let r = old.row(l);
@@ -488,48 +496,74 @@ impl CsrSnapshot {
             nb.chrono_times.extend_from_slice(&old.chrono_times[r.clone()]);
             let a0 = a;
             while a < adds.len() && adds[a].0 == v {
-                let (_, nbr, t) = adds[a];
-                debug_assert!(
-                    nb.chrono_times.len() == row_start
-                        || nb.chrono_times[nb.chrono_times.len() - 1] <= t,
-                    "additions must extend each row in time order"
-                );
-                nb.chrono.push(nbr);
-                nb.chrono_times.push(t);
                 a += 1;
             }
-            if a == a0 {
+            let row_adds = &adds[a0..a];
+            if row_adds.is_empty() {
                 // Row unchanged: copy its sorted view straight over.
                 nb.sorted.extend_from_slice(&old.sorted[r.clone()]);
                 nb.sorted_times.extend_from_slice(&old.sorted_times[r]);
             } else {
+                // Sorted by (neighbor, position): each neighbor's first
+                // occurrence leads its run.
                 tail.clear();
-                tail.extend(adds[a0..a].iter().map(|&(_, nbr, t)| (nbr, t)));
-                tail.sort_unstable_by_key(|&(id, _)| id);
-                debug_assert!(
-                    tail.windows(2).all(|w| w[0].0 != w[1].0),
-                    "additions must not repeat an edge"
+                tail.extend(
+                    row_adds
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &(_, nbr, _))| (nbr, k as u32)),
                 );
+                tail.sort_unstable();
+                // Merge with the old row; the kept additions are compacted to
+                // the front of `tail` (`w` of them).
                 let (old_ids, old_times) = (&old.sorted[r.clone()], &old.sorted_times[r]);
-                let (mut i, mut j) = (0, 0);
+                let (mut i, mut j, mut w) = (0, 0, 0);
                 while i < old_ids.len() || j < tail.len() {
-                    let take_old =
-                        j >= tail.len() || (i < old_ids.len() && old_ids[i] < tail[j].0);
-                    if take_old {
+                    if j >= tail.len() || (i < old_ids.len() && old_ids[i] < tail[j].0) {
                         nb.sorted.push(old_ids[i]);
                         nb.sorted_times.push(old_times[i]);
                         i += 1;
-                    } else {
-                        nb.sorted.push(tail[j].0);
-                        nb.sorted_times.push(tail[j].1);
-                        j += 1;
+                        continue;
                     }
+                    let (nbr, k) = tail[j];
+                    j += 1;
+                    let known = i < old_ids.len() && old_ids[i] == nbr;
+                    if known || (w > 0 && tail[w - 1].0 == nbr) {
+                        continue;
+                    }
+                    nb.sorted.push(nbr);
+                    nb.sorted_times.push(row_adds[k as usize].2);
+                    tail[w] = (nbr, k);
+                    w += 1;
                 }
+                // The chronological column takes the kept additions in stream
+                // order: all of them, or the survivors re-sorted by position.
+                if w < row_adds.len() {
+                    tail.truncate(w);
+                    tail.sort_unstable_by_key(|&(_, k)| k);
+                }
+                let mut push_chrono = |nbr: u32, t: Timestamp| {
+                    debug_assert!(
+                        nb.chrono_times.len() == row_start
+                            || nb.chrono_times[nb.chrono_times.len() - 1] <= t,
+                        "additions must extend each row in time order"
+                    );
+                    nb.chrono.push(nbr);
+                    nb.chrono_times.push(t);
+                };
+                if w == row_adds.len() {
+                    row_adds.iter().for_each(|&(_, nbr, t)| push_chrono(nbr, t));
+                } else {
+                    tail.iter()
+                        .for_each(|&(nbr, k)| push_chrono(nbr, row_adds[k as usize].2));
+                }
+                kept += w;
             }
             nb.offsets.push(nb.sorted.len() as u32);
         }
         debug_assert!(a == adds.len(), "every addition lands in its block");
         self.blocks[blk] = nb;
+        kept
     }
 
     /// Number of nodes.
@@ -646,9 +680,9 @@ impl CsrSnapshot {
     /// feature path) can combine it with a delta probe over edges not yet
     /// folded into the snapshot: mark the set with
     /// [`NeighborScratch::begin`]/[`NeighborScratch::mark`], call this, then
-    /// count delta edges whose both endpoints are
-    /// [`NeighborScratch::is_marked`]. Requires `friends` to be
-    /// duplicate-free, or links are over-counted.
+    /// count the distinct delta edges whose both endpoints are
+    /// [`NeighborScratch::is_marked`] and that the snapshot does not hold.
+    /// Requires `friends` to be duplicate-free, or links are over-counted.
     pub fn links_among_marked(&self, friends: &[u32], scratch: &NeighborScratch) -> usize {
         let mut twice_links = 0usize;
         for &u in friends {

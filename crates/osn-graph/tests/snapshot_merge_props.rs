@@ -2,9 +2,10 @@
 //! [`CsrSnapshot::merge_delta`] must be element-identical (all four
 //! columns) to the monolithic oracle [`CsrSnapshot::with_edges`] and to a
 //! one-shot [`CsrSnapshot::freeze`] of the same edge stream, under any
-//! randomized batching schedule.
+//! randomized batching schedule — and, fed additions that repeat pairs,
+//! to the oracle over their first occurrences.
 
-use osn_graph::{CsrSnapshot, NodeId, TemporalGraph, Timestamp};
+use osn_graph::{CsrSnapshot, MergeScratch, NodeId, TemporalGraph, Timestamp};
 use proptest::prelude::*;
 
 /// Build a deduplicated, time-ordered undirected edge stream over `n`
@@ -102,6 +103,55 @@ proptest! {
             inc.merge_delta(batch);
         }
         assert_columns_equal(&inc, &frozen)?;
+    }
+
+    /// `merge_delta_with` is a set union: additions that repeat a
+    /// snapshot edge or an earlier addition (either way round, inside one
+    /// batch or across batches) fold to exactly `with_edges` over the
+    /// first occurrence of each new pair, row for row, and `num_edges`
+    /// counts distinct edges. Pairs are drawn from a few `hot` nodes so
+    /// repeats are common, and from all `n` so blocks are crossed.
+    #[test]
+    fn merge_with_repeats_matches_with_edges_over_first_occurrences(
+        n in 2usize..600,
+        hot in 2usize..24,
+        raw in prop::collection::vec((0usize..600, 0usize..600, any::<bool>()), 0..300),
+        split in 0usize..301,
+        echo in prop::collection::vec(0usize..300, 0..20),
+        cuts in prop::collection::vec(0usize..301, 0..4),
+    ) {
+        let hot = hot.min(n);
+        let pairs: Vec<(usize, usize)> = raw
+            .iter()
+            .map(|&(a, b, spread)| if spread { (a % n, b % n) } else { (a % hot, b % hot) })
+            .filter(|&(a, b)| a != b)
+            .collect();
+        let (old, new) = pairs.split_at(split % (pairs.len() + 1));
+        let base = edge_stream(n, old);
+        let snap = CsrSnapshot::empty(n).with_edges(&base);
+        // Every new pair as drawn (repeats kept), then some base edges
+        // again, reversed; times continue the base stream's.
+        let additions: Vec<(NodeId, NodeId, Timestamp)> = new
+            .iter()
+            .map(|&(a, b)| (NodeId(a as u32), NodeId(b as u32)))
+            .chain(echo.iter().filter_map(|&i| base.get(i % base.len().max(1)).map(|&(u, v, _)| (v, u))))
+            .enumerate()
+            .map(|(k, (a, b))| (a, b, Timestamp((base.len() + k) as u64)))
+            .collect();
+        let mut seen: std::collections::BTreeSet<(u32, u32)> =
+            base.iter().map(|&(u, v, _)| (u.0.min(v.0), u.0.max(v.0))).collect();
+        let firsts: Vec<_> = additions
+            .iter()
+            .copied()
+            .filter(|&(a, b, _)| seen.insert((a.0.min(b.0), a.0.max(b.0))))
+            .collect();
+        let oracle = snap.with_edges(&firsts);
+        prop_assert_eq!(oracle.num_edges(), seen.len());
+        let (mut inc, mut scratch) = (snap.clone(), MergeScratch::default());
+        for batch in schedule(&additions, &cuts) {
+            inc.merge_delta_with(batch, &mut scratch);
+        }
+        assert_columns_equal(&inc, &oracle)?;
     }
 
     /// Mixing the two rebuild paths mid-chain (rotate incrementally, then

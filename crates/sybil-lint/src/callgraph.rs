@@ -48,7 +48,7 @@ impl CallGraph {
         let mut out: Vec<Vec<Edge>> = vec![Vec::new(); n];
         let mut rin: Vec<Vec<Edge>> = vec![Vec::new(); n];
         for (from, out_adj) in out.iter_mut().enumerate() {
-            for call in &model.fns[from].def.calls {
+            for call in &model.def(from).calls {
                 for to in resolve(model, from, call) {
                     let e = Edge {
                         from,
@@ -183,7 +183,7 @@ fn resolve(model: &WorkspaceModel, from: FnIdx, call: &Call) -> Vec<FnIdx> {
         return cands
             .iter()
             .copied()
-            .filter(|&c| model.fns[c].def.self_ty.is_some())
+            .filter(|&c| model.def(c).self_ty.is_some())
             .collect();
     }
 
@@ -197,11 +197,10 @@ fn resolve(model: &WorkspaceModel, from: FnIdx, call: &Call) -> Vec<FnIdx> {
             .iter()
             .copied()
             .filter(|&c| {
-                let f = &model.fns[c];
-                let file = &model.files[f.file];
-                f.def.self_ty.as_deref() == Some(last.as_str())
+                let (f, file) = (model.def(c), &model.files[model.fns[c].file]);
+                f.self_ty.as_deref() == Some(last.as_str())
                     || file.module == norm
-                    || f.def.modules.last().map(String::as_str) == Some(norm.as_str())
+                    || f.modules.last().map(String::as_str) == Some(norm.as_str())
                     || file.crate_name.replace('-', "_") == norm
             })
             .collect();
@@ -231,7 +230,7 @@ fn resolve_bare(
         .copied()
         .filter(|&c| {
             model.files[model.fns[c].file].crate_name == caller_crate
-                && model.fns[c].def.self_ty.is_none()
+                && model.def(c).self_ty.is_none()
         })
         .collect();
     if !same_crate.is_empty() {
@@ -240,7 +239,7 @@ fn resolve_bare(
     let free: Vec<FnIdx> = cands
         .iter()
         .copied()
-        .filter(|&c| model.fns[c].def.self_ty.is_none())
+        .filter(|&c| model.def(c).self_ty.is_none())
         .collect();
     if free.len() == 1 {
         free

@@ -56,11 +56,11 @@ impl HotContext {
         let mut loops: Vec<Vec<LoopSpan>> = vec![Vec::new(); n];
         let mut seed: Vec<FnIdx> = Vec::new();
         for f in (0..n).filter(|&f| hot[f]) {
-            let def = &model.fns[f].def;
+            let def = model.def(f);
             let file = &model.files[model.fns[f].file];
             loops[f] = body_loop_spans(&file.src, &file.toks, def.body);
             for e in &cg.out[f] {
-                let callee = &model.fns[e.to].def.name;
+                let callee = &model.def(e.to).name;
                 let looped = def
                     .calls
                     .iter()
@@ -124,12 +124,12 @@ pub(crate) fn recursion_sites(model: &WorkspaceModel, cg: &CallGraph) -> Vec<(us
             if !model.is_lib_fn(f) {
                 return Vec::new();
             }
-            let def = &model.fns[f].def;
+            let def = model.def(f);
             cg.out[f]
                 .iter()
                 .map(|e| e.to)
                 .filter(|&g| {
-                    let gname = &model.fns[g].def.name;
+                    let gname = &model.def(g).name;
                     model.is_lib_fn(g)
                         && (def.name != *gname
                             || def.calls.iter().any(|c| c.name == *gname && !c.method))
@@ -149,8 +149,8 @@ pub(crate) fn recursion_sites(model: &WorkspaceModel, cg: &CallGraph) -> Vec<(us
         else {
             continue;
         };
-        let def = &model.fns[f].def;
-        let callee = &model.fns[back].def.name;
+        let def = model.def(f);
+        let callee = &model.def(back).name;
         let (tok, line, col) = def
             .calls
             .iter()

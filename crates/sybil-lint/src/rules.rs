@@ -626,8 +626,8 @@ pub fn check_model(
 /// calls to the enclosing function, so the plain rendering would hide the
 /// thread boundary).
 pub(crate) fn edge_step(model: &WorkspaceModel, e: &Edge) -> String {
-    let def = &model.fns[e.from].def;
-    let callee = &model.fns[e.to].def.name;
+    let def = model.def(e.from);
+    let callee = &model.def(e.to).name;
     let par = def.par_calls.iter().find(|pc| {
         def.calls
             .iter()

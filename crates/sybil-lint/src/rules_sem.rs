@@ -46,7 +46,7 @@ fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<F
         if !model.is_lib_fn(f) {
             continue;
         }
-        let def = &model.fns[f].def;
+        let def = model.def(f);
         let file = &model.files[model.fns[f].file];
         for pc in &def.par_calls {
             // Roots: calls lexically inside a closure passed to the entry —
@@ -63,7 +63,7 @@ fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<F
                     _ => format!("closure bound at {}:{}", file.rel, file.toks[pc.bodies[k].0].line),
                 };
                 for e in &cg.out[f] {
-                    if e.line == call.line && model.fns[e.to].def.name == call.name {
+                    if e.line == call.line && model.def(e.to).name == call.name {
                         roots.push((e.to, format!("{closure} calls {}", model.fq_name(e.to))));
                     }
                 }
@@ -110,7 +110,7 @@ fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<F
     };
 
     for entry in &entries {
-        let def = &model.fns[entry.caller].def;
+        let def = model.def(entry.caller);
         // Reductions written directly inside a closure.
         for site in &def.reductions {
             if entry.pc.holds(site.tok) && (site.definite || def.float_evidence) {
@@ -133,7 +133,7 @@ fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<F
             if !model.is_lib_fn(target) {
                 continue;
             }
-            let tdef = &model.fns[target].def;
+            let tdef = model.def(target);
             let has_floats = tdef.float_evidence;
             for site in &tdef.reductions {
                 if !(site.definite || has_floats) {
@@ -191,12 +191,9 @@ fn s104_dead_exports(model: &WorkspaceModel, out: &mut Vec<Finding>) {
     // when callers never write the type's name (`let r = fig1::run(…)`).
     let mut anchored = vec![false; model.files.len()];
     for f in 0..model.fns.len() {
-        let node = &model.fns[f];
-        if node.def.vis == Vis::Pub
-            && !node.def.in_test
-            && used_externally(node.file, &node.def.name)
-        {
-            anchored[node.file] = true;
+        let (fi, def) = (model.fns[f].file, model.def(f));
+        if def.vis == Vis::Pub && !def.in_test && used_externally(fi, &def.name) {
+            anchored[fi] = true;
         }
     }
 
@@ -227,35 +224,35 @@ fn s104_dead_exports(model: &WorkspaceModel, out: &mut Vec<Finding>) {
 
     // Pub fns (free functions and inherent methods).
     for f in 0..model.fns.len() {
-        let node = &model.fns[f];
-        if node.def.vis != Vis::Pub
-            || node.def.in_test
-            || model.files[node.file].kind != FileKind::Lib
-            || node.def.name == "main"
+        let (fi, def) = (model.fns[f].file, model.def(f));
+        if def.vis != Vis::Pub
+            || def.in_test
+            || model.files[fi].kind != FileKind::Lib
+            || def.name == "main"
         {
             continue;
         }
-        if used_externally(node.file, &node.def.name) {
+        if used_externally(fi, &def.name) {
             continue;
         }
-        let file = &model.files[node.file];
+        let file = &model.files[fi];
         out.push(Finding {
             rule: "S104",
             path: file.rel.clone(),
-            line: node.def.line,
+            line: def.line,
             col: 1,
             message: format!(
                 "pub fn `{}` is not named by any bin, test, bench, example, or \
                  other crate; demote to pub(crate) or remove",
                 model.fq_name(f)
             ),
-            snippet: file.line_text(node.def.line),
+            snippet: file.line_text(def.line),
             trace: vec![format!(
                 "`{}` is exported at {}:{} but only its own crate's library \
                  code ever names it",
                 model.fq_name(f),
                 file.rel,
-                node.def.line
+                def.line
             )],
         });
     }

@@ -74,13 +74,15 @@ impl FileModel {
     }
 }
 
-/// One function in the workspace: its definition plus owning file.
+/// One function in the workspace: where its definition is. The
+/// definition stays where the parser put it, in the owning file's
+/// [`ParsedFile::fns`]; read it through [`WorkspaceModel::def`].
 #[derive(Clone, Debug)]
 pub struct FnNode {
     /// Index of the owning file in [`WorkspaceModel::files`].
     pub file: usize,
-    /// The parsed definition.
-    pub def: FnDef,
+    /// Index of the definition in that file's [`ParsedFile::fns`].
+    pub local: usize,
 }
 
 /// The whole workspace, parsed and indexed.
@@ -103,16 +105,22 @@ impl WorkspaceModel {
         order.sort_by(|&a, &b| files[a].rel.cmp(&files[b].rel));
         for &fi in &order {
             let file = FileModel::new(&files[fi], &sources[fi], model.fns.len());
-            for def in &file.parsed.fns {
+            for (local, def) in file.parsed.fns.iter().enumerate() {
                 model.by_name.entry(def.name.clone()).or_default().push(model.fns.len());
                 model.fns.push(FnNode {
                     file: model.files.len(),
-                    def: def.clone(),
+                    local,
                 });
             }
             model.files.push(file);
         }
         model
+    }
+
+    /// The parsed definition of function `idx`.
+    pub fn def(&self, idx: FnIdx) -> &FnDef {
+        let node = &self.fns[idx];
+        &self.files[node.file].parsed.fns[node.local]
     }
 
     /// The function of file `file` whose body holds token `tok`, if any
@@ -126,8 +134,7 @@ impl WorkspaceModel {
     /// The fully qualified display name of function `idx`:
     /// `crate::module::Type::name` with redundant segments elided.
     pub fn fq_name(&self, idx: FnIdx) -> String {
-        let f = &self.fns[idx];
-        let file = &self.files[f.file];
+        let (file, def) = (&self.files[self.fns[idx].file], self.def(idx));
         let mut parts: Vec<&str> = vec![file.crate_name.as_str()];
         // A crate-root module repeats the crate name (modulo `-` → `_`);
         // eliding it keeps `osn-sim::simulate` out of doubled forms like
@@ -135,13 +142,13 @@ impl WorkspaceModel {
         if file.module != file.crate_name.replace('-', "_") {
             parts.push(file.module.as_str());
         }
-        for m in &f.def.modules {
+        for m in &def.modules {
             parts.push(m.as_str());
         }
-        if let Some(ty) = &f.def.self_ty {
+        if let Some(ty) = &def.self_ty {
             parts.push(ty.as_str());
         }
-        parts.push(f.def.name.as_str());
+        parts.push(def.name.as_str());
         parts.join("::")
     }
 
@@ -153,13 +160,12 @@ impl WorkspaceModel {
     /// Is function `idx` part of a library target (not tests/bins) and
     /// outside `#[cfg(test)]` code?
     pub(crate) fn is_lib_fn(&self, idx: FnIdx) -> bool {
-        let f = &self.fns[idx];
-        self.files[f.file].kind == FileKind::Lib && !f.def.in_test
+        self.files[self.fns[idx].file].kind == FileKind::Lib && !self.def(idx).in_test
     }
 
     /// Is function `idx` exported (`pub`) from a library target?
     pub(crate) fn is_pub_api(&self, idx: FnIdx) -> bool {
-        self.is_lib_fn(idx) && self.fns[idx].def.vis == Vis::Pub
+        self.is_lib_fn(idx) && self.def(idx).vis == Vis::Pub
     }
 
     /// All `pub` non-`fn` items in library files, with their file index.

@@ -229,9 +229,10 @@ impl<'a> Coordinator<'a> {
 
     /// The session `cp` was taken from, resumed at its barrier. A
     /// checkpoint is outside input: its shard count, each shard's owned
-    /// count and audit countdown, and every edge endpoint are checked
-    /// against *this* run before anything is indexed by them, so another
-    /// run's store is a typed journal fault, never a panic.
+    /// count and audit countdown, and every edge endpoint (in range, no
+    /// self-loop) are checked against *this* run before anything is
+    /// indexed by them, so another run's store is a typed journal fault,
+    /// never a panic.
     fn restore(
         out: &'a SimOutput,
         cfg: ServeConfig,
@@ -276,7 +277,7 @@ impl<'a> Coordinator<'a> {
     }
 
     /// First half of the step. A sequential stream-order pass puts the
-    /// epoch's new edges into the mirror — the index lets a shard's check
+    /// epoch's accepts into the mirror — the index lets a shard's check
     /// hide the ones created after it; shards keep no mirrors of their
     /// own — then every carried shard scans the epoch (under the fault
     /// plane's `clamps`, if any), brings its running digest up to date

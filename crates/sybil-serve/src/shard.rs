@@ -22,11 +22,13 @@
 //!
 //! A feature check marks the account's ≤ 50 tracked friends and counts
 //! links with the [`CsrSnapshot`](osn_graph::CsrSnapshot) kernel plus
-//! marked probes of the mirror's delta below the checking event's
-//! watermark (one `partition_point` per check) — integer-equal to the
-//! sequential pair-probe loop whenever the friend list is duplicate-free
-//! (the shard falls back to exact pair probes for the rare duplicate
-//! case, flagged by [`AccountTable::friends_dup`]).
+//! the distinct marked pairs of the mirror's delta below the checking
+//! event's watermark (one `partition_point` per check; the delta may
+//! repeat a pair, so its pairs are deduplicated in a buffer the shard
+//! reuses) — integer-equal to the sequential pair-probe loop whenever the
+//! friend list is duplicate-free (the shard falls back to exact pair
+//! probes for the rare duplicate case, flagged by
+//! [`AccountTable::friends_dup`]).
 
 use crate::fault::EpochRecordRef;
 use crate::mirror::{EpochIndex, GraphMirror};
@@ -110,6 +112,8 @@ pub(crate) struct ShardState {
     scratch: NeighborScratch,
     /// Friend-id staging buffer for kernel calls.
     friend_ids: Vec<u32>,
+    /// Marked delta pairs staged by the link count, reused across checks.
+    pairs: Vec<(u32, u32)>,
     /// Replicated adaptive thresholds — every shard applies the same
     /// merged feedback sequence, so replicas stay bit-identical.
     adaptive: AdaptiveThresholds,
@@ -157,6 +161,7 @@ impl ShardState {
             table_digest: None,
             scratch: NeighborScratch::new(num_accounts),
             friend_ids: Vec::with_capacity(state::MAX_TRACKED_FRIENDS),
+            pairs: Vec::new(),
             adaptive: AdaptiveThresholds::from_rule(&cfg.rule, 0.02),
             feedback_queue: VecDeque::new(),
             sends_until_audit: cfg.audit_every,
@@ -438,9 +443,9 @@ impl ShardState {
     ) -> Option<FeatureVector> {
         let li = self.local(who);
         let dup = self.states.friends_dup(li);
-        let (scratch, ids) = (&mut self.scratch, &mut self.friend_ids);
+        let (scratch, ids, pairs) = (&mut self.scratch, &mut self.friend_ids, &mut self.pairs);
         let f = self.states.features_with(li, &self.cfg, |friends| {
-            links_at(friends, dup, eidx.watermark(seq), mirror, scratch, ids)
+            links_at(friends, dup, eidx.watermark(seq), mirror, scratch, ids, pairs)
         });
         if f.is_some() {
             self.obs.features_computed += 1;
@@ -469,9 +474,9 @@ impl ShardState {
         };
         let li = self.local(who);
         let dup = self.states.friends_dup(li);
-        let (scratch, ids) = (&mut self.scratch, &mut self.friend_ids);
+        let (scratch, ids, pairs) = (&mut self.scratch, &mut self.friend_ids, &mut self.pairs);
         let verdict = self.states.check_with(li, &self.cfg, &rule, |friends| {
-            links_at(friends, dup, eidx.watermark(seq), mirror, scratch, ids)
+            links_at(friends, dup, eidx.watermark(seq), mirror, scratch, ids, pairs)
         });
         if verdict != Verdict::NoData {
             self.obs.features_computed += 1;
@@ -507,11 +512,11 @@ impl ShardState {
 }
 
 /// Links among an owned account's `friends` as of `watermark`: the
-/// snapshot kernel over the marked friends plus marked probes of the
-/// mirror delta below the watermark — or exact pair probes when the list
-/// holds duplicates (`dup`), which break the marked-set kernel's
+/// snapshot kernel over the marked friends plus the distinct marked pairs
+/// the mirror delta adds below the watermark — or exact pair probes when
+/// the list holds duplicates (`dup`), which break the marked-set kernel's
 /// one-count-per-edge property. `ids` stages the friend ids for the
-/// kernel.
+/// kernels, `pairs` the delta's marked pairs.
 fn links_at(
     friends: &[NodeId],
     dup: bool,
@@ -519,6 +524,7 @@ fn links_at(
     mirror: &GraphMirror,
     scratch: &mut NeighborScratch,
     ids: &mut Vec<u32>,
+    pairs: &mut Vec<(u32, u32)>,
 ) -> usize {
     if dup {
         let mut links = 0usize;
@@ -538,13 +544,7 @@ fn links_at(
         scratch.mark(u);
     }
     let folded = mirror.snapshot.links_among_marked(ids, scratch);
-    // Delta edges appear in both directions, so a link among marked
-    // friends is seen twice.
-    let mut twice = 0usize;
-    for &u in ids.iter() {
-        twice += mirror.delta_marked_count(u, watermark, scratch);
-    }
-    folded + twice / 2
+    folded + mirror.delta_links_among_marked(ids, watermark, scratch, pairs)
 }
 
 #[cfg(test)]

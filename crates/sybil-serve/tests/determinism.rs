@@ -338,6 +338,116 @@ fn repeat_accept_inside_one_epoch_with_a_check_between() {
     }
 }
 
+/// Serve at shards {1, 2, 8} × rotation floors {1, 2, 8} against the
+/// sequential replay, as serialized bytes.
+fn assert_serve_equals_replay_across_floors(
+    out: &SimOutput,
+    detect: RealtimeConfig,
+    epoch_hours: u64,
+) {
+    let sequential = serde_json::to_string(&replay(out, &detect)).unwrap();
+    for rotate_floor in [1usize, 2, 8] {
+        for shards in [1usize, 2, 8] {
+            let cfg = ServeConfig {
+                shards,
+                epoch_hours,
+                detect,
+                rotate_floor,
+            };
+            assert_eq!(
+                report_bytes(out, &cfg),
+                sequential,
+                "{shards} shards, rotate_floor {rotate_floor}"
+            );
+        }
+    }
+}
+
+/// The mirror appends every accept, so its delta repeats a pair whenever
+/// the stream does; the link count must still see each pair once. Three
+/// repeats, each read by a check it decides: A–B accepted both ways in
+/// one epoch, B–C accepted before a rotation (at the 12 h barrier, which
+/// eight filler edges force at every floor) and again after it, A–C
+/// accepted and re-accepted across the 24 h barrier, which does not
+/// rotate. Each watcher befriends the repeated pair and one stranger, so
+/// its third friend leaves one link among three pairs (cc 1/3, under the
+/// 0.5 cut: flagged); a count that saw a repeat twice would read 2/3 and
+/// flag nobody.
+#[test]
+fn repeated_accepts_are_one_link_at_every_shard_count_and_floor() {
+    const A: u32 = 0;
+    const B: u32 = 1;
+    const C: u32 = 2;
+    let mut rows: Vec<RequestSpec> = vec![
+        (A, B, 1, Some((1, true))),  // A–B at hour 2 …
+        (B, A, 3, Some((1, true))),  // … and again at hour 4
+        (B, C, 9, Some((1, true))),  // B–C at hour 10, folded at 12 …
+        (C, B, 13, Some((1, true))), // … and again at hour 14
+        (A, C, 19, Some((1, true))), // A–C at hour 20, staged at 24 …
+        (C, A, 25, Some((1, true))), // … and again at hour 26
+    ];
+    for k in 0..8u32 {
+        rows.push((10 + 2 * k, 11 + 2 * k, 1, Some((k as u64, true))));
+    }
+    // (watcher, repeated pair, stranger, hour it sends five requests):
+    // one rejected, one pending, three accepted an hour apart from +2 h,
+    // the stranger last.
+    for (w, (x, y), stranger, h) in [
+        (3u32, (A, B), 8u32, 5u64),
+        (4, (B, C), 9, 13),
+        (5, (A, C), 26, 26),
+    ] {
+        rows.push((w, 6, h, Some((1, false))));
+        rows.push((w, 7, h, None));
+        rows.push((w, x, h, Some((2, true))));
+        rows.push((w, y, h, Some((3, true))));
+        rows.push((w, stranger, h, Some((4, true))));
+    }
+    let out = synthetic(27, 6, &rows);
+    let detect = RealtimeConfig {
+        rule: ThresholdClassifier {
+            max_cc: 0.5,
+            ..eager_cfg(false).rule
+        },
+        ..eager_cfg(false)
+    };
+    let flagged: Vec<u32> = replay(&out, &detect)
+        .detections
+        .iter()
+        .map(|d| d.account.0)
+        .collect();
+    assert_eq!(flagged, [3, 4, 5], "each watcher's third friend decides");
+    assert_serve_equals_replay_across_floors(&out, detect, 12);
+}
+
+/// The same on a synthetic 20k-account stream, which repeats pairs the
+/// way the benchmark's `scan_250k` does (counted here, so the test cannot
+/// go vacuous), under a detector with a finite clustering cut so every
+/// check that passes the counters counts links.
+#[test]
+fn a_scale_stream_with_repeated_accepts_is_served_as_replayed() {
+    let out = osn_sim::scale::generate(&osn_sim::scale::ScaleConfig::at(20_000, 5));
+    let mut seen = std::collections::HashSet::new();
+    let repeats = out
+        .log
+        .records()
+        .iter()
+        .filter(|r| matches!(r.outcome, RequestOutcome::Accepted(_)))
+        .filter(|r| !seen.insert((r.from.0.min(r.to.0), r.from.0.max(r.to.0))))
+        .count();
+    assert!(repeats > 0, "the stream repeats a pair");
+    let detect = RealtimeConfig {
+        rule: ThresholdClassifier {
+            max_out_ratio: 0.4,
+            min_freq: 2.0,
+            max_cc: 0.1,
+        },
+        adaptive: true,
+        ..RealtimeConfig::default()
+    };
+    assert_serve_equals_replay_across_floors(&out, detect, 24);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -11,7 +11,7 @@
 //! regression test pins exactly this.
 //!
 //! ```text
-//! file    := magic b"SYBS"  version:u32 (= 1)  n_sections:u32
+//! file    := magic b"SYBS"  version:u32 (= 2)  n_sections:u32
 //!            section[n_sections]  digest:u64
 //! section := tag:u8  len:u32  payload[len]
 //! ```
@@ -19,10 +19,21 @@
 //! Sections are written in strictly ascending tag order, each straight
 //! into the one output buffer (sized exactly beforehand), its length
 //! patched in after its payload; the decoder rejects out-of-order or
-//! duplicate tags. Version 1 defines tags 1–7 (meta, shards, folded
+//! duplicate tags. Versions 1 and 2 define tags 1–7 (meta, shards, folded
 //! edges, staged edges, tagged detections, carried feedback, totals); an
 //! unknown tag is a typed [`StoreError::UnknownSection`], never skipped —
 //! adding a section means bumping [`VERSION`].
+//!
+//! ## Versions
+//!
+//! Version 2 differs from version 1 only in what the staged-edges
+//! section may contain. The mirror's delta is every accepted decision
+//! since the last rotation, so a v2 staged list may repeat a pair (its
+//! first occurrence is the edge); a v1 list never did. The bytes are laid
+//! out the same, and a repeat-free v1 list is valid v2 content, so this
+//! decoder reads both (`MIN_VERSION..=VERSION`) and the encoder
+//! writes v2. A v1 reader refuses a v2 file by its version instead of
+//! counting a repeated pair twice.
 //!
 //! A shard's accounts are encoded from its `AccountTable` slot by slot
 //! and decoded straight into a new table, so no per-account record is
@@ -74,10 +85,14 @@ use sybil_serve::{SessionCheckpoint, ShardSnapshot};
 
 /// Checkpoint magic: `b"SYBS"`.
 pub const MAGIC: [u8; 4] = *b"SYBS";
-/// Current checkpoint format version.
-pub const VERSION: u32 = 1;
+/// Current checkpoint format version, the one every checkpoint is
+/// written in.
+pub const VERSION: u32 = 2;
+/// Oldest version [`decode_checkpoint`] still reads (see the module
+/// docs' §Versions).
+const MIN_VERSION: u32 = 1;
 
-/// Section tags defined by version 1, in file order.
+/// Section tags, in file order (the same in every version).
 const TAG_META: u8 = 1;
 const TAG_SHARDS: u8 = 2;
 const TAG_FOLDED: u8 = 3;
@@ -214,7 +229,7 @@ fn get_edges(f: &mut Fields<'_>) -> Result<Vec<(NodeId, NodeId, Timestamp)>, Sto
     })
 }
 
-/// The version-1 section tags, in file order.
+/// The section tags, in file order.
 const TAGS: [u8; 7] = [
     TAG_META, TAG_SHARDS, TAG_FOLDED, TAG_STAGED, TAG_TAGGED, TAG_CARRY, TAG_TOTALS,
 ];
@@ -268,11 +283,14 @@ fn put_section(buf: &mut Vec<u8>, tag: u8, cp: &SessionCheckpoint) {
     }
 }
 
-/// Fold the header fields and every section (ascending by tag) into the
-/// trailer digest.
-fn trailer_digest<'a>(sections: impl ExactSizeIterator<Item = (u8, &'a [u8])>) -> u64 {
+/// Fold the header fields (`version` as the file states it) and every
+/// section (ascending by tag) into the trailer digest.
+fn trailer_digest<'a>(
+    version: u32,
+    sections: impl ExactSizeIterator<Item = (u8, &'a [u8])>,
+) -> u64 {
     let mut d = Digest64::new();
-    d.write_u32(VERSION);
+    d.write_u32(version);
     d.write_usize(sections.len());
     for (tag, payload) in sections {
         d.write_u32(u32::from(tag));
@@ -287,7 +305,7 @@ fn trailer_digest<'a>(sections: impl ExactSizeIterator<Item = (u8, &'a [u8])>) -
     d.finish()
 }
 
-/// Encode `cp` as one version-1 `SYBS` byte stream, every section
+/// Encode `cp` as one version-2 `SYBS` byte stream, every section
 /// written in place into the one buffer, which is allocated once at its
 /// final size.
 pub fn encode_checkpoint(cp: &SessionCheckpoint) -> Vec<u8> {
@@ -307,15 +325,15 @@ pub fn encode_checkpoint(cp: &SessionCheckpoint) -> Vec<u8> {
         out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
         *span = (tag, len_at + 4, out.len());
     }
-    let digest = trailer_digest(spans.iter().map(|&(tag, a, b)| (tag, &out[a..b])));
+    let digest = trailer_digest(VERSION, spans.iter().map(|&(tag, a, b)| (tag, &out[a..b])));
     put_u64(&mut out, digest);
     debug_assert_eq!(out.len(), size, "sections sized exactly");
     out
 }
 
-/// Decode a version-1 `SYBS` byte stream back into a checkpoint,
-/// verifying the trailer digest and rejecting unknown, duplicate, or
-/// out-of-order sections.
+/// Decode a version-1 or version-2 `SYBS` byte stream back into a
+/// checkpoint, verifying the trailer digest and rejecting unknown,
+/// duplicate, or out-of-order sections.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> {
     let mut f = Fields::new(bytes, 0);
     let magic = f.take(4)?;
@@ -325,7 +343,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
         return Err(StoreError::BadMagic { found });
     }
     let version = f.u32()?;
-    if version != VERSION {
+    if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(StoreError::VersionMismatch {
             found: version,
             expected: VERSION,
@@ -354,7 +372,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
     if !f.done() {
         return Err(StoreError::BadField { offset: f.offset() });
     }
-    let found = trailer_digest(map.iter().map(|(&tag, &(_, payload))| (tag, payload)));
+    let sections = map.iter().map(|(&tag, &(_, payload))| (tag, payload));
+    let found = trailer_digest(version, sections);
     if found != expected {
         return Err(StoreError::DigestMismatch { expected, found });
     }

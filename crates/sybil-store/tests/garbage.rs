@@ -25,7 +25,7 @@ use sybil_core::digest::Digest64;
 use sybil_store::format::decode_checkpoint;
 use sybil_store::{journal, Journal, StoreError, StorePlane};
 
-const CHECKPOINT: &[u8] = include_bytes!("golden/checkpoint_v1.sybs");
+const CHECKPOINT: &[u8] = include_bytes!("golden/checkpoint_v2.sybs");
 const JOURNAL: &[u8] = include_bytes!("golden/journal_v2.sybj");
 
 const ALLOC_FACTOR: usize = 4;

@@ -1,7 +1,8 @@
-//! Format-drift guard: the `SYBS` v1 encoding of a fixed checkpoint and
+//! Format-drift guard: the `SYBS` v2 encoding of a fixed checkpoint and
 //! the `SYBJ` v2 encoding of a fixed journal are pinned against
-//! committed golden bytes, and the `SYBJ` v1 golden is pinned as refused
-//! by its version.
+//! committed golden bytes, the `SYBS` v1 golden is pinned as still read
+//! (and resumed from), and the `SYBJ` v1 golden as refused by its
+//! version.
 //!
 //! If a test here fails, the on-disk format changed. That is only legal
 //! together with a `VERSION` bump and a new golden file for
@@ -17,7 +18,8 @@ use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
 use std::io::Cursor;
 use std::path::PathBuf;
 use sybil_store::journal::{self, Journal};
-use sybil_store::StoreError;
+use sybil_store::{StoreError, StorePlane};
+use sybil_serve::fault::FaultPlane;
 use sybil_core::realtime::state::{AccountState, AccountTable};
 use sybil_core::realtime::{Detection, ReplayCounters};
 use sybil_features::FeatureVector;
@@ -25,9 +27,18 @@ use sybil_serve::fault::{EpochRecord, EpochRecordRef, FeedbackRecord};
 use sybil_serve::{SessionCheckpoint, ShardSnapshot};
 use sybil_store::format;
 
-/// A fixed checkpoint exercising every section and field kind. Frozen:
-/// changing it invalidates the golden file.
+/// A fixed checkpoint exercising every section and field kind, its
+/// staged list repeating a pair (`SYBS` v2 content). Frozen: changing it
+/// invalidates the golden file.
 fn golden_checkpoint() -> SessionCheckpoint {
+    let mut cp = golden_checkpoint_v1();
+    cp.staged_edges.push((NodeId(4), NodeId(3), Timestamp(260)));
+    cp
+}
+
+/// The checkpoint the `SYBS` v1 golden was encoded from: the same, with
+/// the repeat-free staged list a v1 file could hold. Frozen with it.
+fn golden_checkpoint_v1() -> SessionCheckpoint {
     let mut recent = std::collections::VecDeque::new();
     recent.push_back(3600);
     recent.push_back(4000);
@@ -111,11 +122,11 @@ fn committed_golden(name: &str, bytes: &[u8]) -> Vec<u8> {
 #[test]
 fn encoding_matches_committed_golden_bytes() {
     let bytes = format::encode_checkpoint(&golden_checkpoint());
-    let committed = committed_golden("checkpoint_v1.sybs", &bytes);
+    let committed = committed_golden("checkpoint_v2.sybs", &bytes);
     assert_eq!(
         bytes,
         committed,
-        "SYBS v1 encoding drifted from the committed golden bytes — \
+        "SYBS v2 encoding drifted from the committed golden bytes — \
          a format change requires a VERSION bump and a new golden file"
     );
     // And the committed bytes still decode to the exact checkpoint.
@@ -129,8 +140,41 @@ fn encoding_matches_committed_golden_bytes() {
 fn header_prefix_is_pinned() {
     let bytes = format::encode_checkpoint(&golden_checkpoint());
     assert_eq!(&bytes[..4], b"SYBS");
-    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 1);
+    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 2);
+    assert_eq!(format::VERSION, 2);
     assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 7, "7 sections");
+}
+
+/// A v1 checkpoint is still read: its repeat-free staged list is valid
+/// v2 content. The committed v1 golden decodes to the checkpoint it was
+/// written from, re-encodes to the same sections under the v2 header, and
+/// a store holding it resumes from it.
+#[test]
+fn v1_checkpoint_decodes_and_restores() {
+    let v1 = std::fs::read(
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/checkpoint_v1.sybs"),
+    )
+    .expect("the v1 golden is kept");
+    assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1);
+    let cp = format::decode_checkpoint(&v1).expect("v1 decodes");
+    assert_eq!(cp, golden_checkpoint_v1());
+    let v2 = format::encode_checkpoint(&cp);
+    assert_eq!(v2.len(), v1.len());
+    assert_eq!(v2[8..v2.len() - 8], v1[8..v1.len() - 8], "same sections");
+
+    let dir = std::env::temp_dir().join(format!("sybil-golden-v1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("checkpoint-00000004.sybs"), &v1).unwrap();
+    let mut plane = StorePlane::open(&dir).unwrap();
+    let resume = plane
+        .load_resume()
+        .unwrap()
+        .expect("the v1 checkpoint resumes");
+    assert_eq!(resume.checkpoint, golden_checkpoint_v1());
+    assert_eq!(plane.resumed_from(), Some(4));
+    drop(plane);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Epoch `epoch` of the fixed journal: two events (one of each kind),

@@ -9,14 +9,16 @@
 //! directory (nothing survives in memory), so recovery is proven from
 //! the bytes.
 
+use osn_graph::{NodeId, Timestamp};
 use osn_sim::{simulate, SimConfig, SimOutput};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use sybil_core::digest::Digest64;
 use sybil_core::realtime::RealtimeConfig;
 use sybil_core::ThresholdClassifier;
 use sybil_serve::fault::FaultKind;
 use sybil_serve::{ServeConfig, ServeError, ServeSession};
-use sybil_store::{StorePlane, DEFAULT_DIGEST_EVERY};
+use sybil_store::{format, StorePlane, DEFAULT_DIGEST_EVERY};
 
 fn small_sim() -> SimOutput {
     simulate(SimConfig::tiny(11))
@@ -271,6 +273,90 @@ fn a_tail_epoch_that_diverges_is_caught_at_that_epoch() {
         }
         other => panic!("expected a replay divergence, got {other:?}"),
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Kill a cadence-4 run at epoch 6, leaving the epoch-4 checkpoint and a
+/// two-epoch committed tail, and return the checkpoint's path.
+fn killed_store(out: &SimOutput, cfg: &ServeConfig, dir: &PathBuf) -> PathBuf {
+    let mut doomed = StorePlane::with_cadence(dir, 4, DEFAULT_DIGEST_EVERY)
+        .unwrap()
+        .kill_at_epoch(6);
+    ServeSession::new(*cfg)
+        .store(&mut doomed)
+        .run(out)
+        .expect_err("killed");
+    dir.join("checkpoint-00000004.sybs")
+}
+
+/// A self-loop is well-formed `SYBS` bytes but no accept makes one, and
+/// the link kernels would count it: planted in a committed checkpoint's
+/// folded or staged edges, it is the typed journal fault an out-of-range
+/// endpoint gets, at the checkpoint's epoch — never a report.
+#[test]
+fn a_checkpoint_with_a_self_loop_is_a_typed_journal_fault() {
+    let out = small_sim();
+    let cfg = serve_cfg(2, true);
+    for staged in [false, true] {
+        let dir = tmpdir(&format!("self-loop-{staged}"));
+        let path = killed_store(&out, &cfg, &dir);
+        let mut cp = format::decode_checkpoint(&std::fs::read(&path).unwrap()).unwrap();
+        let edges = if staged {
+            &mut cp.staged_edges
+        } else {
+            &mut cp.folded_edges
+        };
+        edges.push((NodeId(1), NodeId(1), Timestamp(0)));
+        std::fs::write(&path, format::encode_checkpoint(&cp)).unwrap();
+        let mut revived = StorePlane::with_cadence(&dir, 4, DEFAULT_DIGEST_EVERY).unwrap();
+        let err = ServeSession::new(cfg)
+            .store(&mut revived)
+            .run(&out)
+            .expect_err("a self-loop must not resume");
+        match err {
+            ServeError::Chaos(c) => {
+                assert_eq!((c.fault_kind, c.epoch), (FaultKind::Journal, 4), "{c}")
+            }
+            other => panic!("expected a journal fault, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A store whose checkpoint a v1 binary wrote warm-restarts to the
+/// uninterrupted bytes: this stream repeats no pair, so its v1 file is
+/// the same sections under version word 1 and that version's trailer.
+#[test]
+fn a_v1_checkpoint_warm_restarts() {
+    let out = small_sim();
+    let cfg = serve_cfg(2, true);
+    let oracle = uninterrupted(&out, &cfg);
+    let dir = tmpdir("v1");
+    let path = killed_store(&out, &cfg, &dir);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let mut d = Digest64::new();
+    d.write_u32(1);
+    d.write_usize(u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize);
+    let mut pos = 12;
+    while pos < bytes.len() - 8 {
+        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+        d.write_u32(u32::from(bytes[pos]));
+        d.write_usize(len);
+        for chunk in bytes[pos + 5..pos + 5 + len].chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            d.write_u64(u64::from_le_bytes(w));
+        }
+        pos += 5 + len;
+    }
+    let at = bytes.len() - 8;
+    bytes[at..].copy_from_slice(&Digest64::finish(&d).to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    let mut revived = StorePlane::with_cadence(&dir, 4, DEFAULT_DIGEST_EVERY).unwrap();
+    let o = ServeSession::new(cfg).store(&mut revived).run(&out).unwrap();
+    assert_eq!(revived.resumed_from(), Some(4), "the v1 checkpoint was read");
+    assert_eq!(serde_json::to_string(&o.report).unwrap(), oracle);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -12,9 +12,10 @@
 # one step over the repo's benchmark (benchmark/run.sh): no failed job,
 # peak RSS inside the DESIGN.md budget, no resolved observability
 # overhead above 5%. Durability overhead, restart latency, the two
-# shard-scaling ratios of the scan stream and where a checks_sim job's
-# time sits (replay, one shard, the coordinator) are printed, not gated;
-# so are the experiment groups of a paper_batch job.
+# shard-scaling ratios of the scan stream, where a checks_sim job's
+# time sits (replay, one shard, the coordinator) and the coordinator's
+# per-stage spans on a small serve run are printed, not gated; so are
+# the experiment groups of a paper_batch job.
 # Run from the workspace root: ./scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -121,6 +122,25 @@ n = len(json.loads(ref))
 print(f"metrics guard: {n} logical metrics, "
       f"identical across threads×shards {configs}: {ok}")
 sys.exit(0 if ok else 1)
+PY
+
+echo "== serving engine: the coordinator's stage ledger (reported, not gated) =="
+# Where a serve epoch's wall time goes, stage by stage, from the engine's
+# own spans: the stages partition the epoch loop, so a change that moves
+# one (the mirror's index pass, the rotation inside fold) shows here
+# first. One run on one box: read it as a profile, not a gate.
+l_dir="$bench_tmp/stage_ledger"
+cargo run -q --release -p sybil-repro --bin repro -- \
+    --scale small --seed 42 --shards 2 --out "$l_dir" --metrics "$l_dir" serve >/dev/null
+python3 - "$l_dir/metrics.json" <<'PY'
+import json, sys
+wall = json.load(open(sys.argv[1]))["wall"]
+for mode in ("static", "adaptive"):
+    spans = [(s, wall[f"serve.{mode}.stage.{s}"]) for s in ("pull", "index", "scan", "merge", "fold")]
+    epoch = wall[f"serve.{mode}.epoch"]
+    print(f"stage ledger ({mode}, small seed 42, 2 shards, {epoch['count']} epochs, "
+          f"{epoch['total_s']:.3f} s): "
+          + ", ".join(f"{s} {v['total_s']:.4f} s" for s, v in spans))
 PY
 
 echo "== chaos: fault-injection invariant proptests (release) =="
