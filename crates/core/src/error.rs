@@ -5,8 +5,9 @@
 //! can match on the failure class, the message formatting lives in one
 //! `Display` impl, and lint rule S107 keeps stringly-typed `Result<_,
 //! String>` signatures from creeping back in. Hand-rolled (no `thiserror`
-//! dependency) but shaped the same way: one variant per failure class,
-//! `From` impls for the source errors, `source()` wired through.
+//! dependency) but shaped the same way: one variant per failure class
+//! that something in the workspace produces — [`crate::realtime`]'s config
+//! validation and [`crate::ids::count_u32`].
 
 use std::fmt;
 
@@ -20,13 +21,6 @@ pub enum Error {
         /// Why the value is rejected.
         message: String,
     },
-    /// A structural graph operation failed (self-loop, duplicate edge,
-    /// unknown node).
-    Graph(osn_graph::GraphError),
-    /// An edge-list read failed (I/O, parse, or bad edge).
-    Read(osn_graph::io::ReadError),
-    /// An underlying I/O failure outside the edge-list reader.
-    Io(std::io::Error),
     /// A count or id exceeded the u32 range the serving substrate's
     /// id-packing contract requires (node ids, per-window counts, and
     /// queue depths all travel as `u32` end to end; see
@@ -45,9 +39,6 @@ impl fmt::Display for Error {
             Error::InvalidConfig { field, message } => {
                 write!(f, "invalid config: {field}: {message}")
             }
-            Error::Graph(e) => write!(f, "graph error: {e}"),
-            Error::Read(e) => write!(f, "read error: {e}"),
-            Error::Io(e) => write!(f, "io error: {e}"),
             Error::IdOverflow { what, value } => {
                 write!(f, "id overflow: {what} = {value} does not fit in u32")
             }
@@ -55,35 +46,7 @@ impl fmt::Display for Error {
     }
 }
 
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::InvalidConfig { .. } => None,
-            Error::Graph(e) => Some(e),
-            Error::Read(e) => Some(e),
-            Error::Io(e) => Some(e),
-            Error::IdOverflow { .. } => None,
-        }
-    }
-}
-
-impl From<osn_graph::GraphError> for Error {
-    fn from(e: osn_graph::GraphError) -> Self {
-        Error::Graph(e)
-    }
-}
-
-impl From<osn_graph::io::ReadError> for Error {
-    fn from(e: osn_graph::io::ReadError) -> Self {
-        Error::Read(e)
-    }
-}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io(e)
-    }
-}
+impl std::error::Error for Error {}
 
 #[cfg(test)]
 mod tests {
@@ -98,20 +61,5 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("check_every"));
         assert!(s.contains("must be ≥ 1"));
-    }
-
-    #[test]
-    fn from_graph_error_preserves_source() {
-        use std::error::Error as _;
-        let e: Error = osn_graph::GraphError::SelfLoop(osn_graph::NodeId(3)).into();
-        assert!(matches!(e, Error::Graph(_)));
-        assert!(e.source().is_some());
-    }
-
-    #[test]
-    fn from_io_error_round_trips() {
-        let e: Error = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
-        assert!(matches!(e, Error::Io(_)));
-        assert!(e.to_string().contains("gone"));
     }
 }

@@ -63,22 +63,6 @@ impl ConfusionMatrix {
     pub fn accuracy(&self) -> f64 {
         ratio(self.tp + self.tn, self.total())
     }
-
-    /// Precision on the Sybil class.
-    pub fn precision(&self) -> f64 {
-        ratio(self.tp, self.tp + self.fp)
-    }
-
-    /// F1 on the Sybil class.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.sybil_recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
 }
 
 fn ratio(num: usize, den: usize) -> f64 {
@@ -221,8 +205,6 @@ mod tests {
         assert!((m.false_positive_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert!((m.normal_recall() - 2.0 / 3.0).abs() < 1e-12);
         assert!((m.accuracy() - 0.6).abs() < 1e-12);
-        assert_eq!(m.precision(), 0.5);
-        assert!(m.f1() > 0.0);
     }
 
     #[test]
@@ -230,7 +212,6 @@ mod tests {
         let m = ConfusionMatrix::default();
         assert_eq!(m.accuracy(), 0.0);
         assert_eq!(m.sybil_recall(), 0.0);
-        assert_eq!(m.f1(), 0.0);
     }
 
     #[test]

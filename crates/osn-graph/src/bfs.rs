@@ -1,4 +1,8 @@
-//! Breadth-first traversal, distances, and reachability.
+//! Breadth-first traversal and hop distances.
+//!
+//! [`distances`] gives SumUp its ticket levels (hop distance from the vote
+//! collector); [`bfs_order`] is the independent component oracle the
+//! cascade property test checks full-probability reach against.
 
 use crate::graph::{NodeId, TemporalGraph};
 use std::collections::VecDeque;
@@ -39,51 +43,6 @@ pub fn distances(g: &TemporalGraph, start: NodeId) -> Vec<Option<u32>> {
     dist
 }
 
-/// Shortest-path hop distance between two nodes, if connected.
-pub fn shortest_path_len(g: &TemporalGraph, a: NodeId, b: NodeId) -> Option<u32> {
-    if a == b {
-        return Some(0);
-    }
-    let mut dist: Vec<Option<u32>> = vec![None; g.num_nodes()];
-    let mut q = VecDeque::new();
-    dist[a.index()] = Some(0);
-    q.push_back((a, 0u32));
-    while let Some((u, du)) = q.pop_front() {
-        for nb in g.neighbors(u) {
-            if dist[nb.node.index()].is_none() {
-                if nb.node == b {
-                    return Some(du + 1);
-                }
-                dist[nb.node.index()] = Some(du + 1);
-                q.push_back((nb.node, du + 1));
-            }
-        }
-    }
-    None
-}
-
-/// Nodes within `radius` hops of `start` (including `start`).
-pub fn ball(g: &TemporalGraph, start: NodeId, radius: u32) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    let mut dist: Vec<Option<u32>> = vec![None; g.num_nodes()];
-    let mut q = VecDeque::new();
-    dist[start.index()] = Some(0);
-    q.push_back((start, 0u32));
-    while let Some((u, du)) = q.pop_front() {
-        out.push(u);
-        if du == radius {
-            continue;
-        }
-        for nb in g.neighbors(u) {
-            if dist[nb.node.index()].is_none() {
-                dist[nb.node.index()] = Some(du + 1);
-                q.push_back((nb.node, du + 1));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,29 +81,10 @@ mod tests {
 
     #[test]
     fn unreachable_is_none() {
-        let mut g = path_graph(3);
-        g.add_node(); // isolated node 3
+        let mut g = TemporalGraph::with_nodes(4); // node 3 isolated
+        g.add_edge(NodeId(0), NodeId(1), Timestamp::ZERO).unwrap();
+        g.add_edge(NodeId(1), NodeId(2), Timestamp::ZERO).unwrap();
         assert_eq!(distances(&g, NodeId(0))[3], None);
-        assert_eq!(shortest_path_len(&g, NodeId(0), NodeId(3)), None);
-    }
-
-    #[test]
-    fn shortest_path_cases() {
-        let g = path_graph(5);
-        assert_eq!(shortest_path_len(&g, NodeId(0), NodeId(0)), Some(0));
-        assert_eq!(shortest_path_len(&g, NodeId(0), NodeId(4)), Some(4));
-        assert_eq!(shortest_path_len(&g, NodeId(3), NodeId(1)), Some(2));
-    }
-
-    #[test]
-    fn ball_respects_radius() {
-        let g = path_graph(6);
-        let mut b = ball(&g, NodeId(2), 1);
-        b.sort_unstable();
-        assert_eq!(b, vec![NodeId(1), NodeId(2), NodeId(3)]);
-        let mut b2 = ball(&g, NodeId(0), 2);
-        b2.sort_unstable();
-        assert_eq!(b2, vec![NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(ball(&g, NodeId(0), 0), vec![NodeId(0)]);
+        assert_eq!(bfs_order(&g, NodeId(0)).len(), 3);
     }
 }

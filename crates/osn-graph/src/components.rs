@@ -76,11 +76,6 @@ where
     comps
 }
 
-/// Sizes of the given components (already largest-first).
-pub fn component_sizes(comps: &[Component]) -> Vec<usize> {
-    comps.iter().map(|c| c.len()).collect()
-}
-
 /// The giant (largest) component, if any.
 pub fn giant_component(comps: &[Component]) -> Option<&Component> {
     comps.first()
@@ -90,6 +85,10 @@ pub fn giant_component(comps: &[Component]) -> Option<&Component> {
 mod tests {
     use super::*;
     use crate::graph::Timestamp;
+
+    fn component_sizes(comps: &[Component]) -> Vec<usize> {
+        comps.iter().map(|c| c.len()).collect()
+    }
 
     fn graph_two_triangles_and_isolate() -> TemporalGraph {
         // Nodes 0-1-2 triangle, 3-4 edge, 5 isolated.

@@ -1,21 +1,17 @@
-//! Degree sequences and distribution helpers.
+//! Degree lists and degree shares.
 //!
 //! Figs. 5 and 9 of the paper are degree CDFs: Fig. 5 contrasts each Sybil's
 //! total degree (“All Edges”) with its degree counting only edges to other
 //! Sybils (“Sybil Edges”); Fig. 9 repeats the comparison inside the largest
 //! Sybil component. The helpers here compute plain and predicate-restricted
-//! degree sequences; CDF construction itself lives in `sybil-stats`.
+//! degrees of a node list and the shares Fig. 9 quotes; the CDFs themselves
+//! are built by `sybil-repro`'s `cdf` module.
 
 use crate::graph::{NodeId, TemporalGraph};
 use crate::par;
 
-/// Degree of every node, indexed by node id. Runs across
+/// Degrees of the nodes in `nodes`, in the same order. Runs across
 /// [`par::num_threads`] threads; output is identical to the serial loop.
-pub fn degree_sequence(g: &TemporalGraph) -> Vec<usize> {
-    par::map_indexed(g.num_nodes(), |i| g.degree(NodeId(i as u32)))
-}
-
-/// Degrees of the nodes in `nodes`, in the same order.
 pub fn degrees_of(g: &TemporalGraph, nodes: &[NodeId]) -> Vec<usize> {
     par::map_slice(nodes, |&n| g.degree(n))
 }
@@ -36,20 +32,6 @@ where
     })
 }
 
-/// Histogram of a degree sequence: `hist[d]` = number of nodes with degree
-/// `d`. Length is `max_degree + 1` (empty input gives an empty vec).
-pub fn degree_histogram(degrees: &[usize]) -> Vec<usize> {
-    let max = match degrees.iter().max() {
-        Some(&m) => m,
-        None => return Vec::new(),
-    };
-    let mut hist = vec![0usize; max + 1];
-    for &d in degrees {
-        hist[d] += 1;
-    }
-    hist
-}
-
 /// Fraction of entries equal to `d`.
 pub fn fraction_with_degree(degrees: &[usize], d: usize) -> f64 {
     if degrees.is_empty() {
@@ -64,14 +46,6 @@ pub fn fraction_with_degree_at_most(degrees: &[usize], d: usize) -> f64 {
         return 0.0;
     }
     degrees.iter().filter(|&&x| x <= d).count() as f64 / degrees.len() as f64
-}
-
-/// Mean of a degree sequence.
-pub fn mean_degree(degrees: &[usize]) -> f64 {
-    if degrees.is_empty() {
-        return 0.0;
-    }
-    degrees.iter().sum::<usize>() as f64 / degrees.len() as f64
 }
 
 #[cfg(test)]
@@ -91,8 +65,8 @@ mod tests {
     #[test]
     fn path_degrees() {
         let g = path_graph(4);
-        assert_eq!(degree_sequence(&g), vec![1, 2, 2, 1]);
-        assert_eq!(mean_degree(&degree_sequence(&g)), 1.5);
+        let all: Vec<NodeId> = g.nodes().collect();
+        assert_eq!(degrees_of(&g, &all), vec![1, 2, 2, 1]);
     }
 
     #[test]
@@ -115,12 +89,9 @@ mod tests {
     #[test]
     fn histogram_and_fractions() {
         let degs = vec![0, 1, 1, 2, 5];
-        assert_eq!(degree_histogram(&degs), vec![1, 2, 1, 0, 0, 1]);
         assert_eq!(fraction_with_degree(&degs, 1), 0.4);
         assert_eq!(fraction_with_degree_at_most(&degs, 2), 0.8);
-        assert!(degree_histogram(&[]).is_empty());
         assert_eq!(fraction_with_degree(&[], 0), 0.0);
         assert_eq!(fraction_with_degree_at_most(&[], 0), 0.0);
-        assert_eq!(mean_degree(&[]), 0.0);
     }
 }

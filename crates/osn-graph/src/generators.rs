@@ -1,70 +1,14 @@
-//! Synthetic graph generators.
+//! Synthetic graph generator.
 //!
 //! The paper notes that graph-based defenses were only ever validated on
-//! "real social graphs with Sybil communities artificially injected". These
-//! generators build such null models: Erdős–Rényi, Barabási–Albert
-//! (scale-free, like OSN degree distributions), Watts–Strogatz (high
-//! clustering), and a configuration model for degree-preserving rewiring.
+//! "real social graphs with Sybil communities artificially injected". The
+//! honest region of that null model is a Barabási–Albert graph (scale-free,
+//! like OSN degree distributions); `sybil_defense::injected_cluster_graph`
+//! builds on it, and the defense and mixing tests use it as a fixture.
 
 use crate::graph::{NodeId, TemporalGraph, Timestamp};
 use rand::prelude::*;
 use std::collections::HashSet;
-
-/// Erdős–Rényi `G(n, p)`: every pair independently linked with probability
-/// `p`. Uses geometric skipping, so sparse graphs cost `O(n + m)`.
-pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, t: Timestamp, rng: &mut R) -> TemporalGraph {
-    let mut g = TemporalGraph::with_nodes(n);
-    if n < 2 || p <= 0.0 {
-        return g;
-    }
-    if p >= 1.0 {
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let _ = g.add_edge(NodeId(i as u32), NodeId(j as u32), t);
-            }
-        }
-        return g;
-    }
-    // Iterate pair index k over the C(n,2) pairs with geometric jumps.
-    let total = n as u64 * (n as u64 - 1) / 2;
-    let log_q = (1.0 - p).ln();
-    let mut k: u64 = 0;
-    loop {
-        let u: f64 = rng.random_range(f64::MIN_POSITIVE..1.0);
-        let skip = (u.ln() / log_q).floor() as u64;
-        k = k.saturating_add(skip);
-        if k >= total {
-            break;
-        }
-        let (i, j) = pair_from_index(k, n as u64);
-        let _ = g.add_edge(NodeId(i as u32), NodeId(j as u32), t);
-        k += 1;
-    }
-    g
-}
-
-/// Map a linear index `k < C(n,2)` to the k-th pair `(i, j)`, `i < j`, in
-/// row-major order.
-fn pair_from_index(k: u64, n: u64) -> (u64, u64) {
-    // Row i contains (n - 1 - i) pairs. Find i by walking rows; rows shrink,
-    // so use the closed form via quadratic inversion.
-    let kf = k as f64;
-    let nf = n as f64;
-    let mut i = (nf - 0.5 - ((nf - 0.5) * (nf - 0.5) - 2.0 * kf).max(0.0).sqrt()).floor() as u64;
-    // Fix up floating error.
-    loop {
-        let row_start = i * (n - 1) - i * (i.saturating_sub(1)) / 2; // sum of previous rows
-        let row_len = n - 1 - i;
-        if k < row_start {
-            i -= 1;
-        } else if k >= row_start + row_len {
-            i += 1;
-        } else {
-            let j = i + 1 + (k - row_start);
-            return (i, j);
-        }
-    }
-}
 
 /// Barabási–Albert preferential attachment: start from an `m`-clique, then
 /// each new node attaches to `m` existing nodes chosen proportionally to
@@ -113,126 +57,11 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
     g
 }
 
-/// Watts–Strogatz small-world: ring lattice with `k` nearest neighbors per
-/// side... (each node linked to `k/2` on each side), each edge rewired with
-/// probability `beta`.
-pub fn watts_strogatz<R: Rng + ?Sized>(
-    n: usize,
-    k: usize,
-    beta: f64,
-    t: Timestamp,
-    rng: &mut R,
-) -> TemporalGraph {
-    assert!(k.is_multiple_of(2), "WS requires even k");
-    assert!(n > k, "WS requires n > k");
-    let mut g = TemporalGraph::with_nodes(n);
-    for i in 0..n {
-        for d in 1..=(k / 2) {
-            let j = (i + d) % n;
-            if rng.random_range(0.0..1.0) < beta {
-                // Rewire: pick a random non-self, non-duplicate target.
-                let mut guard = 0;
-                loop {
-                    guard += 1;
-                    let r = rng.random_range(0..n);
-                    if r != i
-                        && !g.has_edge(NodeId(i as u32), NodeId(r as u32))
-                        && g.add_edge(NodeId(i as u32), NodeId(r as u32), t).is_ok()
-                    {
-                        break;
-                    }
-                    if guard > 100 {
-                        // Dense corner case: fall back to the lattice edge.
-                        let _ = g.add_edge(NodeId(i as u32), NodeId(j as u32), t);
-                        break;
-                    }
-                }
-            } else {
-                let _ = g.add_edge(NodeId(i as u32), NodeId(j as u32), t);
-            }
-        }
-    }
-    g
-}
-
-/// Configuration model: a simple graph with (approximately) the requested
-/// degree sequence, via stub matching with self-loop/multi-edge rejection.
-/// Leftover unmatchable stubs are dropped, so low-degree tails may lose a
-/// few edges.
-pub fn configuration_model<R: Rng + ?Sized>(
-    degrees: &[usize],
-    t: Timestamp,
-    rng: &mut R,
-) -> TemporalGraph {
-    let n = degrees.len();
-    let mut g = TemporalGraph::with_nodes(n);
-    let mut stubs: Vec<u32> = Vec::with_capacity(degrees.iter().sum());
-    for (i, &d) in degrees.iter().enumerate() {
-        stubs.extend(std::iter::repeat_n(i as u32, d));
-    }
-    stubs.shuffle(rng);
-    // Greedy pairing with bounded retries for rejected pairs.
-    let mut retries = 0usize;
-    while stubs.len() >= 2 {
-        let (Some(b), Some(a)) = (stubs.pop(), stubs.pop()) else {
-            break; // len checked above; keeps the pairing panic-free
-        };
-        if a != b && g.add_edge(NodeId(a), NodeId(b), t).is_ok() {
-            retries = 0;
-            continue;
-        }
-        // Rejected: reinsert at random positions and reshuffle occasionally.
-        stubs.push(a);
-        stubs.push(b);
-        stubs.shuffle(rng);
-        retries += 1;
-        if retries > 200 {
-            break; // Remaining stubs are unmatchable (e.g. all same node).
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn er_edge_count_close_to_expectation() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let n = 500;
-        let p = 0.02;
-        let g = erdos_renyi(n, p, Timestamp::ZERO, &mut rng);
-        let expect = p * (n * (n - 1) / 2) as f64;
-        let got = g.num_edges() as f64;
-        assert!(
-            (got - expect).abs() < 4.0 * expect.sqrt() + 10.0,
-            "edges {got} vs expected {expect}"
-        );
-    }
-
-    #[test]
-    fn er_degenerate_cases() {
-        let mut rng = StdRng::seed_from_u64(2);
-        assert_eq!(erdos_renyi(10, 0.0, Timestamp::ZERO, &mut rng).num_edges(), 0);
-        assert_eq!(erdos_renyi(0, 0.5, Timestamp::ZERO, &mut rng).num_nodes(), 0);
-        let full = erdos_renyi(6, 1.0, Timestamp::ZERO, &mut rng);
-        assert_eq!(full.num_edges(), 15);
-    }
-
-    #[test]
-    fn pair_index_roundtrip() {
-        let n = 7u64;
-        let mut k = 0u64;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                assert_eq!(pair_from_index(k, n), (i, j), "k={k}");
-                k += 1;
-            }
-        }
-    }
 
     #[test]
     fn ba_structure() {
@@ -251,45 +80,9 @@ mod tests {
     }
 
     #[test]
-    fn ws_degree_and_clustering() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let g = watts_strogatz(200, 6, 0.05, Timestamp::ZERO, &mut rng);
-        assert_eq!(g.num_nodes(), 200);
-        // Edge count equals n * k / 2 when no rewire collisions drop edges.
-        assert!(g.num_edges() as f64 >= 0.97 * (200.0 * 6.0 / 2.0));
-        // Low-beta WS retains high clustering.
-        let cc = crate::clustering::average_clustering(&g);
-        assert!(cc > 0.3, "WS clustering {cc}");
-    }
-
-    #[test]
-    fn configuration_model_matches_degrees_approximately() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let degrees: Vec<usize> = (0..200).map(|i| 1 + (i % 5)).collect();
-        let g = configuration_model(&degrees, Timestamp::ZERO, &mut rng);
-        let want: usize = degrees.iter().sum::<usize>() / 2;
-        let got = g.num_edges();
-        assert!(
-            got as f64 >= 0.95 * want as f64,
-            "configuration model kept {got}/{want} edges"
-        );
-        // No node exceeds its requested degree.
-        for (i, &d) in degrees.iter().enumerate() {
-            assert!(g.degree(NodeId(i as u32)) <= d);
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "BA requires n > m")]
     fn ba_rejects_bad_params() {
         let mut rng = StdRng::seed_from_u64(6);
         let _ = barabasi_albert(3, 3, Timestamp::ZERO, &mut rng);
-    }
-
-    #[test]
-    #[should_panic(expected = "WS requires even k")]
-    fn ws_rejects_odd_k() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let _ = watts_strogatz(10, 3, 0.1, Timestamp::ZERO, &mut rng);
     }
 }

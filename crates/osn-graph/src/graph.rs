@@ -68,12 +68,6 @@ impl Timestamp {
         Timestamp(h * 3600)
     }
 
-    /// Build a timestamp from whole days.
-    #[inline]
-    pub fn from_days(d: u64) -> Self {
-        Timestamp(d * 86_400)
-    }
-
     /// Build a timestamp from fractional hours (rounded down to seconds).
     #[inline]
     pub fn from_hours_f64(h: f64) -> Self {
@@ -96,12 +90,6 @@ impl Timestamp {
     #[inline]
     pub fn plus_secs(self, s: u64) -> Self {
         Timestamp(self.0.saturating_add(s))
-    }
-
-    /// Saturating subtraction, clamping at the epoch.
-    #[inline]
-    pub fn minus_secs(self, s: u64) -> Self {
-        Timestamp(self.0.saturating_sub(s))
     }
 }
 
@@ -194,11 +182,10 @@ fn pack(a: NodeId, b: NodeId) -> u64 {
 /// // Adjacency is chronological: the paper's "first k friends by time".
 /// assert_eq!(g.first_k_friends(NodeId(0), 1)[0].node, NodeId(1));
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TemporalGraph {
     adj: Vec<Vec<Neighbor>>,
     edges: Vec<EdgeRecord>,
-    #[serde(skip)]
     edge_set: HashSet<u64>,
 }
 
@@ -227,13 +214,6 @@ impl TemporalGraph {
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Append one node and return its id.
-    pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.adj.len() as u32);
-        self.adj.push(Vec::new());
-        id
     }
 
     /// Append `n` nodes and return the id of the first.
@@ -318,11 +298,6 @@ impl TemporalGraph {
         &a[..a.len().min(k)]
     }
 
-    /// Neighbors of `n` whose friendship existed strictly before `t`.
-    pub fn neighbors_before(&self, n: NodeId, t: Timestamp) -> impl Iterator<Item = &Neighbor> {
-        self.adj[n.index()].iter().filter(move |nb| nb.time < t)
-    }
-
     /// All edges in global creation order.
     #[inline]
     pub fn edges(&self) -> &[EdgeRecord] {
@@ -333,12 +308,6 @@ impl TemporalGraph {
     #[inline]
     pub fn edge(&self, e: EdgeId) -> &EdgeRecord {
         &self.edges[e.index()]
-    }
-
-    /// Rebuild the packed edge set (needed after deserialization, which
-    /// skips the derived set).
-    pub fn rebuild_index(&mut self) {
-        self.edge_set = self.edges.iter().map(|e| pack(e.a, e.b)).collect();
     }
 
     /// Count of mutual friends between `a` and `b`.
@@ -444,18 +413,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_before_filters_by_time() {
-        let mut g = TemporalGraph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), t(1)).unwrap();
-        g.add_edge(NodeId(0), NodeId(2), t(3)).unwrap();
-        let before: Vec<u32> = g
-            .neighbors_before(NodeId(0), t(3))
-            .map(|n| n.node.0)
-            .collect();
-        assert_eq!(before, vec![1]);
-    }
-
-    #[test]
     fn mutual_friends_counts_triangles() {
         let mut g = TemporalGraph::with_nodes(5);
         // 0-1, 0-2, 1-2 triangle; 3 friends with 0 and 1 as well.
@@ -484,21 +441,10 @@ mod tests {
     #[test]
     fn timestamp_conversions() {
         assert_eq!(Timestamp::from_hours(2).as_secs(), 7200);
-        assert_eq!(Timestamp::from_days(1).as_hours(), 24.0);
+        assert_eq!(Timestamp::from_hours(24).as_hours(), 24.0);
         assert_eq!(Timestamp::from_hours_f64(0.5).as_secs(), 1800);
         assert_eq!(Timestamp(100).plus_secs(20).0, 120);
-        assert_eq!(Timestamp(100).minus_secs(200), Timestamp::ZERO);
-    }
-
-    #[test]
-    fn rebuild_index_restores_membership() {
-        let mut g = TemporalGraph::with_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1), t(0)).unwrap();
-        let mut g2 = g.clone();
-        g2.edge_set.clear();
-        assert!(!g2.has_edge(NodeId(0), NodeId(1)));
-        g2.rebuild_index();
-        assert!(g2.has_edge(NodeId(0), NodeId(1)));
+        assert_eq!(Timestamp(u64::MAX).plus_secs(1), Timestamp(u64::MAX));
     }
 
     #[test]

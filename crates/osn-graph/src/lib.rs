@@ -21,31 +21,28 @@
 //!   subsets (e.g. the Sybil-only subgraph of the paper's §3.3).
 //! * [`clustering`] — local clustering coefficients, including the paper's
 //!   “first 50 friends by time” variant (Fig. 4).
-//! * [`degree`] — degree sequences and distribution helpers (Figs. 5, 9).
-//! * [`bfs`] — breadth-first traversal and shortest-path helpers.
+//! * [`degree`] — plain and predicate-restricted degree lists and degree
+//!   shares (Figs. 5, 9).
+//! * [`bfs`] — breadth-first hop distances (SumUp's ticket levels).
 //! * [`cascade`] — independent-cascade reach by coupled bond percolation
 //!   (the spam-reach model behind the paper's motivation).
 //! * [`walks`] — random walks and SybilGuard/SybilLimit random *routes*.
-//! * [`maxflow`] — Dinic max-flow used by the SumUp baseline.
-//! * [`subgraph`] — induced subgraphs with node re-indexing.
-//! * [`sampling`] — snowball sampling (the mechanism behind accidental
-//!   Sybil edges, §3.4) and uniform sampling utilities.
-//! * [`generators`] — synthetic graph generators (ER, BA, WS,
-//!   configuration model) used for null models and defense calibration.
-//! * [`kcore`] — k-core decomposition (how deeply Sybils embed).
+//! * [`maxflow`] — the residual flow network the SumUp baseline pushes
+//!   votes through.
+//! * [`sampling`] — popularity-biased snowball sampling (the mechanism
+//!   behind accidental Sybil edges, §3.4) and degree-weighted draws.
+//! * [`generators`] — the Barabási–Albert graph the §3.1 injected-cluster
+//!   scenario and the defense tests build on.
 //! * [`spectral`] — mixing-time diagnostics: spectral gap of the lazy
 //!   walk and empirical escape probabilities (the fast-mixing assumption
 //!   behind every §3.1 defense).
-//! * [`metrics`] — conductance, edge cuts, mutual-friend counts,
-//!   rich-club coefficients, degree assortativity.
+//! * [`metrics`] — conductance, edge cuts and audiences (Table 2, Fig. 7),
+//!   rich-club coefficients.
 //! * [`snapshot`] — immutable CSR snapshot ([`CsrSnapshot`]) with sorted
 //!   adjacency for O(log d) membership, merge-based mutual friends, and
 //!   scratch-marked clustering kernels.
 //! * [`par`] — deterministic order-preserving parallel map used by the
 //!   full-population sweeps (`RENREN_THREADS` overrides the width).
-//! * [`paths`] — sampled shortest-path statistics.
-//! * [`profile`] — one-call structural census ([`profile::GraphProfile`]).
-//! * [`io`] — CSV edge-list import/export.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -57,17 +54,12 @@ pub mod components;
 pub mod degree;
 pub mod generators;
 pub mod graph;
-pub mod io;
-pub mod kcore;
 pub mod maxflow;
 pub mod metrics;
 pub mod par;
-pub mod paths;
-pub mod profile;
 pub mod sampling;
 pub mod snapshot;
 pub mod spectral;
-pub mod subgraph;
 pub mod unionfind;
 pub mod walks;
 

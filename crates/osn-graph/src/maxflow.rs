@@ -2,8 +2,9 @@
 //!
 //! SumUp (Tran et al., NSDI '09) collects votes via approximate max-flow
 //! from voters to a collector over the social graph with adaptive link
-//! capacities. This module provides the exact max-flow primitive it (and
-//! min-cut diagnostics) builds on.
+//! capacities. This module provides the residual flow network it pushes
+//! votes through, and the exact max-flow that pins the network's arc
+//! bookkeeping in tests.
 
 /// A flow network over dense node indices with integer capacities.
 #[derive(Clone, Debug, Default)]
@@ -147,25 +148,6 @@ impl FlowNetwork {
         self.cap[a] -= 1;
         self.cap[a ^ 1] += 1;
     }
-
-    /// Nodes on the source side of the min cut after [`Self::max_flow`] has
-    /// saturated the network.
-    pub fn min_cut_side(&self, s: usize) -> Vec<bool> {
-        let mut side = vec![false; self.head.len()];
-        let mut q = std::collections::VecDeque::new();
-        side[s] = true;
-        q.push_back(s);
-        while let Some(u) = q.pop_front() {
-            for &a in &self.head[u] {
-                let v = self.to[a as usize] as usize;
-                if self.cap[a as usize] > 0 && !side[v] {
-                    side[v] = true;
-                    q.push_back(v);
-                }
-            }
-        }
-        side
-    }
 }
 
 #[cfg(test)]
@@ -258,16 +240,5 @@ mod tests {
         fn clone_flow(&self, s: usize, t: usize) -> i64 {
             self.clone().max_flow(s, t)
         }
-    }
-
-    #[test]
-    fn min_cut_separates_bottleneck() {
-        let mut net = FlowNetwork::new(4);
-        net.add_arc(0, 1, 100);
-        net.add_arc(1, 2, 1); // bottleneck
-        net.add_arc(2, 3, 100);
-        assert_eq!(net.max_flow(0, 3), 1);
-        let side = net.min_cut_side(0);
-        assert_eq!(side, vec![true, true, false, false]);
     }
 }

@@ -4,7 +4,9 @@
 //! from the honest region by a *small edge cut* (few attack edges relative
 //! to internal Sybil edges). These helpers quantify exactly that: internal
 //! vs. crossing edge counts, conductance, and the audience (distinct honest
-//! neighbors) of a node set — the quantities of Table 2 and Fig. 7.
+//! neighbors) of a node set — the quantities of Table 2 and Fig. 7. The
+//! rich-club coefficient is the quantifier EXPERIMENTS.md names for the
+//! popular core behind the Fig. 4 scale artifact.
 
 use crate::graph::{NodeId, TemporalGraph};
 use std::collections::HashSet;
@@ -72,46 +74,6 @@ pub fn conductance(g: &TemporalGraph, set: &[NodeId]) -> Option<f64> {
     }
 }
 
-/// Number of edges crossing between `a_set` and `b_set` (assumed disjoint).
-pub fn edges_between(g: &TemporalGraph, a_set: &[NodeId], b_set: &[NodeId]) -> usize {
-    let b: HashSet<NodeId> = b_set.iter().copied().collect();
-    let mut count = 0usize;
-    for &n in a_set {
-        for nb in g.neighbors(n) {
-            if b.contains(&nb.node) {
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
-/// Newman modularity of a two-way partition given by `in_part`
-/// (true = community 1). Diagnostic for injected-community null models.
-pub fn two_way_modularity<F>(g: &TemporalGraph, in_part: F) -> f64
-where
-    F: Fn(NodeId) -> bool,
-{
-    let m = g.num_edges() as f64;
-    if m == 0.0 {
-        return 0.0;
-    }
-    let mut internal = [0f64; 2];
-    let mut vol = [0f64; 2];
-    for e in g.edges() {
-        let (pa, pb) = (in_part(e.a) as usize, in_part(e.b) as usize);
-        if pa == pb {
-            internal[pa] += 1.0;
-        }
-    }
-    for n in g.nodes() {
-        vol[in_part(n) as usize] += g.degree(n) as f64;
-    }
-    (0..2)
-        .map(|c| internal[c] / m - (vol[c] / (2.0 * m)).powi(2))
-        .sum()
-}
-
 /// Rich-club coefficient φ(k): the edge density among nodes of degree
 /// > k. A φ(k) near 1 for large k means the popular core is a near-clique
 /// > — the effect that inflates simulated Sybils' clustering relative to
@@ -133,35 +95,6 @@ pub fn rich_club_coefficient(g: &TemporalGraph, k: usize) -> Option<f64> {
     }
     let pairs = rich.len() * (rich.len() - 1) / 2;
     Some((internal / 2) as f64 / pairs as f64)
-}
-
-/// Degree assortativity: the Pearson correlation of endpoint degrees over
-/// all edges. Positive on social graphs (popular users befriend popular
-/// users), negative on hub-and-spoke topologies. `None` with < 2 edges or
-/// zero variance.
-pub fn degree_assortativity(g: &TemporalGraph) -> Option<f64> {
-    let m = g.num_edges();
-    if m < 2 {
-        return None;
-    }
-    // Treat each edge as two ordered pairs so the measure is symmetric.
-    let mut sum_x = 0.0;
-    let mut sum_xx = 0.0;
-    let mut sum_xy = 0.0;
-    let n = (2 * m) as f64;
-    for e in g.edges() {
-        let (da, db) = (g.degree(e.a) as f64, g.degree(e.b) as f64);
-        sum_x += da + db;
-        sum_xx += da * da + db * db;
-        sum_xy += 2.0 * da * db;
-    }
-    let mean = sum_x / n;
-    let var = sum_xx / n - mean * mean;
-    if var <= 1e-12 {
-        return None;
-    }
-    let cov = sum_xy / n - mean * mean;
-    Some(cov / var)
 }
 
 #[cfg(test)]
@@ -215,31 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn edges_between_counts_bridge() {
-        let g = barbell();
-        let a = [NodeId(0), NodeId(1), NodeId(2)];
-        let b = [NodeId(3), NodeId(4), NodeId(5)];
-        assert_eq!(edges_between(&g, &a, &b), 1);
-        assert_eq!(edges_between(&g, &b, &a), 1);
-    }
-
-    #[test]
-    fn modularity_positive_for_true_split() {
-        let g = barbell();
-        let q = two_way_modularity(&g, |n| n.0 <= 2);
-        assert!(q > 0.3, "modularity {q}");
-        // A random-ish split scores worse.
-        let q_bad = two_way_modularity(&g, |n| n.0 % 2 == 0);
-        assert!(q > q_bad);
-    }
-
-    #[test]
-    fn modularity_empty_graph_zero() {
-        let g = TemporalGraph::with_nodes(4);
-        assert_eq!(two_way_modularity(&g, |n| n.0 < 2), 0.0);
-    }
-
-    #[test]
     fn rich_club_of_clique_plus_pendants() {
         // 4-clique (degrees >= 3) plus pendants on node 0.
         let mut g = TemporalGraph::with_nodes(7);
@@ -256,32 +164,5 @@ mod tests {
         assert_eq!(rich_club_coefficient(&g, 2), Some(1.0));
         // Degree > 5: only node 0 -> undefined.
         assert_eq!(rich_club_coefficient(&g, 5), None);
-    }
-
-    #[test]
-    fn assortativity_signs() {
-        // Star: hub joins only leaves -> strongly disassortative.
-        let mut star = TemporalGraph::with_nodes(6);
-        for i in 1..6u32 {
-            star.add_edge(NodeId(0), NodeId(i), Timestamp::ZERO).unwrap();
-        }
-        // All endpoint degree pairs are (5,1): zero variance on neither
-        // side... combined variance exists; correlation is -1.
-        let r = degree_assortativity(&star).unwrap();
-        assert!(r < -0.99, "star assortativity {r}");
-        // Regular ring: all degrees equal -> undefined (no variance).
-        let mut ring = TemporalGraph::with_nodes(5);
-        for i in 0..5u32 {
-            ring.add_edge(NodeId(i), NodeId((i + 1) % 5), Timestamp::ZERO)
-                .unwrap();
-        }
-        assert_eq!(degree_assortativity(&ring), None);
-    }
-
-    #[test]
-    fn assortativity_none_for_tiny_graphs() {
-        let mut g = TemporalGraph::with_nodes(2);
-        g.add_edge(NodeId(0), NodeId(1), Timestamp::ZERO).unwrap();
-        assert_eq!(degree_assortativity(&g), None);
     }
 }

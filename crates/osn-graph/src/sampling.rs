@@ -1,4 +1,4 @@
-//! Snowball sampling and node-sampling utilities.
+//! Snowball sampling and degree-weighted node draws.
 //!
 //! §3.4 of the paper attributes accidental Sybil-edge creation to the
 //! snowball sampling that commercial Sybil tools use to find *popular*
@@ -104,14 +104,6 @@ pub fn snowball_sample<R: Rng + ?Sized>(
     out
 }
 
-/// `k` nodes sampled uniformly without replacement.
-pub fn uniform_sample<R: Rng + ?Sized>(g: &TemporalGraph, k: usize, rng: &mut R) -> Vec<NodeId> {
-    let mut all: Vec<NodeId> = g.nodes().collect();
-    all.shuffle(rng);
-    all.truncate(k);
-    all
-}
-
 /// One node sampled with probability proportional to degree (the stationary
 /// distribution of a random walk); `None` on an edgeless graph.
 pub fn degree_weighted_sample<R: Rng + ?Sized>(g: &TemporalGraph, rng: &mut R) -> Option<NodeId> {
@@ -155,7 +147,9 @@ mod tests {
     fn snowball_bias_prefers_high_degree() {
         let mut rng = StdRng::seed_from_u64(2);
         let g = generators::barabasi_albert(2000, 3, Timestamp::ZERO, &mut rng);
-        let seeds = uniform_sample(&g, 5, &mut rng);
+        let mut seeds: Vec<NodeId> = g.nodes().collect();
+        seeds.shuffle(&mut rng);
+        seeds.truncate(5);
         // Saturate well above the BA minimum degree (m = 3) so the weight
         // `(d/saturation)^β` actually discriminates; with the default
         // saturation of 3·min_degree every node would get weight 1.0 and
@@ -222,18 +216,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let sample = snowball_sample(&g, &[NodeId(0)], &SnowballConfig::default(), &mut rng);
         assert!(sample.is_empty());
-    }
-
-    #[test]
-    fn uniform_sample_size_and_uniqueness() {
-        let g = TemporalGraph::with_nodes(100);
-        let mut rng = StdRng::seed_from_u64(5);
-        let s = uniform_sample(&g, 10, &mut rng);
-        assert_eq!(s.len(), 10);
-        let set: HashSet<_> = s.iter().collect();
-        assert_eq!(set.len(), 10);
-        // Asking for more than n clamps to n.
-        assert_eq!(uniform_sample(&g, 1000, &mut rng).len(), 100);
     }
 
     #[test]

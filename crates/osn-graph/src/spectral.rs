@@ -118,9 +118,9 @@ mod tests {
     #[test]
     fn expander_has_large_gap() {
         let mut rng = StdRng::seed_from_u64(1);
-        let g = generators::erdos_renyi(300, 0.05, Timestamp::ZERO, &mut rng);
+        let g = generators::barabasi_albert(300, 8, Timestamp::ZERO, &mut rng);
         let gap = spectral_gap(&g, 80, 2).unwrap();
-        assert!(gap > 0.1, "ER expander gap {gap}");
+        assert!(gap > 0.1, "BA expander gap {gap}");
     }
 
     #[test]
@@ -139,11 +139,11 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(30), Timestamp::ZERO).unwrap();
         let gap_bar = spectral_gap(&g, 120, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
-        let er = generators::erdos_renyi(60, 0.3, Timestamp::ZERO, &mut rng);
-        let gap_er = spectral_gap(&er, 120, 3).unwrap();
+        let ba = generators::barabasi_albert(60, 9, Timestamp::ZERO, &mut rng);
+        let gap_ba = spectral_gap(&ba, 120, 3).unwrap();
         assert!(
-            gap_bar < gap_er / 3.0,
-            "barbell {gap_bar} should mix far slower than ER {gap_er}"
+            gap_bar < gap_ba / 3.0,
+            "barbell {gap_bar} should mix far slower than BA {gap_ba}"
         );
     }
 

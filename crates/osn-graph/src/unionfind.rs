@@ -8,7 +8,6 @@
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    components: usize,
 }
 
 impl UnionFind {
@@ -17,7 +16,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            components: n,
         }
     }
 
@@ -29,11 +27,6 @@ impl UnionFind {
     /// True if the structure is empty.
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn num_components(&self) -> usize {
-        self.components
     }
 
     /// Representative of `x`'s set (with path halving).
@@ -59,7 +52,6 @@ impl UnionFind {
         }
         self.parent[rb] = ra as u32;
         self.size[ra] += self.size[rb];
-        self.components -= 1;
         true
     }
 
@@ -82,7 +74,6 @@ mod tests {
     #[test]
     fn singletons() {
         let mut uf = UnionFind::new(4);
-        assert_eq!(uf.num_components(), 4);
         assert_eq!(uf.len(), 4);
         assert!(!uf.is_empty());
         for i in 0..4 {
@@ -97,7 +88,6 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2)); // already connected
-        assert_eq!(uf.num_components(), 3);
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
         assert_eq!(uf.size_of(2), 3);
@@ -111,7 +101,6 @@ mod tests {
         for i in 1..n {
             uf.union(i - 1, i);
         }
-        assert_eq!(uf.num_components(), 1);
         assert_eq!(uf.size_of(0), n);
         assert!(uf.connected(0, n - 1));
     }
@@ -120,6 +109,5 @@ mod tests {
     fn empty() {
         let uf = UnionFind::new(0);
         assert!(uf.is_empty());
-        assert_eq!(uf.num_components(), 0);
     }
 }

@@ -87,11 +87,6 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<(Timestamp, Event)> {
         self.heap.pop().map(|Reverse((t, _, e))| (t, e.0))
     }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Timestamp> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
-    }
 }
 
 #[cfg(test)]
@@ -125,15 +120,5 @@ mod tests {
             })
             .collect();
         assert_eq!(users, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn peek_time() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.schedule(Timestamp::from_hours(9), Event::Ban { sybil: 0 });
-        q.schedule(Timestamp::from_hours(4), Event::Ban { sybil: 1 });
-        assert_eq!(q.peek_time(), Some(Timestamp::from_hours(4)));
-        assert_eq!(q.len(), 2);
     }
 }

@@ -8,9 +8,13 @@
 //! had with Renren's dumps.
 //!
 //! Files (per dataset directory):
-//! * `edges.csv`   — `src,dst,time_secs` (via `osn_graph::io`)
+//! * `edges.csv`   — `src,dst,time_secs`
 //! * `accounts.csv`— `id,kind,attacker,tool,created_secs,banned_secs,gender,attractiveness`
 //! * `requests.csv`— `from,to,sent_secs,outcome,decided_secs`
+//!
+//! `accounts.csv` declares the population: an edge or request naming an id
+//! it does not list is rejected, so an imported dataset never indexes past
+//! its account table.
 
 use crate::account::{Account, AccountKind};
 use crate::log::RequestLog;
@@ -19,7 +23,7 @@ use crate::profile::{Gender, Profile};
 use crate::request::{RequestOutcome, RequestRecord};
 use crate::tools::ToolKind;
 use crate::SimConfig;
-use osn_graph::{NodeId, Timestamp};
+use osn_graph::{NodeId, TemporalGraph, Timestamp};
 use std::fs;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -29,8 +33,12 @@ pub fn export_dataset<P: AsRef<Path>>(out: &SimOutput, dir: P) -> io::Result<()>
     let dir = dir.as_ref();
     fs::create_dir_all(dir)?;
     // Graph.
-    let f = fs::File::create(dir.join("edges.csv"))?;
-    osn_graph::io::write_edge_list(&out.graph, BufWriter::new(f))?;
+    let mut w = BufWriter::new(fs::File::create(dir.join("edges.csv"))?);
+    writeln!(w, "src,dst,time_secs")?;
+    for e in out.graph.edges() {
+        writeln!(w, "{},{},{}", e.a.0, e.b.0, e.time.as_secs())?;
+    }
+    w.flush()?;
     // Accounts.
     let mut w = BufWriter::new(fs::File::create(dir.join("accounts.csv"))?);
     writeln!(
@@ -107,17 +115,22 @@ fn bad(line: usize, what: &str) -> io::Error {
     )
 }
 
+/// Parse column `name` as an account id: one of the `accounts` ids that
+/// `accounts.csv` declared.
+fn account_id(col: &str, accounts: usize, line: usize, name: &str) -> io::Result<NodeId> {
+    match col.trim().parse::<u32>() {
+        Ok(id) if (id as usize) < accounts => Ok(NodeId(id)),
+        Ok(_) => Err(bad(line, &format!("{name} is not an id in accounts.csv"))),
+        Err(_) => Err(bad(line, &format!("bad {name}"))),
+    }
+}
+
 /// Load a dataset written by [`export_dataset`]. The returned
 /// [`SimOutput`] carries the given `config` for provenance (the CSVs don't
 /// embed it) and empty engine stats.
 pub fn import_dataset<P: AsRef<Path>>(dir: P, config: SimConfig) -> io::Result<SimOutput> {
     let dir = dir.as_ref();
-    let graph = {
-        let f = fs::File::open(dir.join("edges.csv"))?;
-        osn_graph::io::read_edge_list(BufReader::new(f))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-    };
-    // Accounts.
+    // Accounts first: they size the graph and bound every id below.
     let mut accounts: Vec<Account> = Vec::new();
     let f = fs::File::open(dir.join("accounts.csv"))?;
     for (lineno, line) in BufReader::new(f).lines().enumerate() {
@@ -168,6 +181,27 @@ pub fn import_dataset<P: AsRef<Path>>(dir: P, config: SimConfig) -> io::Result<S
             sociability: 1.0,
         });
     }
+    let n = accounts.len();
+    // Graph. The header is optional; fields may carry surrounding blanks.
+    let mut graph = TemporalGraph::with_nodes(n);
+    let f = fs::File::open(dir.join("edges.csv"))?;
+    for (lineno, line) in BufReader::new(f).lines().enumerate() {
+        let line = line?;
+        let row = line.trim();
+        if row.is_empty() || (lineno == 0 && row.starts_with("src")) {
+            continue;
+        }
+        let cols: Vec<&str> = row.split(',').collect();
+        if cols.len() != 3 {
+            return Err(bad(lineno + 1, "expected 3 columns"));
+        }
+        let a = account_id(cols[0], n, lineno + 1, "src")?;
+        let b = account_id(cols[1], n, lineno + 1, "dst")?;
+        let t = cols[2].trim().parse().map_err(|_| bad(lineno + 1, "bad time"))?;
+        graph
+            .add_edge(a, b, Timestamp(t))
+            .map_err(|e| bad(lineno + 1, &e.to_string()))?;
+    }
     // Requests.
     let mut log = RequestLog::new();
     let f = fs::File::open(dir.join("requests.csv"))?;
@@ -180,8 +214,8 @@ pub fn import_dataset<P: AsRef<Path>>(dir: P, config: SimConfig) -> io::Result<S
         if cols.len() != 5 {
             return Err(bad(lineno + 1, "expected 5 columns"));
         }
-        let from = NodeId(cols[0].parse().map_err(|_| bad(lineno + 1, "bad from"))?);
-        let to = NodeId(cols[1].parse().map_err(|_| bad(lineno + 1, "bad to"))?);
+        let from = account_id(cols[0], n, lineno + 1, "from")?;
+        let to = account_id(cols[1], n, lineno + 1, "to")?;
         let sent = Timestamp(cols[2].parse().map_err(|_| bad(lineno + 1, "bad sent"))?);
         // The log's contract (send order, no decision before its send) is
         // only debug-asserted downstream; a file that breaks it would make
@@ -258,36 +292,22 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Two accounts, and four: the populations the cases below import into.
+    const TWO: &str = "header\n0,normal,,,0,,f,0.5\n1,normal,,,0,,m,0.5\n";
+    const FOUR: &str = "header\n0,normal,,,0,,f,0.5\n1,normal,,,0,,m,0.5\n\
+                        2,normal,,,0,,f,0.5\n3,normal,,,0,,m,0.5\n";
+
     #[test]
     fn import_rejects_garbage() {
-        let dir = std::env::temp_dir().join("osn_sim_io_garbage");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("edges.csv"), "src,dst,time_secs\n0,1,5\n").unwrap();
-        fs::write(
-            dir.join("accounts.csv"),
-            "header\n0,normal,,,0,,f,0.5\n1,alien,,,0,,f,0.5\n",
-        )
-        .unwrap();
-        fs::write(dir.join("requests.csv"), "header\n").unwrap();
-        let err = import_dataset(&dir, SimConfig::tiny(0)).unwrap_err();
-        assert!(err.to_string().contains("bad kind"), "{err}");
-        let _ = fs::remove_dir_all(&dir);
+        let accounts = "header\n0,normal,,,0,,f,0.5\n1,alien,,,0,,f,0.5\n";
+        let err = err_text(import_files("garbage", "0,1,5\n", accounts, "header\n"));
+        assert!(err.contains("bad kind"), "{err}");
     }
 
     /// Rows that break the log's well-formedness contract are rejected
     /// with their line number instead of reaching the stream merge.
     #[test]
     fn import_rejects_ill_formed_requests() {
-        let dir = std::env::temp_dir().join("osn_sim_io_ill_formed");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("edges.csv"), "src,dst,time_secs\n0,1,5\n").unwrap();
-        fs::write(
-            dir.join("accounts.csv"),
-            "header\n0,normal,,,0,,f,0.5\n1,normal,,,0,,m,0.5\n",
-        )
-        .unwrap();
         for (rows, want) in [
             (
                 "0,1,10,accepted,9\n",
@@ -298,15 +318,138 @@ mod tests {
                 "line 3: sent_secs goes backwards",
             ),
         ] {
-            fs::write(dir.join("requests.csv"), format!("header\n{rows}")).unwrap();
-            let err = import_dataset(&dir, SimConfig::tiny(0)).unwrap_err();
-            assert!(err.to_string().contains(want), "{err}");
+            let requests = format!("header\n{rows}");
+            let err = err_text(import_files("ill_formed", "0,1,5\n", TWO, &requests));
+            assert!(err.contains(want), "{err}");
         }
         // Equal timestamps are well-formed: answered the second it was sent.
         let tied = "header\n0,1,10,rejected,10\n1,0,10,pending,\n";
-        fs::write(dir.join("requests.csv"), tied).unwrap();
-        let back = import_dataset(&dir, SimConfig::tiny(0)).unwrap();
+        let back = import_files("tied", "0,1,5\n", TWO, tied).unwrap();
         assert_eq!(back.log.len(), 2);
+    }
+
+    /// Import a dataset of the three given files from a directory named
+    /// after the calling test, then remove it.
+    fn import_files(
+        name: &str,
+        edges: &str,
+        accounts: &str,
+        requests: &str,
+    ) -> io::Result<SimOutput> {
+        let dir = std::env::temp_dir().join(format!("osn_sim_io_{name}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("edges.csv"), edges).unwrap();
+        fs::write(dir.join("accounts.csv"), accounts).unwrap();
+        fs::write(dir.join("requests.csv"), requests).unwrap();
+        let got = import_dataset(&dir, SimConfig::tiny(0));
+        let _ = fs::remove_dir_all(&dir);
+        got
+    }
+
+    /// Import `edges` beside [`FOUR`] accounts and no requests.
+    fn import_edges(name: &str, edges: &str) -> io::Result<SimOutput> {
+        import_files(name, edges, FOUR, "header\n")
+    }
+
+    fn err_text(got: io::Result<SimOutput>) -> String {
+        match got {
+            Ok(_) => panic!("import accepted an invalid dataset"),
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                e.to_string()
+            }
+        }
+    }
+
+    /// The edge list comes back edge for edge, in creation order, with
+    /// its times.
+    #[test]
+    fn roundtrip() {
+        let out = simulate(SimConfig::tiny(5));
+        let dir = std::env::temp_dir().join(format!("osn_sim_io_edges_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        export_dataset(&out, &dir).unwrap();
+        let back = import_dataset(&dir, SimConfig::tiny(5)).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+        assert!(out.graph.num_edges() > 0);
+        assert_eq!(back.graph.edges(), out.graph.edges());
+        assert_eq!(back.graph.num_nodes(), out.accounts.len());
+    }
+
+    #[test]
+    fn header_is_optional() {
+        let g = import_edges("no_header", "0,1,5\n1,2,6\n").unwrap().graph;
+        assert_eq!(g.num_edges(), 2);
+        // The graph is sized by accounts.csv, not by the largest id seen.
+        assert_eq!(g.num_nodes(), 4);
+    }
+
+    #[test]
+    fn empty_input() {
+        for edges in ["", "src,dst,time_secs\n", "\n  \n"] {
+            let g = import_edges("empty", edges).unwrap().graph;
+            assert_eq!((g.num_nodes(), g.num_edges()), (4, 0), "{edges:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_line_errors() {
+        let err = err_text(import_edges("short", "0,1\n"));
+        assert!(err.contains("line 1: expected 3 columns"), "{err}");
+        let err = err_text(import_edges("letters", "src,dst,time_secs\na,b,c\n"));
+        assert!(err.contains("line 2: bad src"), "{err}");
+        let err = err_text(import_edges("bad_time", "0,1,soon\n"));
+        assert!(err.contains("line 1: bad time"), "{err}");
+    }
+
+    #[test]
+    fn self_loop_errors() {
+        let err = err_text(import_edges("self_loop", "3,3,0\n"));
+        assert!(err.contains("line 1: self loop on node 3"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_errors() {
+        let err = err_text(import_edges("duplicate", "0,1,0\n1,0,5\n"));
+        assert!(err.contains("line 2: duplicate edge"), "{err}");
+    }
+
+    #[test]
+    fn whitespace_tolerated() {
+        let g = import_edges("blanks", " 0 , 1 , 7 \n").unwrap().graph;
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.edges()[0].time, Timestamp(7));
+    }
+
+    /// A request naming an account `accounts.csv` never declared used to
+    /// import, and feature extraction then indexed past the account table.
+    #[test]
+    fn request_endpoint_outside_the_accounts_is_rejected() {
+        let err = err_text(import_files("req_to", "", TWO, "header\n0,7,10,accepted,11\n"));
+        assert!(err.contains("line 2: to is not an id in accounts.csv"), "{err}");
+        let err = err_text(import_files("req_from", "", TWO, "header\n2,0,10,pending,\n"));
+        assert!(err.contains("line 2: from is not an id in accounts.csv"), "{err}");
+    }
+
+    /// An edge naming an undeclared account used to grow the graph past
+    /// the account table, silently.
+    #[test]
+    fn edge_endpoint_outside_the_accounts_is_rejected() {
+        let err = err_text(import_edges("edge_dst", "0,9,5\n"));
+        assert!(err.contains("line 1: dst is not an id in accounts.csv"), "{err}");
+        let err = err_text(import_edges("edge_src", "4,0,5\n"));
+        assert!(err.contains("line 1: src is not an id in accounts.csv"), "{err}");
+    }
+
+    /// A single far-out id used to size the adjacency by itself (a 40-byte
+    /// file asked for hundreds of millions of nodes); it is refused before
+    /// anything is allocated for it.
+    #[test]
+    fn huge_edge_endpoint_is_rejected_before_sizing_the_graph() {
+        let err = err_text(import_edges("edge_huge", "src,dst,time_secs\n0,400000000,5\n"));
+        assert!(err.contains("line 2: dst is not an id in accounts.csv"), "{err}");
+        let err = err_text(import_edges("edge_max", "0,4294967295,5\n"));
+        assert!(err.contains("line 1: dst is not an id in accounts.csv"), "{err}");
     }
 }

@@ -1,7 +1,6 @@
 //! The append-only friend-request log and its per-account indices.
 
 use crate::request::{RequestOutcome, RequestRecord};
-use osn_graph::{NodeId, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// Append-only log of every friend request in a simulation, in send order.
@@ -65,15 +64,6 @@ impl RequestLog {
     pub fn receiver_index(&self, n: usize) -> LogIndex {
         LogIndex::build(n, self.records.iter().map(|r| r.to.index()))
     }
-
-    /// Iterator over the timestamps of requests sent by `who` (requires the
-    /// full scan; use [`Self::sender_index`] for bulk work).
-    pub fn sent_times(&self, who: NodeId) -> impl Iterator<Item = Timestamp> + '_ {
-        self.records
-            .iter()
-            .filter(move |r| r.from == who)
-            .map(|r| r.sent_at)
-    }
 }
 
 /// Flat CSR-style per-account index over log record positions: one
@@ -123,6 +113,7 @@ impl LogIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use osn_graph::{NodeId, Timestamp};
 
     fn rec(from: u32, to: u32, h: u64) -> RequestRecord {
         RequestRecord {
@@ -162,15 +153,5 @@ mod tests {
         assert_eq!(recv.of(0), &[2]);
         assert_eq!(recv.of(1), &[0]);
         assert_eq!(recv.of(2), &[1]);
-    }
-
-    #[test]
-    fn sent_times_filters_sender() {
-        let mut log = RequestLog::new();
-        log.push(rec(0, 1, 1));
-        log.push(rec(1, 0, 2));
-        log.push(rec(0, 2, 5));
-        let times: Vec<u64> = log.sent_times(NodeId(0)).map(|t| t.as_secs()).collect();
-        assert_eq!(times, vec![3600, 18000]);
     }
 }

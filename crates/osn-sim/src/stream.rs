@@ -85,11 +85,6 @@ impl<'a> EventStream<'a> {
             next_seq: 0,
         }
     }
-
-    /// Total number of events this stream will yield (sends + decisions).
-    pub fn total_events(&self) -> usize {
-        self.log.len() + self.decided.len()
-    }
 }
 
 /// Decision time of resolved record `i` (caller guarantees resolution).
@@ -429,9 +424,8 @@ mod tests {
             (1, 2, 3, None),
             (2, 3, 4, Some((8, false))),
         ]);
-        let stream = EventStream::new(&log);
-        assert_eq!(stream.total_events(), 5);
-        let events: Vec<StreamEvent> = stream.collect();
+        // Three sends and the two resolved records' decisions.
+        let events: Vec<StreamEvent> = EventStream::new(&log).collect();
         assert_eq!(events.len(), 5);
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.seq, i as u64);

@@ -127,7 +127,9 @@ proptest! {
             }
             pulled += events.len();
         }
-        prop_assert_eq!(pulled, osn_sim::EventStream::new(&out.log).total_events());
+        // One send per record and one decision per resolved record.
+        let resolved = out.log.records().iter().filter(|r| r.outcome.is_resolved()).count();
+        prop_assert_eq!(pulled, out.log.len() + resolved);
     }
 }
 

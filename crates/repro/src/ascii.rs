@@ -3,8 +3,8 @@
 #![allow(clippy::needless_range_loop)] // grid painting reads clearer indexed
 
 //! The `repro` harness prints every figure as ASCII so results are
-//! inspectable without a plotting stack; the underlying series are also
-//! exported as CSV for external tooling.
+//! inspectable without a plotting stack; the typed results behind them
+//! are written as JSON for external tooling.
 
 use crate::cdf::Cdf;
 

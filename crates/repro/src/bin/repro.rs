@@ -15,8 +15,7 @@
 use sybil_obs::Snapshot;
 use sybil_repro::{chaos, defenses, deployment, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9};
 use sybil_repro::{help, mixing, parse_args, reach, restart, serve, table1, table2, table3, zoo};
-use sybil_repro::{Ctx, RunSpec};
-use sybil_stats::export;
+use sybil_repro::{export, Ctx, RunSpec};
 
 fn main() {
     let spec: RunSpec = match parse_args(std::env::args().skip(1)) {
@@ -224,7 +223,7 @@ mod erased {
 
     impl<T: serde::Serialize> Json for T {
         fn write(&self, path: &Path) -> std::io::Result<()> {
-            sybil_stats::export::write_json(path, self)
+            sybil_repro::export::write_json(path, self)
         }
     }
 }

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Stores the sorted samples; evaluation and quantiles are `O(log n)`.
 ///
 /// ```
-/// use sybil_stats::Cdf;
+/// use sybil_repro::cdf::Cdf;
 ///
 /// let cdf: Cdf = (1..=100).map(f64::from).collect();
 /// assert_eq!(cdf.eval(50.0), 0.5);
@@ -105,25 +105,6 @@ impl Cdf {
             })
             .collect()
     }
-
-    /// Log-spaced `(x, P(X ≤ x))` points, for the paper's log-x CDFs
-    /// (Figs. 4, 5, 9). Uses `lo.max(floor)` as the left edge so zero
-    /// samples don't break the log scale.
-    pub fn curve_log(&self, points: usize, floor: f64) -> Vec<(f64, f64)> {
-        let (Some(lo), Some(hi)) = (self.min(), self.max()) else {
-            return Vec::new();
-        };
-        let lo = lo.max(floor);
-        let hi = hi.max(lo * 1.0001);
-        let points = points.max(2);
-        (0..points)
-            .map(|i| {
-                let f = i as f64 / (points - 1) as f64;
-                let x = lo * (hi / lo).powf(f);
-                (x, self.eval(x))
-            })
-            .collect()
-    }
 }
 
 impl FromIterator<f64> for Cdf {
@@ -163,7 +144,6 @@ mod tests {
         assert_eq!(c.quantile(0.5), None);
         assert_eq!(c.mean(), 0.0);
         assert!(c.curve(10).is_empty());
-        assert!(c.curve_log(10, 1e-6).is_empty());
     }
 
     #[test]
@@ -198,16 +178,5 @@ mod tests {
             assert!(w[0].0 <= w[1].0);
         }
         assert_eq!(pts.last().unwrap().1, 1.0);
-    }
-
-    #[test]
-    fn curve_log_handles_zeros() {
-        let c = Cdf::new(vec![0.0, 0.001, 0.1, 1.0]);
-        let pts = c.curve_log(10, 1e-6);
-        assert_eq!(pts.len(), 10);
-        assert!(pts[0].0 >= 1e-6);
-        for w in pts.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
     }
 }

@@ -30,7 +30,7 @@ use sybil_chaos::{
 use sybil_core::realtime::RealtimeConfig;
 use sybil_core::ThresholdClassifier;
 use sybil_serve::{ServeConfig, ServeError};
-use sybil_stats::table::Table;
+use crate::table::Table;
 
 /// Epochs the seed-derived schedule targets (faults beyond the stream's
 /// actual epoch count simply never fire).

@@ -19,7 +19,7 @@ use sybil_defense::{
     evaluate_defense, ConductanceRanking, DefenseEvaluation, SumUp, SybilDefense, SybilGuard,
     SybilInfer, SybilLimit,
 };
-use sybil_stats::table::Table;
+use crate::table::Table;
 
 /// One defense's two evaluations.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use sybil_core::realtime::{replay, DeploymentReport, RealtimeConfig};
 use sybil_core::ThresholdClassifier;
 use sybil_serve::{ServeConfig, ServeSession};
-use sybil_stats::table::Table;
+use crate::table::Table;
 
 /// Result of the deployment experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

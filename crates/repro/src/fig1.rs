@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sybil_features::dataset::GroundTruth;
 use sybil_features::FeatureExtractor;
-use sybil_stats::{ascii, Cdf};
+use crate::{ascii, cdf::Cdf};
 
 /// Result of the Fig. 1 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -6,7 +6,7 @@
 use crate::fig1::ground_truth_sample;
 use crate::scenario::Ctx;
 use serde::{Deserialize, Serialize};
-use sybil_stats::{ascii, Cdf, Summary};
+use crate::{ascii, cdf::Cdf, summary::Summary};
 
 /// Result of the Fig. 2 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -8,7 +8,7 @@
 use crate::scenario::Ctx;
 use osn_graph::degree;
 use serde::{Deserialize, Serialize};
-use sybil_stats::{ascii, Cdf};
+use crate::{ascii, cdf::Cdf};
 
 /// Result of the Fig. 5 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

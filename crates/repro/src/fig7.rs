@@ -7,7 +7,7 @@
 use crate::scenario::Ctx;
 use osn_graph::metrics;
 use serde::{Deserialize, Serialize};
-use sybil_stats::ascii;
+use crate::ascii;
 
 /// Result of the Fig. 7 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

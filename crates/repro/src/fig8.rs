@@ -11,7 +11,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use sybil_features::temporal::{self, EdgeOrderColumn};
-use sybil_stats::ascii;
+use crate::ascii;
 
 /// Result of the Fig. 8 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

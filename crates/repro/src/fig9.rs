@@ -7,7 +7,7 @@
 use crate::scenario::Ctx;
 use osn_graph::degree;
 use serde::{Deserialize, Serialize};
-use sybil_stats::{ascii, Cdf};
+use crate::{ascii, cdf::Cdf};
 
 /// Result of the Fig. 9 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -2,8 +2,8 @@
 //!
 //! One module per table/figure of the paper. Each experiment consumes a
 //! shared simulation context ([`scenario::Ctx`]), produces a typed result
-//! (serializable for `results/*.json`), renders itself as text (ASCII CDF
-//! plots, aligned tables), and writes its underlying series as CSV.
+//! (serializable for `results/*.json`) and renders itself as text (ASCII
+//! CDF plots, aligned tables).
 //!
 //! | Experiment | Paper artifact | Module |
 //! |---|---|---|
@@ -27,15 +27,24 @@
 //! | kill + warm-restart drill | §2.3 persistence story | [`restart`] |
 //! | spam-reach cascades | §2.1 motivation | [`reach`] |
 //!
+//! Every figure in the paper is a CDF, a scatter, or a dot matrix; every
+//! table is rows of counts. The presentation primitives they share live
+//! here too: empirical CDFs ([`cdf`]), summary statistics ([`summary`]),
+//! terminal rendering ([`ascii`]), aligned tables ([`table`]), and
+//! JSON/text export ([`export`]).
+//!
 //! Run everything with the `repro` binary:
 //! `cargo run --release -p sybil-repro --bin repro -- all`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod ascii;
+pub mod cdf;
 pub mod chaos;
 pub mod defenses;
 pub mod deployment;
+pub mod export;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
@@ -49,8 +58,10 @@ pub mod restart;
 pub mod runspec;
 pub mod scenario;
 pub mod serve;
+pub mod summary;
 pub mod mixing;
 pub mod reach;
+pub mod table;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -14,7 +14,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use sybil_defense::common::injected_cluster_graph;
-use sybil_stats::table::Table;
+use crate::table::Table;
 
 /// Result of the mixing experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

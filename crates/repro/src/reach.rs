@@ -14,7 +14,7 @@ use osn_graph::{cascade, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use sybil_stats::table::Table;
+use crate::table::Table;
 
 /// Reach measurements for one Sybil component.
 #[derive(Clone, Debug, Serialize, Deserialize)]

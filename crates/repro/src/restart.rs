@@ -185,7 +185,7 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<RestartRun, RestartError> {
 impl RestartRun {
     /// Render the warm-restart dashboard.
     pub fn render(&self) -> String {
-        use sybil_stats::table::Table;
+        use crate::table::Table;
         let mut t = Table::new(["Quantity", "Value"]);
         let rows: Vec<(&str, String)> = vec![
             ("Kill epoch", self.kill_epoch.to_string()),

@@ -15,7 +15,7 @@ use sybil_core::realtime::{replay, replay_observed, DeploymentReport, RealtimeCo
 use sybil_core::ThresholdClassifier;
 use sybil_obs::{Registry, Snapshot};
 use sybil_serve::{ServeConfig, ServeError, ServeOutcome, ServeSession};
-use sybil_stats::table::Table;
+use crate::table::Table;
 use sybil_store::{StoreError, StorePlane};
 
 /// Why the serving experiment could not run.

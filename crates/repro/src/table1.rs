@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use sybil_core::eval::{cross_validate, ConfusionMatrix};
 use sybil_core::svm::kernel::KernelSvmParams;
 use sybil_core::{KernelSvm, ThresholdClassifier};
-use sybil_stats::table::Table;
+use crate::table::Table;
 
 /// Result of the Table 1 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

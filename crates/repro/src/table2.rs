@@ -7,7 +7,7 @@
 use crate::scenario::Ctx;
 use osn_graph::metrics;
 use serde::{Deserialize, Serialize};
-use sybil_stats::table::Table;
+use crate::table::Table;
 
 /// One row of Table 2.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]

@@ -9,7 +9,7 @@
 use crate::scenario::Ctx;
 use osn_sim::ToolKind;
 use serde::{Deserialize, Serialize};
-use sybil_stats::table::Table;
+use crate::table::Table;
 
 /// Per-tool measured behavior.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -19,7 +19,7 @@ use sybil_core::svm::linear::LinearSvmParams;
 use sybil_core::{
     KernelSvm, LinearSvm, LogisticRegression, NaiveBayes, ThresholdClassifier,
 };
-use sybil_stats::table::Table;
+use crate::table::Table;
 
 /// One classifier's cross-validated results.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -1,26 +1,16 @@
 //! Clustering-coefficient feature (Fig. 4): first 50 friends by time.
 
-use osn_graph::{clustering, par, CsrSnapshot, NeighborScratch, NodeId, TemporalGraph};
+use osn_graph::{clustering, NodeId, TemporalGraph};
 
 /// Number of earliest friends the paper's Fig. 4 metric considers.
 pub const FIRST_K: usize = 50;
 
 /// Clustering coefficient over the first 50 friends of `n` (by friendship
-/// time). Zero for accounts with fewer than two friends.
+/// time), on the mutable graph. Zero for accounts with fewer than two
+/// friends. [`crate::FeatureExtractor`] computes the same metric on a
+/// frozen snapshot; this is the reference its tests compare against.
 pub fn first50_cc(graph: &TemporalGraph, n: NodeId) -> f64 {
     clustering::first_k_clustering(graph, n, FIRST_K)
-}
-
-/// Same metric for every node in `nodes`, computed over one frozen
-/// [`CsrSnapshot`] across threads. Bit-identical to mapping
-/// [`first50_cc`] over `nodes` serially.
-pub fn first50_cc_all(graph: &TemporalGraph, nodes: &[NodeId]) -> Vec<f64> {
-    let snap = CsrSnapshot::freeze(graph);
-    par::map_indexed_with(
-        nodes.len(),
-        || NeighborScratch::new(snap.num_nodes()),
-        |scratch, i| snap.first_k_clustering(nodes[i], FIRST_K, scratch),
-    )
 }
 
 #[cfg(test)]
@@ -37,7 +27,6 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(2), t).unwrap();
         assert_eq!(first50_cc(&g, NodeId(0)), 1.0);
         assert_eq!(first50_cc(&g, NodeId(3)), 0.0);
-        assert_eq!(first50_cc_all(&g, &[NodeId(0), NodeId(3)]), vec![1.0, 0.0]);
     }
 
     #[test]

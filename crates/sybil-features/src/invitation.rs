@@ -28,31 +28,6 @@ pub fn mean_per_active_window(sent: &[Timestamp], window_h: u64) -> f64 {
     total as f64 / counts.len() as f64
 }
 
-/// The maximum invitations sent in any single `window_h`-hour window — the
-/// burst peak a rate-limit detector would key on.
-pub fn max_per_window(sent: &[Timestamp], window_h: u64) -> u32 {
-    if sent.is_empty() {
-        return 0;
-    }
-    let w = window_h.max(1) * 3600;
-    let t0 = sent.iter().map(|t| t.as_secs()).min().unwrap_or(0);
-    let mut counts: BTreeMap<u64, u32> = BTreeMap::new();
-    for t in sent {
-        *counts.entry((t.as_secs() - t0) / w).or_insert(0) += 1;
-    }
-    counts.values().copied().max().unwrap_or(0)
-}
-
-/// Count of invitations within the trailing window `(now - window_h, now]`
-/// — what a streaming real-time detector maintains.
-pub fn count_in_trailing_window(sent: &[Timestamp], now: Timestamp, window_h: u64) -> usize {
-    let w = window_h.max(1) * 3600;
-    let lo = now.as_secs().saturating_sub(w);
-    sent.iter()
-        .filter(|t| t.as_secs() > lo && t.as_secs() <= now.as_secs())
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,7 +39,6 @@ mod tests {
     #[test]
     fn empty_is_zero() {
         assert_eq!(mean_per_active_window(&[], 1), 0.0);
-        assert_eq!(max_per_window(&[], 1), 0);
     }
 
     #[test]
@@ -72,7 +46,6 @@ mod tests {
         // 30 invitations within one hour -> 1h metric = 30.
         let sent: Vec<Timestamp> = (0..30).map(|i| ts(0.01 * i as f64)).collect();
         assert_eq!(mean_per_active_window(&sent, 1), 30.0);
-        assert_eq!(max_per_window(&sent, 1), 30);
     }
 
     #[test]
@@ -99,14 +72,6 @@ mod tests {
         // the first is late in an absolute hour.
         let sent = vec![ts(5.9), ts(6.4)];
         assert_eq!(mean_per_active_window(&sent, 1), 2.0);
-    }
-
-    #[test]
-    fn trailing_window_counts() {
-        let sent = vec![ts(1.0), ts(2.0), ts(2.5), ts(3.0)];
-        assert_eq!(count_in_trailing_window(&sent, ts(3.0), 1), 2); // (2.0, 3.0]
-        assert_eq!(count_in_trailing_window(&sent, ts(10.0), 1), 0);
-        assert_eq!(count_in_trailing_window(&sent, ts(3.0), 400), 4);
     }
 
     #[test]

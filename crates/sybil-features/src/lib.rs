@@ -105,11 +105,6 @@ impl<'a> FeatureExtractor<'a> {
         self.send_idx.of(n.index())
     }
 
-    /// Record indices of requests received by `n`, in time order.
-    pub fn received_by(&self, n: NodeId) -> &[u32] {
-        self.recv_idx.of(n.index())
-    }
-
     /// Compute the full feature vector for account `n`.
     pub fn features_for(&self, n: NodeId) -> FeatureVector {
         let mut scratch = NeighborScratch::new(self.snap.num_nodes());
@@ -186,7 +181,8 @@ mod tests {
         // accepted all of it — any shortfall is requests still pending
         // at the ban, never a rejection.
         for &s in &sybils {
-            let answered = fx.received_by(s).iter().map(|&i| out.log.get(i as usize).outcome);
+            let received = fx.recv_idx.of(s.index()).iter();
+            let answered = received.map(|&i| out.log.get(i as usize).outcome);
             assert!(
                 answered.filter(|o| o.is_resolved()).all(|o| o.is_accepted()),
                 "sybil {s:?} declined a request"

@@ -63,9 +63,12 @@ proptest! {
         prop_assert_eq!(&one.features, &serial);
     }
 
+    /// The snapshot kernel behind `features_for_all` gives the graph
+    /// metric's bits for the Fig. 4 feature at every thread count.
     #[test]
-    fn first50_cc_all_matches_serial_metric(seed in 0u64..1000) {
+    fn snapshot_cc_matches_serial_metric(seed in 0u64..1000) {
         let out = simulate(SimConfig::tiny(seed));
+        let fx = FeatureExtractor::new(&out);
         let nodes: Vec<NodeId> = (0..out.accounts.len() as u32).map(NodeId).collect();
         let serial: Vec<f64> = nodes
             .iter()
@@ -74,7 +77,8 @@ proptest! {
         for threads in ["1", "4"] {
             let mut parallel = Vec::new();
             with_threads_env(threads, || {
-                parallel = clustering::first50_cc_all(&out.graph, &nodes);
+                let all = fx.features_for_all(&nodes);
+                parallel = all.iter().map(|f| f.clustering_coefficient).collect();
             });
             prop_assert_eq!(&parallel, &serial, "threads={}", threads);
         }

@@ -252,7 +252,16 @@ pub const RULES: [Rule; 20] = [
                  exercises — it dodges the whole test suite. Demote it to pub(crate) (it \
                  stays visible to siblings in its own crate) or delete it. Usage is \
                  detected by name across the workspace, which over-approximates liveness: \
-                 anything S104 still flags has not even a name-collision excuse.",
+                 anything S104 still flags has not even a name-collision excuse.\n\nWhat it \
+                 actually checks is that something names the item, not that production \
+                 code calls it. A test, an example, or a sibling module that is itself \
+                 uncalled all count as users, so a cluster of modules that only call each \
+                 other, their own tests and an example passes: a structural-census module \
+                 kept the k-core and path-length modules alive, a census example kept the \
+                 census and induced-subgraph modules alive, and property tests kept three \
+                 graph generators alive, none of them on a path from a binary. Whether an \
+                 export pays rent is the rent table's question (DESIGN.md), not this \
+                 rule's.",
         sites: None,
     },
     Rule {

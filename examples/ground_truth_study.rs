@@ -14,7 +14,7 @@ use renren_sybils::detect::{KernelSvm, ThresholdClassifier};
 use renren_sybils::features::dataset::GroundTruth;
 use renren_sybils::features::{FeatureExtractor, FeatureVector};
 use renren_sybils::sim::{simulate, SimConfig};
-use renren_sybils::stats::{ascii, Cdf};
+use renren_sybils::repro::{ascii, cdf::Cdf};
 
 fn main() {
     let scale = std::env::args().nth(1).unwrap_or_else(|| "tiny".into());

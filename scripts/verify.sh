@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo verification: the tier-1 gate from ROADMAP.md plus a zero-warning
 # clippy pass, the sybil-lint workspace audit (0 violations, stale
-# lint.toml entries included, inside its <5s runtime budget), the §3.1
+# lint.toml entries included, inside its <5s runtime budget), a run of
+# every example (each must exit 0), the §3.1
 # defenses thread-identity smoke, the same smoke over the experiments
 # that share the ground-truth sample and the reach estimator, the
 # serving-engine serve-vs-replay
@@ -50,6 +51,25 @@ PY
 
 bench_tmp="$(mktemp -d)"
 trap 'rm -rf "$bench_tmp"' EXIT
+
+echo "== examples: every one runs to completion (release) =="
+# Each example is a README scenario, and tier-1 only compiles them: run
+# each one, and fail on a panic or a non-zero exit. dataset_export writes
+# its CSVs into the temporary directory instead of results/.
+n_examples=0
+for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    args=()
+    [ "$name" = dataset_export ] && args=("$bench_tmp/dataset")
+    if ! cargo run -q --release --example "$name" -- "${args[@]}" \
+        >"$bench_tmp/example.log" 2>&1; then
+        cat "$bench_tmp/example.log"
+        echo "example $name failed"
+        exit 1
+    fi
+    n_examples=$((n_examples + 1))
+done
+echo "examples: all $n_examples ran to a zero exit"
 
 echo "== defenses: RENREN_THREADS=1 vs 2 verdict identity =="
 # §3.1's verdict counts must not depend on how suspects are spread over

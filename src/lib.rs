@@ -13,8 +13,9 @@
 //!   and deterministic merge (`sybil-serve`)
 //! * [`defense`] — graph-based baselines: SybilGuard, SybilLimit,
 //!   SybilInfer, SumUp (`sybil-defense`)
-//! * [`stats`] — CDFs, histograms, ASCII plots, exports (`sybil-stats`)
-//! * [`repro`] — the per-figure/table experiment harness (`sybil-repro`)
+//! * [`repro`] — the per-figure/table experiment harness, with the CDFs,
+//!   summaries, ASCII plots, tables and exports it renders through
+//!   (`sybil-repro`)
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the experiment
 //! index mapping every paper figure and table to a module.
@@ -29,4 +30,3 @@ pub use sybil_defense as defense;
 pub use sybil_features as features;
 pub use sybil_repro as repro;
 pub use sybil_serve as serve;
-pub use sybil_stats as stats;

@@ -6,7 +6,7 @@ use renren_sybils::graph::{
     bfs, clustering, components, generators, maxflow::FlowNetwork, metrics, NodeId,
     TemporalGraph, Timestamp, UnionFind,
 };
-use renren_sybils::stats::Cdf;
+use renren_sybils::repro::cdf::Cdf;
 
 /// Build a graph from an arbitrary edge list over `n` nodes (dups/loops
 /// dropped).
