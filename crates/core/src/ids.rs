@@ -1,36 +1,23 @@
-//! Checked `usize` → `u32` conversions for the id-packing contract.
+//! Checked `usize` → `u32` conversion for the id-packing contract.
 //!
 //! The serving substrate moves account ids, per-window counts, and queue
 //! depths as `u32` end to end: node ids pack two-per-`u64` in the mirror
 //! delta, CSR offsets are `u32`, and the 5M-account scale target leaves
 //! 800× headroom below `u32::MAX`. A bare `as u32` at any of those
 //! boundaries would truncate silently if the invariant ever broke —
-//! `sybil-lint` rule S115 rejects such casts on the hot path. These
-//! helpers are the sanctioned replacements:
-//!
-//! * [`count_u32`] for fallible boundaries (config, file ingest), where
-//!   the caller has a `Result` channel to surface [`Error::IdOverflow`];
-//! * [`saturating_u32`] for infallible counters (sliding-window peaks),
-//!   where clamping at `u32::MAX` is the documented behavior and strictly
-//!   better than wrapping.
-
-use crate::error::Error;
-
-/// Convert a count to `u32`, failing with [`Error::IdOverflow`] when it
-/// does not fit. `what` names the quantity for the error message.
-pub fn count_u32(n: usize, what: &'static str) -> Result<u32, Error> {
-    u32::try_from(n).map_err(|_| Error::IdOverflow {
-        what,
-        value: n as u64,
-    })
-}
+//! `sybil-lint` rule S115 rejects such casts on the hot path.
+//! [`saturating_u32`] is the sanctioned replacement for infallible
+//! counters (sliding-window peaks), where clamping at `u32::MAX` is the
+//! documented behavior and strictly better than wrapping; a boundary
+//! with a `Result` channel uses `u32::try_from` into its own crate's
+//! typed error.
 
 /// Convert a count to `u32`, clamping to `u32::MAX` on overflow.
 ///
 /// For monotone gauges (peak window occupancy, high-water marks) a
 /// clamped ceiling is exact until 4.29 billion and stays a valid upper
 /// bound after, whereas `as u32` would wrap to a small — and wrong —
-/// value. Use [`count_u32`] instead wherever a `Result` can propagate.
+/// value.
 #[inline]
 pub fn saturating_u32(n: usize) -> u32 {
     u32::try_from(n).unwrap_or(u32::MAX)
@@ -42,34 +29,9 @@ mod tests {
 
     #[test]
     fn in_range_counts_convert_exactly() {
-        assert_eq!(count_u32(0, "zero").unwrap(), 0);
-        assert_eq!(count_u32(123_456, "count").unwrap(), 123_456);
-        assert_eq!(
-            count_u32(u32::MAX as usize, "max").unwrap(),
-            u32::MAX
-        );
+        assert_eq!(saturating_u32(0), 0);
         assert_eq!(saturating_u32(77), 77);
         assert_eq!(saturating_u32(u32::MAX as usize), u32::MAX);
-    }
-
-    #[test]
-    fn overflow_is_a_typed_error_not_a_truncation() {
-        let too_big = u32::MAX as usize + 1;
-        let err = count_u32(too_big, "request log index").unwrap_err();
-        match err {
-            Error::IdOverflow { what, value } => {
-                assert_eq!(what, "request log index");
-                assert_eq!(value, too_big as u64);
-            }
-            other => panic!("expected IdOverflow, got {other:?}"),
-        }
-        // The Display form names the quantity and the value, so a CLI
-        // surface shows *which* id space overflowed.
-        let msg = count_u32(too_big, "request log index")
-            .unwrap_err()
-            .to_string();
-        assert!(msg.contains("request log index"), "{msg}");
-        assert!(msg.contains("4294967296"), "{msg}");
     }
 
     #[test]

@@ -26,7 +26,6 @@
 pub mod adaptive;
 pub mod bayes;
 pub mod digest;
-pub mod error;
 pub mod eval;
 pub mod ids;
 pub mod logistic;
@@ -36,7 +35,6 @@ pub mod threshold;
 
 pub use adaptive::AdaptiveThresholds;
 pub use bayes::NaiveBayes;
-pub use error::Error;
 pub use eval::ConfusionMatrix;
 pub use logistic::LogisticRegression;
 pub use svm::{KernelSvm, LinearSvm, Scaler};

@@ -85,25 +85,6 @@ impl RealtimeConfig {
         c.audit_every = c.audit_every.max(1);
         c
     }
-
-    /// Strict validation for configs coming from the outside (CLI, files):
-    /// rejects the zero cadences that [`sanitized`](Self::sanitized) would
-    /// clamp, so callers can surface the mistake instead of guessing.
-    pub fn validate(&self) -> Result<(), crate::Error> {
-        if self.check_every == 0 {
-            return Err(crate::Error::InvalidConfig {
-                field: "check_every",
-                message: "must be ≥ 1 (0 disables every evaluation)".into(),
-            });
-        }
-        if self.audit_every == 0 {
-            return Err(crate::Error::InvalidConfig {
-                field: "audit_every",
-                message: "must be ≥ 1 (0 disables every audit)".into(),
-            });
-        }
-        Ok(())
-    }
 }
 
 /// One detection event.
@@ -694,21 +675,19 @@ mod tests {
     }
 
     #[test]
-    fn config_validation_rejects_zero_cadences() {
-        assert!(RealtimeConfig::default().validate().is_ok());
+    fn sanitized_clamps_zero_cadences_to_one() {
+        let d = RealtimeConfig::default();
+        assert_eq!(
+            (d.sanitized().check_every, d.sanitized().audit_every),
+            (d.check_every, d.audit_every)
+        );
         let c = RealtimeConfig {
             check_every: 0,
-            ..RealtimeConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = RealtimeConfig {
             audit_every: 0,
-            ..RealtimeConfig::default()
+            ..d
         };
-        assert!(c.validate().is_err());
         let s = c.sanitized();
-        assert_eq!(s.audit_every, 1);
-        assert!(s.validate().is_ok());
+        assert_eq!((s.check_every, s.audit_every), (1, 1));
     }
 
     /// No eligible Sybils is "nothing to catch", not "caught nothing".

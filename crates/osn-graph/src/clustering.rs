@@ -6,36 +6,20 @@
 //! average ≈ 0.0386 and Sybils ≈ 0.0006 because Sybils befriend strangers
 //! with no mutual ties.
 
-use crate::graph::{Neighbor, NodeId, TemporalGraph, Timestamp};
+use crate::graph::{NodeId, TemporalGraph};
 use crate::par;
 
-/// Local clustering coefficient of `n` over its entire neighborhood:
-/// `edges-among-neighbors / C(deg, 2)`. Zero when `deg < 2`.
-pub fn local_clustering(g: &TemporalGraph, n: NodeId) -> f64 {
-    clustering_over(g, g.neighbors(n))
-}
-
 /// The paper's Fig. 4 metric: clustering coefficient over the first `k`
-/// friends of `n` in chronological order. Zero when fewer than 2 friends.
+/// friends of `n` in chronological order —
+/// `edges-among-them / C(k', 2)` for the `k' ≤ k` friends there are. Zero
+/// when fewer than 2 friends.
+///
+/// Pairwise membership probes over a borrowed friend slice: the serial
+/// oracle of the [`CsrSnapshot`](crate::snapshot::CsrSnapshot) kernel
+/// bulk sweeps use, which replaces the O(k²) probes with O(Σ deg)
+/// scratch marking.
 pub fn first_k_clustering(g: &TemporalGraph, n: NodeId, k: usize) -> f64 {
-    clustering_over(g, g.first_k_friends(n, k))
-}
-
-/// Clustering coefficient over the friends of `n` acquired strictly before
-/// `t` — what a streaming detector can know mid-simulation. Like the other
-/// temporal analyses, this reads the friends-before-`t` set as a prefix of
-/// the chronologically ordered adjacency list.
-pub fn clustering_before(g: &TemporalGraph, n: NodeId, t: Timestamp) -> f64 {
-    let adj = g.neighbors(n);
-    let cut = adj.partition_point(|nb| nb.time < t);
-    clustering_over(g, &adj[..cut])
-}
-
-/// Pairwise-probe clustering over a borrowed friend slice — no
-/// intermediate collection. For bulk sweeps prefer the
-/// [`CsrSnapshot`](crate::snapshot::CsrSnapshot) kernels, which replace
-/// the O(k²) membership probes with O(Σ deg) scratch marking.
-fn clustering_over(g: &TemporalGraph, fs: &[Neighbor]) -> f64 {
+    let fs = g.first_k_friends(n, k);
     let k = fs.len();
     if k < 2 {
         return 0.0;
@@ -51,35 +35,6 @@ fn clustering_over(g: &TemporalGraph, fs: &[Neighbor]) -> f64 {
     links as f64 / (k * (k - 1) / 2) as f64
 }
 
-/// Mean local clustering coefficient over all nodes with degree ≥ 2
-/// (the usual "average clustering" summary).
-///
-/// Runs the per-node kernels through [`par::map_indexed_with`]; the sum
-/// itself stays in node order, so the result is bit-identical at any
-/// thread count.
-pub fn average_clustering(g: &TemporalGraph) -> f64 {
-    let snap = crate::snapshot::CsrSnapshot::freeze(g);
-    let per_node = par::map_indexed_with(
-        g.num_nodes(),
-        || crate::snapshot::NeighborScratch::new(snap.num_nodes()),
-        |scratch, i| {
-            let n = NodeId(i as u32);
-            (snap.degree(n) >= 2).then(|| snap.local_clustering(n, scratch))
-        },
-    );
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    for cc in per_node.into_iter().flatten() {
-        sum += cc;
-        count += 1;
-    }
-    if count == 0 {
-        0.0
-    } else {
-        sum / count as f64
-    }
-}
-
 /// First-`k` clustering ([`first_k_clustering`]) for every node, computed
 /// over a shared snapshot on [`par::num_threads`] threads. Output order
 /// and bits match the serial per-node loop.
@@ -92,35 +47,10 @@ pub fn first_k_clustering_all(g: &TemporalGraph, k: usize) -> Vec<f64> {
     )
 }
 
-/// Global clustering coefficient (transitivity): `3 × triangles / wedges`.
-pub fn global_clustering(g: &TemporalGraph) -> f64 {
-    let mut closed = 0u64; // ordered wedge centers whose endpoints are linked
-    let mut wedges = 0u64;
-    for n in g.nodes() {
-        let nb = g.neighbors(n);
-        let d = nb.len() as u64;
-        if d < 2 {
-            continue;
-        }
-        wedges += d * (d - 1) / 2;
-        for i in 0..nb.len() {
-            for j in (i + 1)..nb.len() {
-                if g.has_edge(nb[i].node, nb[j].node) {
-                    closed += 1;
-                }
-            }
-        }
-    }
-    if wedges == 0 {
-        0.0
-    } else {
-        closed as f64 / wedges as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Timestamp;
 
     fn t(h: u64) -> Timestamp {
         Timestamp::from_hours(h)
@@ -137,18 +67,11 @@ mod tests {
     }
 
     #[test]
-    fn local_clustering_counts_neighbor_links() {
-        let g = wedge_graph();
-        // Neighbors of 0: {1,2,3}; one link (1-2) out of 3 possible pairs.
-        assert!((local_clustering(&g, NodeId(0)) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn degree_below_two_is_zero() {
         let g = wedge_graph();
-        assert_eq!(local_clustering(&g, NodeId(3)), 0.0);
+        assert_eq!(first_k_clustering(&g, NodeId(3), 50), 0.0);
         let empty = TemporalGraph::with_nodes(1);
-        assert_eq!(local_clustering(&empty, NodeId(0)), 0.0);
+        assert_eq!(first_k_clustering(&empty, NodeId(0), 50), 0.0);
     }
 
     #[test]
@@ -158,10 +81,9 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(2), t(0)).unwrap();
         g.add_edge(NodeId(0), NodeId(2), t(0)).unwrap();
         for n in g.nodes() {
-            assert_eq!(local_clustering(&g, n), 1.0);
+            assert_eq!(first_k_clustering(&g, n, 50), 1.0);
         }
-        assert_eq!(average_clustering(&g), 1.0);
-        assert_eq!(global_clustering(&g), 1.0);
+        assert_eq!(first_k_clustering_all(&g, 50), vec![1.0; 3]);
     }
 
     #[test]
@@ -169,20 +91,11 @@ mod tests {
         let g = wedge_graph();
         // First 2 friends of 0 are {1, 2}, which are linked -> cc = 1.
         assert_eq!(first_k_clustering(&g, NodeId(0), 2), 1.0);
-        // First 3 friends -> 1/3 as in local.
+        // First 3 friends (the whole neighbourhood): one link (1-2) out
+        // of 3 possible pairs.
         assert!((first_k_clustering(&g, NodeId(0), 3) - 1.0 / 3.0).abs() < 1e-12);
         // k = 1 -> 0.
         assert_eq!(first_k_clustering(&g, NodeId(0), 1), 0.0);
-    }
-
-    #[test]
-    fn clustering_before_uses_only_old_edges() {
-        let g = wedge_graph();
-        // Before t=3, friends of 0 are {1, 2}; the 1-2 link exists in the
-        // final graph, so cc = 1.0 over that prefix.
-        assert_eq!(clustering_before(&g, NodeId(0), t(3)), 1.0);
-        // Before t=2 only one friend -> 0.
-        assert_eq!(clustering_before(&g, NodeId(0), t(2)), 0.0);
     }
 
     #[test]
@@ -191,19 +104,7 @@ mod tests {
         for i in 1..5 {
             g.add_edge(NodeId(0), NodeId(i), t(i as u64)).unwrap();
         }
-        assert_eq!(local_clustering(&g, NodeId(0)), 0.0);
-        assert_eq!(global_clustering(&g), 0.0);
-        assert_eq!(average_clustering(&g), 0.0);
-    }
-
-    #[test]
-    fn global_clustering_of_wedge_graph() {
-        let g = wedge_graph();
-        // Wedges: center 0 has C(3,2)=3 (one closed), centers 1,2 have 1 each
-        // (both closed: neighbors {0,2} and {0,1} are linked via 0-2? no —
-        // check: neighbors of 1 are {0, 2}; 0-2 IS an edge -> closed.
-        // neighbors of 2 are {0, 1}; 0-1 IS an edge -> closed.)
-        // closed = 1 + 1 + 1 = 3, wedges = 3 + 1 + 1 = 5.
-        assert!((global_clustering(&g) - 3.0 / 5.0).abs() < 1e-12);
+        assert_eq!(first_k_clustering(&g, NodeId(0), 50), 0.0);
+        assert_eq!(first_k_clustering_all(&g, 50), vec![0.0; 5]);
     }
 }

@@ -35,8 +35,8 @@
 //! ([`NeighborScratch`]) instead of pairwise probes: marking a node's
 //! friend set costs O(deg) and each membership probe is one array read, so
 //! a clustering coefficient costs O(Σ deg(friend)) instead of O(deg²) hash
-//! probes. Every kernel returns bit-identical values to the corresponding
-//! `clustering`-module function on the source graph.
+//! probes. [`CsrSnapshot::first_k_clustering`] returns values
+//! bit-identical to `clustering::first_k_clustering` on the source graph.
 
 use crate::graph::{NodeId, TemporalGraph, Timestamp};
 
@@ -709,80 +709,11 @@ impl CsrSnapshot {
         links as f64 / (k * (k - 1) / 2) as f64
     }
 
-    /// Local clustering coefficient of `n` over its whole neighborhood.
-    /// Bit-identical to [`clustering::local_clustering`] on the source graph.
-    pub fn local_clustering(&self, n: NodeId, scratch: &mut NeighborScratch) -> f64 {
-        // Sorted vs chronological order does not matter: the link count and
-        // pair count are order-free.
-        self.clustering_of(self.neighbors_sorted(n), scratch)
-    }
-
     /// The paper's Fig. 4 metric: clustering over the first `k` friends of
     /// `n` in chronological order. Bit-identical to
     /// [`clustering::first_k_clustering`].
     pub fn first_k_clustering(&self, n: NodeId, k: usize, scratch: &mut NeighborScratch) -> f64 {
         self.clustering_of(self.first_k_friends(n, k), scratch)
-    }
-
-    /// Clustering over friends acquired strictly before `t` (chronological
-    /// prefix). Bit-identical to [`clustering::clustering_before`] for
-    /// graphs whose per-node adjacency is in time order (the simulator's
-    /// guarantee).
-    pub fn clustering_before(
-        &self,
-        n: NodeId,
-        t: Timestamp,
-        scratch: &mut NeighborScratch,
-    ) -> f64 {
-        let times = self.times_chrono(n);
-        let cut = times.partition_point(|&time| time < t);
-        self.clustering_of(&self.neighbors_chrono(n)[..cut], scratch)
-    }
-
-    /// Mean local clustering over nodes with degree ≥ 2, matching
-    /// [`clustering::average_clustering`] bit for bit (same iteration
-    /// order, same summation order).
-    pub fn average_clustering(&self) -> f64 {
-        let mut scratch = NeighborScratch::new(self.num_nodes());
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for n in self.nodes() {
-            if self.degree(n) >= 2 {
-                sum += self.local_clustering(n, &mut scratch);
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
-    }
-
-    /// Global clustering coefficient (transitivity), matching
-    /// [`clustering::global_clustering`].
-    pub fn global_clustering(&self) -> f64 {
-        let mut scratch = NeighborScratch::new(self.num_nodes());
-        let mut closed = 0u64;
-        let mut wedges = 0u64;
-        for n in self.nodes() {
-            let d = self.degree(n) as u64;
-            if d < 2 {
-                continue;
-            }
-            wedges += d * (d - 1) / 2;
-            let friends = self.neighbors_sorted(n);
-            scratch.begin(self.num_nodes());
-            for &u in friends {
-                scratch.mark(u);
-            }
-            closed += self.links_among_marked(friends, &scratch) as u64;
-        }
-        if wedges == 0 {
-            0.0
-        } else {
-            closed as f64 / wedges as f64
-        }
     }
 }
 
@@ -890,29 +821,16 @@ mod tests {
         let g = wedge_graph();
         let s = CsrSnapshot::freeze(&g);
         let mut scratch = NeighborScratch::new(s.num_nodes());
+        // k ≥ 3 takes every node's whole neighbourhood.
         for n in g.nodes() {
-            assert_eq!(
-                s.local_clustering(n, &mut scratch),
-                clustering::local_clustering(&g, n),
-                "local at {n:?}"
-            );
-            for k in 0..5 {
+            for k in 0..6 {
                 assert_eq!(
                     s.first_k_clustering(n, k, &mut scratch),
                     clustering::first_k_clustering(&g, n, k),
                     "first_{k} at {n:?}"
                 );
             }
-            for h in 0..6 {
-                assert_eq!(
-                    s.clustering_before(n, t(h), &mut scratch),
-                    clustering::clustering_before(&g, n, t(h)),
-                    "before t({h}) at {n:?}"
-                );
-            }
         }
-        assert_eq!(s.average_clustering(), clustering::average_clustering(&g));
-        assert_eq!(s.global_clustering(), clustering::global_clustering(&g));
     }
 
     #[test]
@@ -921,9 +839,9 @@ mod tests {
         let s = CsrSnapshot::freeze(&g);
         let mut scratch = NeighborScratch::new(s.num_nodes());
         scratch.epoch = u32::MAX - 1;
-        let expected = clustering::local_clustering(&g, NodeId(0));
+        let expected = clustering::first_k_clustering(&g, NodeId(0), 50);
         for _ in 0..4 {
-            assert_eq!(s.local_clustering(NodeId(0), &mut scratch), expected);
+            assert_eq!(s.first_k_clustering(NodeId(0), 50, &mut scratch), expected);
         }
     }
 
@@ -962,8 +880,8 @@ mod tests {
         let mut scratch = NeighborScratch::new(5);
         for n in s.nodes() {
             assert_eq!(
-                s.local_clustering(n, &mut scratch),
-                full.local_clustering(n, &mut scratch)
+                s.first_k_clustering(n, 50, &mut scratch),
+                full.first_k_clustering(n, 50, &mut scratch)
             );
         }
     }
@@ -1027,9 +945,10 @@ mod tests {
     fn empty_and_isolated_graphs() {
         let s = CsrSnapshot::freeze(&TemporalGraph::new());
         assert_eq!(s.num_nodes(), 0);
-        assert_eq!(s.average_clustering(), 0.0);
         let s = CsrSnapshot::freeze(&TemporalGraph::with_nodes(3));
         assert_eq!(s.num_edges(), 0);
+        let mut scratch = NeighborScratch::new(3);
+        assert_eq!(s.first_k_clustering(NodeId(0), 50, &mut scratch), 0.0);
         assert!(!s.has_edge(NodeId(0), NodeId(1)));
         assert_eq!(s.mutual_friends(NodeId(0), NodeId(1)), 0);
     }

@@ -15,9 +15,8 @@
 //!    checking digests against the live run's commits.
 //!
 //! The emitted [`ChaosResult`] — faults injected by kind, epochs
-//! replayed, recovery latency in logical epochs, journal size — is a
-//! pure function of `(scale, seed, schedule)`, so the dashboard is
-//! byte-reproducible.
+//! replayed, digest checks, journal size — is a pure function of
+//! `(scale, seed, schedule)`, so the dashboard is byte-reproducible.
 
 use crate::fig1::ground_truth_sample;
 use crate::runspec::RunSpec;
@@ -53,6 +52,16 @@ pub enum ChaosExpError {
         /// The file.
         path: PathBuf,
     },
+    /// A `--faults` spec names a shard the run does not have: the fault
+    /// would be tallied and never fire.
+    FaultShardOutOfRange {
+        /// The epoch the spec targets.
+        epoch: u64,
+        /// The shard it names.
+        shard: usize,
+        /// The shard count the run resolved.
+        shards: usize,
+    },
     /// The engine failed for a reason no injected fault explains.
     Engine(ServeError),
 }
@@ -66,6 +75,14 @@ impl std::fmt::Display for ChaosExpError {
             ChaosExpError::FaultsParse { path } => {
                 write!(f, "{} is not a valid fault schedule", path.display())
             }
+            ChaosExpError::FaultShardOutOfRange {
+                epoch,
+                shard,
+                shards,
+            } => write!(
+                f,
+                "fault at epoch {epoch} names shard {shard}, but the run has {shards} shards"
+            ),
             ChaosExpError::Engine(e) => write!(f, "serving engine failed: {e}"),
         }
     }
@@ -94,7 +111,8 @@ pub struct ChaosResult {
 }
 
 /// Load the schedule: from `--faults FILE` when given, else derived
-/// from the run seed.
+/// from the run seed. A file is outside input: every shard-scoped spec
+/// must name one of the run's `shards`.
 fn load_schedule(spec: &RunSpec, shards: usize) -> Result<(FaultSchedule, bool), ChaosExpError> {
     match &spec.faults_file {
         Some(path) => {
@@ -106,6 +124,17 @@ fn load_schedule(spec: &RunSpec, shards: usize) -> Result<(FaultSchedule, bool),
             let mut schedule: FaultSchedule = serde_json::from_str(&text).map_err(|_| {
                 ChaosExpError::FaultsParse { path: path.clone() }
             })?;
+            let outside = schedule
+                .faults
+                .iter()
+                .find(|f| f.kind.shard_scoped() && f.shard >= shards);
+            if let Some(f) = outside {
+                return Err(ChaosExpError::FaultShardOutOfRange {
+                    epoch: f.epoch,
+                    shard: f.shard,
+                    shards,
+                });
+            }
             schedule.normalize();
             Ok((schedule, true))
         }
@@ -205,21 +234,15 @@ impl ChaosResult {
             (
                 "Faults injected",
                 format!(
-                    "{} (stall {}, clamp {}, delay {}, reorder {}, crash {})",
+                    "{} (clamp {}, reorder {}, crash {})",
                     r.injected.total(),
-                    r.injected.stalls,
                     r.injected.queue_clamps,
-                    r.injected.barrier_delays,
                     r.injected.barrier_reorders,
                     r.injected.crashes
                 ),
             ),
             ("Epochs replayed (crash recovery)", r.epochs_replayed.to_string()),
             ("Replay digest checks", r.replay_digest_checks.to_string()),
-            (
-                "Recovery latency (logical epochs)",
-                r.recovery_latency_epochs.to_string(),
-            ),
             ("Journal size", format!("{} bytes", r.journal_bytes)),
             ("Outcome", outcome),
             (
@@ -278,25 +301,56 @@ mod tests {
         assert_eq!(a, b, "chaos drill must be byte-reproducible");
     }
 
-    #[test]
-    fn faults_file_round_trips_through_the_drill() {
+    /// Write `json` as a `--faults` file under a per-test name and run
+    /// the drill at tiny scale over 2 shards.
+    fn drill_with_faults(test: &str, json: &str) -> Result<ChaosResult, ChaosExpError> {
         let ctx = Ctx::build(Scale::Tiny, 11);
-        let dir = std::env::temp_dir().join("sybil-chaos-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("faults.json");
-        let schedule = FaultSchedule::generate(99, 8, 2, 4);
-        std::fs::write(&path, serde_json::to_string(&schedule).unwrap()).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "sybil-chaos-{}-{test}.json",
+            std::process::id()
+        ));
+        std::fs::write(&path, json).unwrap();
         let spec = RunSpec::builder()
             .scale(Scale::Tiny)
             .seed(11)
             .shards(2)
             .faults_file(path.clone())
             .build();
-        let r = run(&ctx, &spec).expect("drill failed");
+        let r = run(&ctx, &spec);
+        let _ = std::fs::remove_file(&path);
+        r
+    }
+
+    #[test]
+    fn faults_file_round_trips_through_the_drill() {
+        let schedule = FaultSchedule::generate(99, 8, 2, 4);
+        let json = serde_json::to_string(&schedule).unwrap();
+        let r = drill_with_faults("round-trip", &json).expect("drill failed");
         assert!(r.faults_from_file);
         assert_eq!(r.schedule, schedule);
         assert!(r.report.outcome.invariant_holds());
-        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_fault_on_a_shard_the_run_lacks_is_a_typed_error() {
+        let json = r#"{"seed":0,"faults":[{"epoch":1,"shard":7,"kind":"Crash"}]}"#;
+        assert!(matches!(
+            drill_with_faults("shard7", json),
+            Err(ChaosExpError::FaultShardOutOfRange {
+                epoch: 1,
+                shard: 7,
+                shards: 2
+            })
+        ));
+    }
+
+    #[test]
+    fn a_retired_fault_kind_is_a_typed_parse_error() {
+        let json = r#"{"seed":0,"faults":[{"epoch":1,"shard":0,"kind":{"Stall":{"epochs":2}}}]}"#;
+        assert!(matches!(
+            drill_with_faults("stall", json),
+            Err(ChaosExpError::FaultsParse { .. })
+        ));
     }
 
     #[test]

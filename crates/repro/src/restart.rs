@@ -26,7 +26,7 @@ use sybil_core::realtime::{DeploymentReport, RealtimeConfig};
 use sybil_core::ThresholdClassifier;
 use sybil_serve::fault::FaultKind;
 use sybil_serve::{ServeConfig, ServeError, ServeSession};
-use sybil_store::{IoOp, StoreError, StorePlane, DEFAULT_DIGEST_EVERY};
+use sybil_store::{IoOp, StoreError, StorePlane};
 
 /// Epoch length for the drill. Shorter than the `serve` experiment's so
 /// even the tiny stream spans enough epochs to kill mid-run.
@@ -150,8 +150,7 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<RestartRun, RestartError> {
     // checkpoints every epoch (not the sparser production default) so a
     // seed-derived kill in the first few epochs still has a checkpoint
     // to resume from.
-    let mut doomed =
-        StorePlane::with_cadence(&dir, 1, DEFAULT_DIGEST_EVERY)?.kill_at_epoch(kill_epoch);
+    let mut doomed = StorePlane::with_cadence(&dir, 1)?.kill_at_epoch(kill_epoch);
     match ServeSession::new(cfg).store(&mut doomed).run(&ctx.out) {
         Ok(_) => return Err(RestartError::KillNeverFired { kill_epoch }),
         Err(ServeError::Chaos(c)) if c.fault_kind == FaultKind::Crash => {}
@@ -160,7 +159,7 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<RestartRun, RestartError> {
     drop(doomed);
 
     // Act 2: the warm restart, from the directory's bytes alone.
-    let mut revived = StorePlane::with_cadence(&dir, 1, DEFAULT_DIGEST_EVERY)?;
+    let mut revived = StorePlane::with_cadence(&dir, 1)?;
     let outcome = ServeSession::new(cfg)
         .store(&mut revived)
         .run(&ctx.out)

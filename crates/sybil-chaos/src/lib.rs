@@ -3,10 +3,10 @@
 //! The serving engine's headline claim is byte-identity with the
 //! sequential replay; this crate is the apparatus that *attacks* that
 //! claim on purpose. A seeded, serializable [`FaultSchedule`] injects
-//! shard stalls, staging-queue overflow, delayed and reordered epoch
-//! barriers, and mid-stream shard crashes into an unmodified
-//! `sybil_serve` coordinator, through the `FaultPlane` hooks it
-//! already consults. The [`ChaosPlane`] answers the schedule and hands
+//! staging-queue overflow, reordered epoch barriers and mid-stream shard
+//! crashes into an unmodified `sybil_serve` coordinator, through the
+//! `FaultPlane` hooks it already consults — each kind at the hook that
+//! acts on it. The [`ChaosPlane`] answers the schedule and hands
 //! every durability hook to the plane it wraps — `sybil-store`'s
 //! write-ahead [`Journal`], which records every epoch's full input at
 //! barrier time so the shards an epoch lost are rebuilt to byte-identical
@@ -22,9 +22,9 @@
 //! plane) or a typed [`ChaosError`](sybil_serve::fault::ChaosError)
 //! naming the epoch, shard, and fault kind — never silent divergence. The
 //! [`RecoveryReport`] a run emits (faults injected, epochs replayed,
-//! recovery latency in logical epochs, journal bytes) is itself a pure
-//! function of `(simulation, config, schedule)`, so `repro chaos --seed
-//! N` prints the same bytes every run.
+//! digest checks, journal bytes) is itself a pure function of
+//! `(simulation, config, schedule)`, so `repro chaos --seed N` prints
+//! the same bytes every run.
 //!
 //! Everything is deterministic by construction: schedules derive from
 //! `osn_sim::splitmix64`, the journal format is little-endian and
@@ -42,7 +42,7 @@ pub use report::{ChaosOutcome, RecoveryReport};
 pub use schedule::{FaultSchedule, FaultSpec, FaultSpecKind};
 
 use osn_sim::SimOutput;
-use std::io::{Cursor, Read, Seek, Write};
+use std::io::{Read, Seek, Write};
 use sybil_serve::fault::{ChaosError, FaultKind};
 use sybil_serve::{replay_journal, ServeConfig, ServeError, ServeSession};
 use sybil_store::{Journal, JournalPlane};
@@ -52,11 +52,6 @@ use sybil_store::{Journal, JournalPlane};
 pub struct ChaosRun<S> {
     /// The deterministic recovery report.
     pub report: RecoveryReport,
-    /// Serialized fault-free baseline (`serve` with no plane).
-    pub baseline_json: String,
-    /// Serialized chaos-run report when the run completed (`None` when
-    /// it surfaced a typed fault).
-    pub chaos_json: Option<String>,
     /// The write-ahead journal, positioned at end-of-log.
     pub journal: Journal<S>,
 }
@@ -70,8 +65,9 @@ fn journal_chaos_err() -> ServeError {
 ///
 /// The fault-free oracle runs first (a bare session, no plane, no
 /// journal); the chaos run follows with a [`ChaosPlane`] over a
-/// [`JournalPlane`] journaling into `store`. A surfaced
-/// [`ServeError::QueueOverflow`] whose `(epoch, shard)` site matches a scheduled
+/// [`JournalPlane`] journaling into `store` (a `Cursor<Vec<u8>>` keeps
+/// it in memory). A surfaced [`ServeError::QueueOverflow`] whose
+/// `(epoch, shard)` site matches a scheduled
 /// [`QueueClamp`](FaultSpecKind::QueueClamp) is *attributed* — rewritten
 /// to a typed [`ChaosOutcome::Fault`] — while an overflow at an
 /// un-clamped site is a genuine engine bug and propagates as the error
@@ -104,27 +100,20 @@ pub fn run_chaos<S: Read + Write + Seek>(
     }
     .map(|o| o.report);
 
-    let (outcome, chaos_json) = match result {
-        Ok(report) => {
-            let json = serde_json::to_string(&report).unwrap_or_default();
-            if json == baseline_json {
-                (ChaosOutcome::Identical, Some(json))
-            } else {
-                (ChaosOutcome::Diverged, Some(json))
-            }
+    let outcome = match result {
+        Ok(report) if serde_json::to_string(&report).unwrap_or_default() == baseline_json => {
+            ChaosOutcome::Identical
         }
-        Err(ServeError::Chaos(c)) => (ChaosOutcome::from_error(c), None),
+        Ok(_) => ChaosOutcome::Diverged,
+        Err(ServeError::Chaos(c)) => ChaosOutcome::from_error(c),
         Err(ServeError::QueueOverflow(q)) => {
             let attributed = q.site.filter(|s| plane.clamp_scheduled(s.epoch, s.shard));
             match attributed {
-                Some(site) => (
-                    ChaosOutcome::from_error(ChaosError {
-                        epoch: site.epoch,
-                        shard: Some(site.shard),
-                        fault_kind: FaultKind::QueueOverflow,
-                    }),
-                    None,
-                ),
+                Some(site) => ChaosOutcome::from_error(ChaosError {
+                    epoch: site.epoch,
+                    shard: Some(site.shard),
+                    fault_kind: FaultKind::QueueOverflow,
+                }),
                 None => return Err(ServeError::QueueOverflow(q)),
             }
         }
@@ -144,7 +133,6 @@ pub fn run_chaos<S: Read + Write + Seek>(
         injected: plane.injected(),
         epochs_replayed: plane.epochs_replayed(),
         replay_digest_checks: plane.replay_digest_checks(),
-        recovery_latency_epochs: plane.recovery_latency_epochs(),
         journal_bytes: journal.len_bytes(),
         outcome,
     };
@@ -153,21 +141,8 @@ pub fn run_chaos<S: Read + Write + Seek>(
     }
     Ok(ChaosRun {
         report,
-        baseline_json,
-        chaos_json,
         journal: plane.into_inner().into_journal(),
     })
-}
-
-/// [`run_chaos`] with an in-memory journal — the default for tests and
-/// for `repro chaos` without `--journal`.
-pub fn run_chaos_in_memory(
-    out: &SimOutput,
-    cfg: &ServeConfig,
-    schedule: FaultSchedule,
-    obs: Option<&mut sybil_obs::Registry>,
-) -> Result<ChaosRun<Cursor<Vec<u8>>>, ServeError> {
-    run_chaos(out, cfg, schedule, Cursor::new(Vec::new()), obs)
 }
 
 /// Per-shard result of re-deriving state from journal bytes alone.
@@ -218,11 +193,16 @@ pub fn verify_journal<S: Read + Write + Seek>(
 mod tests {
     use super::*;
     use osn_sim::SimConfig;
+    use std::io::Cursor;
     use sybil_core::realtime::RealtimeConfig;
     use sybil_core::threshold::ThresholdClassifier;
 
     fn small_sim() -> SimOutput {
         osn_sim::simulate(SimConfig::tiny(11))
+    }
+
+    fn in_memory() -> Cursor<Vec<u8>> {
+        Cursor::new(Vec::new())
     }
 
     /// Permissive adaptive detector so detections, audits, and feedback
@@ -254,8 +234,11 @@ mod tests {
     fn journal_only_run_is_identical_and_verifiable() {
         let out = small_sim();
         let cfg = serve_cfg(2);
-        let run =
-            run_chaos_in_memory(&out, &cfg, FaultSchedule::journal_only(3), None).unwrap();
+        let schedule = FaultSchedule {
+            seed: 3,
+            ..FaultSchedule::default()
+        };
+        let run = run_chaos(&out, &cfg, schedule, in_memory(), None).unwrap();
         assert_eq!(run.report.outcome, ChaosOutcome::Identical);
         assert_eq!(run.report.injected.total(), 0);
         assert!(run.report.epochs > 0);
@@ -280,7 +263,7 @@ mod tests {
                 kind: FaultSpecKind::Crash,
             }],
         };
-        let run = run_chaos_in_memory(&out, &cfg, schedule, None).unwrap();
+        let run = run_chaos(&out, &cfg, schedule, in_memory(), None).unwrap();
         assert_eq!(run.report.outcome, ChaosOutcome::Identical, "{:?}", run.report);
         assert_eq!(run.report.injected.crashes, 1);
         assert_eq!(run.report.epochs_replayed, 3, "epochs 0..=2 replayed");
@@ -288,7 +271,6 @@ mod tests {
         // epochs that had committed (0 and 1) are checked for the one
         // crashed shard; the in-flight epoch 2 has no commit yet.
         assert_eq!(run.report.replay_digest_checks, 2);
-        assert!(run.report.recovery_latency_epochs >= 3);
     }
 
     #[test]
@@ -303,7 +285,7 @@ mod tests {
                 kind: FaultSpecKind::QueueClamp { capacity: 1 },
             }],
         };
-        let run = run_chaos_in_memory(&out, &cfg, schedule, None).unwrap();
+        let run = run_chaos(&out, &cfg, schedule, in_memory(), None).unwrap();
         match &run.report.outcome {
             ChaosOutcome::Fault { epoch, shard, kind } => {
                 assert_eq!((*epoch, *shard), (0, Some(0)));
@@ -317,33 +299,25 @@ mod tests {
     }
 
     #[test]
-    fn reorder_and_stall_are_output_neutral() {
+    fn reorder_is_output_neutral() {
         let out = small_sim();
         let cfg = serve_cfg(4);
         let schedule = FaultSchedule {
             seed: 13,
-            faults: vec![
-                FaultSpec {
-                    epoch: 0,
-                    shard: 0,
-                    kind: FaultSpecKind::ReorderBarrier,
-                },
-                FaultSpec {
-                    epoch: 1,
-                    shard: 2,
-                    kind: FaultSpecKind::Stall { epochs: 2 },
-                },
-                FaultSpec {
-                    epoch: 1,
-                    shard: 0,
-                    kind: FaultSpecKind::DelayBarrier { epochs: 1 },
-                },
-            ],
+            faults: vec![FaultSpec {
+                epoch: 0,
+                shard: 0,
+                kind: FaultSpecKind::ReorderBarrier,
+            }],
         };
-        let run = run_chaos_in_memory(&out, &cfg, schedule, None).unwrap();
-        assert_eq!(run.report.outcome, ChaosOutcome::Identical, "{:?}", run.report);
+        let run = run_chaos(&out, &cfg, schedule, in_memory(), None).unwrap();
+        assert_eq!(
+            run.report.outcome,
+            ChaosOutcome::Identical,
+            "{:?}",
+            run.report
+        );
         assert_eq!(run.report.injected.barrier_reorders, 1);
-        assert_eq!(run.report.injected.stalls, 1);
-        assert_eq!(run.report.recovery_latency_epochs, 3, "2 stall + 1 delay");
+        assert_eq!(run.report.epochs_replayed, 0);
     }
 }

@@ -15,9 +15,8 @@
 //!
 //! The plane also keeps the ledger the recovery report is built from:
 //! how many faults of each kind were injected (tallied at `epoch_begin`,
-//! so faults in an epoch that later errors are still counted), how many
-//! journaled epochs were read back for replay, and the total absorbed
-//! latency in logical epochs.
+//! so faults in an epoch that later errors are still counted) and how
+//! many journaled epochs were read back for replay.
 
 use crate::schedule::{FaultSchedule, FaultSpecKind};
 use serde::{Deserialize, Serialize};
@@ -31,12 +30,8 @@ use sybil_serve::fault::{
 /// recovery report and exported as `chaos.injected.*` counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultTally {
-    /// Shard-result stalls.
-    pub stalls: u64,
     /// Staging-queue capacity clamps.
     pub queue_clamps: u64,
-    /// Delayed epoch barriers.
-    pub barrier_delays: u64,
     /// Reordered barrier arrivals.
     pub barrier_reorders: u64,
     /// Shard crashes.
@@ -46,7 +41,7 @@ pub struct FaultTally {
 impl FaultTally {
     /// Total faults across all kinds.
     pub fn total(&self) -> u64 {
-        self.stalls + self.queue_clamps + self.barrier_delays + self.barrier_reorders + self.crashes
+        self.queue_clamps + self.barrier_reorders + self.crashes
     }
 }
 
@@ -54,14 +49,10 @@ impl FaultTally {
 /// plane `P` it injects faults in front of.
 pub struct ChaosPlane<P> {
     schedule: FaultSchedule,
-    /// `(epoch, shard) → stall epochs`.
-    stalls: BTreeMap<(u64, usize), u32>,
     /// `(epoch, shard) → clamped queue capacity`.
     clamps: BTreeMap<(u64, usize), usize>,
     /// Crashed `(epoch, shard)` pairs.
     crashes: BTreeSet<(u64, usize)>,
-    /// `epoch → barrier delay in epochs`.
-    delays: BTreeMap<u64, u32>,
     /// Epochs with shuffled barrier arrival.
     reorders: BTreeSet<u64>,
     /// The plane every durability hook is forwarded to.
@@ -73,9 +64,6 @@ pub struct ChaosPlane<P> {
     epochs_replayed: u64,
     /// Digest verifications performed during replay.
     replay_digest_checks: u64,
-    /// Absorbed latency: stall + barrier-delay epochs (crash replay adds
-    /// `epochs_replayed` on top; see [`ChaosPlane::recovery_latency_epochs`]).
-    absorbed_latency_epochs: u64,
 }
 
 impl<P: FaultPlane> ChaosPlane<P> {
@@ -83,30 +71,21 @@ impl<P: FaultPlane> ChaosPlane<P> {
     pub fn new(schedule: FaultSchedule, inner: P) -> Self {
         let mut p = ChaosPlane {
             schedule,
-            stalls: BTreeMap::new(),
             clamps: BTreeMap::new(),
             crashes: BTreeSet::new(),
-            delays: BTreeMap::new(),
             reorders: BTreeSet::new(),
             inner,
             injected: FaultTally::default(),
             epochs_replayed: 0,
             replay_digest_checks: 0,
-            absorbed_latency_epochs: 0,
         };
         for f in &p.schedule.faults {
             match f.kind {
-                FaultSpecKind::Stall { epochs } => {
-                    p.stalls.insert((f.epoch, f.shard), epochs);
-                }
                 FaultSpecKind::QueueClamp { capacity } => {
                     p.clamps.insert((f.epoch, f.shard), capacity);
                 }
                 FaultSpecKind::Crash => {
                     p.crashes.insert((f.epoch, f.shard));
-                }
-                FaultSpecKind::DelayBarrier { epochs } => {
-                    p.delays.insert(f.epoch, epochs);
                 }
                 FaultSpecKind::ReorderBarrier => {
                     p.reorders.insert(f.epoch);
@@ -146,12 +125,6 @@ impl<P: FaultPlane> ChaosPlane<P> {
         self.replay_digest_checks
     }
 
-    /// Total recovery latency in logical epochs: absorbed stall and
-    /// barrier-delay epochs, plus one epoch per journal replay.
-    pub fn recovery_latency_epochs(&self) -> u64 {
-        self.absorbed_latency_epochs + self.epochs_replayed
-    }
-
     /// Whether `(epoch, shard)` has a scheduled queue clamp — used by
     /// the runner to attribute a surfaced overflow to its injected
     /// fault.
@@ -173,15 +146,7 @@ impl<P: FaultPlane> FaultPlane for ChaosPlane<P> {
                 continue;
             }
             match f.kind {
-                FaultSpecKind::Stall { epochs } => {
-                    self.injected.stalls += 1;
-                    self.absorbed_latency_epochs += u64::from(epochs);
-                }
                 FaultSpecKind::QueueClamp { .. } => self.injected.queue_clamps += 1,
-                FaultSpecKind::DelayBarrier { epochs } => {
-                    self.injected.barrier_delays += 1;
-                    self.absorbed_latency_epochs += u64::from(epochs);
-                }
                 FaultSpecKind::ReorderBarrier => self.injected.barrier_reorders += 1,
                 FaultSpecKind::Crash => self.injected.crashes += 1,
             }
@@ -196,8 +161,6 @@ impl<P: FaultPlane> FaultPlane for ChaosPlane<P> {
     fn shard_fault(&self, epoch: u64, shard: usize) -> ShardFault {
         if self.crashes.contains(&(epoch, shard)) {
             ShardFault::Crash
-        } else if let Some(&n) = self.stalls.get(&(epoch, shard)) {
-            ShardFault::Stall(n)
         } else {
             ShardFault::Healthy
         }
@@ -271,11 +234,6 @@ mod tests {
                 kind: FaultSpecKind::Crash,
             },
             FaultSpec {
-                epoch: 3,
-                shard: 0,
-                kind: FaultSpecKind::Stall { epochs: 2 },
-            },
-            FaultSpec {
                 epoch: 4,
                 shard: 2,
                 kind: FaultSpecKind::QueueClamp { capacity: 1 },
@@ -289,7 +247,6 @@ mod tests {
         assert!(p.enabled());
         assert_eq!(p.shard_fault(2, 1), ShardFault::Crash);
         assert_eq!(p.shard_fault(2, 0), ShardFault::Healthy);
-        assert_eq!(p.shard_fault(3, 0), ShardFault::Stall(2));
         assert_eq!(p.queue_clamp(4, 2), Some(1));
         assert_eq!(p.queue_clamp(4, 1), None);
         assert!(p.clamp_scheduled(4, 2));
@@ -307,7 +264,7 @@ mod tests {
             FaultSpec {
                 epoch: 0,
                 shard: 0,
-                kind: FaultSpecKind::Stall { epochs: 3 },
+                kind: FaultSpecKind::QueueClamp { capacity: 8 },
             },
             FaultSpec {
                 epoch: 0,
@@ -328,7 +285,6 @@ mod tests {
         })
         .unwrap();
         let t = p.injected();
-        assert_eq!((t.stalls, t.crashes, t.total()), (1, 1, 2));
-        assert_eq!(p.recovery_latency_epochs(), 3, "stall epochs absorbed");
+        assert_eq!((t.queue_clamps, t.crashes, t.total()), (1, 1, 2));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Everything in a [`RecoveryReport`] is a pure function of
 //! `(simulation, serve config, fault schedule)` — counts of faults
-//! injected, epochs replayed, journal bytes, recovery latency in
-//! *logical* epochs (never wall time), and the run's outcome. Two runs
+//! injected, epochs replayed (*logical* recovery work, never wall time),
+//! journal bytes, and the run's outcome. Two runs
 //! of `repro chaos --seed N` therefore serialize to identical JSON,
 //! which is what lets verify.sh diff a recovery report in CI.
 
@@ -70,9 +70,6 @@ pub struct RecoveryReport {
     pub epochs_replayed: u64,
     /// Replayed states verified against committed digests.
     pub replay_digest_checks: u64,
-    /// Total recovery latency in logical epochs: absorbed stalls and
-    /// barrier delays plus one epoch per journal replay.
-    pub recovery_latency_epochs: u64,
     /// Write-ahead journal size in bytes (header included).
     pub journal_bytes: u64,
     /// How the run ended.
@@ -83,12 +80,10 @@ impl RecoveryReport {
     /// Export the report's counters into a metrics registry under
     /// `chaos.*` keys.
     pub fn export(&self, reg: &mut sybil_obs::Registry) {
-        let pairs: [(&str, u64); 11] = [
+        let pairs: [(&str, u64); 8] = [
             ("chaos.epochs", self.epochs),
             ("chaos.faults_scheduled", self.faults_scheduled),
-            ("chaos.injected.stalls", self.injected.stalls),
             ("chaos.injected.queue_clamps", self.injected.queue_clamps),
-            ("chaos.injected.barrier_delays", self.injected.barrier_delays),
             (
                 "chaos.injected.barrier_reorders",
                 self.injected.barrier_reorders,
@@ -96,10 +91,6 @@ impl RecoveryReport {
             ("chaos.injected.crashes", self.injected.crashes),
             ("chaos.epochs_replayed", self.epochs_replayed),
             ("chaos.replay_digest_checks", self.replay_digest_checks),
-            (
-                "chaos.recovery_latency_epochs",
-                self.recovery_latency_epochs,
-            ),
             ("chaos.journal_bytes", self.journal_bytes),
         ];
         for (name, v) in pairs {
@@ -144,12 +135,11 @@ mod tests {
             faults_scheduled: 3,
             injected: FaultTally {
                 crashes: 1,
-                stalls: 2,
+                queue_clamps: 2,
                 ..FaultTally::default()
             },
             epochs_replayed: 5,
             replay_digest_checks: 4,
-            recovery_latency_epochs: 7,
             journal_bytes: 4096,
             outcome: ChaosOutcome::Identical,
         };

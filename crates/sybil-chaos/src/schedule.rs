@@ -16,28 +16,19 @@
 use osn_sim::splitmix64;
 use serde::{Deserialize, Serialize};
 
-/// One kind of injected fault. Shard-scoped kinds (everything except the
-/// barrier faults) apply to the `(epoch, shard)` named by the spec;
-/// barrier kinds apply to the epoch as a whole and ignore the shard.
+/// One kind of injected fault, each answered by a coordinator hook:
+/// [`QueueClamp`](Self::QueueClamp) by `queue_clamp`,
+/// [`ReorderBarrier`](Self::ReorderBarrier) by `deliver_order`,
+/// [`Crash`](Self::Crash) by `shard_fault`. Shard-scoped kinds apply to
+/// the `(epoch, shard)` named by the spec; the barrier kind applies to
+/// the epoch as a whole and ignores the shard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultSpecKind {
-    /// The shard's epoch result arrives late by this many logical
-    /// epochs. Absorbed at the barrier: costs latency, never bytes.
-    Stall {
-        /// Logical epochs of delay.
-        epochs: u32,
-    },
     /// Clamp the shard's staging-queue capacities to this many slots,
     /// forcing an overflow when the epoch stages more effects.
     QueueClamp {
         /// Clamped capacity in queue slots.
         capacity: usize,
-    },
-    /// The epoch's barrier fires late. Logical delay, absorbed (the
-    /// merge is all-or-nothing regardless of when it runs).
-    DelayBarrier {
-        /// Logical epochs of delay.
-        epochs: u32,
     },
     /// Shard results reach the barrier in a seed-derived shuffled order.
     /// Must be output-neutral: the merge is keyed by shard id.
@@ -50,18 +41,13 @@ pub enum FaultSpecKind {
 impl FaultSpecKind {
     /// Whether the kind targets a single shard (vs. the whole barrier).
     pub fn shard_scoped(self) -> bool {
-        !matches!(
-            self,
-            FaultSpecKind::DelayBarrier { .. } | FaultSpecKind::ReorderBarrier
-        )
+        self != FaultSpecKind::ReorderBarrier
     }
 
     /// Short stable name for reports and metrics keys.
     pub fn name(self) -> &'static str {
         match self {
-            FaultSpecKind::Stall { .. } => "stall",
             FaultSpecKind::QueueClamp { .. } => "queue_clamp",
-            FaultSpecKind::DelayBarrier { .. } => "delay_barrier",
             FaultSpecKind::ReorderBarrier => "reorder_barrier",
             FaultSpecKind::Crash => "crash",
         }
@@ -73,10 +59,19 @@ impl FaultSpecKind {
 pub struct FaultSpec {
     /// Epoch (0-based barrier count) the fault fires in.
     pub epoch: u64,
-    /// Target shard for shard-scoped kinds; ignored by barrier kinds.
+    /// Target shard for shard-scoped kinds; ignored by the barrier kind.
     pub shard: usize,
     /// What happens.
     pub kind: FaultSpecKind,
+}
+
+impl FaultSpec {
+    /// What [`FaultSchedule::normalize`] keeps one fault per: the
+    /// `(epoch, shard)` of a shard-scoped fault, the epoch alone of a
+    /// barrier fault.
+    fn site(&self) -> (u64, Option<usize>) {
+        (self.epoch, self.kind.shard_scoped().then_some(self.shard))
+    }
 }
 
 /// A seeded fault schedule: the complete chaos input for one run.
@@ -87,7 +82,7 @@ pub struct FaultSchedule {
     /// a loaded schedule replays the exact shuffles it was generated
     /// with.
     pub seed: u64,
-    /// The faults, sorted by `(epoch, shard)`.
+    /// The faults, sorted by `(epoch, shard, kind name)`.
     pub faults: Vec<FaultSpec>,
 }
 
@@ -102,41 +97,31 @@ fn draw(seed: u64, i: u64, m: u64) -> u64 {
 }
 
 impl FaultSchedule {
-    /// A schedule with no faults (journal-only runs: write-ahead records
-    /// and digests still flow, nothing is injected).
-    pub fn journal_only(seed: u64) -> Self {
-        FaultSchedule {
-            seed,
-            faults: Vec::new(),
-        }
-    }
-
-    /// Derive `count` faults over `epochs × shards` from `seed`.
+    /// Derive up to `count` faults over `epochs × shards` from `seed`.
     ///
     /// Deterministic and machine-independent: fault *i* is a pure
-    /// function of `(seed, i)`. Collisions on `(epoch, shard)` keep the
-    /// first draw, so the realized count can be slightly below `count`
-    /// on tiny grids — the report states the realized number.
+    /// function of `(seed, i)`. Draw *i* picks one of five slots; two of
+    /// them name no fault, so each kind keeps the same odds as every
+    /// other and a seed's schedule does not depend on how many kinds
+    /// exist. Empty slots and collisions (see [`normalize`]) leave fewer
+    /// than `count` faults — the report states the realized number.
+    ///
+    /// [`normalize`]: FaultSchedule::normalize
     pub fn generate(seed: u64, epochs: u64, shards: usize, count: usize) -> Self {
         let mut faults: Vec<FaultSpec> = Vec::with_capacity(count);
         for i in 0..count as u64 {
             let epoch = draw(seed, i * 4, epochs.max(1));
             let shard = draw(seed, i * 4 + 1, shards.max(1) as u64) as usize;
             let kind = match draw(seed, i * 4 + 2, 5) {
-                0 => FaultSpecKind::Stall {
-                    epochs: 1 + draw(seed, i * 4 + 3, 3) as u32,
-                },
                 1 => FaultSpecKind::QueueClamp {
                     // Tiny clamps nearly always overflow; generous ones
                     // nearly never — both arms of the invariant get
                     // exercised.
                     capacity: 1 << draw(seed, i * 4 + 3, 12),
                 },
-                2 => FaultSpecKind::DelayBarrier {
-                    epochs: 1 + draw(seed, i * 4 + 3, 3) as u32,
-                },
                 3 => FaultSpecKind::ReorderBarrier,
-                _ => FaultSpecKind::Crash,
+                4 => FaultSpecKind::Crash,
+                _ => continue,
             };
             faults.push(FaultSpec { epoch, shard, kind });
         }
@@ -145,17 +130,20 @@ impl FaultSchedule {
         sched
     }
 
-    /// Sort by `(epoch, shard, kind-name)` and drop duplicate
-    /// `(epoch, shard)` pairs (first kept). Called by [`generate`] and
-    /// after loading a file, so the plane's index build is unambiguous.
+    /// Sort by `(epoch, shard, kind-name)` and keep one fault per site —
+    /// per `(epoch, shard)` for shard-scoped kinds, per epoch for the
+    /// barrier kind (first kept) — so a barrier fault never shadows a
+    /// shard fault, and an epoch's barrier is reordered once however
+    /// many specs name it. Called by [`generate`] and after loading a
+    /// file, so the plane's index build and tally are unambiguous.
     ///
     /// [`generate`]: FaultSchedule::generate
     pub fn normalize(&mut self) {
         self.faults
             .sort_by(|a, b| (a.epoch, a.shard, a.kind.name()).cmp(&(b.epoch, b.shard, b.kind.name())));
-        let mut seen: Vec<(u64, usize)> = Vec::with_capacity(self.faults.len());
+        let mut seen: Vec<(u64, Option<usize>)> = Vec::with_capacity(self.faults.len());
         self.faults.retain(|f| {
-            let key = (f.epoch, f.shard);
+            let key = f.site();
             if seen.contains(&key) {
                 false
             } else {
@@ -187,8 +175,9 @@ mod tests {
         let a = FaultSchedule::generate(42, 10, 8, 12);
         let b = FaultSchedule::generate(42, 10, 8, 12);
         assert_eq!(a, b);
+        let key = |f: &FaultSpec| (f.epoch, f.shard, f.kind.name());
         for w in a.faults.windows(2) {
-            assert!((w[0].epoch, w[0].shard) < (w[1].epoch, w[1].shard));
+            assert!(key(&w[0]) < key(&w[1]));
         }
         let c = FaultSchedule::generate(43, 10, 8, 12);
         assert_ne!(a, c, "different seeds should differ");
@@ -204,7 +193,10 @@ mod tests {
 
     #[test]
     fn reorder_permutation_is_a_permutation() {
-        let s = FaultSchedule::journal_only(99);
+        let s = FaultSchedule {
+            seed: 99,
+            ..FaultSchedule::default()
+        };
         for shards in [1usize, 2, 8] {
             for epoch in 0..4u64 {
                 let mut p = s.reorder_permutation(epoch, shards);
@@ -222,9 +214,49 @@ mod tests {
     #[test]
     fn shard_scoped_classification() {
         assert!(FaultSpecKind::Crash.shard_scoped());
-        assert!(FaultSpecKind::Stall { epochs: 1 }.shard_scoped());
         assert!(FaultSpecKind::QueueClamp { capacity: 1 }.shard_scoped());
         assert!(!FaultSpecKind::ReorderBarrier.shard_scoped());
-        assert!(!FaultSpecKind::DelayBarrier { epochs: 1 }.shard_scoped());
+    }
+
+    fn spec(epoch: u64, shard: usize, kind: FaultSpecKind) -> FaultSpec {
+        FaultSpec { epoch, shard, kind }
+    }
+
+    #[test]
+    fn normalize_keeps_one_reorder_per_epoch() {
+        let reorder = FaultSpecKind::ReorderBarrier;
+        let mut s = FaultSchedule {
+            seed: 1,
+            faults: vec![
+                spec(3, 1, reorder),
+                spec(3, 0, reorder),
+                spec(4, 0, reorder),
+            ],
+        };
+        s.normalize();
+        assert_eq!(s.faults, vec![spec(3, 0, reorder), spec(4, 0, reorder)]);
+    }
+
+    #[test]
+    fn a_reorder_and_a_shard_fault_at_one_site_both_survive() {
+        let clamp = FaultSpecKind::QueueClamp { capacity: 2 };
+        let (reorder, crash) = (FaultSpecKind::ReorderBarrier, FaultSpecKind::Crash);
+        let mut s = FaultSchedule {
+            seed: 1,
+            faults: vec![
+                spec(2, 1, reorder),
+                spec(2, 1, clamp),
+                spec(5, 0, reorder),
+                spec(5, 0, crash),
+            ],
+        };
+        s.normalize();
+        let want = [
+            spec(2, 1, clamp),
+            spec(2, 1, reorder),
+            spec(5, 0, crash),
+            spec(5, 0, reorder),
+        ];
+        assert_eq!(s.faults, want);
     }
 }

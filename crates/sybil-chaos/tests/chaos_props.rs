@@ -7,11 +7,15 @@
 //! 2. **Journal round-trip**: the write-ahead journal's bytes alone
 //!    rebuild every shard's `realtime::state` to the digest the live
 //!    run committed, at shard counts 1, 2, and 8.
+//!
+//! Beside them, the recovery report is checked against what the engine
+//! did: a tallied fault is one a hook acted on.
 
 use proptest::prelude::*;
+use std::io::Cursor;
 use std::sync::OnceLock;
 use sybil_chaos::{
-    run_chaos_in_memory, verify_journal, ChaosOutcome, FaultSchedule, FaultSpec, FaultSpecKind,
+    run_chaos, verify_journal, ChaosOutcome, FaultSchedule, FaultSpec, FaultSpecKind,
 };
 use sybil_core::realtime::RealtimeConfig;
 use sybil_core::threshold::ThresholdClassifier;
@@ -71,9 +75,9 @@ proptest! {
         let out = shared_sim();
         let cfg = serve_cfg(shards);
         // Target the first 20 epochs so crash replay stays cheap; the
-        // schedule generator covers all five fault kinds.
+        // schedule generator covers all three fault kinds.
         let schedule = FaultSchedule::generate(seed, 20, shards, count);
-        let run = run_chaos_in_memory(out, &cfg, schedule, None);
+        let run = run_chaos(out, &cfg, schedule, Cursor::new(Vec::new()), None);
         match run {
             Ok(r) => prop_assert!(
                 r.report.outcome.invariant_holds(),
@@ -116,7 +120,7 @@ proptest! {
                     })
                     .collect(),
             };
-            let run = run_chaos_in_memory(out, &cfg, schedule, None)
+            let run = run_chaos(out, &cfg, schedule, Cursor::new(Vec::new()), None)
                 .map_err(|e| TestCaseError::fail(format!("engine error: {e}")))?;
             prop_assert_eq!(&run.report.outcome, &ChaosOutcome::Identical);
             prop_assert_eq!(run.report.injected.crashes, lost.len() as u64);
@@ -142,10 +146,11 @@ proptest! {
         let out = simulate(SimConfig::tiny(sim_seed));
         for shards in [1usize, 2, 8] {
             let cfg = serve_cfg(shards);
-            let run = run_chaos_in_memory(
+            let run = run_chaos(
                 &out,
                 &cfg,
-                FaultSchedule::journal_only(sim_seed),
+                FaultSchedule { seed: sim_seed, ..FaultSchedule::default() },
+                Cursor::new(Vec::new()),
                 None,
             )
             .map_err(|e| TestCaseError::fail(format!("engine error: {e}")))?;
@@ -169,4 +174,65 @@ proptest! {
             prop_assert_eq!(v.epochs, run.report.epochs);
         }
     }
+}
+
+/// Under `FaultSchedule::generate(seed, 20, shards, count)`, a run whose
+/// report is byte-identical to the fault-free one tallies only what the
+/// engine acted on: a tallied crash was rebuilt out of the journal, and
+/// the reorder tally is the number of reached epochs whose barrier
+/// `deliver_order` permuted — once per epoch, however many specs name it.
+fn report_agrees_with_the_engine(
+    seed: u64,
+    shards: usize,
+    count: usize,
+) -> Result<(), TestCaseError> {
+    let schedule = FaultSchedule::generate(seed, 20, shards, count);
+    let run = run_chaos(
+        shared_sim(),
+        &serve_cfg(shards),
+        schedule.clone(),
+        Cursor::new(Vec::new()),
+        None,
+    )
+    .map_err(|e| TestCaseError::fail(format!("engine error: {e}")))?;
+    let r = &run.report;
+    if r.outcome != ChaosOutcome::Identical {
+        return Ok(());
+    }
+    prop_assert!(r.injected.crashes == 0 || r.epochs_replayed > 0, "{:?}", r);
+    let mut reordered: Vec<u64> = schedule
+        .faults
+        .iter()
+        .filter(|f| f.kind == FaultSpecKind::ReorderBarrier && f.epoch < r.epochs)
+        .map(|f| f.epoch)
+        .collect();
+    reordered.dedup();
+    prop_assert_eq!(
+        r.injected.barrier_reorders,
+        reordered.len() as u64,
+        "{:?}",
+        schedule
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn recovery_report_agrees_with_the_engine(
+        seed in any::<u64>(),
+        shards_i in 0usize..3,
+        count in 1usize..8,
+    ) {
+        report_agrees_with_the_engine(seed, [1usize, 2, 8][shards_i], count)?;
+    }
+}
+
+/// A schedule that names one epoch's barrier twice (seed 67 draws a
+/// crash at epoch 1 and reorders at epochs 4, 4 and 14 on two shards):
+/// the epoch is permuted, and tallied, once.
+#[test]
+fn a_barrier_named_twice_is_tallied_once() {
+    report_agrees_with_the_engine(67, 2, 4).unwrap();
 }

@@ -1,8 +1,8 @@
 //! The composed invariant: faults *during a persisted run*, restarts
 //! *under faults*.
 //!
-//! An arbitrary seeded [`FaultSchedule`] (stalls, queue clamps, delayed
-//! and reordered barriers, shard crashes) is injected by a
+//! An arbitrary seeded [`FaultSchedule`] (queue clamps, reordered
+//! barriers, shard crashes) is injected by a
 //! [`ChaosPlane`] wrapped around a real [`StorePlane`] — journal file
 //! and checkpoints on disk — through the serving session's one plane
 //! slot. The process is killed at an arbitrary epoch, then a fresh
@@ -114,7 +114,7 @@ proptest! {
             let schedule = FaultSchedule::generate(seed, 20, shards, count);
             let dir = tmpdir(&format!("{seed:x}-{count}-{kill_epoch}-{every}-{shards}"));
             let open = || {
-                StorePlane::with_cadence(&dir, every, 4)
+                StorePlane::with_cadence(&dir, every)
                     .map_err(|e| TestCaseError::fail(format!("store: {e}")))
             };
 

@@ -18,7 +18,7 @@
 //! cannot silently rot.
 //!
 //! Besides `[[allow]]` entries, the file designates the roots of the
-//! effect rules S109/S110/S118 (see [`crate::effects`]):
+//! effect rules S109/S110 (see [`crate::effects`]):
 //!
 //! ```toml
 //! [effects.roots]
@@ -28,8 +28,8 @@
 //! ]
 //! ```
 //!
-//! and the per-event hot-path cores for the cost rules S113–S117 (see
-//! [`crate::costs`]):
+//! and the per-event hot-path cores for the cost rules S113–S115 and
+//! S117 (see [`crate::costs`]):
 //!
 //! ```toml
 //! [hotpaths.roots]
@@ -207,12 +207,11 @@ pub fn parse(content: &str) -> Result<Allowlist, ParseError> {
             let slot = match (t, key) {
                 (EffTable::Roots, "clockless") => &mut effects.clockless_roots,
                 (EffTable::Roots, "io_free") => &mut effects.io_free_roots,
-                (EffTable::Roots, "fault_plane") => &mut effects.fault_plane_roots,
                 (EffTable::HotRoots, "per_event") => &mut hotpaths.per_event_roots,
                 (EffTable::Roots, _) => {
                     return Err(ParseError::at(
                         lineno,
-                        format!("unknown key {key:?} in [effects.roots] (allowed: clockless, io_free, fault_plane)"),
+                        format!("unknown key {key:?} in [effects.roots] (allowed: clockless, io_free)"),
                     ))
                 }
                 (EffTable::HotRoots, _) => {

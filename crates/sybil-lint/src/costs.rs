@@ -1,4 +1,5 @@
-//! Hot-path context for the cost rows of the rule table (S113–S117):
+//! Hot-path context for the cost rows of the rule table (S113–S115,
+//! S117):
 //! the `[hotpaths.roots]` table of `lint.toml`, the loop context, and the
 //! recursion seed.
 //!
@@ -6,8 +7,8 @@
 //! An allocation once per epoch is amortized noise; the same allocation
 //! inside the per-event scan loop is a per-event cost at 5M accounts. So
 //! the cost rows are anchored by [`HotPathConfig`] naming the per-event
-//! cores, and the loop-scoped ones (S113 allocation, S114 growth, S116
-//! blocking) ask [`HotContext::in_hot_loop`] about each site:
+//! cores, and the loop-scoped ones (S113 allocation, S114 growth) ask
+//! [`HotContext::in_hot_loop`] about each site:
 //!
 //! - the **hot set** is the forward lib-to-lib closure of the roots;
 //! - the **loop context** is the forward closure of every call a hot
@@ -31,7 +32,7 @@ use crate::symbols::{FnIdx, WorkspaceModel};
 /// function-name patterns (exact, or `prefix*`, same grammar as the
 /// effect tables) naming the per-event cores — the serve shard step, the
 /// replay inner loop, the snapshot merge, the feature kernels. An empty
-/// list disables S113–S117.
+/// list disables S113–S115 and S117.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HotPathConfig {
     /// Root patterns for the per-event critical path.

@@ -1,14 +1,14 @@
 //! Loop-structure recovery per function, on top of the existing token
 //! stream and the parser's body spans.
 //!
-//! The cost rules (S113–S117, see [`crate::costs`]) need to know whether
-//! a call or a site executes *inside a loop* of its enclosing function:
-//! an allocation that runs once per epoch is amortized, the same
-//! allocation inside the per-event scan loop is a per-event cost. The
-//! parser already tracks a loop stack while scanning bodies (for the
-//! float-reduction rule) but discards the spans; this pass re-derives
-//! them as token-index ranges, tested for containment the same way
-//! `FnDef::body` is.
+//! The cost rules (S113–S115 and S117, see [`crate::costs`]) need to
+//! know whether a call or a site executes *inside a loop* of its
+//! enclosing function: an allocation that runs once per epoch is
+//! amortized, the same allocation inside the per-event scan loop is a
+//! per-event cost. The parser already tracks a loop stack while
+//! scanning bodies (for the float-reduction rule) but discards the
+//! spans; this pass re-derives them as token-index ranges, tested for
+//! containment the same way `FnDef::body` is.
 //!
 //! Recovery mirrors the parser's approximation exactly: a `for` /
 //! `while` / `loop` keyword arms the *next* brace that opens one level

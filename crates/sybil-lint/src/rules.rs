@@ -61,8 +61,6 @@ pub enum RootList {
     Clockless,
     /// `[effects.roots] io_free`.
     IoFree,
-    /// `[effects.roots] fault_plane`.
-    FaultPlane,
     /// `[hotpaths.roots] per_event`.
     PerEvent,
 }
@@ -130,7 +128,7 @@ pub struct Rule {
 /// Every rule, in `--list-rules` order. The D-rows and S101 are judged
 /// on any set of files; S102–S108 and the rows anchored to a root list
 /// need `--workspace`.
-pub const RULES: [Rule; 20] = [
+pub const RULES: [Rule; 18] = [
     Rule {
         code: "D001",
         summary: "unordered HashMap/HashSet iteration in library code (use BTreeMap or \
@@ -158,11 +156,14 @@ pub const RULES: [Rule; 20] = [
     },
     Rule {
         code: "D003",
-        summary: "raw threading primitive (thread::spawn / Mutex / atomics) outside \
-                 osn_graph::par",
+        summary: "raw threading primitive (thread::spawn / Mutex / atomics / \
+                 thread::sleep) outside osn_graph::par",
         explain: "D003 — raw threading primitives\n\nAll parallelism flows through \
                  osn_graph::par, whose deterministic map is the one reviewed concurrency \
-                 surface. thread::spawn/Mutex/atomics elsewhere bypass that review.",
+                 surface. thread::spawn/Mutex/atomics elsewhere bypass that review, and \
+                 so does thread::sleep, which coordinates by wall time. A blocking \
+                 .lock()/.recv()/.wait() needs one of these primitives declared first, \
+                 so D003 covers it where the primitive is declared.",
         sites: Some(SiteRule {
             kinds: &[SiteKind::ThreadPrim, SiteKind::Spawn],
             scope: Scope::Anywhere {
@@ -288,9 +289,8 @@ pub const RULES: [Rule; 20] = [
         explain: "S107 — stringly-typed error APIs\n\nA pub fn returning Result<_, String> \
                  hands callers an error they can only string-match or rewrap: no variants \
                  to match on, no source chain, and every formatting tweak is a silent API \
-                 break. Return a typed error (the workspace's shared variants live in \
-                 sybil_core::Error; crate-local enums like osn_graph::GraphError are \
-                 equally fine) and keep the prose in its Display impl.\n\nThe second \
+                 break. Return the crate's own typed error (osn_graph::GraphError, \
+                 sybil_store::StoreError) and keep the prose in its Display impl.\n\nThe second \
                  shape is the same contract violated at the call site: library code \
                  settling a Result/Option with unwrap_or_else(… process::exit …) kills \
                  the process where no caller can intercept it — under a worker pool that \
@@ -351,7 +351,8 @@ pub const RULES: [Rule; 20] = [
     },
     Rule {
         code: "S110",
-        summary: "IO effect reachable from the epoch-barrier critical path",
+        summary: "IO effect reachable from the epoch-barrier critical path or a no-op \
+                 fault-plane hook",
         explain: "S110 — IO on the epoch-barrier critical path\n\nShard step, mirror \
                  absorb/rotate, and delta-queue operations run between epoch barriers, \
                  where every shard's latency is the epoch's latency and a blocking read \
@@ -363,7 +364,14 @@ pub const RULES: [Rule; 20] = [
                  chain.\n\nKeep IO at the coordinator boundary — snapshots and metrics \
                  are staged in memory during the epoch and written outside the barrier. A \
                  reviewed exception (e.g. a bounded, rotation-only append) needs its \
-                 bound written into lint.toml.",
+                 bound written into lint.toml.\n\nThe same roots hold the production \
+                 fault-plane surface: the FaultPlane trait's default hooks and NoFaults \
+                 (`sybil-serve::fault::*`). The engine consults the plane at every \
+                 decision point and production runs the no-op plane, so IO reachable \
+                 from a default hook would journal or touch disk on every epoch of every \
+                 production run. Journaling belongs in a durable plane's override \
+                 (sybil-store owns the write-ahead journal and the checkpoints), never in \
+                 a default.",
         sites: Some(SiteRule {
             kinds: &[SiteKind::IoRead, SiteKind::IoWrite],
             scope: Scope::Roots(RootList::IoFree),
@@ -440,8 +448,9 @@ pub const RULES: [Rule; 20] = [
                  to a narrow integer type (u8/u16/u32/i8/i16/i32) in any function \
                  reachable from a `[hotpaths.roots]` core, with the root→site chain. \
                  Widening casts are never flagged.\n\nFix with a checked conversion: \
-                 try_into (or sybil_core::ids::count_u32) surfacing the typed \
-                 sybil_core::Error::IdOverflow — never a stringly error. A cast whose \
+                 try_into surfacing the crate's typed error (a StoreError::BadField \
+                 for a count read from disk, say) — never a stringly error — or \
+                 sybil_core::ids::saturating_u32 for a gauge. A cast whose \
                  range invariant is structural (block-local offsets bounded by block \
                  size, node ids constructed from u32) can be allowlisted with that \
                  invariant spelled out.",
@@ -450,31 +459,8 @@ pub const RULES: [Rule; 20] = [
             scope: Scope::Roots(RootList::PerEvent),
             loop_scoped: false,
             message: "{site} ({kind}) is reachable from hot-path root `{root}` ({hops}); \
-                     convert with try_into and a typed Error::IdOverflow, or allowlist \
+                     convert with try_into into the crate's typed error, or allowlist \
                      with the range invariant that rules out overflow",
-        }),
-    },
-    Rule {
-        code: "S116",
-        summary: "blocking acquisition (lock / recv / wait) reachable from a hot loop",
-        explain: "S116 — blocking acquisition reachable from a hot loop\n\nBetween epoch \
-                 barriers every shard's latency is the epoch's latency: a lock, an \
-                 unbounded recv, or an IO wait inside the per-event loop serializes the \
-                 shards and melts the throughput the substrate exists to provide. S116 \
-                 marks blocking intrinsics (.lock(), .recv(), .recv_timeout(), .wait(), \
-                 thread::sleep) and reports any site reachable inside a per-event hot \
-                 loop, with the propagation chain.\n\nThe house architecture makes this \
-                 rule cheap to satisfy: shards own their state, cross-shard effects are \
-                 staged in bounded DeltaQueues and exchanged at the barrier, so nothing \
-                 on the event path should ever wait on another thread. A reviewed wait \
-                 with a proven bound belongs in lint.toml with that bound.",
-        sites: Some(SiteRule {
-            kinds: &[SiteKind::Blocking],
-            scope: Scope::Roots(RootList::PerEvent),
-            loop_scoped: true,
-            message: "{site} ({kind}) runs per event inside the hot loop under hot-path \
-                     root `{root}` ({hops}); stage the data before the loop or allowlist \
-                     with the wait bound",
         }),
     },
     Rule {
@@ -500,36 +486,6 @@ pub const RULES: [Rule; 20] = [
             message: "{site} ({kind}) is reachable from hot-path root `{root}` ({hops}); \
                      bound the depth or rewrite iteratively; the hot path needs \
                      statically bounded stack and work",
-        }),
-    },
-    Rule {
-        code: "S118",
-        summary: "IO effect reachable from a production fault-plane hook (no-op surface)",
-        explain: "S118 — IO reachable from a production fault-plane hook\n\nFault \
-                 injection and persistence hook the serving engine through the FaultPlane \
-                 trait: the engine consults the plane at every decision point, and \
-                 production runs pass the no-op plane, whose hooks must compile down to \
-                 nothing. An IO effect (file open/read/write, stdio) reachable from one \
-                 of the `[effects.roots] fault_plane` patterns means the *production* \
-                 path would journal, log, or touch disk on every epoch — the exact \
-                 overhead the trait split exists to keep at zero, and a nondeterminism \
-                 hole the byte-identity gates cannot see because they replay through the \
-                 same plane.\n\nS118 judges the same IO sites as S110 with the same \
-                 backward search, but roots it at the fault-plane surface: the trait's \
-                 default methods and the NoFaults impl. Fix by moving the IO into a \
-                 durable plane's override (sybil-store owns the write-ahead journal and \
-                 the checkpoints; sybil-chaos's plane only forwards to one) and keeping \
-                 the default a pure return. There is deliberately no allowlist story here \
-                 — a production hook that needs IO is a design error, not a reviewable \
-                 exception.",
-        sites: Some(SiteRule {
-            kinds: &[SiteKind::IoRead, SiteKind::IoWrite],
-            scope: Scope::Roots(RootList::FaultPlane),
-            loop_scoped: false,
-            message: "{site} ({kind}) is reachable from production fault-plane hook \
-                     `{root}` ({calls}); keep the production plane a pure no-op — journal \
-                     writes and other IO belong in a durable plane's override, never in \
-                     the default the real engine runs",
         }),
     },
     Rule {
@@ -704,7 +660,6 @@ impl<'a> Reporter<'a> {
                     let pats = match list {
                         RootList::Clockless => &self.effects.clockless_roots,
                         RootList::IoFree => &self.effects.io_free_roots,
-                        RootList::FaultPlane => &self.effects.fault_plane_roots,
                         RootList::PerEvent => &self.hotpaths.per_event_roots,
                     };
                     if pats.is_empty() {

@@ -5,9 +5,9 @@
 //! they reach, and who names an export, are cross-file properties (S107
 //! and S108 judge one file at a time; they sit here with the rules that
 //! run under `--workspace` only). The reachability rules carry a trace
-//! explaining, edge by edge, why they fired. The site
-//! rules (S101, S109–S119) are rows of [`crate::rules::RULES`]; S105
-//! (allowlist staleness) lives in
+//! explaining, edge by edge, why they fired. The site rules (S101,
+//! S109, S110, S113–S115, S117, S119) are rows of
+//! [`crate::rules::RULES`]; S105 (allowlist staleness) lives in
 //! [`workspace::run_workspace`](crate::workspace::run_workspace) because
 //! it judges the allowlist itself, not the source.
 
@@ -260,8 +260,9 @@ fn s104_dead_exports(model: &WorkspaceModel, out: &mut Vec<Finding>) {
 
 /// S107: stringly-typed error API. Two shapes: (a) a `pub fn` whose
 /// return type is `Result<_, String>` — the error carries no structure,
-/// so callers can only string-match or rewrap (the workspace's typed
-/// errors live in `sybil_core::Error`); (b) library code settling an
+/// so callers can only string-match or rewrap (each crate keeps a typed
+/// error of its own, such as `osn_graph::GraphError` or
+/// `sybil_store::StoreError`); (b) library code settling an
 /// error with `unwrap_or_else(… process::exit …)`, which turns a
 /// recoverable condition into a silent process death the caller cannot
 /// intercept (binaries own their exit codes; libraries return errors).
@@ -294,8 +295,8 @@ fn s107_stringly_errors(model: &WorkspaceModel, out: &mut Vec<Finding>) {
                     col: res_tok.col,
                     message: format!(
                         "pub fn `{fn_name}` returns Result<_, String>; a string error \
-                         cannot be matched on and carries no source — return a typed \
-                         error (see sybil_core::Error) and keep prose in Display"
+                         cannot be matched on and carries no source — return the crate's \
+                         typed error (like osn_graph::GraphError) and keep prose in Display"
                     ),
                     snippet: file.line_text(res_tok.line),
                     trace: vec![format!(

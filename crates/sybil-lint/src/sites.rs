@@ -2,8 +2,8 @@
 //!
 //! A *site* is a token shape that means something by itself —
 //! `Instant::now`, `env::var`, `fs::write`, `thread::spawn`, `Mutex`,
-//! `thread_rng`, `.unwrap()`, `x as u32`, `Vec::new`, `.push(…)`,
-//! `.lock()` — found by one pass over a file's tokens ([`scan`]). The
+//! `thread_rng`, `.unwrap()`, `x as u32`, `Vec::new`, `.push(…)` —
+//! found by one pass over a file's tokens ([`scan`]). The
 //! rule table in [`crate::rules`] says which kinds each code judges and
 //! in what scope; nothing else in the crate looks for these tokens.
 //!
@@ -32,7 +32,7 @@ pub enum SiteKind {
     IoWrite,
     /// `thread::spawn`, `thread::scope`.
     Spawn,
-    /// `Mutex`, `RwLock`, `Condvar`, `mpsc`, `Atomic*`.
+    /// `Mutex`, `RwLock`, `Condvar`, `mpsc`, `Atomic*`, `thread::sleep`.
     ThreadPrim,
     /// `thread_rng`, `OsRng`, `from_entropy`, `getrandom`, `rand::random`.
     Entropy,
@@ -49,8 +49,6 @@ pub enum SiteKind {
     Alloc,
     /// `.push`/`.insert`/`.extend`… on a receiver its function never drains.
     Growth,
-    /// `.lock()`, `.recv()`, `.recv_timeout()`, `.wait()`, `thread::sleep`.
-    Blocking,
     /// A call that closes a call-graph cycle; seeded by
     /// [`crate::costs::recursion_sites`], not by the token scan.
     Recursion,
@@ -76,7 +74,6 @@ impl SiteKind {
             SiteKind::Cast => ("truncating cast", "truncates via"),
             SiteKind::Alloc => ("allocation", "allocates via"),
             SiteKind::Growth => ("monotonic collection growth", "grows a collection via"),
-            SiteKind::Blocking => ("blocking acquisition", "blocks via"),
             SiteKind::Recursion => ("recursion", "recurses via"),
         }
     }
@@ -201,9 +198,6 @@ const DRAIN_METHODS: [&str; 9] = [
     "retain",
     "split_off",
 ];
-
-/// Method calls that block the calling thread until another party acts.
-const BLOCKING_METHODS: [&str; 4] = ["lock", "recv", "recv_timeout", "wait"];
 
 /// Narrow integer types an `as` cast can silently truncate id/count
 /// values into. Widening targets (`u64`, `usize`, `f64`, …) never count.
@@ -398,11 +392,10 @@ pub(crate) fn scan(
                 body.drained.extend(receiver(src, toks, i));
                 continue;
             }
-            _ if BLOCKING_METHODS.contains(&text) && method && next_is(b'(') => {
-                site(SiteKind::Blocking, format!(".{text}()"))
-            }
+            // Coordinating by wall time: a sleep has no use in code
+            // whose only concurrency is `par`'s deterministic map.
             "sleep" if after("thread") && next_is(b'(') => {
-                site(SiteKind::Blocking, "thread::sleep".into())
+                site(SiteKind::ThreadPrim, "thread::sleep".into())
             }
             "as" => match toks.get(i + 1).map(|n| n.text(src)) {
                 Some(target) if NARROW_TARGETS.contains(&target) => {

@@ -39,15 +39,15 @@ fn explain_unknown_code_exits_two_with_known_list_on_stderr() {
 }
 
 #[test]
-fn explain_s118_names_the_fault_plane_contract() {
+fn explain_s110_names_the_fault_plane_contract() {
     let out = lint_cmd()
-        .args(["--explain", "S118"])
+        .args(["--explain", "S110"])
         .output()
         .expect("spawn sybil-lint");
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("FaultPlane"), "{stdout}");
-    assert!(stdout.contains("fault_plane"), "{stdout}");
+    assert!(stdout.contains("io_free"), "{stdout}");
     assert!(stdout.contains("no-op"), "{stdout}");
 }
 

@@ -1,4 +1,4 @@
-//! Effect-rule fixture tests (S109, S110, S118, S119): every fixture
+//! Effect-rule fixture tests (S109, S110, S119): every fixture
 //! asserts the exact call chain its finding carries — including a
 //! trait-object edge and a `par::` closure edge. The fixtures of the
 //! retired S111 and S112 stay, and show D001 and D003 flag the same
@@ -60,15 +60,6 @@ fn cfg(clockless: &[&str], io_free: &[&str]) -> EffectConfig {
     EffectConfig {
         clockless_roots: v(clockless),
         io_free_roots: v(io_free),
-        ..EffectConfig::default()
-    }
-}
-
-/// S118 config: only the fault-plane root patterns set.
-fn fault_cfg(roots: &[&str]) -> EffectConfig {
-    EffectConfig {
-        fault_plane_roots: roots.iter().map(|s| s.to_string()).collect(),
-        ..EffectConfig::default()
     }
 }
 
@@ -249,25 +240,24 @@ fn s110_io_write_reports_chain() {
 }
 
 // ---------------------------------------------------------------------
-// S118: IO reachable from the production fault-plane surface (the
-// trait's default hooks), rooted by module pattern like the real
-// `sybil-serve::fault::*` config.
+// S110 over the production fault-plane surface (the trait's default
+// hooks), rooted by module pattern like the real `sybil-serve::fault::*`
+// entry of `io_free`.
 
 #[test]
-fn s118_default_hook_reaching_io_reports_chain() {
-    let f = eff_findings("eff_fault_bad", FAULT, &fault_cfg(&["eff_fault_bad::plane::*"]));
+fn s110_fault_plane_default_hook_reaching_io_reports_chain() {
+    let f = eff_findings("eff_fault_bad", FAULT, &cfg(&[], &["eff_fault_bad::plane::*"]));
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
-    assert_eq!(v.rule, "S118");
+    assert_eq!(v.rule, "S110");
     assert_eq!(v.path, "crates/eff_fault_bad/src/journal.rs");
     assert_eq!(v.line, 2);
     assert_eq!(
         v.message,
-        "`fs::write` (IO write) is reachable from production fault-plane hook \
-         `eff_fault_bad::plane::epoch_commit` (1 call away); keep the \
-         production plane a pure no-op — journal writes and other IO belong \
-         in a durable plane's override, never in the default the real engine \
-         runs"
+        "`fs::write` (IO write) is reachable from epoch-barrier path root \
+         `eff_fault_bad::plane::epoch_commit` (1 call away); hoist the IO out \
+         of the barrier (stage bytes before, flush after) or allowlist with \
+         the blocking bound"
     );
     assert_eq!(
         v.trace,
@@ -284,10 +274,10 @@ fn s118_default_hook_reaching_io_reports_chain() {
 }
 
 #[test]
-fn s118_is_silent_for_an_io_free_plane() {
-    // The clean fixture's `serve` designated as fault-plane root: no IO
-    // anywhere in its reach, so S118 stays quiet.
-    let f = eff_findings("eff_clean", ONE, &fault_cfg(&["eff_clean::serve"]));
+fn s110_is_silent_for_an_io_free_plane() {
+    // The clean fixture's `serve` designated as io-free root: no IO
+    // anywhere in its reach, so S110 stays quiet.
+    let f = eff_findings("eff_clean", ONE, &cfg(&[], &["eff_clean::serve"]));
     assert!(f.is_empty(), "{f:#?}");
 }
 
@@ -398,8 +388,7 @@ fn eff_clean_is_silent_as_root_and_sink() {
     let roots = vec!["eff_clean::serve".to_string()];
     let every = EffectConfig {
         clockless_roots: roots.clone(),
-        io_free_roots: roots.clone(),
-        fault_plane_roots: roots,
+        io_free_roots: roots,
     };
     let f = eff_findings("eff_clean", ONE, &every);
     assert!(f.is_empty(), "{f:#?}");

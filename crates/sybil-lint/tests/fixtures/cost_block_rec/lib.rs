@@ -1,6 +1,6 @@
-//! BAD: the hot loop blocks on a mutex every event (S116), and the
-//! depth helper it calls recurses (S117) — both reachable from the
-//! root `serve`.
+//! BAD: the depth helper the hot loop calls recurses (S117), reachable
+//! from the root `serve`. The loop's `.lock()` is no S-rule's: the Mutex
+//! it needs is D003's wherever it is declared.
 
 #![forbid(unsafe_code)]
 

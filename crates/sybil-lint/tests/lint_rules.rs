@@ -74,7 +74,7 @@ fn d002_exempts_repro_cli() {
 #[test]
 fn d003_bad_flags_exact_lines() {
     let f = lint_fixture("d003_bad.rs");
-    assert_eq!(lines_of(&f, "D003"), vec![5, 10, 13], "{f:#?}");
+    assert_eq!(lines_of(&f, "D003"), vec![5, 10, 13, 18], "{f:#?}");
 }
 
 #[test]

@@ -85,8 +85,7 @@ const CORPUS: [(&str, &str, &str); 27] = [
 const LINT_TOML: &str = r#"
 [effects.roots]
 clockless = ["eff_clock_bad::serve"]
-io_free = ["eff_io_bad::step"]
-fault_plane = ["eff_fault_bad::plane::*"]
+io_free = ["eff_io_bad::step", "eff_fault_bad::plane::*"]
 
 [hotpaths.roots]
 per_event = [

@@ -218,8 +218,8 @@ fn s107_bad_reports_string_error_and_library_exit() {
     assert_eq!(
         f[0].message,
         "pub fn `parse_level` returns Result<_, String>; a string error \
-         cannot be matched on and carries no source — return a typed \
-         error (see sybil_core::Error) and keep prose in Display"
+         cannot be matched on and carries no source — return the crate's \
+         typed error (like osn_graph::GraphError) and keep prose in Display"
     );
     assert_eq!(
         f[0].trace,

@@ -26,7 +26,8 @@ fn workspace_lints_clean_with_roots_in_force() {
     );
     // A reviewed finding under each root table proves the table loaded:
     // with `[effects.roots]` or `[hotpaths.roots]` empty, S109 and
-    // S113–S118 go quiet and the run above is vacuously clean.
+    // S110, S113–S115 and S117 go quiet and the run above is vacuously
+    // clean.
     for code in ["S109", "S113"] {
         assert!(
             rep.allowed.iter().any(|(f, _)| f.rule == code),

@@ -23,8 +23,7 @@
 //!    override for the staging [`DeltaQueue`](crate::queue::DeltaQueue)s
 //!    (overflow injection).
 //! 3. [`shard_fault`](FaultPlane::shard_fault) — per shard, whether this
-//!    epoch's result arrives late ([`ShardFault::Stall`], absorbed by the
-//!    barrier) or not at all ([`ShardFault::Crash`], triggering journal
+//!    epoch's result is lost ([`ShardFault::Crash`], triggering journal
 //!    replay).
 //! 4. [`deliver_order`](FaultPlane::deliver_order) — a permutation of
 //!    barrier arrival order (the merge is keyed by shard id, so any
@@ -39,10 +38,10 @@
 //! epoch against [`committed_digest`](FaultPlane::committed_digest); any
 //! mismatch is a typed [`ChaosError`], never silent divergence.
 //!
-//! Workspace lint rule S118 pins the production side of this contract:
-//! no IO effect may be reachable from the no-op hook implementations
-//! below — journal writes are legal only behind the chaos plane's
-//! barrier hooks.
+//! Workspace lint rule S110 pins the production side of this contract
+//! (`lint.toml` lists this module among its `io_free` roots): no IO
+//! effect may be reachable from the no-op hook implementations below —
+//! journal writes are legal only in a durable plane's overrides.
 
 use osn_graph::{NodeId, Timestamp};
 use osn_sim::stream::{EventDetail, StreamEvent};
@@ -55,14 +54,8 @@ pub use crate::shard::TaggedFeedback as FeedbackRecord;
 /// What kind of fault (or recovery failure) an error is attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
-    /// A shard's epoch result was delayed; absorbed at the barrier.
-    Stall,
     /// A staging-queue capacity clamp forced an overflow.
     QueueOverflow,
-    /// An epoch barrier fired late (logical delay, absorbed).
-    BarrierDelay,
-    /// Shard results arrived at the barrier out of order.
-    BarrierReorder,
     /// A shard lost its in-memory state mid-epoch.
     Crash,
     /// Journal replay reconstructed state whose digest disagrees with
@@ -76,10 +69,7 @@ pub enum FaultKind {
 impl std::fmt::Display for FaultKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            FaultKind::Stall => "stall",
             FaultKind::QueueOverflow => "queue-overflow",
-            FaultKind::BarrierDelay => "barrier-delay",
-            FaultKind::BarrierReorder => "barrier-reorder",
             FaultKind::Crash => "crash",
             FaultKind::ReplayDivergence => "replay-divergence",
             FaultKind::Journal => "journal",
@@ -97,8 +87,8 @@ impl std::fmt::Display for FaultKind {
 pub struct ChaosError {
     /// Epoch (0-based barrier count) the fault surfaced in.
     pub epoch: u64,
-    /// Affected shard; `None` for coordinator-level faults (barrier and
-    /// journal failures).
+    /// Affected shard; `None` for coordinator-level faults (journal
+    /// failures, replay records that do not fit this run).
     pub shard: Option<usize>,
     /// What the failure is attributed to.
     pub fault_kind: FaultKind,
@@ -124,10 +114,6 @@ impl std::error::Error for ChaosError {}
 pub enum ShardFault {
     /// No fault: the shard's result merges normally.
     Healthy,
-    /// The result arrives this many logical epochs late. The barrier
-    /// waits (the merge is all-or-nothing), so a stall is absorbed —
-    /// it costs recovery latency, never output bytes.
-    Stall(u32),
     /// The shard's in-memory state is lost mid-epoch; the coordinator
     /// rebuilds it by replaying the write-ahead journal.
     Crash,
@@ -324,7 +310,7 @@ pub trait FaultPlane {
 }
 
 /// The production fault plane: no faults, no journal, nothing. Lint rule
-/// S118 enforces that no IO is reachable from these (default) hook
+/// S110 enforces that no IO is reachable from these (default) hook
 /// bodies.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoFaults;

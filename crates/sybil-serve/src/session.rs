@@ -57,22 +57,15 @@ pub struct ServeOutcome {
     pub stats: ServeStats,
 }
 
-/// The session's one capability slot for a fault/persistence plane:
-/// either the zero-cost production default or a caller-borrowed plane.
-enum PlaneSlot<'a, P: FaultPlane> {
-    /// No plane injected: run with [`NoFaults`] (every hook a no-op).
-    Default,
-    /// A caller-owned plane, borrowed for the run.
-    Borrowed(&'a mut P),
-}
-
 /// Builder for one run of the sharded serving engine. See the
 /// [module docs](self) for the capability list and an example.
 pub struct ServeSession<'a, P: FaultPlane = NoFaults> {
     cfg: ServeConfig,
     clock: Option<Clock<'a>>,
     metrics: Option<&'a mut sybil_obs::Registry>,
-    plane: PlaneSlot<'a, P>,
+    /// The caller's plane, borrowed for the run; `None` runs with
+    /// [`NoFaults`] (every hook a no-op).
+    plane: Option<&'a mut P>,
 }
 
 impl<'a> ServeSession<'a, NoFaults> {
@@ -83,7 +76,7 @@ impl<'a> ServeSession<'a, NoFaults> {
             cfg,
             clock: None,
             metrics: None,
-            plane: PlaneSlot::Default,
+            plane: None,
         }
     }
 }
@@ -111,7 +104,7 @@ impl<'a, P: FaultPlane> ServeSession<'a, P> {
             cfg: self.cfg,
             clock: self.clock,
             metrics: self.metrics,
-            plane: PlaneSlot::Borrowed(plane),
+            plane: Some(plane),
         }
     }
 
@@ -134,12 +127,8 @@ impl<'a, P: FaultPlane> ServeSession<'a, P> {
             None => &zero,
         };
         let (report, stats) = match self.plane {
-            PlaneSlot::Default => {
-                serve_inner(out, &self.cfg, clock, self.metrics, &mut NoFaults)?
-            }
-            PlaneSlot::Borrowed(plane) => {
-                serve_inner(out, &self.cfg, clock, self.metrics, plane)?
-            }
+            Some(plane) => serve_inner(out, &self.cfg, clock, self.metrics, plane)?,
+            None => serve_inner(out, &self.cfg, clock, self.metrics, &mut NoFaults)?,
         };
         Ok(ServeOutcome { report, stats })
     }

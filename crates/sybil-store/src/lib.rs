@@ -58,6 +58,4 @@ pub mod store;
 
 pub use error::{IoOp, StoreError};
 pub use journal::Journal;
-pub use store::{
-    JournalPlane, SnapshotStore, StorePlane, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DIGEST_EVERY,
-};
+pub use store::{JournalPlane, SnapshotStore, StorePlane, DEFAULT_CHECKPOINT_EVERY};

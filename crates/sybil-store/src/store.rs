@@ -73,17 +73,6 @@ use sybil_serve::fault::{
 /// runs at cadence 1.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
 
-/// Default digest cadence for journal commits: per-shard state digests
-/// at every epoch, so every live epoch commits digests and every
-/// replayed one — crash rebuild and a warm restart's tail — is checked
-/// against them at the epoch it diverges in. A session's first digest
-/// hashes every account; after it a shard re-hashes only the accounts
-/// its epoch touched, inside its own busy window, whether or not that
-/// epoch is digested — so a sparser cadence saves little and only
-/// widens the window between intermediate divergence checks (the
-/// run-end record always carries final digests either way).
-pub const DEFAULT_DIGEST_EVERY: u64 = 1;
-
 /// A directory of versioned `SYBS` checkpoints plus the epoch journal.
 #[derive(Debug)]
 pub struct SnapshotStore {
@@ -162,11 +151,15 @@ fn journal_err(epoch: u64) -> ChaosError {
 /// The write-ahead plane: the coordinator's journal hooks over a
 /// [`Journal`] on any byte store — a `Cursor<Vec<u8>>` for in-memory
 /// chaos runs, a file inside a [`StorePlane`].
+///
+/// Every epoch commits per-shard state digests, so every replayed epoch
+/// — crash rebuild and a warm restart's tail — is checked at the epoch
+/// it diverges in. A session's first digest hashes every account; after
+/// it a shard re-hashes only the accounts its epoch touched, inside its
+/// own busy window, whether or not the epoch is digested, so a sparser
+/// cadence would save little.
 pub struct JournalPlane<S> {
     journal: Journal<S>,
-    /// Take per-shard digests every this many epochs (0 = never; the
-    /// run-end digests are always taken by the engine regardless).
-    digest_every: u64,
     /// `Some(epochs)` when the journal already carried a run-end record
     /// when the plane was built — a restart of a finished run must not
     /// append a second.
@@ -174,19 +167,11 @@ pub struct JournalPlane<S> {
 }
 
 impl<S: Read + Write + Seek> JournalPlane<S> {
-    /// Journal through `journal`, digesting every
-    /// [`DEFAULT_DIGEST_EVERY`] epochs.
+    /// Journal through `journal`.
     pub fn new(journal: Journal<S>) -> Self {
-        Self::with_digest_cadence(journal, DEFAULT_DIGEST_EVERY)
-    }
-
-    /// [`new`](Self::new) with per-shard state digests journaled every
-    /// `digest_every` epochs (0 = never).
-    pub(crate) fn with_digest_cadence(journal: Journal<S>, digest_every: u64) -> Self {
         let finished_at_open = journal.finished().map(|(epochs, _)| epochs);
         JournalPlane {
             journal,
-            digest_every,
             finished_at_open,
         }
     }
@@ -213,8 +198,8 @@ impl<S: Read + Write + Seek> FaultPlane for JournalPlane<S> {
             .map_err(|_| journal_err(rec.epoch))
     }
 
-    fn wants_digests(&self, epoch: u64) -> bool {
-        self.digest_every != 0 && epoch.is_multiple_of(self.digest_every)
+    fn wants_digests(&self, _epoch: u64) -> bool {
+        true
     }
 
     fn epoch_commit(&mut self, epoch: u64, digests: Option<&[u64]>) -> Result<(), ChaosError> {
@@ -257,24 +242,22 @@ pub struct StorePlane {
 }
 
 impl StorePlane {
-    /// Open a durable plane over `dir` at the default cadences.
+    /// Open a durable plane over `dir` at the default checkpoint cadence.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        Self::with_cadence(dir, DEFAULT_CHECKPOINT_EVERY, DEFAULT_DIGEST_EVERY)
+        Self::with_cadence(dir, DEFAULT_CHECKPOINT_EVERY)
     }
 
-    /// [`open`](Self::open) with explicit cadences: a checkpoint every
-    /// `checkpoint_every` epochs (0 = never) and journal digests every
-    /// `digest_every` epochs (0 = never).
+    /// [`open`](Self::open) with a checkpoint every `checkpoint_every`
+    /// epochs (0 = never).
     pub fn with_cadence(
         dir: impl Into<PathBuf>,
         checkpoint_every: u64,
-        digest_every: u64,
     ) -> Result<Self, StoreError> {
         let store = SnapshotStore::open(dir)?;
         let journal = format::open_or_create_journal(&store.journal_path())?;
         Ok(StorePlane {
             store,
-            wal: JournalPlane::with_digest_cadence(journal, digest_every),
+            wal: JournalPlane::new(journal),
             checkpoint_every,
             kill_at: None,
             resumed_from: None,
@@ -452,7 +435,6 @@ mod tests {
         let plane = StorePlane::open(&dir).unwrap();
         assert!(!plane.wants_checkpoint(0));
         assert!(plane.wants_checkpoint(DEFAULT_CHECKPOINT_EVERY - 1));
-        assert_eq!(DEFAULT_DIGEST_EVERY, 1);
         assert!((0..DEFAULT_CHECKPOINT_EVERY).all(|e| plane.wants_digests(e)));
         drop(plane);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -462,7 +444,7 @@ mod tests {
     fn plane_journals_and_checkpoints_through_the_hooks() {
         let dir = tmpdir("plane");
         {
-            let mut plane = StorePlane::with_cadence(&dir, 1, 4).unwrap();
+            let mut plane = StorePlane::with_cadence(&dir, 1).unwrap();
             assert!(plane.enabled());
             assert!(plane.wants_checkpoint(0), "cadence 1 checkpoints every epoch");
             assert!(plane.load_resume().unwrap().is_none(), "fresh store is cold");

@@ -18,7 +18,7 @@ use sybil_core::realtime::RealtimeConfig;
 use sybil_core::ThresholdClassifier;
 use sybil_serve::fault::FaultKind;
 use sybil_serve::{ServeConfig, ServeError, ServeSession};
-use sybil_store::{format, StorePlane, DEFAULT_DIGEST_EVERY};
+use sybil_store::{format, StorePlane};
 
 fn small_sim() -> SimOutput {
     simulate(SimConfig::tiny(11))
@@ -74,7 +74,7 @@ fn kill_then_restart(
     kill_epoch: u64,
     every: u64,
 ) -> String {
-    let mut doomed = StorePlane::with_cadence(dir, every, 4)
+    let mut doomed = StorePlane::with_cadence(dir, every)
         .expect("store opens")
         .kill_at_epoch(kill_epoch);
     let err = ServeSession::new(*cfg)
@@ -90,7 +90,7 @@ fn kill_then_restart(
     }
     drop(doomed);
 
-    let mut revived = StorePlane::with_cadence(dir, every, 4).expect("store reopens");
+    let mut revived = StorePlane::with_cadence(dir, every).expect("store reopens");
     let outcome = ServeSession::new(*cfg)
         .store(&mut revived)
         .run(out)
@@ -151,15 +151,13 @@ fn sparse_checkpoints_recover_through_the_journal_tail() {
     // Checkpoint every 4th epoch only: a kill at epoch 6 resumes from
     // the epoch-4 checkpoint and replays committed epochs 4..6 from the
     // journal before going live.
-    let mut doomed = StorePlane::with_cadence(&dir, 4, 1)
-        .unwrap()
-        .kill_at_epoch(6);
+    let mut doomed = StorePlane::with_cadence(&dir, 4).unwrap().kill_at_epoch(6);
     ServeSession::new(cfg)
         .store(&mut doomed)
         .run(&out)
         .expect_err("killed");
     drop(doomed);
-    let mut revived = StorePlane::with_cadence(&dir, 4, 1).unwrap();
+    let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
     let o = ServeSession::new(cfg).store(&mut revived).run(&out).unwrap();
     assert_eq!(revived.resumed_from(), Some(4));
     assert_eq!(revived.tail_replayed(), 2, "epochs 4 and 5 replay from the journal");
@@ -175,23 +173,24 @@ fn a_store_from_another_run_is_a_typed_journal_fault() {
     let cfg = serve_cfg(2, true);
     let writer = small_sim();
     let tiny = SimConfig::tiny(11);
-    // Who reopens the store, the digest cadence, where the writer is
-    // killed (checkpoints every 4 epochs, so a checkpoint and a two-epoch
-    // committed tail are on disk each time), and the epoch the fault names.
+    // Who reopens the store, where the writer is killed (checkpoints
+    // every 4 epochs, so a checkpoint and a two-epoch committed tail are
+    // on disk each time), and the epoch the fault names.
     let cases = [
         // A smaller account table: the checkpoint's ids are out of range,
         // and the checkpoint (4 epochs) is refused.
-        ("smaller", SimConfig { n_normal: 400, ..tiny.clone() }, 4, 6, 4),
-        // The same table from another seed, digests off: only comparing
-        // the journaled tail with the stream can tell, at its first epoch.
-        ("other-seed", SimConfig::tiny(12), 0, 6, 4),
+        ("smaller", SimConfig { n_normal: 400, ..tiny.clone() }, 6, 4),
+        // The same table from another seed: comparing the journaled tail
+        // with the stream tells, at its first epoch, before any digest is
+        // compared.
+        ("other-seed", SimConfig::tiny(12), 6, 4),
         // The same table over a shorter horizon: the checkpoint (68
         // epochs) covers more epochs than the stream has.
-        ("shorter", SimConfig { hours: 600, ..tiny.clone() }, 4, 70, 68),
+        ("shorter", SimConfig { hours: 600, ..tiny.clone() }, 70, 68),
     ];
-    for (tag, reopener, digest_every, kill_epoch, fault_epoch) in cases {
+    for (tag, reopener, kill_epoch, fault_epoch) in cases {
         let dir = tmpdir(&format!("foreign-{tag}"));
-        let mut doomed = StorePlane::with_cadence(&dir, 4, digest_every)
+        let mut doomed = StorePlane::with_cadence(&dir, 4)
             .unwrap()
             .kill_at_epoch(kill_epoch);
         ServeSession::new(cfg)
@@ -199,7 +198,7 @@ fn a_store_from_another_run_is_a_typed_journal_fault() {
             .run(&writer)
             .expect_err("killed");
         drop(doomed);
-        let mut reopened = StorePlane::with_cadence(&dir, 4, digest_every).unwrap();
+        let mut reopened = StorePlane::with_cadence(&dir, 4).unwrap();
         let err = ServeSession::new(cfg)
             .store(&mut reopened)
             .run(&simulate(reopener))
@@ -248,16 +247,14 @@ fn a_tail_epoch_that_diverges_is_caught_at_that_epoch() {
     let out = small_sim();
     let cfg = serve_cfg(2, true);
     let dir = tmpdir("diverge");
-    let mut doomed = StorePlane::with_cadence(&dir, 4, DEFAULT_DIGEST_EVERY)
-        .unwrap()
-        .kill_at_epoch(7);
+    let mut doomed = StorePlane::with_cadence(&dir, 4).unwrap().kill_at_epoch(7);
     ServeSession::new(cfg)
         .store(&mut doomed)
         .run(&out)
         .expect_err("killed");
     drop(doomed);
     flip_first_feedback_truth(&dir.join("journal.sybj"), 6);
-    let mut revived = StorePlane::with_cadence(&dir, 4, DEFAULT_DIGEST_EVERY).unwrap();
+    let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
     let err = ServeSession::new(cfg)
         .store(&mut revived)
         .run(&out)
@@ -279,9 +276,7 @@ fn a_tail_epoch_that_diverges_is_caught_at_that_epoch() {
 /// Kill a cadence-4 run at epoch 6, leaving the epoch-4 checkpoint and a
 /// two-epoch committed tail, and return the checkpoint's path.
 fn killed_store(out: &SimOutput, cfg: &ServeConfig, dir: &PathBuf) -> PathBuf {
-    let mut doomed = StorePlane::with_cadence(dir, 4, DEFAULT_DIGEST_EVERY)
-        .unwrap()
-        .kill_at_epoch(6);
+    let mut doomed = StorePlane::with_cadence(dir, 4).unwrap().kill_at_epoch(6);
     ServeSession::new(*cfg)
         .store(&mut doomed)
         .run(out)
@@ -308,7 +303,7 @@ fn a_checkpoint_with_a_self_loop_is_a_typed_journal_fault() {
         };
         edges.push((NodeId(1), NodeId(1), Timestamp(0)));
         std::fs::write(&path, format::encode_checkpoint(&cp)).unwrap();
-        let mut revived = StorePlane::with_cadence(&dir, 4, DEFAULT_DIGEST_EVERY).unwrap();
+        let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
         let err = ServeSession::new(cfg)
             .store(&mut revived)
             .run(&out)
@@ -353,7 +348,7 @@ fn a_v1_checkpoint_warm_restarts() {
     let at = bytes.len() - 8;
     bytes[at..].copy_from_slice(&Digest64::finish(&d).to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
-    let mut revived = StorePlane::with_cadence(&dir, 4, DEFAULT_DIGEST_EVERY).unwrap();
+    let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
     let o = ServeSession::new(cfg).store(&mut revived).run(&out).unwrap();
     assert_eq!(revived.resumed_from(), Some(4), "the v1 checkpoint was read");
     assert_eq!(serde_json::to_string(&o.report).unwrap(), oracle);

@@ -8,7 +8,8 @@
 # serving-engine serve-vs-replay
 # equivalence smoke, the metrics bit-identity guard
 # (logical section of metrics.json across threads × shards), the chaos
-# proptests in release, the kill + warm-restart byte-identity drill, the
+# proptests in release, a committed `--faults` schedule through `repro
+# chaos`, the kill + warm-restart byte-identity drill, the
 # mismatched-store smoke (another run's store is a typed error), and
 # one step over the repo's benchmark (benchmark/run.sh): no failed job,
 # peak RSS inside the DESIGN.md budget, no resolved observability
@@ -170,6 +171,28 @@ echo "== chaos: fault-injection invariant proptests (release) =="
 # the composed form: the same schedules through a StorePlane-backed
 # session that is killed and warm-restarted under them.
 cargo test -q --release -p sybil-chaos --test chaos_props --test composed
+
+echo "== chaos: a committed --faults schedule through the CLI (repro chaos) =="
+# scripts/chaos-faults.json names one queue clamp, one shard crash and
+# one barrier reorder, each at an epoch the tiny stream reaches on 2
+# shards: all three must be tallied, the crash rebuilt out of the
+# journal, and an identical run's journal must replay cold to the
+# digests it committed.
+c_dir="$bench_tmp/chaos_faults"
+cargo run -q --release -p sybil-repro --bin repro -- \
+    --scale tiny --seed 11 --shards 2 --out "$c_dir" --faults scripts/chaos-faults.json chaos >/dev/null
+python3 - "$c_dir/tiny-seed11/chaos.json" <<'PY'
+import json, sys
+r = json.load(open(sys.argv[1]))
+rep = r["report"]
+injected = sum(rep["injected"].values())
+identical = rep["outcome"] == "Identical"
+ok = injected == 3 and rep["epochs_replayed"] > 0 and (r["journal_replay_verified"] or not identical)
+print(f"chaos --faults: injected {injected} ({rep['injected']}), "
+      f"epochs_replayed={rep['epochs_replayed']}, outcome={rep['outcome']}, "
+      f"journal_replay_verified={r['journal_replay_verified']}")
+sys.exit(0 if ok else 1)
+PY
 
 echo "== persistence: kill + warm-restart drill (repro restart) =="
 # A seed-derived mid-stream kill must warm-restart from the snapshot

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use renren_sybils::graph::{
-    bfs, clustering, components, generators, maxflow::FlowNetwork, metrics, NodeId,
-    TemporalGraph, Timestamp, UnionFind,
+    bfs, clustering, components, generators, maxflow::FlowNetwork, metrics, CsrSnapshot,
+    NeighborScratch, NodeId, TemporalGraph, Timestamp, UnionFind,
 };
 use renren_sybils::repro::cdf::Cdf;
 
@@ -64,20 +64,24 @@ proptest! {
         }
     }
 
-    /// Local clustering coefficients are valid probabilities, and a node's
-    /// first-k clustering equals local clustering when k >= degree.
+    /// Whole-neighbourhood clustering coefficients are valid
+    /// probabilities, first-k clustering stops changing once k reaches
+    /// the degree, and the CSR kernel the feature path runs returns the
+    /// same bits.
     #[test]
     fn clustering_bounds(
         n in 3usize..30,
         edges in prop::collection::vec((0usize..30, 0usize..30), 0..90)
     ) {
         let g = graph_from(n, &edges);
+        let snap = CsrSnapshot::freeze(&g);
+        let mut scratch = NeighborScratch::new(n);
         for node in g.nodes() {
-            let cc = clustering::local_clustering(&g, node);
+            let k = g.degree(node).max(1);
+            let cc = clustering::first_k_clustering(&g, node, k);
             prop_assert!((0.0..=1.0).contains(&cc));
-            let k = g.degree(node);
-            let cck = clustering::first_k_clustering(&g, node, k.max(1));
-            prop_assert!((cc - cck).abs() < 1e-12);
+            prop_assert_eq!(cc, clustering::first_k_clustering(&g, node, k + 5));
+            prop_assert_eq!(cc, snap.first_k_clustering(node, k, &mut scratch));
         }
     }
 
