@@ -116,5 +116,12 @@ mod tests {
         // The paper's headline: the threshold rule keeps up with the SVM.
         assert!(t.threshold.accuracy() > t.svm.accuracy() - 0.10);
         assert!(t.render().contains("Table 1"));
+        // Both confusion matrices and the calibrated rule, byte for byte
+        // (`repro --scale tiny --seed 11 table1` writes this file).
+        assert_eq!(
+            serde_json::to_string_pretty(&t).expect("matrices serialize"),
+            include_str!("../tests/golden/table1_tiny_seed11.json"),
+            "Table 1 moved"
+        );
     }
 }

@@ -163,5 +163,12 @@ mod tests {
             assert!(r.auc > 0.9, "{} auc {:.3}", r.name, r.auc);
         }
         assert!(zoo.render().contains("Classifier zoo"));
+        // Every matrix and AUC, byte for byte (`repro --scale tiny --seed 11
+        // zoo` writes this file).
+        assert_eq!(
+            serde_json::to_string_pretty(&zoo).expect("rows serialize"),
+            include_str!("../tests/golden/zoo_tiny_seed11.json"),
+            "classifier zoo moved"
+        );
     }
 }
