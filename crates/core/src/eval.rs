@@ -87,45 +87,68 @@ pub fn evaluate<C: Classifier>(
     m
 }
 
+/// One task of [`cross_validate`]: a held-out fold's confusion counts, or
+/// the classifier fit to the full sample.
+enum Fit<C> {
+    HeldOut(ConfusionMatrix),
+    Full(C),
+}
+
 /// k-fold cross-validation (the paper uses 5 folds on the 1000+1000
-/// sample): `train` receives the training split and returns a classifier;
-/// the returned matrix aggregates every fold's held-out predictions.
+/// sample) plus the fit to the full sample: `train` receives a training
+/// split and returns a classifier. Returns the matrix aggregating every
+/// fold's held-out predictions, and the classifier `train` fit to all of
+/// `ds` (a calibrated rule or ROC model for the record; it has seen every
+/// example, so it is no generalization estimate).
 ///
 /// The dataset should be shuffled beforehand; folds are contiguous ranges.
 ///
-/// Folds are independent, so they train concurrently on
-/// [`osn_graph::par::num_threads`] threads (`RENREN_THREADS` overrides);
-/// `train` therefore takes a `Fn` closure rather than `FnMut`. Each fold's
-/// classifier is trained and evaluated entirely within one worker, and the
-/// integer confusion counts merge in fold order, so the result is
-/// identical at any thread count.
-pub fn cross_validate<C, F>(ds: &GroundTruth, k: usize, train: F) -> ConfusionMatrix
+/// The `k + 1` fits are independent, so they run as one parallel map on
+/// [`osn_graph::par::num_threads`] threads (`RENREN_THREADS` overrides):
+/// task `i < k` trains without fold `i` and evaluates on it, task `k`
+/// trains on the full sample, so with 5 folds on 2 threads the full fit
+/// shares the second chunk (3 + 3 tasks, three rounds). `train` therefore
+/// takes a `Fn` closure rather than `FnMut`. Each classifier is trained
+/// (and evaluated) entirely within one worker, and the integer confusion
+/// counts merge in fold order, so the result is identical at any thread
+/// count.
+pub fn cross_validate<C, F>(ds: &GroundTruth, k: usize, train: F) -> (ConfusionMatrix, C)
 where
-    C: Classifier,
+    C: Classifier + Send,
     F: Fn(&GroundTruth) -> C + Sync,
 {
     let folds = ds.fold_ranges(k);
-    let per_fold = osn_graph::par::map_slice(&folds, |test_range| {
-        let mut train_ds = GroundTruth::default();
-        for i in 0..ds.len() {
-            if !test_range.contains(&i) {
-                train_ds.features.push(ds.features[i]);
-                train_ds.labels.push(ds.labels[i]);
-                train_ds.nodes.push(ds.nodes[i]);
+    let fits = osn_graph::par::map_indexed(k + 1, |task| match folds.get(task) {
+        Some(test_range) => {
+            let mut train_ds = GroundTruth::default();
+            for i in 0..ds.len() {
+                if !test_range.contains(&i) {
+                    train_ds.features.push(ds.features[i]);
+                    train_ds.labels.push(ds.labels[i]);
+                    train_ds.nodes.push(ds.nodes[i]);
+                }
             }
+            let clf = train(&train_ds);
+            Fit::HeldOut(evaluate(
+                &clf,
+                &ds.features[test_range.clone()],
+                &ds.labels[test_range.clone()],
+            ))
         }
-        let clf = train(&train_ds);
-        evaluate(
-            &clf,
-            &ds.features[test_range.clone()],
-            &ds.labels[test_range.clone()],
-        )
+        None => Fit::Full(train(ds)),
     });
     let mut total = ConfusionMatrix::default();
-    for m in &per_fold {
-        total.merge(m);
+    let mut full = None;
+    for fit in fits {
+        match fit {
+            Fit::HeldOut(m) => total.merge(&m),
+            Fit::Full(clf) => full = Some(clf),
+        }
     }
-    total
+    // `map_indexed` returns one output per task, so task `k` is always
+    // there; the refit only keeps the function total without a panic.
+    let full = full.unwrap_or_else(|| train(ds));
+    (total, full)
 }
 
 /// ROC curve points `(false-positive-rate, true-positive-rate)` from the
@@ -148,8 +171,10 @@ pub fn roc_curve<C: Classifier>(
     let mut i = 0;
     while i < scored.len() {
         // Process ties together so the curve is threshold-consistent.
+        // NaN ties with NaN (`==` never holds for it, so the group would
+        // not advance); `==` everywhere else keeps ±0 one group.
         let s = scored[i].0;
-        while i < scored.len() && scored[i].0 == s {
+        while i < scored.len() && (scored[i].0 == s || (s.is_nan() && scored[i].0.is_nan())) {
             if scored[i].1 {
                 tp += 1.0;
             } else {
@@ -234,9 +259,37 @@ mod tests {
             ds.labels.push(i % 2 == 0);
             ds.nodes.push(NodeId(i));
         }
-        let m = cross_validate(&ds, 5, |_| Above(10.0));
+        let (m, _) = cross_validate(&ds, 5, |_| Above(10.0));
         assert_eq!(m.total(), 50);
         assert_eq!(m.accuracy(), 1.0);
+    }
+
+    #[test]
+    fn cross_validation_returns_the_full_sample_fit() {
+        // The last classifier is trained on all of `ds`: a rule that
+        // remembers its training size shows which split it saw.
+        let mut ds = GroundTruth::default();
+        for i in 0..23 {
+            ds.features.push(fv(i as f64));
+            ds.labels.push(i % 3 == 0);
+            ds.nodes.push(NodeId(i));
+        }
+        let (m, full) = cross_validate(&ds, 4, |t| Above(t.len() as f64));
+        assert_eq!(m.total(), 23);
+        assert_eq!(full.0, 23.0);
+    }
+
+    #[test]
+    fn roc_treats_nan_scores_as_one_tie() {
+        let features = vec![fv(30.0), fv(f64::NAN), fv(1.0)];
+        let labels = vec![true, true, false];
+        let (curve, auc) = roc_curve(&Above(10.0), &features, &labels);
+        assert_eq!(curve, vec![(0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (1.0, 1.0)]);
+        assert!((auc - 1.0).abs() < 1e-12, "auc {auc}");
+        let features = vec![fv(f64::NAN), fv(f64::NAN), fv(2.0), fv(f64::NAN)];
+        let labels = vec![true, false, true, false];
+        let (curve, _) = roc_curve(&Above(10.0), &features, &labels);
+        assert_eq!(curve.len(), 3, "one NaN group and one finite group: {curve:?}");
     }
 
     #[test]
@@ -330,5 +383,19 @@ mod per_feature_tests {
         assert!(get("clustering_coefficient") > 0.99);
         // The deliberately class-independent feature is uninformative.
         assert!((get("inv_freq_400h") - 0.5).abs() < 0.05);
+    }
+
+    #[test]
+    fn nan_feature_values_do_not_stall_the_sweep() {
+        let fv = |cc: f64| FeatureVector {
+            inv_freq_1h: 1.0,
+            inv_freq_400h: 1.0,
+            outgoing_accept_ratio: 0.5,
+            incoming_accept_ratio: 0.5,
+            clustering_coefficient: cc,
+        };
+        let features = vec![fv(f64::NAN), fv(0.2), fv(0.0)];
+        let aucs = per_feature_auc(&features, &[true, false, true]);
+        assert_eq!(aucs.len(), FeatureVector::NAMES.len());
     }
 }

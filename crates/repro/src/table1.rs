@@ -33,11 +33,11 @@ pub fn run(ctx: &Ctx, per_class: usize, folds: usize) -> Table1 {
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x7AB1E);
     ds.shuffle(&mut rng);
     let svm_params = KernelSvmParams::default();
-    let svm = cross_validate(&ds, folds, |train| {
+    // The SVM's full-sample fit is unused; it shares the folds' rounds.
+    let (svm, _) = cross_validate(&ds, folds, |train| {
         KernelSvm::train_features(&train.features, &train.labels, &svm_params)
     });
-    let threshold = cross_validate(&ds, folds, ThresholdClassifier::calibrate);
-    let example_rule = ThresholdClassifier::calibrate(&ds);
+    let (threshold, example_rule) = cross_validate(&ds, folds, ThresholdClassifier::calibrate);
     Table1 {
         per_class: ds.num_sybil(),
         svm,

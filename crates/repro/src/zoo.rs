@@ -17,8 +17,9 @@ use sybil_core::logistic::LogisticParams;
 use sybil_core::svm::kernel::KernelSvmParams;
 use sybil_core::svm::linear::LinearSvmParams;
 use sybil_core::{
-    KernelSvm, LinearSvm, LogisticRegression, NaiveBayes, ThresholdClassifier,
+    Classifier, KernelSvm, LinearSvm, LogisticRegression, NaiveBayes, ThresholdClassifier,
 };
+use sybil_features::dataset::GroundTruth;
 use crate::table::Table;
 
 /// One classifier's cross-validated results.
@@ -47,62 +48,62 @@ pub fn run(ctx: &Ctx, per_class: usize, folds: usize) -> Zoo {
     let mut ds = ground_truth_sample(ctx, per_class);
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x200);
     ds.shuffle(&mut rng);
-    let mut rows = Vec::new();
-
-    let threshold = cross_validate(&ds, folds, ThresholdClassifier::calibrate);
-    let full_thr = ThresholdClassifier::calibrate(&ds);
-    rows.push(ZooRow {
-        name: "threshold (paper)".into(),
-        matrix: threshold,
-        auc: roc_curve(&full_thr, &ds.features, &ds.labels).1,
-    });
-
     let lp = LinearSvmParams::default();
-    let linear = cross_validate(&ds, folds, |t| {
-        LinearSvm::train_features(&t.features, &t.labels, &lp)
-    });
-    let full_lin = LinearSvm::train_features(&ds.features, &ds.labels, &lp);
-    rows.push(ZooRow {
-        name: "linear SVM (Pegasos)".into(),
-        matrix: linear,
-        auc: roc_curve(&full_lin, &ds.features, &ds.labels).1,
-    });
-
     let kp = KernelSvmParams::default();
-    let rbf = cross_validate(&ds, folds, |t| {
-        KernelSvm::train_features(&t.features, &t.labels, &kp)
-    });
-    let full_rbf = KernelSvm::train_features(&ds.features, &ds.labels, &kp);
-    rows.push(ZooRow {
-        name: "RBF SVM (SMO)".into(),
-        matrix: rbf,
-        auc: roc_curve(&full_rbf, &ds.features, &ds.labels).1,
-    });
-
-    let nb = cross_validate(&ds, folds, |t| NaiveBayes::train(&t.features, &t.labels));
-    let full_nb = NaiveBayes::train(&ds.features, &ds.labels);
-    rows.push(ZooRow {
-        name: "Gaussian naive Bayes".into(),
-        matrix: nb,
-        auc: roc_curve(&full_nb, &ds.features, &ds.labels).1,
-    });
-
     let gp = LogisticParams::default();
-    let lr = cross_validate(&ds, folds, |t| {
-        LogisticRegression::train_features(&t.features, &t.labels, &gp)
-    });
-    let full_lr = LogisticRegression::train_features(&ds.features, &ds.labels, &gp);
-    rows.push(ZooRow {
-        name: "logistic regression".into(),
-        matrix: lr,
-        auc: roc_curve(&full_lr, &ds.features, &ds.labels).1,
-    });
+    let rows = vec![
+        row(
+            "threshold (paper)",
+            &ds,
+            cross_validate(&ds, folds, ThresholdClassifier::calibrate),
+        ),
+        row(
+            "linear SVM (Pegasos)",
+            &ds,
+            cross_validate(&ds, folds, |t| {
+                LinearSvm::train_features(&t.features, &t.labels, &lp)
+            }),
+        ),
+        row(
+            "RBF SVM (SMO)",
+            &ds,
+            cross_validate(&ds, folds, |t| {
+                KernelSvm::train_features(&t.features, &t.labels, &kp)
+            }),
+        ),
+        row(
+            "Gaussian naive Bayes",
+            &ds,
+            cross_validate(&ds, folds, |t| NaiveBayes::train(&t.features, &t.labels)),
+        ),
+        row(
+            "logistic regression",
+            &ds,
+            cross_validate(&ds, folds, |t| {
+                LogisticRegression::train_features(&t.features, &t.labels, &gp)
+            }),
+        ),
+    ];
 
     let feature_auc = per_feature_auc(&ds.features, &ds.labels)
         .into_iter()
         .map(|(n, a)| (n.to_string(), a))
         .collect();
     Zoo { rows, feature_auc }
+}
+
+/// A row from one [`cross_validate`] call: the folds' held-out matrix, and
+/// the ROC AUC of the fit to the full sample the same call returns.
+fn row<C: Classifier>(
+    name: &str,
+    ds: &GroundTruth,
+    (matrix, full): (ConfusionMatrix, C),
+) -> ZooRow {
+    ZooRow {
+        name: name.into(),
+        matrix,
+        auc: roc_curve(&full, &ds.features, &ds.labels).1,
+    }
 }
 
 impl Zoo {

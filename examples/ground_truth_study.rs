@@ -75,10 +75,10 @@ fn main() {
 
     // Table-1 style evaluation.
     ds.shuffle(&mut rng);
-    let svm = cross_validate(&ds, 5, |train| {
+    let (svm, _) = cross_validate(&ds, 5, |train| {
         KernelSvm::train_features(&train.features, &train.labels, &KernelSvmParams::default())
     });
-    let thr = cross_validate(&ds, 5, ThresholdClassifier::calibrate);
+    let (thr, _) = cross_validate(&ds, 5, ThresholdClassifier::calibrate);
     println!("5-fold cross-validation (Table 1):");
     println!(
         "  SVM        sybil recall {:.1}%  normal recall {:.1}%  accuracy {:.1}%",

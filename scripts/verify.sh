@@ -83,20 +83,25 @@ cmp "$bench_tmp/defenses_t1/tiny-seed1/defenses.json" \
     "$bench_tmp/defenses_t2/tiny-seed1/defenses.json"
 echo "defenses guard: defenses.json identical at RENREN_THREADS=1 and 2"
 
-echo "== sample + reach: RENREN_THREADS=1 vs 2 result identity =="
+echo "== sample + reach: RENREN_THREADS=1 vs 2 vs 3 result identity =="
 # The ground-truth sample is extracted on `par` and kept by the context
 # for the experiments that follow in the same process; reach draws its
-# percolation samples serially. None of it may show in a result.
+# percolation samples serially. Cross-validation maps its 5 folds and the
+# full-sample fit as six tasks: one chunk at 1 thread, 3+3 at 2, 2+2+2 at
+# 3, so the full fit shares a worker with different folds each time.
+# None of it may show in a result.
 sample_users="fig1 table1 zoo reach"
-for threads in 1 2; do
+for threads in 1 2 3; do
     # shellcheck disable=SC2086
     RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
         --scale tiny --seed 11 --out "$bench_tmp/sample_t$threads" $sample_users >/dev/null
 done
 for exp in $sample_users; do
-    cmp "$bench_tmp/sample_t1/tiny-seed11/$exp.json" "$bench_tmp/sample_t2/tiny-seed11/$exp.json"
+    for threads in 2 3; do
+        cmp "$bench_tmp/sample_t1/tiny-seed11/$exp.json" "$bench_tmp/sample_t$threads/tiny-seed11/$exp.json"
+    done
 done
-echo "sample guard: $sample_users JSON identical at RENREN_THREADS=1 and 2"
+echo "sample guard: $sample_users JSON identical at RENREN_THREADS=1, 2 and 3"
 
 echo "== serving engine: serve-vs-replay equivalence at 1 and 8 shards =="
 # The sharded engine must reproduce the sequential replay byte-for-byte
@@ -299,7 +304,7 @@ for layer in ("sybil-core.replay_s", "sybil-serve.shard_busy_s_shards1", "sybil-
     print(f"benchmark checks_sim: {layer}={v:.3f} s "
           f"(n={s['n']}, q1 {s['q1']:.3f}, q3 {s['q3']:.3f}) — reported, not gated")
 
-for layer in ("reach_s", "figs_s", "zoo_s", "defenses_s", "cpu_over_wall"):
+for layer in ("reach_s", "figs_s", "table1_s", "zoo_s", "defenses_s", "cpu_over_wall"):
     s = batch["summaries"][f"sybil-repro.{layer}"]
     print(f"benchmark paper_batch: sybil-repro.{layer}={s['median']:.3f} "
           f"(n={s['n']}, q1 {s['q1']:.3f}, q3 {s['q3']:.3f}) — reported, not gated")

@@ -77,7 +77,7 @@ fn classifiers_reach_table1_accuracy() {
     let mut rng = StdRng::seed_from_u64(2);
     let mut ds = GroundTruth::sample(&fx, 200, &mut rng);
     ds.shuffle(&mut rng);
-    let thr = cross_validate(&ds, 5, ThresholdClassifier::calibrate);
+    let (thr, _) = cross_validate(&ds, 5, ThresholdClassifier::calibrate);
     assert!(
         thr.accuracy() > 0.95,
         "threshold CV accuracy {:.3}",
@@ -85,7 +85,7 @@ fn classifiers_reach_table1_accuracy() {
     );
     use renren_sybils::detect::svm::kernel::KernelSvmParams;
     use renren_sybils::detect::KernelSvm;
-    let svm = cross_validate(&ds, 5, |train| {
+    let (svm, _) = cross_validate(&ds, 5, |train| {
         KernelSvm::train_features(&train.features, &train.labels, &KernelSvmParams::default())
     });
     assert!(svm.accuracy() > 0.95, "svm CV accuracy {:.3}", svm.accuracy());
