@@ -1,4 +1,4 @@
-//! Dinic max-flow on an explicit arc list.
+//! A residual flow network in CSR form, and Dinic max-flow over it.
 //!
 //! SumUp (Tran et al., NSDI '09) collects votes via approximate max-flow
 //! from voters to a collector over the social graph with adaptive link
@@ -6,61 +6,80 @@
 //! votes through, and the exact max-flow that pins the network's arc
 //! bookkeeping in tests.
 
-/// A flow network over dense node indices with integer capacities.
-#[derive(Clone, Debug, Default)]
+/// A residual flow network over dense node indices with integer
+/// capacities, in CSR form: the arcs leaving node `u` are the contiguous
+/// range [`arcs_from`](Self::arcs_from)`(u)`, forward and residual arcs
+/// alike, in the order the arcs were given.
+#[derive(Clone, Debug)]
 pub struct FlowNetwork {
-    // Arcs stored pairwise: arc 2k is forward, 2k+1 its residual reverse.
+    first: Vec<u32>, // per node: start of its arc range; `first[n]` ends the last
     to: Vec<u32>,
     cap: Vec<i64>,
-    head: Vec<Vec<u32>>, // per node: indices into `to`/`cap`
+    rev: Vec<u32>, // per arc: its paired residual arc
 }
 
 impl FlowNetwork {
-    /// Create a network with `n` nodes and no arcs.
-    pub fn new(n: usize) -> Self {
-        FlowNetwork {
-            to: Vec::new(),
-            cap: Vec::new(),
-            head: vec![Vec::new(); n],
+    /// A network with `n` nodes and, for every `(u, v, c)` in `arcs`, an
+    /// arc `u → v` of capacity `c` paired with a zero-capacity residual
+    /// arc `v → u`. Node `u`'s range holds, in `arcs` order, the forward
+    /// arc of every `(u, ·, ·)` and the residual arc of every `(·, u, ·)`.
+    /// `arcs` is read twice (once to count, once to place), hence
+    /// `Clone`. Panics on out-of-range nodes or a negative capacity.
+    pub fn from_arcs<I>(n: usize, arcs: I) -> Self
+    where
+        I: IntoIterator<Item = (usize, usize, i64)>,
+        I::IntoIter: Clone,
+    {
+        // Both passes run `for_each`, not a `for` loop: a caller's
+        // `flat_map` folds each edge's arcs in one step that way, where
+        // pulling them one by one through `next` is slower.
+        let arcs = arcs.into_iter();
+        let mut first = vec![0u32; n + 1];
+        arcs.clone().for_each(|(u, v, c)| {
+            assert!(u < n && v < n, "arc endpoint out of range");
+            assert!(c >= 0, "negative capacity");
+            first[u + 1] += 1;
+            first[v + 1] += 1;
+        });
+        for i in 0..n {
+            first[i + 1] += first[i];
         }
+        let len = first[n] as usize;
+        let mut net = FlowNetwork {
+            to: vec![0; len],
+            cap: vec![0; len],
+            rev: vec![0; len],
+            first,
+        };
+        let mut cursor = net.first.clone();
+        arcs.for_each(|(u, v, c)| {
+            let fwd = cursor[u];
+            cursor[u] += 1;
+            let back = cursor[v];
+            cursor[v] += 1;
+            let (f, b) = (fwd as usize, back as usize);
+            (net.to[f], net.cap[f], net.rev[f]) = (v as u32, c, back);
+            (net.to[b], net.cap[b], net.rev[b]) = (u as u32, 0, fwd);
+        });
+        net
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.head.len()
-    }
-
-    /// Add a directed arc `u → v` with capacity `c` (and a zero-capacity
-    /// residual arc). Panics on out-of-range nodes or negative capacity.
-    pub fn add_arc(&mut self, u: usize, v: usize, c: i64) {
-        assert!(u < self.head.len() && v < self.head.len(), "arc endpoint out of range");
-        assert!(c >= 0, "negative capacity");
-        let id = self.to.len() as u32;
-        self.to.push(v as u32);
-        self.cap.push(c);
-        self.to.push(u as u32);
-        self.cap.push(0);
-        self.head[u].push(id);
-        self.head[v].push(id + 1);
-    }
-
-    /// Add an undirected edge as two opposing arcs of capacity `c` each.
-    pub fn add_undirected(&mut self, u: usize, v: usize, c: i64) {
-        self.add_arc(u, v, c);
-        self.add_arc(v, u, c);
+        self.first.len() - 1
     }
 
     /// Maximum flow from `s` to `t` (Dinic's algorithm). Consumes residual
     /// capacities in place; call on a clone to preserve the network.
     pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
-        assert!(s < self.head.len() && t < self.head.len());
+        let n = self.num_nodes();
+        assert!(s < n && t < n);
         if s == t {
             return 0;
         }
-        let n = self.head.len();
         let mut flow = 0i64;
         let mut level = vec![-1i32; n];
-        let mut it = vec![0usize; n];
+        let mut it = vec![0u32; n];
         loop {
             // BFS to build level graph.
             for l in level.iter_mut() {
@@ -70,9 +89,9 @@ impl FlowNetwork {
             let mut q = std::collections::VecDeque::new();
             q.push_back(s);
             while let Some(u) = q.pop_front() {
-                for &a in &self.head[u] {
-                    let v = self.to[a as usize] as usize;
-                    if self.cap[a as usize] > 0 && level[v] < 0 {
+                for a in self.arcs_from(u) {
+                    let v = self.arc_to(a);
+                    if self.arc_cap(a) > 0 && level[v] < 0 {
                         level[v] = level[u] + 1;
                         q.push_back(v);
                     }
@@ -81,9 +100,7 @@ impl FlowNetwork {
             if level[t] < 0 {
                 return flow;
             }
-            for i in it.iter_mut() {
-                *i = 0;
-            }
+            it.copy_from_slice(&self.first[..n]);
             // DFS blocking flow.
             loop {
                 let pushed = self.dfs(s, t, i64::MAX, &level, &mut it);
@@ -95,18 +112,18 @@ impl FlowNetwork {
         }
     }
 
-    fn dfs(&mut self, u: usize, t: usize, limit: i64, level: &[i32], it: &mut [usize]) -> i64 {
+    fn dfs(&mut self, u: usize, t: usize, limit: i64, level: &[i32], it: &mut [u32]) -> i64 {
         if u == t {
             return limit;
         }
-        while it[u] < self.head[u].len() {
-            let a = self.head[u][it[u]] as usize;
+        while it[u] < self.first[u + 1] {
+            let a = it[u] as usize;
             let v = self.to[a] as usize;
             if self.cap[a] > 0 && level[v] == level[u] + 1 {
                 let pushed = self.dfs(v, t, limit.min(self.cap[a]), level, it);
                 if pushed > 0 {
                     self.cap[a] -= pushed;
-                    self.cap[a ^ 1] += pushed;
+                    self.cap[self.rev[a] as usize] += pushed;
                     return pushed;
                 }
             }
@@ -116,8 +133,9 @@ impl FlowNetwork {
     }
 
     /// Arc ids leaving `u` (forward and residual arcs alike).
-    pub fn arcs_from(&self, u: usize) -> &[u32] {
-        &self.head[u]
+    pub fn arcs_from(&self, u: usize) -> std::ops::Range<u32> {
+        debug_assert!(u < self.num_nodes(), "node out of range");
+        self.first[u]..self.first[u + 1]
     }
 
     /// Head (destination) node of arc `a`.
@@ -138,7 +156,7 @@ impl FlowNetwork {
     /// The arc paired with `a` in the residual network (`a`'s reverse;
     /// pushing along it cancels flow pushed along `a`).
     pub fn reverse_arc(&self, a: usize) -> usize {
-        a ^ 1
+        self.rev[a] as usize
     }
 
     /// Push one unit of flow along arc `a`, updating the residual pair.
@@ -146,7 +164,7 @@ impl FlowNetwork {
     pub fn push_unit(&mut self, a: usize) {
         assert!(self.cap[a] > 0, "push on saturated arc");
         self.cap[a] -= 1;
-        self.cap[a ^ 1] += 1;
+        self.cap[self.rev[a] as usize] += 1;
     }
 }
 
@@ -156,58 +174,53 @@ mod tests {
 
     #[test]
     fn single_arc() {
-        let mut net = FlowNetwork::new(2);
-        net.add_arc(0, 1, 5);
+        let mut net = FlowNetwork::from_arcs(2, [(0, 1, 5)]);
         assert_eq!(net.max_flow(0, 1), 5);
     }
 
     #[test]
     fn series_takes_min() {
-        let mut net = FlowNetwork::new(3);
-        net.add_arc(0, 1, 7);
-        net.add_arc(1, 2, 3);
+        let mut net = FlowNetwork::from_arcs(3, [(0, 1, 7), (1, 2, 3)]);
         assert_eq!(net.max_flow(0, 2), 3);
     }
 
     #[test]
     fn parallel_adds() {
-        let mut net = FlowNetwork::new(4);
-        net.add_arc(0, 1, 2);
-        net.add_arc(1, 3, 2);
-        net.add_arc(0, 2, 3);
-        net.add_arc(2, 3, 3);
+        let mut net = FlowNetwork::from_arcs(4, [(0, 1, 2), (1, 3, 2), (0, 2, 3), (2, 3, 3)]);
         assert_eq!(net.max_flow(0, 3), 5);
     }
 
     #[test]
     fn classic_clrs_network() {
         // CLRS figure 26.1 network, max flow 23.
-        let mut net = FlowNetwork::new(6);
-        net.add_arc(0, 1, 16);
-        net.add_arc(0, 2, 13);
-        net.add_arc(1, 2, 10);
-        net.add_arc(2, 1, 4);
-        net.add_arc(1, 3, 12);
-        net.add_arc(3, 2, 9);
-        net.add_arc(2, 4, 14);
-        net.add_arc(4, 3, 7);
-        net.add_arc(3, 5, 20);
-        net.add_arc(4, 5, 4);
+        let mut net = FlowNetwork::from_arcs(
+            6,
+            [
+                (0, 1, 16),
+                (0, 2, 13),
+                (1, 2, 10),
+                (2, 1, 4),
+                (1, 3, 12),
+                (3, 2, 9),
+                (2, 4, 14),
+                (4, 3, 7),
+                (3, 5, 20),
+                (4, 5, 4),
+            ],
+        );
         assert_eq!(net.max_flow(0, 5), 23);
     }
 
     #[test]
     fn disconnected_zero_flow() {
-        let mut net = FlowNetwork::new(3);
-        net.add_arc(0, 1, 10);
+        let mut net = FlowNetwork::from_arcs(3, [(0, 1, 10)]);
         assert_eq!(net.max_flow(0, 2), 0);
     }
 
     #[test]
     fn pushing_along_the_reverse_arc_cancels_a_push() {
-        let mut net = FlowNetwork::new(2);
-        net.add_arc(0, 1, 2);
-        let arc = net.arcs_from(0)[0] as usize;
+        let mut net = FlowNetwork::from_arcs(2, [(0, 1, 2)]);
+        let arc = net.arcs_from(0).start as usize;
         let reverse = net.reverse_arc(arc);
         assert_eq!(net.arc_from_endpoint(reverse), 1);
         net.push_unit(arc);
@@ -218,21 +231,16 @@ mod tests {
 
     #[test]
     fn same_source_sink() {
-        let mut net = FlowNetwork::new(2);
-        net.add_arc(0, 1, 1);
+        let mut net = FlowNetwork::from_arcs(2, [(0, 1, 1)]);
         assert_eq!(net.max_flow(0, 0), 0);
     }
 
     #[test]
     fn undirected_edge_flows_both_ways() {
-        let mut net = FlowNetwork::new(3);
-        net.add_undirected(0, 1, 4);
-        net.add_undirected(1, 2, 4);
+        let net = FlowNetwork::from_arcs(3, [(0, 1, 4), (1, 0, 4), (1, 2, 4), (2, 1, 4)]);
         assert_eq!(net.clone_flow(0, 2), 4);
         // And the reverse direction on a fresh network.
-        let mut net2 = FlowNetwork::new(3);
-        net2.add_undirected(0, 1, 4);
-        net2.add_undirected(1, 2, 4);
+        let mut net2 = FlowNetwork::from_arcs(3, [(0, 1, 4), (1, 0, 4), (1, 2, 4), (2, 1, 4)]);
         assert_eq!(net2.max_flow(2, 0), 4);
     }
 

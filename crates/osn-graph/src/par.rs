@@ -12,11 +12,18 @@
 //! a warm core. No reduction reassociation, no work stealing — so
 //! floating-point results cannot differ from the serial path.
 //!
+//! A handful of tasks of very uneven cost (the §3.1 defense evaluations)
+//! fits contiguous chunks badly: one long task holds back the short ones
+//! chunked behind it. [`map_tasks`] lets each worker claim the next
+//! unclaimed index instead, and places every result by its index, so its
+//! output is the serial loop's too.
+//!
 //! Thread count comes from the `RENREN_THREADS` environment variable when
 //! set (any value ≥ 1), otherwise from `std::thread::available_parallelism`.
 //! With one thread (or one-element inputs) everything runs inline on the
 //! calling thread with zero spawn overhead.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Environment variable overriding the worker-thread count.
@@ -99,6 +106,45 @@ fn join_in_order<T>(
     }
     out.extend(tail);
     out
+}
+
+/// `(0..len).map(f).collect()` for a few tasks of uneven cost. Every
+/// worker (the calling thread among them) claims the next unclaimed index
+/// from a shared counter until none is left, so list the longest tasks
+/// first. Each result is placed by its index, so the output equals the
+/// serial map whatever the schedule. With one thread (or one task)
+/// everything runs inline; a worker's panic is re-raised with its payload.
+pub fn map_tasks<T, F>(len: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let threads = num_threads().min(len);
+    if threads <= 1 {
+        return (0..len).map(f).collect();
+    }
+
+    // `Relaxed` suffices: the counter publishes nothing but the index
+    // itself, and the results travel back through `join`.
+    let next = AtomicUsize::new(0);
+    let claim = || -> Vec<(usize, T)> {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut done = thread::scope(|scope| {
+        let claim = &claim;
+        let workers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+        let mine = claim();
+        join_in_order(workers, mine, len)
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 /// `items.into_iter().map(f).collect()` across threads: each item is
@@ -262,6 +308,67 @@ mod tests {
             let indexed = map_indexed(2, |_| thread::current().id());
             assert!(indexed[0] != me && indexed[1] == me, "{indexed:?}, {me:?}");
         });
+    }
+
+    /// Deliberately uneven work: task `i` spins for a time that falls
+    /// steeply with `i`, so early tasks are long and late ones short.
+    fn uneven(i: usize) -> u64 {
+        (0..(20_000u64 >> i.min(14))).fold(i as u64, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
+    }
+
+    #[test]
+    fn map_tasks_matches_serial_map_exactly() {
+        let expected: Vec<u64> = (0..23).map(uneven).collect();
+        for &threads in &["1", "2", "3", "8"] {
+            with_threads_env(Some(threads), || {
+                assert_eq!(map_tasks(23, uneven), expected, "threads={threads}");
+            });
+        }
+    }
+
+    #[test]
+    fn map_tasks_runs_every_index_exactly_once() {
+        for &threads in &["1", "2", "3", "8"] {
+            with_threads_env(Some(threads), || {
+                let runs: Vec<AtomicUsize> = (0..17).map(|_| AtomicUsize::new(0)).collect();
+                let got = map_tasks(17, |i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    uneven(i) ^ i as u64
+                });
+                assert_eq!(got.len(), 17);
+                let counts: Vec<usize> = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+                assert_eq!(counts, vec![1; 17], "threads={threads}");
+            });
+        }
+    }
+
+    #[test]
+    fn map_tasks_handles_zero_and_one_task() {
+        for &threads in &["1", "4"] {
+            with_threads_env(Some(threads), || {
+                assert_eq!(map_tasks(0, |i| i), Vec::<usize>::new());
+                let me = thread::current().id();
+                let one = map_tasks(1, |i| (i + 5, thread::current().id()));
+                assert_eq!(one, vec![(5, me)]);
+            });
+        }
+    }
+
+    #[test]
+    fn map_tasks_reraises_a_worker_panic_with_its_payload() {
+        for &threads in &["2", "3"] {
+            with_threads_env(Some(threads), || {
+                let payload = std::panic::catch_unwind(|| {
+                    map_tasks(9, |i| {
+                        assert_ne!(i, 4, "task {i} failed");
+                        uneven(i)
+                    })
+                })
+                .expect_err("task 4 panics");
+                let msg = payload.downcast_ref::<String>().expect("formatted message");
+                assert!(msg.contains("task 4 failed"), "threads={threads}: {msg}");
+            });
+        }
     }
 
     #[test]

@@ -37,14 +37,23 @@ pub fn random_walk<R: Rng + ?Sized>(
 }
 
 /// The stationary-distribution-respecting walk endpoint sampler: performs a
-/// walk of `len` steps and returns the final node.
+/// walk of `len` steps and returns the final node — the last entry of
+/// [`random_walk`] on the same draws, without keeping the path.
 pub fn walk_endpoint<R: Rng + ?Sized>(
     g: &TemporalGraph,
     start: NodeId,
     len: usize,
     rng: &mut R,
 ) -> NodeId {
-    random_walk(g, start, len, rng).last().copied().unwrap_or(start)
+    let mut cur = start;
+    for _ in 0..len {
+        let nb = g.neighbors(cur);
+        if nb.is_empty() {
+            break;
+        }
+        cur = nb[rng.random_range(0..nb.len())].node;
+    }
+    cur
 }
 
 /// Per-node random routing tables for SybilGuard/SybilLimit random routes.
@@ -238,6 +247,24 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(random_walk(&g, NodeId(0), 5, &mut rng), vec![NodeId(0)]);
         assert_eq!(walk_endpoint(&g, NodeId(0), 5, &mut rng), NodeId(0));
+    }
+
+    #[test]
+    fn walk_endpoint_is_the_walks_last_node_on_the_same_draws() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut g = crate::generators::barabasi_albert(40, 2, Timestamp::ZERO, &mut rng);
+        let isolated = g.add_nodes(1);
+        let starts = [(NodeId(0), 0), (NodeId(3), 1), (NodeId(17), 9), (isolated, 4)];
+        for (start, len) in starts {
+            let mut a = StdRng::seed_from_u64(len as u64);
+            let mut b = a.clone();
+            for _ in 0..50 {
+                let path = random_walk(&g, start, len, &mut a);
+                assert_eq!(walk_endpoint(&g, start, len, &mut b), *path.last().unwrap());
+            }
+            // Both consumed the same draws.
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::runspec::RunSpec;
 use crate::scenario::Ctx;
-use osn_graph::{NodeId, TemporalGraph};
+use osn_graph::{par, NodeId, TemporalGraph};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -56,8 +56,112 @@ fn pick_active<R: Rng + RngExt + ?Sized>(
     pool
 }
 
+/// The five defenses, in the paper's (and the table's) order.
+#[derive(Clone, Copy)]
+enum Defense {
+    SybilGuard,
+    SybilLimit,
+    SybilInfer,
+    ConductanceRanking,
+    SumUp,
+}
+
+const DEFENSES: [Defense; 5] = [
+    Defense::SybilGuard,
+    Defense::SybilLimit,
+    Defense::SybilInfer,
+    Defense::ConductanceRanking,
+    Defense::SumUp,
+];
+
+const WILD: usize = 0;
+const INJECTED: usize = 1;
+
+/// The ten (defense, graph) evaluations, longest first so that the short
+/// ones fill in around the long ones. Measured at `small`, one thread:
+/// SybilLimit on the wild graph ≈ 0.19 s; SumUp, SybilGuard and
+/// SybilInfer there 0.05, 0.04 and 0.02 s; SybilLimit on the injected
+/// graph ≈ 0.025 s; the rest ≤ 0.006 s each.
+const LONGEST_FIRST: [(Defense, usize); 10] = [
+    (Defense::SybilLimit, WILD),
+    (Defense::SumUp, WILD),
+    (Defense::SybilGuard, WILD),
+    (Defense::SybilInfer, WILD),
+    (Defense::SybilLimit, INJECTED),
+    (Defense::ConductanceRanking, INJECTED),
+    (Defense::SybilGuard, INJECTED),
+    (Defense::SybilInfer, INJECTED),
+    (Defense::SumUp, INJECTED),
+    (Defense::ConductanceRanking, WILD),
+];
+
+impl Defense {
+    fn name(self) -> &'static str {
+        match self {
+            Defense::SybilGuard => "SybilGuard",
+            Defense::SybilLimit => "SybilLimit",
+            Defense::SybilInfer => "SybilInfer",
+            Defense::ConductanceRanking => "ConductanceRanking",
+            Defense::SumUp => "SumUp",
+        }
+    }
+}
+
+/// One graph of the experiment with its verifier, its suspect samples and
+/// the defense parameters that differ between the two graphs.
+struct Setting<'g> {
+    g: &'g TemporalGraph,
+    verifier: NodeId,
+    sybils: Vec<NodeId>,
+    honest: Vec<NodeId>,
+    /// SybilGuard's route length (`None`: the protocol's own).
+    route_len: Option<usize>,
+    /// ConductanceRanking's smallest community.
+    min_community: usize,
+    /// The seeds of SybilGuard, SybilLimit and SybilInfer.
+    seeds: [u64; 3],
+}
+
+impl Setting<'_> {
+    /// Build `defense` on this graph and evaluate it. Every defense seeds
+    /// its own RNG, so evaluations share no state and may run in any
+    /// order, on any thread.
+    fn evaluate(&self, defense: Defense, vote_budget: usize) -> DefenseEvaluation {
+        let judge = |d: &dyn SybilDefense| {
+            evaluate_defense(d, self.g, self.verifier, &self.sybils, &self.honest)
+        };
+        match defense {
+            Defense::SybilGuard => judge(&SybilGuard::new(self.g, self.route_len, self.seeds[0])),
+            Defense::SybilLimit => judge(&SybilLimit::new(self.g, self.seeds[1])),
+            Defense::SybilInfer => judge(&SybilInfer::new(self.g, self.seeds[2])),
+            Defense::ConductanceRanking => {
+                let mut ranking = ConductanceRanking::new();
+                ranking.min_community = self.min_community;
+                judge(&ranking)
+            }
+            // SumUp's guarantee is aggregate (votes accepted per attack
+            // edge), so it is evaluated as batch vote collection rather
+            // than per-suspect.
+            Defense::SumUp => {
+                let mut votes = SumUp::new(vote_budget).collector(self.g, self.verifier);
+                let mut count =
+                    |voters: &[NodeId]| votes.collect_votes(voters).iter().filter(|&&a| a).count();
+                DefenseEvaluation {
+                    sybils_accepted: count(&self.sybils),
+                    sybils_total: self.sybils.len(),
+                    honest_rejected: self.honest.len() - count(&self.honest),
+                    honest_total: self.honest.len(),
+                }
+            }
+        }
+    }
+}
+
 /// Run every defense on both graphs, with the suspect count per class
-/// taken from the run's [`RunSpec::suspects`].
+/// taken from the run's [`RunSpec::suspects`]. The suspects and the
+/// injected graph are drawn first; the ten evaluations then run as
+/// independent tasks on [`par::map_tasks`], and the rows are assembled in
+/// the paper's order.
 pub fn run(ctx: &Ctx, spec: &RunSpec) -> Defenses {
     let suspects = spec.suspects();
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0xDEF);
@@ -73,72 +177,51 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Defenses {
         .filter(|&n| g.degree(n) >= 10)
         .collect();
     by_deg.sort_by_key(|&n| g.degree(n));
-    let verifier = by_deg[by_deg.len() / 2];
+    let wild = Setting {
+        g,
+        verifier: by_deg[by_deg.len() / 2],
+        sybils: wild_sybils,
+        honest: wild_honest,
+        route_len: None,
+        min_community: (ctx.normals.len() / 40).max(16),
+        seeds: [ctx.seed ^ 1, ctx.seed ^ 3, ctx.seed ^ 5],
+    };
 
     // --- injected-cluster setup -------------------------------------------
     let (inj, first_sybil) =
         injected_cluster_graph(3000, 300, 12, &mut StdRng::seed_from_u64(ctx.seed ^ 0x1213));
     let inj_sybil_ids: Vec<NodeId> = (0..300u32).map(|i| NodeId(first_sybil.0 + i)).collect();
     let inj_honest_ids: Vec<NodeId> = (0..3000u32).map(NodeId).collect();
-    let inj_sybils = pick_active(&inj, &inj_sybil_ids, 1, suspects, &mut rng);
-    let inj_honest = pick_active(&inj, &inj_honest_ids, 3, suspects, &mut rng);
-    let inj_verifier = NodeId(0);
+    let injected = Setting {
+        g: &inj,
+        verifier: NodeId(0),
+        sybils: pick_active(&inj, &inj_sybil_ids, 1, suspects, &mut rng),
+        honest: pick_active(&inj, &inj_honest_ids, 3, suspects, &mut rng),
+        // A route length that stays mostly inside the honest region (the
+        // protocol's own small-w regime).
+        route_len: Some(60),
+        min_community: 75, // 3000 honest / 40
+        seeds: [ctx.seed ^ 2, ctx.seed ^ 4, ctx.seed ^ 6],
+    };
 
-    let mut rows = Vec::new();
-    let mut eval_both = |name: &str,
-                         wild_def: &dyn SybilDefense,
-                         inj_def: &dyn SybilDefense| {
-        let wild = evaluate_defense(wild_def, g, verifier, &wild_sybils, &wild_honest);
-        let injected = evaluate_defense(inj_def, &inj, inj_verifier, &inj_sybils, &inj_honest);
-        rows.push(DefenseRow {
-            name: name.to_string(),
+    let settings = [&wild, &injected];
+    let evals = par::map_tasks(LONGEST_FIRST.len(), |task| {
+        let (defense, graph) = LONGEST_FIRST[task];
+        settings[graph].evaluate(defense, suspects * 2)
+    });
+    let mut grid = [[DefenseEvaluation::default(); 2]; DEFENSES.len()];
+    for (&(defense, graph), eval) in LONGEST_FIRST.iter().zip(evals) {
+        grid[defense as usize][graph] = eval;
+    }
+    let rows = DEFENSES
+        .iter()
+        .zip(grid)
+        .map(|(defense, [wild, injected])| DefenseRow {
+            name: defense.name().to_string(),
             wild,
             injected,
-        });
-    };
-
-    let sg_wild = SybilGuard::new(g, None, ctx.seed ^ 1);
-    // Injected graph: a route length that stays mostly inside the honest
-    // region (the protocol's own small-w regime).
-    let sg_inj = SybilGuard::new(&inj, Some(60), ctx.seed ^ 2);
-    eval_both("SybilGuard", &sg_wild, &sg_inj);
-
-    let sl_wild = SybilLimit::new(g, ctx.seed ^ 3);
-    let sl_inj = SybilLimit::new(&inj, ctx.seed ^ 4);
-    eval_both("SybilLimit", &sl_wild, &sl_inj);
-
-    let si_wild = SybilInfer::new(g, ctx.seed ^ 5);
-    let si_inj = SybilInfer::new(&inj, ctx.seed ^ 6);
-    eval_both("SybilInfer", &si_wild, &si_inj);
-
-    let mut cr_wild = ConductanceRanking::new();
-    cr_wild.min_community = (ctx.normals.len() / 40).max(16);
-    let mut cr_inj = ConductanceRanking::new();
-    cr_inj.min_community = 75; // 3000 honest / 40
-    eval_both("ConductanceRanking", &cr_wild, &cr_inj);
-
-    // SumUp's guarantee is aggregate (votes accepted per attack edge), so
-    // it is evaluated as batch vote collection rather than per-suspect.
-    let su = SumUp::new(suspects * 2);
-    let collect = |g: &TemporalGraph, collector: NodeId, sybils: &[NodeId], honest: &[NodeId]| {
-        let mut votes = su.collector(g, collector);
-        let mut count =
-            |voters: &[NodeId]| votes.collect_votes(voters).iter().filter(|&&a| a).count();
-        DefenseEvaluation {
-            sybils_accepted: count(sybils),
-            sybils_total: sybils.len(),
-            honest_rejected: honest.len() - count(honest),
-            honest_total: honest.len(),
-        }
-    };
-    let wild = collect(g, verifier, &wild_sybils, &wild_honest);
-    let injected = collect(&inj, inj_verifier, &inj_sybils, &inj_honest);
-    rows.push(DefenseRow {
-        name: "SumUp".to_string(),
-        wild,
-        injected,
-    });
-
+        })
+        .collect();
     Defenses { rows }
 }
 
@@ -223,5 +306,36 @@ mod tests {
             include_str!("../tests/golden/defenses_tiny_seed11.json"),
             "§3.1 verdicts moved"
         );
+    }
+
+    /// Run `body` with `RENREN_THREADS` pinned, restoring the prior value.
+    /// Env vars are process-global, so tests touching them share one lock.
+    fn with_threads_env(threads: &str, body: impl FnOnce()) {
+        use std::sync::{Mutex, OnceLock};
+        static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+        let _guard = ENV_LOCK.get_or_init(|| Mutex::new(())).lock().unwrap();
+        let prior = std::env::var(par::THREADS_ENV).ok();
+        std::env::set_var(par::THREADS_ENV, threads);
+        body();
+        match prior {
+            Some(v) => std::env::set_var(par::THREADS_ENV, v),
+            None => std::env::remove_var(par::THREADS_ENV),
+        }
+    }
+
+    #[test]
+    fn verdicts_do_not_depend_on_the_thread_count() {
+        let ctx = Ctx::build(Scale::Tiny, 11);
+        let spec = RunSpec::builder().scale(Scale::Tiny).build();
+        // At 3 threads there are more workers than long tasks.
+        for threads in ["1", "2", "3"] {
+            with_threads_env(threads, || {
+                assert_eq!(
+                    serde_json::to_string_pretty(&run(&ctx, &spec)).expect("counts serialize"),
+                    include_str!("../tests/golden/defenses_tiny_seed11.json"),
+                    "§3.1 verdicts moved at RENREN_THREADS={threads}"
+                );
+            });
+        }
     }
 }

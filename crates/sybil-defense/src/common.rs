@@ -120,7 +120,10 @@ impl DefenseEvaluation {
 /// The verifier is prepared once; each suspect's verdict is then
 /// independent, so both sample sets are judged in parallel
 /// (`osn_graph::par`, honoring `RENREN_THREADS`); the verdicts are tallied
-/// in suspect order, so the counts match the serial loop exactly.
+/// in suspect order, so the counts match the serial loop exactly. The
+/// §3.1 experiment also runs whole evaluations side by side
+/// (`par::map_tasks`), so this map may run inside one of its workers;
+/// both place results by index, so the nesting moves no count.
 pub fn evaluate_defense<D: SybilDefense + ?Sized>(
     defense: &D,
     g: &TemporalGraph,

@@ -60,18 +60,19 @@ impl SumUp {
             per_edge_bonus.push((tickets / edges as i64).max(0));
             tickets -= edges as i64;
         }
-        let mut net = FlowNetwork::new(g.num_nodes());
-        for e in g.edges() {
-            let cap = match (dist[e.a.index()], dist[e.b.index()]) {
+        let arcs = g.edges().iter().flat_map(|e| {
+            let (a, b) = (e.a.index(), e.b.index());
+            let cap = match (dist[a], dist[b]) {
                 (Some(x), Some(y)) if x != y => {
                     let lvl = x.min(y) as usize;
                     1 + per_edge_bonus.get(lvl).copied().unwrap_or(0)
                 }
                 _ => 1, // same-level or unreachable edges sit outside the tree
             };
-            net.add_undirected(e.a.index(), e.b.index(), cap);
-        }
-        net
+            // One arc each way: an undirected link of capacity `cap`.
+            [(a, b, cap), (b, a, cap)]
+        });
+        FlowNetwork::from_arcs(g.num_nodes(), arcs)
     }
 
     /// Build the ticket-envelope network around `collector` once, to
@@ -166,7 +167,7 @@ impl PathSearch {
         self.queue.clear();
         self.queue.push_back(s);
         while let Some(u) = self.queue.pop_front() {
-            for &a in net.arcs_from(u) {
+            for a in net.arcs_from(u) {
                 let v = net.arc_to(a);
                 if self.stamp[v] != epoch && net.arc_cap(a) > 0 {
                     self.stamp[v] = epoch;

@@ -52,13 +52,11 @@ impl SybilInfer {
         let mut rng = StdRng::seed_from_u64(self.seed ^ (verifier.0 as u64) << 16);
         let mut visits = vec![0u32; g.num_nodes()];
         for _ in 0..self.num_walks {
-            let path = walks::random_walk(g, verifier, self.walk_len, &mut rng);
             // Count the endpoint (stationary sample) — endpoints of long
             // walks approximate the stationary distribution restricted to
             // the region the walk mixes in.
-            if let Some(&end) = path.last() {
-                visits[end.index()] += 1;
-            }
+            let end = walks::walk_endpoint(g, verifier, self.walk_len, &mut rng);
+            visits[end.index()] += 1;
         }
         visits
             .iter()

@@ -172,6 +172,112 @@ mod reference {
         accept_if(connected(g, verifier, suspect) && cr.community(g, verifier).contains(&suspect))
     }
 
+    /// SumUp's residual network as it was before it moved to CSR form:
+    /// arcs stored pairwise (arc `2k` forward, `2k + 1` its reverse), a
+    /// `Vec` of arc ids per node.
+    struct PairwiseNetwork {
+        to: Vec<usize>,
+        cap: Vec<i64>,
+        head: Vec<Vec<u32>>,
+    }
+
+    impl PairwiseNetwork {
+        fn add_arc(&mut self, u: usize, v: usize, c: i64) {
+            let id = self.to.len() as u32;
+            self.to.extend([v, u]);
+            self.cap.extend([c, 0]);
+            self.head[u].push(id);
+            self.head[v].push(id + 1);
+        }
+
+        /// Breadth-first search for an augmenting path from `s`, stopping
+        /// the moment `t` is discovered; one unit is pushed along it.
+        fn augment(&mut self, s: usize, t: usize) -> bool {
+            let mut parent_arc: Vec<Option<u32>> = vec![None; self.head.len()];
+            let mut seen = vec![false; self.head.len()];
+            seen[s] = true;
+            let mut queue = std::collections::VecDeque::from([s]);
+            'search: while let Some(u) = queue.pop_front() {
+                for &a in &self.head[u] {
+                    let v = self.to[a as usize];
+                    if !seen[v] && self.cap[a as usize] > 0 {
+                        seen[v] = true;
+                        parent_arc[v] = Some(a);
+                        if v == t {
+                            break 'search;
+                        }
+                        queue.push_back(v);
+                    }
+                }
+            }
+            if !seen[t] {
+                return false;
+            }
+            let mut v = t;
+            while v != s {
+                let a = parent_arc[v].expect("a node on the search tree") as usize;
+                self.cap[a] -= 1;
+                self.cap[a ^ 1] += 1;
+                v = self.to[a ^ 1];
+            }
+            true
+        }
+    }
+
+    /// SumUp's vote collection on a fresh ticket-envelope network, built
+    /// and searched the pairwise way.
+    pub fn sumup_votes(
+        g: &TemporalGraph,
+        c_max: usize,
+        collector: NodeId,
+        voters: &[NodeId],
+    ) -> Vec<bool> {
+        let dist = bfs::distances(g, collector);
+        let level = |a: NodeId, b: NodeId| match (dist[a.index()], dist[b.index()]) {
+            (Some(x), Some(y)) if x != y => Some(x.min(y) as usize),
+            _ => None,
+        };
+        let mut level_edges: Vec<usize> = Vec::new();
+        for l in g.edges().iter().filter_map(|e| level(e.a, e.b)) {
+            if level_edges.len() <= l {
+                level_edges.resize(l + 1, 0);
+            }
+            level_edges[l] += 1;
+        }
+        let mut bonus = Vec::new();
+        let mut tickets = c_max as i64;
+        for &edges in &level_edges {
+            if tickets <= 0 || edges == 0 {
+                bonus.push(0);
+                continue;
+            }
+            bonus.push((tickets / edges as i64).max(0));
+            tickets -= edges as i64;
+        }
+        let mut net = PairwiseNetwork {
+            to: Vec::new(),
+            cap: Vec::new(),
+            head: vec![Vec::new(); g.num_nodes()],
+        };
+        for e in g.edges() {
+            let cap = level(e.a, e.b).map_or(1, |l| 1 + bonus.get(l).copied().unwrap_or(0));
+            net.add_arc(e.a.index(), e.b.index(), cap);
+            net.add_arc(e.b.index(), e.a.index(), cap);
+        }
+        let mut accepted = 0;
+        voters
+            .iter()
+            .map(|&v| {
+                if v == collector || accepted >= c_max {
+                    return false;
+                }
+                let flow = net.augment(v.index(), collector.index());
+                accepted += usize::from(flow);
+                flow
+            })
+            .collect()
+    }
+
     /// Every link of the ticket-envelope network carries at least one
     /// unit both ways, so on a fresh network one vote flows exactly when
     /// voter and collector are distinct and connected.
@@ -298,6 +404,41 @@ proptest! {
                 &expect(&|s| reference::conductance(&g, &cr, verifier, s)))?;
             assert_judges_like(&su, &g, verifier, &suspects,
                 &expect(&|s| reference::sumup(&g, verifier, s)))?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Vote collection on the CSR network accepts exactly the voters the
+    /// pairwise network did. The budget is small and the voters many, so
+    /// the flow earlier voters pushed decides later votes; two voter sets
+    /// alternate on one collector.
+    #[test]
+    fn sumup_collects_votes_like_the_pairwise_network(
+        seed in 0u64..1_000_000,
+        injected in any::<bool>(),
+        n in 40usize..140,
+        c_max in 1usize..9,
+        collector_pick in 0usize..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = if injected {
+            injected_cluster_graph(n, n / 4, 3, &mut rng).0
+        } else {
+            generators::barabasi_albert(n, 2 + (seed % 3) as usize, Timestamp::ZERO, &mut rng)
+        };
+        let collector = NodeId((collector_pick % g.num_nodes()) as u32);
+        let mut nodes: Vec<NodeId> = g.nodes().collect();
+        nodes.shuffle(&mut rng);
+        let (first, second) = nodes.split_at(nodes.len() / 2);
+        let sumup = SumUp::new(c_max);
+        let mut votes = sumup.collector(&g, collector);
+        for voters in [first, second, first, second] {
+            let want = reference::sumup_votes(&g, c_max, collector, voters);
+            prop_assert_eq!(&votes.collect_votes(voters), &want);
+            prop_assert_eq!(&sumup.collect_votes(&g, collector, voters), &want);
         }
     }
 }
