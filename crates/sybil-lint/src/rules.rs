@@ -506,7 +506,7 @@ pub const RULES: [Rule; 18] = [
                  File::open/create, stdio, print macros), scoped to the persistence \
                  crate's library code and exempting exactly `format.rs`. Fix by \
                  expressing the operation as a `format` helper \
-                 (encode/decode/write_atomic/scan) so the header, framing, and digest \
+                 (encode/decode/save_checkpoint/scan) so the header, framing, and digest \
                  rules apply, then calling that from the store layer. There is no \
                  allowlist story: bytes that bypass the format module are unversioned by \
                  construction.",

@@ -84,6 +84,17 @@ pub enum StoreError {
         /// Byte offset of the offending field.
         offset: u64,
     },
+    /// A checkpoint section wrote a payload of another length than its
+    /// frame header had already declared (an encoder bug, caught before
+    /// the file is renamed into place).
+    SectionLength {
+        /// The section's tag.
+        tag: u8,
+        /// The length its header declared.
+        declared: u64,
+        /// The bytes its payload writer produced.
+        written: u64,
+    },
     /// The filesystem failed underneath the store.
     Io {
         /// The operation attempted.
@@ -123,6 +134,14 @@ impl std::fmt::Display for StoreError {
             StoreError::BadField { offset } => {
                 write!(f, "store field out of domain at byte {offset}")
             }
+            StoreError::SectionLength {
+                tag,
+                declared,
+                written,
+            } => write!(
+                f,
+                "checkpoint section {tag} wrote {written} bytes after declaring {declared}"
+            ),
             StoreError::Io { op, kind } => write!(f, "store {op} failed ({kind:?})"),
         }
     }

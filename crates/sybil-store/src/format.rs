@@ -16,10 +16,15 @@
 //! section := tag:u8  len:u32  payload[len]
 //! ```
 //!
-//! Sections are written in strictly ascending tag order, each straight
-//! into the one output buffer (sized exactly beforehand), its length
-//! patched in after its payload; the decoder rejects out-of-order or
-//! duplicate tags. Versions 1 and 2 define tags 1–7 (meta, shards, folded
+//! The file is streamed into its sink, never built whole. Sections are
+//! written in strictly ascending tag order, each frame's length computed
+//! from the checkpoint before its payload is written; the payload
+//! writers fill one reused chunk of tens of KiB, which is folded into
+//! the trailer digest and written out each time it fills. A payload of
+//! any other length than its frame declared fails the write
+//! ([`StoreError::SectionLength`]). The decoder rejects out-of-order or
+//! duplicate tags, and a section with bytes left over after its last
+//! field. Versions 1 and 2 define tags 1–7 (meta, shards, folded
 //! edges, staged edges, tagged detections, carried feedback, totals); an
 //! unknown tag is a typed [`StoreError::UnknownSection`], never skipped —
 //! adding a section means bumping [`VERSION`].
@@ -47,17 +52,20 @@
 //! ```
 //!
 //! The trailer is a [`Digest64`] fold over the version, the section
-//! count, and every section's tag, length, and payload. A flipped bit
-//! anywhere surfaces as [`StoreError::DigestMismatch`] before any field
-//! reaches the engine. The digest is not cryptographic, so the section
+//! count, and every section's tag, length, and payload. The writer folds
+//! each chunk as it goes out and the decoder folds each section whole,
+//! through the same fold. The decoder checks the trailer over the whole
+//! file before it decodes any field, so a flipped bit anywhere surfaces
+//! as [`StoreError::DigestMismatch`] before any field reaches the engine. The digest is not cryptographic, so the section
 //! decoders still treat every count behind it as outside input.
 //!
 //! ## IO policy
 //!
 //! Workspace lint rule S119 confines file IO that writes versioned state
-//! to this module: checkpoint writes go through [`write_atomic`]
-//! (temporary sibling + rename, so a crash mid-write never leaves a
-//! half-checkpoint under the final name), journal files are
+//! to this module: checkpoints are saved through [`save_checkpoint`]
+//! (streamed into a temporary sibling, then renamed, so a crash
+//! mid-write never leaves a half-checkpoint under the final name),
+//! journal files are
 //! opened through [`open_or_create_journal`] (which cuts a torn tail
 //! back to the last whole frame the journal's own scan found), and
 //! directory scans go through [`list_checkpoints`].
@@ -76,7 +84,7 @@ use crate::journal::{self, Journal};
 use osn_graph::{NodeId, Timestamp};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use sybil_core::digest::Digest64;
 use sybil_core::realtime::state::{AccountTable, Counters};
@@ -114,9 +122,10 @@ const EDGE_LEN: usize = 4 + 4 + 8;
 const TAGGED_LEN: usize = 8 + 4 + 8 + 1;
 
 /// Every account of `t`, counted, in slot order.
-fn put_accounts(buf: &mut Vec<u8>, t: &AccountTable) {
-    put_u32(buf, t.len() as u32);
+fn put_accounts(w: &mut Chunked<'_>, t: &AccountTable) -> Result<(), StoreError> {
+    put_u32(&mut w.chunk, t.len() as u32);
     for i in 0..t.len() {
+        let buf = &mut w.chunk;
         let c = t.counters(i);
         put_u32(buf, c.sent);
         put_u32(buf, c.accepted);
@@ -130,7 +139,9 @@ fn put_accounts(buf: &mut Vec<u8>, t: &AccountTable) {
         friends.iter().for_each(|f| put_u32(buf, f.0));
         put_bool(buf, c.friends_dup);
         put_bool(buf, c.detected);
+        w.spill()?;
     }
+    Ok(())
 }
 
 /// The encoded size of [`put_accounts`]' output for `t`.
@@ -175,19 +186,23 @@ fn le<const N: usize>(b: &[u8]) -> [u8; N] {
     w
 }
 
-fn put_shard(buf: &mut Vec<u8>, s: &ShardSnapshot) {
-    put_accounts(buf, &s.table);
-    for &w in &s.adaptive {
-        put_u64(buf, w);
+fn put_shard(w: &mut Chunked<'_>, s: &ShardSnapshot) -> Result<(), StoreError> {
+    put_accounts(w, &s.table)?;
+    let buf = &mut w.chunk;
+    for &word in &s.adaptive {
+        put_u64(buf, word);
     }
     put_u32(buf, s.feedback_queue.len() as u32);
     for (due, fv, truth) in &s.feedback_queue {
+        let buf = &mut w.chunk;
         put_u64(buf, due.as_secs());
         put_features(buf, fv);
         put_bool(buf, *truth);
+        w.spill()?;
     }
-    put_u64(buf, s.sends_until_audit);
-    put_u64(buf, s.audit_cursor);
+    put_u64(&mut w.chunk, s.sends_until_audit);
+    put_u64(&mut w.chunk, s.audit_cursor);
+    Ok(())
 }
 
 fn shard_len(s: &ShardSnapshot) -> usize {
@@ -214,13 +229,16 @@ fn get_shard(f: &mut Fields<'_>) -> Result<ShardSnapshot, StoreError> {
     })
 }
 
-fn put_edges(buf: &mut Vec<u8>, edges: &[(NodeId, NodeId, Timestamp)]) {
-    put_u32(buf, edges.len() as u32);
+fn put_edges(w: &mut Chunked<'_>, edges: &[(NodeId, NodeId, Timestamp)]) -> Result<(), StoreError> {
+    put_u32(&mut w.chunk, edges.len() as u32);
     for &(u, v, t) in edges {
+        let buf = &mut w.chunk;
         put_u32(buf, u.0);
         put_u32(buf, v.0);
         put_u64(buf, t.as_secs());
+        w.spill()?;
     }
+    Ok(())
 }
 
 fn get_edges(f: &mut Fields<'_>) -> Result<Vec<(NodeId, NodeId, Timestamp)>, StoreError> {
@@ -248,31 +266,39 @@ fn section_len(tag: u8, cp: &SessionCheckpoint) -> usize {
 }
 
 /// Append section `tag`'s payload for `cp`.
-fn put_section(buf: &mut Vec<u8>, tag: u8, cp: &SessionCheckpoint) {
+fn put_section(w: &mut Chunked<'_>, tag: u8, cp: &SessionCheckpoint) -> Result<(), StoreError> {
     match tag {
         TAG_META => {
-            put_u64(buf, cp.epochs);
-            put_u32(buf, cp.shards.len() as u32);
+            put_u64(&mut w.chunk, cp.epochs);
+            put_u32(&mut w.chunk, cp.shards.len() as u32);
         }
-        TAG_SHARDS => cp.shards.iter().for_each(|s| put_shard(buf, s)),
-        TAG_FOLDED => put_edges(buf, &cp.folded_edges),
-        TAG_STAGED => put_edges(buf, &cp.staged_edges),
+        TAG_SHARDS => {
+            for s in &cp.shards {
+                put_shard(w, s)?;
+            }
+        }
+        TAG_FOLDED => put_edges(w, &cp.folded_edges)?,
+        TAG_STAGED => put_edges(w, &cp.staged_edges)?,
         TAG_TAGGED => {
-            put_u32(buf, cp.tagged.len() as u32);
+            put_u32(&mut w.chunk, cp.tagged.len() as u32);
             for &(seq, det) in &cp.tagged {
+                let buf = &mut w.chunk;
                 put_u64(buf, seq);
                 put_u32(buf, det.account.0);
                 put_u64(buf, det.at.as_secs());
                 put_bool(buf, det.correct);
+                w.spill()?;
             }
         }
         TAG_CARRY => {
-            put_u32(buf, cp.carry_feedback.len() as u32);
+            put_u32(&mut w.chunk, cp.carry_feedback.len() as u32);
             for fb in &cp.carry_feedback {
-                put_feedback(buf, fb);
+                put_feedback(&mut w.chunk, fb);
+                w.spill()?;
             }
         }
         _ => {
+            let buf = &mut w.chunk;
             put_u64(buf, cp.totals.events_processed);
             put_u64(buf, cp.totals.checks_run);
             put_u64(buf, cp.totals.detections);
@@ -281,53 +307,192 @@ fn put_section(buf: &mut Vec<u8>, tag: u8, cp: &SessionCheckpoint) {
             put_u64(buf, cp.totals.audits_sampled);
         }
     }
+    Ok(())
 }
 
-/// Fold the header fields (`version` as the file states it) and every
-/// section (ascending by tag) into the trailer digest.
+/// The trailer digest, folded as payload bytes arrive. It covers the
+/// header fields (`version` as the file states it), then each section's
+/// tag, length and payload, the payload read as little-endian 8-byte
+/// words with the last one zero-padded. A word may straddle two chunks,
+/// so the fold carries its partial word until more bytes complete it or
+/// the section ends.
+struct TrailerFold {
+    d: Digest64,
+    word: [u8; 8],
+    /// Bytes of `word` the open section has filled.
+    filled: usize,
+    /// Payload bytes folded in the open section.
+    len: usize,
+}
+
+impl TrailerFold {
+    fn new(version: u32, n_sections: usize) -> Self {
+        let mut d = Digest64::new();
+        d.write_u32(version);
+        d.write_usize(n_sections);
+        TrailerFold {
+            d,
+            word: [0; 8],
+            filled: 0,
+            len: 0,
+        }
+    }
+
+    /// Open section `tag`, whose header states a `len`-byte payload.
+    fn begin(&mut self, tag: u8, len: usize) {
+        self.d.write_u32(u32::from(tag));
+        self.d.write_usize(len);
+        self.len = 0;
+    }
+
+    /// Fold the open section's next payload bytes.
+    fn bytes(&mut self, mut b: &[u8]) {
+        self.len += b.len();
+        if self.filled > 0 {
+            let (head, rest) = b.split_at(b.len().min(8 - self.filled));
+            self.word[self.filled..self.filled + head.len()].copy_from_slice(head);
+            self.filled += head.len();
+            if self.filled < 8 {
+                return;
+            }
+            self.d.write_u64(u64::from_le_bytes(self.word));
+            self.filled = 0;
+            b = rest;
+        }
+        let words = b.chunks_exact(8);
+        let tail = words.remainder();
+        for w in words {
+            self.d.write_u64(u64::from_le_bytes(le(w)));
+        }
+        self.word[..tail.len()].copy_from_slice(tail);
+        self.filled = tail.len();
+    }
+
+    /// Close the open section, zero-padding its last word; the payload
+    /// bytes it folded.
+    fn end(&mut self) -> usize {
+        if self.filled > 0 {
+            self.word[self.filled..].fill(0);
+            self.d.write_u64(u64::from_le_bytes(self.word));
+            self.filled = 0;
+        }
+        self.len
+    }
+}
+
+/// The trailer digest of whole sections (ascending by tag).
 fn trailer_digest<'a>(
     version: u32,
     sections: impl ExactSizeIterator<Item = (u8, &'a [u8])>,
 ) -> u64 {
-    let mut d = Digest64::new();
-    d.write_u32(version);
-    d.write_usize(sections.len());
+    let mut fold = TrailerFold::new(version, sections.len());
     for (tag, payload) in sections {
-        d.write_u32(u32::from(tag));
-        d.write_usize(payload.len());
-        for chunk in payload.chunks(8) {
-            let mut w = [0u8; 8];
-            let (dst, _) = w.split_at_mut(chunk.len());
-            dst.copy_from_slice(chunk);
-            d.write_u64(u64::from_le_bytes(w));
-        }
+        fold.begin(tag, payload.len());
+        fold.bytes(payload);
+        fold.end();
     }
-    d.finish()
+    fold.d.finish()
 }
 
-/// Encode `cp` as one version-2 `SYBS` byte stream, every section
-/// written in place into the one buffer, which is allocated once at its
-/// final size.
+/// The checkpoint writer: one reused chunk the `put_*` writers append
+/// to, handed to the sink and folded into the trailer each time it
+/// fills.
+struct Chunked<'w> {
+    chunk: Vec<u8>,
+    /// Where the open section's unfolded payload starts in `chunk`; the
+    /// header and frame bytes before it are not payload.
+    open: usize,
+    fold: TrailerFold,
+    sink: &'w mut dyn Write,
+}
+
+/// Bytes the writer gathers before it writes them out. The `put_*`
+/// writers check between records, and the chunk is allocated at twice
+/// this so the record that crosses the mark fits without growing it.
+const CHUNK: usize = 64 * 1024;
+
+impl<'w> Chunked<'w> {
+    fn new(sink: &'w mut dyn Write) -> Self {
+        Chunked {
+            chunk: Vec::with_capacity(2 * CHUNK),
+            open: 0,
+            fold: TrailerFold::new(VERSION, TAGS.len()),
+            sink,
+        }
+    }
+
+    /// Fold and write out the chunk once it holds [`CHUNK`] bytes.
+    fn spill(&mut self) -> Result<(), StoreError> {
+        if self.chunk.len() < CHUNK {
+            return Ok(());
+        }
+        self.fold.bytes(&self.chunk[self.open..]);
+        self.write_out()
+    }
+
+    /// Write the chunk to the sink and start it over.
+    fn write_out(&mut self) -> Result<(), StoreError> {
+        self.sink
+            .write_all(&self.chunk)
+            .map_err(io_err(IoOp::Write))?;
+        self.chunk.clear();
+        self.open = 0;
+        Ok(())
+    }
+
+    /// Write section `tag`'s frame: the tag, the payload length `len`,
+    /// then the payload `put` appends. A payload of any other length is
+    /// a typed error, since its header has already been written.
+    fn section(
+        &mut self,
+        tag: u8,
+        len: usize,
+        put: impl FnOnce(&mut Self) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        put_u8(&mut self.chunk, tag);
+        put_u32(&mut self.chunk, len as u32);
+        self.open = self.chunk.len();
+        self.fold.begin(tag, len);
+        put(self)?;
+        self.fold.bytes(&self.chunk[self.open..]);
+        self.open = self.chunk.len();
+        let written = self.fold.end();
+        if written != len {
+            return Err(StoreError::SectionLength {
+                tag,
+                declared: len as u64,
+                written: written as u64,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Stream `cp` into `w` as one version-2 `SYBS` file: the header, each
+/// section's frame in tag order, the trailer, then a flush. No buffer
+/// larger than a chunk is built, whatever the checkpoint's size.
+pub(crate) fn write_checkpoint(
+    cp: &SessionCheckpoint,
+    mut w: impl Write,
+) -> Result<(), StoreError> {
+    let mut c = Chunked::new(&mut w);
+    c.chunk.extend_from_slice(&MAGIC);
+    put_u32(&mut c.chunk, VERSION);
+    put_u32(&mut c.chunk, TAGS.len() as u32);
+    for tag in TAGS {
+        c.section(tag, section_len(tag, cp), |c| put_section(c, tag, cp))?;
+    }
+    put_u64(&mut c.chunk, c.fold.d.finish());
+    c.write_out()?;
+    w.flush().map_err(io_err(IoOp::Write))
+}
+
+/// The checkpoint as one `SYBS` byte stream: `write_checkpoint` into a
+/// `Vec` of the file's exact size.
 pub fn encode_checkpoint(cp: &SessionCheckpoint) -> Vec<u8> {
     let body: usize = TAGS.iter().map(|&tag| 5 + section_len(tag, cp)).sum();
-    let size = 12 + body + 8;
-    let mut out = Vec::with_capacity(size);
-    out.extend_from_slice(&MAGIC);
-    put_u32(&mut out, VERSION);
-    put_u32(&mut out, TAGS.len() as u32);
-    let mut spans = [(0u8, 0usize, 0usize); TAGS.len()];
-    for (span, &tag) in spans.iter_mut().zip(&TAGS) {
-        put_u8(&mut out, tag);
-        let len_at = out.len();
-        put_u32(&mut out, 0);
-        put_section(&mut out, tag, cp);
-        let len = (out.len() - len_at - 4) as u32;
-        out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
-        *span = (tag, len_at + 4, out.len());
-    }
-    let digest = trailer_digest(VERSION, spans.iter().map(|&(tag, a, b)| (tag, &out[a..b])));
-    put_u64(&mut out, digest);
-    debug_assert_eq!(out.len(), size, "sections sized exactly");
+    let mut out = Vec::with_capacity(12 + body + 8);
+    write_checkpoint(cp, &mut out).expect("a Vec takes every write and each section_len is exact");
     out
 }
 
@@ -378,43 +543,48 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
         return Err(StoreError::DigestMismatch { expected, found });
     }
 
-    let section = |tag: u8| -> Result<Fields<'_>, StoreError> {
-        map.get(&tag)
-            .map(|&(base, payload)| Fields::new(payload, base))
-            .ok_or(StoreError::MissingSection { tag })
-    };
-
-    let mut meta = section(TAG_META)?;
-    let epochs = meta.u64()?;
-    let mut sh = section(TAG_SHARDS)?;
-    let n_shards = sh.fits(meta.u32()? as usize, SHARD_MIN)?;
-    let mut shards = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        shards.push(get_shard(&mut sh)?);
-    }
-
-    let folded_edges = get_edges(&mut section(TAG_FOLDED)?)?;
-    let staged_edges = get_edges(&mut section(TAG_STAGED)?)?;
-
-    let tagged = section(TAG_TAGGED)?.counted(TAGGED_LEN, |f| {
-        let seq = f.u64()?;
-        let account = NodeId(f.u32()?);
-        let at = Timestamp(f.u64()?);
-        let correct = f.bool()?;
-        Ok((seq, Detection { account, at, correct }))
+    let (epochs, n_shards) = whole(&map, TAG_META, |f| Ok((f.u64()?, f.u32()? as usize)))?;
+    let shards = whole(&map, TAG_SHARDS, |f| {
+        let n_shards = f.fits(n_shards, SHARD_MIN)?;
+        let mut shards = Vec::with_capacity(n_shards);
+        for _ in 0..n_shards {
+            shards.push(get_shard(f)?);
+        }
+        Ok(shards)
     })?;
 
-    let carry_feedback = section(TAG_CARRY)?.counted(FEEDBACK_LEN, get_feedback)?;
+    let folded_edges = whole(&map, TAG_FOLDED, get_edges)?;
+    let staged_edges = whole(&map, TAG_STAGED, get_edges)?;
 
-    let mut tot = section(TAG_TOTALS)?;
-    let totals = ReplayCounters {
-        events_processed: tot.u64()?,
-        checks_run: tot.u64()?,
-        detections: tot.u64()?,
-        features_computed: tot.u64()?,
-        feedback_applied: tot.u64()?,
-        audits_sampled: tot.u64()?,
-    };
+    let tagged = whole(&map, TAG_TAGGED, |f| {
+        f.counted(TAGGED_LEN, |f| {
+            let seq = f.u64()?;
+            let account = NodeId(f.u32()?);
+            let at = Timestamp(f.u64()?);
+            let correct = f.bool()?;
+            Ok((
+                seq,
+                Detection {
+                    account,
+                    at,
+                    correct,
+                },
+            ))
+        })
+    })?;
+
+    let carry_feedback = whole(&map, TAG_CARRY, |f| f.counted(FEEDBACK_LEN, get_feedback))?;
+
+    let totals = whole(&map, TAG_TOTALS, |f| {
+        Ok(ReplayCounters {
+            events_processed: f.u64()?,
+            checks_run: f.u64()?,
+            detections: f.u64()?,
+            features_computed: f.u64()?,
+            feedback_applied: f.u64()?,
+            audits_sampled: f.u64()?,
+        })
+    })?;
 
     Ok(SessionCheckpoint {
         epochs,
@@ -425,6 +595,23 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
         carry_feedback,
         totals,
     })
+}
+
+/// Decode section `tag` of a verified file with `get`, which must read
+/// the payload to its last byte: anything left over is not the canonical
+/// encoding, and a typed error at the first unread byte.
+fn whole<'a, T>(
+    map: &BTreeMap<u8, (u64, &'a [u8])>,
+    tag: u8,
+    get: impl FnOnce(&mut Fields<'a>) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
+    let &(base, payload) = map.get(&tag).ok_or(StoreError::MissingSection { tag })?;
+    let mut f = Fields::new(payload, base);
+    let value = get(&mut f)?;
+    if !f.done() {
+        return Err(StoreError::BadField { offset: f.offset() });
+    }
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------
@@ -441,19 +628,19 @@ pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>, StoreError> {
     std::fs::read(path).map_err(io_err(IoOp::Read))
 }
 
-/// Write `bytes` to `path` atomically: a temporary sibling is written
-/// first, then renamed over the final name, so a crash at any point
-/// leaves either the old file or the complete new one under the final
-/// name — never a torn checkpoint. There is no fsync here or anywhere
-/// else in the crate (see the module's durability contract): a
-/// checkpoint is a recovery *accelerator* over the journal, and one lost
-/// or torn by power failure is caught by its trailer digest, so recovery
-/// falls back to an older one plus a longer journal tail.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+/// Save `cp` to `path` atomically: the checkpoint is streamed into a
+/// temporary sibling, which is then renamed over the final name, so a
+/// crash at any point leaves either the old file or the complete new one
+/// under the final name — never a torn checkpoint. The writer's own
+/// chunk is the write buffer. There is no fsync here or anywhere else
+/// in the crate (see the module's durability contract): a checkpoint is
+/// a recovery *accelerator* over the journal, and one lost or torn by
+/// power failure is caught by its trailer digest, so recovery falls back
+/// to an older one plus a longer journal tail.
+pub(crate) fn save_checkpoint(path: &Path, cp: &SessionCheckpoint) -> Result<(), StoreError> {
     let tmp = path.with_extension("tmp");
-    let mut file = File::create(&tmp).map_err(io_err(IoOp::Write))?;
-    file.write_all(bytes).map_err(io_err(IoOp::Write))?;
-    drop(file);
+    let file = File::create(&tmp).map_err(io_err(IoOp::Write))?;
+    write_checkpoint(cp, file)?;
     std::fs::rename(&tmp, path).map_err(io_err(IoOp::Rename))
 }
 
@@ -660,6 +847,100 @@ mod tests {
         );
     }
 
+    /// What `put` writes through a checkpoint writer over a `Vec`.
+    fn written(put: impl FnOnce(&mut Chunked<'_>) -> Result<(), StoreError>) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut w = Chunked::new(&mut out);
+        put(&mut w).expect("a Vec takes every write");
+        w.write_out().expect("a Vec takes every write");
+        out
+    }
+
+    /// A section whose payload is longer or shorter than the length its
+    /// frame declared fails the write with both lengths, in any build.
+    #[test]
+    fn a_section_of_the_wrong_length_is_typed() {
+        let mut out = Vec::new();
+        let mut w = Chunked::new(&mut out);
+        let short = w.section(TAG_META, 12, |w| {
+            put_u64(&mut w.chunk, 4);
+            Ok(())
+        });
+        let (tag, declared, written) = (TAG_META, 12, 8);
+        let want = StoreError::SectionLength {
+            tag,
+            declared,
+            written,
+        };
+        assert_eq!(short, Err(want));
+        let long = w.section(TAG_TOTALS, 48, |w| {
+            (0..7).for_each(|v| put_u64(&mut w.chunk, v));
+            Ok(())
+        });
+        let (tag, declared, written) = (TAG_TOTALS, 48, 56);
+        let want = StoreError::SectionLength {
+            tag,
+            declared,
+            written,
+        };
+        assert_eq!(long, Err(want));
+    }
+
+    /// `body` (a header and its frames, no trailer) with the trailer its
+    /// sections fold to appended.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut f = Fields::new(body, 0);
+        f.take(4).unwrap();
+        let version = f.u32().unwrap();
+        let sections: Vec<(u8, &[u8])> = (0..f.u32().unwrap())
+            .map(|_| {
+                let tag = f.u8().unwrap();
+                let len = f.u32().unwrap() as usize;
+                (tag, f.take(len).unwrap())
+            })
+            .collect();
+        let mut out = body.to_vec();
+        put_u64(&mut out, trailer_digest(version, sections.into_iter()));
+        out
+    }
+
+    /// Eight bytes past the totals section's last field, under a
+    /// recomputed trailer, are not the canonical encoding: a typed error
+    /// at the first unread byte, not the original checkpoint.
+    #[test]
+    fn leftover_bytes_in_a_section_are_typed() {
+        let bytes = encode_checkpoint(&sample_checkpoint());
+        assert_eq!(sealed(&bytes[..bytes.len() - 8]), bytes);
+        let end = bytes.len() - 8;
+        let len_at = end - section_len(TAG_TOTALS, &sample_checkpoint()) - 4;
+        let mut body = bytes[..end].to_vec();
+        body[len_at..len_at + 4].copy_from_slice(&56u32.to_le_bytes());
+        body.extend_from_slice(&[0; 8]);
+        let offset = end as u64;
+        assert_eq!(
+            decode_checkpoint(&sealed(&body)),
+            Err(StoreError::BadField { offset })
+        );
+    }
+
+    /// The trailer fold as the whole-buffer encoder wrote it: every
+    /// section's payload read in 8-byte words, the last zero-padded.
+    fn reference_digest(version: u32, sections: &[(u8, Vec<u8>)]) -> u64 {
+        let mut d = Digest64::new();
+        d.write_u32(version);
+        d.write_usize(sections.len());
+        for (tag, payload) in sections {
+            d.write_u32(u32::from(*tag));
+            d.write_usize(payload.len());
+            for chunk in payload.chunks(8) {
+                let mut w = [0u8; 8];
+                w[..chunk.len()].copy_from_slice(chunk);
+                d.write_u64(u64::from_le_bytes(w));
+            }
+        }
+        d.finish()
+    }
+
     /// The v1 account encoder as it was written over records: the
     /// reference the table-side encoder is held to.
     fn put_account(buf: &mut Vec<u8>, st: &AccountState) {
@@ -723,8 +1004,7 @@ mod tests {
             let mut want = Vec::new();
             put_u32(&mut want, records.len() as u32);
             records.iter().for_each(|r| put_account(&mut want, r));
-            let mut got = Vec::new();
-            put_accounts(&mut got, &table);
+            let got = written(|w| put_accounts(w, &table));
             prop_assert_eq!(&got, &want);
             prop_assert_eq!(accounts_len(&table), got.len());
             let mut f = Fields::new(&got, 0);
@@ -732,6 +1012,40 @@ mod tests {
             prop_assert!(f.done());
             prop_assert_eq!(back.accounts(), records);
             prop_assert!(back == table);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Sections fed to the fold in arbitrary pieces — empty ones,
+        /// ones shorter than a pending partial word, ones spanning many
+        /// words — fold to the trailer of the same sections fed whole,
+        /// which is the whole-buffer encoder's trailer.
+        #[test]
+        fn a_fold_over_any_chunking_equals_the_fold_over_whole_sections(
+            sections in proptest::collection::vec(
+                (1u8..8, proptest::collection::vec(any::<u8>(), 0..80)),
+                0..8,
+            ),
+            cuts in proptest::collection::vec(0usize..24, 1..16),
+        ) {
+            let mut cut = cuts.iter().cycle();
+            let mut fold = TrailerFold::new(VERSION, sections.len());
+            for (tag, payload) in &sections {
+                fold.begin(*tag, payload.len());
+                let mut rest = &payload[..];
+                while !rest.is_empty() {
+                    let (piece, tail) = rest.split_at(rest.len().min(*cut.next().unwrap()));
+                    fold.bytes(piece);
+                    rest = tail;
+                }
+                prop_assert_eq!(fold.end(), payload.len());
+            }
+            let whole = sections.iter().map(|(tag, p)| (*tag, &p[..]));
+            let whole = trailer_digest(VERSION, whole);
+            prop_assert_eq!(fold.d.finish(), whole);
+            prop_assert_eq!(whole, reference_digest(VERSION, &sections));
         }
     }
 

@@ -98,10 +98,11 @@ impl SnapshotStore {
     }
 
     /// Persist `cp` atomically as `checkpoint-{epochs:08}.sybs`,
-    /// returning the final path.
+    /// returning the final path. The file is streamed from `cp` through
+    /// one small chunk; no copy of the whole file is built.
     pub fn save(&self, cp: &SessionCheckpoint) -> Result<PathBuf, StoreError> {
         let path = self.dir.join(format::checkpoint_name(cp.epochs));
-        format::write_atomic(&path, &format::encode_checkpoint(cp))?;
+        format::save_checkpoint(&path, cp)?;
         Ok(path)
     }
 
