@@ -18,6 +18,10 @@
 //! unclaimed index instead, and places every result by its index, so its
 //! output is the serial loop's too.
 //!
+//! Two unrelated pieces of work that could overlap (the serving engine's
+//! next-epoch pull and its index pass) run under [`join`]: one on a
+//! scoped worker, one on the caller, results returned as the pair.
+//!
 //! Thread count comes from the `RENREN_THREADS` environment variable when
 //! set (any value ≥ 1), otherwise from `std::thread::available_parallelism`.
 //! With one thread (or one-element inputs) everything runs inline on the
@@ -145,6 +149,33 @@ where
     });
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, value)| value).collect()
+}
+
+/// `(a(), b())`, with `a` on a scoped worker and `b` on the calling
+/// thread. The two share nothing the borrow checker lets them race on,
+/// so the pair is the serial pair whatever the schedule. The serving
+/// engine pulls the next epoch (`a`) beside the running epoch's index
+/// pass (`b`) with it. With one thread both run inline, `a` first; a
+/// panic on either side is re-raised with its payload.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB,
+    RA: Send,
+{
+    if num_threads() <= 1 {
+        return (a(), b());
+    }
+    // A panic in `b` unwinds out of `scope`, which joins the worker
+    // first and then resumes `b`'s own payload.
+    thread::scope(|scope| {
+        let worker = scope.spawn(a);
+        let rb = b();
+        match worker.join() {
+            Ok(ra) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
 }
 
 /// `items.into_iter().map(f).collect()` across threads: each item is
@@ -367,6 +398,77 @@ mod tests {
                 .expect_err("task 4 panics");
                 let msg = payload.downcast_ref::<String>().expect("formatted message");
                 assert!(msg.contains("task 4 failed"), "threads={threads}: {msg}");
+            });
+        }
+    }
+
+    #[test]
+    fn join_runs_a_on_a_worker_and_b_on_the_caller() {
+        with_threads_env(Some("2"), || {
+            let me = thread::current().id();
+            let (a, b) = join(|| thread::current().id(), || thread::current().id());
+            assert!(a != me && b == me, "{a:?}, {b:?}, {me:?}");
+            // Borrowed state on both sides: `a` fills one buffer, `b` the other.
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            let (na, nb) = join(
+                || {
+                    left.extend(0..5);
+                    left.len()
+                },
+                || {
+                    right.extend(5..8);
+                    right.len()
+                },
+            );
+            assert_eq!(
+                (na, nb, left, right),
+                (5, 3, vec![0, 1, 2, 3, 4], vec![5, 6, 7])
+            );
+        });
+    }
+
+    #[test]
+    fn join_runs_both_inline_at_one_thread() {
+        with_threads_env(Some("1"), || {
+            let me = thread::current().id();
+            let order = std::sync::Mutex::new(Vec::new());
+            let (a, b) = join(
+                || {
+                    order.lock().unwrap().push('a');
+                    thread::current().id()
+                },
+                || {
+                    order.lock().unwrap().push('b');
+                    thread::current().id()
+                },
+            );
+            assert_eq!((a, b), (me, me));
+            assert_eq!(order.into_inner().unwrap(), ['a', 'b']);
+        });
+    }
+
+    #[test]
+    fn join_reraises_a_panic_on_either_side_with_its_payload() {
+        for &threads in &["1", "2"] {
+            with_threads_env(Some(threads), || {
+                let worker = std::panic::catch_unwind(|| {
+                    join(
+                        || assert_ne!(uneven(3), uneven(3), "worker side"),
+                        || uneven(4),
+                    )
+                })
+                .expect_err("the worker side panics");
+                let msg = worker.downcast_ref::<String>().expect("formatted message");
+                assert!(msg.contains("worker side"), "threads={threads}: {msg}");
+                let caller = std::panic::catch_unwind(|| {
+                    join(
+                        || uneven(4),
+                        || assert_ne!(uneven(3), uneven(3), "caller side"),
+                    )
+                })
+                .expect_err("the caller side panics");
+                let msg = caller.downcast_ref::<String>().expect("formatted message");
+                assert!(msg.contains("caller side"), "threads={threads}: {msg}");
             });
         }
     }

@@ -27,9 +27,12 @@
 //! re-materializes the blocks that contain grown rows and leaves every
 //! other block's storage untouched. That turns a streaming engine's
 //! snapshot rotation from an O(V + E) full copy into O(delta +
-//! grown-blocks) work, and bounds rotation's transient memory to one
-//! block instead of a second full CSR. [`CsrSnapshot::with_edges`] keeps
-//! the original monolithic rebuild as the independently-coded oracle.
+//! grown-blocks) work, and bounds rotation's transient memory to the
+//! delta's half-edges plus one block per fold task instead of a second
+//! full CSR. Blocks are independent, so the fold splits them into one
+//! contiguous range per [`par`] thread and rebuilds the ranges side by
+//! side. [`CsrSnapshot::with_edges`] keeps the original monolithic
+//! rebuild as the independently-coded oracle.
 //!
 //! Triangle-style kernels use an epoch-stamped scratch array
 //! ([`NeighborScratch`]) instead of pairwise probes: marking a node's
@@ -39,6 +42,7 @@
 //! bit-identical to `clustering::first_k_clustering` on the source graph.
 
 use crate::graph::{NodeId, TemporalGraph, Timestamp};
+use crate::par;
 
 /// Rows per column block. A power of two so the block lookup is a shift;
 /// small enough that an incremental rotation touching a handful of rows
@@ -145,21 +149,27 @@ impl NeighborScratch {
     }
 }
 
-/// Reusable transient buffers for [`CsrSnapshot::merge_delta_with`]: the
-/// unfolded half-edge array, the counting-sort bookkeeping, and the
-/// per-block staging area. A rotation's working set is proportional to
-/// the delta being folded; holding one `MergeScratch` across rotations
-/// keeps those pages faulted in instead of re-allocating (and
+/// Reusable transient buffers for [`CsrSnapshot::merge_delta_with`], one
+/// set per fold task. A rotation's working set is proportional to the
+/// delta being folded (its half-edges, grouped by block, are 2 × the
+/// additions across the tasks); holding one `MergeScratch` across
+/// rotations keeps those pages faulted in instead of re-allocating (and
 /// first-touching) them on every fold.
 #[derive(Clone, Debug, Default)]
 pub struct MergeScratch {
-    /// Additions unfolded to half-edges, `(row, neighbor, time)`.
-    half: Vec<(u32, u32, Timestamp)>,
-    /// Counting-sort block boundaries (`blocks + 1` entries).
+    tasks: Vec<FoldScratch>,
+}
+
+/// One fold task's buffers: the counting-sort bookkeeping, its range's
+/// half-edges grouped by block, and the per-block staging area.
+#[derive(Clone, Debug, Default)]
+struct FoldScratch {
+    /// Counting-sort block boundaries (range blocks + 1 entries).
     starts: Vec<u32>,
-    /// Counting-sort write cursors (one per block).
+    /// Counting-sort write cursors (one per range block).
     cursor: Vec<u32>,
-    /// Half-edges grouped by owning block.
+    /// The range's half-edges `(row, neighbor, time)`, grouped by
+    /// block, stream-ordered within a block.
     grouped: Vec<(u32, u32, Timestamp)>,
     /// One block's additions, row-sorted, handed to the rebuild.
     block: Vec<(u32, u32, Timestamp)>,
@@ -372,8 +382,10 @@ impl CsrSnapshot {
     /// streaming engine's rotation path. Only blocks containing a grown
     /// row are re-materialized; every other block's storage is reused
     /// untouched, so a rotation costs O(delta + grown-block bytes) instead
-    /// of the full O(V + E) copy [`Self::with_edges`] pays, and its
-    /// transient allocation is one block, not a second CSR.
+    /// of the full O(V + E) copy [`Self::with_edges`] pays. Its transient
+    /// allocation is not a second CSR: the delta's half-edges grouped by
+    /// block (2 × `additions.len()` entries across the fold tasks) plus
+    /// the block each task is rebuilding.
     ///
     /// The fold is a set union: an addition whose pair is already in the
     /// snapshot, or repeats an earlier addition, is dropped, so the first
@@ -387,12 +399,14 @@ impl CsrSnapshot {
         self.merge_delta_with(additions, &mut MergeScratch::default());
     }
 
-    /// [`Self::merge_delta`] with caller-owned transient buffers. A
-    /// rotation's working arrays are proportional to the delta; a caller
-    /// that rotates repeatedly (the serving engine's mirror) reuses one
-    /// [`MergeScratch`] so each fold runs in already-faulted pages
-    /// instead of paying first-touch cost on hundreds of megabytes of
-    /// fresh allocation per rotation.
+    /// [`Self::merge_delta`] with caller-owned transient buffers, run as
+    /// up to [`par::num_threads`] tasks. The blocks are split into
+    /// contiguous ranges, one per task; each task walks `additions` in
+    /// stream order, keeps the half-edges whose row lies in its range and
+    /// rebuilds its own blocks in place, so the result is the serial
+    /// fold's at every thread count. A caller that rotates repeatedly
+    /// (the serving engine's mirror) reuses one [`MergeScratch`] so each
+    /// fold runs in already-faulted pages.
     pub fn merge_delta_with(
         &mut self,
         additions: &[(NodeId, NodeId, Timestamp)],
@@ -402,168 +416,27 @@ impl CsrSnapshot {
             return;
         }
         let n = self.num_nodes;
-        // Unfold to half-edges; grouping by owning row uses two stable
-        // counting sorts (by block, then by row within each touched
-        // block) — O(delta + touched blocks) and sequential, where a
-        // comparison sort's O(delta log delta) scattered passes dominated
-        // rotation cost at million-edge deltas. Stability preserves
-        // stream order within a row, which is what the chronological
-        // column appends in.
-        ms.half.clear();
-        ms.half.reserve(2 * additions.len());
-        for &(a, b, t) in additions {
-            debug_assert!(a.index() < n && b.index() < n && a != b);
-            ms.half.push((a.0, b.0, t));
-            ms.half.push((b.0, a.0, t));
-        }
+        debug_assert!(additions
+            .iter()
+            .all(|&(a, b, _)| a.index() < n && b.index() < n && a != b));
         let nblocks = self.blocks.len();
-        ms.starts.clear();
-        ms.starts.resize(nblocks + 1, 0);
-        for &(v, _, _) in &ms.half {
-            ms.starts[v as usize / BLOCK_ROWS + 1] += 1;
+        let per = nblocks.div_ceil(par::num_threads()).max(1);
+        let tasks = nblocks.div_ceil(per);
+        if ms.tasks.len() < tasks {
+            ms.tasks.resize_with(tasks, FoldScratch::default);
         }
-        for b in 0..nblocks {
-            ms.starts[b + 1] += ms.starts[b];
-        }
-        ms.cursor.clear();
-        ms.cursor.extend_from_slice(&ms.starts[..nblocks]);
-        ms.grouped.clear();
-        ms.grouped
-            .resize(ms.half.len(), (0u32, 0u32, Timestamp::ZERO));
-        for &(v, nbr, t) in &ms.half {
-            let b = v as usize / BLOCK_ROWS;
-            ms.grouped[ms.cursor[b] as usize] = (v, nbr, t);
-            ms.cursor[b] += 1;
-        }
-
-        let mut kept = 0usize;
-        for b in 0..nblocks {
-            let (lo, hi) = (ms.starts[b] as usize, ms.starts[b + 1] as usize);
-            if lo == hi {
-                continue;
-            }
-            let adds = &ms.grouped[lo..hi];
-            let mut row_starts = [0u32; BLOCK_ROWS + 1];
-            for &(v, _, _) in adds {
-                row_starts[v as usize % BLOCK_ROWS + 1] += 1;
-            }
-            for l in 0..BLOCK_ROWS {
-                row_starts[l + 1] += row_starts[l];
-            }
-            ms.block.clear();
-            ms.block.resize(adds.len(), (0, 0, Timestamp::ZERO));
-            for &(v, nbr, t) in adds {
-                let l = v as usize % BLOCK_ROWS;
-                ms.block[row_starts[l] as usize] = (v, nbr, t);
-                row_starts[l] += 1;
-            }
-            kept += self.rebuild_block(b, &ms.block, &mut ms.tail);
-        }
+        let ranges: Vec<_> = self
+            .blocks
+            .chunks_mut(per)
+            .zip(&mut ms.tasks)
+            .enumerate()
+            .collect();
+        let fold = |(r, (blocks, task)): (usize, (&mut [RowBlock], &mut FoldScratch))| {
+            task.fold(r * per, blocks, additions)
+        };
+        let kept: usize = par::map_owned(ranges, fold).into_iter().sum();
         // A pair is dropped from both of its rows or from neither.
         self.num_edges += kept / 2;
-    }
-
-    /// Re-materialize one block, merging `adds` (half-edges sorted by row,
-    /// stream-ordered within a row, all rows inside this block) into its
-    /// columns as a set union: an addition whose neighbor the row already
-    /// holds, or an earlier addition already brought, is dropped from both
-    /// columns. `tail` is caller-owned row scratch (see [`MergeScratch`]),
-    /// cleared per row here. Returns the number of additions kept.
-    fn rebuild_block(
-        &mut self,
-        blk: usize,
-        adds: &[(u32, u32, Timestamp)],
-        tail: &mut Vec<(u32, u32)>,
-    ) -> usize {
-        let old = &self.blocks[blk];
-        let rows = old.rows();
-        let b0 = blk * BLOCK_ROWS;
-        let new_len = old.len() + adds.len();
-        let mut nb = RowBlock {
-            offsets: Vec::with_capacity(rows + 1),
-            sorted: Vec::with_capacity(new_len),
-            sorted_times: Vec::with_capacity(new_len),
-            chrono: Vec::with_capacity(new_len),
-            chrono_times: Vec::with_capacity(new_len),
-        };
-        nb.offsets.push(0);
-        let (mut a, mut kept) = (0usize, 0usize);
-        for l in 0..rows {
-            let v = (b0 + l) as u32;
-            let r = old.row(l);
-            let row_start = nb.chrono.len();
-            nb.chrono.extend_from_slice(&old.chrono[r.clone()]);
-            nb.chrono_times.extend_from_slice(&old.chrono_times[r.clone()]);
-            let a0 = a;
-            while a < adds.len() && adds[a].0 == v {
-                a += 1;
-            }
-            let row_adds = &adds[a0..a];
-            if row_adds.is_empty() {
-                // Row unchanged: copy its sorted view straight over.
-                nb.sorted.extend_from_slice(&old.sorted[r.clone()]);
-                nb.sorted_times.extend_from_slice(&old.sorted_times[r]);
-            } else {
-                // Sorted by (neighbor, position): each neighbor's first
-                // occurrence leads its run.
-                tail.clear();
-                tail.extend(
-                    row_adds
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &(_, nbr, _))| (nbr, k as u32)),
-                );
-                tail.sort_unstable();
-                // Merge with the old row; the kept additions are compacted to
-                // the front of `tail` (`w` of them).
-                let (old_ids, old_times) = (&old.sorted[r.clone()], &old.sorted_times[r]);
-                let (mut i, mut j, mut w) = (0, 0, 0);
-                while i < old_ids.len() || j < tail.len() {
-                    if j >= tail.len() || (i < old_ids.len() && old_ids[i] < tail[j].0) {
-                        nb.sorted.push(old_ids[i]);
-                        nb.sorted_times.push(old_times[i]);
-                        i += 1;
-                        continue;
-                    }
-                    let (nbr, k) = tail[j];
-                    j += 1;
-                    let known = i < old_ids.len() && old_ids[i] == nbr;
-                    if known || (w > 0 && tail[w - 1].0 == nbr) {
-                        continue;
-                    }
-                    nb.sorted.push(nbr);
-                    nb.sorted_times.push(row_adds[k as usize].2);
-                    tail[w] = (nbr, k);
-                    w += 1;
-                }
-                // The chronological column takes the kept additions in stream
-                // order: all of them, or the survivors re-sorted by position.
-                if w < row_adds.len() {
-                    tail.truncate(w);
-                    tail.sort_unstable_by_key(|&(_, k)| k);
-                }
-                let mut push_chrono = |nbr: u32, t: Timestamp| {
-                    debug_assert!(
-                        nb.chrono_times.len() == row_start
-                            || nb.chrono_times[nb.chrono_times.len() - 1] <= t,
-                        "additions must extend each row in time order"
-                    );
-                    nb.chrono.push(nbr);
-                    nb.chrono_times.push(t);
-                };
-                if w == row_adds.len() {
-                    row_adds.iter().for_each(|&(_, nbr, t)| push_chrono(nbr, t));
-                } else {
-                    tail.iter()
-                        .for_each(|&(nbr, k)| push_chrono(nbr, row_adds[k as usize].2));
-                }
-                kept += w;
-            }
-            nb.offsets.push(nb.sorted.len() as u32);
-        }
-        debug_assert!(a == adds.len(), "every addition lands in its block");
-        self.blocks[blk] = nb;
-        kept
     }
 
     /// Number of nodes.
@@ -715,6 +588,178 @@ impl CsrSnapshot {
     pub fn first_k_clustering(&self, n: NodeId, k: usize, scratch: &mut NeighborScratch) -> f64 {
         self.clustering_of(self.first_k_friends(n, k), scratch)
     }
+}
+
+impl FoldScratch {
+    /// Fold `additions` into the contiguous block range `blocks`, whose
+    /// first block is `first`: keep the half-edges whose row lies in the
+    /// range, in stream order, counting-sort them by block and then by
+    /// row (both sorts stable, so a row's additions stay in stream order,
+    /// which is what the chronological column appends in), and rebuild
+    /// each touched block in place. O(delta + touched blocks). Returns
+    /// the number of additions kept.
+    fn fold(
+        &mut self,
+        first: usize,
+        blocks: &mut [RowBlock],
+        additions: &[(NodeId, NodeId, Timestamp)],
+    ) -> usize {
+        let (lo, hi) = (first * BLOCK_ROWS, (first + blocks.len()) * BLOCK_ROWS);
+        let mine = || {
+            additions
+                .iter()
+                .flat_map(|&(a, b, t)| [(a.0, b.0, t), (b.0, a.0, t)])
+                .filter(|&(v, _, _)| (lo..hi).contains(&(v as usize)))
+        };
+        let local = |v: u32| (v as usize - lo) / BLOCK_ROWS;
+        self.starts.clear();
+        self.starts.resize(blocks.len() + 1, 0);
+        for (v, _, _) in mine() {
+            self.starts[local(v) + 1] += 1;
+        }
+        for b in 0..blocks.len() {
+            self.starts[b + 1] += self.starts[b];
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.starts[..blocks.len()]);
+        self.grouped.clear();
+        self.grouped
+            .resize(self.starts[blocks.len()] as usize, (0, 0, Timestamp::ZERO));
+        for half in mine() {
+            let c = &mut self.cursor[local(half.0)];
+            self.grouped[*c as usize] = half;
+            *c += 1;
+        }
+
+        let mut kept = 0usize;
+        for (b, blk) in blocks.iter_mut().enumerate() {
+            let adds = &self.grouped[self.starts[b] as usize..self.starts[b + 1] as usize];
+            if adds.is_empty() {
+                continue;
+            }
+            let mut row_starts = [0u32; BLOCK_ROWS + 1];
+            for &(v, _, _) in adds {
+                row_starts[v as usize % BLOCK_ROWS + 1] += 1;
+            }
+            for l in 0..BLOCK_ROWS {
+                row_starts[l + 1] += row_starts[l];
+            }
+            self.block.clear();
+            self.block.resize(adds.len(), (0, 0, Timestamp::ZERO));
+            for &half in adds {
+                let l = half.0 as usize % BLOCK_ROWS;
+                self.block[row_starts[l] as usize] = half;
+                row_starts[l] += 1;
+            }
+            let (rebuilt, k) =
+                rebuild_block(blk, (first + b) * BLOCK_ROWS, &self.block, &mut self.tail);
+            *blk = rebuilt;
+            kept += k;
+        }
+        kept
+    }
+}
+
+/// Re-materialize one block, merging `adds` (half-edges sorted by row,
+/// stream-ordered within a row, all rows inside this block) into its
+/// columns as a set union: an addition whose neighbor the row already
+/// holds, or an earlier addition already brought, is dropped from both
+/// columns. `b0` is the block's first row; `tail` is caller-owned row
+/// scratch (see [`FoldScratch`]), cleared per row here. Returns the
+/// new block and the number of additions kept.
+fn rebuild_block(
+    old: &RowBlock,
+    b0: usize,
+    adds: &[(u32, u32, Timestamp)],
+    tail: &mut Vec<(u32, u32)>,
+) -> (RowBlock, usize) {
+    let rows = old.rows();
+    let new_len = old.len() + adds.len();
+    let mut nb = RowBlock {
+        offsets: Vec::with_capacity(rows + 1),
+        sorted: Vec::with_capacity(new_len),
+        sorted_times: Vec::with_capacity(new_len),
+        chrono: Vec::with_capacity(new_len),
+        chrono_times: Vec::with_capacity(new_len),
+    };
+    nb.offsets.push(0);
+    let (mut a, mut kept) = (0usize, 0usize);
+    for l in 0..rows {
+        let v = (b0 + l) as u32;
+        let r = old.row(l);
+        let row_start = nb.chrono.len();
+        nb.chrono.extend_from_slice(&old.chrono[r.clone()]);
+        nb.chrono_times
+            .extend_from_slice(&old.chrono_times[r.clone()]);
+        let a0 = a;
+        while a < adds.len() && adds[a].0 == v {
+            a += 1;
+        }
+        let row_adds = &adds[a0..a];
+        if row_adds.is_empty() {
+            // Row unchanged: copy its sorted view straight over.
+            nb.sorted.extend_from_slice(&old.sorted[r.clone()]);
+            nb.sorted_times.extend_from_slice(&old.sorted_times[r]);
+        } else {
+            // Sorted by (neighbor, position): each neighbor's first
+            // occurrence leads its run.
+            tail.clear();
+            tail.extend(
+                row_adds
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &(_, nbr, _))| (nbr, k as u32)),
+            );
+            tail.sort_unstable();
+            // Merge with the old row; the kept additions are compacted to
+            // the front of `tail` (`w` of them).
+            let (old_ids, old_times) = (&old.sorted[r.clone()], &old.sorted_times[r]);
+            let (mut i, mut j, mut w) = (0, 0, 0);
+            while i < old_ids.len() || j < tail.len() {
+                if j >= tail.len() || (i < old_ids.len() && old_ids[i] < tail[j].0) {
+                    nb.sorted.push(old_ids[i]);
+                    nb.sorted_times.push(old_times[i]);
+                    i += 1;
+                    continue;
+                }
+                let (nbr, k) = tail[j];
+                j += 1;
+                let known = i < old_ids.len() && old_ids[i] == nbr;
+                if known || (w > 0 && tail[w - 1].0 == nbr) {
+                    continue;
+                }
+                nb.sorted.push(nbr);
+                nb.sorted_times.push(row_adds[k as usize].2);
+                tail[w] = (nbr, k);
+                w += 1;
+            }
+            // The chronological column takes the kept additions in stream
+            // order: all of them, or the survivors re-sorted by position.
+            if w < row_adds.len() {
+                tail.truncate(w);
+                tail.sort_unstable_by_key(|&(_, k)| k);
+            }
+            let mut push_chrono = |nbr: u32, t: Timestamp| {
+                debug_assert!(
+                    nb.chrono_times.len() == row_start
+                        || nb.chrono_times[nb.chrono_times.len() - 1] <= t,
+                    "additions must extend each row in time order"
+                );
+                nb.chrono.push(nbr);
+                nb.chrono_times.push(t);
+            };
+            if w == row_adds.len() {
+                row_adds.iter().for_each(|&(_, nbr, t)| push_chrono(nbr, t));
+            } else {
+                tail.iter()
+                    .for_each(|&(nbr, k)| push_chrono(nbr, row_adds[k as usize].2));
+            }
+            kept += w;
+        }
+        nb.offsets.push(nb.sorted.len() as u32);
+    }
+    debug_assert!(a == adds.len(), "every addition lands in its block");
+    (nb, kept)
 }
 
 #[cfg(test)]

@@ -3,10 +3,30 @@
 //! columns) to the monolithic oracle [`CsrSnapshot::with_edges`] and to a
 //! one-shot [`CsrSnapshot::freeze`] of the same edge stream, under any
 //! randomized batching schedule — and, fed additions that repeat pairs,
-//! to the oracle over their first occurrences.
+//! to the oracle over their first occurrences, at every thread count the
+//! fold splits its blocks over.
 
-use osn_graph::{CsrSnapshot, MergeScratch, NodeId, TemporalGraph, Timestamp};
+use osn_graph::{par, CsrSnapshot, MergeScratch, NodeId, TemporalGraph, Timestamp};
 use proptest::prelude::*;
+
+/// Run `body` with `RENREN_THREADS` pinned, restoring the prior value.
+/// Env vars are process-global, so every test in this binary that sets
+/// one takes this lock (a failed case may have poisoned it: the guard
+/// protects no data, so it is taken anyway).
+fn with_threads_env<T>(value: &str, body: impl FnOnce() -> T) -> T {
+    use std::sync::{Mutex, OnceLock};
+    static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    let lock = ENV_LOCK.get_or_init(|| Mutex::new(()));
+    let _guard = lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let prior = std::env::var(par::THREADS_ENV).ok();
+    std::env::set_var(par::THREADS_ENV, value);
+    let out = body();
+    match prior {
+        Some(v) => std::env::set_var(par::THREADS_ENV, v),
+        None => std::env::remove_var(par::THREADS_ENV),
+    }
+    out
+}
 
 /// Build a deduplicated, time-ordered undirected edge stream over `n`
 /// nodes from raw proptest pairs. Times are the stream index, so every
@@ -170,5 +190,68 @@ proptest! {
         mixed.merge_delta(&edges[..split]);
         mixed = mixed.with_edges(&edges[split..]);
         assert_columns_equal(&mixed, &oracle)?;
+    }
+
+    /// The fold splits the blocks into one contiguous range per thread
+    /// and each task keeps its range's half of every addition, so it must
+    /// equal the monolithic oracle over first occurrences at any split:
+    /// 1–8 blocks (`n` up to 2,048, ranges of uneven length, a last block
+    /// cut short), additions that repeat pairs inside a batch, across
+    /// batches and reversed, random rotation schedules, folded at
+    /// `RENREN_THREADS` 1, 2 and 3 and at a count that changes from one
+    /// rotation to the next (one `MergeScratch` across all of them).
+    #[test]
+    fn parallel_fold_matches_with_edges_at_every_thread_count(
+        blocks in 1usize..=8,
+        short in 0usize..256,
+        hot in 2usize..64,
+        raw in prop::collection::vec((0usize..2048, 0usize..2048, 0u8..4), 0..1500),
+        cuts in prop::collection::vec(0usize..1501, 0..6),
+        mixed in prop::collection::vec(1usize..=3, 1..6),
+    ) {
+        let n = (blocks * 256 - short).max(2);
+        // One draw in four comes from a few hot nodes so pairs repeat;
+        // one in four is the previous pair reversed.
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for &(a, b, shape) in &raw {
+            let pair = match (shape, pairs.last()) {
+                (0, _) => (a % hot.min(n), b % hot.min(n)),
+                (1, Some(&(x, y))) => (y, x),
+                _ => (a % n, b % n),
+            };
+            if pair.0 != pair.1 {
+                pairs.push(pair);
+            }
+        }
+        let additions: Vec<(NodeId, NodeId, Timestamp)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(k, &(a, b))| (NodeId(a as u32), NodeId(b as u32), Timestamp(k as u64)))
+            .collect();
+        let mut seen = std::collections::BTreeSet::new();
+        let firsts: Vec<_> = additions
+            .iter()
+            .copied()
+            .filter(|&(a, b, _)| seen.insert((a.0.min(b.0), a.0.max(b.0))))
+            .collect();
+        let oracle = CsrSnapshot::empty(n).with_edges(&firsts);
+        prop_assert_eq!(oracle.num_edges(), seen.len());
+        let batches = schedule(&additions, &cuts);
+        for threads in ["1", "2", "3"] {
+            let inc = with_threads_env(threads, || {
+                let (mut inc, mut scratch) = (CsrSnapshot::empty(n), MergeScratch::default());
+                for batch in &batches {
+                    inc.merge_delta_with(batch, &mut scratch);
+                }
+                inc
+            });
+            assert_columns_equal(&inc, &oracle)?;
+        }
+        let (mut inc, mut scratch) = (CsrSnapshot::empty(n), MergeScratch::default());
+        for (k, batch) in batches.iter().enumerate() {
+            let threads = mixed[k % mixed.len()].to_string();
+            with_threads_env(&threads, || inc.merge_delta_with(batch, &mut scratch));
+        }
+        assert_columns_equal(&inc, &oracle)?;
     }
 }

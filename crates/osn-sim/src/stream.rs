@@ -32,6 +32,7 @@
 
 use crate::log::RequestLog;
 use osn_graph::Timestamp;
+use std::mem::take;
 
 /// What happened at one point of the merged stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -208,6 +209,9 @@ fn sort_by_time(bucket: &mut Vec<Due>, scratch: &mut Vec<Due>) {
 /// window, not the log length) plus one epoch of events. Each event comes
 /// with its [`EventDetail`] in a parallel slice, so per-event consumers
 /// read endpoints and outcomes from hot sequential memory, not the log.
+/// [`next_epoch`] lends buffers the stream owns; [`next_epoch_into`]
+/// fills the caller's, so a caller can keep one epoch while it pulls the
+/// next (the serving engine does, beside its index pass).
 ///
 /// Why this is exactly [`EventStream`]'s sequence: that order is `(time,
 /// sends before decisions, record)`, so it visits grid cells in order and
@@ -223,6 +227,7 @@ fn sort_by_time(bucket: &mut Vec<Due>, scratch: &mut Vec<Due>) {
 /// Only [`EventStream`] reproduces a pure time-sort for such logs.
 ///
 /// [`next_epoch`]: EpochBatches::next_epoch
+/// [`next_epoch_into`]: EpochBatches::next_epoch_into
 pub struct EpochBatches<'a> {
     log: &'a RequestLog,
     epoch_s: u64,
@@ -236,6 +241,7 @@ pub struct EpochBatches<'a> {
     /// The other half of [`sort_by_time`]'s ping-pong.
     sort_scratch: Vec<Due>,
     next_seq: u64,
+    /// [`Self::next_epoch`]'s buffers.
     buf: Vec<StreamEvent>,
     details: Vec<EventDetail>,
 }
@@ -259,15 +265,35 @@ impl<'a> EpochBatches<'a> {
 
     /// The next non-empty epoch's events and their parallel details, or
     /// `None` at end of stream. The returned slices are valid until the
-    /// next call (the buffers are reused).
+    /// next call (the buffers are reused). A thin wrapper over
+    /// [`Self::next_epoch_into`] with buffers this stream owns.
     #[allow(clippy::should_implement_trait)]
     pub fn next_epoch(&mut self) -> Option<(&[StreamEvent], &[EventDetail])> {
+        let (mut events, mut details) = (take(&mut self.buf), take(&mut self.details));
+        let more = self.next_epoch_into(&mut events, &mut details);
+        (self.buf, self.details) = (events, details);
+        more.then_some((&self.buf, &self.details))
+    }
+
+    /// Fill caller-owned `events` and `details` (cleared first) with the
+    /// next non-empty epoch; `false` at end of stream, buffers left
+    /// empty. A caller holding two pairs of buffers can fill one while
+    /// it works through the other.
+    pub fn next_epoch_into(
+        &mut self,
+        events: &mut Vec<StreamEvent>,
+        details: &mut Vec<EventDetail>,
+    ) -> bool {
+        events.clear();
+        details.clear();
         let records = self.log.records();
         let send_cell = records
             .get(self.send_cursor)
             .map(|r| r.sent_at.as_secs() / self.epoch_s);
         let first_due = self.calendar.first().map(|b| b.0);
-        let cell = send_cell.into_iter().chain(first_due).min()?;
+        let Some(cell) = send_cell.into_iter().chain(first_due).min() else {
+            return false;
+        };
         // Inclusive, so a cell that reaches past `u64::MAX` still ends.
         let cell_last = (cell * self.epoch_s).saturating_add(self.epoch_s - 1);
 
@@ -310,17 +336,10 @@ impl<'a> EpochBatches<'a> {
             _ => Vec::new(),
         };
         sort_by_time(&mut bucket, &mut self.sort_scratch);
-        let Self {
-            buf,
-            details,
-            next_seq,
-            ..
-        } = self;
-        buf.clear();
-        details.clear();
+        let next_seq = &mut self.next_seq;
         let mut emit = |at, kind, detail| {
             let seq = *next_seq;
-            buf.push(StreamEvent { seq, at, kind });
+            events.push(StreamEvent { seq, at, kind });
             details.push(detail);
             *next_seq += 1;
         };
@@ -345,7 +364,7 @@ impl<'a> EpochBatches<'a> {
             bucket.clear();
             self.spare.push(bucket);
         }
-        Some((&self.buf, &self.details))
+        true
     }
 }
 
@@ -464,6 +483,38 @@ mod tests {
             assert_eq!(e.seq, i as u64);
         }
         cat
+    }
+
+    /// Filling two caller-owned buffer pairs in turn — the serving
+    /// engine's pattern — yields `next_epoch`'s batches, details
+    /// included; end of stream leaves the buffers empty.
+    #[test]
+    fn next_epoch_into_alternating_buffers_equals_next_epoch() {
+        let log = log_with(&[
+            (0, 1, 1, Some((5, true))),
+            (1, 2, 2, Some((90, false))),
+            (2, 3, 40, None),
+            (3, 4, 41, Some((41, true))),
+            (4, 5, 41, Some((60, true))),
+        ]);
+        let mut lent = EpochBatches::new(&log, 24 * 3600);
+        let mut want = Vec::new();
+        while let Some((events, details)) = lent.next_epoch() {
+            want.push((events.to_vec(), details.to_vec()));
+        }
+        let mut filled = EpochBatches::new(&log, 24 * 3600);
+        let mut bufs: [(Vec<StreamEvent>, Vec<EventDetail>); 2] = Default::default();
+        let mut got = Vec::new();
+        for k in 0.. {
+            let (events, details) = &mut bufs[k % 2];
+            if !filled.next_epoch_into(events, details) {
+                assert!(events.is_empty() && details.is_empty());
+                break;
+            }
+            got.push((events.clone(), details.clone()));
+        }
+        assert_eq!(got, want);
+        assert!(want.len() >= 3, "both buffers are reused");
     }
 
     #[test]

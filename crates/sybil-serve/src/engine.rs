@@ -33,7 +33,10 @@
 //! — and whatever processes an epoch runs it: live serving (faults
 //! absorbed between its halves) and journal replay, which is both the
 //! committed tail after a warm restart and crash rebuild (digests
-//! compared). Recovery cannot drift from serving.
+//! compared). Recovery cannot drift from serving. Live serving also
+//! pulls epoch *k+1* off the stream beside epoch *k*'s index pass
+//! (`par::join`, into the spare of two recycled batch buffers): the pull
+//! reads only the log, so no value and no plane hook can tell.
 
 use crate::fault::{
     ChaosError, EpochRecord, EpochRecordRef, FaultKind, FaultPlane, SessionCheckpoint, ShardFault,
@@ -43,7 +46,7 @@ use crate::mirror::{EpochIndex, GraphMirror};
 use crate::queue::QueueFull;
 use crate::shard::{EpochOutput, ShardState, TaggedDetection, TaggedFeedback};
 use osn_graph::par;
-use osn_sim::stream::EpochBatches;
+use osn_sim::stream::{EpochBatches, EventDetail, StreamEvent};
 use osn_sim::SimOutput;
 use sybil_core::realtime::{DeploymentReport, RealtimeConfig, ReplayCounters};
 
@@ -279,18 +282,26 @@ impl<'a> Coordinator<'a> {
     /// First half of the step. A sequential stream-order pass puts the
     /// epoch's accepts into the mirror — the index lets a shard's check
     /// hide the ones created after it; shards keep no mirrors of their
-    /// own — then every carried shard scans the epoch (under the fault
-    /// plane's `clamps`, if any), brings its running digest up to date
-    /// and, with `want_dig`, digests its own state there, in its busy
-    /// window, not serially on the coordinator.
-    fn scan(
+    /// own — while `pull`, if given, fetches the next epoch beside it
+    /// (`par::join`; it reads only the log, so nothing here or in the
+    /// plane can see it) and its answer comes back with the arrivals.
+    /// Then every carried shard scans the epoch (under the fault plane's
+    /// `clamps`, if any), brings its running digest up to date and, with
+    /// `want_dig`, digests its own state there, in its busy window, not
+    /// serially on the coordinator.
+    fn scan<F: FnOnce() -> bool + Send>(
         &mut self,
         rec: EpochRecordRef<'_>,
         clamps: &[Option<usize>],
         want_dig: bool,
+        pull: Option<F>,
         meter: &mut Meter<'_>,
-    ) -> (EpochIndex, Vec<Result<Arrival, QueueFull>>) {
-        let eidx = self.mirror.index_epoch(rec.events, rec.details);
+    ) -> (EpochIndex, Vec<Result<Arrival, QueueFull>>, Option<bool>) {
+        let mut index = || self.mirror.index_epoch(rec.events, rec.details);
+        let (pulled, eidx) = match pull {
+            Some(pull) => par::join(|| Some(pull()), index),
+            None => (None, index()),
+        };
         meter.lap(Stage::Index);
         self.totals.events_processed += rec.events.len() as u64;
         let (out, mirror, clock) = (self.out, &self.mirror, meter.clock);
@@ -307,7 +318,7 @@ impl<'a> Coordinator<'a> {
         };
         let results = par::map_owned(std::mem::take(&mut self.shards), scan_one);
         meter.lap(Stage::Scan);
-        (eidx, results)
+        (eidx, results, pulled)
     }
 
     /// Second half of the step: fold the arrivals (the shard vector with
@@ -390,7 +401,7 @@ impl<'a> Coordinator<'a> {
             details: &rec.details,
             feedback: &rec.feedback,
         };
-        let (eidx, results) = self.scan(input, &[], in_flight, meter);
+        let (eidx, results, _) = self.scan(input, &[], in_flight, None::<fn() -> bool>, meter);
         let diverged = |sid| ServeError::fault(e, sid, FaultKind::ReplayDivergence);
         let mut arrived: Vec<Arrival> = results
             .into_iter()
@@ -498,17 +509,29 @@ pub(crate) fn serve_inner<P: FaultPlane>(
     };
     let mut skip = co.epochs;
 
-    // Epoch slicing off the calendar merge: at most one epoch of events
-    // plus the decisions in flight is buffered, and nothing proportional
-    // to the log is built (see `osn_sim::stream::EpochBatches`).
+    // Epoch slicing off the calendar merge: at most two epochs of events
+    // plus the decisions in flight are buffered, and nothing proportional
+    // to the log is built (see `osn_sim::stream::EpochBatches`). A live
+    // epoch pulls the next one into the spare buffers beside its index
+    // pass (`pulled` then holds whether there was one); the first epoch,
+    // skipped epochs and tail epochs pull inline.
     let mut batches = EpochBatches::new(&out.log, epoch_h * 3600);
+    let (mut cur, mut spare) = (Batch::default(), Batch::default());
+    let mut pulled = None;
     let mut meter = Meter::start(clock, obs, shards_n);
     loop {
-        let batch = batches.next_epoch();
-        meter.lap(Stage::Pull);
-        let Some((events, details)) = batch else {
-            break;
+        let more = match pulled.take() {
+            Some(more) => {
+                std::mem::swap(&mut cur, &mut spare);
+                more
+            }
+            None => batches.next_epoch_into(&mut cur.events, &mut cur.details),
         };
+        meter.lap(Stage::Pull);
+        if !more {
+            break;
+        }
+        let (events, details) = (&cur.events[..], &cur.details[..]);
         if skip > 0 {
             // The checkpoint already holds this epoch: drop its batch.
             skip -= 1;
@@ -551,7 +574,9 @@ pub(crate) fn serve_inner<P: FaultPlane>(
             meter.lap(Stage::Plane);
         }
         let crashed = |sid: usize| faults.get(sid) == Some(&ShardFault::Crash);
-        let (eidx, mut results) = co.scan(rec, &clamps, want_dig, &mut meter);
+        let pull = || batches.next_epoch_into(&mut spare.events, &mut spare.details);
+        let (eidx, mut results, more) = co.scan(rec, &clamps, want_dig, Some(pull), &mut meter);
+        pulled = more;
         if chaos {
             // Delivery-order fault: results may reach the barrier in any
             // order. The merge is keyed by shard id, so a permutation
@@ -606,6 +631,14 @@ pub(crate) fn serve_inner<P: FaultPlane>(
         reg.add(id, co.epochs);
     }
     Ok((report, stats))
+}
+
+/// One epoch's events and their parallel details, filled by
+/// [`EpochBatches::next_epoch_into`] and recycled epoch after epoch.
+#[derive(Default)]
+struct Batch {
+    events: Vec<StreamEvent>,
+    details: Vec<EventDetail>,
 }
 
 /// Reorder `items` according to `ord` (a permutation of `0..len`).

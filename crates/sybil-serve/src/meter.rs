@@ -12,6 +12,10 @@ use sybil_obs::Registry;
 /// off the stream, the mirror's index pass, the shard scan, the barrier
 /// merge, the mirror fold (rotation included), and every fault-plane
 /// hook call (with the journal reads and crash recovery they drive).
+/// A live epoch pulls the next one beside its index pass, so `Index`
+/// covers the index pass and that overlapped pull, and `Pull` keeps only
+/// the pulls nothing overlaps: the first epoch's, skipped epochs' and
+/// journal-tail epochs'.
 #[derive(Clone, Copy)]
 pub(crate) enum Stage {
     Pull,

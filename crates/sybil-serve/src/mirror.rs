@@ -54,11 +54,17 @@
 //!   starts and the seq of each accept in it, one `u64` per accept.
 //!
 //! Rotation folds the delta into the [`CsrSnapshot`] via
-//! [`CsrSnapshot::merge_delta`], which re-materializes only the column
-//! blocks containing grown rows (see `osn_graph::snapshot`). Because the
-//! snapshot + delta *are* the edge set, rotation adds no second copy of
-//! the edges and membership never touches a structure proportional to the
-//! total edge count.
+//! [`CsrSnapshot::merge_delta_with`], which re-materializes only the
+//! column blocks containing grown rows (see `osn_graph::snapshot`), one
+//! contiguous block range per `par` thread, side by side: each range's
+//! task takes its rows' halves of the staged accepts in stream order and
+//! rebuilds its own blocks, so the folded snapshot is the same at every
+//! thread count. The schedule — when the delta is folded — does not
+//! depend on the thread count either. Because the snapshot + delta *are*
+//! the edge set, rotation adds no second copy of the edges and
+//! membership never touches a structure proportional to the total edge
+//! count. A warm restart's [`GraphMirror::restore`] re-folds the
+//! persisted edges through the same parallel fold.
 //!
 //! Keeping this state out of the shards is what makes the engine scale:
 //! a shard's per-event cost for accounts it does not own is a counter and

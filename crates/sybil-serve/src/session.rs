@@ -25,7 +25,10 @@
 //!   logical tallies land under the same keys (and with equal values) as
 //!   the sequential `replay_observed`, per-shard quantities under
 //!   `shard{N}.*`, and (by the injected clock) the wall spans `epoch` and
-//!   `stage.{pull,index,scan,merge,fold,plane}` — where each epoch went.
+//!   `stage.{pull,index,scan,merge,fold,plane}` — where each epoch went
+//!   (`stage.index` includes the next epoch's pull, which runs beside the
+//!   index pass; `stage.pull` is what is left: the first epoch, skipped
+//!   epochs and journal-tail epochs).
 //!   After a warm restart the logical tallies equal the uninterrupted
 //!   run's; spans and `shard{N}.*` cover what this process ran — the
 //!   journal tail it re-ran and the live remainder.

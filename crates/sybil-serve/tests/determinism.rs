@@ -448,6 +448,65 @@ fn a_scale_stream_with_repeated_accepts_is_served_as_replayed() {
     assert_serve_equals_replay_across_floors(&out, detect, 24);
 }
 
+/// The mirror's rotation splits the snapshot's 256-row blocks into one
+/// contiguous range per `RENREN_THREADS` thread, and the live engine
+/// pulls the next epoch beside each index pass. A 1,200-account stream
+/// spans five blocks, so at 2 and 3 threads every rotation really is
+/// split (ranges of 3+2 and 2+2+1 blocks); the report must still be the
+/// sequential replay's at every thread count × shard count × rotation
+/// floor. The stream repeats pairs and the detector counts links, so a
+/// fold that lost, duplicated or misdated an edge would move a verdict.
+#[test]
+fn a_five_block_stream_is_served_as_replayed_at_every_thread_count() {
+    let accounts = 1_200;
+    let out = osn_sim::scale::generate(&osn_sim::scale::ScaleConfig {
+        requests_per_account: 12.0,
+        hours: 1_000,
+        ..osn_sim::scale::ScaleConfig::at(accounts, 9)
+    });
+    assert!(accounts > 4 * 256, "at least five snapshot blocks");
+    let mut seen = std::collections::HashSet::new();
+    let repeats = out
+        .log
+        .records()
+        .iter()
+        .filter(|r| matches!(r.outcome, RequestOutcome::Accepted(_)))
+        .filter(|r| !seen.insert((r.from.0.min(r.to.0), r.from.0.max(r.to.0))))
+        .count();
+    assert!(repeats > 0, "the stream repeats a pair");
+    let detect = RealtimeConfig {
+        rule: ThresholdClassifier {
+            max_out_ratio: 0.4,
+            min_freq: 2.0,
+            max_cc: 0.1,
+        },
+        adaptive: true,
+        ..RealtimeConfig::default()
+    };
+    let sequential = replay(&out, &detect);
+    assert!(!sequential.detections.is_empty(), "someone is flagged");
+    let sequential = serde_json::to_string(&sequential).unwrap();
+    for threads in ["1", "2", "3"] {
+        with_threads_env(threads, || {
+            for rotate_floor in [1usize, 64] {
+                for shards in [1usize, 2, 3] {
+                    let cfg = ServeConfig {
+                        shards,
+                        epoch_hours: 24,
+                        detect,
+                        rotate_floor,
+                    };
+                    assert_eq!(
+                        report_bytes(&out, &cfg),
+                        sequential,
+                        "RENREN_THREADS={threads}, {shards} shards, rotate_floor {rotate_floor}"
+                    );
+                }
+            }
+        });
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -3,7 +3,8 @@
 # clippy pass, the sybil-lint workspace audit (0 violations, stale
 # lint.toml entries included, inside its <5s runtime budget), a run of
 # every example (each must exit 0), the §3.1
-# defenses thread-identity smoke, the same smoke over the experiments
+# defenses thread-identity smoke, the serve store's checkpoint and
+# journal identity across thread counts, the same smoke over the experiments
 # that share the ground-truth sample and the reach estimator, the
 # serving-engine serve-vs-replay
 # equivalence smoke, the metrics bit-identity guard
@@ -92,6 +93,26 @@ for scale_seed in "tiny 1" "small 3"; do
 done
 echo "defenses guard: defenses.json (tiny/seed 1, small/seed 3) identical at RENREN_THREADS=1, 2 and 3"
 
+echo "== serve store: RENREN_THREADS=1 vs 2 vs 3 checkpoint and journal identity =="
+# The mirror's rotation folds one contiguous block range per thread, and
+# each live epoch pulls the next beside its index pass. Neither may show
+# in a byte the store writes: every checkpoint (.sybs), the journal
+# (.sybj) and serve.json must be identical at every thread count.
+for threads in 1 2 3; do
+    RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
+        --scale small --seed 3 --shards 2 --out "$bench_tmp/store_t$threads/out" \
+        --store "$bench_tmp/store_t$threads/store" serve >/dev/null
+done
+for threads in 2 3; do
+    # diff -r compares every file byte for byte and fails on one missing
+    # from either side.
+    diff -r "$bench_tmp/store_t1/store" "$bench_tmp/store_t$threads/store"
+    cmp "$bench_tmp/store_t1/out/small-seed3/serve.json" \
+        "$bench_tmp/store_t$threads/out/small-seed3/serve.json"
+done
+n_store=$(find "$bench_tmp/store_t1/store" -type f \( -name '*.sybs' -o -name '*.sybj' \) | wc -l)
+echo "serve store guard: serve.json and $n_store .sybs/.sybj files (small/seed 3, 2 shards) identical at RENREN_THREADS=1, 2 and 3"
+
 echo "== sample + reach: RENREN_THREADS=1 vs 2 vs 3 result identity =="
 # The ground-truth sample is extracted on `par` and kept by the context
 # for the experiments that follow in the same process; reach draws its
@@ -163,7 +184,10 @@ echo "== serving engine: the coordinator's stage ledger (reported, not gated) ==
 # Where a serve epoch's wall time goes, stage by stage, from the engine's
 # own spans: the stages partition the epoch loop, so a change that moves
 # one (the mirror's index pass, the rotation inside fold) shows here
-# first. One run on one box: read it as a profile, not a gate.
+# first. `index` covers the index pass and the next epoch's pull beside
+# it; `pull` keeps only the pulls nothing overlaps (the first epoch,
+# skipped and journal-tail epochs). One run on one box: read it as a
+# profile, not a gate.
 l_dir="$bench_tmp/stage_ledger"
 cargo run -q --release -p sybil-repro --bin repro -- \
     --scale small --seed 42 --shards 2 --out "$l_dir" --metrics "$l_dir" serve >/dev/null
@@ -174,6 +198,7 @@ for mode in ("static", "adaptive"):
     spans = [(s, wall[f"serve.{mode}.stage.{s}"]) for s in ("pull", "index", "scan", "merge", "fold")]
     epoch = wall[f"serve.{mode}.epoch"]
     print(f"stage ledger ({mode}, small seed 42, 2 shards, {epoch['count']} epochs, "
+          f"index = index pass + overlapped next pull, "
           f"{epoch['total_s']:.3f} s): "
           + ", ".join(f"{s} {v['total_s']:.4f} s" for s, v in spans))
 PY
