@@ -18,8 +18,17 @@
 //! level `l` with probability exactly `p_l`, independently of the others,
 //! and reach never shrinks from one level to the next within a trial.
 //! That is why `probabilities` must be ascending.
+//!
+//! A trial has two steps. The *draw* picks the sample's live edges, level
+//! by level, from the caller's RNG; the *tally* merges them into clusters
+//! and adds each seed set's reach. The tally draws nothing, so
+//! [`percolation_reach`] tallies trial `t` on a worker while the caller
+//! draws trial `t + 1` ([`par::join`]): the RNG sees the draws of one
+//! serial loop in the same order, and the totals are integer sums, so
+//! every mean is the serial loop's to the bit.
 
 use crate::graph::{NodeId, TemporalGraph};
+use crate::par;
 use crate::unionfind::UnionFind;
 use rand::prelude::*;
 
@@ -31,6 +40,10 @@ use rand::prelude::*;
 ///
 /// Each cell's distribution is exactly the cascade's. Cells of one call
 /// share their samples, so they are positively correlated.
+///
+/// Every draw happens on the calling thread, from `rng`, in trial order;
+/// each sample is tallied one trial behind, on a worker, while the next is
+/// drawn. `rng` ends where a serial loop would leave it.
 pub fn percolation_reach<R: Rng + ?Sized>(
     g: &TemporalGraph,
     seed_sets: &[Vec<NodeId>],
@@ -41,44 +54,111 @@ pub fn percolation_reach<R: Rng + ?Sized>(
     for &s in seed_sets.iter().flatten() {
         assert!(g.contains_node(s), "seed out of range");
     }
-    let mut totals = vec![vec![0usize; probabilities.len()]; seed_sets.len()];
-    // `counted[root] == stamp` marks a cluster already added to the cell
-    // being read; a fresh stamp per cell stands in for clearing the array.
-    let mut counted = vec![0usize; g.num_nodes()];
-    let mut stamp = 0usize;
-    for _ in 0..trials {
-        let mut clusters = UnionFind::new(g.num_nodes());
-        let mut kept = 0.0f64;
-        for (level, &p) in probabilities.iter().enumerate() {
-            let p = p.clamp(0.0, 1.0);
-            assert!(p >= kept, "probabilities must be ascending");
-            if p > kept {
-                open_edges(g, (p - kept) / (1.0 - kept), &mut clusters, rng);
-                kept = p;
-            }
-            for (set, seeds) in seed_sets.iter().enumerate() {
-                stamp += 1;
-                for &s in seeds {
-                    let root = clusters.find(s.index());
-                    if counted[root] != stamp {
-                        counted[root] = stamp;
-                        totals[set][level] += clusters.size_of(root);
-                    }
-                }
-            }
+    let mut totals = Totals::new(g.num_nodes(), seed_sets.len(), probabilities.len());
+    // Two recycled samples: the worker tallies `drawn` while the caller
+    // fills `next`, then they swap.
+    let (mut drawn, mut next) = (Sample::default(), Sample::default());
+    if trials > 0 {
+        drawn.draw(g, probabilities, rng);
+    }
+    for trial in 0..trials {
+        if trial + 1 < trials {
+            par::join(
+                || totals.tally(g, seed_sets, &drawn),
+                || next.draw(g, probabilities, rng),
+            );
+            std::mem::swap(&mut drawn, &mut next);
+        } else {
+            totals.tally(g, seed_sets, &drawn);
         }
     }
     let mean = |total: usize| total as f64 / trials.max(1) as f64;
     totals
+        .sums
         .iter()
         .map(|row| row.iter().map(|&t| mean(t)).collect())
         .collect()
 }
 
-/// Merge the endpoints of a Bernoulli(`q`) sample of `g`'s edges, drawn by
-/// geometric skipping: about `q · E` draws instead of `E`.
-fn open_edges<R: Rng + ?Sized>(g: &TemporalGraph, q: f64, clusters: &mut UnionFind, rng: &mut R) {
-    let mut rest = g.edges();
+/// One percolation sample: the indices of the edges it opens, in draw
+/// order, and after each level the number opened up to and including it.
+#[derive(Default)]
+struct Sample {
+    opened: Vec<u32>,
+    level_ends: Vec<usize>,
+}
+
+impl Sample {
+    /// Replace this sample with a fresh one, level by level: each level
+    /// opens every still-closed edge with the probability that makes its
+    /// edges live with probability `p_l` in all.
+    fn draw<R: Rng + ?Sized>(&mut self, g: &TemporalGraph, probabilities: &[f64], rng: &mut R) {
+        self.opened.clear();
+        self.level_ends.clear();
+        let mut kept = 0.0f64;
+        for &p in probabilities {
+            let p = p.clamp(0.0, 1.0);
+            assert!(p >= kept, "probabilities must be ascending");
+            if p > kept {
+                open_edges(g, (p - kept) / (1.0 - kept), &mut self.opened, rng);
+                kept = p;
+            }
+            self.level_ends.push(self.opened.len());
+        }
+    }
+}
+
+/// Reach totals per seed set and level, summed over the tallied samples.
+struct Totals {
+    sums: Vec<Vec<usize>>,
+    /// `counted[root] == stamp` marks a cluster already added to the cell
+    /// being read; a fresh stamp per cell stands in for clearing the array.
+    counted: Vec<usize>,
+    stamp: usize,
+}
+
+impl Totals {
+    fn new(nodes: usize, sets: usize, levels: usize) -> Self {
+        Totals {
+            sums: vec![vec![0usize; levels]; sets],
+            counted: vec![0usize; nodes],
+            stamp: 0,
+        }
+    }
+
+    /// Add one sample's reach to every cell: merge each level's edges into
+    /// the clusters of the levels before it, then add the size of every
+    /// cluster a seed set touches, each once.
+    fn tally(&mut self, g: &TemporalGraph, seed_sets: &[Vec<NodeId>], sample: &Sample) {
+        let mut clusters = UnionFind::new(g.num_nodes());
+        let mut start = 0;
+        for (level, &end) in sample.level_ends.iter().enumerate() {
+            for &e in &sample.opened[start..end] {
+                let edge = &g.edges()[e as usize];
+                clusters.union(edge.a.index(), edge.b.index());
+            }
+            start = end;
+            for (set, seeds) in seed_sets.iter().enumerate() {
+                self.stamp += 1;
+                for &s in seeds {
+                    let root = clusters.find(s.index());
+                    if self.counted[root] != self.stamp {
+                        self.counted[root] = self.stamp;
+                        self.sums[set][level] += clusters.size_of(root);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Append the indices of a Bernoulli(`q`) sample of `g`'s edges to
+/// `opened`, in ascending order, drawn by geometric skipping: about
+/// `q · E` draws instead of `E`.
+fn open_edges<R: Rng + ?Sized>(g: &TemporalGraph, q: f64, opened: &mut Vec<u32>, rng: &mut R) {
+    // Edge ids are `u32` (`EdgeId`), so every index fits.
+    let edges = g.edges().len();
+    let mut rest = edges;
     // ln(1 - q) = -inf at q = 1, which makes every skip 0: all edges open.
     let log_closed = (-q).ln_1p();
     loop {
@@ -87,12 +167,12 @@ fn open_edges<R: Rng + ?Sized>(g: &TemporalGraph, q: f64, clusters: &mut UnionFi
         let u: f64 = 1.0 - rng.random_range(0.0..1.0);
         let skip = (u.ln() / log_closed).floor();
         // Compared as floats, so the cast below cannot truncate.
-        if skip >= rest.len() as f64 {
+        if skip >= rest as f64 {
             return;
         }
-        rest = &rest[skip as usize..];
-        clusters.union(rest[0].a.index(), rest[0].b.index());
-        rest = &rest[1..];
+        rest -= skip as usize;
+        opened.push((edges - rest) as u32);
+        rest -= 1;
     }
 }
 

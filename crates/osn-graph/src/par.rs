@@ -18,9 +18,12 @@
 //! unclaimed index instead, and places every result by its index, so its
 //! output is the serial loop's too.
 //!
-//! Two unrelated pieces of work that could overlap (the serving engine's
-//! next-epoch pull and its index pass) run under [`join`]: one on a
-//! scoped worker, one on the caller, results returned as the pair.
+//! Two unrelated pieces of work that could overlap run under [`join`]: one
+//! on a scoped worker, one on the caller, results returned as the pair.
+//! The serving engine pulls the next epoch beside its index pass;
+//! [`percolation_reach`](crate::cascade::percolation_reach) tallies one
+//! sample while the caller draws the next from its RNG; the mixing
+//! experiment computes the wild graph's spectral gap beside the rest.
 //!
 //! Thread count comes from the `RENREN_THREADS` environment variable when
 //! set (any value ≥ 1), otherwise from `std::thread::available_parallelism`.
@@ -153,10 +156,10 @@ where
 
 /// `(a(), b())`, with `a` on a scoped worker and `b` on the calling
 /// thread. The two share nothing the borrow checker lets them race on,
-/// so the pair is the serial pair whatever the schedule. The serving
-/// engine pulls the next epoch (`a`) beside the running epoch's index
-/// pass (`b`) with it. With one thread both run inline, `a` first; a
-/// panic on either side is re-raised with its payload.
+/// so the pair is the serial pair whatever the schedule. Keep an RNG the
+/// caller owns on the `b` side: it stays on the calling thread, and needs
+/// no `Send`. With one thread both run inline, `a` first; a panic on
+/// either side is re-raised with its payload.
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,

@@ -23,6 +23,11 @@ use rand::prelude::*;
 /// `x ← Wx` converges to the second eigenvector. 40–80 iterations give
 /// 2-digit accuracy on 10³–10⁵-node graphs, plenty for comparing mixing
 /// regimes.
+///
+/// The products run over a compressed copy of the adjacency made once per
+/// call (≈ 4 bytes per half-edge, dropped on return) whose rows sum in
+/// `neighbors` order, so λ₂ is bit-equal to iterating over the graph's
+/// own adjacency lists.
 pub fn second_eigenvalue(g: &TemporalGraph, iterations: usize, seed: u64) -> Option<f64> {
     let n = g.num_nodes();
     let m2 = g.volume() as f64;
@@ -32,6 +37,7 @@ pub fn second_eigenvalue(g: &TemporalGraph, iterations: usize, seed: u64) -> Opt
     let pi: Vec<f64> = (0..n)
         .map(|i| g.degree(NodeId(i as u32)) as f64 / m2)
         .collect();
+    let walk = WalkMatrix::new(g);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut x: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
     let mut next = vec![0.0f64; n];
@@ -43,19 +49,7 @@ pub fn second_eigenvalue(g: &TemporalGraph, iterations: usize, seed: u64) -> Opt
         for v in x.iter_mut() {
             *v -= proj;
         }
-        // next = W x (lazy walk).
-        for (i, nx) in next.iter_mut().enumerate() {
-            let d = g.degree(NodeId(i as u32));
-            if d == 0 {
-                *nx = 0.5 * x[i];
-                continue;
-            }
-            let mut acc = 0.0;
-            for nb in g.neighbors(NodeId(i as u32)) {
-                acc += x[nb.node.index()];
-            }
-            *nx = 0.5 * x[i] + 0.5 * acc / d as f64;
-        }
+        walk.apply(&x, &mut next);
         // Rayleigh-style estimate and normalization (π-weighted norm).
         let norm_x: f64 = pi.iter().zip(&x).map(|(&p, &v)| p * v * v).sum::<f64>().sqrt();
         let norm_next: f64 = pi
@@ -74,6 +68,46 @@ pub fn second_eigenvalue(g: &TemporalGraph, iterations: usize, seed: u64) -> Opt
         }
     }
     Some(lambda.min(1.0))
+}
+
+/// The graph's adjacency copied once into compressed rows (offsets plus
+/// `u32` neighbor ids, each row in `neighbors` order), so the walk
+/// products read 4 bytes per neighbor, contiguously, instead of a
+/// 16-byte `Neighbor` from one `Vec` per node.
+struct WalkMatrix {
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl WalkMatrix {
+    fn new(g: &TemporalGraph) -> Self {
+        let mut offsets = Vec::with_capacity(g.num_nodes() + 1);
+        let mut ids = Vec::with_capacity(g.volume());
+        offsets.push(0);
+        for i in 0..g.num_nodes() {
+            ids.extend(g.neighbors(NodeId(i as u32)).iter().map(|nb| nb.node.0));
+            offsets.push(ids.len());
+        }
+        WalkMatrix { offsets, ids }
+    }
+
+    /// `next = W x` for the lazy walk `W = (I + D⁻¹A)/2`. Each row adds
+    /// its neighbors' entries in adjacency order, as a loop over
+    /// `g.neighbors` does, so every output is bit-equal to that loop's.
+    fn apply(&self, x: &[f64], next: &mut [f64]) {
+        for (i, (nx, row)) in next.iter_mut().zip(self.offsets.windows(2)).enumerate() {
+            let d = row[1] - row[0];
+            if d == 0 {
+                *nx = 0.5 * x[i];
+                continue;
+            }
+            let mut acc = 0.0;
+            for &j in &self.ids[row[0]..row[1]] {
+                acc += x[j as usize];
+            }
+            *nx = 0.5 * x[i] + 0.5 * acc / d as f64;
+        }
+    }
 }
 
 /// Spectral gap `1 − |λ₂|` of the lazy walk; larger = faster mixing.

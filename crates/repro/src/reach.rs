@@ -116,6 +116,7 @@ impl Reach {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runspec::RunSpec;
     use crate::scenario::Scale;
 
     #[test]
@@ -136,5 +137,13 @@ mod tests {
             r.rows[0].reach[2].1 / ctx.normals.len() as f64
         );
         assert!(r.render().contains("Spam reach"));
+        // At the binary's trial count, every mean byte for byte
+        // (`repro --scale tiny --seed 11 reach` writes this file).
+        let trials = RunSpec::builder().scale(Scale::Tiny).build().reach_trials();
+        assert_eq!(
+            serde_json::to_string_pretty(&run(&ctx, trials)).expect("means serialize"),
+            include_str!("../tests/golden/reach_tiny_seed11.json"),
+            "reach means moved"
+        );
     }
 }

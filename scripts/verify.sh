@@ -5,7 +5,8 @@
 # every example (each must exit 0), the §3.1
 # defenses thread-identity smoke, the serve store's checkpoint and
 # journal identity across thread counts, the same smoke over the experiments
-# that share the ground-truth sample and the reach estimator, the
+# that share the ground-truth sample, the reach estimator and the mixing
+# diagnostics, the
 # serving-engine serve-vs-replay
 # equivalence smoke, the metrics bit-identity guard
 # (logical section of metrics.json across threads × shards), the chaos
@@ -113,25 +114,31 @@ done
 n_store=$(find "$bench_tmp/store_t1/store" -type f \( -name '*.sybs' -o -name '*.sybj' \) | wc -l)
 echo "serve store guard: serve.json and $n_store .sybs/.sybj files (small/seed 3, 2 shards) identical at RENREN_THREADS=1, 2 and 3"
 
-echo "== sample + reach: RENREN_THREADS=1 vs 2 vs 3 result identity =="
+echo "== sample + reach + mixing: RENREN_THREADS=1 vs 2 vs 3 result identity =="
 # The ground-truth sample is extracted on `par` and kept by the context
-# for the experiments that follow in the same process; reach draws its
-# percolation samples serially. Cross-validation maps its 5 folds and the
-# full-sample fit as six tasks: one chunk at 1 thread, 3+3 at 2, 2+2+2 at
-# 3, so the full fit shares a worker with different folds each time.
-# None of it may show in a result.
-sample_users="fig1 table1 zoo reach"
+# for the experiments that follow in the same process. Reach draws each
+# percolation sample on the caller while a worker tallies the one before;
+# mixing computes the wild spectral gap on a worker beside the rest.
+# Cross-validation maps its 5 folds and the full-sample fit as six tasks:
+# one chunk at 1 thread, 3+3 at 2, 2+2+2 at 3, so the full fit shares a
+# worker with different folds each time. None of it may show in a result.
+sample_users="fig1 table1 zoo reach mixing"
 for threads in 1 2 3; do
     # shellcheck disable=SC2086
     RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
         --scale tiny --seed 11 --out "$bench_tmp/sample_t$threads" $sample_users >/dev/null
+    RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
+        --scale small --seed 3 --out "$bench_tmp/sample_t$threads" reach mixing >/dev/null
 done
-for exp in $sample_users; do
-    for threads in 2 3; do
+for threads in 2 3; do
+    for exp in $sample_users; do
         cmp "$bench_tmp/sample_t1/tiny-seed11/$exp.json" "$bench_tmp/sample_t$threads/tiny-seed11/$exp.json"
     done
+    for exp in reach mixing; do
+        cmp "$bench_tmp/sample_t1/small-seed3/$exp.json" "$bench_tmp/sample_t$threads/small-seed3/$exp.json"
+    done
 done
-echo "sample guard: $sample_users JSON identical at RENREN_THREADS=1, 2 and 3"
+echo "sample guard: $sample_users JSON (tiny/seed 11) and reach mixing JSON (small/seed 3) identical at RENREN_THREADS=1, 2 and 3"
 
 echo "== serving engine: serve-vs-replay equivalence at 1 and 8 shards =="
 # The sharded engine must reproduce the sequential replay byte-for-byte
@@ -347,7 +354,7 @@ for layer in ("sybil-core.replay_s", "sybil-serve.shard_busy_s_shards1", "sybil-
     print(f"benchmark checks_sim: {layer}={v:.3f} s "
           f"(n={s['n']}, q1 {s['q1']:.3f}, q3 {s['q3']:.3f}) — reported, not gated")
 
-for layer in ("reach_s", "figs_s", "table1_s", "zoo_s", "defenses_s", "cpu_over_wall"):
+for layer in ("reach_s", "mixing_s", "figs_s", "table1_s", "zoo_s", "defenses_s", "cpu_over_wall"):
     s = batch["summaries"][f"sybil-repro.{layer}"]
     print(f"benchmark paper_batch: sybil-repro.{layer}={s['median']:.3f} "
           f"(n={s['n']}, q1 {s['q1']:.3f}, q3 {s['q3']:.3f}) — reported, not gated")
