@@ -89,9 +89,9 @@ struct Sample {
 }
 
 impl Sample {
-    /// Replace this sample with a fresh one, level by level: each level
-    /// opens every still-closed edge with the probability that makes its
-    /// edges live with probability `p_l` in all.
+    /// Replace this sample with a fresh one: level `l` opens each edge
+    /// with probability `(p_l - p_{l-1}) / (1 - p_{l-1})` on top of the
+    /// levels before it (an edge opened twice merges nothing new).
     fn draw<R: Rng + ?Sized>(&mut self, g: &TemporalGraph, probabilities: &[f64], rng: &mut R) {
         self.opened.clear();
         self.level_ends.clear();
