@@ -2,7 +2,8 @@
 //! the `SYBJ` v2 encoding of a fixed journal are pinned against
 //! committed golden bytes, the `SYBS` v1 golden is pinned as still read
 //! (and resumed from), and the `SYBJ` v1 golden as refused by its
-//! version.
+//! version. The digest values the journal carries are pinned as
+//! literals beside them.
 //!
 //! If a test here fails, the on-disk format changed. That is only legal
 //! together with a `VERSION` bump and a new golden file for
@@ -18,13 +19,13 @@ use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
 use std::io::Cursor;
 use std::path::PathBuf;
 use sybil_store::journal::{self, Journal};
-use sybil_store::{StoreError, StorePlane};
+use sybil_store::{JournalPlane, StoreError, StorePlane};
 use sybil_serve::fault::FaultPlane;
 use sybil_core::realtime::state::{AccountState, AccountTable};
 use sybil_core::realtime::{Detection, ReplayCounters};
 use sybil_features::FeatureVector;
 use sybil_serve::fault::{EpochRecord, EpochRecordRef, FeedbackRecord};
-use sybil_serve::{SessionCheckpoint, ShardSnapshot};
+use sybil_serve::{ServeConfig, ServeSession, SessionCheckpoint, ShardSnapshot};
 use sybil_store::format;
 
 /// A fixed checkpoint exercising every section and field kind, its
@@ -293,4 +294,27 @@ fn v1_journal_is_refused_by_version() {
     let mut v2 = golden_journal();
     v2[4..8].copy_from_slice(&1u32.to_le_bytes());
     assert_eq!(v2, v1);
+}
+
+/// The digest function, pinned: the table digest of the golden
+/// checkpoint's shard and the final shard digests of a fixed run (tiny
+/// simulation, seed 11, two shards) served through a journal. Stores
+/// carry these numbers — every `SYBJ` commit and run-end record — so a
+/// change to either is a format change: a `VERSION` bump and a new
+/// golden, like a change to the bytes above.
+#[test]
+fn digest_values_are_pinned() {
+    let cp = golden_checkpoint();
+    assert_eq!(cp.shards[0].table.digest(), 0x44a4_3348_f829_762e);
+
+    let out = osn_sim::simulate(osn_sim::SimConfig::tiny(11));
+    let cfg = ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    };
+    let mut plane = JournalPlane::new(Journal::create(Cursor::new(Vec::new())).unwrap());
+    ServeSession::new(cfg).store(&mut plane).run(&out).unwrap();
+    let (epochs, digests) = plane.journal().finished().expect("a run-end record");
+    assert_eq!(epochs, 25);
+    assert_eq!(digests, [0xd0cc_a126_5d4d_f4a2, 0x8f74_43a4_f848_1f8e]);
 }
