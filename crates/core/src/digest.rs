@@ -13,9 +13,11 @@
 //! thresholds, feedback queue, audit bookkeeping). The account table is
 //! too large to fold every epoch, so it is digested as a wrapping *sum*
 //! of per-account terms — each the fold of one slot, finished by
-//! `mix64` — which a barrier keeps current by re-hashing only the
-//! accounts the epoch touched
-//! ([`AccountTable::digest`](crate::realtime::state::AccountTable::digest)).
+//! `mix64` — which a shard keeps current by re-hashing only the accounts
+//! its transitions marked since the last digest, in batches whose reads
+//! overlap
+//! ([`AccountTable::digest`](crate::realtime::state::AccountTable::digest),
+//! [`RunningDigest`](crate::realtime::state::RunningDigest)).
 //! Both are integrity checks against divergence bugs, not cryptographic
 //! commitments: collision resistance beyond 64 bits is not a goal, and a
 //! sum of terms is weaker still against someone choosing states to

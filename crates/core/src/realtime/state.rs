@@ -37,7 +37,10 @@
 //! term per slot, so it depends on the accounts alone — not on block
 //! placement or on the order transitions happened in — and
 //! [`RunningDigest`] keeps it current by re-hashing only the slots that
-//! changed.
+//! changed. Those sit at random places in the table and the pools, so
+//! its refresh reads a batch of them ahead — slot, first ring and friend
+//! words, old term — before it hashes any: the reads' cache misses
+//! overlap, where one slot at a time would wait on each in turn.
 
 use crate::digest::{mix64, Digest64};
 use crate::ids::saturating_u32;
@@ -630,6 +633,11 @@ impl AccountTable {
     }
 }
 
+/// Dirty slots a [`RunningDigest::refresh`] reads ahead before it hashes
+/// them: enough for the batch's independent cache misses to overlap
+/// (batches of 16 and 64 measured no faster; DESIGN.md §Persistence).
+const REFRESH_BATCH: usize = 32;
+
 /// An [`AccountTable::digest`] kept current: each slot's term cached
 /// beside their sum, and a bit per slot marking the ones that changed,
 /// so bringing it up to date costs one re-hash per changed slot — each
@@ -665,17 +673,56 @@ impl RunningDigest {
     }
 
     /// Re-hash every slot of `t` [marked](Self::mark) since the last
-    /// refresh, and clear the marks.
+    /// refresh, and clear the marks. The marked slots go in slot order,
+    /// [`REFRESH_BATCH`] at a time: a batch first reads every slot and
+    /// its old term, then the first word of every slot's send ring and
+    /// friend run — within each pass the loads do not depend on one
+    /// another, so their cache misses overlap instead of one slot's hash
+    /// waiting on each — and then hashes the slots, whose lines are by
+    /// then in cache or on their way in.
     pub fn refresh(&mut self, t: &AccountTable) {
-        for (w, word) in self.dirty.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
+        let mut batch = [0usize; REFRESH_BATCH];
+        let mut n = 0;
+        for w in 0..self.dirty.len() {
+            let mut bits = std::mem::take(&mut self.dirty[w]);
             while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
+                batch[n] = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let term = t.slot_digest(i);
-                let old = std::mem::replace(&mut self.terms[i], term);
-                self.sum = self.sum.wrapping_sub(old).wrapping_add(term);
+                n += 1;
+                if n == REFRESH_BATCH {
+                    self.rehash(t, &batch);
+                    n = 0;
+                }
             }
+        }
+        self.rehash(t, &batch[..n]);
+    }
+
+    /// Replace the terms of slots `batch` (at most [`REFRESH_BATCH`]) of
+    /// `t` with fresh ones, in three passes over the batch: copy each
+    /// slot and its old term; touch the first word of each slot's send
+    /// ring and friend run (their addresses are in the copies, so these
+    /// loads wait on nothing but the copies); then hash each slot.
+    fn rehash(&mut self, t: &AccountTable, batch: &[usize]) {
+        let mut slots = [Slot::default(); REFRESH_BATCH];
+        let mut old = [0u64; REFRESH_BATCH];
+        for ((s, o), &i) in slots.iter_mut().zip(&mut old).zip(batch) {
+            *s = t.slots[i];
+            *o = self.terms[i];
+        }
+        let mut touched = 0u64;
+        for s in &slots[..batch.len()] {
+            let ring = t.sends.data.get((s.ring_off + s.ring_head) as usize);
+            let friend = t.friends.data.get(s.friends_off as usize);
+            touched ^= ring.copied().unwrap_or(0) ^ u64::from(friend.map_or(0, |f| f.0));
+        }
+        // The touched words are read for their cache lines, not their
+        // values; the hint keeps the loads from being dropped as dead.
+        std::hint::black_box(touched);
+        for (&o, &i) in old.iter().zip(batch) {
+            let term = t.slot_digest(i);
+            self.terms[i] = term;
+            self.sum = self.sum.wrapping_sub(o).wrapping_add(term);
         }
     }
 
@@ -1137,6 +1184,58 @@ mod tests {
             let edited = AccountTable::from_accounts(&records).expect("records a table can hold");
             prop_assert!(edited != table);
             prop_assert_ne!(edited.digest(), table.digest());
+        }
+    }
+
+    /// An account of kind `kind` in slot `i` of `t`: 0 leaves it empty,
+    /// 1 gives it a few sends and two friends, 2 a full friend list (more
+    /// accepts than the cap) and a ring of a hundred sends in one window.
+    fn populate(t: &mut AccountTable, i: usize, kind: u8) {
+        let (sends, accepts) = match kind {
+            0 => (0, 0),
+            1 => (3, 2),
+            _ => (100, MAX_TRACKED_FRIENDS as u32 + 5),
+        };
+        (0..sends).for_each(|k| t.on_send(i, Timestamp(1000 + k), 3600));
+        (0..accepts).for_each(|k| t.on_accept_out(i, NodeId(k * 7 + i as u32)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over tables several refresh batches wide, empty slots mixed
+        /// with full-friend, long-ring ones, the batched refresh of a
+        /// dirty set of any size — none, one, a batch less one, a batch,
+        /// a batch and one, every slot — equals the digest from scratch,
+        /// and leaves no mark behind.
+        #[test]
+        fn batched_refresh_equals_the_digest_from_scratch(
+            kinds in proptest::collection::vec(0u8..3, 1..=300),
+            size in 0usize..6,
+            shuffle in any::<u64>(),
+        ) {
+            let n = kinds.len();
+            // The dirty slots: the first `dirty` of a seeded permutation.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&i| mix64(i as u64 ^ shuffle));
+            let mut table = AccountTable::new(n);
+            for (i, &kind) in kinds.iter().enumerate() {
+                populate(&mut table, i, kind);
+            }
+            let mut running = RunningDigest::of(&table);
+            let b = REFRESH_BATCH;
+            let dirty = [0, 1, b - 1, b, b + 1, n][size].min(n);
+            for (k, &i) in order[..dirty].iter().enumerate() {
+                match k % 3 {
+                    0 => table.on_send(i, Timestamp(2000 + k as u64), 3600),
+                    1 => table.on_accept_in(i, NodeId(k as u32)),
+                    _ => table.mark_detected(i),
+                }
+                running.mark(i);
+            }
+            running.refresh(&table);
+            prop_assert_eq!(running.value(), table.digest());
+            prop_assert!(running.dirty.iter().all(|&w| w == 0));
         }
     }
 

@@ -286,9 +286,11 @@ impl<'a> Coordinator<'a> {
     /// (`par::join`; it reads only the log, so nothing here or in the
     /// plane can see it) and its answer comes back with the arrivals.
     /// Then every carried shard scans the epoch (under the fault plane's
-    /// `clamps`, if any), brings its running digest up to date and, with
-    /// `want_dig`, digests its own state there, in its busy window, not
-    /// serially on the coordinator.
+    /// `clamps`, if any) — each table transition marking its slot — and,
+    /// with `want_dig`, digests its own state there: its running digest
+    /// re-hashes the marked slots in batches, in the shard's busy window,
+    /// not serially on the coordinator. A shard's first digest (the
+    /// whole table, as after a restore) runs there too.
     fn scan<F: FnOnce() -> bool + Send>(
         &mut self,
         rec: EpochRecordRef<'_>,
@@ -309,9 +311,6 @@ impl<'a> Coordinator<'a> {
             let clamp = clamps.get(shard.id()).copied().flatten();
             let t0 = clock();
             let staged = shard.run_epoch(rec, out, mirror, &eidx, clamp);
-            if staged.is_ok() {
-                shard.refresh_digest(rec.details);
-            }
             let digest = (want_dig && staged.is_ok()).then(|| shard.digest());
             let busy = clock() - t0;
             staged.map(|staged| (shard, staged, busy, digest))
@@ -376,13 +375,14 @@ impl<'a> Coordinator<'a> {
     /// through the step live serving runs, writing nothing to the plane.
     /// `run_epoch` is a pure function of (state, epoch input) and the
     /// journal captured exactly that input, so the carried shards reach
-    /// byte-identical `realtime::state`; each is compared with the digest
-    /// the original barrier committed, when one was. An `in_flight` epoch
-    /// never reached its barrier: its arrivals are handed back unmerged,
-    /// digests taken. A record that is not this run's next epoch, or
-    /// names an account it does not have, is [`FaultKind::Journal`]; a
-    /// digest mismatch, or an overflow of bounds the original ran inside,
-    /// is [`FaultKind::ReplayDivergence`].
+    /// byte-identical `realtime::state`; each digests itself in
+    /// [`scan`](Self::scan), so on every core, and is compared with the
+    /// digest the original barrier committed, when one was. An
+    /// `in_flight` epoch never reached its barrier: its arrivals are
+    /// handed back unmerged, digests taken. A record that is not this
+    /// run's next epoch, or names an account it does not have, is
+    /// [`FaultKind::Journal`]; a digest mismatch, or an overflow of
+    /// bounds the original ran inside, is [`FaultKind::ReplayDivergence`].
     fn rerun<P: FaultPlane>(
         &mut self,
         plane: &mut P,
@@ -401,18 +401,18 @@ impl<'a> Coordinator<'a> {
             details: &rec.details,
             feedback: &rec.feedback,
         };
-        let (eidx, results, _) = self.scan(input, &[], in_flight, None::<fn() -> bool>, meter);
+        let (eidx, results, _) = self.scan(input, &[], true, None::<fn() -> bool>, meter);
         let diverged = |sid| ServeError::fault(e, sid, FaultKind::ReplayDivergence);
-        let mut arrived: Vec<Arrival> = results
+        let arrived: Vec<Arrival> = results
             .into_iter()
             .collect::<Result<_, _>>()
             .map_err(|q: QueueFull| diverged(q.site.map(|s| s.shard)))?;
         if in_flight {
             return Ok(Some(arrived));
         }
-        for (shard, ..) in &mut arrived {
+        for (shard, _, _, digest) in &arrived {
             let want = plane.committed_digest(e, shard.id());
-            if want.is_some_and(|want| shard.digest() != want) {
+            if want.is_some_and(|want| *digest != Some(want)) {
                 return Err(diverged(Some(shard.id())));
             }
         }

@@ -29,12 +29,19 @@
 //! friend list is duplicate-free (the shard falls back to exact pair
 //! probes for the rare duplicate case, flagged by
 //! [`AccountTable::friends_dup`]).
+//!
+//! Once a shard has been digested, each of the table's five transitions
+//! in the scan (a send, an accepted or rejected outgoing request, an
+//! accepted incoming one, a detection) marks its slot in the shard's
+//! [`RunningDigest`], and [`ShardState::digest`] re-hashes the marked
+//! slots before it reads the sum: the epoch's events are not walked a
+//! second time.
 
 use crate::fault::EpochRecordRef;
 use crate::mirror::{EpochIndex, GraphMirror};
 use crate::queue::{DeltaQueue, QueueFull};
 use osn_graph::{NeighborScratch, NodeId, Timestamp};
-use osn_sim::stream::{EventDetail, StreamEventKind};
+use osn_sim::stream::StreamEventKind;
 use osn_sim::SimOutput;
 use std::collections::VecDeque;
 use sybil_core::adaptive::AdaptiveThresholds;
@@ -105,9 +112,10 @@ pub(crate) struct ShardState {
     /// holds account `i * shards + shard`.
     pub states: AccountTable,
     /// The table's digest, kept from the first [`digest`](Self::digest)
-    /// on by [`refresh_digest`](Self::refresh_digest) after every scan
-    /// (every transition of `states` happens in `run_epoch`); `None`
-    /// until then, so a run that never digests pays nothing.
+    /// on: every transition of `states` happens in `run_epoch` and marks
+    /// its slot ([`touched`](Self::touched)), and the next digest
+    /// re-hashes the marked slots. `None` until then, so a run that
+    /// never digests pays nothing.
     table_digest: Option<RunningDigest>,
     scratch: NeighborScratch,
     /// Friend-id staging buffer for kernel calls.
@@ -205,10 +213,12 @@ impl ShardState {
     /// is exactly when digests are taken. Equal digests ⇒ byte-identical
     /// `realtime::state` and identical behavior on every future event,
     /// up to the collision bound. The first call hashes every account;
-    /// later ones read the running digest.
+    /// later ones refresh the running digest — re-hash the slots marked
+    /// since the last call — and read it.
     pub(crate) fn digest(&mut self) -> u64 {
         let (states, running) = (&self.states, &mut self.table_digest);
         let table = running.get_or_insert_with(|| RunningDigest::of(states));
+        table.refresh(states);
         let mut d = sybil_core::digest::Digest64::new();
         d.write_usize(self.shard);
         d.write_usize(self.shards);
@@ -228,29 +238,14 @@ impl ShardState {
         d.finish()
     }
 
-    /// Re-hash, in the running table digest, exactly the owned slots
-    /// `details` — the epoch this shard just scanned — name: the sender
-    /// of every event and the recipient of every accepted decision.
-    /// Every table transition lands on one of those (a send, a decision
-    /// on an outgoing request and a detection on the sender, an accepted
-    /// request also on its recipient), so the running digest equals the
-    /// table's digest again. A no-op until the first digest.
-    pub(crate) fn refresh_digest(&mut self, details: &[EventDetail]) {
-        let Some(mut running) = self.table_digest.take() else {
-            return;
-        };
-        for d in details {
-            let from = NodeId(d.from);
-            if self.owns(from) {
-                running.mark(self.local(from));
-            }
-            let to = NodeId(d.to);
-            if d.accepted && self.owns(to) {
-                running.mark(self.local(to));
-            }
+    /// Note, in the running table digest, that owned slot `li` changed.
+    /// Called at each of the table's transitions; a no-op until the
+    /// first digest.
+    #[inline]
+    fn touched(&mut self, li: usize) {
+        if let Some(running) = &mut self.table_digest {
+            running.mark(li);
         }
-        running.refresh(&self.states);
-        self.table_digest = Some(running);
     }
 
     /// Everything [`digest`](Self::digest) covers that is not derivable
@@ -367,6 +362,7 @@ impl ShardState {
                         let li = self.local(from);
                         if !self.states.detected(li) {
                             self.states.on_send(li, t, window_s);
+                            self.touched(li);
                             if self.states.should_check_on_send(li, &self.cfg) {
                                 self.check(from, rec.epoch, ev.seq, t, delay_s, out, mirror, eidx,
                                     &mut eout)?;
@@ -408,14 +404,17 @@ impl ShardState {
                         if owns_from {
                             let li = self.local(from);
                             self.states.on_accept_out(li, to);
+                            self.touched(li);
                         }
                         if self.owns(to) {
                             let li = self.local(to);
                             self.states.on_accept_in(li, from);
+                            self.touched(li);
                         }
                     } else if owns_from {
                         let li = self.local(from);
                         self.states.on_reject_out(li);
+                        self.touched(li);
                     }
                     if owns_from {
                         let li = self.local(from);
@@ -484,6 +483,7 @@ impl ShardState {
         if let Verdict::Sybil(f) = verdict {
             let truth = out.is_sybil(who);
             self.states.mark_detected(li);
+            self.touched(li);
             self.obs.detections += 1;
             eout.detections
                 .push(TaggedDetection {
@@ -624,28 +624,128 @@ mod tests {
         assert!(restored(0, snap).is_none());
     }
 
-    /// A running digest refreshed from each epoch's details equals a
-    /// fresh one: the details name every slot a transition wrote.
+    /// A running digest refreshed over the slots its transitions marked
+    /// equals a fresh one.
     #[test]
     fn refreshed_digest_equals_a_fresh_one() {
         let mut s = ShardState::new(0, 2, ACCOUNTS, &RealtimeConfig::default());
         let fresh = s.digest();
         // Account 2 (slot 1) sends to 5, is accepted, and befriends 4
-        // (slot 2) by accepting 4's request; every slot touched is named.
+        // (slot 2) by accepting 4's request; each transition marks its slot.
         s.states.on_send(1, Timestamp(100), 3600);
+        s.touched(1);
         s.states.on_accept_out(1, NodeId(5));
+        s.touched(1);
         s.states.on_accept_in(2, NodeId(2));
+        s.touched(2);
         s.states.on_accept_out(1, NodeId(4));
-        let decided = |to, accepted| EventDetail {
-            from: 2,
-            to,
-            accepted,
-        };
-        let details = [decided(5, false), decided(5, true), decided(4, true)];
-        s.refresh_digest(&details);
+        s.touched(1);
         let running = s.digest();
         s.table_digest = None;
         assert_eq!(running, s.digest());
         assert_ne!(running, fresh);
+    }
+
+    /// A plane that asks for digests every `every`-th epoch and for a
+    /// checkpoint at every barrier, and sets each committed digest beside
+    /// the one a shard rebuilt from that barrier's checkpoint computes
+    /// from scratch.
+    struct FreshDigests {
+        every: u64,
+        shards: usize,
+        accounts: usize,
+        detect: RealtimeConfig,
+        committed: Option<Vec<u64>>,
+        barriers: u64,
+        /// `(epoch, shard, running, fresh)` per digested barrier.
+        pairs: Vec<(u64, usize, u64, u64)>,
+    }
+
+    impl crate::fault::FaultPlane for FreshDigests {
+        fn enabled(&self) -> bool {
+            true
+        }
+
+        fn wants_digests(&self, epoch: u64) -> bool {
+            epoch.is_multiple_of(self.every)
+        }
+
+        fn epoch_commit(
+            &mut self,
+            _epoch: u64,
+            digests: Option<&[u64]>,
+        ) -> Result<(), crate::fault::ChaosError> {
+            self.committed = digests.map(<[u64]>::to_vec);
+            Ok(())
+        }
+
+        fn wants_checkpoint(&self, _epoch: u64) -> bool {
+            true
+        }
+
+        fn checkpoint(
+            &mut self,
+            cp: &crate::fault::SessionCheckpoint,
+        ) -> Result<(), crate::fault::ChaosError> {
+            self.barriers += 1;
+            let Some(committed) = self.committed.take() else {
+                return Ok(());
+            };
+            for (sid, snap) in cp.shards.iter().enumerate() {
+                let (n, detect, snap) = (self.accounts, &self.detect, snap.clone());
+                let mut fresh = ShardState::from_snapshot(sid, self.shards, n, detect, snap)
+                    .expect("the barrier's own snapshot");
+                let pair = (cp.epochs - 1, sid, committed[sid], fresh.digest());
+                self.pairs.push(pair);
+            }
+            Ok(())
+        }
+    }
+
+    /// Served through the engine — every transition of `run_epoch`,
+    /// detections included, marking its slot — the running shard digest
+    /// committed at a barrier equals the digest of a shard rebuilt from
+    /// that barrier's checkpoint, whether digests are taken every epoch
+    /// or marks pile up over three.
+    #[test]
+    fn running_shard_digests_equal_fresh_ones_at_every_barrier() {
+        let out = osn_sim::scale::generate(&osn_sim::scale::ScaleConfig {
+            requests_per_account: 12.0,
+            hours: 1_000,
+            ..osn_sim::scale::ScaleConfig::at(600, 9)
+        });
+        let detect = RealtimeConfig {
+            rule: ThresholdClassifier {
+                max_out_ratio: 0.4,
+                min_freq: 2.0,
+                max_cc: 0.1,
+            },
+            adaptive: true,
+            ..RealtimeConfig::default()
+        };
+        for every in [1, 3] {
+            let cfg = crate::ServeConfig {
+                shards: 2,
+                epoch_hours: 24,
+                detect,
+                rotate_floor: 0,
+            };
+            let mut plane = FreshDigests {
+                every,
+                shards: 2,
+                accounts: out.accounts.len(),
+                detect,
+                committed: None,
+                barriers: 0,
+                pairs: Vec::new(),
+            };
+            let served = crate::ServeSession::new(cfg).plane(&mut plane).run(&out);
+            assert!(!served.expect("serve").report.detections.is_empty());
+            assert!(plane.barriers > 3 * every);
+            assert_eq!(plane.pairs.len() as u64, 2 * plane.barriers.div_ceil(every));
+            for (epoch, sid, running, fresh) in plane.pairs {
+                assert_eq!(running, fresh, "every {every}, epoch {epoch}, shard {sid}");
+            }
+        }
     }
 }

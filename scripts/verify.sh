@@ -4,7 +4,8 @@
 # lint.toml entries included, inside its <5s runtime budget), a run of
 # every example (each must exit 0), the §3.1
 # defenses thread-identity smoke, the serve store's checkpoint and
-# journal identity across thread counts, the same smoke over the experiments
+# journal identity across thread counts (of a plain run and of a killed
+# and warm-restarted one), the same smoke over the experiments
 # that share the ground-truth sample, the reach estimator and the mixing
 # diagnostics, the
 # serving-engine serve-vs-replay
@@ -16,7 +17,7 @@
 # one step over the repo's benchmark (benchmark/run.sh): no failed job,
 # peak RSS inside the DESIGN.md budget, no resolved observability
 # overhead above 5%. The persisted stream's peak RSS, durability
-# overhead, restart latency, the two
+# overhead and its engine-side share, restart latency, the two
 # shard-scaling ratios of the scan stream, where a checks_sim job's
 # time sits (replay, one shard, the coordinator) and the coordinator's
 # per-stage spans on a small serve run are printed, not gated; so are
@@ -113,6 +114,31 @@ for threads in 2 3; do
 done
 n_store=$(find "$bench_tmp/store_t1/store" -type f \( -name '*.sybs' -o -name '*.sybj' \) | wc -l)
 echo "serve store guard: serve.json and $n_store .sybs/.sybj files (small/seed 3, 2 shards) identical at RENREN_THREADS=1, 2 and 3"
+
+echo "== restart store: RENREN_THREADS=1 vs 2 vs 3 kill + warm-restart identity =="
+# The warm restart re-runs the journal tail with each shard digesting
+# itself beside the others: its store (the checkpoint every epoch, the
+# journal with the restarted leg's records) and restart.json must not
+# depend on the thread count either. restart.json names its journal's
+# path, which differs by directory; that field is left out.
+for threads in 1 2 3; do
+    RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
+        --scale small --seed 3 --shards 2 --out "$bench_tmp/restart_t$threads/out" \
+        --store "$bench_tmp/restart_t$threads/store" restart >/dev/null
+done
+for threads in 2 3; do
+    diff -r "$bench_tmp/restart_t1/store" "$bench_tmp/restart_t$threads/store"
+    python3 - "$bench_tmp/restart_t1/out/small-seed3/restart.json" \
+        "$bench_tmp/restart_t$threads/out/small-seed3/restart.json" <<'PY'
+import json, sys
+a, b = (json.load(open(p)) for p in sys.argv[1:])
+for r in (a, b):
+    r.pop("journal_path")
+sys.exit(0 if a == b else f"restart.json differs: {sys.argv[1]} vs {sys.argv[2]}")
+PY
+done
+n_restart=$(find "$bench_tmp/restart_t1/store" -type f \( -name '*.sybs' -o -name '*.sybj' \) | wc -l)
+echo "restart store guard: restart.json and $n_restart .sybs/.sybj files (small/seed 3, 2 shards) identical at RENREN_THREADS=1, 2 and 3"
 
 echo "== sample + reach + mixing: RENREN_THREADS=1 vs 2 vs 3 result identity =="
 # The ground-truth sample is extracted on `par` and kept by the context
@@ -290,11 +316,14 @@ echo "== benchmark: failed jobs, RSS budget, observability overhead (benchmark/r
 # not their median, which on this box sits inside ±10% of noise.
 # The persisted stream's peak RSS (beside the scan stream's), its
 # durability overhead and its restart latency are reported with their
-# spread and not gated: ROADMAP "Durability that costs what it writes"
-# owns them. So are the scan stream's scaling ratios (2 shards on 2
-# threads against 1 shard, wall and shard busy time): ROADMAP "Shards
-# that scale" states its acceptance in them, and a short run on a box
-# whose two vCPUs do not always run side by side cannot gate on them.
+# spread and not gated: ROADMAP item 3 (durability leftovers) owns them.
+# So is the engine's share of the durability overhead (the plane
+# residual: digests and the checkpoint's hand-off, what the store's own
+# hooks do not time). So are the scan stream's scaling ratios (2 shards
+# on 2 threads against 1 shard, wall and shard busy time): ROADMAP item
+# 15 (one pool for the serving run) states its acceptance in them, and a
+# short run on a box whose two vCPUs do not always run side by side
+# cannot gate on them.
 # A paper_batch job's experiment groups are reported the same way: where
 # the offline reproduction's time sits, for the next change that moves it.
 bench_out="$root/benchmark/out"
@@ -372,13 +401,17 @@ for two, one in (("run_s_shards2", "run_s_shards1"), ("shard_busy_sum_s_shards2"
     a, b = ss[f"sybil-serve.{two}"], ss[f"sybil-serve.{one}"]
     print(f"benchmark scan_250k: sybil-serve.{two} ÷ {one} = {a['median'] / b['median']:.2f} "
           f"(median {a['median']:.2f} s, {spread(a)} ÷ median {b['median']:.2f} s, {spread(b)}) — "
-          f"reported, not gated: ROADMAP 'Shards that scale' owns it")
+          f"reported, not gated: ROADMAP item 15 (one pool for the serving run) owns it")
 
 dm, ds = durable["result"]["metrics"], durable["summaries"]
-owner = "reported, not gated: ROADMAP 'Durability that costs what it writes' owns it"
+owner = "reported, not gated: ROADMAP item 3 (durability leftovers) owns it"
 over = ds["sybil-store.durability_overhead_pct"]
 print(f"benchmark durable_250k: sybil-store.durability_overhead_pct median={over['median']:.1f}% "
       f"({spread(over)}; persisted vs plain run, paired) — {owner}")
+residual = ds["sybil-serve.plane_residual_s"]
+print(f"benchmark durable_250k: sybil-serve.plane_residual_s median={residual['median']:.3f} s "
+      f"(n={residual['n']}, q1 {residual['q1']:.3f}, q3 {residual['q3']:.3f}; the engine's "
+      f"share of that overhead) — {owner}")
 warm, cold = ds["sybil-store.restart_leg_s"], ds["sybil-serve.run_s_shards2"]
 print(f"benchmark durable_250k: sybil-store.restart_vs_cold_ratio="
       f"{dm['sybil-store.restart_vs_cold_ratio']['value']:.2f} "
