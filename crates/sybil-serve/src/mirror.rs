@@ -13,7 +13,7 @@
 //! Why the watermark is exact: links are appended in stream (seq) order
 //! and never move until the next rotation, which happens only at a
 //! barrier, so "created at or before `s`" is the arena prefix below
-//! `links-at-epoch-start + 2 × #{accepts with seq ≤ s}` (two links per
+//! `links-at-epoch-start + #{accepts with seq ≤ s}` (one link per
 //! accepted decision). Chains run newest-first, so the links a check must
 //! ignore are a prefix of each chain.
 //!
@@ -23,11 +23,14 @@
 //! pair: a→b and b→a both accepted, a pair re-accepted after a barrier,
 //! or a pair accepted again after it was folded. The *first occurrence is
 //! the edge*, and every reader holds to that instead of the writer
-//! probing each accept: [`GraphMirror::pair_linked`] asks "any link?",
-//! which a repeat answers the same way;
-//! [`GraphMirror::delta_links_among_marked`] counts distinct pairs the
-//! snapshot lacks; and rotation's [`CsrSnapshot::merge_delta_with`] is a
-//! set union that keeps each pair's first time. Repeats are a minority
+//! probing each accept: [`GraphMirror::pair_linked`] asks "any link, at
+//! either end?", which a repeat answers the same way — a repeat may be
+//! stored at the other end from the first occurrence, whichever stored
+//! fewer links when it came; [`GraphMirror::delta_links_among_marked`]
+//! collects pairs as `(min, max)` whichever end held them and counts the
+//! distinct ones the snapshot lacks; and rotation's
+//! [`CsrSnapshot::merge_delta_with`] is a set union that keeps each
+//! pair's first time. Repeats are a minority
 //! in the inputs measured: 30,436 of 623,837 accepts (4.9%) on the
 //! benchmark's `scan_250k` stream at seed 7, all a request accepted again
 //! in the same direction; none of 193,404 on `checks_sim`'s simulator
@@ -47,9 +50,14 @@
 //!   (over a node's *degree*, a couple of cache lines) instead of the
 //!   seed's global `HashSet<u64>` of packed keys;
 //! * [`FlatDelta`] — accepts since the last snapshot rotation, as a
-//!   generation-stamped head array plus one link arena (8 B/half-edge,
-//!   O(1) clear by generation bump — no O(V) sweep at rotation), probed
-//!   by short chain walks;
+//!   generation-stamped head array (12 B per account: generation, first
+//!   link, links stored) plus one link arena (8 B per accept, O(1) clear
+//!   by generation bump — no O(V) sweep at rotation). Each staged edge is
+//!   stored once, at the endpoint that stored fewer links when it came,
+//!   so no account's chain grows with its popularity; a pair probe walks
+//!   both ends' chains, and a link count walks every marked friend's
+//!   chain in lockstep, one link per chain per round, so the chains'
+//!   loads overlap;
 //! * [`EpochIndex`] — the running epoch's share of that arena: where it
 //!   starts and the seq of each accept in it, one `u64` per accept.
 //!
@@ -74,6 +82,7 @@
 use osn_graph::{CsrSnapshot, MergeScratch, NeighborScratch, NodeId, Timestamp};
 use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
 use sybil_core::ids::saturating_u32;
+use sybil_core::realtime::state::MAX_TRACKED_FRIENDS;
 
 /// Default rotation floor: rotate the snapshot once the unfolded delta
 /// reaches this many edges or the folded edge count, whichever is larger
@@ -87,17 +96,21 @@ pub(crate) const ROTATE_FLOOR: usize = 1024;
 const NONE: u32 = u32::MAX;
 
 /// Edges accepted since the last snapshot rotation, as per-node linked
-/// chains threaded through one flat arena.
+/// chains threaded through one flat arena. Each accept is stored once,
+/// on the chain of the endpoint that stored fewer links when it came
+/// (ties to the smaller id), so a popular account does not own a chain
+/// as long as its degree: a reader looking for a pair probes both ends.
 ///
-/// `heads[v]` is `(generation, first-link)` — valid only when the
-/// generation matches the current one, so clearing after a rotation is a
-/// generation bump, not an O(V) sweep. Links are appended in stream order
-/// and each chain runs newest-first, so a probe bounded by a watermark
-/// (see the module docs) skips a chain prefix and reads the rest.
+/// `heads[v]` is `(generation, first link, links stored)` — valid only
+/// when the generation matches the current one, so clearing after a
+/// rotation is a generation bump, not an O(V) sweep. Link `i` is
+/// `edges[i]`: links are appended in stream order and each chain runs
+/// newest-first, so a probe bounded by a watermark (see the module docs)
+/// skips a chain prefix and reads the rest.
 pub(crate) struct FlatDelta {
     gen: u32,
-    /// Per-node `(generation, first link index)`.
-    heads: Vec<(u32, u32)>,
+    /// Per-node `(generation, first link index, links stored)`.
+    heads: Vec<(u32, u32, u32)>,
     /// Link arena: `(next link index, neighbor id)`.
     links: Vec<(u32, u32)>,
     /// The same accepts in stream order (a pair may repeat), staged for
@@ -109,32 +122,46 @@ impl FlatDelta {
     fn new(num_accounts: usize) -> Self {
         FlatDelta {
             gen: 1,
-            heads: vec![(0, NONE); num_accounts],
+            heads: vec![(0, NONE, 0); num_accounts],
             links: Vec::new(),
             edges: Vec::new(),
         }
     }
 
-    /// Record an accepted edge (both directions).
-    fn push(&mut self, u: NodeId, v: NodeId, t: Timestamp) {
-        for (a, b) in [(u, v), (v, u)] {
-            let head = &mut self.heads[a.index()];
-            let first = if head.0 == self.gen { head.1 } else { NONE };
-            // Saturates at the `NONE` sentinel; an arena that long (2^31
-            // staged edges, 48 GiB of `edges` alone) cannot be allocated.
-            *head = (self.gen, saturating_u32(self.links.len()));
-            self.links.push((first, b.0));
+    /// `a`'s `(first link, links stored)` in the current generation.
+    #[inline]
+    fn head(&self, a: u32) -> (u32, u32) {
+        let (gen, first, stored) = self.heads[a as usize];
+        if gen == self.gen {
+            (first, stored)
+        } else {
+            (NONE, 0)
         }
+    }
+
+    /// Record an accepted edge: one link, on the less-loaded endpoint's
+    /// chain (ties to the smaller id).
+    fn push(&mut self, u: NodeId, v: NodeId, t: Timestamp) {
+        let (hu, hv) = (self.head(u.0), self.head(v.0));
+        let ((a, (first, stored)), b) = if (hu.1, u.0) <= (hv.1, v.0) {
+            ((u, hu), v)
+        } else {
+            ((v, hv), u)
+        };
+        // Saturates at the `NONE` sentinel; an arena that long (2^32
+        // staged edges, 96 GiB of `edges` alone) cannot be allocated.
+        let at = saturating_u32(self.links.len());
+        self.heads[a.index()] = (self.gen, at, stored.saturating_add(1));
+        self.links.push((first, b.0));
         self.edges.push((u, v, t));
     }
 
     /// `a`'s delta neighbors whose link index is below `watermark`,
-    /// newest first. The delta is bounded by the rotation threshold, so
-    /// chains stay short on average.
+    /// newest first — the links stored at `a`, so only the share of its
+    /// delta edges it was the less-loaded end of.
     #[inline]
     fn neighbors_below(&self, a: u32, watermark: u32) -> impl Iterator<Item = u32> + '_ {
-        let head = self.heads[a as usize];
-        let mut cur = if head.0 == self.gen { head.1 } else { NONE };
+        let mut cur = self.head(a).0;
         std::iter::from_fn(move || {
             while cur != NONE {
                 let at = cur;
@@ -148,6 +175,13 @@ impl FlatDelta {
         })
     }
 
+    /// Whether the delta holds `a`–`b` below `watermark`, at either end.
+    #[inline]
+    fn linked_below(&self, a: u32, b: u32, watermark: u32) -> bool {
+        self.neighbors_below(a, watermark).any(|v| v == b)
+            || self.neighbors_below(b, watermark).any(|v| v == a)
+    }
+
     /// Number of staged accepts, repeats included.
     fn len(&self) -> usize {
         self.edges.len()
@@ -158,7 +192,7 @@ impl FlatDelta {
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Wrapped: stale heads could collide with the new generation.
-            self.heads.fill((0, NONE));
+            self.heads.fill((0, NONE, 0));
             self.gen = 1;
         }
         self.links.clear();
@@ -187,7 +221,7 @@ pub(crate) struct GraphMirror {
 }
 
 /// The running epoch's share of the delta's link arena: the epoch's
-/// accept `k` owns links `base + 2k` and `base + 2k + 1`.
+/// accept `k` owns link `base + k`.
 pub(crate) struct EpochIndex {
     /// Link-arena length when the epoch began.
     base: u32,
@@ -201,8 +235,7 @@ impl EpochIndex {
     #[inline]
     pub(crate) fn watermark(&self, seq: u64) -> u32 {
         let visible = self.seqs.partition_point(|&s| s <= seq);
-        self.base
-            .saturating_add(saturating_u32(visible.saturating_mul(2)))
+        self.base.saturating_add(saturating_u32(visible))
     }
 }
 
@@ -249,18 +282,23 @@ impl GraphMirror {
     }
 
     /// Whether `a`–`b` is linked below `watermark` (pair-probe path): a
-    /// row-local binary search of the snapshot plus a short delta chain
-    /// walk. A repeated pair only answers the same question twice.
+    /// row-local binary search of the snapshot plus short delta chain
+    /// walks at both ends. A repeated pair only answers the same question
+    /// twice.
     #[inline]
     pub(crate) fn pair_linked(&self, a: NodeId, b: NodeId, watermark: u32) -> bool {
-        self.snapshot.has_edge(a, b) || self.delta.neighbors_below(a.0, watermark).any(|v| v == b.0)
+        self.snapshot.has_edge(a, b) || self.delta.linked_below(a.0, b.0, watermark)
     }
 
     /// Links the delta adds, below `watermark`, among the marked friend
     /// set `friends` (the probe companion to the snapshot's marked-set
-    /// kernel): the distinct marked pairs `u < v` with a delta link that
-    /// the snapshot does not already hold. The delta may repeat a pair,
-    /// so the pairs are collected in `pairs` (caller-owned, reused) and
+    /// kernel): the distinct marked pairs with a delta link that the
+    /// snapshot does not already hold. A link is stored at one end only,
+    /// so every friend's chain is walked; the walks advance one link per
+    /// round, up to [`MAX_TRACKED_FRIENDS`] chains at a time, so the loads
+    /// of different chains overlap instead of queueing behind each other.
+    /// The delta may repeat a pair, at either end, so the pairs are
+    /// collected as `(min, max)` in `pairs` (caller-owned, reused) and
     /// deduplicated before they are counted.
     pub(crate) fn delta_links_among_marked(
         &self,
@@ -270,10 +308,32 @@ impl GraphMirror {
         pairs: &mut Vec<(u32, u32)>,
     ) -> usize {
         pairs.clear();
-        for &u in friends {
-            for v in self.delta.neighbors_below(u, watermark) {
-                if u < v && scratch.is_marked(v) {
-                    pairs.push((u, v));
+        // `(next link to read, chain owner)` of each live walk.
+        let mut walks = [(NONE, 0u32); MAX_TRACKED_FRIENDS];
+        for group in friends.chunks(MAX_TRACKED_FRIENDS) {
+            let mut live = 0;
+            for &u in group {
+                let first = self.delta.head(u).0;
+                if first != NONE {
+                    walks[live] = (first, u);
+                    live += 1;
+                }
+            }
+            while live > 0 {
+                let mut i = 0;
+                while i < live {
+                    let (at, u) = walks[i];
+                    let (next, v) = self.delta.links[at as usize];
+                    if at < watermark && v != u && scratch.is_marked(v) {
+                        pairs.push((u.min(v), u.max(v)));
+                    }
+                    if next == NONE {
+                        live -= 1;
+                        walks[i] = walks[live];
+                    } else {
+                        walks[i].0 = next;
+                        i += 1;
+                    }
                 }
             }
         }
@@ -367,8 +427,10 @@ impl GraphMirror {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::links_at;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashSet};
+    use sybil_core::realtime::state::{links_via_edges, pack_edge};
 
     #[test]
     fn pair_probe_covers_snapshot_and_delta() {
@@ -401,26 +463,75 @@ mod tests {
 
     #[test]
     fn flat_delta_counts_marked_and_clears_in_o1() {
-        let mut d = FlatDelta::new(5);
+        const N: usize = 6;
+        let mut d = FlatDelta::new(N);
         let t = Timestamp::ZERO;
-        d.push(NodeId(0), NodeId(1), t);
-        d.push(NodeId(0), NodeId(2), t);
-        d.push(NodeId(3), NodeId(4), t);
-        let mut scratch = NeighborScratch::new(5);
-        scratch.begin(5);
+        // Node 0 is a hub: once it stores more links than a newcomer, the
+        // newcomer's end takes the link. Pairs repeat in both directions.
+        let accepts = [(0, 1), (0, 2), (0, 3), (1, 0), (4, 0), (5, 4), (3, 2), (2, 3)];
+        let mut stored = [0u32; N];
+        for (k, &(u, v)) in accepts.iter().enumerate() {
+            let at = if (stored[u], u) <= (stored[v], v) { u } else { v };
+            let other = if at == u { v } else { u };
+            let before: Vec<(u32, u32)> = (0..N as u32).map(|a| d.head(a)).collect();
+            d.push(NodeId(u as u32), NodeId(v as u32), t);
+            stored[at] += 1;
+            // Exactly one chain grew: `at`'s, whose newest link is link
+            // `k` and names the other end.
+            for a in 0..N as u32 {
+                let (first, count) = d.head(a);
+                if a as usize == at {
+                    assert_eq!((first, count), (k as u32, stored[at]), "accept {k}");
+                    assert_eq!(d.links[k], (before[at].0, other as u32));
+                } else {
+                    assert_eq!((first, count), before[a as usize], "accept {k}, node {a}");
+                }
+            }
+        }
+        // The hub stores one of its five accepts; 3–2 tied and went to 2.
+        assert_eq!(stored, [1, 1, 2, 2, 1, 1]);
+        let total: u32 = (0..N as u32).map(|a| d.head(a).1).sum();
+        assert_eq!(total as usize, d.len());
+        assert_eq!(d.len(), accepts.len());
+        let mut scratch = NeighborScratch::new(N);
+        scratch.begin(N);
         scratch.mark(1);
         scratch.mark(2);
         scratch.mark(4);
-        assert_eq!(marked_count(&d, 0, &scratch), 2);
-        assert_eq!(marked_count(&d, 1, &scratch), 0); // 0 is unmarked
-        assert_eq!(marked_count(&d, 3, &scratch), 1);
-        assert_eq!(d.len(), 3);
+        // Node 0 stores 0–1; node 3 stores 0–3 and the repeat 2–3; node 1
+        // stores the repeat 1–0.
+        assert_eq!(marked_count(&d, 0, &scratch), 1);
+        assert_eq!(marked_count(&d, 3, &scratch), 1); // 0 is unmarked
+        assert_eq!(marked_count(&d, 1, &scratch), 0);
         d.clear();
         assert_eq!(d.len(), 0);
-        assert_eq!(marked_count(&d, 0, &scratch), 0);
-        // Reuse after clear starts clean chains.
-        d.push(NodeId(0), NodeId(4), t);
+        for a in 0..N as u32 {
+            assert_eq!(d.head(a), (NONE, 0));
+            assert_eq!(marked_count(&d, a, &scratch), 0);
+        }
+        // Reuse after clear starts clean chains and counts: the tie goes
+        // to the smaller id again.
+        d.push(NodeId(4), NodeId(0), t);
+        assert_eq!(d.head(0), (0, 1));
+        assert_eq!(d.head(4), (NONE, 0));
         assert_eq!(marked_count(&d, 0, &scratch), 1);
+    }
+
+    #[test]
+    fn flat_delta_wrap_resets_heads_and_counts() {
+        let mut d = FlatDelta::new(3);
+        d.push(NodeId(0), NodeId(1), Timestamp::ZERO);
+        d.push(NodeId(0), NodeId(2), Timestamp::ZERO);
+        assert_eq!((d.gen, d.head(0), d.head(2)), (1, (0, 1), (1, 1)));
+        // The next clear wraps to generation 1, which the heads written
+        // above still carry: they must be reset, not revived.
+        d.gen = u32::MAX;
+        d.clear();
+        assert_eq!(d.gen, 1);
+        assert!(d.heads.iter().all(|&h| h == (0, NONE, 0)));
+        d.push(NodeId(2), NodeId(1), Timestamp::ZERO);
+        assert_eq!((d.head(0), d.head(1), d.head(2)), ((NONE, 0), (0, 1), (NONE, 0)));
+        assert_eq!(d.neighbors_below(1, NONE).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
@@ -522,6 +633,143 @@ mod tests {
                 prop_assert_eq!(union.len(), m.snapshot.num_edges());
                 union.extend(m.delta.edges.iter().map(|&(u, v, _)| (u.0.min(v.0), u.0.max(v.0))));
                 prop_assert_eq!(union, known.clone());
+            }
+        }
+    }
+
+    /// Friend lists for the realistic-size proptest, drawn from `all`
+    /// (every account, shuffled): empty, one friend, `some` (a random
+    /// list of up to [`MAX_TRACKED_FRIENDS`]), a full one, every account
+    /// (longer than a lockstep group once there are more accounts than
+    /// the cap), and a list holding a duplicate (the pair-probe
+    /// fallback). The flag is `links_at`'s `dup`.
+    fn friend_lists(some: &[u32], all: &[u32]) -> Vec<(Vec<NodeId>, bool)> {
+        let ids = |v: &[u32]| v.iter().map(|&u| NodeId(u)).collect::<Vec<_>>();
+        let mut dup = ids(&some[..some.len().min(MAX_TRACKED_FRIENDS - 1)]);
+        dup.push(NodeId(all[0]));
+        dup.push(NodeId(all[0]));
+        vec![
+            (Vec::new(), false),
+            (ids(&all[..1]), false),
+            (ids(some), false),
+            (ids(&all[..all.len().min(MAX_TRACKED_FRIENDS)]), false),
+            (ids(all), false),
+            (dup, true),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The shard's link count (`links_at`: the snapshot kernel plus
+        /// the lockstep delta walk, or pair probes for a list with a
+        /// duplicate) and `pair_linked` in both directions, against the
+        /// reference pair-probe counter over a `HashSet` of the edges
+        /// accepted so far. 40–80 accounts, four hubs whose degree
+        /// grows past their partners' so links land at both ends, pairs
+        /// repeated in either direction within an epoch and across
+        /// rotations at tiny floors; checked at every seq of every epoch
+        /// and at one random watermark per epoch.
+        #[test]
+        fn links_at_equals_pair_probes_at_realistic_size(
+            n in 40u32..=80,
+            keys in prop::collection::vec(any::<u64>(), 80),
+            some_len in 0usize..=MAX_TRACKED_FRIENDS,
+            ops in prop::collection::vec(
+                (0u8..4, 0u32..80, 0u32..80, any::<bool>(), 0u8..4),
+                1..120,
+            ),
+            rotate_floor in 1usize..16,
+        ) {
+            // Every account in a random order; the random list is its
+            // last `some_len`, the full one its first 50.
+            let mut all: Vec<u32> = (0..n).collect();
+            all.sort_unstable_by_key(|&u| keys[u as usize]);
+            let some: Vec<u32> = all.iter().rev().take(some_len).copied().collect();
+            let lists = friend_lists(&some, &all);
+            let mut m = GraphMirror::new(n as usize, rotate_floor);
+            let mut scratch = NeighborScratch::new(n as usize);
+            let (mut ids, mut pairs) = (Vec::new(), Vec::new());
+            let mut known: HashSet<u64> = HashSet::new();
+            let mut accepted: Vec<(u32, u32)> = Vec::new();
+            let mut seq = 0u64;
+            let mut rest = ops.as_slice();
+            while !rest.is_empty() {
+                // An epoch runs to the next op whose last field is 0.
+                let len = rest.iter().position(|op| op.4 == 0).map_or(rest.len(), |i| i + 1);
+                let (epoch, tail) = rest.split_at(len);
+                rest = tail;
+                let mut events = Vec::new();
+                let mut details = Vec::new();
+                for &(kind, x, y, is_accept, _) in epoch {
+                    let (x, y) = (x % n, y % n);
+                    let (a, b) = match (kind, accepted.len()) {
+                        (1, _) => (x % 4, y),
+                        (2, k) if k > 0 => accepted[x as usize % k],
+                        (3, k) if k > 0 => {
+                            let (a, b) = accepted[x as usize % k];
+                            (b, a)
+                        }
+                        _ => (x, y),
+                    };
+                    let b = if a == b { (b + 1) % n } else { b };
+                    if is_accept {
+                        accepted.push((a, b));
+                    }
+                    events.push(StreamEvent {
+                        seq,
+                        at: Timestamp(seq),
+                        kind: StreamEventKind::Decided(0),
+                    });
+                    details.push(EventDetail { from: a, to: b, accepted: is_accept });
+                    seq += 1;
+                }
+                let idx = m.index_epoch(&events, &details);
+                for (ev, d) in events.iter().zip(&details) {
+                    if d.accepted {
+                        known.insert(pack_edge(NodeId(d.from), NodeId(d.to)));
+                    }
+                    let watermark = idx.watermark(ev.seq);
+                    for (friends, dup) in &lists {
+                        prop_assert_eq!(
+                            links_at(friends, *dup, watermark, &m, &mut scratch, &mut ids,
+                                &mut pairs),
+                            links_via_edges(friends, &known),
+                            "{} friends (dup {}) at seq {}", friends.len(), dup, ev.seq
+                        );
+                    }
+                    // Every pair accepted in this case, later ones too,
+                    // and pairs that may never be.
+                    let others = some.windows(2).map(|w| (w[0], w[1]));
+                    for (a, b) in accepted.iter().copied().chain(others) {
+                        let (a, b) = (NodeId(a), NodeId(b));
+                        let linked = m.pair_linked(a, b, watermark);
+                        prop_assert_eq!(linked, m.pair_linked(b, a, watermark));
+                        prop_assert_eq!(
+                            linked,
+                            known.contains(&pack_edge(a, b)),
+                            "pair {}-{} at seq {}", a.0, b.0, ev.seq
+                        );
+                    }
+                }
+                // A random watermark, below the epoch's base too: link `i`
+                // is staged accept `i`, so the mirror below `w` is the
+                // snapshot plus the delta's first `w` accepts.
+                let w = (epoch[0].1 * 80 + epoch[0].2) as usize % (m.delta.len() + 2);
+                let below: HashSet<u64> = m
+                    .folded_edges()
+                    .iter()
+                    .chain(&m.delta.edges[..w.min(m.delta.len())])
+                    .map(|&(u, v, _)| pack_edge(u, v))
+                    .collect();
+                for (friends, dup) in &lists {
+                    prop_assert_eq!(
+                        links_at(friends, *dup, w as u32, &m, &mut scratch, &mut ids, &mut pairs),
+                        links_via_edges(friends, &below),
+                        "{} friends (dup {}) below watermark {}", friends.len(), dup, w
+                    );
+                }
+                m.absorb(idx);
             }
         }
     }

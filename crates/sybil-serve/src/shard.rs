@@ -23,11 +23,14 @@
 //! A feature check marks the account's ≤ 50 tracked friends and counts
 //! links with the [`CsrSnapshot`](osn_graph::CsrSnapshot) kernel plus
 //! the distinct marked pairs of the mirror's delta below the checking
-//! event's watermark (one `partition_point` per check; the delta may
-//! repeat a pair, so its pairs are deduplicated in a buffer the shard
-//! reuses) — integer-equal to the sequential pair-probe loop whenever the
-//! friend list is duplicate-free (the shard falls back to exact pair
-//! probes for the rare duplicate case, flagged by
+//! event's watermark (one `partition_point` per check). The delta stores
+//! each edge at one end only, so the count walks every marked friend's
+//! delta chain, all of them in lockstep, and keeps the links whose other
+//! end is marked; the delta may repeat a pair, at either end, so its
+//! pairs are deduplicated in a buffer the shard reuses. That is
+//! integer-equal to the sequential pair-probe loop whenever the friend
+//! list is duplicate-free (the shard falls back to exact pair probes,
+//! which look at both ends, for the rare duplicate case, flagged by
 //! [`AccountTable::friends_dup`]).
 //!
 //! Once a shard has been digested, each of the table's five transitions
@@ -517,7 +520,7 @@ impl ShardState {
 /// the list holds duplicates (`dup`), which break the marked-set kernel's
 /// one-count-per-edge property. `ids` stages the friend ids for the
 /// kernels, `pairs` the delta's marked pairs.
-fn links_at(
+pub(crate) fn links_at(
     friends: &[NodeId],
     dup: bool,
     watermark: u32,

@@ -19,7 +19,8 @@
 # overhead above 5%. The persisted stream's peak RSS, durability
 # overhead and its engine-side share, restart latency, the two
 # shard-scaling ratios of the scan stream, where a checks_sim job's
-# time sits (replay, one shard, the coordinator) and the coordinator's
+# time sits (replay, one shard, the coordinator, two shards' busy sum)
+# and its 2-shard over 1-shard wall ratio, and the coordinator's
 # per-stage spans on a small serve run are printed, not gated; so are
 # the experiment groups of a paper_batch job and its five per-defense
 # probes.
@@ -166,15 +167,19 @@ for threads in 2 3; do
 done
 echo "sample guard: $sample_users JSON (tiny/seed 11) and reach mixing JSON (small/seed 3) identical at RENREN_THREADS=1, 2 and 3"
 
-echo "== serving engine: serve-vs-replay equivalence at 1 and 8 shards =="
+echo "== serving engine: serve-vs-replay equivalence at 1, 3 and 8 shards =="
 # The sharded engine must reproduce the sequential replay byte-for-byte
 # regardless of shard count; `repro serve` embeds both byte-comparisons
-# (static and adaptive) in its JSON, so assert them at two thread counts.
-for threads in 1 8; do
-    out_dir="$bench_tmp/serve_t$threads"
+# (static and adaptive) in its JSON, so assert them at two thread counts
+# on the tiny simulation, and at 3 shards on the small one: a shard
+# count that is not a power of two (ownership by division, not a mask)
+# over delta chains long enough that link counts decide audits.
+serve_guard() { # THREADS OUT_DIR JSON REPRO_ARGS...
+    local threads=$1 out_dir=$2 json=$3
+    shift 3
     RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
-        --scale tiny --out "$out_dir" serve >/dev/null
-    python3 - "$out_dir/tiny-seed1/serve.json" "$threads" <<'PY'
+        "$@" --out "$out_dir" serve >/dev/null
+    python3 - "$out_dir/$json" "$threads" <<'PY'
 import json, sys
 r = json.load(open(sys.argv[1]))
 ok = r["matches_replay_static"] and r["matches_replay_adaptive"]
@@ -183,7 +188,11 @@ print(f"serve guard (RENREN_THREADS={sys.argv[2]}, shards={r['shards']}): "
       f"adaptive≡replay={r['matches_replay_adaptive']}")
 sys.exit(0 if ok else 1)
 PY
+}
+for threads in 1 8; do
+    serve_guard "$threads" "$bench_tmp/serve_t$threads" tiny-seed1/serve.json --scale tiny
 done
+serve_guard 2 "$bench_tmp/serve_small_s3" small-seed3/serve.json --scale small --seed 3 --shards 3
 
 echo "== observability: logical metrics bit-identity across threads × shards =="
 # `repro --metrics` writes metrics.json; its `logical` section is the
@@ -320,10 +329,10 @@ echo "== benchmark: failed jobs, RSS budget, observability overhead (benchmark/r
 # So is the engine's share of the durability overhead (the plane
 # residual: digests and the checkpoint's hand-off, what the store's own
 # hooks do not time). So are the scan stream's scaling ratios (2 shards
-# on 2 threads against 1 shard, wall and shard busy time): ROADMAP item
-# 15 (one pool for the serving run) states its acceptance in them, and a
-# short run on a box whose two vCPUs do not always run side by side
-# cannot gate on them.
+# on 2 threads against 1 shard, wall and shard busy time) and the
+# check-heavy job's: ROADMAP aim 1 reads them (item 15, one pool for the
+# serving run, measured nothing to win there), and a short run on a box
+# whose two vCPUs do not always run side by side cannot gate on them.
 # A paper_batch job's experiment groups are reported the same way: where
 # the offline reproduction's time sits, for the next change that moves it.
 bench_out="$root/benchmark/out"
@@ -376,12 +385,19 @@ ok &= obs["q1"] <= 5.0
 spread = lambda s: f"n={s['n']}, q1 {s['q1']:.2f}, q3 {s['q3']:.2f}"
 # Where a check-heavy job's time sits, layer by layer: the sequential
 # oracle (one span of the run's one set-up, so n=1), one shard's busy
-# time, the coordinator.
-for layer in ("sybil-core.replay_s", "sybil-serve.shard_busy_s_shards1", "sybil-serve.coordinator_s"):
+# time, the coordinator, two shards' busy time summed.
+for layer in ("sybil-core.replay_s", "sybil-serve.shard_busy_s_shards1", "sybil-serve.coordinator_s",
+              "sybil-serve.shard_busy_sum_s_shards2"):
     v = checks["result"]["metrics"][layer]["value"]
     s = checks["summaries"].get(layer, {"n": 1, "q1": v, "q3": v})
     print(f"benchmark checks_sim: {layer}={v:.3f} s "
           f"(n={s['n']}, q1 {s['q1']:.3f}, q3 {s['q3']:.3f}) — reported, not gated")
+# Whether two shards beat one on the check-heavy job, wall against wall.
+a, b = (checks["summaries"][f"sybil-serve.{k}"] for k in ("run_s_shards2", "run_s_shards1"))
+print(f"benchmark checks_sim: sybil-serve.run_s_shards2 ÷ run_s_shards1 = "
+      f"{a['median'] / b['median']:.2f} (median {a['median']:.3f} s, n={a['n']}, q1 {a['q1']:.3f}, "
+      f"q3 {a['q3']:.3f} ÷ median {b['median']:.3f} s, n={b['n']}, q1 {b['q1']:.3f}, q3 {b['q3']:.3f}) — "
+      f"reported, not gated")
 
 for layer in ("reach_s", "mixing_s", "figs_s", "table1_s", "zoo_s", "defenses_s", "cpu_over_wall"):
     s = batch["summaries"][f"sybil-repro.{layer}"]
@@ -401,7 +417,7 @@ for two, one in (("run_s_shards2", "run_s_shards1"), ("shard_busy_sum_s_shards2"
     a, b = ss[f"sybil-serve.{two}"], ss[f"sybil-serve.{one}"]
     print(f"benchmark scan_250k: sybil-serve.{two} ÷ {one} = {a['median'] / b['median']:.2f} "
           f"(median {a['median']:.2f} s, {spread(a)} ÷ median {b['median']:.2f} s, {spread(b)}) — "
-          f"reported, not gated: ROADMAP item 15 (one pool for the serving run) owns it")
+          f"reported, not gated: ROADMAP aim 1 (measured performance) owns it")
 
 dm, ds = durable["result"]["metrics"], durable["summaries"]
 owner = "reported, not gated: ROADMAP item 3 (durability leftovers) owns it"
