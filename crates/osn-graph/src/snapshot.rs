@@ -17,22 +17,33 @@
 //!   temporal graph's edge-creation order) so the paper's "first *k*
 //!   friends by time" analyses keep their semantics.
 //!
+//! The snapshot is an analytics view: the §3 sweeps and the feature
+//! extractor freeze a finished graph once and read it. The serving
+//! engine's edge mirror does not use it; it keeps its own ids-only rows
+//! (`sybil-serve`'s `mirror` module), since it reads neither the times
+//! nor the chronological view.
+//!
 //! # Chunked column storage
 //!
 //! The four columns are not monolithic `Vec`s: rows are grouped into
 //! fixed-size **blocks** of [`BLOCK_ROWS`] consecutive nodes, each block
 //! holding its own relative offsets plus column arenas. Any single row is
 //! contiguous inside one block, so every accessor still returns a plain
-//! slice — but an incremental rebuild ([`CsrSnapshot::merge_delta`]) only
-//! re-materializes the blocks that contain grown rows and leaves every
-//! other block's storage untouched. That turns a streaming engine's
-//! snapshot rotation from an O(V + E) full copy into O(delta +
-//! grown-blocks) work, and bounds rotation's transient memory to the
-//! delta's half-edges plus one block per fold task instead of a second
-//! full CSR. Blocks are independent, so the fold splits them into one
-//! contiguous range per [`par`] thread and rebuilds the ranges side by
-//! side. [`CsrSnapshot::with_edges`] keeps the original monolithic
-//! rebuild as the independently-coded oracle.
+//! slice.
+//!
+//! The incremental rebuild ([`CsrSnapshot::merge_delta`]) has no caller
+//! in the serving engine. It is kept, unchanged, only because the
+//! benchmark's `osn-graph.merge_delta_s` probe times it; ROADMAP item 1
+//! retargets that probe at the mirror's fold and then deletes
+//! `merge_delta`, `merge_delta_with`, [`MergeScratch`] and `FoldScratch`
+//! (≈400 lines). It re-materializes
+//! only the blocks that contain grown rows and leaves every other
+//! block's storage untouched: O(delta + grown-blocks) work, transient
+//! memory of the delta's half-edges plus one block per fold task.
+//! Blocks are independent, so the fold splits them into one contiguous
+//! range per [`par`] thread and rebuilds the ranges side by side.
+//! [`CsrSnapshot::with_edges`] keeps the original monolithic rebuild as
+//! the independently-coded oracle.
 //!
 //! Triangle-style kernels use an epoch-stamped scratch array
 //! ([`NeighborScratch`]) instead of pairwise probes: marking a node's
@@ -150,8 +161,9 @@ impl NeighborScratch {
 }
 
 /// Reusable transient buffers for [`CsrSnapshot::merge_delta_with`], one
-/// set per fold task. A rotation's working set is proportional to the
-/// delta being folded (its half-edges, grouped by block, are 2 × the
+/// set per fold task (kept for the benchmark probe; see the module docs).
+/// A rotation's working set is proportional to the delta being folded
+/// (its half-edges, grouped by block, are 2 × the
 /// additions across the tasks); holding one `MergeScratch` across
 /// rotations keeps those pages faulted in instead of re-allocating (and
 /// first-touching) them on every fold.
@@ -251,8 +263,8 @@ impl CsrSnapshot {
         )
     }
 
-    /// Edge-free snapshot over `num_nodes` nodes — the seed of a streaming
-    /// engine's rotating snapshot chain (see [`Self::merge_delta`]).
+    /// Edge-free snapshot over `num_nodes` nodes — the seed of a rotating
+    /// snapshot chain (see [`Self::merge_delta`]).
     pub fn empty(num_nodes: usize) -> Self {
         let mut blocks = Vec::with_capacity(num_nodes.div_ceil(BLOCK_ROWS));
         for b0 in (0..num_nodes).step_by(BLOCK_ROWS) {
@@ -378,8 +390,9 @@ impl CsrSnapshot {
         )
     }
 
-    /// Fold a buffered edge delta into the snapshot **in place** — the
-    /// streaming engine's rotation path. Only blocks containing a grown
+    /// Fold a buffered edge delta into the snapshot **in place** — kept
+    /// for the benchmark's `merge_delta_s` probe until ROADMAP item 1
+    /// retargets it (see the module docs). Only blocks containing a grown
     /// row are re-materialized; every other block's storage is reused
     /// untouched, so a rotation costs O(delta + grown-block bytes) instead
     /// of the full O(V + E) copy [`Self::with_edges`] pays. Its transient
@@ -405,8 +418,8 @@ impl CsrSnapshot {
     /// stream order, keeps the half-edges whose row lies in its range and
     /// rebuilds its own blocks in place, so the result is the serial
     /// fold's at every thread count. A caller that rotates repeatedly
-    /// (the serving engine's mirror) reuses one [`MergeScratch`] so each
-    /// fold runs in already-faulted pages.
+    /// reuses one [`MergeScratch`] so each fold runs in already-faulted
+    /// pages. Kept for the benchmark probe only (see the module docs).
     pub fn merge_delta_with(
         &mut self,
         additions: &[(NodeId, NodeId, Timestamp)],
@@ -549,9 +562,8 @@ impl CsrSnapshot {
     /// Count edges among the marked friend set: every friend's row is
     /// scanned once and each friend-to-friend edge is seen from both ends.
     ///
-    /// Public so streaming consumers (the serving engine's clustering
-    /// feature path) can combine it with a delta probe over edges not yet
-    /// folded into the snapshot: mark the set with
+    /// Public so a streaming consumer can combine it with a delta probe
+    /// over edges not yet folded into the snapshot: mark the set with
     /// [`NeighborScratch::begin`]/[`NeighborScratch::mark`], call this, then
     /// count the distinct delta edges whose both endpoints are
     /// [`NeighborScratch::is_marked`] and that the snapshot does not hold.

@@ -187,11 +187,13 @@ pub struct SessionCheckpoint {
     pub epochs: u64,
     /// One snapshot per shard, in shard-id order.
     pub shards: Vec<ShardSnapshot>,
-    /// Edges folded into the mirror's CSR snapshot, ordered by
-    /// `(time, low id, high id)` so one merge re-fold restores it.
-    pub folded_edges: Vec<(NodeId, NodeId, Timestamp)>,
-    /// Edges still staged in the mirror's delta, in stream order.
-    pub staged_edges: Vec<(NodeId, NodeId, Timestamp)>,
+    /// Edges folded into the mirror's rows, each once as `(low id, high
+    /// id)`, in row order; the re-fold is a set union, so any order of
+    /// the same set restores the same rows.
+    pub folded_edges: Vec<(NodeId, NodeId)>,
+    /// Edges still staged in the mirror's delta, in stream order,
+    /// repeats included.
+    pub staged_edges: Vec<(NodeId, NodeId)>,
     /// Merged detections so far as `(seq, detection)`, in global order.
     pub tagged: Vec<(u64, Detection)>,
     /// Feedback staged at the last barrier, awaiting redistribution.

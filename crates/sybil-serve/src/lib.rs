@@ -8,8 +8,8 @@
 //! each owning its accounts' running state (one flat `AccountTable` from
 //! `sybil_core::realtime::state` per shard). Clustering features are
 //! served from
-//! the coordinator's single accepted-edge mirror — a rotating
-//! [`CsrSnapshot`](osn_graph::CsrSnapshot) plus an unfolded delta that
+//! the coordinator's single accepted-edge mirror — ids-only folded rows
+//! (a blocked CSR, re-folded at rotations) plus an unfolded delta that
 //! already holds the running epoch's edges, each check bounded to its
 //! stream position by a watermark — lent to shards read-only, so
 //! per-shard cost is owned-account work, not edge bookkeeping.

@@ -28,9 +28,8 @@
 //! stored at the other end from the first occurrence, whichever stored
 //! fewer links when it came; [`GraphMirror::delta_links_among_marked`]
 //! collects pairs as `(min, max)` whichever end held them and counts the
-//! distinct ones the snapshot lacks; and rotation's
-//! [`CsrSnapshot::merge_delta_with`] is a set union that keeps each
-//! pair's first time. Repeats are a minority
+//! distinct ones the folded rows lack; and rotation's
+//! [`FoldedEdges::fold_in`] is a set union. Repeats are a minority
 //! in the inputs measured: 30,436 of 623,837 accepts (4.9%) on the
 //! benchmark's `scan_250k` stream at seed 7, all a request accepted again
 //! in the same direction; none of 193,404 on `checks_sim`'s simulator
@@ -42,44 +41,48 @@
 //! # Compact layout
 //!
 //! Every structure here is flat and u32/u64-packed — no per-node `Vec`
-//! allocations and no hash tables, so the mirror's footprint at millions
-//! of accounts is a handful of arenas:
+//! allocations, no hash tables and no timestamps (nothing the mirror
+//! answers depends on when an edge was made; the watermark orders the
+//! running epoch by position), so the mirror's footprint at millions of
+//! accounts is a handful of arenas:
 //!
-//! * the [`CsrSnapshot`] itself doubles as the edge-membership index: its
-//!   per-row sorted runs make a pair probe a row-local binary search
-//!   (over a node's *degree*, a couple of cache lines) instead of the
-//!   seed's global `HashSet<u64>` of packed keys;
-//! * [`FlatDelta`] — accepts since the last snapshot rotation, as a
+//! * [`FoldedEdges`] — the folded edges, which double as the
+//!   edge-membership index: a blocked CSR of [`BLOCK_ROWS`]-row blocks,
+//!   each one `u32` offset per row plus the rows' neighbour ids, sorted,
+//!   4 B per half-edge. A pair probe is a row-local binary search (over
+//!   a node's *degree*, a couple of cache lines) instead of the seed's
+//!   global `HashSet<u64>` of packed keys;
+//! * [`FlatDelta`] — accepts since the last fold, as a
 //!   generation-stamped head array (12 B per account: generation, first
-//!   link, links stored) plus one link arena (8 B per accept, O(1) clear
-//!   by generation bump — no O(V) sweep at rotation). Each staged edge is
-//!   stored once, at the endpoint that stored fewer links when it came,
-//!   so no account's chain grows with its popularity; a pair probe walks
-//!   both ends' chains, and a link count walks every marked friend's
-//!   chain in lockstep, one link per chain per round, so the chains'
-//!   loads overlap;
+//!   link, links stored), one link arena (8 B per accept) and the same
+//!   accepts as `(u, v)` pairs for the next fold (8 B per accept), all
+//!   cleared in O(1) by a generation bump — no O(V) sweep at rotation.
+//!   Each staged edge is stored once, at the endpoint that stored fewer
+//!   links when it came, so no account's chain grows with its
+//!   popularity; a pair probe walks both ends' chains, and a link count
+//!   walks every marked friend's chain in lockstep, one link per chain
+//!   per round, so the chains' loads overlap;
 //! * [`EpochIndex`] — the running epoch's share of that arena: where it
 //!   starts and the seq of each accept in it, one `u64` per accept.
 //!
-//! Rotation folds the delta into the [`CsrSnapshot`] via
-//! [`CsrSnapshot::merge_delta_with`], which re-materializes only the
-//! column blocks containing grown rows (see `osn_graph::snapshot`), one
-//! contiguous block range per `par` thread, side by side: each range's
-//! task takes its rows' halves of the staged accepts in stream order and
-//! rebuilds its own blocks, so the folded snapshot is the same at every
-//! thread count. The schedule — when the delta is folded — does not
-//! depend on the thread count either. Because the snapshot + delta *are*
-//! the edge set, rotation adds no second copy of the edges and
+//! Rotation folds the delta into [`FoldedEdges`], re-materializing only
+//! the blocks that hold a grown row, one contiguous block range per `par`
+//! thread, side by side: each range's task takes its rows' halves of the
+//! staged accepts and rebuilds its own blocks. The result is a set — each
+//! row its neighbours, ascending, once — so the folded rows are the same
+//! at every thread count. The schedule — when the delta is folded — does
+//! not depend on the thread count either. Because the folded rows + delta
+//! *are* the edge set, rotation adds no second copy of the edges and
 //! membership never touches a structure proportional to the total edge
 //! count. A warm restart's [`GraphMirror::restore`] re-folds the
-//! persisted edges through the same parallel fold.
+//! persisted edges through the same fold.
 //!
 //! Keeping this state out of the shards is what makes the engine scale:
 //! a shard's per-event cost for accounts it does not own is a counter and
 //! a branch, not a hash-table write, so adding shards divides the check
 //! work without multiplying the edge bookkeeping.
 
-use osn_graph::{CsrSnapshot, MergeScratch, NeighborScratch, NodeId, Timestamp};
+use osn_graph::{par, NeighborScratch, NodeId};
 use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
 use sybil_core::ids::saturating_u32;
 use sybil_core::realtime::state::MAX_TRACKED_FRIENDS;
@@ -91,9 +94,258 @@ use sybil_core::realtime::state::MAX_TRACKED_FRIENDS;
 /// many rotations).
 pub(crate) const ROTATE_FLOOR: usize = 1024;
 
+/// Rows per [`FoldedEdges`] block. A power of two so the block lookup is
+/// a shift; small enough that a fold touching a handful of rows
+/// re-materializes kilobytes, not the whole graph.
+const BLOCK_ROWS: usize = 256;
+
 /// Sentinel for "no link" in [`FlatDelta`] chains. As a watermark it
 /// bounds nothing: every real link index is below it.
 const NONE: u32 = u32::MAX;
+
+/// One block of [`BLOCK_ROWS`] consecutive rows: local row `l` is
+/// `ids[offsets[l]..offsets[l + 1]]`, its neighbour ids ascending.
+struct EdgeBlock {
+    /// Row boundaries, `rows + 1` of them, the first always 0.
+    offsets: Vec<u32>,
+    /// Every row's neighbour ids, row after row.
+    ids: Vec<u32>,
+}
+
+impl EdgeBlock {
+    /// Local row `l`.
+    #[inline]
+    fn local_row(&self, l: usize) -> &[u32] {
+        debug_assert!(l + 1 < self.offsets.len());
+        &self.ids[self.offsets[l] as usize..self.offsets[l + 1] as usize]
+    }
+
+    /// Merge `adds` (this block's half-edges as `(row, neighbour)`, rows
+    /// inside the block, any order) into the rows as a set union: a
+    /// neighbour the row holds, or an earlier addition brought, is
+    /// dropped. The additions are counting-sorted by row into `by_row`
+    /// (caller-owned, reused), each row's share is sorted and merged with
+    /// the old row, runs of old ids copied whole. Returns the additions
+    /// kept.
+    fn merge_rows(&mut self, adds: &[(u32, u32)], by_row: &mut Vec<u32>) -> usize {
+        // `at[l]` counts row `l`'s additions, then is its end, then — as
+        // the placement walks it back — its start; `at[rows]` stays the
+        // total.
+        let mut at = [0u32; BLOCK_ROWS + 1];
+        for &(v, _) in adds {
+            at[v as usize % BLOCK_ROWS] += 1;
+        }
+        let mut end = 0;
+        for c in &mut at {
+            end += *c;
+            *c = end;
+        }
+        by_row.clear();
+        by_row.resize(adds.len(), 0);
+        for &(v, nbr) in adds {
+            let c = &mut at[v as usize % BLOCK_ROWS];
+            *c -= 1;
+            by_row[*c as usize] = nbr;
+        }
+        let mut ids = Vec::with_capacity(self.ids.len() + adds.len());
+        let (mut kept, mut old_start) = (0usize, 0usize);
+        for l in 0..self.offsets.len() - 1 {
+            let old_end = self.offsets[l + 1] as usize;
+            let old = &self.ids[old_start..old_end];
+            let tail = &mut by_row[at[l] as usize..at[l + 1] as usize];
+            tail.sort_unstable();
+            let mut i = 0;
+            for (k, &nbr) in tail.iter().enumerate() {
+                if k > 0 && tail[k - 1] == nbr {
+                    continue;
+                }
+                let run = old[i..].partition_point(|&x| x < nbr);
+                ids.extend_from_slice(&old[i..i + run]);
+                i += run;
+                if old.get(i) != Some(&nbr) {
+                    ids.push(nbr);
+                    kept += 1;
+                }
+            }
+            ids.extend_from_slice(&old[i..]);
+            self.offsets[l + 1] = saturating_u32(ids.len());
+            old_start = old_end;
+        }
+        self.ids = ids;
+        kept
+    }
+}
+
+/// One fold task's buffers, kept across rotations so each fold runs in
+/// pages already faulted in: its range's half-edges grouped by block, the
+/// counting sort's bookkeeping, and one block's additions by row.
+#[derive(Default)]
+struct FoldTask {
+    /// Block boundaries in `grouped` (range blocks + 1 entries).
+    starts: Vec<u32>,
+    /// Counting-sort write cursors (one per range block).
+    cursor: Vec<u32>,
+    /// The range's half-edges `(row, neighbour)`, grouped by block.
+    grouped: Vec<(u32, u32)>,
+    /// One block's neighbour ids, grouped by row.
+    by_row: Vec<u32>,
+}
+
+impl FoldTask {
+    /// Fold `edges` into the contiguous block range `blocks`, whose first
+    /// block is `first`: keep the half-edges whose row lies in the range,
+    /// counting-sort them by block, and fold each touched block. Returns
+    /// the half-edges kept.
+    fn fold_range(
+        &mut self,
+        first: usize,
+        blocks: &mut [EdgeBlock],
+        edges: &[(NodeId, NodeId)],
+    ) -> usize {
+        let (lo, hi) = (first * BLOCK_ROWS, (first + blocks.len()) * BLOCK_ROWS);
+        let mine = || {
+            edges
+                .iter()
+                .flat_map(|&(a, b)| [(a.0, b.0), (b.0, a.0)])
+                .filter(|&(v, _)| (lo..hi).contains(&(v as usize)))
+        };
+        let local = |v: u32| (v as usize - lo) / BLOCK_ROWS;
+        self.starts.clear();
+        self.starts.resize(blocks.len() + 1, 0);
+        for (v, _) in mine() {
+            self.starts[local(v) + 1] += 1;
+        }
+        for b in 0..blocks.len() {
+            self.starts[b + 1] += self.starts[b];
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.starts[..blocks.len()]);
+        self.grouped.clear();
+        self.grouped
+            .resize(self.starts[blocks.len()] as usize, (0, 0));
+        for half in mine() {
+            let c = &mut self.cursor[local(half.0)];
+            self.grouped[*c as usize] = half;
+            *c += 1;
+        }
+        let mut kept = 0;
+        for (b, blk) in blocks.iter_mut().enumerate() {
+            let adds = &self.grouped[self.starts[b] as usize..self.starts[b + 1] as usize];
+            if !adds.is_empty() {
+                kept += blk.merge_rows(adds, &mut self.by_row);
+            }
+        }
+        kept
+    }
+}
+
+/// The mirror's folded edges: every edge once per endpoint row, ids only,
+/// in [`BLOCK_ROWS`]-row blocks (see the module docs).
+pub(crate) struct FoldedEdges {
+    num_nodes: usize,
+    num_edges: usize,
+    blocks: Vec<EdgeBlock>,
+}
+
+impl FoldedEdges {
+    /// No edges over `num_nodes` nodes.
+    fn empty(num_nodes: usize) -> Self {
+        let block = |b0| EdgeBlock {
+            offsets: vec![0; BLOCK_ROWS.min(num_nodes - b0) + 1],
+            ids: Vec::new(),
+        };
+        FoldedEdges {
+            num_nodes,
+            num_edges: 0,
+            blocks: (0..num_nodes).step_by(BLOCK_ROWS).map(block).collect(),
+        }
+    }
+
+    /// Number of nodes (accounts).
+    #[inline]
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.num_nodes
+    }
+
+    /// Number of distinct folded edges.
+    #[inline]
+    pub(crate) fn num_edges(&self) -> usize {
+        self.num_edges
+    }
+
+    /// `v`'s neighbour ids, ascending.
+    #[inline]
+    fn row_of(&self, v: u32) -> &[u32] {
+        debug_assert!((v as usize) < self.num_nodes);
+        self.blocks[v as usize / BLOCK_ROWS].local_row(v as usize % BLOCK_ROWS)
+    }
+
+    /// Whether `a`–`b` is folded: a binary search in the lower-degree
+    /// endpoint's row.
+    #[inline]
+    pub(crate) fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
+        if a == b || a.index() >= self.num_nodes || b.index() >= self.num_nodes {
+            return false;
+        }
+        let (ra, rb) = (self.row_of(a.0), self.row_of(b.0));
+        if ra.len() <= rb.len() {
+            ra.binary_search(&b.0).is_ok()
+        } else {
+            rb.binary_search(&a.0).is_ok()
+        }
+    }
+
+    /// Folded edges among the marked friend set `friends` (marked in
+    /// `scratch`): every friend's row is scanned once and each
+    /// friend-to-friend edge is seen from both ends. `friends` must be
+    /// duplicate-free, or links are over-counted.
+    pub(crate) fn links_among_marked(&self, friends: &[u32], scratch: &NeighborScratch) -> usize {
+        let mut twice_links = 0usize;
+        for &u in friends {
+            twice_links += self
+                .row_of(u)
+                .iter()
+                .filter(|&&v| scratch.is_marked(v))
+                .count();
+        }
+        twice_links / 2
+    }
+
+    /// Fold `edges` in as a set union — a pair already folded, or
+    /// repeated in `edges`, is dropped, so the first occurrence is the
+    /// edge — as up to [`par::num_threads`] tasks. The blocks are split
+    /// into contiguous ranges, one per task and each with its own
+    /// [`FoldTask`] from `tasks`; a task rebuilds only its blocks that
+    /// hold a grown row, and the rows are sets, so the result is the same
+    /// at every thread count. Endpoints must be in range and distinct.
+    fn fold_in(&mut self, edges: &[(NodeId, NodeId)], tasks: &mut Vec<FoldTask>) {
+        if edges.is_empty() {
+            return;
+        }
+        let n = self.num_nodes;
+        debug_assert!(edges
+            .iter()
+            .all(|&(a, b)| a != b && a.index() < n && b.index() < n));
+        let nblocks = self.blocks.len();
+        let per = nblocks.div_ceil(par::num_threads()).max(1);
+        let n_ranges = nblocks.div_ceil(per);
+        if tasks.len() < n_ranges {
+            tasks.resize_with(n_ranges, FoldTask::default);
+        }
+        let ranges: Vec<_> = self
+            .blocks
+            .chunks_mut(per)
+            .zip(tasks.iter_mut())
+            .enumerate()
+            .collect();
+        let fold = |(r, (blocks, task)): (usize, (&mut [EdgeBlock], &mut FoldTask))| {
+            task.fold_range(r * per, blocks, edges)
+        };
+        let kept: usize = par::map_owned(ranges, fold).into_iter().sum();
+        // A pair is kept in both of its rows or in neither.
+        self.num_edges += kept / 2;
+    }
+}
 
 /// Edges accepted since the last snapshot rotation, as per-node linked
 /// chains threaded through one flat arena. Each accept is stored once,
@@ -115,7 +367,7 @@ pub(crate) struct FlatDelta {
     links: Vec<(u32, u32)>,
     /// The same accepts in stream order (a pair may repeat), staged for
     /// the next fold.
-    edges: Vec<(NodeId, NodeId, Timestamp)>,
+    edges: Vec<(NodeId, NodeId)>,
 }
 
 impl FlatDelta {
@@ -141,7 +393,7 @@ impl FlatDelta {
 
     /// Record an accepted edge: one link, on the less-loaded endpoint's
     /// chain (ties to the smaller id).
-    fn push(&mut self, u: NodeId, v: NodeId, t: Timestamp) {
+    fn push(&mut self, u: NodeId, v: NodeId) {
         let (hu, hv) = (self.head(u.0), self.head(v.0));
         let ((a, (first, stored)), b) = if (hu.1, u.0) <= (hv.1, v.0) {
             ((u, hu), v)
@@ -149,11 +401,11 @@ impl FlatDelta {
             ((v, hv), u)
         };
         // Saturates at the `NONE` sentinel; an arena that long (2^32
-        // staged edges, 96 GiB of `edges` alone) cannot be allocated.
+        // staged edges, 64 GiB of links and pairs) cannot be allocated.
         let at = saturating_u32(self.links.len());
         self.heads[a.index()] = (self.gen, at, stored.saturating_add(1));
         self.links.push((first, b.0));
-        self.edges.push((u, v, t));
+        self.edges.push((u, v));
     }
 
     /// `a`'s delta neighbors whose link index is below `watermark`,
@@ -207,15 +459,16 @@ impl FlatDelta {
 /// through a watermark ([`NONE`] for "everything").
 pub(crate) struct GraphMirror {
     /// Folded prefix of the edge stream.
-    pub snapshot: CsrSnapshot,
+    pub snapshot: FoldedEdges,
     /// Edges accepted since the last rotation.
     pub delta: FlatDelta,
     /// Rotation floor in force for this run (see [`ROTATE_FLOOR`]).
     rotate_floor: usize,
-    /// Reused rotation buffers (the fold's working set is delta-sized;
-    /// re-allocating it every rotation pays first-touch page faults on
-    /// hundreds of megabytes at the million-account sizes).
-    merge_scratch: MergeScratch,
+    /// Reused rotation buffers, one [`FoldTask`] per fold range (the
+    /// fold's working set is delta-sized; re-allocating it every rotation
+    /// pays first-touch page faults on hundreds of megabytes at the
+    /// million-account sizes).
+    fold_tasks: Vec<FoldTask>,
     /// Recycled [`EpochIndex`] storage, taken back in [`Self::absorb`].
     spare_seqs: Vec<u64>,
 }
@@ -244,14 +497,14 @@ impl GraphMirror {
     /// the default [`ROTATE_FLOOR`].
     pub fn new(num_accounts: usize, rotate_floor: usize) -> Self {
         GraphMirror {
-            snapshot: CsrSnapshot::empty(num_accounts),
+            snapshot: FoldedEdges::empty(num_accounts),
             delta: FlatDelta::new(num_accounts),
             rotate_floor: if rotate_floor == 0 {
                 ROTATE_FLOOR
             } else {
                 rotate_floor
             },
-            merge_scratch: MergeScratch::default(),
+            fold_tasks: Vec::new(),
             spare_seqs: Vec::new(),
         }
     }
@@ -274,7 +527,7 @@ impl GraphMirror {
         seqs.clear();
         for (ev, d) in events.iter().zip(details) {
             if matches!(ev.kind, StreamEventKind::Decided(_)) && d.accepted {
-                self.delta.push(NodeId(d.from), NodeId(d.to), ev.at);
+                self.delta.push(NodeId(d.from), NodeId(d.to));
                 seqs.push(ev.seq);
             }
         }
@@ -345,60 +598,50 @@ impl GraphMirror {
             .count()
     }
 
-    /// Folded (snapshot) edges as undirected `(u, v, t)` triples with
-    /// `u < v`, sorted by `(t, u, v)`. That order makes a single
-    /// [`CsrSnapshot::merge_delta_with`] re-fold legal (rows must extend
-    /// in time order) and is a deterministic function of the edge *set*,
-    /// so checkpoints of a restored mirror stay byte-stable.
-    pub(crate) fn folded_edges(&self) -> Vec<(NodeId, NodeId, Timestamp)> {
+    /// Folded (snapshot) edges as undirected `(u, v)` pairs with
+    /// `u < v`, in row order, straight off the rows: a deterministic
+    /// function of the edge *set*, so checkpoints of a restored mirror
+    /// stay byte-stable.
+    pub(crate) fn folded_edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut edges = Vec::with_capacity(self.snapshot.num_edges());
-        for u in 0..self.snapshot.num_nodes() as u32 {
-            let n = NodeId(u);
-            let nbrs = self.snapshot.neighbors_sorted(n);
-            let times = self.snapshot.times_sorted(n);
-            for (&v, &t) in nbrs.iter().zip(times) {
-                if u < v {
-                    edges.push((n, NodeId(v), t));
-                }
-            }
+        for u in 0..saturating_u32(self.snapshot.num_nodes()) {
+            let above = self.snapshot.row_of(u).iter().filter(|&&v| u < v);
+            edges.extend(above.map(|&v| (NodeId(u), NodeId(v))));
         }
-        edges.sort_unstable_by_key(|&(u, v, t)| (t, u.0, v.0));
         edges
     }
 
     /// Edges staged in the delta (accepted since the last rotation), in
     /// stream order, as accepted: a pair may repeat.
-    pub(crate) fn staged_edges(&self) -> &[(NodeId, NodeId, Timestamp)] {
+    pub(crate) fn staged_edges(&self) -> &[(NodeId, NodeId)] {
         &self.delta.edges
     }
 
     /// Rebuild a mirror from persisted [`Self::folded_edges`] /
-    /// [`Self::staged_edges`] output: one merge re-folds the snapshot,
-    /// then staged edges — repeats included — re-enter the delta. The
-    /// fold/delta split is restored exactly as persisted, so rotation
-    /// timing — and therefore every downstream probe — continues
-    /// deterministically. `None` when an endpoint is not an account of
-    /// this run (rows and chain heads are indexed by it) or an edge is a
-    /// self-loop (no accept makes one, and the link kernels would count
-    /// it).
+    /// [`Self::staged_edges`] output: one fold re-folds the snapshot
+    /// (in any order — the fold is a set union), then staged edges —
+    /// repeats included — re-enter the delta. The fold/delta split is
+    /// restored exactly as persisted, so rotation timing — and therefore
+    /// every downstream probe — continues deterministically. `None` when
+    /// an endpoint is not an account of this run (rows and chain heads
+    /// are indexed by it) or an edge is a self-loop (no accept makes one,
+    /// and the link kernels would count it).
     pub(crate) fn restore(
         num_accounts: usize,
         rotate_floor: usize,
-        folded: &[(NodeId, NodeId, Timestamp)],
-        staged: &[(NodeId, NodeId, Timestamp)],
+        folded: &[(NodeId, NodeId)],
+        staged: &[(NodeId, NodeId)],
     ) -> Option<Self> {
-        let inside = |&(u, v, _): &(NodeId, NodeId, Timestamp)| {
+        let inside = |&(u, v): &(NodeId, NodeId)| {
             u != v && u.index() < num_accounts && v.index() < num_accounts
         };
         if !folded.iter().chain(staged).all(inside) {
             return None;
         }
         let mut m = GraphMirror::new(num_accounts, rotate_floor);
-        if !folded.is_empty() {
-            m.snapshot.merge_delta_with(folded, &mut m.merge_scratch);
-        }
-        for &(u, v, t) in staged {
-            m.delta.push(u, v, t);
+        m.snapshot.fold_in(folded, &mut m.fold_tasks);
+        for &(u, v) in staged {
+            m.delta.push(u, v);
         }
         Some(m)
     }
@@ -417,7 +660,7 @@ impl GraphMirror {
         let threshold = self.rotate_floor.max(self.snapshot.num_edges());
         if self.delta.len() >= threshold {
             self.snapshot
-                .merge_delta_with(&self.delta.edges, &mut self.merge_scratch);
+                .fold_in(&self.delta.edges, &mut self.fold_tasks);
             self.delta.clear();
         }
         self.spare_seqs = idx.seqs;
@@ -428,6 +671,7 @@ impl GraphMirror {
 mod tests {
     use super::*;
     use crate::shard::links_at;
+    use osn_graph::Timestamp;
     use proptest::prelude::*;
     use std::collections::{BTreeSet, HashSet};
     use sybil_core::realtime::state::{links_via_edges, pack_edge};
@@ -437,11 +681,11 @@ mod tests {
         let mut m = GraphMirror::new(5, 1_000_000);
         assert!(!m.pair_linked(NodeId(0), NodeId(1), NONE));
         // Folded edge: rotate a one-edge delta into the snapshot.
-        m.delta.push(NodeId(0), NodeId(1), Timestamp::ZERO);
-        m.snapshot.merge_delta(&m.delta.edges);
+        m.delta.push(NodeId(0), NodeId(1));
+        m.snapshot.fold_in(&m.delta.edges, &mut m.fold_tasks);
         m.delta.clear();
         // Staged edge: still in the delta.
-        m.delta.push(NodeId(2), NodeId(3), Timestamp::ZERO);
+        m.delta.push(NodeId(2), NodeId(3));
         assert!(m.pair_linked(NodeId(0), NodeId(1), NONE));
         assert!(m.pair_linked(NodeId(1), NodeId(0), NONE));
         assert!(m.pair_linked(NodeId(2), NodeId(3), NONE));
@@ -465,7 +709,6 @@ mod tests {
     fn flat_delta_counts_marked_and_clears_in_o1() {
         const N: usize = 6;
         let mut d = FlatDelta::new(N);
-        let t = Timestamp::ZERO;
         // Node 0 is a hub: once it stores more links than a newcomer, the
         // newcomer's end takes the link. Pairs repeat in both directions.
         let accepts = [(0, 1), (0, 2), (0, 3), (1, 0), (4, 0), (5, 4), (3, 2), (2, 3)];
@@ -474,7 +717,7 @@ mod tests {
             let at = if (stored[u], u) <= (stored[v], v) { u } else { v };
             let other = if at == u { v } else { u };
             let before: Vec<(u32, u32)> = (0..N as u32).map(|a| d.head(a)).collect();
-            d.push(NodeId(u as u32), NodeId(v as u32), t);
+            d.push(NodeId(u as u32), NodeId(v as u32));
             stored[at] += 1;
             // Exactly one chain grew: `at`'s, whose newest link is link
             // `k` and names the other end.
@@ -511,7 +754,7 @@ mod tests {
         }
         // Reuse after clear starts clean chains and counts: the tie goes
         // to the smaller id again.
-        d.push(NodeId(4), NodeId(0), t);
+        d.push(NodeId(4), NodeId(0));
         assert_eq!(d.head(0), (0, 1));
         assert_eq!(d.head(4), (NONE, 0));
         assert_eq!(marked_count(&d, 0, &scratch), 1);
@@ -520,8 +763,8 @@ mod tests {
     #[test]
     fn flat_delta_wrap_resets_heads_and_counts() {
         let mut d = FlatDelta::new(3);
-        d.push(NodeId(0), NodeId(1), Timestamp::ZERO);
-        d.push(NodeId(0), NodeId(2), Timestamp::ZERO);
+        d.push(NodeId(0), NodeId(1));
+        d.push(NodeId(0), NodeId(2));
         assert_eq!((d.gen, d.head(0), d.head(2)), (1, (0, 1), (1, 1)));
         // The next clear wraps to generation 1, which the heads written
         // above still carry: they must be reset, not revived.
@@ -529,7 +772,7 @@ mod tests {
         d.clear();
         assert_eq!(d.gen, 1);
         assert!(d.heads.iter().all(|&h| h == (0, NONE, 0)));
-        d.push(NodeId(2), NodeId(1), Timestamp::ZERO);
+        d.push(NodeId(2), NodeId(1));
         assert_eq!((d.head(0), d.head(1), d.head(2)), ((NONE, 0), (0, 1), (NONE, 0)));
         assert_eq!(d.neighbors_below(1, NONE).collect::<Vec<_>>(), vec![2]);
     }
@@ -538,15 +781,98 @@ mod tests {
     fn flat_delta_generation_wraparound_is_safe() {
         let mut d = FlatDelta::new(3);
         d.gen = u32::MAX;
-        d.push(NodeId(0), NodeId(1), Timestamp::ZERO);
+        d.push(NodeId(0), NodeId(1));
         let mut scratch = NeighborScratch::new(3);
         scratch.begin(3);
         scratch.mark(1);
         assert_eq!(marked_count(&d, 0, &scratch), 1);
         d.clear(); // wraps to 0 → resets heads, lands on gen 1
         assert_eq!(marked_count(&d, 0, &scratch), 0);
-        d.push(NodeId(0), NodeId(1), Timestamp::ZERO);
+        d.push(NodeId(0), NodeId(1));
         assert_eq!(marked_count(&d, 0, &scratch), 1);
+    }
+
+    /// Run `body` with `RENREN_THREADS` pinned, restoring the prior
+    /// value. Env vars are process-global: this lock serializes the tests
+    /// of this binary that set it, and any other test reading it meanwhile
+    /// sees the same results at every thread count.
+    fn with_threads_env<T>(value: usize, body: impl FnOnce() -> T) -> T {
+        use std::sync::{Mutex, OnceLock};
+        static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+        let _guard = ENV_LOCK.get_or_init(|| Mutex::new(())).lock().unwrap();
+        let prior = std::env::var(par::THREADS_ENV).ok();
+        std::env::set_var(par::THREADS_ENV, value.to_string());
+        let out = body();
+        match prior {
+            Some(v) => std::env::set_var(par::THREADS_ENV, v),
+            None => std::env::remove_var(par::THREADS_ENV),
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The fold against a `BTreeSet` union, at `RENREN_THREADS` 1, 2
+        /// and 3: batches over one to five 256-row blocks of nodes, four
+        /// hubs among them, pairs repeated within and across batches in
+        /// either direction. After every fold each row is the set's
+        /// neighbours of its node, ascending and once each, `num_edges` is
+        /// the set's size, and `has_edge` is membership, both ways.
+        #[test]
+        fn fold_equals_a_set_union_at_every_thread_count(
+            n in 2u32..=1200,
+            batches in prop::collection::vec(
+                prop::collection::vec((0u8..4, any::<u32>(), any::<u32>()), 0..80),
+                1..5,
+            ),
+        ) {
+            for threads in 1..=3 {
+                let mut folded = FoldedEdges::empty(n as usize);
+                let mut tasks = Vec::new();
+                let mut set: BTreeSet<(u32, u32)> = BTreeSet::new();
+                let mut seen: Vec<(u32, u32)> = Vec::new();
+                for batch in &batches {
+                    let mut edges = Vec::new();
+                    for &(kind, x, y) in batch {
+                        let (a, b) = match (kind, seen.len()) {
+                            (1, _) => (x % 4 % n, y % n),
+                            (2, k) if k > 0 => seen[x as usize % k],
+                            (3, k) if k > 0 => {
+                                let (a, b) = seen[x as usize % k];
+                                (b, a)
+                            }
+                            _ => (x % n, y % n),
+                        };
+                        let b = if a == b { (b + 1) % n } else { b };
+                        seen.push((a, b));
+                        set.insert((a.min(b), a.max(b)));
+                        edges.push((NodeId(a), NodeId(b)));
+                    }
+                    with_threads_env(threads, || folded.fold_in(&edges, &mut tasks));
+                    let mut rows = vec![Vec::new(); n as usize];
+                    for &(u, v) in &set {
+                        rows[u as usize].push(v);
+                        rows[v as usize].push(u);
+                    }
+                    for (v, want) in rows.iter_mut().enumerate() {
+                        want.sort_unstable();
+                        let got = folded.row_of(v as u32);
+                        prop_assert_eq!(got, &want[..], "row {} at {} threads", v, threads);
+                    }
+                    prop_assert_eq!(folded.num_edges(), set.len());
+                    for (v, row) in rows.iter().enumerate() {
+                        let v = v as u32;
+                        // Each neighbour, and the id after it: an edge or not.
+                        for w in row.iter().flat_map(|&w| [w, w + 1]).filter(|&w| w < n) {
+                            let linked = v != w && set.contains(&(v.min(w), v.max(w)));
+                            prop_assert_eq!(folded.has_edge(NodeId(v), NodeId(w)), linked);
+                            prop_assert_eq!(folded.has_edge(NodeId(w), NodeId(v)), linked);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
@@ -628,10 +954,10 @@ mod tests {
                 let mut union: BTreeSet<(u32, u32)> = m
                     .folded_edges()
                     .iter()
-                    .map(|&(u, v, _)| (u.0, v.0))
+                    .map(|&(u, v)| (u.0, v.0))
                     .collect();
                 prop_assert_eq!(union.len(), m.snapshot.num_edges());
-                union.extend(m.delta.edges.iter().map(|&(u, v, _)| (u.0.min(v.0), u.0.max(v.0))));
+                union.extend(m.delta.edges.iter().map(|&(u, v)| (u.0.min(v.0), u.0.max(v.0))));
                 prop_assert_eq!(union, known.clone());
             }
         }
@@ -760,7 +1086,7 @@ mod tests {
                     .folded_edges()
                     .iter()
                     .chain(&m.delta.edges[..w.min(m.delta.len())])
-                    .map(|&(u, v, _)| pack_edge(u, v))
+                    .map(|&(u, v)| pack_edge(u, v))
                     .collect();
                 for (friends, dup) in &lists {
                     prop_assert_eq!(

@@ -21,7 +21,7 @@
 //! position, with no cross-shard wait.
 //!
 //! A feature check marks the account's ≤ 50 tracked friends and counts
-//! links with the [`CsrSnapshot`](osn_graph::CsrSnapshot) kernel plus
+//! links with the mirror's folded-row kernel plus
 //! the distinct marked pairs of the mirror's delta below the checking
 //! event's watermark (one `partition_point` per check). The delta stores
 //! each edge at one end only, so the count walks every marked friend's
@@ -515,7 +515,7 @@ impl ShardState {
 }
 
 /// Links among an owned account's `friends` as of `watermark`: the
-/// snapshot kernel over the marked friends plus the distinct marked pairs
+/// folded rows' kernel over the marked friends plus the distinct marked pairs
 /// the mirror delta adds below the watermark — or exact pair probes when
 /// the list holds duplicates (`dup`), which break the marked-set kernel's
 /// one-count-per-edge property. `ids` stages the friend ids for the

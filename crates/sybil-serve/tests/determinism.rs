@@ -578,7 +578,7 @@ proptest! {
 
     /// Random adaptive logs under forced tiny rotation floors: with
     /// `rotate_floor` at 1, 2 or 8 edges, almost every barrier rotates the
-    /// coordinator's snapshot through the incremental `merge_delta` path
+    /// coordinator's folded rows through the mirror's incremental fold
     /// (instead of the default 1024-edge floor that small logs never hit).
     /// Rotation timing is supposed to be value-neutral; this pins it.
     #[test]

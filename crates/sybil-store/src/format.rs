@@ -11,7 +11,7 @@
 //! regression test pins exactly this.
 //!
 //! ```text
-//! file    := magic b"SYBS"  version:u32 (= 2)  n_sections:u32
+//! file    := magic b"SYBS"  version:u32 (= 3)  n_sections:u32
 //!            section[n_sections]  digest:u64
 //! section := tag:u8  len:u32  payload[len]
 //! ```
@@ -24,21 +24,34 @@
 //! any other length than its frame declared fails the write
 //! ([`StoreError::SectionLength`]). The decoder rejects out-of-order or
 //! duplicate tags, and a section with bytes left over after its last
-//! field. Versions 1 and 2 define tags 1–7 (meta, shards, folded
+//! field. Versions 1–3 define tags 1–7 (meta, shards, folded
 //! edges, staged edges, tagged detections, carried feedback, totals); an
 //! unknown tag is a typed [`StoreError::UnknownSection`], never skipped —
 //! adding a section means bumping [`VERSION`].
 //!
 //! ## Versions
 //!
-//! Version 2 differs from version 1 only in what the staged-edges
+//! Version 3 stores edges without times. Both edge sections are a
+//! counted run of
+//!
+//! ```text
+//! edge := u:u32 v:u32                    (v3, 8 B)
+//! edge := u:u32 v:u32 t:u64              (v1, v2, 16 B)
+//! ```
+//!
+//! The folded edges are written as `u < v` in row order, straight off
+//! the mirror's rows; the staged edges in stream order, repeats
+//! included. Nothing the mirror answers reads an edge's time, so the
+//! decoder reads all three versions (`MIN_VERSION..=VERSION`) and drops
+//! the times of a v1 or v2 file: its folded edges (ordered by time) then
+//! re-fold to the same rows, the fold being a set union. The encoder
+//! writes v3; a v2 reader refuses a v3 file by its version.
+//!
+//! Version 2 differed from version 1 only in what the staged-edges
 //! section may contain. The mirror's delta is every accepted decision
 //! since the last rotation, so a v2 staged list may repeat a pair (its
-//! first occurrence is the edge); a v1 list never did. The bytes are laid
-//! out the same, and a repeat-free v1 list is valid v2 content, so this
-//! decoder reads both (`MIN_VERSION..=VERSION`) and the encoder
-//! writes v2. A v1 reader refuses a v2 file by its version instead of
-//! counting a repeated pair twice.
+//! first occurrence is the edge); a v1 list never did, and a v1 reader
+//! refuses a v2 file instead of counting a repeated pair twice.
 //!
 //! A shard's accounts are encoded from its `AccountTable` slot by slot
 //! and decoded straight into a new table, so no per-account record is
@@ -95,7 +108,7 @@ use sybil_serve::{SessionCheckpoint, ShardSnapshot};
 pub const MAGIC: [u8; 4] = *b"SYBS";
 /// Current checkpoint format version, the one every checkpoint is
 /// written in.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Oldest version [`decode_checkpoint`] still reads (see the module
 /// docs' §Versions).
 const MIN_VERSION: u32 = 1;
@@ -118,7 +131,9 @@ const TAG_TOTALS: u8 = 7;
 const ACCOUNT_MIN: usize = 6 * 4 + 2;
 const PENDING_FEEDBACK_LEN: usize = 8 + FEATURES_LEN + 1;
 const SHARD_MIN: usize = 4 + 31 * 8 + 4 + 8 + 8;
-const EDGE_LEN: usize = 4 + 4 + 8;
+const EDGE_LEN: usize = 4 + 4;
+/// A v1 or v2 edge: the v3 pair, then its time.
+const TIMED_EDGE_LEN: usize = EDGE_LEN + 8;
 const TAGGED_LEN: usize = 8 + 4 + 8 + 1;
 
 /// Every account of `t`, counted, in slot order.
@@ -229,21 +244,26 @@ fn get_shard(f: &mut Fields<'_>) -> Result<ShardSnapshot, StoreError> {
     })
 }
 
-fn put_edges(w: &mut Chunked<'_>, edges: &[(NodeId, NodeId, Timestamp)]) -> Result<(), StoreError> {
+fn put_edges(w: &mut Chunked<'_>, edges: &[(NodeId, NodeId)]) -> Result<(), StoreError> {
     put_u32(&mut w.chunk, edges.len() as u32);
-    for &(u, v, t) in edges {
-        let buf = &mut w.chunk;
-        put_u32(buf, u.0);
-        put_u32(buf, v.0);
-        put_u64(buf, t.as_secs());
+    for &(u, v) in edges {
+        put_u32(&mut w.chunk, u.0);
+        put_u32(&mut w.chunk, v.0);
         w.spill()?;
     }
     Ok(())
 }
 
-fn get_edges(f: &mut Fields<'_>) -> Result<Vec<(NodeId, NodeId, Timestamp)>, StoreError> {
-    f.counted(EDGE_LEN, |f| {
-        Ok((NodeId(f.u32()?), NodeId(f.u32()?), Timestamp(f.u64()?)))
+/// A counted run of edges in a `version` file, a v1 or v2 edge's time
+/// read and dropped.
+fn get_edges(f: &mut Fields<'_>, version: u32) -> Result<Vec<(NodeId, NodeId)>, StoreError> {
+    let timed = version < 3;
+    f.counted(if timed { TIMED_EDGE_LEN } else { EDGE_LEN }, |f| {
+        let edge = (NodeId(f.u32()?), NodeId(f.u32()?));
+        if timed {
+            f.u64()?;
+        }
+        Ok(edge)
     })
 }
 
@@ -468,7 +488,7 @@ impl<'w> Chunked<'w> {
     }
 }
 
-/// Stream `cp` into `w` as one version-2 `SYBS` file: the header, each
+/// Stream `cp` into `w` as one version-3 `SYBS` file: the header, each
 /// section's frame in tag order, the trailer, then a flush. No buffer
 /// larger than a chunk is built, whatever the checkpoint's size.
 pub(crate) fn write_checkpoint(
@@ -496,9 +516,10 @@ pub fn encode_checkpoint(cp: &SessionCheckpoint) -> Vec<u8> {
     out
 }
 
-/// Decode a version-1 or version-2 `SYBS` byte stream back into a
+/// Decode a version-1, -2 or -3 `SYBS` byte stream back into a
 /// checkpoint, verifying the trailer digest and rejecting unknown,
-/// duplicate, or out-of-order sections.
+/// duplicate, or out-of-order sections. A v1 or v2 file's edge times
+/// are dropped.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> {
     let mut f = Fields::new(bytes, 0);
     let magic = f.take(4)?;
@@ -553,8 +574,8 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<SessionCheckpoint, StoreError> 
         Ok(shards)
     })?;
 
-    let folded_edges = whole(&map, TAG_FOLDED, get_edges)?;
-    let staged_edges = whole(&map, TAG_STAGED, get_edges)?;
+    let folded_edges = whole(&map, TAG_FOLDED, |f| get_edges(f, version))?;
+    let staged_edges = whole(&map, TAG_STAGED, |f| get_edges(f, version))?;
 
     let tagged = whole(&map, TAG_TAGGED, |f| {
         f.counted(TAGGED_LEN, |f| {
@@ -747,8 +768,8 @@ mod tests {
         SessionCheckpoint {
             epochs: 4,
             shards: vec![shard.clone(), shard],
-            folded_edges: vec![(NodeId(1), NodeId(2), Timestamp(100))],
-            staged_edges: vec![(NodeId(3), NodeId(4), Timestamp(200))],
+            folded_edges: vec![(NodeId(1), NodeId(2))],
+            staged_edges: vec![(NodeId(3), NodeId(4))],
             tagged: vec![(
                 11,
                 Detection {

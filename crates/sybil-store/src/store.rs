@@ -383,7 +383,7 @@ mod tests {
         SessionCheckpoint {
             epochs,
             shards: Vec::new(),
-            folded_edges: vec![(NodeId(1), NodeId(2), Timestamp(60))],
+            folded_edges: vec![(NodeId(1), NodeId(2))],
             staged_edges: Vec::new(),
             tagged: vec![(
                 3,

@@ -14,7 +14,9 @@
 //! 26 smallest, and a pool block holds up to twice the entries written,
 //! in a `Vec` grown by doubling) plus fixed-size index nodes
 //! ([`ALLOC_SLACK`]). Checkpoints decode straight into account tables,
-//! so the strategies below run against that decoder.
+//! so the strategies below run against that decoder. They start from the
+//! current (`SYBS` v3) golden and from the v2 golden, whose timed edges
+//! the decoder still reads.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -25,7 +27,8 @@ use sybil_core::digest::Digest64;
 use sybil_store::format::decode_checkpoint;
 use sybil_store::{journal, Journal, StoreError, StorePlane};
 
-const CHECKPOINT: &[u8] = include_bytes!("golden/checkpoint_v2.sybs");
+const CHECKPOINT: &[u8] = include_bytes!("golden/checkpoint_v3.sybs");
+const CHECKPOINT_V2: &[u8] = include_bytes!("golden/checkpoint_v2.sybs");
 const JOURNAL: &[u8] = include_bytes!("golden/journal_v2.sybj");
 
 const ALLOC_FACTOR: usize = 4;
@@ -222,23 +225,27 @@ fn every_count_set_to_u32_max_is_a_typed_error() {
     // Checkpoint: the counts are not at fixed offsets, so patch every
     // u32-sized window of the body in turn, resealed so the digest check
     // passes and the section decoders see it.
-    let mut reached_sections = 0;
-    for at in 12..CHECKPOINT.len() - 8 - 4 {
-        let mut bytes = CHECKPOINT.to_vec();
-        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        reached_sections += usize::from(reseal(&mut bytes));
-        check_checkpoint(&bytes).unwrap();
+    for golden in [CHECKPOINT, CHECKPOINT_V2] {
+        let mut reached_sections = 0;
+        for at in 12..golden.len() - 8 - 4 {
+            let mut bytes = golden.to_vec();
+            bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            reached_sections += usize::from(reseal(&mut bytes));
+            check_checkpoint(&bytes).unwrap();
+        }
+        assert!(reached_sections > golden.len() / 2);
     }
-    assert!(reached_sections > CHECKPOINT.len() / 2);
 }
 
 /// Truncation at every prefix of both files.
 #[test]
 fn every_prefix_is_ok_or_typed() {
-    for cut in 0..=CHECKPOINT.len() {
-        check_checkpoint(&CHECKPOINT[..cut]).unwrap();
+    for golden in [CHECKPOINT, CHECKPOINT_V2] {
+        for cut in 0..=golden.len() {
+            check_checkpoint(&golden[..cut]).unwrap();
+        }
+        assert!(decode_checkpoint(golden).is_ok());
     }
-    assert!(decode_checkpoint(CHECKPOINT).is_ok());
     for cut in 0..=JOURNAL.len() {
         check_journal(&JOURNAL[..cut]).unwrap();
     }
@@ -249,14 +256,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Byte flips (raw, and resealed past the trailer digest) and random
-    /// tails on a valid checkpoint.
+    /// tails on a valid checkpoint, v3 or v2 (flips land in the body's
+    /// first v3-file-length bytes either way).
     #[test]
     fn mutated_checkpoints_are_ok_or_typed(
         flips in prop::collection::vec((12usize..CHECKPOINT.len() - 8, any::<u8>()), 1..4),
         tail in prop::collection::vec(any::<u8>(), 0..24),
         sealed in any::<bool>(),
+        v2 in any::<bool>(),
     ) {
-        let mut bytes = CHECKPOINT.to_vec();
+        let mut bytes = if v2 { CHECKPOINT_V2 } else { CHECKPOINT }.to_vec();
         for &(at, b) in &flips {
             bytes[at] = b;
         }

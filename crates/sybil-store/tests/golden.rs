@@ -1,9 +1,9 @@
-//! Format-drift guard: the `SYBS` v2 encoding of a fixed checkpoint and
+//! Format-drift guard: the `SYBS` v3 encoding of a fixed checkpoint and
 //! the `SYBJ` v2 encoding of a fixed journal are pinned against
-//! committed golden bytes, the `SYBS` v1 golden is pinned as still read
-//! (and resumed from), and the `SYBJ` v1 golden as refused by its
-//! version. The digest values the journal carries are pinned as
-//! literals beside them.
+//! committed golden bytes, the `SYBS` v1 and v2 goldens are pinned as
+//! still read (and resumed from), a real v2 store as still restarting,
+//! and the `SYBJ` v1 golden as refused by its version. The digest values
+//! the journal carries are pinned as literals beside them.
 //!
 //! If a test here fails, the on-disk format changed. That is only legal
 //! together with a `VERSION` bump and a new golden file for
@@ -16,8 +16,10 @@
 
 use osn_graph::{NodeId, Timestamp};
 use osn_sim::stream::{EventDetail, StreamEvent, StreamEventKind};
+use osn_sim::SimOutput;
+use std::collections::BTreeSet;
 use std::io::Cursor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use sybil_store::journal::{self, Journal};
 use sybil_store::{JournalPlane, StoreError, StorePlane};
 use sybil_serve::fault::FaultPlane;
@@ -29,16 +31,18 @@ use sybil_serve::{ServeConfig, ServeSession, SessionCheckpoint, ShardSnapshot};
 use sybil_store::format;
 
 /// A fixed checkpoint exercising every section and field kind, its
-/// staged list repeating a pair (`SYBS` v2 content). Frozen: changing it
-/// invalidates the golden file.
+/// staged list repeating a pair (`SYBS` v2 and v3 content; the v2 golden
+/// was written with times on its edges, which decoding drops). Frozen:
+/// changing it invalidates the golden files.
 fn golden_checkpoint() -> SessionCheckpoint {
     let mut cp = golden_checkpoint_v1();
-    cp.staged_edges.push((NodeId(4), NodeId(3), Timestamp(260)));
+    cp.staged_edges.push((NodeId(4), NodeId(3)));
     cp
 }
 
-/// The checkpoint the `SYBS` v1 golden was encoded from: the same, with
-/// the repeat-free staged list a v1 file could hold. Frozen with it.
+/// The checkpoint the `SYBS` v1 golden was encoded from, its edge times
+/// dropped: the same, with the repeat-free staged list a v1 file could
+/// hold. Frozen with it.
 fn golden_checkpoint_v1() -> SessionCheckpoint {
     let mut recent = std::collections::VecDeque::new();
     recent.push_back(3600);
@@ -74,8 +78,8 @@ fn golden_checkpoint_v1() -> SessionCheckpoint {
     SessionCheckpoint {
         epochs: 4,
         shards: vec![shard.clone(), shard],
-        folded_edges: vec![(NodeId(1), NodeId(2), Timestamp(100))],
-        staged_edges: vec![(NodeId(3), NodeId(4), Timestamp(200))],
+        folded_edges: vec![(NodeId(1), NodeId(2))],
+        staged_edges: vec![(NodeId(3), NodeId(4))],
         tagged: vec![(
             11,
             Detection {
@@ -102,12 +106,17 @@ fn golden_checkpoint_v1() -> SessionCheckpoint {
     }
 }
 
+/// Golden file `name`'s path.
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
 /// The committed bytes of golden file `name`, rewritten from `bytes`
 /// first under `BLESS=1`.
 fn committed_golden(name: &str, bytes: &[u8]) -> Vec<u8> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
+    let path = golden_path(name);
     if std::env::var_os("BLESS").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, bytes).unwrap();
@@ -123,11 +132,11 @@ fn committed_golden(name: &str, bytes: &[u8]) -> Vec<u8> {
 #[test]
 fn encoding_matches_committed_golden_bytes() {
     let bytes = format::encode_checkpoint(&golden_checkpoint());
-    let committed = committed_golden("checkpoint_v2.sybs", &bytes);
+    let committed = committed_golden("checkpoint_v3.sybs", &bytes);
     assert_eq!(
         bytes,
         committed,
-        "SYBS v2 encoding drifted from the committed golden bytes — \
+        "SYBS v3 encoding drifted from the committed golden bytes — \
          a format change requires a VERSION bump and a new golden file"
     );
     // And the committed bytes still decode to the exact checkpoint.
@@ -141,40 +150,130 @@ fn encoding_matches_committed_golden_bytes() {
 fn header_prefix_is_pinned() {
     let bytes = format::encode_checkpoint(&golden_checkpoint());
     assert_eq!(&bytes[..4], b"SYBS");
-    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 2);
-    assert_eq!(format::VERSION, 2);
+    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 3);
+    assert_eq!(format::VERSION, 3);
     assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 7, "7 sections");
 }
 
-/// A v1 checkpoint is still read: its repeat-free staged list is valid
-/// v2 content. The committed v1 golden decodes to the checkpoint it was
-/// written from, re-encodes to the same sections under the v2 header, and
-/// a store holding it resumes from it.
-#[test]
-fn v1_checkpoint_decodes_and_restores() {
-    let v1 = std::fs::read(
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/checkpoint_v1.sybs"),
-    )
-    .expect("the v1 golden is kept");
-    assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1);
-    let cp = format::decode_checkpoint(&v1).expect("v1 decodes");
-    assert_eq!(cp, golden_checkpoint_v1());
-    let v2 = format::encode_checkpoint(&cp);
-    assert_eq!(v2.len(), v1.len());
-    assert_eq!(v2[8..v2.len() - 8], v1[8..v1.len() - 8], "same sections");
-
-    let dir = std::env::temp_dir().join(format!("sybil-golden-v1-{}", std::process::id()));
+/// Resume a fresh store holding only `bytes` as its epoch-4 checkpoint,
+/// and return the checkpoint the plane hands the engine.
+fn resume_from(tag: &str, bytes: &[u8]) -> SessionCheckpoint {
+    let dir = std::env::temp_dir().join(format!("sybil-golden-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("checkpoint-00000004.sybs"), &v1).unwrap();
+    std::fs::write(dir.join("checkpoint-00000004.sybs"), bytes).unwrap();
     let mut plane = StorePlane::open(&dir).unwrap();
     let resume = plane
         .load_resume()
         .unwrap()
-        .expect("the v1 checkpoint resumes");
-    assert_eq!(resume.checkpoint, golden_checkpoint_v1());
+        .expect("the checkpoint resumes");
     assert_eq!(plane.resumed_from(), Some(4));
     drop(plane);
+    std::fs::remove_dir_all(&dir).unwrap();
+    resume.checkpoint
+}
+
+/// A v1 checkpoint is still read: its repeat-free staged list is valid
+/// later content, and its edge times are dropped. The committed v1 golden
+/// decodes to the checkpoint it was written from, re-encodes as v3 with
+/// 8 bytes fewer per edge, and a store holding it resumes from it.
+#[test]
+fn v1_checkpoint_decodes_and_restores() {
+    let v1 = std::fs::read(golden_path("checkpoint_v1.sybs")).expect("the v1 golden is kept");
+    assert_eq!(u32::from_le_bytes(v1[4..8].try_into().unwrap()), 1);
+    let cp = format::decode_checkpoint(&v1).expect("v1 decodes");
+    assert_eq!(cp, golden_checkpoint_v1());
+    let v3 = format::encode_checkpoint(&cp);
+    assert_eq!(v3.len(), v1.len() - 8 * 2, "two edges, 8 bytes of time each");
+    assert_eq!(format::decode_checkpoint(&v3).unwrap(), cp);
+    assert_eq!(resume_from("v1", &v1), golden_checkpoint_v1());
+}
+
+/// A v2 checkpoint is still read, its edge times dropped: the committed
+/// v2 golden decodes to the v3 golden's checkpoint, re-encodes to the v3
+/// golden's bytes, and a store holding it resumes from it.
+#[test]
+fn v2_checkpoint_decodes_and_restores() {
+    let v2 = std::fs::read(golden_path("checkpoint_v2.sybs")).expect("the v2 golden is kept");
+    assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
+    let cp = format::decode_checkpoint(&v2).expect("v2 decodes");
+    assert_eq!(cp, golden_checkpoint());
+    let v3 = std::fs::read(golden_path("checkpoint_v3.sybs")).expect("the v3 golden");
+    assert_eq!(format::encode_checkpoint(&cp), v3);
+    assert_eq!(resume_from("v2", &v2), golden_checkpoint());
+}
+
+/// The engine configuration of [`digest_values_are_pinned`]'s run.
+fn two_shards() -> ServeConfig {
+    ServeConfig {
+        shards: 2,
+        ..ServeConfig::default()
+    }
+}
+
+/// [`digest_values_are_pinned`]'s run through a store that checkpoints
+/// every 4 epochs, killed at epoch 12: it leaves the epoch-12
+/// checkpoint and a one-epoch journal tail in `dir`.
+fn killed_leg(out: &SimOutput, dir: &Path) {
+    let mut doomed = StorePlane::with_cadence(dir, 4).unwrap().kill_at_epoch(12);
+    let err = ServeSession::new(two_shards())
+        .store(&mut doomed)
+        .run(out)
+        .expect_err("killed at epoch 12");
+    assert!(err.to_string().contains("epoch 12"), "{err}");
+}
+
+/// A store a v2 binary wrote still warm-restarts. The fixture
+/// `restart_tiny11_v2.sybs` is the `checkpoint-00000012.sybs` that
+/// [`killed_leg`] left at commit f7417df, the last `SYBS` v2 writer:
+///
+/// ```text
+/// git checkout f7417df    # then, from any test of this crate:
+/// killed_leg(&osn_sim::simulate(osn_sim::SimConfig::tiny(11)), dir)
+/// cp DIR/checkpoint-00000012.sybs crates/sybil-store/tests/golden/restart_tiny11_v2.sybs
+/// ```
+///
+/// The same leg re-runs here; the `SYBJ` bytes are unchanged, so its
+/// journal is the fixture run's. With the v2 file swapped in for the v3
+/// checkpoint, the restart's report is the sequential replay's and its
+/// run-end digests are [`digest_values_are_pinned`]'s. The v2 and v3
+/// files hold the same state: only the folded edges' order differs
+/// (time order then, row order now).
+#[test]
+fn a_real_v2_store_warm_restarts() {
+    let v2 = std::fs::read(golden_path("restart_tiny11_v2.sybs")).expect("the v2 store fixture");
+    assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
+    let out = osn_sim::simulate(osn_sim::SimConfig::tiny(11));
+    let dir = std::env::temp_dir().join(format!("sybil-golden-store-v2-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    killed_leg(&out, &dir);
+    let path = dir.join("checkpoint-00000012.sybs");
+    let v3 = std::fs::read(&path).unwrap();
+    assert_eq!(u32::from_le_bytes(v3[4..8].try_into().unwrap()), 3);
+
+    let old = format::decode_checkpoint(&v2).unwrap();
+    let new = format::decode_checkpoint(&v3).unwrap();
+    assert_eq!((old.epochs, new.epochs), (12, 12));
+    assert_eq!((&old.shards, &old.staged_edges), (&new.shards, &new.staged_edges));
+    assert_eq!((&old.tagged, &old.carry_feedback), (&new.tagged, &new.carry_feedback));
+    assert_eq!(old.totals, new.totals);
+    let set = |cp: &SessionCheckpoint| cp.folded_edges.iter().copied().collect::<BTreeSet<_>>();
+    assert!(!new.folded_edges.is_empty(), "the run folded before epoch 12");
+    assert_eq!(set(&old), set(&new));
+    assert_eq!(set(&new).len(), new.folded_edges.len());
+    assert!(new.folded_edges.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+
+    std::fs::write(&path, &v2).unwrap();
+    let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
+    let o = ServeSession::new(two_shards()).store(&mut revived).run(&out).unwrap();
+    assert_eq!(revived.resumed_from(), Some(12), "the v2 checkpoint was read");
+    let replayed = sybil_core::realtime::replay(&out, &two_shards().detect);
+    let json = |r| serde_json::to_string(r).unwrap();
+    assert_eq!(json(&o.report), json(&replayed));
+    let (epochs, digests) = revived.journal().finished().expect("a run-end record");
+    assert_eq!(epochs, 25);
+    assert_eq!(digests, [0xd0cc_a126_5d4d_f4a2, 0x8f74_43a4_f848_1f8e]);
+    drop(revived);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -9,7 +9,7 @@
 //! directory (nothing survives in memory), so recovery is proven from
 //! the bytes.
 
-use osn_graph::{NodeId, Timestamp};
+use osn_graph::NodeId;
 use osn_sim::{simulate, SimConfig, SimOutput};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -301,7 +301,7 @@ fn a_checkpoint_with_a_self_loop_is_a_typed_journal_fault() {
         } else {
             &mut cp.folded_edges
         };
-        edges.push((NodeId(1), NodeId(1), Timestamp(0)));
+        edges.push((NodeId(1), NodeId(1)));
         std::fs::write(&path, format::encode_checkpoint(&cp)).unwrap();
         let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
         let err = ServeSession::new(cfg)
@@ -320,7 +320,8 @@ fn a_checkpoint_with_a_self_loop_is_a_typed_journal_fault() {
 
 /// A store whose checkpoint a v1 binary wrote warm-restarts to the
 /// uninterrupted bytes: this stream repeats no pair, so its v1 file is
-/// the same sections under version word 1 and that version's trailer.
+/// the v3 sections with a time after each edge (times are never read
+/// back), under version word 1 and that version's trailer.
 #[test]
 fn a_v1_checkpoint_warm_restarts() {
     let out = small_sim();
@@ -328,25 +329,35 @@ fn a_v1_checkpoint_warm_restarts() {
     let oracle = uninterrupted(&out, &cfg);
     let dir = tmpdir("v1");
     let path = killed_store(&out, &cfg, &dir);
-    let mut bytes = std::fs::read(&path).unwrap();
+    let v3 = std::fs::read(&path).unwrap();
+    let mut bytes = v3[..12].to_vec();
     bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
     let mut d = Digest64::new();
     d.write_u32(1);
     d.write_usize(u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize);
     let mut pos = 12;
-    while pos < bytes.len() - 8 {
-        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
-        d.write_u32(u32::from(bytes[pos]));
-        d.write_usize(len);
-        for chunk in bytes[pos + 5..pos + 5 + len].chunks(8) {
+    while pos < v3.len() - 8 {
+        let (tag, len) = (v3[pos], u32::from_le_bytes(v3[pos + 1..pos + 5].try_into().unwrap()));
+        let mut payload = v3[pos + 5..pos + 5 + len as usize].to_vec();
+        if tag == 3 || tag == 4 {
+            // The folded and staged edges: each pair gains a time.
+            let (count, edges) = payload.split_at(4);
+            let timed = edges.chunks(8).flat_map(|e| e.iter().copied().chain([0; 8]));
+            payload = count.iter().copied().chain(timed).collect();
+        }
+        bytes.push(tag);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        d.write_u32(u32::from(tag));
+        d.write_usize(payload.len());
+        for chunk in payload.chunks(8) {
             let mut w = [0u8; 8];
             w[..chunk.len()].copy_from_slice(chunk);
             d.write_u64(u64::from_le_bytes(w));
         }
-        pos += 5 + len;
+        pos += 5 + len as usize;
     }
-    let at = bytes.len() - 8;
-    bytes[at..].copy_from_slice(&Digest64::finish(&d).to_le_bytes());
+    bytes.extend_from_slice(&Digest64::finish(&d).to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
     let o = ServeSession::new(cfg).store(&mut revived).run(&out).unwrap();

@@ -4,7 +4,7 @@
 //!
 //! This binary installs a recording allocator and saves the epoch-64
 //! checkpoint of an uninterrupted 20k-account run (the stream
-//! `alloc_budget.rs` serves; the file is ≈1.7 MB). The largest single
+//! `alloc_budget.rs` serves; the file is ≈1.4 MB). The largest single
 //! allocation during the save must stay under [`SAVE_ALLOC_BOUND`], where
 //! encoding the whole file first would allocate the whole file. The
 //! saved bytes must be exactly what `encode_checkpoint` returns and must
