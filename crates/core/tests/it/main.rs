@@ -1,0 +1,5 @@
+//! The integration tests of `sybil-core`, one module per topic, built as
+//! one binary.
+
+mod dataset_garbage;
+mod properties;

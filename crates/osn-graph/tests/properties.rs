@@ -8,17 +8,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-fn graph_from(n: usize, edges: &[(usize, usize)]) -> TemporalGraph {
-    let mut g = TemporalGraph::with_nodes(n);
-    for (i, &(a, b)) in edges.iter().enumerate() {
-        let _ = g.add_edge(
-            NodeId((a % n) as u32),
-            NodeId((b % n) as u32),
-            Timestamp(i as u64),
-        );
-    }
-    g
-}
+mod support;
+use support::{env_lock, graph_from, with_threads_env};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -92,30 +83,6 @@ proptest! {
         let gap = osn_graph::spectral::spectral_gap(&g, 40, seed).unwrap();
         prop_assert!((0.0..=1.0).contains(&gap), "gap {}", gap);
     }
-}
-
-/// Run `body` with `RENREN_THREADS` pinned, restoring the prior value even
-/// if `body` panics. Env vars are process-global, so every test in this
-/// binary that sets one takes this lock (a panicking test poisons it: the
-/// guard protects no data, so it is taken anyway).
-fn with_threads_env<T>(value: &str, body: impl FnOnce() -> T) -> T {
-    use osn_graph::par::THREADS_ENV;
-    use std::sync::{Mutex, OnceLock};
-    struct Restore(Option<String>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            match self.0.take() {
-                Some(v) => std::env::set_var(THREADS_ENV, v),
-                None => std::env::remove_var(THREADS_ENV),
-            }
-        }
-    }
-    static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let lock = ENV_LOCK.get_or_init(|| Mutex::new(()));
-    let _guard = lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let _restore = Restore(std::env::var(THREADS_ENV).ok());
-    std::env::set_var(THREADS_ENV, value);
-    body()
 }
 
 /// The serial loop `percolation_reach` is checked against: each trial
@@ -324,4 +291,20 @@ fn descending_probabilities_panic_at_two_threads() {
         let mut rng = StdRng::seed_from_u64(5);
         percolation_reach(&g, &[vec![NodeId(0)]], &[0.1, 0.5, 0.2], 4, &mut rng);
     });
+}
+
+/// A body that panics leaves `RENREN_THREADS` as it found it, and the
+/// lock it poisoned does not stop the next call.
+#[test]
+fn with_threads_env_restores_after_a_panic() {
+    let read = || {
+        let _guard = env_lock();
+        std::env::var(osn_graph::par::THREADS_ENV).ok()
+    };
+    let before = read();
+    let unwound = std::panic::catch_unwind(|| with_threads_env("7", || panic!("the body fails")));
+    assert!(unwound.is_err());
+    assert_eq!(read(), before);
+    assert_eq!(with_threads_env("2", osn_graph::par::num_threads), 2);
+    assert_eq!(read(), before);
 }

@@ -6,27 +6,11 @@
 //! to the oracle over their first occurrences, at every thread count the
 //! fold splits its blocks over.
 
-use osn_graph::{par, CsrSnapshot, MergeScratch, NodeId, TemporalGraph, Timestamp};
+use osn_graph::{CsrSnapshot, MergeScratch, NodeId, TemporalGraph, Timestamp};
 use proptest::prelude::*;
 
-/// Run `body` with `RENREN_THREADS` pinned, restoring the prior value.
-/// Env vars are process-global, so every test in this binary that sets
-/// one takes this lock (a failed case may have poisoned it: the guard
-/// protects no data, so it is taken anyway).
-fn with_threads_env<T>(value: &str, body: impl FnOnce() -> T) -> T {
-    use std::sync::{Mutex, OnceLock};
-    static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let lock = ENV_LOCK.get_or_init(|| Mutex::new(()));
-    let _guard = lock.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let prior = std::env::var(par::THREADS_ENV).ok();
-    std::env::set_var(par::THREADS_ENV, value);
-    let out = body();
-    match prior {
-        Some(v) => std::env::set_var(par::THREADS_ENV, v),
-        None => std::env::remove_var(par::THREADS_ENV),
-    }
-    out
-}
+mod support;
+use support::with_threads_env;
 
 /// Build a deduplicated, time-ordered undirected edge stream over `n`
 /// nodes from raw proptest pairs. Times are the stream index, so every

@@ -2,38 +2,11 @@
 //! view must agree with [`TemporalGraph`] on every query, and parallel
 //! sweeps must be bit-identical to their serial counterparts.
 
-use osn_graph::{clustering, par, CsrSnapshot, NeighborScratch, NodeId, TemporalGraph, Timestamp};
+use osn_graph::{clustering, par, CsrSnapshot, NeighborScratch, Timestamp};
 use proptest::prelude::*;
 
-/// Random graph with edges inserted in nondecreasing time order — the
-/// simulator's guarantee, which the temporal analyses assume.
-fn graph_from(n: usize, edges: &[(usize, usize)]) -> TemporalGraph {
-    let mut g = TemporalGraph::with_nodes(n);
-    for (i, &(a, b)) in edges.iter().enumerate() {
-        let _ = g.add_edge(
-            NodeId((a % n) as u32),
-            NodeId((b % n) as u32),
-            Timestamp(i as u64),
-        );
-    }
-    g
-}
-
-/// Run `body` with `RENREN_THREADS` pinned, restoring the prior value.
-/// Env vars are process-global; every test in this binary that touches
-/// them funnels through this one lock.
-fn with_threads_env(value: &str, body: impl FnOnce()) {
-    use std::sync::{Mutex, OnceLock};
-    static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let _guard = ENV_LOCK.get_or_init(|| Mutex::new(())).lock().unwrap();
-    let prior = std::env::var(par::THREADS_ENV).ok();
-    std::env::set_var(par::THREADS_ENV, value);
-    body();
-    match prior {
-        Some(v) => std::env::set_var(par::THREADS_ENV, v),
-        None => std::env::remove_var(par::THREADS_ENV),
-    }
-}
+mod support;
+use support::{graph_from, with_threads_env};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

@@ -180,7 +180,7 @@ pub struct AttackerParams {
     /// Ablation override for every tool's snowball popularity bias β
     /// (`None` = use each tool's own value). Setting 0.0 disables the
     /// popularity bias entirely — the knob behind the snowball ablation
-    /// (`crates/repro/tests/ablations.rs`).
+    /// (`crates/repro/tests/it/ablations.rs`).
     pub degree_bias_override: Option<f64>,
 }
 

@@ -281,9 +281,9 @@ mod tests {
 
     #[test]
     fn seed_derived_drill_recovers_or_types() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
         let spec = RunSpec::builder().scale(Scale::Tiny).seed(11).shards(2).build();
-        let r = run(&ctx, &spec).expect("drill failed");
+        let r = run(ctx, &spec).expect("drill failed");
         assert!(!r.faults_from_file);
         assert!(r.report.outcome.invariant_holds(), "{:?}", r.report);
         if r.report.outcome == ChaosOutcome::Identical {
@@ -294,17 +294,17 @@ mod tests {
 
     #[test]
     fn drill_is_deterministic() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
         let spec = RunSpec::builder().scale(Scale::Tiny).seed(11).shards(2).build();
-        let a = serde_json::to_string(&run(&ctx, &spec).expect("drill failed")).unwrap();
-        let b = serde_json::to_string(&run(&ctx, &spec).expect("drill failed")).unwrap();
+        let a = serde_json::to_string(&run(ctx, &spec).expect("drill failed")).unwrap();
+        let b = serde_json::to_string(&run(ctx, &spec).expect("drill failed")).unwrap();
         assert_eq!(a, b, "chaos drill must be byte-reproducible");
     }
 
     /// Write `json` as a `--faults` file under a per-test name and run
     /// the drill at tiny scale over 2 shards.
     fn drill_with_faults(test: &str, json: &str) -> Result<ChaosResult, ChaosExpError> {
-        let ctx = Ctx::build(Scale::Tiny, 11);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
         let path = std::env::temp_dir().join(format!(
             "sybil-chaos-{}-{test}.json",
             std::process::id()
@@ -316,7 +316,7 @@ mod tests {
             .shards(2)
             .faults_file(path.clone())
             .build();
-        let r = run(&ctx, &spec);
+        let r = run(ctx, &spec);
         let _ = std::fs::remove_file(&path);
         r
     }
@@ -355,13 +355,13 @@ mod tests {
 
     #[test]
     fn missing_faults_file_is_a_typed_error() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
         let spec = RunSpec::builder()
             .scale(Scale::Tiny)
             .faults_file("/nonexistent/faults.json")
             .build();
         assert!(matches!(
-            run(&ctx, &spec),
+            run(ctx, &spec),
             Err(ChaosExpError::FaultsIo { .. })
         ));
     }

@@ -289,8 +289,8 @@ mod tests {
 
     #[test]
     fn wild_topology_defeats_defenses() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let d = run(&ctx, &RunSpec::builder().scale(Scale::Tiny).build());
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let d = run(ctx, &RunSpec::builder().scale(Scale::Tiny).build());
         assert_eq!(d.rows.len(), 5);
         assert!(
             d.mean_wild_acceptance() > d.mean_injected_acceptance() + 0.15,
@@ -308,30 +308,37 @@ mod tests {
         );
     }
 
-    /// Run `body` with `RENREN_THREADS` pinned, restoring the prior value.
-    /// Env vars are process-global, so tests touching them share one lock.
+    /// Run `body` with `RENREN_THREADS` pinned, restoring the prior value
+    /// even if `body` panics. Env vars are process-global, so tests
+    /// touching them share one lock (a panicking test poisons it: the
+    /// guard protects no data, so it is taken anyway).
     fn with_threads_env(threads: &str, body: impl FnOnce()) {
-        use std::sync::{Mutex, OnceLock};
-        static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let _guard = ENV_LOCK.get_or_init(|| Mutex::new(())).lock().unwrap();
-        let prior = std::env::var(par::THREADS_ENV).ok();
+        use std::sync::{Mutex, PoisonError};
+        struct Restore(Option<String>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                match self.0.take() {
+                    Some(v) => std::env::set_var(par::THREADS_ENV, v),
+                    None => std::env::remove_var(par::THREADS_ENV),
+                }
+            }
+        }
+        static ENV_LOCK: Mutex<()> = Mutex::new(());
+        let _guard = ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _restore = Restore(std::env::var(par::THREADS_ENV).ok());
         std::env::set_var(par::THREADS_ENV, threads);
         body();
-        match prior {
-            Some(v) => std::env::set_var(par::THREADS_ENV, v),
-            None => std::env::remove_var(par::THREADS_ENV),
-        }
     }
 
     #[test]
     fn verdicts_do_not_depend_on_the_thread_count() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
         let spec = RunSpec::builder().scale(Scale::Tiny).build();
         // At 3 threads there are more workers than long tasks.
         for threads in ["1", "2", "3"] {
             with_threads_env(threads, || {
                 assert_eq!(
-                    serde_json::to_string_pretty(&run(&ctx, &spec)).expect("counts serialize"),
+                    serde_json::to_string_pretty(&run(ctx, &spec)).expect("counts serialize"),
                     include_str!("../tests/golden/defenses_tiny_seed11.json"),
                     "§3.1 verdicts moved at RENREN_THREADS={threads}"
                 );

@@ -140,8 +140,8 @@ mod tests {
 
     #[test]
     fn both_variants_catch_most_sybils_cheaply() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let d = run(&ctx, &RunSpec::builder().scale(Scale::Tiny).build());
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let d = run(ctx, &RunSpec::builder().scale(Scale::Tiny).build());
         assert!(!d.detections_per_window.is_empty());
         let total: usize = d.detections_per_window.iter().map(|&(_, c)| c).sum();
         assert_eq!(total, d.adaptive_report.detections.len());

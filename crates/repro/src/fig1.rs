@@ -132,8 +132,8 @@ mod tests {
 
     #[test]
     fn frequency_shapes_hold_at_tiny_scale() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let fig = run(&ctx, 50);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let fig = run(ctx, 50);
         assert!(!fig.sybil_1h.is_empty() && !fig.normal_1h.is_empty());
         let med = |v: &[f64]| Cdf::new(v.to_vec()).median().unwrap_or(0.0);
         // Sybils invite far more per active window at both scales.

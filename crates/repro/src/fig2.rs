@@ -70,8 +70,8 @@ mod tests {
 
     #[test]
     fn outgoing_ratio_separates() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let fig = run(&ctx, 50);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let fig = run(ctx, 50);
         assert!(fig.normal_mean > fig.sybil_mean + 0.25,
             "means: normal {} sybil {}", fig.normal_mean, fig.sybil_mean);
         assert!(fig.sybil_mean < 0.45);

@@ -72,8 +72,8 @@ mod tests {
 
     #[test]
     fn sybils_accept_nearly_everything() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let fig = run(&ctx, 50);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let fig = run(ctx, 50);
         assert!(
             fig.sybils_accepting_all > 0.5,
             "sybils accepting all: {}",

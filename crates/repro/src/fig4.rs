@@ -78,8 +78,8 @@ mod tests {
 
     #[test]
     fn normal_users_cluster_more() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let fig = run(&ctx, 50);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let fig = run(ctx, 50);
         assert!(
             fig.normal_mean > fig.sybil_mean,
             "ordering must hold: normal {} vs sybil {}",

@@ -71,8 +71,8 @@ mod tests {
 
     #[test]
     fn most_sybils_have_no_sybil_edges() {
-        let ctx = Ctx::build(Scale::Small, 1);
-        let fig = run(&ctx);
+        let ctx = Ctx::shared(Scale::Small, 1);
+        let fig = run(ctx);
         assert!(
             fig.connected_fraction < 0.6,
             "connected fraction {}",

@@ -69,8 +69,8 @@ mod tests {
 
     #[test]
     fn heavy_tail_with_dominant_giant() {
-        let ctx = Ctx::build(Scale::Small, 1);
-        let fig = run(&ctx);
+        let ctx = Ctx::shared(Scale::Small, 1);
+        let fig = run(ctx);
         assert!(!fig.sizes.is_empty(), "some sybil components must form");
         assert!(
             fig.below_10 > 0.5,

@@ -65,8 +65,8 @@ mod tests {
 
     #[test]
     fn every_component_above_diagonal() {
-        let ctx = Ctx::build(Scale::Small, 1);
-        let fig = run(&ctx);
+        let ctx = Ctx::shared(Scale::Small, 1);
+        let fig = run(ctx);
         assert!(!fig.points.is_empty());
         assert!(
             fig.above_diagonal >= 0.9,

@@ -81,8 +81,8 @@ mod tests {
 
     #[test]
     fn sybil_edges_scatter_uniformly() {
-        let ctx = Ctx::build(Scale::Small, 1);
-        let fig = run(&ctx, 200);
+        let ctx = Ctx::shared(Scale::Small, 1);
+        let fig = run(ctx, 200);
         assert!(!fig.columns.is_empty());
         // Accidental edges scatter: mean normalized position near 0.5
         // (intentional prefixes would pull it toward 0).

@@ -77,8 +77,8 @@ mod tests {
 
     #[test]
     fn giant_component_is_loose() {
-        let ctx = Ctx::build(Scale::Small, 1);
-        let fig = run(&ctx);
+        let ctx = Ctx::shared(Scale::Small, 1);
+        let fig = run(ctx);
         assert!(!fig.sybil_degrees.is_empty());
         assert!(
             fig.degree_one > 0.2,

@@ -111,8 +111,8 @@ mod tests {
 
     #[test]
     fn wild_sybils_escape_injected_do_not() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let m = run(&ctx);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let m = run(ctx);
         assert!(
             m.wild_escape > m.injected_escape + 0.3,
             "wild {} vs injected {}",

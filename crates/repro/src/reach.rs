@@ -121,8 +121,8 @@ mod tests {
 
     #[test]
     fn reach_exceeds_audience_and_grows_with_p() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let r = run(&ctx, 30);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let r = run(ctx, 30);
         assert!(!r.rows.is_empty());
         for row in &r.rows {
             // Reach includes the seeds, so it is at least the audience.
@@ -141,7 +141,7 @@ mod tests {
         // (`repro --scale tiny --seed 11 reach` writes this file).
         let trials = RunSpec::builder().scale(Scale::Tiny).build().reach_trials();
         assert_eq!(
-            serde_json::to_string_pretty(&run(&ctx, trials)).expect("means serialize"),
+            serde_json::to_string_pretty(&run(ctx, trials)).expect("means serialize"),
             include_str!("../tests/golden/reach_tiny_seed11.json"),
             "reach means moved"
         );

@@ -253,9 +253,9 @@ mod tests {
 
     #[test]
     fn drill_restarts_byte_identically() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
         let spec = drill_spec("byte_identically", 11);
-        let r = run(&ctx, &spec).expect("drill failed");
+        let r = run(ctx, &spec).expect("drill failed");
         assert!(r.matches_oracle, "{r:?}");
         assert_eq!(r.kill_epoch, 1 + 11 % 4);
         // The kill fired past epoch 0, so a checkpoint existed to resume
@@ -270,10 +270,10 @@ mod tests {
 
     #[test]
     fn drill_is_deterministic() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
         let spec = drill_spec("deterministic", 11);
-        let a = serde_json::to_string(&run(&ctx, &spec).expect("drill failed")).unwrap();
-        let b = serde_json::to_string(&run(&ctx, &spec).expect("drill failed")).unwrap();
+        let a = serde_json::to_string(&run(ctx, &spec).expect("drill failed")).unwrap();
+        let b = serde_json::to_string(&run(ctx, &spec).expect("drill failed")).unwrap();
         assert_eq!(a, b, "restart drill must be byte-reproducible");
         let _ = std::fs::remove_dir_all(spec.store_dir.unwrap());
     }

@@ -238,9 +238,9 @@ mod tests {
 
     #[test]
     fn sharded_run_matches_sequential_replay() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
         let spec = RunSpec::builder().scale(Scale::Tiny).build();
-        let r = run(&ctx, &spec).expect("serve failed");
+        let r = run(ctx, &spec).expect("serve failed");
         assert!(r.matches_replay_static);
         assert!(r.matches_replay_adaptive);
         assert!(r.shards >= 1);
@@ -252,9 +252,9 @@ mod tests {
     /// sequential oracle on the shared keys.
     #[test]
     fn observed_run_matches_and_aligns_engines() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
         let spec = RunSpec::builder().scale(Scale::Tiny).shards(2).build();
-        let (r, snap) = run_observed(&ctx, &spec, &|| 0.0).expect("serve failed");
+        let (r, snap) = run_observed(ctx, &spec, &|| 0.0).expect("serve failed");
         assert!(r.matches_replay_static && r.matches_replay_adaptive);
         for variant in ["static", "adaptive"] {
             for key in [
@@ -278,7 +278,7 @@ mod tests {
     /// directory (pure warm restart) produces the identical bytes.
     #[test]
     fn persisted_run_is_transparent_and_warm_restarts() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
         let dir = std::env::temp_dir().join(format!(
             "sybil-repro-serve-store-{}",
             std::process::id()
@@ -289,11 +289,11 @@ mod tests {
             .shards(2)
             .store_dir(&dir)
             .build();
-        let cold = run(&ctx, &spec).expect("cold run failed");
+        let cold = run(ctx, &spec).expect("cold run failed");
         assert!(cold.persisted);
         assert!(cold.matches_replay_static && cold.matches_replay_adaptive);
         assert!(cold.render().contains("persisted"));
-        let warm = run(&ctx, &spec).expect("warm restart failed");
+        let warm = run(ctx, &spec).expect("warm restart failed");
         assert_eq!(
             serde_json::to_string(&cold).unwrap(),
             serde_json::to_string(&warm).unwrap(),

@@ -101,8 +101,8 @@ mod tests {
 
     #[test]
     fn both_classifiers_are_accurate() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let t = run(&ctx, 50, 5);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let t = run(ctx, 50, 5);
         assert!(
             t.svm.accuracy() > 0.88,
             "svm accuracy {:.3}",

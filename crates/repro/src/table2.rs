@@ -82,8 +82,8 @@ mod tests {
 
     #[test]
     fn attack_edges_dominate_every_large_component() {
-        let ctx = Ctx::build(Scale::Small, 1);
-        let t = run(&ctx);
+        let ctx = Ctx::shared(Scale::Small, 1);
+        let t = run(ctx);
         assert!(!t.rows.is_empty());
         for r in &t.rows {
             assert!(

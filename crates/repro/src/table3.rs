@@ -118,8 +118,8 @@ mod tests {
 
     #[test]
     fn catalog_rows_and_activity() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let t = run(&ctx);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let t = run(ctx);
         assert_eq!(t.rows.len(), 3);
         assert!(t.rows.iter().any(|r| r.accounts > 0));
         let total: usize = t.rows.iter().map(|r| r.accounts).sum();

@@ -148,8 +148,8 @@ mod tests {
 
     #[test]
     fn all_classifiers_competent() {
-        let ctx = Ctx::build(Scale::Tiny, 11);
-        let zoo = run(&ctx, 50, 5);
+        let ctx = Ctx::shared(Scale::Tiny, 11);
+        let zoo = run(ctx, 50, 5);
         assert_eq!(zoo.rows.len(), 5);
         assert_eq!(zoo.feature_auc.len(), 5);
         // The invitation-frequency features must be strongly informative.

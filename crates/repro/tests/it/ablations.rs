@@ -10,18 +10,16 @@ use sybil_core::eval::evaluate;
 use sybil_core::{Classifier, ThresholdClassifier};
 use sybil_features::FeatureVector;
 use sybil_repro::fig1::ground_truth_sample;
-use sybil_repro::{Ctx, Scale};
+use sybil_repro::Scale;
 
-fn tiny_ctx() -> Ctx {
-    Ctx::build(Scale::Tiny, 42)
-}
+use crate::support::shared_ctx;
 
 /// Frequency carries the calibrated rule: without it every normal account
 /// is flagged, while dropping the accept-ratio or the clustering
 /// condition changes no verdict.
 #[test]
 fn frequency_is_the_load_bearing_feature() {
-    let ds = ground_truth_sample(&tiny_ctx(), 60);
+    let ds = ground_truth_sample(shared_ctx(Scale::Tiny, 42), 60);
     let full = ThresholdClassifier::calibrate(&ds);
     let verdicts = |rule: &ThresholdClassifier| {
         ds.features
@@ -119,7 +117,7 @@ fn intentional_interlinking_grows_deliberate_edges_only() {
 /// drift down and keep every Sybil.
 #[test]
 fn adaptive_thresholds_follow_a_frequency_drift() {
-    let ds = ground_truth_sample(&tiny_ctx(), 60);
+    let ds = ground_truth_sample(shared_ctx(Scale::Tiny, 42), 60);
     let static_rule = ThresholdClassifier::calibrate(&ds);
     assert!(static_rule.min_freq.is_finite(), "{static_rule:?}");
     let drifted: Vec<FeatureVector> = ds

@@ -7,15 +7,17 @@
 use sybil_repro::fig1::ground_truth_sample;
 use sybil_repro::{reach, table2, Ctx, Scale};
 
+use crate::support::shared_ctx;
+
 /// A campaign reaches past its one-hop audience, further the more readily
 /// readers forward, and the giant component's covers more of the normal
 /// population than the Table 2 audience column credits it with.
 #[test]
 fn reach_exceeds_table2_audience_and_grows_with_forwarding() {
     for seed in [3, 11, 42] {
-        let ctx = Ctx::build(Scale::Tiny, seed);
-        let r = reach::run(&ctx, 50);
-        let t2 = table2::run(&ctx);
+        let ctx = shared_ctx(Scale::Tiny, seed);
+        let r = reach::run(ctx, 50);
+        let t2 = table2::run(ctx);
         assert!(!r.rows.is_empty(), "seed {seed}: no Sybil component");
         for (row, t2_row) in r.rows.iter().zip(&t2.rows) {
             assert_eq!((row.sybils, row.audience), (t2_row.sybils, t2_row.audience));

@@ -5,7 +5,9 @@
 //! that flips is a regression. The floors sit below what seeds 11, 12 and
 //! 13 measure, written beside each one.
 
-use sybil_repro::{table1, zoo, Ctx, Scale};
+use sybil_repro::{table1, zoo, Scale};
+
+use crate::support::shared_ctx;
 
 const SEEDS: [u64; 3] = [11, 12, 13];
 
@@ -14,7 +16,7 @@ const SEEDS: [u64; 3] = [11, 12, 13];
 #[test]
 fn threshold_rule_matches_the_svm() {
     for seed in SEEDS {
-        let t = table1::run(&Ctx::build(Scale::Tiny, seed), 50, 5);
+        let t = table1::run(shared_ctx(Scale::Tiny, seed), 50, 5);
         let (svm, thr) = (t.svm.accuracy(), t.threshold.accuracy());
         // Measured: SVM 0.99 / 0.99 / 0.98, threshold 0.99 / 0.97 / 1.00.
         assert!(svm >= 0.95, "seed {seed}: SVM accuracy {svm}");
@@ -35,7 +37,7 @@ fn threshold_rule_matches_the_svm() {
 #[test]
 fn every_zoo_classifier_is_accurate() {
     for seed in SEEDS {
-        let z = zoo::run(&Ctx::build(Scale::Tiny, seed), 50, 5);
+        let z = zoo::run(shared_ctx(Scale::Tiny, seed), 50, 5);
         assert_eq!(z.rows.len(), 5, "seed {seed}");
         for r in &z.rows {
             // Lowest measured accuracy: linear SVM 0.94 (seed 13); every

@@ -11,53 +11,14 @@
 //! Beside them, the recovery report is checked against what the engine
 //! did: a tallied fault is one a hook acted on.
 
+use osn_sim::{simulate, SimConfig};
 use proptest::prelude::*;
 use std::io::Cursor;
-use std::sync::OnceLock;
 use sybil_chaos::{
     run_chaos, verify_journal, ChaosOutcome, FaultSchedule, FaultSpec, FaultSpecKind,
 };
-use sybil_core::realtime::RealtimeConfig;
-use sybil_core::threshold::ThresholdClassifier;
-use osn_sim::{simulate, SimConfig, SimOutput};
-use sybil_serve::ServeConfig;
 
-/// Permissive adaptive detector: detections, audits, and feedback all
-/// fire on tiny logs, so the journal carries every record kind and
-/// crashed shards have non-trivial state to rebuild.
-fn eager_detect() -> RealtimeConfig {
-    RealtimeConfig {
-        warmup_requests: 4,
-        check_every: 1,
-        trailing_window_h: 1,
-        min_decided: 2,
-        min_friends: 2,
-        rule: ThresholdClassifier {
-            max_out_ratio: 0.8,
-            min_freq: 3.0,
-            max_cc: f64::INFINITY,
-        },
-        adaptive: true,
-        feedback_delay_h: 12,
-        audit_every: 5,
-    }
-}
-
-fn serve_cfg(shards: usize) -> ServeConfig {
-    ServeConfig {
-        shards,
-        epoch_hours: 12,
-        detect: eager_detect(),
-        rotate_floor: 64,
-    }
-}
-
-/// One shared simulation for the invariant sweep (the schedule, not the
-/// log, is the random input there).
-fn shared_sim() -> &'static SimOutput {
-    static SIM: OnceLock<SimOutput> = OnceLock::new();
-    SIM.get_or_init(|| simulate(SimConfig::tiny(11)))
-}
+use crate::support::{serve_cfg, shared_sim};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]

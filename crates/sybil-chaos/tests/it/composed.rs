@@ -15,49 +15,17 @@
 //! uninterrupted run, or the run stopped on a typed error attributed to
 //! a scheduled fault — at shard counts 1, 2 and 8.
 
-use osn_sim::{simulate, SimConfig, SimOutput};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use sybil_chaos::{ChaosPlane, FaultSchedule};
-use sybil_core::realtime::RealtimeConfig;
-use sybil_core::threshold::ThresholdClassifier;
 use sybil_serve::fault::{FaultKind, FaultPlane};
-use sybil_serve::{ServeConfig, ServeError, ServeSession};
+use sybil_serve::{ServeError, ServeSession};
 use sybil_store::StorePlane;
 
+use crate::support::{serve_cfg, shared_sim};
+
 const SHARDS: [usize; 3] = [1, 2, 8];
-
-/// Permissive adaptive detector (as in `chaos_props`): detections,
-/// audits and feedback all fire on a tiny log, so checkpoints and
-/// journal frames carry every kind of state.
-fn serve_cfg(shards: usize) -> ServeConfig {
-    ServeConfig {
-        shards,
-        epoch_hours: 12,
-        detect: RealtimeConfig {
-            warmup_requests: 4,
-            check_every: 1,
-            trailing_window_h: 1,
-            min_decided: 2,
-            min_friends: 2,
-            rule: ThresholdClassifier {
-                max_out_ratio: 0.8,
-                min_freq: 3.0,
-                max_cc: f64::INFINITY,
-            },
-            adaptive: true,
-            feedback_delay_h: 12,
-            audit_every: 5,
-        },
-        rotate_floor: 64,
-    }
-}
-
-fn shared_sim() -> &'static SimOutput {
-    static SIM: OnceLock<SimOutput> = OnceLock::new();
-    SIM.get_or_init(|| simulate(SimConfig::tiny(11)))
-}
 
 /// The fault-free, uninterrupted report at each of [`SHARDS`].
 fn oracle(shards_ix: usize) -> &'static str {

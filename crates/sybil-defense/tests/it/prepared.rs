@@ -290,22 +290,27 @@ mod reference {
     }
 }
 
-/// Run `body` with `RENREN_THREADS` pinned, restoring the prior value.
-/// Env vars are process-global, so tests touching them share one lock.
-fn with_threads_env(threads: &str, body: impl FnOnce()) {
-    use std::sync::{Mutex, OnceLock};
-    static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let _guard = ENV_LOCK
-        .get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    let prior = std::env::var(osn_graph::par::THREADS_ENV).ok();
-    std::env::set_var(osn_graph::par::THREADS_ENV, threads);
-    body();
-    match prior {
-        Some(v) => std::env::set_var(osn_graph::par::THREADS_ENV, v),
-        None => std::env::remove_var(osn_graph::par::THREADS_ENV),
+/// Run `body` with `RENREN_THREADS` pinned, restoring the prior value
+/// even if `body` panics. Env vars are process-global, so every test in
+/// this binary that sets one takes this lock (a panicking test poisons
+/// it: the guard protects no data, so it is taken anyway).
+fn with_threads_env<T>(value: &str, body: impl FnOnce() -> T) -> T {
+    use osn_graph::par::THREADS_ENV;
+    use std::sync::{Mutex, PoisonError};
+    struct Restore(Option<String>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            match self.0.take() {
+                Some(v) => std::env::set_var(THREADS_ENV, v),
+                None => std::env::remove_var(THREADS_ENV),
+            }
+        }
     }
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+    let _guard = ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _restore = Restore(std::env::var(THREADS_ENV).ok());
+    std::env::set_var(THREADS_ENV, value);
+    body()
 }
 
 /// One prepared verifier must give `expected` for every suspect, asked

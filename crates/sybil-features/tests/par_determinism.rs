@@ -3,7 +3,7 @@
 //! the per-node serial loop at every thread count, and so must the
 //! ground-truth sample that is extracted through it.
 
-use osn_graph::{par, NodeId};
+use osn_graph::NodeId;
 use osn_sim::{simulate, SimConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -11,18 +11,27 @@ use rand::SeedableRng;
 use sybil_features::dataset::GroundTruth;
 use sybil_features::{clustering, FeatureExtractor, FeatureVector};
 
-/// Run `body` with `RENREN_THREADS` pinned, restoring the prior value.
-fn with_threads_env(value: &str, body: impl FnOnce()) {
-    use std::sync::{Mutex, OnceLock};
-    static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let _guard = ENV_LOCK.get_or_init(|| Mutex::new(())).lock().unwrap();
-    let prior = std::env::var(par::THREADS_ENV).ok();
-    std::env::set_var(par::THREADS_ENV, value);
-    body();
-    match prior {
-        Some(v) => std::env::set_var(par::THREADS_ENV, v),
-        None => std::env::remove_var(par::THREADS_ENV),
+/// Run `body` with `RENREN_THREADS` pinned, restoring the prior value
+/// even if `body` panics. Env vars are process-global, so every test in
+/// this binary that sets one takes this lock (a panicking test poisons
+/// it: the guard protects no data, so it is taken anyway).
+fn with_threads_env<T>(value: &str, body: impl FnOnce() -> T) -> T {
+    use osn_graph::par::THREADS_ENV;
+    use std::sync::{Mutex, PoisonError};
+    struct Restore(Option<String>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            match self.0.take() {
+                Some(v) => std::env::set_var(THREADS_ENV, v),
+                None => std::env::remove_var(THREADS_ENV),
+            }
+        }
     }
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+    let _guard = ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _restore = Restore(std::env::var(THREADS_ENV).ok());
+    std::env::set_var(THREADS_ENV, value);
+    body()
 }
 
 proptest! {

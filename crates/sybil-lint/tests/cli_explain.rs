@@ -4,11 +4,9 @@
 //! its root tables.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
-fn lint_cmd() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_sybil-lint"))
-}
+mod support;
+use support::{fixture_dir, lint_cmd};
 
 #[test]
 fn explain_known_code_exits_zero_with_rationale() {
@@ -80,7 +78,7 @@ fn explain_is_case_insensitive() {
 fn scratch_workspace() -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("no_allowlist_ws");
     let krate = root.join("crates/cost_scratch_allow");
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/cost_scratch_allow");
+    let fixture = fixture_dir().join("cost_scratch_allow");
     std::fs::create_dir_all(krate.join("src")).expect("mkdir src");
     std::fs::create_dir_all(krate.join("tests")).expect("mkdir tests");
     std::fs::write(krate.join("Cargo.toml"), "[package]\nname = \"cost_scratch_allow\"\n")

@@ -3,43 +3,14 @@
 //! through a trait-object edge, the drain-balanced negative case, and an
 //! allowlisted scratch buffer.
 
-use std::path::{Path, PathBuf};
+use sybil_lint::allowlist;
 use sybil_lint::costs::HotPathConfig;
 use sybil_lint::effects::EffectConfig;
 use sybil_lint::report::Finding;
-use sybil_lint::rules::check_model;
-use sybil_lint::workspace::{classify, run_workspace, SourceFile};
-use sybil_lint::{allowlist, WorkspaceModel};
+use sybil_lint::workspace::run_workspace;
 
-fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
-}
-
-/// Source files of one fixture crate: `(fixture file, workspace-relative
-/// suffix)` pairs mapped into a synthetic `crates/<name>/…` layout.
-fn cost_files(name: &str, layout: &[(&str, &str)]) -> Vec<SourceFile> {
-    layout
-        .iter()
-        .map(|(disk, rel_suffix)| {
-            let rel = format!("crates/{name}/{rel_suffix}");
-            SourceFile {
-                abs: fixture_dir().join(name).join(disk),
-                rel: rel.clone(),
-                crate_name: name.to_string(),
-                kind: classify(&rel),
-            }
-        })
-        .collect()
-}
-
-fn cost_model(name: &str, layout: &[(&str, &str)]) -> WorkspaceModel {
-    let files = cost_files(name, layout);
-    let sources: Vec<String> = files
-        .iter()
-        .map(|f| std::fs::read_to_string(&f.abs).expect("fixture exists"))
-        .collect();
-    WorkspaceModel::build(&files, &sources)
-}
+mod support;
+use support::{fixture_crate, model_findings};
 
 fn hot(roots: &[&str]) -> HotPathConfig {
     HotPathConfig {
@@ -50,7 +21,8 @@ fn hot(roots: &[&str]) -> HotPathConfig {
 /// The S-series findings on a fixture with the given hot-path roots (the
 /// D-series has its own fixtures in `lint_rules.rs`).
 fn cost_findings(name: &str, layout: &[(&str, &str)], cfg: &HotPathConfig) -> Vec<Finding> {
-    let mut f = check_model(&cost_model(name, layout), &EffectConfig::default(), cfg, true);
+    let files = fixture_crate(name, name, layout);
+    let mut f = model_findings(&files, &EffectConfig::default(), cfg);
     f.retain(|f| f.rule.starts_with('S'));
     f
 }
@@ -236,7 +208,8 @@ justification = "fixture: one-element row, freed before the next iteration; peak
         allow.hotpaths.per_event_roots,
         vec!["cost_scratch_allow::serve".to_string()]
     );
-    let rep = run_workspace(&cost_files("cost_scratch_allow", ONE), &allow).unwrap();
+    let files = fixture_crate("cost_scratch_allow", "cost_scratch_allow", ONE);
+    let rep = run_workspace(&files, &allow).unwrap();
     assert!(rep.is_clean(), "{:#?}", rep.violations);
     assert_eq!(rep.allowed.len(), 1, "{:#?}", rep.allowed);
     let (s113, just) = &rep.allowed[0];

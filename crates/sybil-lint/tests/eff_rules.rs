@@ -4,47 +4,17 @@
 //! retired S111 and S112 stay, and show D001 and D003 flag the same
 //! `path:line`.
 
-use std::path::{Path, PathBuf};
 use sybil_lint::costs::HotPathConfig;
 use sybil_lint::effects::EffectConfig;
 use sybil_lint::report::Finding;
-use sybil_lint::rules::check_model;
-use sybil_lint::workspace::{classify, SourceFile};
-use sybil_lint::WorkspaceModel;
 
-fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
-}
-
-/// Source files of one fixture crate: `(fixture file, workspace-relative
-/// suffix)` pairs mapped into a synthetic `crates/<name>/…` layout.
-fn eff_files(name: &str, layout: &[(&str, &str)]) -> Vec<SourceFile> {
-    layout
-        .iter()
-        .map(|(disk, rel_suffix)| {
-            let rel = format!("crates/{name}/{rel_suffix}");
-            SourceFile {
-                abs: fixture_dir().join(name).join(disk),
-                rel: rel.clone(),
-                crate_name: name.to_string(),
-                kind: classify(&rel),
-            }
-        })
-        .collect()
-}
-
-fn eff_model(name: &str, layout: &[(&str, &str)]) -> WorkspaceModel {
-    let files = eff_files(name, layout);
-    let sources: Vec<String> = files
-        .iter()
-        .map(|f| std::fs::read_to_string(&f.abs).expect("fixture exists"))
-        .collect();
-    WorkspaceModel::build(&files, &sources)
-}
+mod support;
+use support::{fixture_crate, model_findings};
 
 /// Every finding on a fixture with the given effect config.
 fn all_findings(name: &str, layout: &[(&str, &str)], cfg: &EffectConfig) -> Vec<Finding> {
-    check_model(&eff_model(name, layout), cfg, &HotPathConfig::default(), true)
+    let files = fixture_crate(name, name, layout);
+    model_findings(&files, cfg, &HotPathConfig::default())
 }
 
 /// The S-series findings on a fixture (the D-series has its own fixtures
@@ -327,24 +297,8 @@ fn store_findings() -> Vec<Finding> {
         ("store.rs", "src/store.rs"),
         ("use_api.rs", "tests/use_api.rs"),
     ];
-    let files: Vec<SourceFile> = layout
-        .iter()
-        .map(|(disk, rel_suffix)| {
-            let rel = format!("crates/sybil-store/{rel_suffix}");
-            SourceFile {
-                abs: fixture_dir().join("eff_store_bad").join(disk),
-                rel: rel.clone(),
-                crate_name: "sybil-store".to_string(),
-                kind: classify(&rel),
-            }
-        })
-        .collect();
-    let sources: Vec<String> = files
-        .iter()
-        .map(|f| std::fs::read_to_string(&f.abs).expect("fixture exists"))
-        .collect();
-    let model = WorkspaceModel::build(&files, &sources);
-    let mut f = check_model(&model, &EffectConfig::default(), &HotPathConfig::default(), true);
+    let files = fixture_crate("eff_store_bad", "sybil-store", layout);
+    let mut f = model_findings(&files, &EffectConfig::default(), &HotPathConfig::default());
     f.retain(|f| f.rule.starts_with('S'));
     f
 }

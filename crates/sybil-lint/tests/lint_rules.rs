@@ -4,15 +4,14 @@
 //! tests keep the retired code's fixtures and show S101 reports the same
 //! lines.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use sybil_lint::allowlist;
 use sybil_lint::report::{render_human, render_json, Report};
 use sybil_lint::workspace::{run, SourceFile};
 use sybil_lint::{check_file, FileCtx, FileKind, Finding};
 
-fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
-}
+mod support;
+use support::fixture_dir;
 
 /// Lint one fixture file as library code of a fictitious crate.
 fn lint_fixture(name: &str) -> Vec<Finding> {

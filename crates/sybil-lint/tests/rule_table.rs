@@ -2,19 +2,17 @@
 //! prints exactly the table, and every code fires on the fixture corpus.
 
 use std::collections::BTreeSet;
-use std::path::Path;
-use std::process::Command;
 use sybil_lint::allowlist;
 use sybil_lint::rules::RULES;
 use sybil_lint::workspace::{classify, run_workspace, SourceFile};
 
+mod support;
+use support::{fixture_dir, lint_cmd};
+
 #[test]
 fn every_row_has_its_text_and_the_cli_prints_the_table() {
     let lint = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_sybil-lint"))
-            .args(args)
-            .output()
-            .expect("spawn sybil-lint");
+        let out = lint_cmd().args(args).output().expect("spawn sybil-lint");
         assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
@@ -103,7 +101,7 @@ justification = "stale on purpose: S105 must report it"
 
 #[test]
 fn every_code_fires_on_the_fixture_corpus() {
-    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let fixtures = fixture_dir();
     let files: Vec<SourceFile> = CORPUS
         .iter()
         .map(|(disk, krate, inside)| {

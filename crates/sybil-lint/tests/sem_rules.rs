@@ -4,50 +4,24 @@
 //! and the JSON rendering. Also covers S105 staleness and the
 //! `--fix-allowlist` rewrite at the library level.
 
-use std::path::{Path, PathBuf};
 use sybil_lint::allowlist;
 use sybil_lint::report::{render_human, render_json, Finding};
-use sybil_lint::rules::check_model;
 use sybil_lint::workspace::{classify, run_workspace, SourceFile};
-use sybil_lint::WorkspaceModel;
 
-fn sem_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sem")
-}
-
-/// Source files of one fixture crate: `(fixture file, workspace-relative
-/// suffix)` pairs mapped into a synthetic `crates/<name>/…` layout.
-fn sem_files(name: &str, layout: &[(&str, &str)]) -> Vec<SourceFile> {
-    layout
-        .iter()
-        .map(|(disk, rel_suffix)| {
-            let rel = format!("crates/{name}/{rel_suffix}");
-            SourceFile {
-                abs: sem_dir().join(name).join(disk),
-                rel: rel.clone(),
-                crate_name: name.to_string(),
-                kind: classify(&rel),
-            }
-        })
-        .collect()
-}
+mod support;
+use support::{fixture_crate, fixture_dir, model_findings};
 
 /// The S-series findings on `files` with no root list designated (the
 /// D-series has its own fixtures in `lint_rules.rs`).
 fn semantic(files: &[SourceFile]) -> Vec<Finding> {
-    let sources: Vec<String> = files
-        .iter()
-        .map(|f| std::fs::read_to_string(&f.abs).expect("fixture exists"))
-        .collect();
-    let model = WorkspaceModel::build(files, &sources);
-    let mut f = check_model(&model, &Default::default(), &Default::default(), true);
+    let mut f = model_findings(files, &Default::default(), &Default::default());
     f.retain(|f| f.rule.starts_with('S'));
     f
 }
 
 /// Build the workspace model for a fixture crate and run the S-series.
 fn sem_findings(name: &str, layout: &[(&str, &str)]) -> Vec<Finding> {
-    semantic(&sem_files(name, layout))
+    semantic(&fixture_crate(&format!("sem/{name}"), name, layout))
 }
 
 const TWO_FILE: &[(&str, &str)] = &[
@@ -261,9 +235,9 @@ fn s107_good_typed_errors_are_clean() {
 
 /// Fixture files mapped onto explicit workspace-relative paths (S108 is
 /// scoped by crate and path, so the synthetic `crates/<name>/…` layout
-/// of [`sem_files`] does not apply).
+/// of [`fixture_crate`] does not apply).
 fn s108_findings(name: &str, layout: &[(&str, &str)]) -> Vec<Finding> {
-    let dir = sem_dir().join(name);
+    let dir = fixture_dir().join("sem").join(name);
     let files: Vec<SourceFile> = layout
         .iter()
         .map(|(disk, rel)| SourceFile {
@@ -354,7 +328,7 @@ fn s_codes_are_known_rules() {
 
 #[test]
 fn chains_render_in_human_and_json_output() {
-    let files = sem_files("s101_bad", TWO_FILE);
+    let files = fixture_crate("sem/s101_bad", "s101_bad", TWO_FILE);
     let rep = run_workspace(&files, &allowlist::Allowlist::default()).unwrap();
     let human = render_human(&rep);
     assert!(human.contains("error[S101]"), "{human}");
@@ -404,7 +378,7 @@ path = \"crates/s101_bad/src/never.rs\"
 justification = \"stale entry kept around to test staleness\"
 ";
     let allow = allowlist::parse(toml).unwrap();
-    let files = sem_files("s101_bad", TWO_FILE);
+    let files = fixture_crate("sem/s101_bad", "s101_bad", TWO_FILE);
     let rep = run_workspace(&files, &allow).unwrap();
 
     // The matching entry absorbed the S101 finding.

@@ -5,7 +5,7 @@
 //! same contract covers the observability layer: the `logical` section
 //! of the metrics snapshot must not move by a byte either.
 
-use osn_graph::{par, NodeId, TemporalGraph, Timestamp};
+use osn_graph::{NodeId, TemporalGraph, Timestamp};
 use osn_sim::{
     simulate, Account, AccountKind, Gender, Profile, RequestLog, RequestOutcome, RequestRecord,
     SimConfig, SimOutput, ToolKind,
@@ -165,20 +165,27 @@ fn assert_all_engines_agree(out: &SimOutput, detect: RealtimeConfig, epoch_hours
     }
 }
 
-/// Run `body` with `RENREN_THREADS` pinned, restoring the prior value.
-/// Env vars are process-global; every test in this binary that touches
-/// them funnels through this one lock.
-fn with_threads_env(value: &str, body: impl FnOnce()) {
-    use std::sync::{Mutex, OnceLock};
-    static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let _guard = ENV_LOCK.get_or_init(|| Mutex::new(())).lock().unwrap();
-    let prior = std::env::var(par::THREADS_ENV).ok();
-    std::env::set_var(par::THREADS_ENV, value);
-    body();
-    match prior {
-        Some(v) => std::env::set_var(par::THREADS_ENV, v),
-        None => std::env::remove_var(par::THREADS_ENV),
+/// Run `body` with `RENREN_THREADS` pinned, restoring the prior value
+/// even if `body` panics. Env vars are process-global, so every test in
+/// this binary that sets one takes this lock (a panicking test poisons
+/// it: the guard protects no data, so it is taken anyway).
+fn with_threads_env<T>(value: &str, body: impl FnOnce() -> T) -> T {
+    use osn_graph::par::THREADS_ENV;
+    use std::sync::{Mutex, PoisonError};
+    struct Restore(Option<String>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            match self.0.take() {
+                Some(v) => std::env::set_var(THREADS_ENV, v),
+                None => std::env::remove_var(THREADS_ENV),
+            }
+        }
     }
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+    let _guard = ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let _restore = Restore(std::env::var(THREADS_ENV).ok());
+    std::env::set_var(THREADS_ENV, value);
+    body()
 }
 
 /// End-to-end on a real simulated log, static rule.

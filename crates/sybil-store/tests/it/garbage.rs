@@ -6,7 +6,7 @@
 //! back.
 //!
 //! The allocation half is checked for real: this test binary installs a
-//! recording allocator, and every decode below runs inside
+//! recording allocator (`support.rs`), and every decode below runs inside
 //! [`largest_alloc_during`]. A count from disk may size an allocation
 //! only as far as the bytes present could fill it, so the largest single
 //! request is bounded by a small multiple of the input length
@@ -19,71 +19,19 @@
 //! the decoder still reads.
 
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::io::Cursor;
-use std::path::PathBuf;
 use sybil_core::digest::Digest64;
 use sybil_store::format::decode_checkpoint;
 use sybil_store::{journal, Journal, StoreError, StorePlane};
 
-const CHECKPOINT: &[u8] = include_bytes!("golden/checkpoint_v3.sybs");
-const CHECKPOINT_V2: &[u8] = include_bytes!("golden/checkpoint_v2.sybs");
-const JOURNAL: &[u8] = include_bytes!("golden/journal_v2.sybj");
+use crate::support::{largest_alloc_during, tmpdir};
+
+const CHECKPOINT: &[u8] = include_bytes!("../golden/checkpoint_v3.sybs");
+const CHECKPOINT_V2: &[u8] = include_bytes!("../golden/checkpoint_v2.sybs");
+const JOURNAL: &[u8] = include_bytes!("../golden/journal_v2.sybj");
 
 const ALLOC_FACTOR: usize = 4;
 const ALLOC_SLACK: usize = 4096;
-
-thread_local! {
-    /// Largest single allocation this thread requested since the last reset.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The system allocator, recording each request's size per thread.
-struct Recording;
-
-fn record(size: usize) {
-    // `try_with`: allocations during thread teardown must not panic.
-    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; recording a size touches
-// only a `const`-initialised, destructor-free thread-local `Cell`, so it
-// neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Recording {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
-        // SAFETY: the caller's `layout` obligations pass through as given.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(new_size);
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
-        // with `layout`; the caller guarantees `new_size` is valid.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Recording = Recording;
-
-/// Run `f`, returning its value and the largest single allocation it
-/// requested on this thread.
-fn largest_alloc_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST.with(|l| l.set(0));
-    let v = f();
-    (v, LARGEST.with(Cell::get))
-}
 
 fn alloc_budget(input_len: usize) -> usize {
     ALLOC_FACTOR * input_len + ALLOC_SLACK
@@ -168,13 +116,6 @@ fn journal_frame_ends() -> Vec<u64> {
     ends
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sybil-garbage-test-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// The regression: header + one commit frame claiming `u32::MAX`
 /// digests (8 + 14 bytes, 26 with the frame's length prefix). The parent sized a `Vec` by that count and aborted the
 /// process (a 32 GiB request) inside `Journal::open` — i.e. inside every
@@ -190,7 +131,7 @@ fn commit_frame_claiming_four_billion_digests_is_a_typed_error() {
     bytes.push(1); // has digests
     bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // n
 
-    let dir = tmpdir("hostile-commit");
+    let dir = tmpdir(module_path!(), "hostile-commit");
     std::fs::write(dir.join("journal.sybj"), &bytes).unwrap();
     let (res, largest) = largest_alloc_during(|| StorePlane::open(&dir).map(|_| ()));
     assert!(
@@ -298,7 +239,7 @@ proptest! {
     /// open path — to its last whole frame, and the file is cut to match.
     #[test]
     fn torn_journal_files_reopen_to_the_last_whole_frame(cut in 0usize..JOURNAL.len()) {
-        let dir = tmpdir(&format!("torn-{cut}"));
+        let dir = tmpdir(module_path!(), &format!("torn-{cut}"));
         let path = dir.join("journal.sybj");
         std::fs::write(&path, &JOURNAL[..cut]).unwrap();
         let plane = StorePlane::open(&dir);

@@ -11,7 +11,7 @@
 //! keep being *rejected by version*, never misread). Regenerate with:
 //!
 //! ```text
-//! BLESS=1 cargo test -p sybil-store --test golden
+//! BLESS=1 cargo test -p sybil-store --test it golden::
 //! ```
 
 use osn_graph::{NodeId, Timestamp};
@@ -29,6 +29,8 @@ use sybil_features::FeatureVector;
 use sybil_serve::fault::{EpochRecord, EpochRecordRef, FeedbackRecord};
 use sybil_serve::{ServeConfig, ServeSession, SessionCheckpoint, ShardSnapshot};
 use sybil_store::format;
+
+use crate::support::{shared_sim, tmpdir};
 
 /// A fixed checkpoint exercising every section and field kind, its
 /// staged list repeating a pair (`SYBS` v2 and v3 content; the v2 golden
@@ -123,7 +125,7 @@ fn committed_golden(name: &str, bytes: &[u8]) -> Vec<u8> {
     }
     std::fs::read(&path).unwrap_or_else(|e| {
         panic!(
-            "missing golden file {} ({e}); run `BLESS=1 cargo test -p sybil-store --test golden`",
+            "missing golden file {} ({e}); run `BLESS=1 cargo test -p sybil-store --test it golden::`",
             path.display()
         )
     })
@@ -158,9 +160,7 @@ fn header_prefix_is_pinned() {
 /// Resume a fresh store holding only `bytes` as its epoch-4 checkpoint,
 /// and return the checkpoint the plane hands the engine.
 fn resume_from(tag: &str, bytes: &[u8]) -> SessionCheckpoint {
-    let dir = std::env::temp_dir().join(format!("sybil-golden-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmpdir(module_path!(), tag);
     std::fs::write(dir.join("checkpoint-00000004.sybs"), bytes).unwrap();
     let mut plane = StorePlane::open(&dir).unwrap();
     let resume = plane
@@ -243,10 +243,9 @@ fn killed_leg(out: &SimOutput, dir: &Path) {
 fn a_real_v2_store_warm_restarts() {
     let v2 = std::fs::read(golden_path("restart_tiny11_v2.sybs")).expect("the v2 store fixture");
     assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
-    let out = osn_sim::simulate(osn_sim::SimConfig::tiny(11));
-    let dir = std::env::temp_dir().join(format!("sybil-golden-store-v2-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    killed_leg(&out, &dir);
+    let out = shared_sim();
+    let dir = tmpdir(module_path!(), "store-v2");
+    killed_leg(out, &dir);
     let path = dir.join("checkpoint-00000012.sybs");
     let v3 = std::fs::read(&path).unwrap();
     assert_eq!(u32::from_le_bytes(v3[4..8].try_into().unwrap()), 3);
@@ -265,9 +264,9 @@ fn a_real_v2_store_warm_restarts() {
 
     std::fs::write(&path, &v2).unwrap();
     let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
-    let o = ServeSession::new(two_shards()).store(&mut revived).run(&out).unwrap();
+    let o = ServeSession::new(two_shards()).store(&mut revived).run(out).unwrap();
     assert_eq!(revived.resumed_from(), Some(12), "the v2 checkpoint was read");
-    let replayed = sybil_core::realtime::replay(&out, &two_shards().detect);
+    let replayed = sybil_core::realtime::replay(out, &two_shards().detect);
     let json = |r| serde_json::to_string(r).unwrap();
     assert_eq!(json(&o.report), json(&replayed));
     let (epochs, digests) = revived.journal().finished().expect("a run-end record");
@@ -406,13 +405,13 @@ fn digest_values_are_pinned() {
     let cp = golden_checkpoint();
     assert_eq!(cp.shards[0].table.digest(), 0x44a4_3348_f829_762e);
 
-    let out = osn_sim::simulate(osn_sim::SimConfig::tiny(11));
+    let out = shared_sim();
     let cfg = ServeConfig {
         shards: 2,
         ..ServeConfig::default()
     };
     let mut plane = JournalPlane::new(Journal::create(Cursor::new(Vec::new())).unwrap());
-    ServeSession::new(cfg).store(&mut plane).run(&out).unwrap();
+    ServeSession::new(cfg).store(&mut plane).run(out).unwrap();
     let (epochs, digests) = plane.journal().finished().expect("a run-end record");
     assert_eq!(epochs, 25);
     assert_eq!(digests, [0xd0cc_a126_5d4d_f4a2, 0x8f74_43a4_f848_1f8e]);

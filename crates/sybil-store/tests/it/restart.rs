@@ -13,6 +13,7 @@ use osn_graph::NodeId;
 use osn_sim::{simulate, SimConfig, SimOutput};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use sybil_core::digest::Digest64;
 use sybil_core::realtime::RealtimeConfig;
 use sybil_core::ThresholdClassifier;
@@ -20,9 +21,7 @@ use sybil_serve::fault::FaultKind;
 use sybil_serve::{ServeConfig, ServeError, ServeSession};
 use sybil_store::{format, StorePlane};
 
-fn small_sim() -> SimOutput {
-    simulate(SimConfig::tiny(11))
-}
+use crate::support::{shared_sim, tmpdir};
 
 /// Permissive detector so detections, audits, and feedback all fire on a
 /// tiny log — a checkpoint then carries every kind of state.
@@ -49,19 +48,20 @@ fn serve_cfg(shards: usize, adaptive: bool) -> ServeConfig {
     }
 }
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "sybil-restart-test-{}-{tag}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Run to completion with no plane: the oracle bytes.
-fn uninterrupted(out: &SimOutput, cfg: &ServeConfig) -> String {
-    let report = ServeSession::new(*cfg).run(out).expect("serve").report;
-    serde_json::to_string(&report).expect("report serializes")
+/// The oracle bytes: the shared simulation run to completion with no
+/// plane under `serve_cfg(shards, adaptive)`, `shards` 1, 2 or 8. Each
+/// is served once per binary.
+fn oracle(shards: usize, adaptive: bool) -> &'static str {
+    static ORACLES: [OnceLock<String>; 6] = [const { OnceLock::new() }; 6];
+    let ix = [1, 2, 8]
+        .iter()
+        .position(|&s| s == shards)
+        .expect("1, 2 or 8 shards");
+    ORACLES[2 * ix + usize::from(adaptive)].get_or_init(|| {
+        let session = ServeSession::new(serve_cfg(shards, adaptive));
+        let report = session.run(shared_sim()).expect("serve").report;
+        serde_json::to_string(&report).expect("report serializes")
+    })
 }
 
 /// Kill at `kill_epoch` under a checkpoint-every-`every`-epochs plane,
@@ -108,12 +108,12 @@ fn kill_then_restart(
 
 #[test]
 fn kill_restart_is_byte_identical_mid_stream() {
-    let out = small_sim();
+    let out = shared_sim();
     let cfg = serve_cfg(2, true);
-    let oracle = uninterrupted(&out, &cfg);
+    let oracle = oracle(2, true);
     for kill_epoch in [0u64, 1, 3, 7] {
-        let dir = tmpdir(&format!("mid-{kill_epoch}"));
-        let restarted = kill_then_restart(&out, &cfg, &dir, kill_epoch, 1);
+        let dir = tmpdir(module_path!(), &format!("mid-{kill_epoch}"));
+        let restarted = kill_then_restart(out, &cfg, &dir, kill_epoch, 1);
         assert_eq!(restarted, oracle, "kill at epoch {kill_epoch} diverged");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -121,12 +121,12 @@ fn kill_restart_is_byte_identical_mid_stream() {
 
 #[test]
 fn restart_of_a_finished_run_replays_to_the_same_bytes() {
-    let out = small_sim();
+    let out = shared_sim();
     let cfg = serve_cfg(2, true);
-    let dir = tmpdir("finished");
+    let dir = tmpdir(module_path!(), "finished");
     let oracle = {
         let mut plane = StorePlane::open(&dir).unwrap();
-        let o = ServeSession::new(cfg).store(&mut plane).run(&out).unwrap();
+        let o = ServeSession::new(cfg).store(&mut plane).run(out).unwrap();
         serde_json::to_string(&o.report).unwrap()
     };
     // Run again over the same directory: everything comes back from the
@@ -134,7 +134,7 @@ fn restart_of_a_finished_run_replays_to_the_same_bytes() {
     // record.
     let len_before = std::fs::metadata(dir.join("journal.sybj")).unwrap().len();
     let mut plane = StorePlane::open(&dir).unwrap();
-    let o = ServeSession::new(cfg).store(&mut plane).run(&out).unwrap();
+    let o = ServeSession::new(cfg).store(&mut plane).run(out).unwrap();
     assert_eq!(serde_json::to_string(&o.report).unwrap(), oracle);
     drop(plane);
     let len_after = std::fs::metadata(dir.join("journal.sybj")).unwrap().len();
@@ -144,21 +144,21 @@ fn restart_of_a_finished_run_replays_to_the_same_bytes() {
 
 #[test]
 fn sparse_checkpoints_recover_through_the_journal_tail() {
-    let out = small_sim();
+    let out = shared_sim();
     let cfg = serve_cfg(2, true);
-    let oracle = uninterrupted(&out, &cfg);
-    let dir = tmpdir("sparse");
+    let oracle = oracle(2, true);
+    let dir = tmpdir(module_path!(), "sparse");
     // Checkpoint every 4th epoch only: a kill at epoch 6 resumes from
     // the epoch-4 checkpoint and replays committed epochs 4..6 from the
     // journal before going live.
     let mut doomed = StorePlane::with_cadence(&dir, 4).unwrap().kill_at_epoch(6);
     ServeSession::new(cfg)
         .store(&mut doomed)
-        .run(&out)
+        .run(out)
         .expect_err("killed");
     drop(doomed);
     let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
-    let o = ServeSession::new(cfg).store(&mut revived).run(&out).unwrap();
+    let o = ServeSession::new(cfg).store(&mut revived).run(out).unwrap();
     assert_eq!(revived.resumed_from(), Some(4));
     assert_eq!(revived.tail_replayed(), 2, "epochs 4 and 5 replay from the journal");
     assert_eq!(serde_json::to_string(&o.report).unwrap(), oracle);
@@ -171,7 +171,7 @@ fn sparse_checkpoints_recover_through_the_journal_tail() {
 #[test]
 fn a_store_from_another_run_is_a_typed_journal_fault() {
     let cfg = serve_cfg(2, true);
-    let writer = small_sim();
+    let writer = shared_sim();
     let tiny = SimConfig::tiny(11);
     // Who reopens the store, where the writer is killed (checkpoints
     // every 4 epochs, so a checkpoint and a two-epoch committed tail are
@@ -189,13 +189,13 @@ fn a_store_from_another_run_is_a_typed_journal_fault() {
         ("shorter", SimConfig { hours: 600, ..tiny.clone() }, 70, 68),
     ];
     for (tag, reopener, kill_epoch, fault_epoch) in cases {
-        let dir = tmpdir(&format!("foreign-{tag}"));
+        let dir = tmpdir(module_path!(), &format!("foreign-{tag}"));
         let mut doomed = StorePlane::with_cadence(&dir, 4)
             .unwrap()
             .kill_at_epoch(kill_epoch);
         ServeSession::new(cfg)
             .store(&mut doomed)
-            .run(&writer)
+            .run(writer)
             .expect_err("killed");
         drop(doomed);
         let mut reopened = StorePlane::with_cadence(&dir, 4).unwrap();
@@ -244,20 +244,20 @@ fn flip_first_feedback_truth(path: &std::path::Path, epoch: u64) {
 /// flipped stops with `ReplayDivergence` at epoch 6.
 #[test]
 fn a_tail_epoch_that_diverges_is_caught_at_that_epoch() {
-    let out = small_sim();
+    let out = shared_sim();
     let cfg = serve_cfg(2, true);
-    let dir = tmpdir("diverge");
+    let dir = tmpdir(module_path!(), "diverge");
     let mut doomed = StorePlane::with_cadence(&dir, 4).unwrap().kill_at_epoch(7);
     ServeSession::new(cfg)
         .store(&mut doomed)
-        .run(&out)
+        .run(out)
         .expect_err("killed");
     drop(doomed);
     flip_first_feedback_truth(&dir.join("journal.sybj"), 6);
     let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
     let err = ServeSession::new(cfg)
         .store(&mut revived)
-        .run(&out)
+        .run(out)
         .expect_err("a tampered tail must not resume");
     assert_eq!(revived.resumed_from(), Some(4));
     match err {
@@ -290,11 +290,11 @@ fn killed_store(out: &SimOutput, cfg: &ServeConfig, dir: &PathBuf) -> PathBuf {
 /// endpoint gets, at the checkpoint's epoch — never a report.
 #[test]
 fn a_checkpoint_with_a_self_loop_is_a_typed_journal_fault() {
-    let out = small_sim();
+    let out = shared_sim();
     let cfg = serve_cfg(2, true);
     for staged in [false, true] {
-        let dir = tmpdir(&format!("self-loop-{staged}"));
-        let path = killed_store(&out, &cfg, &dir);
+        let dir = tmpdir(module_path!(), &format!("self-loop-{staged}"));
+        let path = killed_store(out, &cfg, &dir);
         let mut cp = format::decode_checkpoint(&std::fs::read(&path).unwrap()).unwrap();
         let edges = if staged {
             &mut cp.staged_edges
@@ -306,7 +306,7 @@ fn a_checkpoint_with_a_self_loop_is_a_typed_journal_fault() {
         let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
         let err = ServeSession::new(cfg)
             .store(&mut revived)
-            .run(&out)
+            .run(out)
             .expect_err("a self-loop must not resume");
         match err {
             ServeError::Chaos(c) => {
@@ -324,11 +324,11 @@ fn a_checkpoint_with_a_self_loop_is_a_typed_journal_fault() {
 /// back), under version word 1 and that version's trailer.
 #[test]
 fn a_v1_checkpoint_warm_restarts() {
-    let out = small_sim();
+    let out = shared_sim();
     let cfg = serve_cfg(2, true);
-    let oracle = uninterrupted(&out, &cfg);
-    let dir = tmpdir("v1");
-    let path = killed_store(&out, &cfg, &dir);
+    let oracle = oracle(2, true);
+    let dir = tmpdir(module_path!(), "v1");
+    let path = killed_store(out, &cfg, &dir);
     let v3 = std::fs::read(&path).unwrap();
     let mut bytes = v3[..12].to_vec();
     bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
@@ -360,7 +360,7 @@ fn a_v1_checkpoint_warm_restarts() {
     bytes.extend_from_slice(&Digest64::finish(&d).to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
     let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
-    let o = ServeSession::new(cfg).store(&mut revived).run(&out).unwrap();
+    let o = ServeSession::new(cfg).store(&mut revived).run(out).unwrap();
     assert_eq!(revived.resumed_from(), Some(4), "the v1 checkpoint was read");
     assert_eq!(serde_json::to_string(&o.report).unwrap(), oracle);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -381,11 +381,12 @@ proptest! {
     ) {
         let shards = [1usize, 2, 8][shards_ix];
         let every = [1u64, 4, 8][every_ix];
-        let out = small_sim();
+        let out = shared_sim();
         let cfg = serve_cfg(shards, adaptive);
-        let oracle = uninterrupted(&out, &cfg);
-        let dir = tmpdir(&format!("prop-{kill_epoch}-{shards}-{adaptive}-{every}"));
-        let restarted = kill_then_restart(&out, &cfg, &dir, kill_epoch, every);
+        let oracle = oracle(shards, adaptive);
+        let tag = format!("prop-{kill_epoch}-{shards}-{adaptive}-{every}");
+        let dir = tmpdir(module_path!(), &tag);
+        let restarted = kill_then_restart(out, &cfg, &dir, kill_epoch, every);
         prop_assert_eq!(restarted, oracle);
         std::fs::remove_dir_all(&dir).unwrap();
     }

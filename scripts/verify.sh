@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo verification: the tier-1 gate from ROADMAP.md plus a zero-warning
-# clippy pass, the sybil-lint workspace audit (0 violations, stale
-# lint.toml entries included, inside its <5s runtime budget), a run of
+# Repo verification: the tier-1 gate from ROADMAP.md plus the vendored
+# proptest stub's own tests, a zero-warning clippy pass, the sybil-lint
+# workspace audit (0 violations, stale lint.toml entries included,
+# inside its <5s runtime budget), a run of
 # every example (each must exit 0), the §3.1
 # defenses thread-identity smoke, the serve store's checkpoint and
 # journal identity across thread counts (of a plain run and of a killed
@@ -33,7 +34,29 @@ echo "== tier-1: cargo build --release =="
 cargo build --release
 
 echo "== tier-1: cargo test -q =="
-cargo test -q
+# One summary line follows the run, summed over its `test result:`
+# lines: test runs (one per test binary and per crate's doc-tests; `-q`
+# hides which is which), passed, failed, ignored, and the wall seconds.
+# It is printed, not gated.
+t1_log="$(mktemp)"
+trap 'rm -f "$t1_log"' EXIT
+t1_start=$SECONDS
+cargo test -q 2>&1 | tee "$t1_log"
+python3 - "$t1_log" "$((SECONDS - t1_start))" <<'PY'
+import re, sys
+results = re.findall(r"test result: \w+\. (\d+) passed; (\d+) failed; (\d+) ignored",
+                     open(sys.argv[1]).read())
+passed, failed, ignored = (sum(int(r[i]) for r in results) for i in range(3))
+print(f"tier-1 tests: {len(results)} test runs, {passed} passed, {failed} failed, "
+      f"{ignored} ignored in {sys.argv[2]} s")
+PY
+rm -f "$t1_log"
+
+echo "== vendored proptest: its own tests (the it:: seed mapping included) =="
+# Moving tests/x.rs into a tests/it/ binary must not re-seed its
+# proptests: the stub drops a leading `it::` before seeding, pinned by
+# its unit tests (outside default-members, so not part of tier-1).
+cargo test -q -p proptest
 
 echo "== lint: cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -251,7 +274,7 @@ echo "== chaos: fault-injection invariant proptests (release) =="
 # silent divergence — plus the journal round-trip at 1/2/8 shards, and
 # the composed form: the same schedules through a StorePlane-backed
 # session that is killed and warm-restarted under them.
-cargo test -q --release -p sybil-chaos --test chaos_props --test composed
+cargo test -q --release -p sybil-chaos --test it
 
 echo "== chaos: a committed --faults schedule through the CLI (repro chaos) =="
 # scripts/chaos-faults.json names one queue clamp, one shard crash and
