@@ -6,8 +6,13 @@
 //! This store keeps per-node adjacency in **edge-creation order** (so that
 //! “first 50 friends” and Fig. 8's edge-order matrix are cheap) and a global
 //! packed edge set for O(1) membership tests (so that clustering
-//! coefficients and mutual-friend counts are cheap).
+//! coefficients and mutual-friend tests are cheap). The edge set hashes
+//! with [`PairBuildHasher`](crate::hash::PairBuildHasher), one fixed
+//! SplitMix64 round per key rather than std's randomly keyed SipHash: it
+//! is only queried for membership, never iterated, and its keys are
+//! account ids, so a fixed key can reach no output (see [`crate::hash`]).
 
+use crate::hash::{pack_pair, PairBuildHasher};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
@@ -158,12 +163,6 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-#[inline]
-fn pack(a: NodeId, b: NodeId) -> u64 {
-    let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-    ((lo as u64) << 32) | hi as u64
-}
-
 /// Undirected friendship graph with edge-creation timestamps.
 ///
 /// Nodes are dense indices `0..n`. Adjacency lists are kept in the order the
@@ -186,7 +185,7 @@ fn pack(a: NodeId, b: NodeId) -> u64 {
 pub struct TemporalGraph {
     adj: Vec<Vec<Neighbor>>,
     edges: Vec<EdgeRecord>,
-    edge_set: HashSet<u64>,
+    edge_set: HashSet<u64, PairBuildHasher>,
 }
 
 impl TemporalGraph {
@@ -200,7 +199,7 @@ impl TemporalGraph {
         TemporalGraph {
             adj: vec![Vec::new(); n],
             edges: Vec::new(),
-            edge_set: HashSet::new(),
+            edge_set: HashSet::default(),
         }
     }
 
@@ -255,7 +254,7 @@ impl TemporalGraph {
         if a == b {
             return Err(GraphError::SelfLoop(a));
         }
-        if !self.edge_set.insert(pack(a, b)) {
+        if !self.edge_set.insert(pack_pair(a, b)) {
             return Err(GraphError::DuplicateEdge(a, b));
         }
         let id = EdgeId(self.edges.len() as u32);
@@ -276,7 +275,7 @@ impl TemporalGraph {
     /// O(1) membership test for the undirected edge `a — b`.
     #[inline]
     pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        a != b && self.edge_set.contains(&pack(a, b))
+        a != b && self.edge_set.contains(&pack_pair(a, b))
     }
 
     /// Adjacency list of `n`, in edge-creation order.
@@ -310,17 +309,16 @@ impl TemporalGraph {
         &self.edges[e.index()]
     }
 
-    /// Count of mutual friends between `a` and `b`.
+    /// True if `a` and `b` have at least one mutual friend.
     ///
-    /// Scans the smaller adjacency list with a single packed edge-set probe
-    /// per neighbor, so it is `O(min(deg a, deg b))`. A neighbor equal to
-    /// the other endpoint packs to the `a`—`b` edge itself (or a self-loop
-    /// when the pair is not linked), neither of which is a mutual friend,
-    /// so no separate endpoint guard is needed beyond the one probe. For
-    /// bulk all-pairs counting, [`CsrSnapshot::mutual_friends`]
-    /// (crate::snapshot::CsrSnapshot::mutual_friends) replaces hashing
-    /// with a sorted-adjacency merge.
-    pub fn mutual_friends(&self, a: NodeId, b: NodeId) -> usize {
+    /// Scans the smaller adjacency list with one packed edge-set probe per
+    /// neighbor and stops at the first hit, so it is `O(min(deg a, deg b))`
+    /// at worst. A neighbor equal to the other endpoint packs to a
+    /// self-loop, which is never stored, so no separate endpoint guard is
+    /// needed beyond the one probe. For counts,
+    /// [`CsrSnapshot::mutual_friends`](crate::snapshot::CsrSnapshot::mutual_friends)
+    /// merges sorted adjacency rows.
+    pub fn has_mutual_friend(&self, a: NodeId, b: NodeId) -> bool {
         let (small, other) = if self.degree(a) <= self.degree(b) {
             (a, b)
         } else {
@@ -328,8 +326,7 @@ impl TemporalGraph {
         };
         self.adj[small.index()]
             .iter()
-            .filter(|nb| self.edge_set.contains(&pack(nb.node, other)))
-            .count()
+            .any(|nb| self.edge_set.contains(&pack_pair(nb.node, other)))
     }
 
     /// Sum of degrees (`2 * num_edges`), the `vol(V)` of conductance math.
@@ -421,9 +418,20 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(2), t(2)).unwrap();
         g.add_edge(NodeId(0), NodeId(3), t(3)).unwrap();
         g.add_edge(NodeId(1), NodeId(3), t(4)).unwrap();
-        assert_eq!(g.mutual_friends(NodeId(0), NodeId(1)), 2); // 2 and 3
-        assert_eq!(g.mutual_friends(NodeId(0), NodeId(4)), 0);
-        assert_eq!(g.mutual_friends(NodeId(2), NodeId(3)), 2); // 0 and 1
+        // Brute force: the neighbor sets' intersection, and the
+        // short-circuit test must agree with it.
+        let mutual = |a: NodeId, b: NodeId| {
+            let count = g
+                .neighbors(a)
+                .iter()
+                .filter(|x| g.neighbors(b).iter().any(|y| y.node == x.node))
+                .count();
+            assert_eq!(g.has_mutual_friend(a, b), count >= 1, "{a:?},{b:?}");
+            count
+        };
+        assert_eq!(mutual(NodeId(0), NodeId(1)), 2); // 2 and 3
+        assert_eq!(mutual(NodeId(0), NodeId(4)), 0);
+        assert_eq!(mutual(NodeId(2), NodeId(3)), 2); // 0 and 1
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //!
 //! * [`graph`] — the [`TemporalGraph`] store: nodes, undirected edges with
 //!   creation [`Timestamp`]s, constant-time membership tests.
+//! * [`hash`] — the fixed SplitMix64 hasher of the packed-pair sets
+//!   (the graph's edge set, the simulator's requested pairs).
 //! * [`unionfind`] — disjoint-set forest used by component analyses.
 //! * [`components`] — connected components of the whole graph or of induced
 //!   subsets (e.g. the Sybil-only subgraph of the paper's §3.3).
@@ -54,6 +56,7 @@ pub mod components;
 pub mod degree;
 pub mod generators;
 pub mod graph;
+pub mod hash;
 pub mod maxflow;
 pub mod metrics;
 pub mod par;

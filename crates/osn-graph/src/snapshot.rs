@@ -867,7 +867,13 @@ mod tests {
         for a in g.nodes() {
             for b in g.nodes() {
                 if a != b {
-                    assert_eq!(s.mutual_friends(a, b), g.mutual_friends(a, b), "{a:?},{b:?}");
+                    let count = g
+                        .neighbors(a)
+                        .iter()
+                        .filter(|x| g.neighbors(b).iter().any(|y| y.node == x.node))
+                        .count();
+                    assert_eq!(s.mutual_friends(a, b), count, "{a:?},{b:?}");
+                    assert_eq!(g.has_mutual_friend(a, b), count >= 1, "{a:?},{b:?}");
                 }
             }
         }

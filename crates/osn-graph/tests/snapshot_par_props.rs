@@ -54,8 +54,9 @@ proptest! {
         }
     }
 
-    /// Mutual-friend counts from the sorted-adjacency merge equal the
-    /// graph's hash-probe implementation.
+    /// Mutual-friend counts from the sorted-adjacency merge equal a
+    /// brute-force intersection of the two neighbor sets, and the graph's
+    /// short-circuit test says whether that count is at least one.
     #[test]
     fn snapshot_mutual_friends_match_graph(
         n in 2usize..20,
@@ -66,11 +67,17 @@ proptest! {
         for a in g.nodes() {
             for b in g.nodes() {
                 if a != b {
+                    let count = g
+                        .neighbors(a)
+                        .iter()
+                        .filter(|x| g.neighbors(b).iter().any(|y| y.node == x.node))
+                        .count();
                     prop_assert_eq!(
                         s.mutual_friends(a, b),
-                        g.mutual_friends(a, b),
+                        count,
                         "pair {:?}-{:?}", a, b
                     );
+                    prop_assert_eq!(g.has_mutual_friend(a, b), count >= 1);
                 }
             }
         }

@@ -25,6 +25,7 @@ use crate::output::{EngineStats, SimOutput};
 use crate::profile::{Gender, Profile};
 use crate::request::{RequestOutcome, RequestRecord};
 use crate::tools::ToolKind;
+use osn_graph::hash::{pack_pair, PairBuildHasher};
 use osn_graph::sampling::{self, SnowballConfig};
 use osn_graph::{NodeId, TemporalGraph, Timestamp};
 use rand::prelude::*;
@@ -100,7 +101,7 @@ pub struct Simulator {
     queue: EventQueue,
     /// Unordered account pairs that have ever exchanged a request; prevents
     /// duplicate invitations (Renren disallows re-inviting).
-    requested: HashSet<u64>,
+    requested: HashSet<u64, PairBuildHasher>,
     /// Account ids sorted by creation time; the prefix `..active_len` is
     /// the currently-registered population.
     arrival_order: Vec<u32>,
@@ -111,12 +112,6 @@ pub struct Simulator {
     estats: EngineStats,
     obs: Registry,
     metrics: SimMetrics,
-}
-
-#[inline]
-fn pack(a: NodeId, b: NodeId) -> u64 {
-    let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-    ((lo as u64) << 32) | hi as u64
 }
 
 impl Simulator {
@@ -264,7 +259,7 @@ impl Simulator {
             accounts,
             log: RequestLog::new(),
             queue,
-            requested: HashSet::new(),
+            requested: HashSet::default(),
             arrival_order,
             active_len: 0,
             attackers,
@@ -342,7 +337,7 @@ impl Simulator {
         from != to
             && !self.acct(to).banned_by(now)
             && !self.graph.has_edge(from, to)
-            && !self.requested.contains(&pack(from, to))
+            && !self.requested.contains(&pack_pair(from, to))
     }
 
     // ---------------------------------------------------------------------
@@ -434,7 +429,7 @@ impl Simulator {
 
     fn send_request(&mut self, from: NodeId, to: NodeId, now: Timestamp) {
         debug_assert!(self.valid_target(from, to, now));
-        self.requested.insert(pack(from, to));
+        self.requested.insert(pack_pair(from, to));
         self.obs.incr(self.metrics.requests_sent);
         self.obs
             .observe(self.metrics.requests_by_week, now.as_secs());
@@ -508,7 +503,7 @@ impl Simulator {
                 .min(sp.accept_cap);
             let attract = 0.45 + 0.7 * send.profile.attractiveness;
             (base * attract * gender_factor * tendency_factor).clamp(0.0, 0.95)
-        } else if self.graph.mutual_friends(from, to) >= 1 {
+        } else if self.graph.has_mutual_friend(from, to) {
             (p.accept_mutual * tendency_factor).clamp(0.0, 0.98)
         } else {
             let base = (p.accept_stranger_base + p.accept_stranger_deg_coef * (1.0 + deg_recv).ln())
@@ -689,7 +684,7 @@ impl Simulator {
             if !self.valid_target(na, nb, now) {
                 continue;
             }
-            self.requested.insert(pack(na, nb));
+            self.requested.insert(pack_pair(na, nb));
             let idx = self.log.push(RequestRecord {
                 from: na,
                 to: nb,
@@ -851,12 +846,12 @@ mod tests {
         let mut accepted: HashSet<u64> = HashSet::new();
         for r in out.log.records() {
             if r.outcome.is_accepted() {
-                accepted.insert(pack(r.from, r.to));
+                accepted.insert(pack_pair(r.from, r.to));
             }
         }
         for e in out.graph.edges() {
             assert!(
-                accepted.contains(&pack(e.a, e.b)),
+                accepted.contains(&pack_pair(e.a, e.b)),
                 "edge {:?}-{:?} lacks a log record",
                 e.a,
                 e.b

@@ -25,6 +25,8 @@ use crate::request::{RequestOutcome, RequestRecord};
 use crate::tools::ToolKind;
 use osn_graph::{NodeId, TemporalGraph, Timestamp};
 
+pub use osn_graph::hash::splitmix64;
+
 /// Parameters of a synthetic scale workload.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleConfig {
@@ -52,18 +54,6 @@ impl ScaleConfig {
             seed,
         }
     }
-}
-
-/// SplitMix64 finalizer: a well-mixed 64-bit hash of `x`. Public
-/// because every seeded derivation in the workspace funnels through it —
-/// scale generation here, fault-schedule generation in `sybil-chaos` —
-/// so "same seed, same run" holds across subsystems by construction.
-#[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// `i`-th draw for this config, uniform in `[0, m)`.

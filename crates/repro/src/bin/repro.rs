@@ -55,12 +55,12 @@ fn main() {
     };
     let stats = ctx.out.stats();
     eprintln!(
-        "simulated {} accounts / {} requests / {} edges in {:.1}s \
+        "simulated {} accounts / {} requests / {} edges in {} ms \
          (sybil edges {}, attack edges {}, banned {})",
         ctx.out.accounts.len(),
         stats.requests,
         stats.edges,
-        t0.elapsed().as_secs_f64(),
+        t0.elapsed().as_millis(),
         stats.sybil_edges,
         stats.attack_edges,
         stats.banned

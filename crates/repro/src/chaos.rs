@@ -28,7 +28,7 @@ use sybil_chaos::{
 };
 use sybil_core::realtime::RealtimeConfig;
 use sybil_core::ThresholdClassifier;
-use sybil_serve::{ServeConfig, ServeError};
+use sybil_serve::{ServeConfig, ServeError, ServeSession};
 use crate::table::Table;
 
 /// Epochs the seed-derived schedule targets (faults beyond the stream's
@@ -184,9 +184,14 @@ fn run_inner(
     cfg.shards = cfg.resolved_shards();
     let shards = cfg.shards;
     let (schedule, faults_from_file) = load_schedule(spec, shards)?;
+    let baseline = ServeSession::new(cfg)
+        .run(&ctx.out)
+        .map_err(ChaosExpError::Engine)?
+        .report;
     let chaos = run_chaos(
         &ctx.out,
         &cfg,
+        &baseline,
         schedule.clone(),
         std::io::Cursor::new(Vec::new()),
         obs,

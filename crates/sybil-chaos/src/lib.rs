@@ -43,6 +43,7 @@ pub use schedule::{FaultSchedule, FaultSpec, FaultSpecKind};
 
 use osn_sim::SimOutput;
 use std::io::{Read, Seek, Write};
+use sybil_core::realtime::DeploymentReport;
 use sybil_serve::fault::{ChaosError, FaultKind};
 use sybil_serve::{replay_journal, ServeConfig, ServeError, ServeSession};
 use sybil_store::{Journal, JournalPlane};
@@ -61,29 +62,31 @@ fn journal_chaos_err() -> ServeError {
 }
 
 /// Run `schedule` against `out` and compare byte-for-byte with the
-/// fault-free run.
+/// fault-free run's report, `baseline`.
 ///
-/// The fault-free oracle runs first (a bare session, no plane, no
-/// journal); the chaos run follows with a [`ChaosPlane`] over a
-/// [`JournalPlane`] journaling into `store` (a `Cursor<Vec<u8>>` keeps
-/// it in memory). A surfaced [`ServeError::QueueOverflow`] whose
+/// `baseline` is what a bare session (no plane, no journal) reports for
+/// the same `out` and `cfg`: `ServeSession::new(*cfg).run(out)?.report`.
+/// The caller serves it, so one baseline serves every schedule run over
+/// the same simulation and config. The chaos run uses a [`ChaosPlane`]
+/// over a [`JournalPlane`] journaling into `store` (a `Cursor<Vec<u8>>`
+/// keeps it in memory). A surfaced [`ServeError::QueueOverflow`] whose
 /// `(epoch, shard)` site matches a scheduled
 /// [`QueueClamp`](FaultSpecKind::QueueClamp) is *attributed* — rewritten
 /// to a typed [`ChaosOutcome::Fault`] — while an overflow at an
 /// un-clamped site is a genuine engine bug and propagates as the error
 /// it is. Errors unrelated to injected faults (e.g. a bad config)
-/// propagate unchanged from either run.
+/// propagate unchanged.
 pub fn run_chaos<S: Read + Write + Seek>(
     out: &SimOutput,
     cfg: &ServeConfig,
+    baseline: &DeploymentReport,
     schedule: FaultSchedule,
     store: S,
     mut obs: Option<&mut sybil_obs::Registry>,
 ) -> Result<ChaosRun<S>, ServeError> {
-    let baseline = ServeSession::new(*cfg).run(out)?.report;
     // The vendored serde_json never fails on derived Serialize values;
     // degrade to an empty string rather than panic if it ever does.
-    let baseline_json = serde_json::to_string(&baseline).unwrap_or_default();
+    let baseline_json = serde_json::to_string(baseline).unwrap_or_default();
 
     let journal = Journal::create(store).map_err(|_| journal_chaos_err())?;
     let faults_scheduled = schedule.faults.len() as u64;
@@ -205,6 +208,10 @@ mod tests {
         Cursor::new(Vec::new())
     }
 
+    fn baseline(out: &SimOutput, cfg: &ServeConfig) -> DeploymentReport {
+        ServeSession::new(*cfg).run(out).unwrap().report
+    }
+
     /// Permissive adaptive detector so detections, audits, and feedback
     /// all fire on a tiny log — faults then have real state to threaten.
     fn serve_cfg(shards: usize) -> ServeConfig {
@@ -238,7 +245,8 @@ mod tests {
             seed: 3,
             ..FaultSchedule::default()
         };
-        let run = run_chaos(&out, &cfg, schedule, in_memory(), None).unwrap();
+        let base = baseline(&out, &cfg);
+        let run = run_chaos(&out, &cfg, &base, schedule, in_memory(), None).unwrap();
         assert_eq!(run.report.outcome, ChaosOutcome::Identical);
         assert_eq!(run.report.injected.total(), 0);
         assert!(run.report.epochs > 0);
@@ -263,7 +271,8 @@ mod tests {
                 kind: FaultSpecKind::Crash,
             }],
         };
-        let run = run_chaos(&out, &cfg, schedule, in_memory(), None).unwrap();
+        let base = baseline(&out, &cfg);
+        let run = run_chaos(&out, &cfg, &base, schedule, in_memory(), None).unwrap();
         assert_eq!(run.report.outcome, ChaosOutcome::Identical, "{:?}", run.report);
         assert_eq!(run.report.injected.crashes, 1);
         assert_eq!(run.report.epochs_replayed, 3, "epochs 0..=2 replayed");
@@ -285,7 +294,8 @@ mod tests {
                 kind: FaultSpecKind::QueueClamp { capacity: 1 },
             }],
         };
-        let run = run_chaos(&out, &cfg, schedule, in_memory(), None).unwrap();
+        let base = baseline(&out, &cfg);
+        let run = run_chaos(&out, &cfg, &base, schedule, in_memory(), None).unwrap();
         match &run.report.outcome {
             ChaosOutcome::Fault { epoch, shard, kind } => {
                 assert_eq!((*epoch, *shard), (0, Some(0)));
@@ -310,7 +320,8 @@ mod tests {
                 kind: FaultSpecKind::ReorderBarrier,
             }],
         };
-        let run = run_chaos(&out, &cfg, schedule, in_memory(), None).unwrap();
+        let base = baseline(&out, &cfg);
+        let run = run_chaos(&out, &cfg, &base, schedule, in_memory(), None).unwrap();
         assert_eq!(
             run.report.outcome,
             ChaosOutcome::Identical,

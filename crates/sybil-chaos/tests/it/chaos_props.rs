@@ -17,8 +17,9 @@ use std::io::Cursor;
 use sybil_chaos::{
     run_chaos, verify_journal, ChaosOutcome, FaultSchedule, FaultSpec, FaultSpecKind,
 };
+use sybil_serve::ServeSession;
 
-use crate::support::{serve_cfg, shared_sim};
+use crate::support::{serve_cfg, shared_baseline, shared_sim, SHARDS};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -32,13 +33,14 @@ proptest! {
         shards_i in 0usize..3,
         count in 1usize..8,
     ) {
-        let shards = [1usize, 2, 8][shards_i];
+        let shards = SHARDS[shards_i];
         let out = shared_sim();
         let cfg = serve_cfg(shards);
         // Target the first 20 epochs so crash replay stays cheap; the
         // schedule generator covers all three fault kinds.
         let schedule = FaultSchedule::generate(seed, 20, shards, count);
-        let run = run_chaos(out, &cfg, schedule, Cursor::new(Vec::new()), None);
+        let baseline = shared_baseline(shards);
+        let run = run_chaos(out, &cfg, baseline, schedule, Cursor::new(Vec::new()), None);
         match run {
             Ok(r) => prop_assert!(
                 r.report.outcome.invariant_holds(),
@@ -64,9 +66,10 @@ proptest! {
         shards_i in 0usize..3,
         also in 0usize..7,
     ) {
-        let shards = [1usize, 2, 8][shards_i];
+        let shards = SHARDS[shards_i];
         let out = shared_sim();
         let cfg = serve_cfg(shards);
+        let baseline = shared_baseline(shards);
         let first = shard % shards;
         let mut lost = vec![first];
         for _ in 0..shards.min(2) {
@@ -81,7 +84,7 @@ proptest! {
                     })
                     .collect(),
             };
-            let run = run_chaos(out, &cfg, schedule, Cursor::new(Vec::new()), None)
+            let run = run_chaos(out, &cfg, baseline, schedule, Cursor::new(Vec::new()), None)
                 .map_err(|e| TestCaseError::fail(format!("engine error: {e}")))?;
             prop_assert_eq!(&run.report.outcome, &ChaosOutcome::Identical);
             prop_assert_eq!(run.report.injected.crashes, lost.len() as u64);
@@ -105,11 +108,16 @@ proptest! {
     #[test]
     fn journal_round_trip_rebuilds_state(sim_seed in 0u64..1000) {
         let out = simulate(SimConfig::tiny(sim_seed));
-        for shards in [1usize, 2, 8] {
+        for shards in SHARDS {
             let cfg = serve_cfg(shards);
+            let baseline = ServeSession::new(cfg)
+                .run(&out)
+                .map_err(|e| TestCaseError::fail(format!("engine error: {e}")))?
+                .report;
             let run = run_chaos(
                 &out,
                 &cfg,
+                &baseline,
                 FaultSchedule { seed: sim_seed, ..FaultSchedule::default() },
                 Cursor::new(Vec::new()),
                 None,
@@ -151,6 +159,7 @@ fn report_agrees_with_the_engine(
     let run = run_chaos(
         shared_sim(),
         &serve_cfg(shards),
+        shared_baseline(shards),
         schedule.clone(),
         Cursor::new(Vec::new()),
         None,
@@ -186,7 +195,7 @@ proptest! {
         shards_i in 0usize..3,
         count in 1usize..8,
     ) {
-        report_agrees_with_the_engine(seed, [1usize, 2, 8][shards_i], count)?;
+        report_agrees_with_the_engine(seed, SHARDS[shards_i], count)?;
     }
 }
 

@@ -17,28 +17,16 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
-use std::sync::OnceLock;
 use sybil_chaos::{ChaosPlane, FaultSchedule};
 use sybil_serve::fault::{FaultKind, FaultPlane};
 use sybil_serve::{ServeError, ServeSession};
 use sybil_store::StorePlane;
 
-use crate::support::{serve_cfg, shared_sim};
-
-const SHARDS: [usize; 3] = [1, 2, 8];
+use crate::support::{serve_cfg, shared_baseline, shared_sim, SHARDS};
 
 /// The fault-free, uninterrupted report at each of [`SHARDS`].
-fn oracle(shards_ix: usize) -> &'static str {
-    static ORACLES: OnceLock<Vec<String>> = OnceLock::new();
-    &ORACLES.get_or_init(|| {
-        SHARDS
-            .iter()
-            .map(|&shards| {
-                let o = ServeSession::new(serve_cfg(shards)).run(shared_sim());
-                serde_json::to_string(&o.expect("fault-free serve").report).expect("serializes")
-            })
-            .collect()
-    })[shards_ix]
+fn oracle(shards_ix: usize) -> String {
+    serde_json::to_string(shared_baseline(SHARDS[shards_ix])).expect("serializes")
 }
 
 fn tmpdir(tag: &str) -> PathBuf {

@@ -2,9 +2,12 @@
 
 use osn_sim::{simulate, SimConfig, SimOutput};
 use std::sync::OnceLock;
-use sybil_core::realtime::RealtimeConfig;
+use sybil_core::realtime::{DeploymentReport, RealtimeConfig};
 use sybil_core::threshold::ThresholdClassifier;
-use sybil_serve::ServeConfig;
+use sybil_serve::{ServeConfig, ServeSession};
+
+/// The shard counts every chaos test runs at.
+pub const SHARDS: [usize; 3] = [1, 2, 8];
 
 /// A `shards`-shard engine with a permissive adaptive detector:
 /// detections, audits and feedback all fire on tiny logs, so the journal
@@ -38,4 +41,22 @@ pub fn serve_cfg(shards: usize) -> ServeConfig {
 pub fn shared_sim() -> &'static SimOutput {
     static SIM: OnceLock<SimOutput> = OnceLock::new();
     SIM.get_or_init(|| simulate(SimConfig::tiny(11)))
+}
+
+/// The fault-free report of `serve_cfg(shards)` over [`shared_sim`],
+/// served once per binary per shard count of [`SHARDS`]: the baseline
+/// every chaos run over the shared simulation compares against.
+pub fn shared_baseline(shards: usize) -> &'static DeploymentReport {
+    static REPORTS: [OnceLock<DeploymentReport>; SHARDS.len()] =
+        [const { OnceLock::new() }; SHARDS.len()];
+    let i = SHARDS
+        .iter()
+        .position(|&s| s == shards)
+        .expect("a shard count of SHARDS");
+    REPORTS[i].get_or_init(|| {
+        ServeSession::new(serve_cfg(shards))
+            .run(shared_sim())
+            .expect("fault-free serve")
+            .report
+    })
 }
