@@ -146,7 +146,7 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<RestartRun, RestartError> {
 
     // Act 1: the doomed run. The kill lands after the write-ahead
     // journal record for `kill_epoch`, exactly where a SIGKILL between
-    // the journal append and the epoch barrier would. The drill
+    // the journal append and the epoch barrier would. This leg
     // checkpoints every epoch (not the sparser production default) so a
     // seed-derived kill in the first few epochs still has a checkpoint
     // to resume from.
@@ -158,8 +158,10 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<RestartRun, RestartError> {
     }
     drop(doomed);
 
-    // Act 2: the warm restart, from the directory's bytes alone.
-    let mut revived = StorePlane::with_cadence(&dir, 1)?;
+    // Act 2: the warm restart, from the directory's bytes alone, at the
+    // production cadence: a checkpoint every epoch to the end of the run
+    // would only fill the disk.
+    let mut revived = StorePlane::open(&dir)?;
     let outcome = ServeSession::new(cfg)
         .store(&mut revived)
         .run(&ctx.out)

@@ -163,9 +163,9 @@ impl CallGraph {
 /// alone would wire unrelated types together (`new`, `len`, `get`, …
 /// are also inherent methods on std types). These resolve only through
 /// qualified `Type::name` paths, never through `.name(…)` dispatch.
-const AMBIENT_METHODS: [&str; 14] = [
-    "new", "default", "len", "get", "insert", "push", "next", "clone", "iter", "index",
-    "fmt", "eq", "contains", "is_empty",
+const AMBIENT_METHODS: [&str; 15] = [
+    "new", "default", "len", "get", "insert", "push", "pop", "next", "clone", "iter",
+    "index", "fmt", "eq", "contains", "is_empty",
 ];
 
 /// Resolve one call to its candidate definitions.

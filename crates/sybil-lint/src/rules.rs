@@ -323,8 +323,8 @@ pub const RULES: [Rule; 18] = [
         code: "S109",
         summary: "wall-clock/env/thread-id effect reachable from a deterministic-core root",
         explain: "S109 — ambient-input effects on the deterministic core\n\nThe \
-                 replay/serve contract every verify.sh gate byte-compares assumes the \
-                 core computes from its arguments alone. S109 proves it: every read of \
+                 replay/serve contract verify.sh's identity matrix byte-compares assumes \
+                 the core computes from its arguments alone. S109 proves it: every read of \
                  the wall clock (Instant::now / SystemTime / UNIX_EPOCH), the environment \
                  (std::env::*), or the current thread's identity (thread::current) in \
                  library code is a site, and from each site the linter searches backwards \

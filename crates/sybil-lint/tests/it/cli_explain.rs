@@ -5,8 +5,7 @@
 
 use std::path::{Path, PathBuf};
 
-mod support;
-use support::{fixture_dir, lint_cmd};
+use crate::support::{fixture_dir, lint_cmd};
 
 #[test]
 fn explain_known_code_exits_zero_with_rationale() {

@@ -9,8 +9,7 @@ use sybil_lint::effects::EffectConfig;
 use sybil_lint::report::Finding;
 use sybil_lint::workspace::run_workspace;
 
-mod support;
-use support::{fixture_crate, model_findings};
+use crate::support::{fixture_crate, model_findings};
 
 fn hot(roots: &[&str]) -> HotPathConfig {
     HotPathConfig {
@@ -279,5 +278,31 @@ fn s117_recursion_reports_chain() {
                 .to_string(),
         ],
         "{rec:#?}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// `.pop()` is a std method: a hot root popping a `Vec` does not reach an
+// unrelated type's allocating `pop`, while a path-qualified
+// `Queue::pop(&mut q)` still resolves to it.
+
+#[test]
+fn s113_method_pop_is_ambient_path_pop_resolves() {
+    let f = cost_findings("cost_pop_ambient", ONE, &hot(&["cost_pop_ambient::serve"]));
+    assert!(f.is_empty(), "`.pop()` linked to `Queue::pop`: {f:#?}");
+    let f = cost_findings("cost_pop_ambient", ONE, &hot(&["cost_pop_ambient::drain"]));
+    assert_eq!(f.len(), 1, "{f:#?}");
+    assert_eq!((f[0].rule, f[0].line), ("S113", 13), "{f:#?}");
+    assert_eq!(
+        f[0].trace,
+        vec![
+            "cost_pop_ambient::drain calls cost_pop_ambient::Queue::pop at \
+             crates/cost_pop_ambient/src/lib.rs:29"
+                .to_string(),
+            "cost_pop_ambient::Queue::pop allocates via `Vec::new` at \
+             crates/cost_pop_ambient/src/lib.rs:13"
+                .to_string(),
+        ],
+        "{f:#?}"
     );
 }

@@ -8,8 +8,7 @@ use sybil_lint::costs::HotPathConfig;
 use sybil_lint::effects::EffectConfig;
 use sybil_lint::report::Finding;
 
-mod support;
-use support::{fixture_crate, model_findings};
+use crate::support::{fixture_crate, model_findings};
 
 /// Every finding on a fixture with the given effect config.
 fn all_findings(name: &str, layout: &[(&str, &str)], cfg: &EffectConfig) -> Vec<Finding> {

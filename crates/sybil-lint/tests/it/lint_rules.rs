@@ -10,8 +10,7 @@ use sybil_lint::report::{render_human, render_json, Report};
 use sybil_lint::workspace::{run, SourceFile};
 use sybil_lint::{check_file, FileCtx, FileKind, Finding};
 
-mod support;
-use support::fixture_dir;
+use crate::support::fixture_dir;
 
 /// Lint one fixture file as library code of a fictitious crate.
 fn lint_fixture(name: &str) -> Vec<Finding> {

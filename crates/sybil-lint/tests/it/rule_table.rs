@@ -6,8 +6,7 @@ use sybil_lint::allowlist;
 use sybil_lint::rules::RULES;
 use sybil_lint::workspace::{classify, run_workspace, SourceFile};
 
-mod support;
-use support::{fixture_dir, lint_cmd};
+use crate::support::{fixture_dir, lint_cmd};
 
 #[test]
 fn every_row_has_its_text_and_the_cli_prints_the_table() {

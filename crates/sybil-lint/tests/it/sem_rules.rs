@@ -8,8 +8,7 @@ use sybil_lint::allowlist;
 use sybil_lint::report::{render_human, render_json, Finding};
 use sybil_lint::workspace::{classify, run_workspace, SourceFile};
 
-mod support;
-use support::{fixture_crate, fixture_dir, model_findings};
+use crate::support::{fixture_crate, fixture_dir, model_findings};
 
 /// The S-series findings on `files` with no root list designated (the
 /// D-series has its own fixtures in `lint_rules.rs`).

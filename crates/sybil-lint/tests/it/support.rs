@@ -1,9 +1,5 @@
-//! The one copy of each helper the integration tests of `sybil-lint`
-//! share: the fixture corpus, the model builder over it and the CLI
-//! under test. Each test file includes it as `mod support;` and uses a
-//! subset, so the rest is dead code in that binary.
-
-#![allow(dead_code)]
+//! The one copy of each helper the modules of this binary share: the
+//! fixture corpus, the model builder over it and the CLI under test.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

@@ -69,8 +69,8 @@ use sybil_serve::fault::{
 /// `scripts/verify.sh` prints it, DESIGN.md §Persistence keeps the
 /// dated readings), of which `sybil-store.checkpoint_s` is the
 /// checkpoint writes. Lower the cadence (`with_cadence`) when restart
-/// latency matters more than throughput — the `repro restart` drill
-/// runs at cadence 1.
+/// latency matters more than throughput — the `repro restart` drill's
+/// killed leg runs at cadence 1.
 pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
 
 /// A directory of versioned `SYBS` checkpoints plus the epoch journal.

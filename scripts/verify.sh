@@ -1,30 +1,16 @@
 #!/usr/bin/env bash
 # Repo verification: the tier-1 gate from ROADMAP.md plus the vendored
 # proptest stub's own tests, a zero-warning clippy pass, the sybil-lint
-# workspace audit (0 violations, stale lint.toml entries included,
-# inside its <5s runtime budget), a run of
-# every example (each must exit 0), the §3.1
-# defenses thread-identity smoke, the serve store's checkpoint and
-# journal identity across thread counts (of a plain run and of a killed
-# and warm-restarted one), the same smoke over the experiments
-# that share the ground-truth sample, the reach estimator and the mixing
-# diagnostics, the
-# serving-engine serve-vs-replay
-# equivalence smoke, the metrics bit-identity guard
-# (logical section of metrics.json across threads × shards), the chaos
-# proptests in release, a committed `--faults` schedule through `repro
-# chaos`, the kill + warm-restart byte-identity drill, the
-# mismatched-store smoke (another run's store is a typed error), and
-# one step over the repo's benchmark (benchmark/run.sh): no failed job,
-# peak RSS inside the DESIGN.md budget, no resolved observability
-# overhead above 5%. The persisted stream's peak RSS, durability
-# overhead and its engine-side share, restart latency, the two
-# shard-scaling ratios of the scan stream, where a checks_sim job's
-# time sits (replay, one shard, the coordinator, two shards' busy sum)
-# and its 2-shard over 1-shard wall ratio, and the coordinator's
-# per-stage spans on a small serve run are printed, not gated; so are
-# the experiment groups of a paper_batch job and its five per-defense
-# probes.
+# workspace audit (0 violations, stale lint.toml entries included, inside
+# its <5s budget), every example run to a zero exit, the identity matrix
+# (reports, store bytes and logical metrics across RENREN_THREADS and
+# shard counts, and serve ≡ replay), the chaos proptests in release, a
+# committed `--faults` schedule through `repro chaos`, the kill +
+# warm-restart drill, the mismatched-store smoke (another run's store is
+# a typed error), and one step over the repo's benchmark
+# (benchmark/run.sh): no failed job, peak RSS inside the DESIGN.md
+# budget, no resolved observability overhead above 5%. The coordinator's
+# stage ledger and the benchmark's layer readings are printed, not gated.
 # Run from the workspace root: ./scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -67,8 +53,9 @@ echo "== lint: sybil-lint determinism & invariant audit =="
 # lex and one site scan per file, call-graph resolution, the rule table
 # — not rustc. A stale lint.toml entry is an S105 violation, so exit 0
 # also means `--fix-allowlist` would change nothing (the byte no-op
-# itself is asserted in tier-1, crates/sybil-lint/tests/workspace_clean.rs).
+# itself is asserted in tier-1, crates/sybil-lint/tests/it/workspace_clean.rs).
 lint_bin="$root/target/release/sybil-lint"
+repro="$root/target/release/repro"
 python3 - "$lint_bin" <<'PY'
 import subprocess, sys, time
 rules = len(subprocess.check_output([sys.argv[1], "--list-rules"]).splitlines())
@@ -101,148 +88,80 @@ for ex in examples/*.rs; do
 done
 echo "examples: all $n_examples ran to a zero exit"
 
-echo "== defenses: RENREN_THREADS=1 vs 2 vs 3 verdict identity =="
-# §3.1's verdict counts must not depend on how the ten (defense, graph)
-# evaluations are claimed by workers, nor on how suspects are spread over
-# them. At 3 threads there are more workers than long tasks.
-for scale_seed in "tiny 1" "small 3"; do
-    read -r scale seed <<<"$scale_seed"
-    for threads in 1 2 3; do
-        RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
-            --scale "$scale" --seed "$seed" --out "$bench_tmp/defenses_t$threads" \
-            defenses >/dev/null
-    done
-    for threads in 2 3; do
-        cmp "$bench_tmp/defenses_t1/$scale-seed$seed/defenses.json" \
-            "$bench_tmp/defenses_t$threads/$scale-seed$seed/defenses.json"
-    done
-done
-echo "defenses guard: defenses.json (tiny/seed 1, small/seed 3) identical at RENREN_THREADS=1, 2 and 3"
-
-echo "== serve store: RENREN_THREADS=1 vs 2 vs 3 checkpoint and journal identity =="
-# The mirror's rotation folds one contiguous block range per thread, and
-# each live epoch pulls the next beside its index pass. Neither may show
-# in a byte the store writes: every checkpoint (.sybs), the journal
-# (.sybj) and serve.json must be identical at every thread count.
-for threads in 1 2 3; do
-    RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
-        --scale small --seed 3 --shards 2 --out "$bench_tmp/store_t$threads/out" \
-        --store "$bench_tmp/store_t$threads/store" serve >/dev/null
-done
-for threads in 2 3; do
-    # diff -r compares every file byte for byte and fails on one missing
-    # from either side.
-    diff -r "$bench_tmp/store_t1/store" "$bench_tmp/store_t$threads/store"
-    cmp "$bench_tmp/store_t1/out/small-seed3/serve.json" \
-        "$bench_tmp/store_t$threads/out/small-seed3/serve.json"
-done
-n_store=$(find "$bench_tmp/store_t1/store" -type f \( -name '*.sybs' -o -name '*.sybj' \) | wc -l)
-echo "serve store guard: serve.json and $n_store .sybs/.sybj files (small/seed 3, 2 shards) identical at RENREN_THREADS=1, 2 and 3"
-
-echo "== restart store: RENREN_THREADS=1 vs 2 vs 3 kill + warm-restart identity =="
-# The warm restart re-runs the journal tail with each shard digesting
-# itself beside the others: its store (the checkpoint every epoch, the
-# journal with the restarted leg's records) and restart.json must not
-# depend on the thread count either. restart.json names its journal's
-# path, which differs by directory; that field is left out.
-for threads in 1 2 3; do
-    RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
-        --scale small --seed 3 --shards 2 --out "$bench_tmp/restart_t$threads/out" \
-        --store "$bench_tmp/restart_t$threads/store" restart >/dev/null
-done
-for threads in 2 3; do
-    diff -r "$bench_tmp/restart_t1/store" "$bench_tmp/restart_t$threads/store"
-    python3 - "$bench_tmp/restart_t1/out/small-seed3/restart.json" \
-        "$bench_tmp/restart_t$threads/out/small-seed3/restart.json" <<'PY'
-import json, sys
-a, b = (json.load(open(p)) for p in sys.argv[1:])
-for r in (a, b):
-    r.pop("journal_path")
-sys.exit(0 if a == b else f"restart.json differs: {sys.argv[1]} vs {sys.argv[2]}")
-PY
-done
-n_restart=$(find "$bench_tmp/restart_t1/store" -type f \( -name '*.sybs' -o -name '*.sybj' \) | wc -l)
-echo "restart store guard: restart.json and $n_restart .sybs/.sybj files (small/seed 3, 2 shards) identical at RENREN_THREADS=1, 2 and 3"
-
-echo "== sample + reach + mixing: RENREN_THREADS=1 vs 2 vs 3 result identity =="
-# The ground-truth sample is extracted on `par` and kept by the context
-# for the experiments that follow in the same process. Reach draws each
-# percolation sample on the caller while a worker tallies the one before;
-# mixing computes the wild spectral gap on a worker beside the rest.
-# Cross-validation maps its 5 folds and the full-sample fit as six tasks:
-# one chunk at 1 thread, 3+3 at 2, 2+2+2 at 3, so the full fit shares a
-# worker with different folds each time. None of it may show in a result.
-sample_users="fig1 table1 zoo reach mixing"
-for threads in 1 2 3; do
-    # shellcheck disable=SC2086
-    RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
-        --scale tiny --seed 11 --out "$bench_tmp/sample_t$threads" $sample_users >/dev/null
-    RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
-        --scale small --seed 3 --out "$bench_tmp/sample_t$threads" reach mixing >/dev/null
-done
-for threads in 2 3; do
-    for exp in $sample_users; do
-        cmp "$bench_tmp/sample_t1/tiny-seed11/$exp.json" "$bench_tmp/sample_t$threads/tiny-seed11/$exp.json"
-    done
-    for exp in reach mixing; do
-        cmp "$bench_tmp/sample_t1/small-seed3/$exp.json" "$bench_tmp/sample_t$threads/small-seed3/$exp.json"
-    done
-done
-echo "sample guard: $sample_users JSON (tiny/seed 11) and reach mixing JSON (small/seed 3) identical at RENREN_THREADS=1, 2 and 3"
-
-echo "== serving engine: serve-vs-replay equivalence at 1, 3 and 8 shards =="
-# The sharded engine must reproduce the sequential replay byte-for-byte
-# regardless of shard count; `repro serve` embeds both byte-comparisons
-# (static and adaptive) in its JSON, so assert them at two thread counts
-# on the tiny simulation, and at 3 shards on the small one: a shard
-# count that is not a power of two (ownership by division, not a mask)
-# over delta chains long enough that link counts decide audits.
-serve_guard() { # THREADS OUT_DIR JSON REPRO_ARGS...
-    local threads=$1 out_dir=$2 json=$3
-    shift 3
-    RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
-        "$@" --out "$out_dir" serve >/dev/null
-    python3 - "$out_dir/$json" "$threads" <<'PY'
-import json, sys
-r = json.load(open(sys.argv[1]))
-ok = r["matches_replay_static"] and r["matches_replay_adaptive"]
-print(f"serve guard (RENREN_THREADS={sys.argv[2]}, shards={r['shards']}): "
-      f"static≡replay={r['matches_replay_static']}, "
-      f"adaptive≡replay={r['matches_replay_adaptive']}")
-sys.exit(0 if ok else 1)
-PY
+echo "== identity matrix: reports, store bytes and logical metrics across threads × shards =="
+# The determinism contract: no report, store byte or logical metric may
+# depend on RENREN_THREADS or the shard count. One row per guard:
+#   label | RENREN_THREADS set | --shards set (0: one shard per thread)
+#   | repro arguments ({dir}: the run's own --out directory)
+#   | outputs under {dir}: a file, or a directory compared recursively,
+#     or FILE:KEY (keep only that JSON section) or FILE:-KEY (drop it).
+# Each row runs once per (threads, shards) pair; every output of every
+# pair must exist and match the first pair's.
+matrix=(
+    # §3.1's verdicts must not depend on how the ten (defense, graph)
+    # evaluations and their suspects are spread over workers; at 3
+    # threads there are more workers than long tasks.
+    "defenses tiny/1|1 2 3|0|--scale tiny --seed 1 defenses|tiny-seed1/defenses.json"
+    "defenses small/3|1 2 3|0|--scale small --seed 3 defenses|small-seed3/defenses.json"
+    # The mirror folds one block range per thread and pulls the next
+    # epoch beside its index pass: no checkpoint (.sybs), journal
+    # (.sybj) or serve.json byte may show it.
+    "serve store|1 2 3|2|--scale small --seed 3 --store {dir}/store serve|store small-seed3/serve.json"
+    # The warm restart re-runs the journal tail, each shard digesting
+    # itself beside the others; restart.json names its journal's path.
+    "restart store|1 2 3|2|--scale small --seed 3 --store {dir}/store restart|store small-seed3/restart.json:-journal_path"
+    # The ground-truth sample is extracted on `par` and kept for the
+    # experiments after it; reach tallies one percolation sample while
+    # drawing the next; mixing's wild spectral gap runs on a worker; the
+    # five folds and the full fit share workers differently per count.
+    "sample tiny/11|1 2 3|0|--scale tiny --seed 11 fig1 table1 zoo reach mixing|tiny-seed11/fig1.json tiny-seed11/table1.json tiny-seed11/zoo.json tiny-seed11/reach.json tiny-seed11/mixing.json"
+    "reach + mixing small/3|1 2 3|0|--scale small --seed 3 reach mixing|small-seed3/reach.json small-seed3/mixing.json"
+    # metrics.json's `logical` section is the contract (`sharded` and
+    # `wall` depend on the config and the clock).
+    "serve metrics tiny/1|1 8|0 1 8|--scale tiny --metrics {dir} serve|metrics.json:logical"
+    # For serve ≡ replay (below) at a shard count that is not a power of
+    # two (ownership by division, not a mask), over delta chains long
+    # enough that link counts decide audits.
+    "serve small/3|2|3|--scale small --seed 3 serve|small-seed3/serve.json"
+)
+json_view() { # FILE KEY|-KEY: only that JSON section, or all but that field
+    python3 -c 'import json, sys; r, k = json.load(open(sys.argv[1])), sys.argv[2]
+print(json.dumps({x: v for x, v in r.items() if x != k[1:]} if k[0] == "-" else r[k], sort_keys=True))' "$@"
 }
-for threads in 1 8; do
-    serve_guard "$threads" "$bench_tmp/serve_t$threads" tiny-seed1/serve.json --scale tiny
-done
-serve_guard 2 "$bench_tmp/serve_small_s3" small-seed3/serve.json --scale small --seed 3 --shards 3
-
-echo "== observability: logical metrics bit-identity across threads × shards =="
-# `repro --metrics` writes metrics.json; its `logical` section is the
-# determinism contract — byte-identical across RENREN_THREADS and shard
-# counts (`sharded` and `wall` sections are config- and time-dependent).
-for threads in 1 8; do
-    for shards in 1 8; do
-        m_dir="$bench_tmp/metrics_t${threads}_s${shards}"
-        RENREN_THREADS=$threads cargo run -q --release -p sybil-repro --bin repro -- \
-            --scale tiny --out "$m_dir" --shards "$shards" --metrics "$m_dir" \
-            serve >/dev/null
+identity_row() { # ROW DIR
+    local label threads shard_set args outputs t s d o f ref="" runs=0 files=0
+    IFS='|' read -r label threads shard_set args outputs <<<"$1"
+    for t in $threads; do
+        for s in $shard_set; do
+            d="$2/t${t}_s$s"
+            # shellcheck disable=SC2086
+            RENREN_THREADS=$t "$repro" --shards "$s" --out "$d" ${args//\{dir\}/$d} >/dev/null
+            runs=$((runs + 1))
+            for o in $outputs; do
+                f=${o%%:*}
+                [ -e "$d/$f" ] || { echo "identity matrix: $label wrote no $f (RENREN_THREADS=$t, --shards $s)"; exit 1; }
+                [ "$f" = "$o" ] || { json_view "$d/$f" "${o#*:}" >"$d/$f.view"; f=$f.view; }
+                if [ -z "$ref" ]; then files=$((files + $(find "$d/$f" -type f | wc -l)))
+                else diff -r "$ref/$f" "$d/$f"; fi
+            done
+            ref=${ref:-$d}
+        done
     done
+    echo "identity matrix: $label — $files files ($outputs) identical over $runs runs," \
+        "RENREN_THREADS {$threads} × --shards {$shard_set}"
+}
+for i in "${!matrix[@]}"; do
+    identity_row "${matrix[$i]}" "$bench_tmp/matrix/$i"
 done
-python3 - "$bench_tmp" <<'PY'
-import json, sys, os
-base = sys.argv[1]
-configs = [(t, s) for t in (1, 8) for s in (1, 8)]
-logical = {}
-for t, s in configs:
-    path = os.path.join(base, f"metrics_t{t}_s{s}", "metrics.json")
-    logical[(t, s)] = json.dumps(json.load(open(path))["logical"], sort_keys=True)
-ref = logical[(1, 1)]
-ok = all(v == ref for v in logical.values())
-n = len(json.loads(ref))
-print(f"metrics guard: {n} logical metrics, "
-      f"identical across threads×shards {configs}: {ok}")
-sys.exit(0 if ok else 1)
+# Serve ≡ replay: `repro serve` byte-compares its static and adaptive
+# reports against the sequential replay and records both verdicts.
+python3 - "$bench_tmp/matrix" <<'PY'
+import glob, json, sys
+runs = [json.load(open(p)) for p in glob.glob(f"{sys.argv[1]}/**/serve.json", recursive=True)]
+bad = [r["shards"] for r in runs if not (r["matches_replay_static"] and r["matches_replay_adaptive"])]
+print(f"identity matrix: serve ≡ replay (static and adaptive) in {len(runs) - len(bad)} of "
+      f"{len(runs)} serve.json, shards {sorted({r['shards'] for r in runs})}")
+sys.exit(1 if bad or not runs else 0)
 PY
 
 echo "== serving engine: the coordinator's stage ledger (reported, not gated) =="
@@ -254,8 +173,7 @@ echo "== serving engine: the coordinator's stage ledger (reported, not gated) ==
 # skipped and journal-tail epochs). One run on one box: read it as a
 # profile, not a gate.
 l_dir="$bench_tmp/stage_ledger"
-cargo run -q --release -p sybil-repro --bin repro -- \
-    --scale small --seed 42 --shards 2 --out "$l_dir" --metrics "$l_dir" serve >/dev/null
+"$repro" --scale small --seed 42 --shards 2 --out "$l_dir" --metrics "$l_dir" serve >/dev/null
 python3 - "$l_dir/metrics.json" <<'PY'
 import json, sys
 wall = json.load(open(sys.argv[1]))["wall"]
@@ -283,8 +201,7 @@ echo "== chaos: a committed --faults schedule through the CLI (repro chaos) =="
 # journal, and an identical run's journal must replay cold to the
 # digests it committed.
 c_dir="$bench_tmp/chaos_faults"
-cargo run -q --release -p sybil-repro --bin repro -- \
-    --scale tiny --seed 11 --shards 2 --out "$c_dir" --faults scripts/chaos-faults.json chaos >/dev/null
+"$repro" --scale tiny --seed 11 --shards 2 --out "$c_dir" --faults scripts/chaos-faults.json chaos >/dev/null
 python3 - "$c_dir/tiny-seed11/chaos.json" <<'PY'
 import json, sys
 r = json.load(open(sys.argv[1]))
@@ -303,8 +220,7 @@ echo "== persistence: kill + warm-restart drill (repro restart) =="
 # store + journal tail to a report byte-identical to the uninterrupted
 # run — the sybil-store proptest's invariant, on the real repro stream.
 r_dir="$bench_tmp/restart_drill"
-cargo run -q --release -p sybil-repro --bin repro -- \
-    --scale tiny --out "$r_dir" --store "$r_dir/store" restart >/dev/null
+"$repro" --scale tiny --out "$r_dir" --store "$r_dir/store" restart >/dev/null
 python3 - "$r_dir/tiny-seed1/restart.json" <<'PY'
 import json, sys
 r = json.load(open(sys.argv[1]))
@@ -322,8 +238,7 @@ echo "== persistence: a store another run wrote is a typed error (mismatched-sto
 s_dir="$bench_tmp/mismatched_store"
 mkdir -p "$s_dir"
 serve_into_store() {
-    cargo run -q --release -p sybil-repro --bin repro -- \
-        --scale "$1" --seed 3 --shards 2 --out "$s_dir" --store "$s_dir/store" serve
+    "$repro" --scale "$1" --seed 3 --shards 2 --out "$s_dir" --store "$s_dir/store" serve
 }
 serve_into_store small >/dev/null 2>&1
 if serve_into_store tiny >/dev/null 2>"$s_dir/stderr.log"; then
