@@ -8,8 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-mod support;
-use support::{env_lock, graph_from, with_threads_env};
+use crate::support::{env_lock, graph_from, with_threads_env};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

@@ -9,8 +9,7 @@
 use osn_graph::{CsrSnapshot, MergeScratch, NodeId, TemporalGraph, Timestamp};
 use proptest::prelude::*;
 
-mod support;
-use support::with_threads_env;
+use crate::support::with_threads_env;
 
 /// Build a deduplicated, time-ordered undirected edge stream over `n`
 /// nodes from raw proptest pairs. Times are the stream index, so every

@@ -5,8 +5,7 @@
 use osn_graph::{clustering, par, CsrSnapshot, NeighborScratch, Timestamp};
 use proptest::prelude::*;
 
-mod support;
-use support::{graph_from, with_threads_env};
+use crate::support::{graph_from, with_threads_env};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

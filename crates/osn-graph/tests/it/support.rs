@@ -1,8 +1,4 @@
-//! The one copy of each helper the integration tests of `osn-graph`
-//! share. Each test file includes it as `mod support;` and uses a
-//! subset, so the rest is dead code in that binary.
-
-#![allow(dead_code)]
+//! The one copy of each helper the modules of this binary share.
 
 use osn_graph::par::THREADS_ENV;
 use osn_graph::{NodeId, TemporalGraph, Timestamp};

@@ -124,14 +124,12 @@ proptest! {
             )
             .map_err(|e| TestCaseError::fail(format!("engine error: {e}")))?;
             prop_assert_eq!(&run.report.outcome, &ChaosOutcome::Identical);
-            // The reported journal size is the handle's own accounting:
-            // total length = 8-byte header + frames appended through it.
+            // The reported journal size is the handle's own accounting,
+            // and it is every byte the store holds.
             prop_assert_eq!(run.report.journal_bytes, run.journal.len_bytes());
-            prop_assert_eq!(
-                run.journal.len_bytes(),
-                run.journal.bytes_appended() + 8
-            );
+            let len_bytes = run.journal.len_bytes();
             let bytes = run.journal.into_store();
+            prop_assert_eq!(len_bytes, bytes.get_ref().len() as u64);
             let v = verify_journal(bytes, &out, &cfg)
                 .map_err(|e| TestCaseError::fail(format!("verify error: {e}")))?;
             prop_assert!(

@@ -53,9 +53,84 @@ fn attributed<P: FaultPlane>(err: &ServeError, plane: &ChaosPlane<P>) -> bool {
     }
 }
 
+/// One case at `SHARDS[shards_ix]`: the doomed run under `schedule`
+/// killed at `kill_epoch`, then a warm restart from its directory under
+/// the same schedule, on a store of checkpoint cadence `every`.
+fn kill_and_restart(
+    seed: u64,
+    count: usize,
+    kill_epoch: u64,
+    every: u64,
+    shards_ix: usize,
+) -> Result<(), TestCaseError> {
+    let out = shared_sim();
+    let shards = SHARDS[shards_ix];
+    let cfg = serve_cfg(shards);
+    let schedule = FaultSchedule::generate(seed, 20, shards, count);
+    let dir = tmpdir(&format!("{seed:x}-{count}-{kill_epoch}-{every}-{shards}"));
+    let open = || {
+        StorePlane::with_cadence(&dir, every)
+            .map_err(|e| TestCaseError::fail(format!("store: {e}")))
+    };
+
+    // Act 1: the doomed run, faults and all, until the kill.
+    let mut doomed = ChaosPlane::new(schedule.clone(), open()?.kill_at_epoch(kill_epoch));
+    let first = ServeSession::new(cfg).plane(&mut doomed).run(out);
+    let killed = matches!(
+        &first,
+        Err(ServeError::Chaos(c))
+            if c.fault_kind == FaultKind::Crash && c.shard.is_none() && c.epoch == kill_epoch
+    );
+    if let Err(e) = &first {
+        prop_assert!(
+            killed || attributed(e, &doomed),
+            "unattributed error before the kill at {} shards: {} under {:?}",
+            shards,
+            e,
+            doomed.schedule()
+        );
+    }
+    drop(doomed);
+
+    // Act 2: warm restart from the directory alone, same schedule.
+    // (When a scheduled fault stopped act 1 before the kill, this
+    // is a restart after *that* failure — same contract.)
+    let mut revived = ChaosPlane::new(schedule, open()?);
+    match ServeSession::new(cfg).plane(&mut revived).run(out) {
+        Ok(o) => prop_assert_eq!(
+            serde_json::to_string(&o.report).expect("serializes"),
+            oracle(shards_ix),
+            "restart under faults diverged at {} shards: {:?}",
+            shards,
+            revived.schedule()
+        ),
+        Err(e) => prop_assert!(
+            attributed(&e, &revived),
+            "unattributed error at {} shards: {} under {:?}",
+            shards,
+            e,
+            revived.schedule()
+        ),
+    }
+    if killed {
+        // The checkpoint and resume hooks reached the store
+        // through the chaos plane: a checkpoint exists iff
+        // `every` epochs completed before the kill.
+        prop_assert_eq!(
+            revived.inner().resumed_from().is_some(),
+            kill_epoch >= every
+        );
+    }
+    std::fs::remove_dir_all(&dir).expect("store directory removable");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
+    /// The shard counts of a case are independent runs, each on its own
+    /// store directory, so they run side by side; the first failure in
+    /// `SHARDS` order is the one reported.
     #[test]
     fn any_schedule_through_a_killed_and_restarted_store_is_identical_or_typed(
         seed in any::<u64>(),
@@ -63,66 +138,15 @@ proptest! {
         kill_epoch in 0u64..12,
         every_ix in 0usize..3,
     ) {
-        let out = shared_sim();
         let every = [1u64, 4, 8][every_ix];
-        for (shards_ix, &shards) in SHARDS.iter().enumerate() {
-            let cfg = serve_cfg(shards);
-            let schedule = FaultSchedule::generate(seed, 20, shards, count);
-            let dir = tmpdir(&format!("{seed:x}-{count}-{kill_epoch}-{every}-{shards}"));
-            let open = || {
-                StorePlane::with_cadence(&dir, every)
-                    .map_err(|e| TestCaseError::fail(format!("store: {e}")))
-            };
-
-            // Act 1: the doomed run, faults and all, until the kill.
-            let mut doomed = ChaosPlane::new(schedule.clone(), open()?.kill_at_epoch(kill_epoch));
-            let first = ServeSession::new(cfg).plane(&mut doomed).run(out);
-            let killed = matches!(
-                &first,
-                Err(ServeError::Chaos(c))
-                    if c.fault_kind == FaultKind::Crash && c.shard.is_none() && c.epoch == kill_epoch
-            );
-            if let Err(e) = &first {
-                prop_assert!(
-                    killed || attributed(e, &doomed),
-                    "unattributed error before the kill at {} shards: {} under {:?}",
-                    shards,
-                    e,
-                    doomed.schedule()
-                );
-            }
-            drop(doomed);
-
-            // Act 2: warm restart from the directory alone, same schedule.
-            // (When a scheduled fault stopped act 1 before the kill, this
-            // is a restart after *that* failure — same contract.)
-            let mut revived = ChaosPlane::new(schedule, open()?);
-            match ServeSession::new(cfg).plane(&mut revived).run(out) {
-                Ok(o) => prop_assert_eq!(
-                    serde_json::to_string(&o.report).expect("serializes"),
-                    oracle(shards_ix),
-                    "restart under faults diverged at {} shards: {:?}",
-                    shards,
-                    revived.schedule()
-                ),
-                Err(e) => prop_assert!(
-                    attributed(&e, &revived),
-                    "unattributed error at {} shards: {} under {:?}",
-                    shards,
-                    e,
-                    revived.schedule()
-                ),
-            }
-            if killed {
-                // The checkpoint and resume hooks reached the store
-                // through the chaos plane: a checkpoint exists iff
-                // `every` epochs completed before the kill.
-                prop_assert_eq!(
-                    revived.inner().resumed_from().is_some(),
-                    kill_epoch >= every
-                );
-            }
-            std::fs::remove_dir_all(&dir).expect("store directory removable");
+        let outcomes: Vec<_> = std::thread::scope(|s| {
+            let runs: Vec<_> = (0..SHARDS.len())
+                .map(|i| s.spawn(move || kill_and_restart(seed, count, kill_epoch, every, i)))
+                .collect();
+            runs.into_iter().map(|run| run.join()).collect()
+        });
+        for outcome in outcomes {
+            outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
         }
     }
 }

@@ -6,8 +6,8 @@
 //! crate therefore splits every quantity into one of three sections of a
 //! [`Snapshot`]:
 //!
-//! * **logical** — counts, high-water marks, and histograms of *events
-//!   that happen*, independent of scheduling. These are covered by the
+//! * **logical** — counts and histograms of *events that happen*,
+//!   independent of scheduling. These are covered by the
 //!   same determinism guarantee as the reports themselves: byte-identical
 //!   JSON across `RENREN_THREADS` and shard counts (enforced by
 //!   `scripts/verify.sh`).
@@ -49,10 +49,6 @@ pub type Clock<'a> = &'a (dyn Fn() -> f64 + Sync);
 /// Handle to a monotonically increasing counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CounterId(usize);
-
-/// Handle to a high-water-mark gauge (`observe` keeps the max).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(usize);
 
 /// Handle to a fixed-bucket histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,9 +116,9 @@ struct Counter {
     value: u64,
 }
 
+/// A high-water mark; every one is sharded (`max_sharded`).
 struct Gauge {
     name: String,
-    section: Section,
     value: u64,
 }
 
@@ -196,25 +192,6 @@ impl Registry {
         CounterId(i)
     }
 
-    /// Get or create the high-water gauge `name` in the logical section.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        self.gauge_in(name, Section::Logical)
-    }
-
-    fn gauge_in(&mut self, name: &str, section: Section) -> GaugeId {
-        if let Some(i) = self.claim(name, 1) {
-            return GaugeId(i);
-        }
-        let i = self.gauges.len();
-        self.gauges.push(Gauge {
-            name: name.to_string(),
-            section,
-            value: 0,
-        });
-        self.index.insert(name.to_string(), (1, i));
-        GaugeId(i)
-    }
-
     /// Get or create a logical histogram with `buckets` buckets of
     /// `width` each (last bucket open-ended). `width` and `buckets` must
     /// be nonzero.
@@ -264,15 +241,6 @@ impl Registry {
         self.add(id, 1);
     }
 
-    /// Raise a gauge's high-water mark to at least `v`.
-    #[inline]
-    pub fn observe_max(&mut self, id: GaugeId, v: u64) {
-        let g = &mut self.gauges[id.0];
-        if v > g.value {
-            g.value = v;
-        }
-    }
-
     /// Record one observation into a histogram.
     #[inline]
     pub fn observe(&mut self, id: HistId, v: u64) {
@@ -312,8 +280,17 @@ impl Registry {
     /// Raise the *sharded-section* gauge `shard{shard}.{name}` to at
     /// least `v`.
     pub fn max_sharded(&mut self, shard: usize, name: &str, v: u64) {
-        let id = self.gauge_in(&format!("shard{shard}.{name}"), Section::Sharded);
-        self.observe_max(id, v);
+        let name = format!("shard{shard}.{name}");
+        let i = match self.claim(&name, 1) {
+            Some(i) => i,
+            None => {
+                self.index.insert(name.clone(), (1, self.gauges.len()));
+                self.gauges.push(Gauge { name, value: 0 });
+                self.gauges.len() - 1
+            }
+        };
+        let g = &mut self.gauges[i];
+        g.value = g.value.max(v);
     }
 
     /// Export the registry's current state as an ordered snapshot.
@@ -327,11 +304,8 @@ impl Registry {
             dst.insert(c.name.clone(), MetricValue::Count(c.value));
         }
         for g in &self.gauges {
-            let dst = match g.section {
-                Section::Logical => &mut snap.logical,
-                Section::Sharded => &mut snap.sharded,
-            };
-            dst.insert(g.name.clone(), MetricValue::Max(g.value));
+            snap.sharded
+                .insert(g.name.clone(), MetricValue::Max(g.value));
         }
         for h in &self.hists {
             snap.logical
@@ -428,15 +402,14 @@ mod tests {
     fn counters_and_gauges_round_trip() {
         let mut reg = Registry::new();
         let c = reg.counter("events");
-        let g = reg.gauge("queue_hwm");
         reg.add(c, 3);
         reg.incr(c);
-        reg.observe_max(g, 7);
-        reg.observe_max(g, 5);
+        reg.max_sharded(0, "queue_hwm", 7);
+        reg.max_sharded(0, "queue_hwm", 5);
         let snap = reg.snapshot();
         assert_eq!(snap.logical["events"], MetricValue::Count(4));
-        assert_eq!(snap.logical["queue_hwm"], MetricValue::Max(7));
-        assert!(snap.sharded.is_empty());
+        assert_eq!(snap.sharded["shard0.queue_hwm"], MetricValue::Max(7));
+        assert_eq!((snap.logical.len(), snap.sharded.len()), (1, 1));
         assert!(snap.wall.is_empty());
     }
 
@@ -455,8 +428,8 @@ mod tests {
     #[should_panic(expected = "different kind")]
     fn name_reuse_across_kinds_panics() {
         let mut reg = Registry::new();
-        reg.counter("x");
-        reg.gauge("x");
+        reg.counter("shard0.x");
+        reg.max_sharded(0, "x", 1);
     }
 
     #[test]
@@ -517,23 +490,21 @@ mod tests {
         let mut a = Registry::new();
         let c = a.counter("n");
         a.add(c, 2);
-        let g = a.gauge("m");
-        a.observe_max(g, 3);
+        a.max_sharded(0, "m", 3);
         let h = a.histogram("h", 1, 2);
         a.observe(h, 0);
 
         let mut b = Registry::new();
         let c = b.counter("n");
         b.add(c, 5);
-        let g = b.gauge("m");
-        b.observe_max(g, 1);
+        b.max_sharded(0, "m", 1);
         let h = b.histogram("h", 1, 2);
         b.observe(h, 9);
 
         let mut snap = a.snapshot();
         snap.absorb(&b.snapshot());
         assert_eq!(snap.logical["n"], MetricValue::Count(7));
-        assert_eq!(snap.logical["m"], MetricValue::Max(3));
+        assert_eq!(snap.sharded["shard0.m"], MetricValue::Max(3));
         assert_eq!(snap.logical["h"], MetricValue::Hist(2, vec![1, 1]));
     }
 

@@ -75,9 +75,6 @@ pub struct Journal<S> {
     store: S,
     /// Next append offset (== stream length for a well-formed journal).
     end: u64,
-    /// Total frame bytes appended by *this* handle (excludes the header
-    /// and anything already present at `open`).
-    appended: u64,
     /// Offset and length of each epoch's begin frame payload, by epoch.
     begins: BTreeMap<u64, (u64, usize)>,
     /// Committed per-shard digests, by epoch (`None` when the commit
@@ -94,7 +91,6 @@ impl<S: Read + Write + Seek> Journal<S> {
         Journal {
             store,
             end: HEADER_LEN,
-            appended: 0,
             begins: BTreeMap::new(),
             commits: BTreeMap::new(),
             finished: None,
@@ -210,9 +206,7 @@ impl<S: Read + Write + Seek> Journal<S> {
             .and_then(|_| self.store.write_all(&len.to_le_bytes()))
             .and_then(|_| self.store.write_all(payload))
             .map_err(io_err(IoOp::Write))?;
-        let frame_len = 4 + payload.len() as u64;
-        self.end += frame_len;
-        self.appended += frame_len;
+        self.end += 4 + payload.len() as u64;
         Ok(off + 4)
     }
 
@@ -327,11 +321,6 @@ impl<S: Read + Write + Seek> Journal<S> {
     /// Epochs with a begin record.
     pub fn epochs_journaled(&self) -> u64 {
         self.begins.len() as u64
-    }
-
-    /// Frame bytes appended through this handle (header excluded).
-    pub fn bytes_appended(&self) -> u64 {
-        self.appended
     }
 
     /// Total journal length in bytes, header included.
