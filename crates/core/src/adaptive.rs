@@ -131,7 +131,11 @@ pub struct AdaptiveThresholds {
 impl AdaptiveThresholds {
     /// Start from an initial rule (e.g. the calibrated one).
     pub fn from_rule(rule: &ThresholdClassifier, step: f64) -> Self {
-        let cc0 = if rule.max_cc.is_finite() { rule.max_cc } else { 0.05 };
+        let cc0 = if rule.max_cc.is_finite() {
+            rule.max_cc
+        } else {
+            0.05
+        };
         // Guard quantiles are deliberately non-extreme (p10/p90 rather
         // than p1/p99): real populations contain degenerate members —
         // brand-new users with accept-ratio 0 — and an extreme guard lets
@@ -308,7 +312,10 @@ mod tests {
             rule1.min_freq,
             rule2.min_freq
         );
-        assert!(ad.is_sybil(&fv(12.0, 0.2, 0.0)), "slowed sybil still caught");
+        assert!(
+            ad.is_sybil(&fv(12.0, 0.2, 0.0)),
+            "slowed sybil still caught"
+        );
         assert!(!ad.is_sybil(&fv(2.0, 0.8, 0.0)));
     }
 

@@ -289,7 +289,11 @@ mod tests {
         let features = vec![fv(f64::NAN), fv(f64::NAN), fv(2.0), fv(f64::NAN)];
         let labels = vec![true, false, true, false];
         let (curve, _) = roc_curve(&Above(10.0), &features, &labels);
-        assert_eq!(curve.len(), 3, "one NaN group and one finite group: {curve:?}");
+        assert_eq!(
+            curve.len(),
+            3,
+            "one NaN group and one finite group: {curve:?}"
+        );
     }
 
     #[test]

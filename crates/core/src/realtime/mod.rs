@@ -474,8 +474,7 @@ mod tests {
             report.true_positives,
             report.missed
         );
-        let fp_rate = report.false_positives as f64
-            / out.normal_ids().len() as f64;
+        let fp_rate = report.false_positives as f64 / out.normal_ids().len() as f64;
         assert!(fp_rate < 0.02, "false positive rate {fp_rate}");
         assert!(report.mean_latency_h > 0.0);
     }
@@ -792,11 +791,7 @@ mod synthetic_tests {
         let mut reqs = Vec::new();
         for i in 0..40u32 {
             let accepted = i < 5; // 5 accepts (≥ min_friends), 9 rejects
-            let decision = if i < 14 {
-                Some((0.5, accepted))
-            } else {
-                None
-            };
+            let decision = if i < 14 { Some((0.5, accepted)) } else { None };
             reqs.push((0, i + 1, 0.01 * i as f64, decision));
         }
         let out = synthetic(64, true, &reqs);

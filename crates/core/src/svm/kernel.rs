@@ -149,10 +149,12 @@ impl KernelSvm {
                 alpha[j] = aj;
                 track_nonzero(&mut nonzero, i, ai * y[i]);
                 track_nonzero(&mut nonzero, j, aj * y[j]);
-                let b1 = b - ei
+                let b1 = b
+                    - ei
                     - y[i] * (ai - ai_old) * k[i * n + i]
                     - y[j] * (aj - aj_old) * k[i * n + j];
-                let b2 = b - ej
+                let b2 = b
+                    - ej
                     - y[i] * (ai - ai_old) * k[i * n + j]
                     - y[j] * (aj - aj_old) * k[j * n + j];
                 b = if ai > 0.0 && ai < params.c {
@@ -321,10 +323,12 @@ mod tests {
                 back_to_zero |= (ai_old != 0.0 && ai == 0.0) || (aj_old != 0.0 && aj == 0.0);
                 alpha[i] = ai;
                 alpha[j] = aj;
-                let b1 = b - ei
+                let b1 = b
+                    - ei
                     - y[i] * (ai - ai_old) * k[i * n + i]
                     - y[j] * (aj - aj_old) * k[i * n + j];
-                let b2 = b - ej
+                let b2 = b
+                    - ej
                     - y[i] * (ai - ai_old) * k[i * n + j]
                     - y[j] * (aj - aj_old) * k[j * n + j];
                 b = if ai > 0.0 && ai < params.c {
@@ -398,8 +402,16 @@ mod tests {
         let (dense, back_to_zero) = train_dense(&rows, &labels, &params);
         let support = |s: &KernelSvm| s.support.iter().map(|r| bits(r)).collect::<Vec<_>>();
         assert_eq!(support(&fast), support(&dense), "support, seed {seed}");
-        assert_eq!(bits(&fast.alpha_y), bits(&dense.alpha_y), "alpha_y, seed {seed}");
-        assert_eq!(fast.bias.to_bits(), dense.bias.to_bits(), "bias, seed {seed}");
+        assert_eq!(
+            bits(&fast.alpha_y),
+            bits(&dense.alpha_y),
+            "alpha_y, seed {seed}"
+        );
+        assert_eq!(
+            fast.bias.to_bits(),
+            dense.bias.to_bits(),
+            "bias, seed {seed}"
+        );
         for r in &rows {
             assert_eq!(
                 fast.decision(r).to_bits(),
@@ -425,7 +437,10 @@ mod tests {
         // The list must drop an index as well as add one; these problems
         // exercise both.
         let returned = (0..40u64).filter(|&s| assert_matches_dense(s)).count();
-        assert!(returned > 0, "no multiplier returned to zero in 40 problems");
+        assert!(
+            returned > 0,
+            "no multiplier returned to zero in 40 problems"
+        );
     }
 
     #[test]

@@ -118,10 +118,9 @@ impl ThresholdClassifier {
                     // Prefer fewer conditions on exact ties: a condition
                     // that adds nothing on training data is only downside
                     // under distribution shift.
-                    let enabled = r.is_finite() as u8 + (q != f64::NEG_INFINITY) as u8
-                        + c.is_finite() as u8;
-                    let bal =
-                        0.5 * (tp / n_sybil + tn / n_normal) - 1e-9 * enabled as f64;
+                    let enabled =
+                        r.is_finite() as u8 + (q != f64::NEG_INFINITY) as u8 + c.is_finite() as u8;
+                    let bal = 0.5 * (tp / n_sybil + tn / n_normal) - 1e-9 * enabled as f64;
                     if bal > best.0 {
                         best = (bal, rule);
                     }
@@ -231,7 +230,11 @@ mod tests {
             ds.features.push(fv(
                 35.0 + jitter,
                 0.2 + jitter,
-                if cc_informative { 0.001 + jitter * 0.01 } else { 0.1 + jitter },
+                if cc_informative {
+                    0.001 + jitter * 0.01
+                } else {
+                    0.1 + jitter
+                },
             ));
             ds.labels.push(true);
             ds.nodes.push(NodeId(i));
@@ -239,7 +242,11 @@ mod tests {
             ds.features.push(fv(
                 2.0 + jitter,
                 0.8 - jitter,
-                if cc_informative { 0.05 + jitter * 0.01 } else { 0.1 + jitter },
+                if cc_informative {
+                    0.05 + jitter * 0.01
+                } else {
+                    0.1 + jitter
+                },
             ));
             ds.labels.push(false);
             ds.nodes.push(NodeId(1000 + i));

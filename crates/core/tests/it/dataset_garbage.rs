@@ -101,15 +101,21 @@ enum LineEdit {
 
 fn line_edit() -> impl Strategy<Value = LineEdit> {
     let numbers = [0, 1, 2, 63, u64::from(u32::MAX), u64::MAX];
-    (0u8..4, any::<usize>(), any::<usize>(), 0usize..8, 0usize..8, any::<u64>()).prop_map(
-        move |(kind, a, b, field, pick, raw)| match kind {
+    (
+        0u8..4,
+        any::<usize>(),
+        any::<usize>(),
+        0usize..8,
+        0usize..8,
+        any::<u64>(),
+    )
+        .prop_map(move |(kind, a, b, field, pick, raw)| match kind {
             0 => LineEdit::Drop(a),
             1 => LineEdit::Repeat(a),
             2 => LineEdit::Swap(a, b),
             // Small and boundary values mostly, an arbitrary one otherwise.
             _ => LineEdit::Field(a, field, numbers.get(pick).copied().unwrap_or(raw)),
-        },
-    )
+        })
 }
 
 fn apply(lines: &mut Vec<String>, edit: &LineEdit) {

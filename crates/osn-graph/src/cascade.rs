@@ -247,7 +247,10 @@ mod tests {
         // Two disjoint paths: exactly the seeded components, each once.
         let g = paths(&[4, 3, 2]);
         assert_eq!(reach_once(&g, &[NodeId(5)], 1.0, 2), 3.0);
-        assert_eq!(reach_once(&g, &[NodeId(1), NodeId(3), NodeId(4)], 1.0, 2), 7.0);
+        assert_eq!(
+            reach_once(&g, &[NodeId(1), NodeId(3), NodeId(4)], 1.0, 2),
+            7.0
+        );
     }
 
     #[test]
@@ -270,10 +273,7 @@ mod tests {
         let g = generators::barabasi_albert(500, 3, Timestamp::ZERO, &mut rng);
         let r = percolation_reach(&g, &[vec![NodeId(5)]], &[0.02, 0.3], 200, &mut rng);
         let (low, high) = (r[0][0], r[0][1]);
-        assert!(
-            high > 3.0 * low,
-            "reach must grow with p: {low} -> {high}"
-        );
+        assert!(high > 3.0 * low, "reach must grow with p: {low} -> {high}");
     }
 
     /// The coupling makes reach monotone in `p` in every single sample,
@@ -319,8 +319,8 @@ mod tests {
                     .map(|_| independent_cascade(&g, seeds, p, &mut rng) as f64)
                     .collect();
                 let mean = runs.iter().sum::<f64>() / trials as f64;
-                let var = runs.iter().map(|r| (r - mean).powi(2)).sum::<f64>()
-                    / (trials - 1) as f64;
+                let var =
+                    runs.iter().map(|r| (r - mean).powi(2)).sum::<f64>() / (trials - 1) as f64;
                 let se = (2.0 * var / trials as f64).sqrt();
                 assert!(
                     (perc - mean).abs() <= 4.0 * se,

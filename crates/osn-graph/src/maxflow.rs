@@ -224,9 +224,15 @@ mod tests {
         let reverse = net.reverse_arc(arc);
         assert_eq!(net.arc_from_endpoint(reverse), 1);
         net.push_unit(arc);
-        assert_eq!((net.arc_cap(arc as u32), net.arc_cap(reverse as u32)), (1, 1));
+        assert_eq!(
+            (net.arc_cap(arc as u32), net.arc_cap(reverse as u32)),
+            (1, 1)
+        );
         net.push_unit(reverse);
-        assert_eq!((net.arc_cap(arc as u32), net.arc_cap(reverse as u32)), (2, 0));
+        assert_eq!(
+            (net.arc_cap(arc as u32), net.arc_cap(reverse as u32)),
+            (2, 0)
+        );
     }
 
     #[test]

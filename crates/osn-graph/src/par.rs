@@ -312,7 +312,11 @@ mod tests {
                 // Non-Clone, non-Copy items prove real moves.
                 let items: Vec<Box<usize>> = (0..23).map(Box::new).collect();
                 let got = map_owned(items, |b| *b * 3);
-                assert_eq!(got, (0..23).map(|i| i * 3).collect::<Vec<_>>(), "threads={threads}");
+                assert_eq!(
+                    got,
+                    (0..23).map(|i| i * 3).collect::<Vec<_>>(),
+                    "threads={threads}"
+                );
             });
         }
         with_threads_env(Some("4"), || {
@@ -324,10 +328,9 @@ mod tests {
     fn worker_panic_is_reraised_with_its_payload() {
         with_threads_env(Some("4"), || {
             // Caught here so the env lock is released unpoisoned.
-            let payload = std::panic::catch_unwind(|| {
-                map_indexed(16, |i| assert_ne!(i, 7, "boom at {i}"))
-            })
-            .expect_err("worker 7 panics");
+            let payload =
+                std::panic::catch_unwind(|| map_indexed(16, |i| assert_ne!(i, 7, "boom at {i}")))
+                    .expect_err("worker 7 panics");
             let msg = payload.downcast_ref::<String>().expect("formatted message");
             assert!(msg.contains("boom at 7"), "{msg}");
         });

@@ -51,7 +51,12 @@ pub fn second_eigenvalue(g: &TemporalGraph, iterations: usize, seed: u64) -> Opt
         }
         walk.apply(&x, &mut next);
         // Rayleigh-style estimate and normalization (π-weighted norm).
-        let norm_x: f64 = pi.iter().zip(&x).map(|(&p, &v)| p * v * v).sum::<f64>().sqrt();
+        let norm_x: f64 = pi
+            .iter()
+            .zip(&x)
+            .map(|(&p, &v)| p * v * v)
+            .sum::<f64>()
+            .sqrt();
         let norm_next: f64 = pi
             .iter()
             .zip(&next)
@@ -207,8 +212,10 @@ mod tests {
                     .unwrap();
             }
         }
-        g.add_edge(NodeId(0), NodeId(first.0), Timestamp::ZERO).unwrap();
-        g.add_edge(NodeId(1), NodeId(first.0 + 1), Timestamp::ZERO).unwrap();
+        g.add_edge(NodeId(0), NodeId(first.0), Timestamp::ZERO)
+            .unwrap();
+        g.add_edge(NodeId(1), NodeId(first.0 + 1), Timestamp::ZERO)
+            .unwrap();
         let tight: Vec<NodeId> = (0..40).map(|i| NodeId(first.0 + i)).collect();
         let p_tight = escape_probability(&g, &tight, 8, 2000, &mut rng).unwrap();
         // Integrated set: 40 random honest nodes.
@@ -224,9 +231,6 @@ mod tests {
     fn escape_probability_none_for_isolated() {
         let g = TemporalGraph::with_nodes(3);
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(
-            escape_probability(&g, &[NodeId(0)], 4, 10, &mut rng),
-            None
-        );
+        assert_eq!(escape_probability(&g, &[NodeId(0)], 4, 10, &mut rng), None);
     }
 }

@@ -254,7 +254,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut g = crate::generators::barabasi_albert(40, 2, Timestamp::ZERO, &mut rng);
         let isolated = g.add_nodes(1);
-        let starts = [(NodeId(0), 0), (NodeId(3), 1), (NodeId(17), 9), (isolated, 4)];
+        let starts = [
+            (NodeId(0), 0),
+            (NodeId(3), 1),
+            (NodeId(17), 9),
+            (isolated, 4),
+        ];
         for (start, len) in starts {
             let mut a = StdRng::seed_from_u64(len as u64);
             let mut b = a.clone();
@@ -317,9 +322,15 @@ mod tests {
         let eb = dir_edges(&rb);
         for (i, sa) in ea.iter().enumerate() {
             if let Some(j) = eb.iter().position(|sb| sb == sa) {
-                let rest = (len - 1 - i.max(j)).min(ea.len() - 1 - i).min(eb.len() - 1 - j);
+                let rest = (len - 1 - i.max(j))
+                    .min(ea.len() - 1 - i)
+                    .min(eb.len() - 1 - j);
                 for k in 0..rest {
-                    assert_eq!(ea[i + k], eb[j + k], "routes must converge after shared edge");
+                    assert_eq!(
+                        ea[i + k],
+                        eb[j + k],
+                        "routes must converge after shared edge"
+                    );
                 }
                 return;
             }

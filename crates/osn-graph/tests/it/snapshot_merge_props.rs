@@ -57,10 +57,30 @@ fn assert_columns_equal(got: &CsrSnapshot, want: &CsrSnapshot) -> Result<(), Tes
     prop_assert_eq!(got.num_nodes(), want.num_nodes());
     prop_assert_eq!(got.num_edges(), want.num_edges());
     for v in got.nodes() {
-        prop_assert_eq!(got.neighbors_sorted(v), want.neighbors_sorted(v), "sorted {:?}", v);
-        prop_assert_eq!(got.times_sorted(v), want.times_sorted(v), "sorted_times {:?}", v);
-        prop_assert_eq!(got.neighbors_chrono(v), want.neighbors_chrono(v), "chrono {:?}", v);
-        prop_assert_eq!(got.times_chrono(v), want.times_chrono(v), "chrono_times {:?}", v);
+        prop_assert_eq!(
+            got.neighbors_sorted(v),
+            want.neighbors_sorted(v),
+            "sorted {:?}",
+            v
+        );
+        prop_assert_eq!(
+            got.times_sorted(v),
+            want.times_sorted(v),
+            "sorted_times {:?}",
+            v
+        );
+        prop_assert_eq!(
+            got.neighbors_chrono(v),
+            want.neighbors_chrono(v),
+            "chrono {:?}",
+            v
+        );
+        prop_assert_eq!(
+            got.times_chrono(v),
+            want.times_chrono(v),
+            "chrono_times {:?}",
+            v
+        );
     }
     Ok(())
 }

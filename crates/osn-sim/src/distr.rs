@@ -106,7 +106,9 @@ mod tests {
     fn log_normal_median() {
         // Median of LogNormal(mu, sigma) is e^mu.
         let mut rng = StdRng::seed_from_u64(4);
-        let mut v: Vec<f64> = (0..20_001).map(|_| log_normal(&mut rng, 3.0, 0.7)).collect();
+        let mut v: Vec<f64> = (0..20_001)
+            .map(|_| log_normal(&mut rng, 3.0, 0.7))
+            .collect();
         v.sort_by(f64::total_cmp);
         let median = v[10_000];
         assert!((median - 3.0f64.exp()).abs() < 1.5, "median {median}");
@@ -135,7 +137,10 @@ mod tests {
     fn gamma_mean_matches_shape() {
         for &shape in &[0.5, 1.0, 3.0, 9.0] {
             let m = mean_of(8, 40_000, |r| gamma(r, shape));
-            assert!((m - shape).abs() < 0.12 * shape.max(1.0), "shape {shape} mean {m}");
+            assert!(
+                (m - shape).abs() < 0.12 * shape.max(1.0),
+                "shape {shape} mean {m}"
+            );
         }
     }
 

@@ -189,10 +189,7 @@ impl Simulator {
                         attacker: attacker_idx,
                         tool,
                     },
-                    profile: Profile::new(
-                        gender,
-                        rng.random_range(cfg.sybil.attract_min..=1.0),
-                    ),
+                    profile: Profile::new(gender, rng.random_range(cfg.sybil.attract_min..=1.0)),
                     created_at: start,
                     banned_at: None,
                     accept_tendency: 1.0,
@@ -240,7 +237,10 @@ impl Simulator {
         // --- Initial events ------------------------------------------------
         let mut queue = EventQueue::new();
         for i in 0..cfg.n_normal as u32 {
-            queue.schedule(accounts[i as usize].created_at, Event::NormalActivity { user: i });
+            queue.schedule(
+                accounts[i as usize].created_at,
+                Event::NormalActivity { user: i },
+            );
         }
         for (a, st) in attackers.iter().enumerate() {
             queue.schedule(st.start, Event::AttackerRefill { attacker: a as u32 });
@@ -449,8 +449,12 @@ impl Simulator {
         };
         let at = now.plus_secs((delay_h * 3600.0) as u64);
         if at <= self.end {
-            self.queue
-                .schedule(at, Event::Response { request: idx as u32 });
+            self.queue.schedule(
+                at,
+                Event::Response {
+                    request: idx as u32,
+                },
+            );
         }
     }
 
@@ -499,15 +503,16 @@ impl Simulator {
         let deg_recv = self.graph.degree(to) as f64;
         if send.is_sybil() {
             let sp = &self.cfg.sybil;
-            let base = (sp.accept_base + sp.accept_deg_coef * (1.0 + deg_recv).ln())
-                .min(sp.accept_cap);
+            let base =
+                (sp.accept_base + sp.accept_deg_coef * (1.0 + deg_recv).ln()).min(sp.accept_cap);
             let attract = 0.45 + 0.7 * send.profile.attractiveness;
             (base * attract * gender_factor * tendency_factor).clamp(0.0, 0.95)
         } else if self.graph.has_mutual_friend(from, to) {
             (p.accept_mutual * tendency_factor).clamp(0.0, 0.98)
         } else {
-            let base = (p.accept_stranger_base + p.accept_stranger_deg_coef * (1.0 + deg_recv).ln())
-                .min(p.accept_stranger_cap);
+            let base = (p.accept_stranger_base
+                + p.accept_stranger_deg_coef * (1.0 + deg_recv).ln())
+            .min(p.accept_stranger_cap);
             let attract = 0.8 + 0.4 * send.profile.attractiveness;
             (base * attract * gender_factor * tendency_factor).clamp(0.0, 0.95)
         }
@@ -530,18 +535,17 @@ impl Simulator {
             // invitation-frequency signature of Fig. 1). Stealthy attackers
             // scale batches down along with the rate.
             let stealth = self.cfg.sybil.stealth_rate_mult.clamp(0.01, 10.0);
-            self.sybils[si].burst_left = (spec.burst_size_mean * stealth
-                * self.rng.random_range(0.7..1.3))
-            .round()
-            .max(1.0) as u32;
+            self.sybils[si].burst_left =
+                (spec.burst_size_mean * stealth * self.rng.random_range(0.7..1.3))
+                    .round()
+                    .max(1.0) as u32;
             self.obs.incr(self.metrics.tool_batches);
         }
         // Tools mix "super node" friending (crawled popular targets) with
         // bulk friending of ordinary browsed users. They never request the
         // attacker's own accounts — the tool manages that farm itself.
-        let own = |eng: &Self, v: NodeId| {
-            eng.accounts[v.index()].attacker() == Some(attacker as u32)
-        };
+        let own =
+            |eng: &Self, v: NodeId| eng.accounts[v.index()].attacker() == Some(attacker as u32);
         let want_popular = self.rng.random_range(0.0..1.0) < spec.popular_mix;
         let mut target: Option<NodeId> = None;
         let mut target_popular = false;
@@ -814,7 +818,11 @@ mod tests {
     fn runs_to_completion_and_produces_data() {
         let out = tiny_run();
         assert_eq!(out.accounts.len(), out.config.total_accounts());
-        assert!(out.graph.num_edges() > 500, "edges: {}", out.graph.num_edges());
+        assert!(
+            out.graph.num_edges() > 500,
+            "edges: {}",
+            out.graph.num_edges()
+        );
         assert!(out.log.len() > 1000, "requests: {}", out.log.len());
     }
 
@@ -864,10 +872,7 @@ mod tests {
         let out = tiny_run();
         for r in out.log.records() {
             if out.is_sybil(r.to) && r.outcome.is_resolved() {
-                assert!(
-                    r.outcome.is_accepted(),
-                    "sybil rejected a request: {r:?}"
-                );
+                assert!(r.outcome.is_accepted(), "sybil rejected a request: {r:?}");
             }
         }
     }
@@ -1045,8 +1050,7 @@ mod mechanism_tests {
             if r.outcome.is_accepted()
                 && out.is_sybil(r.from)
                 && out.is_sybil(r.to)
-                && out.accounts[r.from.index()].attacker()
-                    == out.accounts[r.to.index()].attacker()
+                && out.accounts[r.from.index()].attacker() == out.accounts[r.to.index()].attacker()
             {
                 *interlink_degree.entry(r.from).or_default() += 1;
                 *interlink_degree.entry(r.to).or_default() += 1;
@@ -1054,7 +1058,10 @@ mod mechanism_tests {
         }
         assert!(!interlink_degree.is_empty(), "interlinking must occur");
         for (&n, &d) in &interlink_degree {
-            assert!(d <= 7, "sybil {n:?} has {d} interlink edges (group cap is 8)");
+            assert!(
+                d <= 7,
+                "sybil {n:?} has {d} interlink edges (group cap is 8)"
+            );
         }
     }
 
@@ -1126,7 +1133,10 @@ mod calibration {
     #[test]
     #[ignore = "manual calibration probe; prints a summary"]
     fn print_small_scale_summary() {
-        let seed: u64 = std::env::var("SIM_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
+        let seed: u64 = std::env::var("SIM_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(1);
         let out = simulate(SimConfig::small(seed));
         let stats = out.stats();
         println!("--- sim stats (small): {stats:?}");

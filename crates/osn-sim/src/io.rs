@@ -60,7 +60,9 @@ pub fn export_dataset<P: AsRef<Path>>(out: &SimOutput, dir: P) -> io::Result<()>
             attacker,
             tool,
             a.created_at.as_secs(),
-            a.banned_at.map(|b| b.as_secs().to_string()).unwrap_or_default(),
+            a.banned_at
+                .map(|b| b.as_secs().to_string())
+                .unwrap_or_default(),
             match a.profile.gender {
                 Gender::Female => "f",
                 Gender::Male => "m",
@@ -109,10 +111,7 @@ fn tool_from_code(s: &str) -> Option<ToolKind> {
 }
 
 fn bad(line: usize, what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("line {line}: {what}"),
-    )
+    io::Error::new(io::ErrorKind::InvalidData, format!("line {line}: {what}"))
 }
 
 /// Parse column `name` as an account id: one of the `accounts` ids that
@@ -149,13 +148,18 @@ pub fn import_dataset<P: AsRef<Path>>(dir: P, config: SimConfig) -> io::Result<S
         let kind = match cols[1] {
             "normal" => AccountKind::Normal,
             "sybil" => AccountKind::Sybil {
-                attacker: cols[2].parse().map_err(|_| bad(lineno + 1, "bad attacker"))?,
+                attacker: cols[2]
+                    .parse()
+                    .map_err(|_| bad(lineno + 1, "bad attacker"))?,
                 tool: tool_from_code(cols[3]).ok_or_else(|| bad(lineno + 1, "bad tool"))?,
             },
             _ => return Err(bad(lineno + 1, "bad kind")),
         };
-        let created =
-            Timestamp(cols[4].parse().map_err(|_| bad(lineno + 1, "bad created"))?);
+        let created = Timestamp(
+            cols[4]
+                .parse()
+                .map_err(|_| bad(lineno + 1, "bad created"))?,
+        );
         let banned = if cols[5].is_empty() {
             None
         } else {
@@ -168,8 +172,9 @@ pub fn import_dataset<P: AsRef<Path>>(dir: P, config: SimConfig) -> io::Result<S
             "m" => Gender::Male,
             _ => return Err(bad(lineno + 1, "bad gender")),
         };
-        let attractiveness: f64 =
-            cols[7].parse().map_err(|_| bad(lineno + 1, "bad attractiveness"))?;
+        let attractiveness: f64 = cols[7]
+            .parse()
+            .map_err(|_| bad(lineno + 1, "bad attractiveness"))?;
         accounts.push(Account {
             kind,
             profile: Profile::new(gender, attractiveness),
@@ -197,7 +202,10 @@ pub fn import_dataset<P: AsRef<Path>>(dir: P, config: SimConfig) -> io::Result<S
         }
         let a = account_id(cols[0], n, lineno + 1, "src")?;
         let b = account_id(cols[1], n, lineno + 1, "dst")?;
-        let t = cols[2].trim().parse().map_err(|_| bad(lineno + 1, "bad time"))?;
+        let t = cols[2]
+            .trim()
+            .parse()
+            .map_err(|_| bad(lineno + 1, "bad time"))?;
         graph
             .add_edge(a, b, Timestamp(t))
             .map_err(|e| bad(lineno + 1, &e.to_string()))?;
@@ -233,7 +241,9 @@ pub fn import_dataset<P: AsRef<Path>>(dir: P, config: SimConfig) -> io::Result<S
             "pending" => {}
             "accepted" | "rejected" => {
                 let t = Timestamp(
-                    cols[4].parse().map_err(|_| bad(lineno + 1, "bad decided"))?,
+                    cols[4]
+                        .parse()
+                        .map_err(|_| bad(lineno + 1, "bad decided"))?,
                 );
                 if t < sent {
                     return Err(bad(lineno + 1, "decided_secs before sent_secs"));
@@ -426,10 +436,26 @@ mod tests {
     /// import, and feature extraction then indexed past the account table.
     #[test]
     fn request_endpoint_outside_the_accounts_is_rejected() {
-        let err = err_text(import_files("req_to", "", TWO, "header\n0,7,10,accepted,11\n"));
-        assert!(err.contains("line 2: to is not an id in accounts.csv"), "{err}");
-        let err = err_text(import_files("req_from", "", TWO, "header\n2,0,10,pending,\n"));
-        assert!(err.contains("line 2: from is not an id in accounts.csv"), "{err}");
+        let err = err_text(import_files(
+            "req_to",
+            "",
+            TWO,
+            "header\n0,7,10,accepted,11\n",
+        ));
+        assert!(
+            err.contains("line 2: to is not an id in accounts.csv"),
+            "{err}"
+        );
+        let err = err_text(import_files(
+            "req_from",
+            "",
+            TWO,
+            "header\n2,0,10,pending,\n",
+        ));
+        assert!(
+            err.contains("line 2: from is not an id in accounts.csv"),
+            "{err}"
+        );
     }
 
     /// An edge naming an undeclared account used to grow the graph past
@@ -437,9 +463,15 @@ mod tests {
     #[test]
     fn edge_endpoint_outside_the_accounts_is_rejected() {
         let err = err_text(import_edges("edge_dst", "0,9,5\n"));
-        assert!(err.contains("line 1: dst is not an id in accounts.csv"), "{err}");
+        assert!(
+            err.contains("line 1: dst is not an id in accounts.csv"),
+            "{err}"
+        );
         let err = err_text(import_edges("edge_src", "4,0,5\n"));
-        assert!(err.contains("line 1: src is not an id in accounts.csv"), "{err}");
+        assert!(
+            err.contains("line 1: src is not an id in accounts.csv"),
+            "{err}"
+        );
     }
 
     /// A single far-out id used to size the adjacency by itself (a 40-byte
@@ -447,9 +479,18 @@ mod tests {
     /// anything is allocated for it.
     #[test]
     fn huge_edge_endpoint_is_rejected_before_sizing_the_graph() {
-        let err = err_text(import_edges("edge_huge", "src,dst,time_secs\n0,400000000,5\n"));
-        assert!(err.contains("line 2: dst is not an id in accounts.csv"), "{err}");
+        let err = err_text(import_edges(
+            "edge_huge",
+            "src,dst,time_secs\n0,400000000,5\n",
+        ));
+        assert!(
+            err.contains("line 2: dst is not an id in accounts.csv"),
+            "{err}"
+        );
         let err = err_text(import_edges("edge_max", "0,4294967295,5\n"));
-        assert!(err.contains("line 1: dst is not an id in accounts.csv"), "{err}");
+        assert!(
+            err.contains("line 1: dst is not an id in accounts.csv"),
+            "{err}"
+        );
     }
 }

@@ -102,7 +102,11 @@ pub fn generate(cfg: &ScaleConfig) -> SimOutput {
         accounts.push(Account {
             kind,
             profile: Profile::new(
-                if h & 1 == 0 { Gender::Female } else { Gender::Male },
+                if h & 1 == 0 {
+                    Gender::Female
+                } else {
+                    Gender::Male
+                },
                 (h >> 8 & 0xFF) as f64 / 255.0,
             ),
             created_at: Timestamp((h >> 16) % arrival_s),

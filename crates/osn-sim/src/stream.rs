@@ -100,8 +100,8 @@ impl Iterator for EventStream<'_> {
     type Item = StreamEvent;
 
     fn next(&mut self) -> Option<StreamEvent> {
-        let send_at = (self.send_cursor < self.log.len())
-            .then(|| self.log.get(self.send_cursor).sent_at);
+        let send_at =
+            (self.send_cursor < self.log.len()).then(|| self.log.get(self.send_cursor).sent_at);
         let decide_at = self
             .decided
             .get(self.decide_cursor)
@@ -549,7 +549,9 @@ mod tests {
         // Tiny deterministic LCG; no external entropy.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = |m: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) % m
         };
         for _ in 0..50 {

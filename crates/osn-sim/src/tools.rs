@@ -100,7 +100,11 @@ pub const ALMIGHTY_ASSISTANT: ToolSpec = ToolSpec {
     supports_interlink: true,
 };
 
-static CATALOG: [ToolSpec; 3] = [MARKETING_ASSISTANT, SUPER_NODE_COLLECTOR, ALMIGHTY_ASSISTANT];
+static CATALOG: [ToolSpec; 3] = [
+    MARKETING_ASSISTANT,
+    SUPER_NODE_COLLECTOR,
+    ALMIGHTY_ASSISTANT,
+];
 
 impl ToolKind {
     /// All tools, in Table 3 order.

@@ -8,11 +8,11 @@ use proptest::prelude::*;
 /// milliseconds).
 fn arb_config() -> impl Strategy<Value = SimConfig> {
     (
-        0u64..1000,          // seed
-        300u64..900,         // hours
-        60usize..300,        // normals
-        4usize..40,          // sybils
-        0.2f64..0.7,         // arrival_frac
+        0u64..1000,   // seed
+        300u64..900,  // hours
+        60usize..300, // normals
+        4usize..40,   // sybils
+        0.2f64..0.7,  // arrival_frac
     )
         .prop_map(|(seed, hours, n_normal, n_sybil, arrival_frac)| {
             let mut cfg = SimConfig::tiny(seed);

@@ -151,7 +151,10 @@ pub fn dot_matrix(columns: &[(usize, Vec<usize>)], width: usize, height: usize) 
         out.extend(row.iter());
         out.push('\n');
     }
-    out.push_str(&format!("accounts: {} (one column each, subsampled)\n", n.min(width)));
+    out.push_str(&format!(
+        "accounts: {} (one column each, subsampled)\n",
+        n.min(width)
+    ));
     out
 }
 

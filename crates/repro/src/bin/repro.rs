@@ -13,9 +13,11 @@
 //! the segregated `wall` section.
 
 use sybil_obs::Snapshot;
-use sybil_repro::{chaos, defenses, deployment, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9};
-use sybil_repro::{help, mixing, parse_args, reach, restart, serve, table1, table2, table3, zoo};
+use sybil_repro::{
+    chaos, defenses, deployment, fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, fig9,
+};
 use sybil_repro::{export, Ctx, RunSpec};
+use sybil_repro::{help, mixing, parse_args, reach, restart, serve, table1, table2, table3, zoo};
 
 fn main() {
     let spec: RunSpec = match parse_args(std::env::args().skip(1)) {

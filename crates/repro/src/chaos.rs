@@ -21,15 +21,13 @@
 use crate::fig1::ground_truth_sample;
 use crate::runspec::RunSpec;
 use crate::scenario::Ctx;
+use crate::table::Table;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
-use sybil_chaos::{
-    run_chaos, verify_journal, ChaosOutcome, FaultSchedule, RecoveryReport,
-};
+use sybil_chaos::{run_chaos, verify_journal, ChaosOutcome, FaultSchedule, RecoveryReport};
 use sybil_core::realtime::RealtimeConfig;
 use sybil_core::ThresholdClassifier;
 use sybil_serve::{ServeConfig, ServeError, ServeSession};
-use crate::table::Table;
 
 /// Epochs the seed-derived schedule targets (faults beyond the stream's
 /// actual epoch count simply never fire).
@@ -116,14 +114,12 @@ pub struct ChaosResult {
 fn load_schedule(spec: &RunSpec, shards: usize) -> Result<(FaultSchedule, bool), ChaosExpError> {
     match &spec.faults_file {
         Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| ChaosExpError::FaultsIo {
-                    path: path.clone(),
-                    kind: e.kind(),
-                })?;
-            let mut schedule: FaultSchedule = serde_json::from_str(&text).map_err(|_| {
-                ChaosExpError::FaultsParse { path: path.clone() }
+            let text = std::fs::read_to_string(path).map_err(|e| ChaosExpError::FaultsIo {
+                path: path.clone(),
+                kind: e.kind(),
             })?;
+            let mut schedule: FaultSchedule = serde_json::from_str(&text)
+                .map_err(|_| ChaosExpError::FaultsParse { path: path.clone() })?;
             let outside = schedule
                 .faults
                 .iter()
@@ -246,7 +242,10 @@ impl ChaosResult {
                     r.injected.crashes
                 ),
             ),
-            ("Epochs replayed (crash recovery)", r.epochs_replayed.to_string()),
+            (
+                "Epochs replayed (crash recovery)",
+                r.epochs_replayed.to_string(),
+            ),
             ("Replay digest checks", r.replay_digest_checks.to_string()),
             ("Journal size", format!("{} bytes", r.journal_bytes)),
             ("Outcome", outcome),
@@ -287,7 +286,11 @@ mod tests {
     #[test]
     fn seed_derived_drill_recovers_or_types() {
         let ctx = Ctx::shared(Scale::Tiny, 11);
-        let spec = RunSpec::builder().scale(Scale::Tiny).seed(11).shards(2).build();
+        let spec = RunSpec::builder()
+            .scale(Scale::Tiny)
+            .seed(11)
+            .shards(2)
+            .build();
         let r = run(ctx, &spec).expect("drill failed");
         assert!(!r.faults_from_file);
         assert!(r.report.outcome.invariant_holds(), "{:?}", r.report);
@@ -300,7 +303,11 @@ mod tests {
     #[test]
     fn drill_is_deterministic() {
         let ctx = Ctx::shared(Scale::Tiny, 11);
-        let spec = RunSpec::builder().scale(Scale::Tiny).seed(11).shards(2).build();
+        let spec = RunSpec::builder()
+            .scale(Scale::Tiny)
+            .seed(11)
+            .shards(2)
+            .build();
         let a = serde_json::to_string(&run(ctx, &spec).expect("drill failed")).unwrap();
         let b = serde_json::to_string(&run(ctx, &spec).expect("drill failed")).unwrap();
         assert_eq!(a, b, "chaos drill must be byte-reproducible");
@@ -310,10 +317,8 @@ mod tests {
     /// the drill at tiny scale over 2 shards.
     fn drill_with_faults(test: &str, json: &str) -> Result<ChaosResult, ChaosExpError> {
         let ctx = Ctx::shared(Scale::Tiny, 11);
-        let path = std::env::temp_dir().join(format!(
-            "sybil-chaos-{}-{test}.json",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("sybil-chaos-{}-{test}.json", std::process::id()));
         std::fs::write(&path, json).unwrap();
         let spec = RunSpec::builder()
             .scale(Scale::Tiny)

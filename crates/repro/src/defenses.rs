@@ -10,6 +10,7 @@
 
 use crate::runspec::RunSpec;
 use crate::scenario::Ctx;
+use crate::table::Table;
 use osn_graph::{par, NodeId, TemporalGraph};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -19,7 +20,6 @@ use sybil_defense::{
     evaluate_defense, ConductanceRanking, DefenseEvaluation, SumUp, SybilDefense, SybilGuard,
     SybilInfer, SybilLimit,
 };
-use crate::table::Table;
 
 /// One defense's two evaluations.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -263,9 +263,8 @@ impl Defenses {
                 pct(r.injected.honest_rejection_rate()),
             ]);
         }
-        let mut out = String::from(
-            "Defense evaluation — wild topology vs injected clusters (§3.1)\n\n",
-        );
+        let mut out =
+            String::from("Defense evaluation — wild topology vs injected clusters (§3.1)\n\n");
         out.push_str(&t.render());
         out.push_str(&format!(
             "\nmean Sybil acceptance: wild {:.0}% vs injected {:.0}% — \

@@ -10,11 +10,11 @@ use crate::fig1::ground_truth_sample;
 use crate::runspec::RunSpec;
 use crate::scenario::Ctx;
 use crate::serve::fmt_catch_rate;
+use crate::table::Table;
 use serde::{Deserialize, Serialize};
 use sybil_core::realtime::{replay, DeploymentReport, RealtimeConfig};
 use sybil_core::ThresholdClassifier;
 use sybil_serve::{ServeConfig, ServeSession};
-use crate::table::Table;
 
 /// Result of the deployment experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -61,7 +61,9 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Deployment {
     let window_h = 500u64;
     let mut buckets: std::collections::BTreeMap<u64, usize> = Default::default();
     for d in &adaptive_report.detections {
-        *buckets.entry(d.at.as_secs() / (window_h * 3600)).or_default() += 1;
+        *buckets
+            .entry(d.at.as_secs() / (window_h * 3600))
+            .or_default() += 1;
     }
     let detections_per_window = buckets
         .into_iter()

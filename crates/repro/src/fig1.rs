@@ -7,12 +7,12 @@
 //! Sybils with no false positives.
 
 use crate::scenario::Ctx;
+use crate::{ascii, cdf::Cdf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sybil_features::dataset::GroundTruth;
 use sybil_features::FeatureExtractor;
-use crate::{ascii, cdf::Cdf};
 
 /// Result of the Fig. 1 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -5,8 +5,8 @@
 
 use crate::fig1::ground_truth_sample;
 use crate::scenario::Ctx;
-use serde::{Deserialize, Serialize};
 use crate::{ascii, cdf::Cdf, summary::Summary};
+use serde::{Deserialize, Serialize};
 
 /// Result of the Fig. 2 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -72,8 +72,12 @@ mod tests {
     fn outgoing_ratio_separates() {
         let ctx = Ctx::shared(Scale::Tiny, 11);
         let fig = run(ctx, 50);
-        assert!(fig.normal_mean > fig.sybil_mean + 0.25,
-            "means: normal {} sybil {}", fig.normal_mean, fig.sybil_mean);
+        assert!(
+            fig.normal_mean > fig.sybil_mean + 0.25,
+            "means: normal {} sybil {}",
+            fig.normal_mean,
+            fig.sybil_mean
+        );
         assert!(fig.sybil_mean < 0.45);
         assert!(fig.normal_mean > 0.55);
         assert!(fig.render().contains("paper 0.26"));

@@ -6,8 +6,8 @@
 
 use crate::fig1::ground_truth_sample;
 use crate::scenario::Ctx;
-use serde::{Deserialize, Serialize};
 use crate::{ascii, cdf::Cdf};
+use serde::{Deserialize, Serialize};
 
 /// Result of the Fig. 3 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

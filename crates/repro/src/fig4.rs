@@ -11,8 +11,8 @@
 
 use crate::fig1::ground_truth_sample;
 use crate::scenario::Ctx;
-use serde::{Deserialize, Serialize};
 use crate::{ascii, cdf::Cdf, summary::Summary};
+use serde::{Deserialize, Serialize};
 
 /// Result of the Fig. 4 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -6,9 +6,9 @@
 //! majority integrate into the normal graph and never cluster.
 
 use crate::scenario::Ctx;
+use crate::{ascii, cdf::Cdf};
 use osn_graph::degree;
 use serde::{Deserialize, Serialize};
-use crate::{ascii, cdf::Cdf};
 
 /// Result of the Fig. 5 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -6,8 +6,8 @@
 //! edges).
 
 use crate::scenario::Ctx;
-use serde::{Deserialize, Serialize};
 use crate::{ascii, cdf::Cdf};
+use serde::{Deserialize, Serialize};
 
 /// Result of the Fig. 6 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -4,10 +4,10 @@
 //! attack edges than Sybil edges — so none meets the small-cut premise of
 //! community-based Sybil detection.
 
+use crate::ascii;
 use crate::scenario::Ctx;
 use osn_graph::metrics;
 use serde::{Deserialize, Serialize};
-use crate::ascii;
 
 /// Result of the Fig. 7 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -48,7 +48,8 @@ impl Fig7 {
             .iter()
             .map(|&(s, a)| (s.max(1) as f64, a.max(1) as f64))
             .collect();
-        let mut out = String::from("Figure 7 — Sybil edges (x) vs attack edges (y) per component\n\n");
+        let mut out =
+            String::from("Figure 7 — Sybil edges (x) vs attack edges (y) per component\n\n");
         out.push_str(&ascii::scatter_loglog(&pts, 70, 20));
         out.push_str(&format!(
             "\ncomponents above y = x: {:.0}% (paper: 100%)\n",

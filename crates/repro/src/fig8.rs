@@ -6,12 +6,12 @@
 //! (accidental creation); only a handful of circled accounts show the
 //! solid prefix runs of intentional interlinking.
 
+use crate::ascii;
 use crate::scenario::Ctx;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use sybil_features::temporal::{self, EdgeOrderColumn};
-use crate::ascii;
 
 /// Result of the Fig. 8 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -5,9 +5,9 @@
 //! tight-knit cluster community detectors expect.
 
 use crate::scenario::Ctx;
+use crate::{ascii, cdf::Cdf};
 use osn_graph::degree;
 use serde::{Deserialize, Serialize};
-use crate::{ascii, cdf::Cdf};
 
 /// Result of the Fig. 9 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]

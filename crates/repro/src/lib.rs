@@ -54,13 +54,13 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod mixing;
+pub mod reach;
 pub mod restart;
 pub mod runspec;
 pub mod scenario;
 pub mod serve;
 pub mod summary;
-pub mod mixing;
-pub mod reach;
 pub mod table;
 pub mod table1;
 pub mod table2;

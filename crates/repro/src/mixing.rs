@@ -13,12 +13,12 @@
 //! the serial order's.
 
 use crate::scenario::Ctx;
+use crate::table::Table;
 use osn_graph::{par, spectral, NodeId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use sybil_defense::common::injected_cluster_graph;
-use crate::table::Table;
 
 /// Result of the mixing experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -90,9 +90,8 @@ impl Mixing {
             format!("{:.2}", self.wild_escape),
             format!("{:.2}", self.injected_escape),
         ]);
-        let mut out = String::from(
-            "Mixing analysis — the fast-mixing assumption behind §3.1 defenses\n\n",
-        );
+        let mut out =
+            String::from("Mixing analysis — the fast-mixing assumption behind §3.1 defenses\n\n");
         out.push_str(&t.render());
         out.push_str(&format!(
             "\nhonest-set baseline escape: {:.2}. Wild Sybils escape like honest users \

@@ -10,11 +10,11 @@
 //! they are positively correlated: judge variance across runs, not cells.
 
 use crate::scenario::Ctx;
+use crate::table::Table;
 use osn_graph::{cascade, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use crate::table::Table;
 
 /// Reach measurements for one Sybil component.
 #[derive(Clone, Debug, Serialize, Deserialize)]

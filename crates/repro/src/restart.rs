@@ -137,10 +137,7 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<RestartRun, RestartError> {
         .map_err(RestartError::Engine)?;
     let oracle_json = serde_json::to_string(&oracle.report).unwrap_or_default();
 
-    let base = spec
-        .store_dir
-        .clone()
-        .unwrap_or_else(|| spec.run_dir());
+    let base = spec.store_dir.clone().unwrap_or_else(|| spec.run_dir());
     let dir = base.join("restart-drill");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -166,8 +163,7 @@ pub fn run(ctx: &Ctx, spec: &RunSpec) -> Result<RestartRun, RestartError> {
         .store(&mut revived)
         .run(&ctx.out)
         .map_err(RestartError::Engine)?;
-    let matches_oracle =
-        serde_json::to_string(&outcome.report).unwrap_or_default() == oracle_json;
+    let matches_oracle = serde_json::to_string(&outcome.report).unwrap_or_default() == oracle_json;
 
     Ok(RestartRun {
         rule,
@@ -203,7 +199,11 @@ impl RestartRun {
             ),
             (
                 "Checkpoints on disk",
-                format!("{} (latest epoch {:?})", self.checkpoints.len(), self.checkpoints.last()),
+                format!(
+                    "{} (latest epoch {:?})",
+                    self.checkpoints.len(),
+                    self.checkpoints.last()
+                ),
             ),
             (
                 "Journal",

@@ -19,8 +19,26 @@ use std::path::PathBuf;
 
 /// Every experiment name the binary accepts, in default execution order.
 pub const ALL_EXPERIMENTS: [&str; 20] = [
-    "fig1", "fig2", "fig3", "fig4", "table1", "fig5", "fig6", "table2", "fig7", "fig8", "fig9",
-    "table3", "zoo", "mixing", "deployment", "serve", "chaos", "restart", "reach", "defenses",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "table1",
+    "fig5",
+    "fig6",
+    "table2",
+    "fig7",
+    "fig8",
+    "fig9",
+    "table3",
+    "zoo",
+    "mixing",
+    "deployment",
+    "serve",
+    "chaos",
+    "restart",
+    "reach",
+    "defenses",
 ];
 
 /// One CLI flag: spelling, value placeholder (`None` for bare flags),
@@ -166,7 +184,8 @@ impl RunSpec {
 
     /// The per-run output directory: `{out_dir}/{scale}-seed{seed}`.
     pub fn run_dir(&self) -> PathBuf {
-        self.out_dir.join(format!("{}-seed{}", self.scale, self.seed))
+        self.out_dir
+            .join(format!("{}-seed{}", self.scale, self.seed))
     }
 }
 
@@ -294,9 +313,7 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-fn validate_experiments(
-    names: impl Iterator<Item = String>,
-) -> Result<Vec<String>, CliError> {
+fn validate_experiments(names: impl Iterator<Item = String>) -> Result<Vec<String>, CliError> {
     let mut picked: Vec<String> = Vec::new();
     for name in names {
         if name == "all" {
@@ -446,8 +463,23 @@ mod tests {
     #[test]
     fn every_flag_round_trips() {
         let spec = parse(&[
-            "--scale", "tiny", "--seed", "7", "--out", "tmp/x", "--shards", "4", "--threads",
-            "8", "--metrics", "tmp/m", "--faults", "tmp/f.json", "--store", "tmp/s", "serve",
+            "--scale",
+            "tiny",
+            "--seed",
+            "7",
+            "--out",
+            "tmp/x",
+            "--shards",
+            "4",
+            "--threads",
+            "8",
+            "--metrics",
+            "tmp/m",
+            "--faults",
+            "tmp/f.json",
+            "--store",
+            "tmp/s",
+            "serve",
             "deployment",
         ])
         .unwrap();
@@ -492,11 +524,17 @@ mod tests {
         assert_eq!(parse(&["--seed"]), Err(CliError::MissingValue("--seed")));
         assert!(matches!(
             parse(&["--scale", "huge"]),
-            Err(CliError::InvalidValue { flag: "--scale", .. })
+            Err(CliError::InvalidValue {
+                flag: "--scale",
+                ..
+            })
         ));
         assert!(matches!(
             parse(&["--threads", "0"]),
-            Err(CliError::InvalidValue { flag: "--threads", .. })
+            Err(CliError::InvalidValue {
+                flag: "--threads",
+                ..
+            })
         ));
         assert!(matches!(
             parse(&["--seed", "x"]),
@@ -534,12 +572,18 @@ mod tests {
         let tiny = RunSpec::builder().scale(Scale::Tiny).build();
         let paper = RunSpec::builder().scale(Scale::Paper).build();
         let xl = RunSpec::builder().scale(Scale::Xl).build();
-        assert_eq!((tiny.per_class(), tiny.suspects(), tiny.reach_trials()), (50, 15, 50));
+        assert_eq!(
+            (tiny.per_class(), tiny.suspects(), tiny.reach_trials()),
+            (50, 15, 50)
+        );
         assert_eq!(
             (paper.per_class(), paper.suspects(), paper.reach_trials()),
             (1000, 40, 20)
         );
-        assert_eq!((xl.per_class(), xl.suspects(), xl.reach_trials()), (1000, 40, 20));
+        assert_eq!(
+            (xl.per_class(), xl.suspects(), xl.reach_trials()),
+            (1000, 40, 20)
+        );
     }
 
     /// `--scale xl` narrows the default experiment set to `serve` and

@@ -165,10 +165,7 @@ mod tests {
     #[test]
     fn ctx_partitions_population() {
         let ctx = Ctx::build(Scale::Tiny, 5);
-        assert_eq!(
-            ctx.sybils.len() + ctx.normals.len(),
-            ctx.out.accounts.len()
-        );
+        assert_eq!(ctx.sybils.len() + ctx.normals.len(), ctx.out.accounts.len());
         // Components exclude singletons.
         for c in &ctx.sybil_components {
             assert!(c.len() >= 2);

@@ -10,12 +10,12 @@
 use crate::fig1::ground_truth_sample;
 use crate::runspec::RunSpec;
 use crate::scenario::Ctx;
+use crate::table::Table;
 use serde::{Deserialize, Serialize};
 use sybil_core::realtime::{replay, replay_observed, DeploymentReport, RealtimeConfig};
 use sybil_core::ThresholdClassifier;
 use sybil_obs::{Registry, Snapshot};
 use sybil_serve::{ServeConfig, ServeError, ServeOutcome, ServeSession};
-use crate::table::Table;
 use sybil_store::{StoreError, StorePlane};
 
 /// Why the serving experiment could not run.
@@ -157,9 +157,8 @@ fn run_inner(
             }
             _ => replay(&ctx.out, &detect),
         };
-        matches.push(
-            serde_json::to_string(&report).ok() == serde_json::to_string(&sequential).ok(),
-        );
+        matches
+            .push(serde_json::to_string(&report).ok() == serde_json::to_string(&sequential).ok());
         reports.push(report);
     }
     let adaptive_report = reports.pop().unwrap_or_default();
@@ -279,10 +278,8 @@ mod tests {
     #[test]
     fn persisted_run_is_transparent_and_warm_restarts() {
         let ctx = Ctx::shared(Scale::Tiny, 11);
-        let dir = std::env::temp_dir().join(format!(
-            "sybil-repro-serve-store-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("sybil-repro-serve-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = RunSpec::builder()
             .scale(Scale::Tiny)

@@ -6,13 +6,13 @@
 
 use crate::fig1::ground_truth_sample;
 use crate::scenario::Ctx;
+use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sybil_core::eval::{cross_validate, ConfusionMatrix};
 use sybil_core::svm::kernel::KernelSvmParams;
 use sybil_core::{KernelSvm, ThresholdClassifier};
-use crate::table::Table;
 
 /// Result of the Table 1 experiment.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -71,9 +71,8 @@ impl Table1 {
             pct(self.threshold.false_positive_rate()),
             pct(self.threshold.normal_recall()),
         ]);
-        let mut out = String::from(
-            "Table 1 — classifier performance (5-fold CV; paper: both ≈ 99%/99%)\n\n",
-        );
+        let mut out =
+            String::from("Table 1 — classifier performance (5-fold CV; paper: both ≈ 99%/99%)\n\n");
         out.push_str(&t.render());
         out.push_str(&format!(
             "\ncalibrated rule on full sample: ratio < {:.2} ∧ freq > {:.1} ∧ cc < {}\n",

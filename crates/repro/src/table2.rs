@@ -5,9 +5,9 @@
 //! more attack edges than Sybil edges.
 
 use crate::scenario::Ctx;
+use crate::table::Table;
 use osn_graph::metrics;
 use serde::{Deserialize, Serialize};
-use crate::table::Table;
 
 /// One row of Table 2.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -62,8 +62,9 @@ impl Table2 {
                 r.audience.to_string(),
             ]);
         }
-        let mut out =
-            String::from("Table 2 — five largest Sybil components (paper: attack ≫ Sybil edges)\n\n");
+        let mut out = String::from(
+            "Table 2 — five largest Sybil components (paper: attack ≫ Sybil edges)\n\n",
+        );
         out.push_str(&t.render());
         if let Some(r) = self.rows.first() {
             out.push_str(&format!(

@@ -7,9 +7,9 @@
 //! rate — which is the §3.4 argument in numbers.
 
 use crate::scenario::Ctx;
+use crate::table::Table;
 use osn_sim::ToolKind;
 use serde::{Deserialize, Serialize};
-use crate::table::Table;
 
 /// Per-tool measured behavior.
 #[derive(Clone, Debug, Serialize, Deserialize)]

@@ -9,6 +9,7 @@
 
 use crate::fig1::ground_truth_sample;
 use crate::scenario::Ctx;
+use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -20,7 +21,6 @@ use sybil_core::{
     Classifier, KernelSvm, LinearSvm, LogisticRegression, NaiveBayes, ThresholdClassifier,
 };
 use sybil_features::dataset::GroundTruth;
-use crate::table::Table;
 
 /// One classifier's cross-validated results.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -153,7 +153,11 @@ mod tests {
         assert_eq!(zoo.rows.len(), 5);
         assert_eq!(zoo.feature_auc.len(), 5);
         // The invitation-frequency features must be strongly informative.
-        assert!(zoo.feature_auc[0].1 > 0.9, "freq1h auc {}", zoo.feature_auc[0].1);
+        assert!(
+            zoo.feature_auc[0].1 > 0.9,
+            "freq1h auc {}",
+            zoo.feature_auc[0].1
+        );
         for r in &zoo.rows {
             assert!(
                 r.matrix.accuracy() > 0.85,

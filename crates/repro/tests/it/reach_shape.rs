@@ -23,7 +23,10 @@ fn reach_exceeds_table2_audience_and_grows_with_forwarding() {
             assert_eq!((row.sybils, row.audience), (t2_row.sybils, t2_row.audience));
             let means: Vec<f64> = row.reach.iter().map(|&(_, mean)| mean).collect();
             assert!(means[0] >= row.audience as f64, "seed {seed}: {row:?}");
-            assert!(means.windows(2).all(|w| w[0] < w[1]), "seed {seed}: {row:?}");
+            assert!(
+                means.windows(2).all(|w| w[0] < w[1]),
+                "seed {seed}: {row:?}"
+            );
         }
         let one_hop = r.rows[0].audience as f64 / ctx.normals.len() as f64;
         assert!(

@@ -26,8 +26,16 @@ fn threshold_rule_matches_the_svm() {
             (thr - svm).abs() <= 0.04,
             "seed {seed}: threshold {thr} vs SVM {svm}"
         );
-        assert_eq!(t.svm.total(), 100, "seed {seed}: every example held out once");
-        assert_eq!(t.threshold.total(), 100, "seed {seed}: every example held out once");
+        assert_eq!(
+            t.svm.total(),
+            100,
+            "seed {seed}: every example held out once"
+        );
+        assert_eq!(
+            t.threshold.total(),
+            100,
+            "seed {seed}: every example held out once"
+        );
     }
 }
 

@@ -273,7 +273,12 @@ mod tests {
         };
         let base = baseline(&out, &cfg);
         let run = run_chaos(&out, &cfg, &base, schedule, in_memory(), None).unwrap();
-        assert_eq!(run.report.outcome, ChaosOutcome::Identical, "{:?}", run.report);
+        assert_eq!(
+            run.report.outcome,
+            ChaosOutcome::Identical,
+            "{:?}",
+            run.report
+        );
         assert_eq!(run.report.injected.crashes, 1);
         assert_eq!(run.report.epochs_replayed, 3, "epochs 0..=2 replayed");
         // The default cadence digests every epoch, so both replayed

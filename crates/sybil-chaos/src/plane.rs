@@ -22,8 +22,7 @@ use crate::schedule::{FaultSchedule, FaultSpecKind};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use sybil_serve::fault::{
-    ChaosError, EpochRecord, EpochRecordRef, FaultPlane, ResumeState, SessionCheckpoint,
-    ShardFault,
+    ChaosError, EpochRecord, EpochRecordRef, FaultPlane, ResumeState, SessionCheckpoint, ShardFault,
 };
 
 /// How many faults of each kind a run injected. Serialized into the

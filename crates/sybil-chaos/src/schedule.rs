@@ -139,8 +139,9 @@ impl FaultSchedule {
     ///
     /// [`generate`]: FaultSchedule::generate
     pub fn normalize(&mut self) {
-        self.faults
-            .sort_by(|a, b| (a.epoch, a.shard, a.kind.name()).cmp(&(b.epoch, b.shard, b.kind.name())));
+        self.faults.sort_by(|a, b| {
+            (a.epoch, a.shard, a.kind.name()).cmp(&(b.epoch, b.shard, b.kind.name()))
+        });
         let mut seen: Vec<(u64, Option<usize>)> = Vec::with_capacity(self.faults.len());
         self.faults.retain(|f| {
             let key = f.site();

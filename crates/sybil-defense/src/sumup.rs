@@ -24,7 +24,9 @@ pub struct SumUp {
 impl SumUp {
     /// Collector expecting up to `c_max` votes.
     pub fn new(c_max: usize) -> Self {
-        SumUp { c_max: c_max.max(1) }
+        SumUp {
+            c_max: c_max.max(1),
+        }
     }
 
     /// Build the capacity network around `collector` with SumUp's ticket
@@ -220,9 +222,7 @@ impl PreparedVerifier for VoteCollector {
     fn judge(&self, suspect: NodeId) -> Verdict {
         let (s, t) = (suspect.index(), self.collector.index());
         Verdict::accept_if(
-            self.c_max > 0
-                && s != t
-                && PathSearch::new(self.net.num_nodes()).find(&self.net, s, t),
+            self.c_max > 0 && s != t && PathSearch::new(self.net.num_nodes()).find(&self.net, s, t),
         )
     }
 }

@@ -6,8 +6,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sybil_defense::common::injected_cluster_graph;
 use sybil_defense::{
-    evaluate_defense, ConductanceRanking, SumUp, SybilDefense, SybilGuard, SybilInfer,
-    SybilLimit, Verdict,
+    evaluate_defense, ConductanceRanking, SumUp, SybilDefense, SybilGuard, SybilInfer, SybilLimit,
+    Verdict,
 };
 
 #[test]

@@ -51,9 +51,16 @@ impl GroundTruth {
     ) -> Self {
         let out = fx.output();
         let eligible = |n: &NodeId| !fx.sent_by(*n).is_empty();
-        let mut sybils: Vec<NodeId> = out.sybil_ids().into_iter().filter(|n| eligible(n)).collect();
-        let mut normals: Vec<NodeId> =
-            out.normal_ids().into_iter().filter(|n| eligible(n)).collect();
+        let mut sybils: Vec<NodeId> = out
+            .sybil_ids()
+            .into_iter()
+            .filter(|n| eligible(n))
+            .collect();
+        let mut normals: Vec<NodeId> = out
+            .normal_ids()
+            .into_iter()
+            .filter(|n| eligible(n))
+            .collect();
         sybils.shuffle(rng);
         normals.shuffle(rng);
         sybils.truncate(per_class);
@@ -132,8 +139,12 @@ mod tests {
         let fx = FeatureExtractor::new(&out);
         let mut rng = StdRng::seed_from_u64(3);
         let mut ds = GroundTruth::sample(&fx, 30, &mut rng);
-        let before: std::collections::HashMap<NodeId, bool> =
-            ds.nodes.iter().copied().zip(ds.labels.iter().copied()).collect();
+        let before: std::collections::HashMap<NodeId, bool> = ds
+            .nodes
+            .iter()
+            .copied()
+            .zip(ds.labels.iter().copied())
+            .collect();
         ds.shuffle(&mut rng);
         for (i, &n) in ds.nodes.iter().enumerate() {
             assert_eq!(ds.labels[i], before[&n]);

@@ -173,7 +173,10 @@ mod tests {
         // Fig. 2: outgoing accept ratio lower for Sybils.
         let s_out = mean(&sybils, |f| f.outgoing_accept_ratio);
         let n_out = mean(&normals, |f| f.outgoing_accept_ratio);
-        assert!(s_out + 0.2 < n_out, "out ratio: sybil {s_out} normal {n_out}");
+        assert!(
+            s_out + 0.2 < n_out,
+            "out ratio: sybil {s_out} normal {n_out}"
+        );
         // Fig. 3's claim is a fraction, not a mean: ≈80% of Sybils accept
         // 100% of their incoming requests and the rest "were banned
         // before answering", while normal users spread out. Two halves.
@@ -184,7 +187,9 @@ mod tests {
             let received = fx.recv_idx.of(s.index()).iter();
             let answered = received.map(|&i| out.log.get(i as usize).outcome);
             assert!(
-                answered.filter(|o| o.is_resolved()).all(|o| o.is_accepted()),
+                answered
+                    .filter(|o| o.is_resolved())
+                    .all(|o| o.is_accepted()),
                 "sybil {s:?} declined a request"
             );
         }

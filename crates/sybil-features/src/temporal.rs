@@ -56,7 +56,10 @@ impl EdgeOrderColumn {
         }
         let denom = (self.total - 1) as f64;
         Some(
-            self.sybil_positions.iter().map(|&p| p as f64 / denom).sum::<f64>()
+            self.sybil_positions
+                .iter()
+                .map(|&p| p as f64 / denom)
+                .sum::<f64>()
                 / self.sybil_positions.len() as f64,
         )
     }
@@ -130,8 +133,16 @@ pub fn summarize(columns: &[EdgeOrderColumn]) -> TemporalSummary {
             }
         }
     }
-    s.mean_position = if pos_n == 0 { 0.0 } else { pos_sum / pos_n as f64 };
-    s.accidental_mean_position = if acc_n == 0 { 0.0 } else { acc_sum / acc_n as f64 };
+    s.mean_position = if pos_n == 0 {
+        0.0
+    } else {
+        pos_sum / pos_n as f64
+    };
+    s.accidental_mean_position = if acc_n == 0 {
+        0.0
+    } else {
+        acc_sum / acc_n as f64
+    };
     s
 }
 

@@ -211,7 +211,9 @@ pub fn parse(content: &str) -> Result<Allowlist, ParseError> {
                 (EffTable::Roots, _) => {
                     return Err(ParseError::at(
                         lineno,
-                        format!("unknown key {key:?} in [effects.roots] (allowed: clockless, io_free)"),
+                        format!(
+                            "unknown key {key:?} in [effects.roots] (allowed: clockless, io_free)"
+                        ),
                     ))
                 }
                 (EffTable::HotRoots, _) => {
@@ -237,10 +239,7 @@ pub fn parse(content: &str) -> Result<Allowlist, ParseError> {
             "justification" => p.justification = Some(parse_string(&value, lineno)?),
             "line" => {
                 p.line = Some(value.parse::<u32>().map_err(|_| {
-                    ParseError::at(
-                        lineno,
-                        format!("`line` must be an integer, got {value:?}"),
-                    )
+                    ParseError::at(lineno, format!("`line` must be an integer, got {value:?}"))
                 })?)
             }
             _ => {
@@ -286,9 +285,10 @@ fn parse_string_array(value: &str, lineno: usize) -> Result<Vec<String>, ParseEr
         }
         // Find the closing quote (the patterns are plain paths — no
         // escapes to honor, but reject embedded backslashes outright).
-        let close = rest[1..].find('"').ok_or_else(|| {
-            ParseError::at(lineno, "unterminated string in array".to_string())
-        })? + 1;
+        let close = rest[1..]
+            .find('"')
+            .ok_or_else(|| ParseError::at(lineno, "unterminated string in array".to_string()))?
+            + 1;
         let s = &rest[1..close];
         if s.contains('\\') {
             return Err(ParseError::at(
@@ -503,16 +503,18 @@ justification = "index comes from the same vec's enumerate()"
     #[test]
     fn rejects_missing_justification() {
         let err = parse("[[allow]]\nrule = \"D001\"\npath = \"x.rs\"\n").unwrap_err();
-        assert!(matches!(err, ParseError::Entry { end_line: 3, .. }), "{err}");
+        assert!(
+            matches!(err, ParseError::Entry { end_line: 3, .. }),
+            "{err}"
+        );
         assert!(err.to_string().contains("missing `justification`"), "{err}");
     }
 
     #[test]
     fn rejects_trivial_justification() {
-        let err = parse(
-            "[[allow]]\nrule = \"D001\"\npath = \"x.rs\"\njustification = \"because\"\n",
-        )
-        .unwrap_err();
+        let err =
+            parse("[[allow]]\nrule = \"D001\"\npath = \"x.rs\"\njustification = \"because\"\n")
+                .unwrap_err();
         assert!(err.to_string().contains("too"), "{err}");
     }
 
@@ -561,7 +563,10 @@ justification = "index comes from the same vec's enumerate()"
 
     #[test]
     fn rejects_unknown_rule_and_keys() {
-        assert!(parse("[[allow]]\nrule = \"D999\"\npath = \"x\"\njustification = \"long enough to pass\"\n").is_err());
+        assert!(parse(
+            "[[allow]]\nrule = \"D999\"\npath = \"x\"\njustification = \"long enough to pass\"\n"
+        )
+        .is_err());
         assert!(parse("[[allow]]\nfoo = \"bar\"\n").is_err());
     }
 }

@@ -164,8 +164,8 @@ impl CallGraph {
 /// are also inherent methods on std types). These resolve only through
 /// qualified `Type::name` paths, never through `.name(…)` dispatch.
 const AMBIENT_METHODS: [&str; 15] = [
-    "new", "default", "len", "get", "insert", "push", "pop", "next", "clone", "iter",
-    "index", "fmt", "eq", "contains", "is_empty",
+    "new", "default", "len", "get", "insert", "push", "pop", "next", "clone", "iter", "index",
+    "fmt", "eq", "contains", "is_empty",
 ];
 
 /// Resolve one call to its candidate definitions.
@@ -280,23 +280,23 @@ mod tests {
 
     #[test]
     fn resolves_chains_through_modules_and_methods() {
-        let m = model_from(&[
-            (
-                "crates/a/src/lib.rs",
-                "pub fn entry(g: &G) { helper(g); }\n\
+        let m = model_from(&[(
+            "crates/a/src/lib.rs",
+            "pub fn entry(g: &G) { helper(g); }\n\
                  fn helper(g: &G) { g.walk(); }\n\
                  pub struct G;\n\
                  impl G { pub fn walk(&self) { deep::panicky(); } }\n\
                  pub mod deep { pub fn panicky() { panic!(\"x\") } }\n",
-            ),
-        ]);
+        )]);
         let cg = CallGraph::build(&m);
         let entry = idx(&m, "a::entry");
         let panicky = idx(&m, "a::deep::panicky");
         let path = cg.path(entry, panicky).expect("path exists");
         assert_eq!(path.len(), 3, "entry→helper→walk→panicky: {path:?}");
         let is_entry = |i| i == entry;
-        let (anc, up) = cg.nearest_ancestor(panicky, is_entry, |_| true).expect("pub ancestor");
+        let (anc, up) = cg
+            .nearest_ancestor(panicky, is_entry, |_| true)
+            .expect("pub ancestor");
         assert_eq!(anc, entry);
         assert_eq!(up.len(), 3);
         // Ancestry confined by `admit`: forbidding every intermediate
@@ -306,13 +306,11 @@ mod tests {
 
     #[test]
     fn ambient_method_names_do_not_link() {
-        let m = model_from(&[
-            (
-                "crates/a/src/lib.rs",
-                "pub struct S;\nimpl S { pub fn new() -> S { panic!(\"x\") } }\n\
+        let m = model_from(&[(
+            "crates/a/src/lib.rs",
+            "pub struct S;\nimpl S { pub fn new() -> S { panic!(\"x\") } }\n\
                  pub fn f() { let v: Vec<u32> = Vec::new(); v.len(); }\n",
-            ),
-        ]);
+        )]);
         let cg = CallGraph::build(&m);
         let f = idx(&m, "a::f");
         assert!(cg.out[f].is_empty(), "{:?}", cg.out[f]);
@@ -320,12 +318,10 @@ mod tests {
 
     #[test]
     fn qualified_type_paths_link() {
-        let m = model_from(&[
-            (
-                "crates/a/src/lib.rs",
-                "pub struct S;\nimpl S { pub fn build() -> S { S } }\npub fn f() -> S { S::build() }\n",
-            ),
-        ]);
+        let m = model_from(&[(
+            "crates/a/src/lib.rs",
+            "pub struct S;\nimpl S { pub fn build() -> S { S } }\npub fn f() -> S { S::build() }\n",
+        )]);
         let cg = CallGraph::build(&m);
         let f = idx(&m, "a::f");
         assert_eq!(cg.out[f].len(), 1);

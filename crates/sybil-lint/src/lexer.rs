@@ -244,7 +244,10 @@ pub fn lex(src: &str) -> Vec<Token> {
                 let is_raw_ident = prefix_len == 1
                     && cur.bytes.get(cur.pos) == Some(&b'r')
                     && after.starts_with('#')
-                    && after.get(1..).and_then(|s| s.chars().next()).is_some_and(is_ident_start);
+                    && after
+                        .get(1..)
+                        .and_then(|s| s.chars().next())
+                        .is_some_and(is_ident_start);
                 let is_str_start = prefix_len > 0
                     && !is_raw_ident
                     && (after.starts_with('"') || after.starts_with('#'))
@@ -338,7 +341,10 @@ mod tests {
     fn idents_and_puncts() {
         let ks = kinds("let mut x = a.b();");
         let texts: Vec<&str> = ks.iter().map(|(_, t)| t.as_str()).collect();
-        assert_eq!(texts, ["let", "mut", "x", "=", "a", ".", "b", "(", ")", ";"]);
+        assert_eq!(
+            texts,
+            ["let", "mut", "x", "=", "a", ".", "b", "(", ")", ";"]
+        );
     }
 
     #[test]
@@ -350,7 +356,8 @@ mod tests {
 
     #[test]
     fn strings_are_opaque() {
-        let ks = kinds(r#"x("thread_rng()"); y(r#STR#);"#.replace("STR", "\"Instant::now\"").as_str());
+        let ks =
+            kinds(r#"x("thread_rng()"); y(r#STR#);"#.replace("STR", "\"Instant::now\"").as_str());
         assert!(ks
             .iter()
             .filter(|(k, _)| *k == TokKind::Ident)

@@ -42,7 +42,7 @@ pub mod sites;
 pub mod symbols;
 pub mod workspace;
 
-pub use allowlist::{Allowlist, AllowEntry};
+pub use allowlist::{AllowEntry, Allowlist};
 pub use report::{Finding, Report};
 pub use rules::{check_file, FileCtx, FileKind};
 pub use symbols::WorkspaceModel;

@@ -68,9 +68,7 @@ fn parse_args() -> Result<Args, String> {
                 args.workspace = true; // staleness needs the full scan
                 args.fix_allowlist = true;
             }
-            "--explain" => {
-                args.explain = Some(it.next().ok_or("--explain expects a rule code")?)
-            }
+            "--explain" => args.explain = Some(it.next().ok_or("--explain expects a rule code")?),
             "--format" => match it.next().as_deref() {
                 Some("json") => args.format = Format::Json,
                 Some("human") => args.format = Format::Human,
@@ -125,18 +123,17 @@ fn main() -> ExitCode {
             }
             None => {
                 let known: Vec<&str> = rules::RULES.iter().map(|r| r.code).collect();
-                eprintln!("sybil-lint: unknown rule {code:?} (known: {})", known.join(" "));
+                eprintln!(
+                    "sybil-lint: unknown rule {code:?} (known: {})",
+                    known.join(" ")
+                );
                 return ExitCode::from(2);
             }
         }
     }
 
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let root = match args
-        .root
-        .clone()
-        .or_else(|| workspace::find_root(&cwd))
-    {
+    let root = match args.root.clone().or_else(|| workspace::find_root(&cwd)) {
         Some(r) => r,
         None => {
             eprintln!("sybil-lint: no workspace root found (run inside the repo or pass --root)");
@@ -156,7 +153,11 @@ fn main() -> ExitCode {
         }
     }
     for p in &args.paths {
-        let abs = if p.is_absolute() { p.clone() } else { cwd.join(p) };
+        let abs = if p.is_absolute() {
+            p.clone()
+        } else {
+            cwd.join(p)
+        };
         let rel = abs
             .strip_prefix(&root)
             .unwrap_or(&abs)

@@ -152,7 +152,6 @@ pub struct ParsedFile {
     pub(crate) sites: Vec<Site>,
 }
 
-
 /// Keywords that look like calls (`if (…)`, `match (…)`) but are not.
 const NON_CALL_KEYWORDS: [&str; 14] = [
     "if", "else", "match", "while", "for", "loop", "return", "fn", "let", "move", "in", "as",
@@ -605,13 +604,16 @@ fn scan_body(src: &str, toks: &[Token], open: usize, close: usize, def: &mut FnD
                 }
             }
             TokKind::Punct(b'+') | TokKind::Punct(b'*')
-                if toks.get(i + 1).is_some_and(|n| n.is_punct(b'=') && n.start == t.end) =>
+                if toks
+                    .get(i + 1)
+                    .is_some_and(|n| n.is_punct(b'=') && n.start == t.end) =>
             {
                 // `x += 1;` — an integer-literal step is a counter, not a
                 // float accumulation, regardless of the function's floats.
-                let int_step = toks.get(i + 2).is_some_and(|n| {
-                    n.kind == TokKind::Num && !n.text(src).contains('.')
-                }) && toks.get(i + 3).is_some_and(|n| n.is_punct(b';'));
+                let int_step = toks
+                    .get(i + 2)
+                    .is_some_and(|n| n.kind == TokKind::Num && !n.text(src).contains('.'))
+                    && toks.get(i + 3).is_some_and(|n| n.is_punct(b';'));
                 if !loop_stack.is_empty() && !int_step {
                     let what = if t.is_punct(b'+') { "+=" } else { "*=" };
                     def.reductions.push(ReductionSite {
@@ -626,7 +628,9 @@ fn scan_body(src: &str, toks: &[Token], open: usize, close: usize, def: &mut FnD
             // Float literal: `1` `.` `5` or `0` `.` (trailing) with byte
             // adjacency.
             TokKind::Num
-                if toks.get(i + 1).is_some_and(|d| d.is_punct(b'.') && d.start == t.end) =>
+                if toks
+                    .get(i + 1)
+                    .is_some_and(|d| d.is_punct(b'.') && d.start == t.end) =>
             {
                 def.float_evidence = true;
             }
@@ -687,10 +691,7 @@ fn scan_body(src: &str, toks: &[Token], open: usize, close: usize, def: &mut FnD
                     if !NON_CALL_KEYWORDS.contains(&text) {
                         let method = is_method;
                         // Plain (non-turbofish) reduction methods.
-                        if method
-                            && matches!(text, "sum" | "product" | "fold")
-                            && paren == i + 1
-                        {
+                        if method && matches!(text, "sum" | "product" | "fold") && paren == i + 1 {
                             def.reductions.push(ReductionSite {
                                 what: text.to_string(),
                                 definite: false,
@@ -699,7 +700,11 @@ fn scan_body(src: &str, toks: &[Token], open: usize, close: usize, def: &mut FnD
                                 col: t.col,
                             });
                         }
-                        let path = if method { Vec::new() } else { path_before(src, toks, i) };
+                        let path = if method {
+                            Vec::new()
+                        } else {
+                            path_before(src, toks, i)
+                        };
                         // `par::map_*` entry points: the argument span is
                         // where the closure body sits.
                         if !method
@@ -708,10 +713,9 @@ fn scan_body(src: &str, toks: &[Token], open: usize, close: usize, def: &mut FnD
                         {
                             let args = (paren, matching_paren(toks, paren));
                             let mut bodies = vec![args];
-                            bodies.extend(
-                                bare_args(toks, args)
-                                    .filter_map(|a| bound_closure(src, toks, open, i, toks[a].text(src))),
-                            );
+                            bodies.extend(bare_args(toks, args).filter_map(|a| {
+                                bound_closure(src, toks, open, i, toks[a].text(src))
+                            }));
                             def.par_calls.push(ParCall {
                                 entry: text.to_string(),
                                 bodies,
@@ -877,7 +881,10 @@ mod tests {
         assert_eq!(calls[0].name, "helper");
         assert!(calls[0].path.is_empty() && !calls[0].method);
         assert_eq!(calls[1].name, "distances");
-        assert_eq!(calls[1].path, vec!["osn_graph".to_string(), "bfs".to_string()]);
+        assert_eq!(
+            calls[1].path,
+            vec!["osn_graph".to_string(), "bfs".to_string()]
+        );
         assert_eq!(calls[2].name, "push");
         assert!(calls[2].method);
     }
@@ -901,7 +908,10 @@ mod tests {
         assert_eq!(kinds(2), [SiteKind::PanicCall]);
         assert_eq!(kinds(3), [SiteKind::PanicMacro]);
         assert!(kinds(4).is_empty(), "plain v[i] is not a panic site");
-        assert!(kinds(5).is_empty(), "array literal after `in` is not indexing");
+        assert!(
+            kinds(5).is_empty(),
+            "array literal after `in` is not indexing"
+        );
     }
 
     #[test]
@@ -915,7 +925,10 @@ mod tests {
         assert_eq!(p.fns[1].reductions.len(), 1);
         assert!(p.fns[1].float_evidence);
         assert_eq!(p.fns[2].reductions.len(), 1, "+= in loop is a candidate");
-        assert!(!p.fns[2].float_evidence, "but integer fns have no float evidence");
+        assert!(
+            !p.fns[2].float_evidence,
+            "but integer fns have no float evidence"
+        );
     }
 
     #[test]
@@ -930,7 +943,12 @@ mod tests {
                    }\n";
         let p = parse_src(src);
         let call = |f: usize, name: &str| {
-            p.fns[f].calls.iter().find(|c| c.name == name).unwrap_or_else(|| panic!("{name}")).tok
+            p.fns[f]
+                .calls
+                .iter()
+                .find(|c| c.name == name)
+                .unwrap_or_else(|| panic!("{name}"))
+                .tok
         };
         assert_eq!(p.fns[0].par_calls.len(), 1);
         let pc = &p.fns[0].par_calls[0];

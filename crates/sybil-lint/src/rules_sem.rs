@@ -54,13 +54,19 @@ fn s102_float_reductions(model: &WorkspaceModel, cg: &CallGraph, out: &mut Vec<F
             // name.
             let mut roots: Vec<(FnIdx, String)> = Vec::new();
             for call in &def.calls {
-                let Some(k) = pc.bodies.iter().position(|&(a, b)| call.tok > a && call.tok < b)
+                let Some(k) = pc
+                    .bodies
+                    .iter()
+                    .position(|&(a, b)| call.tok > a && call.tok < b)
                 else {
                     continue;
                 };
                 let closure = match k {
                     0 => "closure".to_string(),
-                    _ => format!("closure bound at {}:{}", file.rel, file.toks[pc.bodies[k].0].line),
+                    _ => format!(
+                        "closure bound at {}:{}",
+                        file.rel, file.toks[pc.bodies[k].0].line
+                    ),
                 };
                 for e in &cg.out[f] {
                     if e.line == call.line && model.def(e.to).name == call.name {
@@ -176,8 +182,7 @@ fn s104_dead_exports(model: &WorkspaceModel, out: &mut Vec<Finding>) {
         let def_crate = &model.files[def_file].crate_name;
         let name = name.to_string();
         model.files.iter().enumerate().any(|(fi, file)| {
-            let external = file.crate_name != *def_crate
-                || file.kind != FileKind::Lib;
+            let external = file.crate_name != *def_crate || file.kind != FileKind::Lib;
             if external && fi != def_file {
                 file.parsed.idents.binary_search(&name).is_ok()
             } else {
@@ -285,7 +290,9 @@ fn s107_stringly_errors(model: &WorkspaceModel, out: &mut Vec<Finding>) {
             if !fn_tok.is_ident(src, "fn") {
                 continue;
             }
-            let Some(name_tok) = toks.get(i + 2) else { break };
+            let Some(name_tok) = toks.get(i + 2) else {
+                break;
+            };
             let fn_name = name_tok.text(src);
             if let Some(res_tok) = stringly_result_in_return(src, toks, i + 3) {
                 out.push(Finding {
@@ -429,11 +436,7 @@ fn s108_hot_path_hash_keys(model: &WorkspaceModel, out: &mut Vec<Finding>) {
 
 /// Does the fn signature starting at token `start` (just past the fn
 /// name) return `Result<_, String>`? Returns the `Result` token when so.
-fn stringly_result_in_return<'t>(
-    src: &str,
-    toks: &'t [Token],
-    start: usize,
-) -> Option<&'t Token> {
+fn stringly_result_in_return<'t>(src: &str, toks: &'t [Token], start: usize) -> Option<&'t Token> {
     // Find `->` at paren depth 0, stopping at the body or a `;`.
     let mut paren = 0i32;
     let mut j = start;
@@ -496,11 +499,7 @@ fn stringly_result_in_return<'t>(
 
 /// Does the call-argument span opening at token `start` (just past the
 /// `(`) contain a `process :: exit` invocation?
-fn call_args_invoke_process_exit(
-    src: &str,
-    toks: &[Token],
-    start: usize,
-) -> bool {
+fn call_args_invoke_process_exit(src: &str, toks: &[Token], start: usize) -> bool {
     let mut depth = 1i32;
     let mut j = start;
     while let Some(t) = toks.get(j) {

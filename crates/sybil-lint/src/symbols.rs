@@ -106,7 +106,11 @@ impl WorkspaceModel {
         for &fi in &order {
             let file = FileModel::new(&files[fi], &sources[fi], model.fns.len());
             for (local, def) in file.parsed.fns.iter().enumerate() {
-                model.by_name.entry(def.name.clone()).or_default().push(model.fns.len());
+                model
+                    .by_name
+                    .entry(def.name.clone())
+                    .or_default()
+                    .push(model.fns.len());
                 model.fns.push(FnNode {
                     file: model.files.len(),
                     local,
@@ -243,15 +247,24 @@ mod tests {
         assert_eq!(m.fns.len(), 3);
         let names: Vec<String> = (0..3).map(|i| m.fq_name(i)).collect();
         assert!(names.contains(&"g::G::degree".to_string()), "{names:?}");
-        assert!(names.contains(&"g::par::map_indexed".to_string()), "{names:?}");
+        assert!(
+            names.contains(&"g::par::map_indexed".to_string()),
+            "{names:?}"
+        );
         assert!(names.contains(&"g::par::helper".to_string()), "{names:?}");
         assert_eq!(m.by_name["degree"].len(), 1);
     }
 
     #[test]
     fn module_names_from_paths() {
-        assert_eq!(file_module("crates/osn-graph/src/par.rs", "osn-graph"), "par");
-        assert_eq!(file_module("crates/osn-graph/src/lib.rs", "osn-graph"), "osn_graph");
+        assert_eq!(
+            file_module("crates/osn-graph/src/par.rs", "osn-graph"),
+            "par"
+        );
+        assert_eq!(
+            file_module("crates/osn-graph/src/lib.rs", "osn-graph"),
+            "osn_graph"
+        );
         assert_eq!(file_module("src/bin/repro.rs", "sybil-repro"), "repro");
         assert_eq!(file_module("crates/x/src/foo/mod.rs", "x"), "foo");
     }

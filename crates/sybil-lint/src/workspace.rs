@@ -191,9 +191,7 @@ fn run_impl(files: &[SourceFile], allowlist: &Allowlist, semantic: bool) -> io::
                 if idx != usize::MAX {
                     used[idx] = true;
                 }
-                report
-                    .allowed
-                    .push((finding, entry.justification.clone()));
+                report.allowed.push((finding, entry.justification.clone()));
             }
             None => report.violations.push(finding),
         }
@@ -288,7 +286,9 @@ mod tests {
     fn discovers_this_workspace() {
         let root = find_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
         let files = discover(&root).unwrap();
-        assert!(files.iter().any(|f| f.rel == "crates/sybil-lint/src/lexer.rs"));
+        assert!(files
+            .iter()
+            .any(|f| f.rel == "crates/sybil-lint/src/lexer.rs"));
         assert!(files.iter().all(|f| !f.rel.contains("vendor/")));
         assert!(files.iter().all(|f| !f.rel.contains("/fixtures/")));
         // Crate names come from manifests, not directory names.

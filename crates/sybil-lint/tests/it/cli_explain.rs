@@ -80,8 +80,11 @@ fn scratch_workspace() -> PathBuf {
     let fixture = fixture_dir().join("cost_scratch_allow");
     std::fs::create_dir_all(krate.join("src")).expect("mkdir src");
     std::fs::create_dir_all(krate.join("tests")).expect("mkdir tests");
-    std::fs::write(krate.join("Cargo.toml"), "[package]\nname = \"cost_scratch_allow\"\n")
-        .expect("write manifest");
+    std::fs::write(
+        krate.join("Cargo.toml"),
+        "[package]\nname = \"cost_scratch_allow\"\n",
+    )
+    .expect("write manifest");
     std::fs::copy(fixture.join("lib.rs"), krate.join("src/lib.rs")).expect("copy lib.rs");
     std::fs::copy(fixture.join("use_api.rs"), krate.join("tests/use_api.rs")).expect("copy test");
     let toml = "[hotpaths.roots]\nper_event = [\"cost_scratch_allow::serve\"]\n\n\
@@ -101,7 +104,10 @@ fn no_allowlist_drops_the_entries_and_keeps_the_roots() {
             .args(extra)
             .output()
             .expect("spawn sybil-lint");
-        (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
     };
     // With the entry in force the S113 finding is allowed and the run clean.
     let (code, json) = lint(&[]);
@@ -114,5 +120,8 @@ fn no_allowlist_drops_the_entries_and_keeps_the_roots() {
     assert_eq!(code, Some(1), "{json}");
     assert!(json.contains("\"allowed\": []"), "{json}");
     assert!(json.contains("\"rule\": \"S113\""), "{json}");
-    assert!(json.contains("hot-path root `cost_scratch_allow::serve`"), "{json}");
+    assert!(
+        json.contains("hot-path root `cost_scratch_allow::serve`"),
+        "{json}"
+    );
 }

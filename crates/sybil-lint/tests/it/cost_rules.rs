@@ -82,11 +82,7 @@ fn s113_silent_without_root_config() {
 
 #[test]
 fn s113_alloc_through_trait_object_edge() {
-    let f = cost_findings(
-        "cost_alloc_trait",
-        ONE,
-        &hot(&["cost_alloc_trait::serve"]),
-    );
+    let f = cost_findings("cost_alloc_trait", ONE, &hot(&["cost_alloc_trait::serve"]));
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
     assert_eq!(v.rule, "S113");
@@ -239,11 +235,9 @@ fn s115_truncating_cast_flagged_widening_silent() {
     );
     assert_eq!(
         v.trace,
-        vec![
-            "cost_cast_bad::serve truncates via `as u32` at \
+        vec!["cost_cast_bad::serve truncates via `as u32` at \
              crates/cost_cast_bad/src/lib.rs:10"
-                .to_string(),
-        ],
+            .to_string(),],
         "{v:#?}"
     );
 }

@@ -37,8 +37,7 @@ const CLOCK: &[(&str, &str)] = &[
     ("tick.rs", "src/tick.rs"),
     ("use_api.rs", "tests/use_api.rs"),
 ];
-const TRAIT: &[(&str, &str)] =
-    &[("lib.rs", "src/lib.rs"), ("use_api.rs", "tests/use_api.rs")];
+const TRAIT: &[(&str, &str)] = &[("lib.rs", "src/lib.rs"), ("use_api.rs", "tests/use_api.rs")];
 const PAR: &[(&str, &str)] = &[
     ("lib.rs", "src/lib.rs"),
     ("cfg.rs", "src/cfg.rs"),
@@ -60,19 +59,14 @@ const EXPORT: &[(&str, &str)] = &[
     ("export.rs", "src/export.rs"),
     ("use_api.rs", "tests/use_api.rs"),
 ];
-const ONE: &[(&str, &str)] =
-    &[("lib.rs", "src/lib.rs"), ("use_api.rs", "tests/use_api.rs")];
+const ONE: &[(&str, &str)] = &[("lib.rs", "src/lib.rs"), ("use_api.rs", "tests/use_api.rs")];
 
 // ---------------------------------------------------------------------
 // S109: wall-clock/env/thread-id effects reachable from clockless roots.
 
 #[test]
 fn s109_clock_reports_two_edge_chain() {
-    let f = eff_findings(
-        "eff_clock_bad",
-        CLOCK,
-        &cfg(&["eff_clock_bad::serve"], &[]),
-    );
+    let f = eff_findings("eff_clock_bad", CLOCK, &cfg(&["eff_clock_bad::serve"], &[]));
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
     assert_eq!(v.rule, "S109");
@@ -143,11 +137,7 @@ fn s109_trait_object_edge() {
 
 #[test]
 fn s109_par_closure_edge_is_annotated() {
-    let f = eff_findings(
-        "eff_par_bad",
-        PAR,
-        &cfg(&["eff_par_bad::sweep"], &[]),
-    );
+    let f = eff_findings("eff_par_bad", PAR, &cfg(&["eff_par_bad::sweep"], &[]));
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
     assert_eq!(v.rule, "S109");
@@ -215,7 +205,11 @@ fn s110_io_write_reports_chain() {
 
 #[test]
 fn s110_fault_plane_default_hook_reaching_io_reports_chain() {
-    let f = eff_findings("eff_fault_bad", FAULT, &cfg(&[], &["eff_fault_bad::plane::*"]));
+    let f = eff_findings(
+        "eff_fault_bad",
+        FAULT,
+        &cfg(&[], &["eff_fault_bad::plane::*"]),
+    );
     assert_eq!(f.len(), 1, "{f:#?}");
     let v = &f[0];
     assert_eq!(v.rule, "S110");
@@ -265,7 +259,11 @@ fn s111_nondet_iter_reports_chain() {
     // The path:line S111 anchored its chain at.
     assert_eq!(v.path, "crates/eff_export_bad/src/export.rs");
     assert_eq!(v.line, 9);
-    assert!(v.message.starts_with("unordered `for … in metrics` over a HashMap/HashSet"), "{v:#?}");
+    assert!(
+        v.message
+            .starts_with("unordered `for … in metrics` over a HashMap/HashSet"),
+        "{v:#?}"
+    );
 }
 
 #[test]

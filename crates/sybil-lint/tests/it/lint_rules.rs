@@ -36,7 +36,10 @@ fn lines_of(findings: &[Finding], rule: &str) -> Vec<u32> {
 fn d001_bad_flags_exact_lines() {
     let f = lint_fixture("d001_bad.rs");
     assert_eq!(lines_of(&f, "D001"), vec![8, 12, 16], "{f:#?}");
-    assert!(f.iter().all(|f| f.rule == "D001"), "only D001 expected: {f:#?}");
+    assert!(
+        f.iter().all(|f| f.rule == "D001"),
+        "only D001 expected: {f:#?}"
+    );
     assert!(f.iter().all(|f| f.path == "fixtures/d001_bad.rs"));
 }
 
@@ -119,8 +122,7 @@ fn d004_does_not_apply_to_binaries() {
 fn d005_missing_vs_present() {
     for (dir, expect) in [("d005_missing", 1usize), ("d005_present", 0usize)] {
         let rel = format!("fixtures/{dir}/src/lib.rs");
-        let src =
-            std::fs::read_to_string(fixture_dir().join(dir).join("src/lib.rs")).unwrap();
+        let src = std::fs::read_to_string(fixture_dir().join(dir).join("src/lib.rs")).unwrap();
         let f = check_file(&FileCtx {
             rel_path: &rel,
             crate_name: dir,
@@ -176,7 +178,10 @@ fn json_output_has_rule_file_line() {
     let rep = report_for("d002_bad.rs");
     let json = render_json(&rep);
     assert!(json.contains("\"rule\": \"D002\""), "{json}");
-    assert!(json.contains("\"path\": \"fixtures/d002_bad.rs\""), "{json}");
+    assert!(
+        json.contains("\"path\": \"fixtures/d002_bad.rs\""),
+        "{json}"
+    );
     assert!(json.contains("\"line\": 5"), "{json}");
     assert!(json.contains("\"line\": 10"), "{json}");
     assert!(json.contains("\"clean\": false"), "{json}");
@@ -242,10 +247,16 @@ fn unmatched_root_patterns_are_s105_errors() {
         .collect();
     assert_eq!(
         s105,
-        [("cost_alloc_bad::journal::*", 4), ("cost_alloc_bad::serve_epoch", 7)],
+        [
+            ("cost_alloc_bad::journal::*", 4),
+            ("cost_alloc_bad::serve_epoch", 7)
+        ],
         "{rep:#?}"
     );
-    assert!(rep.violations.iter().all(|f| f.path != "lint.toml" || f.message.contains(&f.snippet)));
+    assert!(rep
+        .violations
+        .iter()
+        .all(|f| f.path != "lint.toml" || f.message.contains(&f.snippet)));
     // Only the workspace run has the whole function table to ask.
     let partial = run(&files, &allow).unwrap();
     assert!(partial.violations.iter().all(|f| f.rule != "S105"));

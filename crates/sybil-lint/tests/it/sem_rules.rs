@@ -35,8 +35,7 @@ const KERNEL: &[(&str, &str)] = &[
     ("use_api.rs", "tests/use_api.rs"),
 ];
 
-const ONE_FILE: &[(&str, &str)] =
-    &[("lib.rs", "src/lib.rs"), ("use_api.rs", "tests/use_api.rs")];
+const ONE_FILE: &[(&str, &str)] = &[("lib.rs", "src/lib.rs"), ("use_api.rs", "tests/use_api.rs")];
 
 // ---------------------------------------------------------------------
 // S101: panic reachability with the exact pub→panic call chain.
@@ -119,8 +118,7 @@ fn s102_closure_passed_by_name_to_map_owned_reports_chain() {
         v.trace,
         vec![
             "parallel entry `par::map_owned` at crates/s102_byname/src/lib.rs:12".to_string(),
-            "closure bound at crates/s102_byname/src/lib.rs:8 calls s102_byname::total"
-                .to_string(),
+            "closure bound at crates/s102_byname/src/lib.rs:8 calls s102_byname::total".to_string(),
             "s102_byname::total reduces floats via `sum` at crates/s102_byname/src/lib.rs:16"
                 .to_string(),
         ],
@@ -145,7 +143,8 @@ fn s104_bad_reports_dead_struct_and_fn() {
     assert!(f.iter().all(|v| v.rule == "S104"));
     assert_eq!((f[0].line, f[1].line), (5, 8), "{f:#?}");
     assert!(
-        f[0].message.starts_with("pub struct `Orphan` is not named by any bin, test"),
+        f[0].message
+            .starts_with("pub struct `Orphan` is not named by any bin, test"),
         "{}",
         f[0].message
     );
@@ -196,11 +195,9 @@ fn s107_bad_reports_string_error_and_library_exit() {
     );
     assert_eq!(
         f[0].trace,
-        vec![
-            "`parse_level` declares a stringly-typed error at \
+        vec!["`parse_level` declares a stringly-typed error at \
              crates/s107_bad/src/lib.rs:6; callers can only string-match or rewrap it"
-                .to_string()
-        ],
+            .to_string()],
         "{f:#?}"
     );
     assert_eq!(
@@ -210,12 +207,10 @@ fn s107_bad_reports_string_error_and_library_exit() {
     );
     assert_eq!(
         f[1].trace,
-        vec![
-            "`unwrap_or_else` at crates/s107_bad/src/lib.rs:26 reaches \
+        vec!["`unwrap_or_else` at crates/s107_bad/src/lib.rs:26 reaches \
              `process::exit`, killing the process from library code no caller \
              can intercept"
-                .to_string()
-        ],
+            .to_string()],
         "{f:#?}"
     );
 }
@@ -263,7 +258,9 @@ fn s108_bad_reports_id_keyed_containers() {
     );
     assert_eq!(f.len(), 3, "{f:#?}");
     assert!(f.iter().all(|v| v.rule == "S108"));
-    assert!(f.iter().all(|v| v.path == "crates/sybil-serve/src/mirror.rs"));
+    assert!(f
+        .iter()
+        .all(|v| v.path == "crates/sybil-serve/src/mirror.rs"));
     assert_eq!((f[0].line, f[1].line, f[2].line), (7, 8, 13), "{f:#?}");
     assert_eq!(
         f[0].message,
@@ -314,7 +311,9 @@ fn s108_good_flat_layouts_and_other_modules_are_clean() {
 
 #[test]
 fn s_codes_are_known_rules() {
-    for code in ["S101", "S102", "S104", "S105", "S107", "S108", "D001", "D006"] {
+    for code in [
+        "S101", "S102", "S104", "S105", "S107", "S108", "D001", "D006",
+    ] {
         assert!(sybil_lint::rules::is_known_rule(code), "{code}");
     }
     for retired in ["S103", "S106", "S111", "S112", "D004", "S999", "D999"] {
@@ -331,7 +330,10 @@ fn chains_render_in_human_and_json_output() {
     let rep = run_workspace(&files, &allowlist::Allowlist::default()).unwrap();
     let human = render_human(&rep);
     assert!(human.contains("error[S101]"), "{human}");
-    assert!(human.contains("--> crates/s101_bad/src/deep.rs:4:"), "{human}");
+    assert!(
+        human.contains("--> crates/s101_bad/src/deep.rs:4:"),
+        "{human}"
+    );
     assert!(
         human.contains(
             "   = note: s101_bad::entry calls s101_bad::deep::pick at \
@@ -403,8 +405,14 @@ justification = \"stale entry kept around to test staleness\"
     let reparsed = allowlist::parse(&rewritten).unwrap();
     assert_eq!(reparsed.entries.len(), 1);
     let rep2 = run_workspace(&files, &reparsed).unwrap();
-    assert!(rep2.violations.iter().all(|v| v.rule != "S105"), "{rep2:#?}");
+    assert!(
+        rep2.violations.iter().all(|v| v.rule != "S105"),
+        "{rep2:#?}"
+    );
 
     // Round trip: with nothing stale, the rewrite is byte-identical.
-    assert_eq!(allowlist::remove_stale(&rewritten, &rep2.unused_allowlist), rewritten);
+    assert_eq!(
+        allowlist::remove_stale(&rewritten, &rep2.unused_allowlist),
+        rewritten
+    );
 }

@@ -308,8 +308,10 @@ impl Registry {
                 .insert(g.name.clone(), MetricValue::Max(g.value));
         }
         for h in &self.hists {
-            snap.logical
-                .insert(h.name.clone(), MetricValue::Hist(h.total, h.buckets.clone()));
+            snap.logical.insert(
+                h.name.clone(),
+                MetricValue::Hist(h.total, h.buckets.clone()),
+            );
         }
         for s in &self.spans {
             snap.wall.insert(s.name.clone(), s.value.clone());
@@ -355,29 +357,30 @@ impl Snapshot {
     /// order (shard-id order at epoch barriers), the merged snapshot is
     /// deterministic.
     pub fn absorb(&mut self, other: &Snapshot) {
-        fn merge_metrics(dst: &mut BTreeMap<String, MetricValue>, src: &BTreeMap<String, MetricValue>) {
+        fn merge_metrics(
+            dst: &mut BTreeMap<String, MetricValue>,
+            src: &BTreeMap<String, MetricValue>,
+        ) {
             for (k, v) in src {
                 match dst.entry(k.clone()) {
                     std::collections::btree_map::Entry::Vacant(e) => {
                         e.insert(v.clone());
                     }
-                    std::collections::btree_map::Entry::Occupied(mut e) => {
-                        match (e.get_mut(), v) {
-                            (MetricValue::Count(a), MetricValue::Count(b)) => *a += b,
-                            (MetricValue::Max(a), MetricValue::Max(b)) => *a = (*a).max(*b),
-                            (MetricValue::Hist(at, ab), MetricValue::Hist(bt, bb)) => {
-                                assert!(
-                                    ab.len() == bb.len(),
-                                    "histogram {k:?} merged across different shapes"
-                                );
-                                *at += bt;
-                                for (x, y) in ab.iter_mut().zip(bb) {
-                                    *x += y;
-                                }
+                    std::collections::btree_map::Entry::Occupied(mut e) => match (e.get_mut(), v) {
+                        (MetricValue::Count(a), MetricValue::Count(b)) => *a += b,
+                        (MetricValue::Max(a), MetricValue::Max(b)) => *a = (*a).max(*b),
+                        (MetricValue::Hist(at, ab), MetricValue::Hist(bt, bb)) => {
+                            assert!(
+                                ab.len() == bb.len(),
+                                "histogram {k:?} merged across different shapes"
+                            );
+                            *at += bt;
+                            for (x, y) in ab.iter_mut().zip(bb) {
+                                *x += y;
                             }
-                            _ => panic!("metric {k:?} merged across different kinds"),
                         }
-                    }
+                        _ => panic!("metric {k:?} merged across different kinds"),
+                    },
                 }
             }
         }

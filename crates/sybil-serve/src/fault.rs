@@ -102,7 +102,11 @@ impl std::fmt::Display for ChaosError {
                 "chaos fault at epoch {}, shard {}: {}",
                 self.epoch, s, self.fault_kind
             ),
-            None => write!(f, "chaos fault at epoch {}: {}", self.epoch, self.fault_kind),
+            None => write!(
+                f,
+                "chaos fault at epoch {}: {}",
+                self.epoch, self.fault_kind
+            ),
         }
     }
 }

@@ -711,10 +711,23 @@ mod tests {
         let mut d = FlatDelta::new(N);
         // Node 0 is a hub: once it stores more links than a newcomer, the
         // newcomer's end takes the link. Pairs repeat in both directions.
-        let accepts = [(0, 1), (0, 2), (0, 3), (1, 0), (4, 0), (5, 4), (3, 2), (2, 3)];
+        let accepts = [
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 0),
+            (4, 0),
+            (5, 4),
+            (3, 2),
+            (2, 3),
+        ];
         let mut stored = [0u32; N];
         for (k, &(u, v)) in accepts.iter().enumerate() {
-            let at = if (stored[u], u) <= (stored[v], v) { u } else { v };
+            let at = if (stored[u], u) <= (stored[v], v) {
+                u
+            } else {
+                v
+            };
             let other = if at == u { v } else { u };
             let before: Vec<(u32, u32)> = (0..N as u32).map(|a| d.head(a)).collect();
             d.push(NodeId(u as u32), NodeId(v as u32));
@@ -773,7 +786,10 @@ mod tests {
         assert_eq!(d.gen, 1);
         assert!(d.heads.iter().all(|&h| h == (0, NONE, 0)));
         d.push(NodeId(2), NodeId(1));
-        assert_eq!((d.head(0), d.head(1), d.head(2)), ((NONE, 0), (0, 1), (NONE, 0)));
+        assert_eq!(
+            (d.head(0), d.head(1), d.head(2)),
+            ((NONE, 0), (0, 1), (NONE, 0))
+        );
         assert_eq!(d.neighbors_below(1, NONE).collect::<Vec<_>>(), vec![2]);
     }
 

@@ -367,8 +367,10 @@ impl ShardState {
                             self.states.on_send(li, t, window_s);
                             self.touched(li);
                             if self.states.should_check_on_send(li, &self.cfg) {
-                                self.check(from, rec.epoch, ev.seq, t, delay_s, out, mirror, eidx,
-                                    &mut eout)?;
+                                self.check(
+                                    from, rec.epoch, ev.seq, t, delay_s, out, mirror, eidx,
+                                    &mut eout,
+                                )?;
                             }
                         }
                     }
@@ -382,8 +384,7 @@ impl ShardState {
                                 state::advance_audit_cursor(self.audit_cursor, out.log.len());
                             let sample = out.log.get(self.audit_cursor);
                             if self.owns(sample.from) {
-                                if let Some(f) =
-                                    self.features_of(sample.from, ev.seq, mirror, eidx)
+                                if let Some(f) = self.features_of(sample.from, ev.seq, mirror, eidx)
                                 {
                                     self.obs.audits_sampled += 1;
                                     eout.feedback
@@ -424,8 +425,9 @@ impl ShardState {
                         if !self.states.detected(li)
                             && self.states.should_check_on_decide(li, &self.cfg)
                         {
-                            self.check(from, rec.epoch, ev.seq, t, delay_s, out, mirror, eidx,
-                                &mut eout)?;
+                            self.check(
+                                from, rec.epoch, ev.seq, t, delay_s, out, mirror, eidx, &mut eout,
+                            )?;
                         }
                     }
                 }
@@ -447,7 +449,15 @@ impl ShardState {
         let dup = self.states.friends_dup(li);
         let (scratch, ids, pairs) = (&mut self.scratch, &mut self.friend_ids, &mut self.pairs);
         let f = self.states.features_with(li, &self.cfg, |friends| {
-            links_at(friends, dup, eidx.watermark(seq), mirror, scratch, ids, pairs)
+            links_at(
+                friends,
+                dup,
+                eidx.watermark(seq),
+                mirror,
+                scratch,
+                ids,
+                pairs,
+            )
         });
         if f.is_some() {
             self.obs.features_computed += 1;
@@ -478,7 +488,15 @@ impl ShardState {
         let dup = self.states.friends_dup(li);
         let (scratch, ids, pairs) = (&mut self.scratch, &mut self.friend_ids, &mut self.pairs);
         let verdict = self.states.check_with(li, &self.cfg, &rule, |friends| {
-            links_at(friends, dup, eidx.watermark(seq), mirror, scratch, ids, pairs)
+            links_at(
+                friends,
+                dup,
+                eidx.watermark(seq),
+                mirror,
+                scratch,
+                ids,
+                pairs,
+            )
         });
         if verdict != Verdict::NoData {
             self.obs.features_computed += 1;

@@ -113,10 +113,16 @@ impl std::fmt::Display for StoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreError::BadMagic { found } => {
-                write!(f, "store file has neither SYBS nor SYBJ magic (found {found:02x?})")
+                write!(
+                    f,
+                    "store file has neither SYBS nor SYBJ magic (found {found:02x?})"
+                )
             }
             StoreError::VersionMismatch { found, expected } => {
-                write!(f, "store format version {found} unsupported (this build reads {expected})")
+                write!(
+                    f,
+                    "store format version {found} unsupported (this build reads {expected})"
+                )
             }
             StoreError::TruncatedFrame { offset } => {
                 write!(f, "store file truncated at byte {offset}")

@@ -53,8 +53,7 @@ use std::fs::File;
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use sybil_serve::fault::{
-    ChaosError, EpochRecord, EpochRecordRef, FaultKind, FaultPlane, ResumeState,
-    SessionCheckpoint,
+    ChaosError, EpochRecord, EpochRecordRef, FaultKind, FaultPlane, ResumeState, SessionCheckpoint,
 };
 
 /// Default checkpoint cadence: persist the full session state every
@@ -371,10 +370,8 @@ mod tests {
     use sybil_core::realtime::{Detection, ReplayCounters};
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "sybil-store-test-{}-{tag}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("sybil-store-test-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -447,8 +444,14 @@ mod tests {
         {
             let mut plane = StorePlane::with_cadence(&dir, 1).unwrap();
             assert!(plane.enabled());
-            assert!(plane.wants_checkpoint(0), "cadence 1 checkpoints every epoch");
-            assert!(plane.load_resume().unwrap().is_none(), "fresh store is cold");
+            assert!(
+                plane.wants_checkpoint(0),
+                "cadence 1 checkpoints every epoch"
+            );
+            assert!(
+                plane.load_resume().unwrap().is_none(),
+                "fresh store is cold"
+            );
             plane
                 .epoch_begin(EpochRecordRef {
                     epoch: 0,
@@ -464,7 +467,10 @@ mod tests {
         let mut plane = StorePlane::open(&dir).unwrap();
         let resume = plane.load_resume().unwrap().unwrap();
         assert_eq!(resume.checkpoint, tiny_checkpoint(1));
-        assert_eq!(resume.tail_end, 1, "no committed epochs past the checkpoint");
+        assert_eq!(
+            resume.tail_end, 1,
+            "no committed epochs past the checkpoint"
+        );
         assert_eq!(plane.tail_replayed(), 0);
         assert_eq!(plane.resumed_from(), Some(1));
         std::fs::remove_dir_all(&dir).unwrap();

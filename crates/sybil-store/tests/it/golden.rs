@@ -20,15 +20,15 @@ use osn_sim::SimOutput;
 use std::collections::BTreeSet;
 use std::io::Cursor;
 use std::path::{Path, PathBuf};
-use sybil_store::journal::{self, Journal};
-use sybil_store::{JournalPlane, StoreError, StorePlane};
-use sybil_serve::fault::FaultPlane;
 use sybil_core::realtime::state::{AccountState, AccountTable};
 use sybil_core::realtime::{Detection, ReplayCounters};
 use sybil_features::FeatureVector;
+use sybil_serve::fault::FaultPlane;
 use sybil_serve::fault::{EpochRecord, EpochRecordRef, FeedbackRecord};
 use sybil_serve::{ServeConfig, ServeSession, SessionCheckpoint, ShardSnapshot};
 use sybil_store::format;
+use sybil_store::journal::{self, Journal};
+use sybil_store::{JournalPlane, StoreError, StorePlane};
 
 use crate::support::{shared_sim, tmpdir};
 
@@ -136,8 +136,7 @@ fn encoding_matches_committed_golden_bytes() {
     let bytes = format::encode_checkpoint(&golden_checkpoint());
     let committed = committed_golden("checkpoint_v3.sybs", &bytes);
     assert_eq!(
-        bytes,
-        committed,
+        bytes, committed,
         "SYBS v3 encoding drifted from the committed golden bytes — \
          a format change requires a VERSION bump and a new golden file"
     );
@@ -154,7 +153,11 @@ fn header_prefix_is_pinned() {
     assert_eq!(&bytes[..4], b"SYBS");
     assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 3);
     assert_eq!(format::VERSION, 3);
-    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 7, "7 sections");
+    assert_eq!(
+        u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
+        7,
+        "7 sections"
+    );
 }
 
 /// Resume a fresh store holding only `bytes` as its epoch-4 checkpoint,
@@ -184,7 +187,11 @@ fn v1_checkpoint_decodes_and_restores() {
     let cp = format::decode_checkpoint(&v1).expect("v1 decodes");
     assert_eq!(cp, golden_checkpoint_v1());
     let v3 = format::encode_checkpoint(&cp);
-    assert_eq!(v3.len(), v1.len() - 8 * 2, "two edges, 8 bytes of time each");
+    assert_eq!(
+        v3.len(),
+        v1.len() - 8 * 2,
+        "two edges, 8 bytes of time each"
+    );
     assert_eq!(format::decode_checkpoint(&v3).unwrap(), cp);
     assert_eq!(resume_from("v1", &v1), golden_checkpoint_v1());
 }
@@ -253,19 +260,38 @@ fn a_real_v2_store_warm_restarts() {
     let old = format::decode_checkpoint(&v2).unwrap();
     let new = format::decode_checkpoint(&v3).unwrap();
     assert_eq!((old.epochs, new.epochs), (12, 12));
-    assert_eq!((&old.shards, &old.staged_edges), (&new.shards, &new.staged_edges));
-    assert_eq!((&old.tagged, &old.carry_feedback), (&new.tagged, &new.carry_feedback));
+    assert_eq!(
+        (&old.shards, &old.staged_edges),
+        (&new.shards, &new.staged_edges)
+    );
+    assert_eq!(
+        (&old.tagged, &old.carry_feedback),
+        (&new.tagged, &new.carry_feedback)
+    );
     assert_eq!(old.totals, new.totals);
     let set = |cp: &SessionCheckpoint| cp.folded_edges.iter().copied().collect::<BTreeSet<_>>();
-    assert!(!new.folded_edges.is_empty(), "the run folded before epoch 12");
+    assert!(
+        !new.folded_edges.is_empty(),
+        "the run folded before epoch 12"
+    );
     assert_eq!(set(&old), set(&new));
     assert_eq!(set(&new).len(), new.folded_edges.len());
-    assert!(new.folded_edges.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+    assert!(new
+        .folded_edges
+        .windows(2)
+        .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
 
     std::fs::write(&path, &v2).unwrap();
     let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
-    let o = ServeSession::new(two_shards()).store(&mut revived).run(out).unwrap();
-    assert_eq!(revived.resumed_from(), Some(12), "the v2 checkpoint was read");
+    let o = ServeSession::new(two_shards())
+        .store(&mut revived)
+        .run(out)
+        .unwrap();
+    assert_eq!(
+        revived.resumed_from(),
+        Some(12),
+        "the v2 checkpoint was read"
+    );
     let replayed = sybil_core::realtime::replay(out, &two_shards().detect);
     let json = |r| serde_json::to_string(r).unwrap();
     assert_eq!(json(&o.report), json(&replayed));
@@ -341,7 +367,8 @@ fn golden_journal() -> Vec<u8> {
         })
         .unwrap();
         let digests = [0x1111_0000 + e, 0x2222_0000 + e];
-        j.append_commit(e, (e != 1).then_some(&digests[..])).unwrap();
+        j.append_commit(e, (e != 1).then_some(&digests[..]))
+            .unwrap();
     }
     j.append_end(3, &[0xaaaa, 0xbbbb]).unwrap();
     j.into_store().into_inner()
@@ -367,7 +394,10 @@ fn journal_matches_committed_golden_bytes() {
         assert_eq!(rec.details, want.details);
         assert_eq!(rec.feedback, want.feedback);
         assert!(j.committed(e));
-        assert_eq!(j.committed_digest(e, 1), (e != 1).then_some(0x2222_0000 + e));
+        assert_eq!(
+            j.committed_digest(e, 1),
+            (e != 1).then_some(0x2222_0000 + e)
+        );
     }
     assert_eq!(j.finished(), Some((3, &[0xaaaa_u64, 0xbbbb][..])));
 }

@@ -138,7 +138,10 @@ fn restart_of_a_finished_run_replays_to_the_same_bytes() {
     assert_eq!(serde_json::to_string(&o.report).unwrap(), oracle);
     drop(plane);
     let len_after = std::fs::metadata(dir.join("journal.sybj")).unwrap().len();
-    assert_eq!(len_before, len_after, "restart must not re-append the end record");
+    assert_eq!(
+        len_before, len_after,
+        "restart must not re-append the end record"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -160,7 +163,11 @@ fn sparse_checkpoints_recover_through_the_journal_tail() {
     let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
     let o = ServeSession::new(cfg).store(&mut revived).run(out).unwrap();
     assert_eq!(revived.resumed_from(), Some(4));
-    assert_eq!(revived.tail_replayed(), 2, "epochs 4 and 5 replay from the journal");
+    assert_eq!(
+        revived.tail_replayed(),
+        2,
+        "epochs 4 and 5 replay from the journal"
+    );
     assert_eq!(serde_json::to_string(&o.report).unwrap(), oracle);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -179,14 +186,30 @@ fn a_store_from_another_run_is_a_typed_journal_fault() {
     let cases = [
         // A smaller account table: the checkpoint's ids are out of range,
         // and the checkpoint (4 epochs) is refused.
-        ("smaller", SimConfig { n_normal: 400, ..tiny.clone() }, 6, 4),
+        (
+            "smaller",
+            SimConfig {
+                n_normal: 400,
+                ..tiny.clone()
+            },
+            6,
+            4,
+        ),
         // The same table from another seed: comparing the journaled tail
         // with the stream tells, at its first epoch, before any digest is
         // compared.
         ("other-seed", SimConfig::tiny(12), 6, 4),
         // The same table over a shorter horizon: the checkpoint (68
         // epochs) covers more epochs than the stream has.
-        ("shorter", SimConfig { hours: 600, ..tiny.clone() }, 70, 68),
+        (
+            "shorter",
+            SimConfig {
+                hours: 600,
+                ..tiny.clone()
+            },
+            70,
+            68,
+        ),
     ];
     for (tag, reopener, kill_epoch, fault_epoch) in cases {
         let dir = tmpdir(module_path!(), &format!("foreign-{tag}"));
@@ -205,7 +228,11 @@ fn a_store_from_another_run_is_a_typed_journal_fault() {
             .expect_err("another run's store must not resume");
         match err {
             ServeError::Chaos(c) => {
-                assert_eq!((c.fault_kind, c.epoch), (FaultKind::Journal, fault_epoch), "{tag}: {c}")
+                assert_eq!(
+                    (c.fault_kind, c.epoch),
+                    (FaultKind::Journal, fault_epoch),
+                    "{tag}: {c}"
+                )
             }
             other => panic!("{tag}: expected a journal fault, got {other:?}"),
         }
@@ -337,12 +364,17 @@ fn a_v1_checkpoint_warm_restarts() {
     d.write_usize(u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize);
     let mut pos = 12;
     while pos < v3.len() - 8 {
-        let (tag, len) = (v3[pos], u32::from_le_bytes(v3[pos + 1..pos + 5].try_into().unwrap()));
+        let (tag, len) = (
+            v3[pos],
+            u32::from_le_bytes(v3[pos + 1..pos + 5].try_into().unwrap()),
+        );
         let mut payload = v3[pos + 5..pos + 5 + len as usize].to_vec();
         if tag == 3 || tag == 4 {
             // The folded and staged edges: each pair gains a time.
             let (count, edges) = payload.split_at(4);
-            let timed = edges.chunks(8).flat_map(|e| e.iter().copied().chain([0; 8]));
+            let timed = edges
+                .chunks(8)
+                .flat_map(|e| e.iter().copied().chain([0; 8]));
             payload = count.iter().copied().chain(timed).collect();
         }
         bytes.push(tag);
@@ -361,7 +393,11 @@ fn a_v1_checkpoint_warm_restarts() {
     std::fs::write(&path, &bytes).unwrap();
     let mut revived = StorePlane::with_cadence(&dir, 4).unwrap();
     let o = ServeSession::new(cfg).store(&mut revived).run(out).unwrap();
-    assert_eq!(revived.resumed_from(), Some(4), "the v1 checkpoint was read");
+    assert_eq!(
+        revived.resumed_from(),
+        Some(4),
+        "the v1 checkpoint was read"
+    );
     assert_eq!(serde_json::to_string(&o.report).unwrap(), oracle);
     std::fs::remove_dir_all(&dir).unwrap();
 }

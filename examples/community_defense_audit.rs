@@ -22,9 +22,7 @@ fn main() {
     println!("== injected-cluster graph (how these defenses were validated) ==");
     let mut rng = StdRng::seed_from_u64(7);
     let (inj, first_sybil) = injected_cluster_graph(2500, 250, 10, &mut rng);
-    println!(
-        "honest BA region: 2500 nodes; injected Sybil region: 250 nodes; 10 attack edges\n"
-    );
+    println!("honest BA region: 2500 nodes; injected Sybil region: 250 nodes; 10 attack edges\n");
     let inj_sybils: Vec<NodeId> = (0..25u32).map(|i| NodeId(first_sybil.0 + i)).collect();
     let inj_honest: Vec<NodeId> = (100..125u32).map(NodeId).collect();
     let verifier = NodeId(0);

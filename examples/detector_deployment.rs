@@ -78,7 +78,11 @@ fn main() {
                 "    t={:7.1}h  account {:>6}  {}",
                 d.at.as_hours(),
                 d.account.0,
-                if d.correct { "confirmed Sybil" } else { "FALSE POSITIVE" }
+                if d.correct {
+                    "confirmed Sybil"
+                } else {
+                    "FALSE POSITIVE"
+                }
             );
         }
     }

@@ -13,8 +13,8 @@ use renren_sybils::detect::svm::kernel::KernelSvmParams;
 use renren_sybils::detect::{KernelSvm, ThresholdClassifier};
 use renren_sybils::features::dataset::GroundTruth;
 use renren_sybils::features::{FeatureExtractor, FeatureVector};
-use renren_sybils::sim::{simulate, SimConfig};
 use renren_sybils::repro::{ascii, cdf::Cdf};
+use renren_sybils::sim::{simulate, SimConfig};
 
 fn main() {
     let scale = std::env::args().nth(1).unwrap_or_else(|| "tiny".into());
@@ -39,8 +39,12 @@ fn main() {
     type FeatureView = (&'static str, fn(&FeatureVector) -> f64);
     let feature_views: [FeatureView; 4] = [
         ("invitations per active hour (Fig. 1)", |f| f.inv_freq_1h),
-        ("outgoing accept ratio (Fig. 2)", |f| f.outgoing_accept_ratio),
-        ("incoming accept ratio (Fig. 3)", |f| f.incoming_accept_ratio),
+        ("outgoing accept ratio (Fig. 2)", |f| {
+            f.outgoing_accept_ratio
+        }),
+        ("incoming accept ratio (Fig. 3)", |f| {
+            f.incoming_accept_ratio
+        }),
         ("first-50 clustering coefficient (Fig. 4)", |f| {
             f.clustering_coefficient
         }),

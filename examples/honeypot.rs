@@ -31,7 +31,10 @@ fn main() {
     normals.sort_by_key(|&u| out.graph.degree(u));
     let decile = normals.len() / 10;
     println!("\nSybil friend requests received, by popularity decile:");
-    println!("{:>8} {:>12} {:>16} {:>22}", "decile", "mean degree", "accounts", "sybil reqs / account");
+    println!(
+        "{:>8} {:>12} {:>16} {:>22}",
+        "decile", "mean degree", "accounts", "sybil reqs / account"
+    );
     for d in 0..10 {
         let slice = &normals[d * decile..((d + 1) * decile).min(normals.len())];
         let mean_deg =
@@ -46,7 +49,10 @@ fn main() {
         );
     }
 
-    let bottom: u32 = normals[..decile].iter().map(|&u| sybil_reqs[u.index()]).sum();
+    let bottom: u32 = normals[..decile]
+        .iter()
+        .map(|&u| sybil_reqs[u.index()])
+        .sum();
     let top: u32 = normals[normals.len() - decile..]
         .iter()
         .map(|&u| sybil_reqs[u.index()])

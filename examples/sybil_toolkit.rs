@@ -49,7 +49,12 @@ fn main() {
         let mean_deg = degrees.iter().sum::<usize>() as f64 / degrees.len() as f64;
         let with_sybil_edge = accounts
             .iter()
-            .filter(|&&a| out.graph.neighbors(a).iter().any(|nb| out.is_sybil(nb.node)))
+            .filter(|&&a| {
+                out.graph
+                    .neighbors(a)
+                    .iter()
+                    .any(|nb| out.is_sybil(nb.node))
+            })
             .count();
         // Friend-set popularity: the mean degree of friended targets — the
         // snowball bias signature.

@@ -88,7 +88,11 @@ fn classifiers_reach_table1_accuracy() {
     let (svm, _) = cross_validate(&ds, 5, |train| {
         KernelSvm::train_features(&train.features, &train.labels, &KernelSvmParams::default())
     });
-    assert!(svm.accuracy() > 0.95, "svm CV accuracy {:.3}", svm.accuracy());
+    assert!(
+        svm.accuracy() > 0.95,
+        "svm CV accuracy {:.3}",
+        svm.accuracy()
+    );
 }
 
 #[test]
