@@ -2,4 +2,5 @@
 //! one binary.
 
 mod dataset_garbage;
+mod oracle_pins;
 mod properties;
