@@ -20,6 +20,7 @@ pub mod state;
 
 use crate::adaptive::AdaptiveThresholds;
 use crate::threshold::ThresholdClassifier;
+use osn_graph::hash::PairBuildHasher;
 use osn_graph::{NodeId, Timestamp};
 use osn_sim::stream::{EventStream, StreamEvent, StreamEventKind};
 use osn_sim::SimOutput;
@@ -235,7 +236,7 @@ struct Replayer<'a> {
     /// Every account's running state; slot = account id.
     states: AccountTable,
     /// Accepted friendships seen so far, as packed undirected keys.
-    edges: HashSet<u64>,
+    edges: HashSet<u64, PairBuildHasher>,
     adaptive: AdaptiveThresholds,
     /// Pending verification feedback: (due time, features, truth).
     feedback_queue: VecDeque<(Timestamp, FeatureVector, bool)>,
@@ -263,7 +264,7 @@ impl<'a> Replayer<'a> {
             out,
             cfg,
             states: AccountTable::new(n),
-            edges: HashSet::new(),
+            edges: HashSet::default(),
             adaptive: AdaptiveThresholds::from_rule(&cfg.rule, 0.02),
             feedback_queue: VecDeque::new(),
             report: DeploymentReport {

@@ -122,7 +122,6 @@ pub fn generate(cfg: &ScaleConfig) -> SimOutput {
 
     let total = (n as f64 * cfg.requests_per_account) as u64;
     let mut log = RequestLog::new();
-    let mut resolutions: Vec<(u32, RequestOutcome)> = Vec::new();
     for i in 0..total {
         // Sends spread uniformly: the log is emitted already time-sorted.
         let sent_at = Timestamp(arrival_s / 4 + (i * (span_s - arrival_s / 4)) / total.max(1));
@@ -157,42 +156,26 @@ pub fn generate(cfg: &ScaleConfig) -> SimOutput {
                 t
             }
         };
-        let idx = log.push(RequestRecord {
+        // The outcome is a pure function of (seed, i), written with the
+        // record. (accept, reject) percentages; the rest stay pending
+        // forever. Sybil requests mostly bounce (paper §2.2: ~26%
+        // accepted vs ~79% for normal users).
+        let roll = draw(seed ^ 0xDEC1DE, i, 100);
+        let (accept, reject) = if sender_sybil { (12, 58) } else { (72, 18) };
+        let decided_at = || Timestamp(sent_at.as_secs() + 60 + draw(seed ^ 0xDE1A4, i, 72 * 3600));
+        let outcome = if roll < accept {
+            RequestOutcome::Accepted(decided_at())
+        } else if roll < accept + reject {
+            RequestOutcome::Rejected(decided_at())
+        } else {
+            RequestOutcome::Pending
+        };
+        log.push(RequestRecord {
             from: NodeId(from as u32),
             to: NodeId(to as u32),
             sent_at,
-            outcome: RequestOutcome::Pending,
+            outcome,
         });
-        // Decide later (resolve() must not see time running backwards, so
-        // collect and apply after all sends are logged — the outcomes are
-        // a pure function of (seed, i) either way).
-        let roll = draw(seed ^ 0xDEC1DE, i, 100);
-        // (accept, reject) percentages; the rest stay pending forever.
-        // Sybil requests mostly bounce (paper §2.2: ~26% accepted vs ~79%
-        // for normal users).
-        let (accept, reject) = if sender_sybil { (12, 58) } else { (72, 18) };
-        let outcome = if roll < accept {
-            Some(true)
-        } else if roll < accept + reject {
-            Some(false)
-        } else {
-            None // ignored forever
-        };
-        if let Some(accepted) = outcome {
-            let delay = 60 + draw(seed ^ 0xDE1A4, i, 72 * 3600);
-            let at = Timestamp(sent_at.as_secs() + delay);
-            resolutions.push((
-                idx as u32,
-                if accepted {
-                    RequestOutcome::Accepted(at)
-                } else {
-                    RequestOutcome::Rejected(at)
-                },
-            ));
-        }
-    }
-    for (idx, outcome) in resolutions {
-        log.resolve(idx as usize, outcome);
     }
 
     let mut graph = TemporalGraph::with_nodes(n);

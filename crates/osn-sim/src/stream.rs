@@ -19,9 +19,10 @@
 //! produced, so replaying through the stream is bit-identical.
 //!
 //! Two mergers live here. [`EventStream`] (the sequential replay's path,
-//! and the tests' oracle) sorts one `u32` per resolved request up front
-//! and honors even pathological logs whose decisions precede their
-//! sends. [`EpochBatches`] (the serving engine's path) materializes
+//! and the tests' oracle) sorts a `(decided_at, index)` key per resolved
+//! request up front, with the same radix sort the calendar uses, keeps a
+//! `u32` index per resolved request, and honors even pathological logs
+//! whose decisions precede their sends. [`EpochBatches`] (the serving engine's path) materializes
 //! nothing proportional to the log: it hands out one absolute-grid epoch
 //! at a time, merging that cell's contiguous run of sends with the
 //! decisions an *epoch calendar* filed under the cell as their sends went
@@ -71,17 +72,20 @@ pub struct EventStream<'a> {
 }
 
 impl<'a> EventStream<'a> {
-    /// Build the stream for `log`.
+    /// Build the stream for `log`: sort `(decided_at, index)` keys once,
+    /// then keep only the indices.
     pub fn new(log: &'a RequestLog) -> Self {
-        let mut decided: Vec<u32> = (0..log.len())
-            .filter(|&i| log.get(i).outcome.is_resolved())
-            .map(|i| i as u32)
+        let records = log.records().iter().enumerate();
+        let mut keys: Vec<(Timestamp, u32)> = records
+            .filter_map(|(i, r)| Some((r.outcome.decided_at()?, i as u32)))
             .collect();
-        decided.sort_by_key(|&i| (decide_time(log, i), i));
+        // Collected in index order, so a stable sort by time breaks ties
+        // by index.
+        sort_by_time(&mut keys, &mut Vec::new(), |k| k.0);
         EventStream {
             log,
             send_cursor: 0,
-            decided,
+            decided: keys.into_iter().map(|k| k.1).collect(),
             decide_cursor: 0,
             next_seq: 0,
         }
@@ -156,19 +160,24 @@ pub struct EventDetail {
 /// it will be emitted with (so the cache-cold record is never re-read).
 type Due = (Timestamp, u32, EventDetail);
 
-/// Sort a bucket by `(time, record)`. Buckets fill in record order, so a
-/// stable sort by time alone is that order, and a least-significant-digit
-/// radix sort is stable. Digits cover the bucket's own time span — two
-/// counting passes for a span of one cell, never more than six.
-fn sort_by_time(bucket: &mut Vec<Due>, scratch: &mut Vec<Due>) {
+/// Sort `bucket` by `time`, stably: a bucket filled in record order comes
+/// out in `(time, record)` order. A least-significant-digit radix sort,
+/// whose digits cover the bucket's own time span — two counting passes
+/// for a span of one cell, never more than six — with `scratch` as the
+/// other half of its ping-pong.
+fn sort_by_time<T: Copy>(
+    bucket: &mut Vec<T>,
+    scratch: &mut Vec<T>,
+    time: impl Fn(&T) -> Timestamp,
+) {
     const BITS: u32 = 11;
-    let times = || bucket.iter().map(|d| d.0.as_secs());
+    let times = || bucket.iter().map(|d| time(d).as_secs());
     let (Some(lo), Some(hi)) = (times().min(), times().max()) else {
         return;
     };
     let mut shift = 0;
     while shift < u64::BITS && (hi - lo) >> shift > 0 {
-        let digit = |d: &Due| ((d.0.as_secs() - lo) >> shift) as usize & ((1 << BITS) - 1);
+        let digit = |d: &T| ((time(d).as_secs() - lo) >> shift) as usize & ((1 << BITS) - 1);
         // Count each digit, turn the counts into first slots, scatter.
         let mut slots = [0usize; 1 << BITS];
         for d in bucket.iter() {
@@ -335,7 +344,7 @@ impl<'a> EpochBatches<'a> {
             Some(b) if b.0 == cell => self.calendar.remove(0).1,
             _ => Vec::new(),
         };
-        sort_by_time(&mut bucket, &mut self.sort_scratch);
+        sort_by_time(&mut bucket, &mut self.sort_scratch, |d| d.0);
         let next_seq = &mut self.next_seq;
         let mut emit = |at, kind, detail| {
             let seq = *next_seq;

@@ -1,5 +1,7 @@
 //! The per-event path stays off the allocator: a 2-shard, 2-thread run
-//! makes at most one `alloc`/`realloc` call per ten stream events.
+//! makes at most one `alloc`/`realloc` call per ten stream events, and
+//! the sequential `replay` oracle stays within its own budget on the
+//! same input.
 //!
 //! Per-account state lives in `AccountTable`'s flat pools, so what is
 //! left is per run (shard and mirror construction), per epoch (staging
@@ -13,8 +15,10 @@
 use osn_graph::par;
 use osn_sim::scale::{generate, ScaleConfig};
 use osn_sim::stream::EventStream;
+use osn_sim::SimOutput;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use sybil_core::realtime::{replay, RealtimeConfig};
 use sybil_core::ThresholdClassifier;
 use sybil_serve::{ServeConfig, ServeSession};
@@ -54,15 +58,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// The only test in this binary, so nothing else allocates while it
-/// counts or reads the thread-count variable it sets.
-#[test]
-fn a_two_shard_run_allocates_under_a_tenth_of_a_call_per_event() {
-    std::env::set_var(par::THREADS_ENV, "2");
+/// Held for the whole of each test: the counter is process-wide, so a
+/// test counts only while no other one runs.
+static ALONE: Mutex<()> = Mutex::new(());
+
+/// The input both budgets are measured on: a 20k-account scale stream,
+/// its event count, and the benchmark's scan detector with its frequency
+/// cut lowered from 4 to 2 so that a stream this small still flags
+/// accounts (29 of them).
+fn input() -> (SimOutput, u64, RealtimeConfig) {
     let out = generate(&ScaleConfig::at(20_000, 9));
     let events = EventStream::new(&out.log).count() as u64;
-    // The benchmark's scan detector, its frequency cut lowered from 4 to 2
-    // so that a stream this small still flags accounts (29 of them).
     let detect = RealtimeConfig {
         rule: ThresholdClassifier {
             max_out_ratio: 0.4,
@@ -72,6 +78,14 @@ fn a_two_shard_run_allocates_under_a_tenth_of_a_call_per_event() {
         adaptive: true,
         ..RealtimeConfig::default()
     };
+    (out, events, detect)
+}
+
+#[test]
+fn a_two_shard_run_allocates_under_a_tenth_of_a_call_per_event() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var(par::THREADS_ENV, "2");
+    let (out, events, detect) = input();
     let cfg = ServeConfig {
         shards: 2,
         ..ServeConfig::for_detect(detect)
@@ -90,4 +104,24 @@ fn a_two_shard_run_allocates_under_a_tenth_of_a_call_per_event() {
         serde_json::to_string(&served).unwrap(),
         serde_json::to_string(&replay(&out, &detect)).unwrap()
     );
+}
+
+/// The sequential oracle on the same input: at most one call per 2,000
+/// events. It makes 56 calls for 149,363 events — the merged stream's
+/// sort, the edge set and the table's pools doubling, the report — so
+/// the budget of 74 leaves a third in hand; a container per account, or
+/// per event, would cost thousands.
+#[test]
+fn the_replay_oracle_allocates_under_one_call_per_two_thousand_events() {
+    let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
+    let (out, events, detect) = input();
+    let before = CALLS.load(Ordering::Relaxed);
+    let report = replay(&out, &detect);
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    assert!(
+        calls <= events / 2000,
+        "{calls} allocator calls for {events} events (budget {})",
+        events / 2000
+    );
+    assert!(!report.detections.is_empty());
 }

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
 # Repo verification: the tier-1 gate from ROADMAP.md plus the vendored
-# proptest stub's own tests, a zero-warning clippy pass, the sybil-lint
-# workspace audit (0 violations, stale lint.toml entries included, inside
-# its <5s budget), every example run to a zero exit, the identity matrix
-# (reports, store bytes and logical metrics across RENREN_THREADS and
-# shard counts, and serve ≡ replay), the chaos proptests in release, a
-# committed `--faults` schedule through `repro chaos`, the kill +
-# warm-restart drill, the mismatched-store smoke (another run's store is
-# a typed error), and one step over the repo's benchmark
-# (benchmark/run.sh): no failed job, peak RSS inside the DESIGN.md
-# budget, no resolved observability overhead above 5%. The coordinator's
-# stage ledger and the benchmark's layer readings are printed, not gated.
+# proptest stub's own tests, a rustfmt-clean tree, a zero-warning clippy
+# pass, the sybil-lint workspace audit (0 violations, stale lint.toml
+# entries included, inside its <5s budget), every example run to a zero
+# exit, the identity matrix (reports, store bytes and logical metrics
+# across RENREN_THREADS and shard counts, and serve ≡ replay), the chaos
+# proptests in release, a committed `--faults` schedule through `repro
+# chaos`, the kill + warm-restart drill, the mismatched-store smoke
+# (another run's store is a typed error), and one step over the repo's
+# benchmark (benchmark/run.sh): no failed job, peak RSS inside the
+# DESIGN.md budget, no resolved observability overhead above 5%. The
+# coordinator's stage ledger and the benchmark's layer readings are
+# printed, not gated.
 # Run from the workspace root: ./scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -43,6 +44,12 @@ echo "== vendored proptest: its own tests (the it:: seed mapping included) =="
 # proptests: the stub drops a leading `it::` before seeding, pinned by
 # its unit tests (outside default-members, so not part of tier-1).
 cargo test -q -p proptest
+
+echo "== lint: cargo fmt --check =="
+# The same command at the same root as `cargo fmt`, so it checks exactly
+# the files that one formats: the root package, every workspace member
+# and the vendored path dependencies; benchmark/ is a package of its own.
+cargo fmt --check
 
 echo "== lint: cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
