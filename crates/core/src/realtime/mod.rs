@@ -235,8 +235,8 @@ struct Replayer<'a> {
     cfg: RealtimeConfig,
     /// Every account's running state; slot = account id.
     states: AccountTable,
-    /// Accepted friendships seen so far, as packed undirected keys.
-    edges: HashSet<u64, PairBuildHasher>,
+    /// Counts links among an account's friends.
+    links: FriendLinks,
     adaptive: AdaptiveThresholds,
     /// Pending verification feedback: (due time, features, truth).
     feedback_queue: VecDeque<(Timestamp, FeatureVector, bool)>,
@@ -248,6 +248,72 @@ struct Replayer<'a> {
     /// Injected wall clock; `None` outside observed runs.
     clock: Option<sybil_obs::Clock<'a>>,
     feat_span: SpanAgg,
+}
+
+/// The sequential link counter. A pair of accounts is linked once a
+/// request between them has been accepted, and an accept writes each end
+/// into the other's tracked friend list unless that list is full. So a
+/// pair is linked exactly when either list holds the other or, for a pair
+/// accepted while both lists were full, `overflow` holds it: the count
+/// reads the lists the table keeps anyway, and an accept costs a set
+/// insert only in that last case.
+struct FriendLinks {
+    /// Accepted pairs neither end's list recorded, as packed keys.
+    overflow: HashSet<u64, PairBuildHasher>,
+    /// Per account, bit `p` set while the friend list being counted holds
+    /// it at position `p`; all zero between counts.
+    marks: Vec<u64>,
+}
+
+impl FriendLinks {
+    /// The counter for a table of `n` accounts, before any accept.
+    fn new(n: usize) -> Self {
+        FriendLinks {
+            overflow: HashSet::default(),
+            marks: vec![0; n],
+        }
+    }
+
+    /// Note an accept between `a` and `b`; call before `states` applies it.
+    fn on_accept(&mut self, states: &AccountTable, a: NodeId, b: NodeId) {
+        let full = |x: NodeId| states.friends(x.index()).len() >= state::MAX_TRACKED_FRIENDS;
+        if full(a) && full(b) {
+            self.overflow.insert(state::pack_edge(a, b));
+        }
+    }
+
+    /// Links among `friends`: the pairs of positions `i < j` whose
+    /// accounts are linked, which is what [`state::links_via_edges`]
+    /// counts against the set of every accepted pair.
+    fn among(&mut self, states: &AccountTable, friends: &[NodeId]) -> usize {
+        #[cfg(test)]
+        LINKS_COUNTED.with(|n| n.set(n.get() + 1));
+        debug_assert!(friends.len() <= state::MAX_TRACKED_FRIENDS);
+        // A friend list holds at most MAX_TRACKED_FRIENDS ≤ 64 ids, so a
+        // position fits a bit of a u64.
+        for (bit, f) in friends.iter().enumerate() {
+            self.marks[f.index()] |= 1 << bit;
+        }
+        // Bit `j` of `rows[i]`: friends[i]'s list holds friends[j].
+        let mut rows = [0u64; state::MAX_TRACKED_FRIENDS];
+        for (row, a) in rows.iter_mut().zip(friends) {
+            for e in states.friends(a.index()) {
+                *row |= self.marks[e.index()];
+            }
+        }
+        for f in friends {
+            self.marks[f.index()] = 0;
+        }
+        let mut links = 0;
+        for (i, (&a, &row)) in friends.iter().zip(&rows).enumerate() {
+            for (j, (&b, &col)) in friends.iter().zip(&rows).enumerate().skip(i + 1) {
+                let listed = row >> j & 1 == 1 || col >> i & 1 == 1;
+                let overflowed = || self.overflow.contains(&state::pack_edge(a, b));
+                links += usize::from(listed || overflowed());
+            }
+        }
+        links
+    }
 }
 
 #[cfg(test)]
@@ -264,7 +330,7 @@ impl<'a> Replayer<'a> {
             out,
             cfg,
             states: AccountTable::new(n),
-            edges: HashSet::default(),
+            links: FriendLinks::new(n),
             adaptive: AdaptiveThresholds::from_rule(&cfg.rule, 0.02),
             feedback_queue: VecDeque::new(),
             report: DeploymentReport {
@@ -331,7 +397,7 @@ impl<'a> Replayer<'a> {
     fn on_decide(&mut self, i: usize, t: Timestamp) {
         let r = self.out.log.get(i);
         if r.outcome.is_accepted() {
-            self.edges.insert(state::pack_edge(r.from, r.to));
+            self.links.on_accept(&self.states, r.from, r.to);
             self.states.on_accept_out(r.from.index(), r.to);
             self.states.on_accept_in(r.to.index(), r.from);
         } else {
@@ -346,16 +412,9 @@ impl<'a> Replayer<'a> {
         }
     }
 
-    /// The sequential link counter: exact pair probes of the edge set.
-    fn links(&self, friends: &[NodeId]) -> usize {
-        #[cfg(test)]
-        LINKS_COUNTED.with(|n| n.set(n.get() + 1));
-        state::links_via_edges(friends, &self.edges)
-    }
-
     /// Run `work`, wall-timed into the `feature_compute` span when a
     /// clock was injected.
-    fn timed<T>(&mut self, work: impl FnOnce(&Self) -> T) -> T {
+    fn timed<T>(&mut self, work: impl FnOnce(&mut Self) -> T) -> T {
         let Some(clock) = self.clock else {
             return work(self);
         };
@@ -368,8 +427,10 @@ impl<'a> Replayer<'a> {
     /// The full vector of `who`, for the audit sample.
     fn features_of(&mut self, who: NodeId) -> Option<FeatureVector> {
         let f = self.timed(|eng| {
-            eng.states
-                .features_with(who.index(), &eng.cfg, |friends| eng.links(friends))
+            let (states, links) = (&eng.states, &mut eng.links);
+            states.features_with(who.index(), &eng.cfg, |friends| {
+                links.among(states, friends)
+            })
         });
         if f.is_some() {
             self.counters.features_computed += 1;
@@ -385,8 +446,10 @@ impl<'a> Replayer<'a> {
             self.cfg.rule
         };
         let verdict = self.timed(|eng| {
-            eng.states
-                .check_with(who.index(), &eng.cfg, &rule, |friends| eng.links(friends))
+            let (states, links) = (&eng.states, &mut eng.links);
+            states.check_with(who.index(), &eng.cfg, &rule, |friends| {
+                links.among(states, friends)
+            })
         });
         if verdict != Verdict::NoData {
             self.counters.features_computed += 1;
@@ -591,7 +654,7 @@ mod tests {
                 }
             } else {
                 if r.outcome.is_accepted() {
-                    eng.edges.insert(state::pack_edge(r.from, r.to));
+                    eng.links.on_accept(&eng.states, r.from, r.to);
                     eng.states.on_accept_out(from, r.to);
                     eng.states.on_accept_in(r.to.index(), r.from);
                 } else {
@@ -843,6 +906,41 @@ mod synthetic_tests {
             report.detections.is_empty(),
             "high-acceptance bursts are not sybil-like"
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Over accepts among sixty accounts — enough to fill lists past
+        /// the friend cap, self-accepts and repeated pairs included — the
+        /// friend-list counter equals pair probes of the set of every
+        /// accepted pair, on each account's list and on a list mixing
+        /// several accounts' ids with repeats, and leaves no mark behind.
+        #[test]
+        fn friend_list_links_equal_probes_of_every_accepted_pair(
+            accepts in proptest::collection::vec((0u32..60, 0u32..60), 0..1500),
+            mixed in proptest::collection::vec(0u32..60, 0..12),
+        ) {
+            let mut states = AccountTable::new(60);
+            let mut links = FriendLinks::new(60);
+            let mut every = HashSet::new();
+            for (a, b) in accepts {
+                let (a, b) = (NodeId(a), NodeId(b));
+                links.on_accept(&states, a, b);
+                states.on_accept_out(a.index(), b);
+                states.on_accept_in(b.index(), a);
+                every.insert(state::pack_edge(a, b));
+            }
+            let mixed: Vec<NodeId> = mixed.into_iter().map(NodeId).collect();
+            for i in 0..60 {
+                let friends = states.friends(i).to_vec();
+                let want = state::links_via_edges(&friends, &every);
+                proptest::prop_assert_eq!(links.among(&states, &friends), want);
+            }
+            let want = state::links_via_edges(&mixed, &every);
+            proptest::prop_assert_eq!(links.among(&states, &mixed), want);
+            proptest::prop_assert!(links.marks.iter().all(|&m| m == 0));
+        }
     }
 
     /// min_decided gating: a burst with no decisions yet cannot fire.

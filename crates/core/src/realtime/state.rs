@@ -5,12 +5,13 @@
 //! byte-identical, so every transition and every gating predicate lives
 //! here exactly once, on [`AccountTable`]. The engines differ only in who
 //! applies them (one loop over every account vs. the shard owning the
-//! account) and in how clustering links are counted (hash-set pair probes
-//! vs. CSR snapshot kernels) — which is why the rule check,
-//! [`check_with`](AccountTable::check_with), and the full vector,
-//! [`features_with`](AccountTable::features_with), take the link counter
-//! as a closure. A check calls it last: the rule is a conjunction, two of
-//! its conjuncts are slot reads, and most checks are decided by those.
+//! account) and in how clustering links are counted (the friends' own
+//! tracked lists vs. the mirror's folded rows and delta) — which is why
+//! the rule check, [`check_with`](AccountTable::check_with), and the full
+//! vector, [`features_with`](AccountTable::features_with), take the link
+//! counter as a closure. A check calls it last: the rule is a
+//! conjunction, two of its conjuncts are slot reads, and most checks are
+//! decided by those.
 //!
 //! The table is flat: one fixed-size slot per account (counters, the
 //! window peak, flags, two block handles and the first block of each

@@ -28,7 +28,8 @@
 //! delta chain, all of them in lockstep, and keeps the links whose other
 //! end is marked; the delta may repeat a pair, at either end, so its
 //! pairs are deduplicated in a buffer the shard reuses. That is
-//! integer-equal to the sequential pair-probe loop whenever the friend
+//! integer-equal to the sequential count — exact pair probes of the
+//! accepted pairs, `links_via_edges` — whenever the friend
 //! list is duplicate-free (the shard falls back to exact pair probes,
 //! which look at both ends, for the rare duplicate case, flagged by
 //! [`AccountTable::friends_dup`]).

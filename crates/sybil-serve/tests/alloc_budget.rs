@@ -106,22 +106,22 @@ fn a_two_shard_run_allocates_under_a_tenth_of_a_call_per_event() {
     );
 }
 
-/// The sequential oracle on the same input: at most one call per 2,000
-/// events. It makes 56 calls for 149,363 events — the merged stream's
-/// sort, the edge set and the table's pools doubling, the report — so
-/// the budget of 74 leaves a third in hand; a container per account, or
-/// per event, would cost thousands.
+/// The sequential oracle on the same input: at most one call per 2,500
+/// events. It makes 43 calls for 149,363 events — the merged stream's
+/// sort, the table, its pools doubling, the link counter, the report —
+/// so the budget of 59 leaves a third in hand; a container per account,
+/// or a call per event, would cost thousands.
 #[test]
-fn the_replay_oracle_allocates_under_one_call_per_two_thousand_events() {
+fn the_replay_oracle_allocates_under_one_call_per_2500_events() {
     let _alone = ALONE.lock().unwrap_or_else(|e| e.into_inner());
     let (out, events, detect) = input();
     let before = CALLS.load(Ordering::Relaxed);
     let report = replay(&out, &detect);
     let calls = CALLS.load(Ordering::Relaxed) - before;
     assert!(
-        calls <= events / 2000,
+        calls <= events / 2500,
         "{calls} allocator calls for {events} events (budget {})",
-        events / 2000
+        events / 2500
     );
     assert!(!report.detections.is_empty());
 }
