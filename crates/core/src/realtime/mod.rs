@@ -265,6 +265,9 @@ struct FriendLinks {
     marks: Vec<u64>,
 }
 
+// A tracked friend list's positions fit the bits of a `u64`.
+const _: () = assert!(state::MAX_TRACKED_FRIENDS <= 64);
+
 impl FriendLinks {
     /// The counter for a table of `n` accounts, before any accept.
     fn new(n: usize) -> Self {
@@ -289,8 +292,6 @@ impl FriendLinks {
         #[cfg(test)]
         LINKS_COUNTED.with(|n| n.set(n.get() + 1));
         debug_assert!(friends.len() <= state::MAX_TRACKED_FRIENDS);
-        // A friend list holds at most MAX_TRACKED_FRIENDS ≤ 64 ids, so a
-        // position fits a bit of a u64.
         for (bit, f) in friends.iter().enumerate() {
             self.marks[f.index()] |= 1 << bit;
         }
@@ -307,9 +308,10 @@ impl FriendLinks {
         let mut links = 0;
         for (i, (&a, &row)) in friends.iter().zip(&rows).enumerate() {
             for (j, (&b, &col)) in friends.iter().zip(&rows).enumerate().skip(i + 1) {
-                let listed = row >> j & 1 == 1 || col >> i & 1 == 1;
-                let overflowed = || self.overflow.contains(&state::pack_edge(a, b));
-                links += usize::from(listed || overflowed());
+                let linked = row >> j & 1 == 1
+                    || col >> i & 1 == 1
+                    || self.overflow.contains(&state::pack_edge(a, b));
+                links += usize::from(linked);
             }
         }
         links

@@ -320,16 +320,18 @@ impl Slot {
         )
     }
 
-    /// The friend run, in acquisition order.
+    /// The friend run, in acquisition order: in the slot while it fits,
+    /// else the front of its pool block.
     #[inline]
     fn friends<'a>(&'a self, friends: &'a BlockPool<NodeId>) -> &'a [NodeId] {
         let len = self.friends_len as usize;
-        &block(
-            &self.friends_inline,
-            &friends.data,
-            self.friends_off,
-            block_for(len),
-        )[..len]
+        if len <= MIN_BLOCK {
+            &self.friends_inline[..len]
+        } else {
+            let off = self.friends_off as usize;
+            debug_assert!(off + block_for(len) <= friends.data.len());
+            &friends.data[off..off + len]
+        }
     }
 }
 
@@ -466,29 +468,23 @@ impl AccountTable {
         let now = at.as_secs();
         let cutoff = now.saturating_sub(window_s);
         let mask = s.ring_size.wrapping_sub(1);
-        let ring = block(
-            &s.ring_inline,
-            &self.sends.data,
-            s.ring_off,
-            s.ring_size as usize,
-        );
+        let size = s.ring_size as usize;
+        let mut ring = block_mut(&mut s.ring_inline, &mut self.sends.data, s.ring_off, size);
         while s.ring_len > 0 && ring[s.ring_head as usize] <= cutoff {
             s.ring_head = (s.ring_head + 1) & mask;
             s.ring_len -= 1;
         }
         if now > cutoff {
             if s.ring_len == s.ring_size {
-                let (size, head) = (s.ring_size as usize, s.ring_head as usize);
+                let head = s.ring_head as usize;
                 // A pool at its addressing limit keeps the window it has.
                 let Some(off) = self.sends.grow(&s.ring_inline, s.ring_off, size, head) else {
                     return;
                 };
-                s.ring_off = off;
-                s.ring_size = saturating_u32(block_for(size + 1));
-                s.ring_head = 0;
+                let size = block_for(size + 1);
+                (s.ring_off, s.ring_size, s.ring_head) = (off, saturating_u32(size), 0);
+                ring = block_mut(&mut s.ring_inline, &mut self.sends.data, off, size);
             }
-            let size = s.ring_size as usize;
-            let ring = block_mut(&mut s.ring_inline, &mut self.sends.data, s.ring_off, size);
             ring[((s.ring_head + s.ring_len) & (s.ring_size - 1)) as usize] = now;
             s.ring_len += 1;
         }
@@ -519,19 +515,18 @@ impl AccountTable {
         }
         let s = &mut self.slots[i];
         let dup = s.friends(&self.friends).contains(&id);
-        if len == block_for(len) {
-            let Some(off) = self.friends.grow(&s.friends_inline, s.friends_off, len, 0) else {
-                return;
-            };
-            s.friends_off = off;
+        if len < MIN_BLOCK {
+            s.friends_inline[len] = id;
+        } else {
+            // A run of MIN_BLOCK or more fills its block at a power of two.
+            if len.is_power_of_two() {
+                let Some(off) = self.friends.grow(&s.friends_inline, s.friends_off, len, 0) else {
+                    return;
+                };
+                s.friends_off = off;
+            }
+            self.friends.data[s.friends_off as usize + len] = id;
         }
-        let size = block_for(len + 1);
-        block_mut(
-            &mut s.friends_inline,
-            &mut self.friends.data,
-            s.friends_off,
-            size,
-        )[len] = id;
         s.friends_len += 1;
         s.friends_dup |= dup;
     }
