@@ -221,20 +221,9 @@ impl<T: Copy> BlockPool<T> {
     }
 }
 
-/// A block of `size` elements: the slot's `inline` block up to
+/// A block of `size` elements, writable: the slot's `inline` block up to
 /// [`MIN_BLOCK`], else the pool block at `off`, which lies inside the
 /// pool (the pool handed it out and never shrinks).
-#[inline]
-fn block<'a, T>(inline: &'a [T; MIN_BLOCK], pool: &'a [T], off: u32, size: usize) -> &'a [T] {
-    debug_assert!(size <= MIN_BLOCK || off as usize + size <= pool.len());
-    if size <= MIN_BLOCK {
-        &inline[..size]
-    } else {
-        &pool[off as usize..off as usize + size]
-    }
-}
-
-/// [`block`], writable.
 #[inline]
 fn block_mut<'a, T>(
     inline: &'a mut [T; MIN_BLOCK],
@@ -309,15 +298,18 @@ impl Slot {
             && self.ring_head <= self.ring_size.saturating_sub(1)
     }
 
-    /// The send ring's block.
+    /// The send ring's block: in the slot while it fits, else in the
+    /// pool.
     #[inline]
     fn ring<'a>(&'a self, sends: &'a BlockPool<u64>) -> &'a [u64] {
-        block(
-            &self.ring_inline,
-            &sends.data,
-            self.ring_off,
-            self.ring_size as usize,
-        )
+        debug_assert!(self.ring_in(sends));
+        let size = self.ring_size as usize;
+        if size <= MIN_BLOCK {
+            &self.ring_inline[..size]
+        } else {
+            let off = self.ring_off as usize;
+            &sends.data[off..off + size]
+        }
     }
 
     /// The friend run, in acquisition order: in the slot while it fits,

@@ -20,16 +20,16 @@
 //!
 //! Two mergers live here. [`EventStream`] (the sequential replay's path,
 //! and the tests' oracle) sorts a `(decided_at, index)` key per resolved
-//! request up front, with the same radix sort the calendar uses, keeps a
-//! `u32` index per resolved request, and honors even pathological logs
-//! whose decisions precede their sends. [`EpochBatches`] (the serving engine's path) materializes
-//! nothing proportional to the log: it hands out one absolute-grid epoch
-//! at a time, merging that cell's contiguous run of sends with the
-//! decisions an *epoch calendar* filed under the cell as their sends went
-//! by — so the only state is the decisions in flight. Both yield the
-//! identical event sequence on well-formed logs (see [`EpochBatches`]
-//! for the argument and the contract), so replay and serve stay
-//! bit-identical.
+//! request up front, with the radix sort the calendar uses, keeps a `u32`
+//! index per resolved request, and honors even pathological logs whose
+//! decisions precede their sends. [`EpochBatches`] (the serving engine's
+//! path) materializes nothing proportional to the log: it hands out one
+//! absolute-grid epoch at a time, merging that cell's contiguous run of
+//! sends with the decisions an *epoch calendar* filed under the cell as
+//! their sends went by — so the only state is the decisions in flight.
+//! Both yield the identical event sequence on well-formed logs (see
+//! [`EpochBatches`] for the argument and the contract), so replay and
+//! serve stay bit-identical.
 
 use crate::log::RequestLog;
 use osn_graph::Timestamp;
@@ -76,27 +76,13 @@ impl<'a> EventStream<'a> {
     /// then keep only the indices.
     pub fn new(log: &'a RequestLog) -> Self {
         let records = log.records().iter().enumerate();
-        let resolved = records.filter_map(|(i, r)| Some((r.outcome.decided_at()?, i as u32)));
+        let mut keys: Vec<(Timestamp, u32)> = records
+            .filter_map(|(i, r)| Some((r.outcome.decided_at()?, i as u32)))
+            .collect();
         // Collected in index order, so a stable sort by time breaks ties
-        // by index. A time below 2³² s packs above its index into one
-        // `u64`, half the bytes to sort; a log with later times sorts
-        // the pairs.
-        let packed = resolved.clone().map(|(t, i)| {
-            let t = u32::try_from(t.as_secs()).ok()?;
-            Some(u64::from(t) << 32 | u64::from(i))
-        });
-        let decided = match packed.collect::<Option<Vec<u64>>>() {
-            Some(mut keys) => {
-                sort_by_time(&mut keys, &mut Vec::new(), |k| Timestamp(k >> 32));
-                // The low half is the index.
-                keys.iter().map(|&k| k as u32).collect()
-            }
-            None => {
-                let mut keys: Vec<(Timestamp, u32)> = resolved.collect();
-                sort_by_time(&mut keys, &mut Vec::new(), |k| k.0);
-                keys.iter().map(|k| k.1).collect()
-            }
-        };
+        // by index.
+        sort_by_time(&mut keys, &mut Vec::new(), |k| k.0);
+        let decided = keys.iter().map(|k| k.1).collect();
         EventStream {
             log,
             send_cursor: 0,
@@ -449,38 +435,15 @@ mod tests {
             (3, 5, 9, Some((4, true))),  // decided "before" sent_at cannot
                                          // happen in real logs; skip
         ]);
-        // Record 4's decision time (hour 4) precedes its send (hour 9); the
-        // eager merge sorts purely by time, so both agree on that order too.
-        assert_eq!(merged(&log), eager_merge(&log));
-    }
-
-    /// [`EventStream`]'s events in [`eager_merge`]'s form.
-    fn merged(log: &RequestLog) -> Vec<(Timestamp, u8, u32)> {
-        EventStream::new(log)
+        let got: Vec<(Timestamp, u8, u32)> = EventStream::new(&log)
             .map(|e| match e.kind {
                 StreamEventKind::Sent(i) => (e.at, 0, i),
                 StreamEventKind::Decided(i) => (e.at, 1, i),
             })
-            .collect()
-    }
-
-    /// A decision at or past 2³² s cannot pack into a `u64` key beside
-    /// its index: the stream sorts the pairs instead, in the same order.
-    #[test]
-    fn decisions_past_two_to_the_thirty_two_seconds_merge_in_order() {
-        let far = (1u64 << 32) / 3600; // the hour 2³² s falls in
-        let log = log_with(&[
-            (0, 1, 1, Some((far + 1, true))),
-            (0, 2, 2, Some((far - 1, false))),
-            (1, 3, 3, Some((far + 1, true))), // ties record 0
-            (2, 4, 4, Some((5, true))),
-        ]);
-        assert_eq!(merged(&log), eager_merge(&log));
-        let below = log_with(&[
-            (0, 1, 1, Some((far - 1, true))),
-            (0, 2, 2, Some((3, false))),
-        ]);
-        assert_eq!(merged(&below), eager_merge(&below));
+            .collect();
+        // Record 4's decision time (hour 4) precedes its send (hour 9); the
+        // eager merge sorts purely by time, so both agree on that order too.
+        assert_eq!(got, eager_merge(&log));
     }
 
     #[test]
