@@ -109,7 +109,10 @@ matrix=(
     # evaluations and their suspects are spread over workers; at 3
     # threads there are more workers than long tasks.
     "defenses tiny/1|1 2 3|0|--scale tiny --seed 1 defenses|tiny-seed1/defenses.json"
-    "defenses small/3|1 2 3|0|--scale small --seed 3 defenses|small-seed3/defenses.json"
+    # At small/3 the row also runs Table 1 and the zoo (SMO fits split
+    # over workers), and its first run is held to the committed goldens
+    # below.
+    "defenses small/3|1 2 3|0|--scale small --seed 3 defenses table1 zoo|small-seed3/defenses.json small-seed3/table1.json small-seed3/zoo.json"
     # The mirror folds one block range per thread and pulls the next
     # epoch beside its index pass: no checkpoint (.sybs), journal
     # (.sybj) or serve.json byte may show it.
@@ -159,7 +162,15 @@ identity_row() { # ROW DIR
 }
 for i in "${!matrix[@]}"; do
     identity_row "${matrix[$i]}" "$bench_tmp/matrix/$i"
+    [[ ${matrix[$i]} == "defenses small/3|"* ]] && small3="$bench_tmp/matrix/$i/t1_s0/small-seed3"
 done
+# §3.1's verdicts, Table 1 and the zoo at small/3 against committed
+# goldens: the unit tests' tiny/11 goldens reach no hub near degree
+# 1,000, and fewer of their SMO fits run to the pass cap.
+for exp in defenses table1 zoo; do
+    diff "crates/repro/tests/golden/${exp}_small_seed3.json" "$small3/$exp.json"
+done
+echo "goldens: small/3 defenses, table1 and zoo JSON equal crates/repro/tests/golden/*_small_seed3.json"
 # Serve ≡ replay: `repro serve` byte-compares its static and adaptive
 # reports against the sequential replay and records both verdicts.
 python3 - "$bench_tmp/matrix" <<'PY'
