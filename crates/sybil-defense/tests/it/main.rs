@@ -3,3 +3,4 @@
 
 mod integration;
 mod prepared;
+mod routes;

@@ -3,11 +3,13 @@
 //! `reference` holds each defense's verdict computed the way
 //! `SybilDefense::verify` used to compute it — everything from scratch for
 //! every (verifier, suspect) pair: both parties' routes re-walked, every
-//! permutation fully shuffled, the suspect's edges collected into a set.
+//! permutation fully shuffled, the suspect's edges collected into a set
+//! (SybilGuard's routes walked by `routes.rs`'s independent model).
 //! The property test requires one prepared verifier to judge every suspect
 //! exactly like that, at one and at two worker threads.
 
-use osn_graph::walks::{self, RouteStart, RouteTables};
+use crate::routes::ReferenceRoutes;
+use osn_graph::walks::{self, RouteStart};
 use osn_graph::{bfs, generators, NodeId, TemporalGraph, Timestamp};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -45,13 +47,13 @@ mod reference {
         if !connected(g, verifier, suspect) {
             return Verdict::Reject;
         }
-        let tables = RouteTables::new(g, &mut StdRng::seed_from_u64(seed));
+        let routes = ReferenceRoutes::new(g, &mut StdRng::seed_from_u64(seed));
         let route_edges = |who: NodeId, first_edge: usize| -> Vec<(u32, u32)> {
             let start = RouteStart {
                 node: who,
                 first_edge,
             };
-            tables
+            routes
                 .route(g, start, sg.route_len())
                 .windows(2)
                 .map(|w| (w[0].0.min(w[1].0), w[0].0.max(w[1].0)))
