@@ -56,17 +56,86 @@ pub fn walk_endpoint<R: Rng + ?Sized>(
     cur
 }
 
-/// Per-node random routing tables for SybilGuard/SybilLimit random routes.
+/// `g`'s adjacency as one flat array of *slots*, the substrate random
+/// routes walk: node `v`'s row is the slot range [`row`](Self::row)`(v)`,
+/// whose `i`-th slot stands for `g.neighbors(v)[i]`. Each slot holds the
+/// neighbour it leads to and the slot the same edge has in that
+/// neighbour's row, so a route finds the slot it enters through beside
+/// the one it left by, with no lookup by edge.
+#[derive(Clone, Debug)]
+pub struct RouteSlots {
+    first: Vec<u32>, // per node: start of its row; `first[n]` ends the last
+    slots: Vec<Slot>,
+    edges: Vec<EdgeId>, // per slot: the edge it stands for
+}
+
+/// One adjacency slot: where it leads, and its edge's slot in that row.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    to: u32,
+    back: u32,
+}
+
+impl RouteSlots {
+    /// The slots of `g`'s adjacency, in `neighbors` order.
+    pub fn new(g: &TemporalGraph) -> Self {
+        let mut first = Vec::with_capacity(g.num_nodes() + 1);
+        first.push(0u32);
+        for n in g.nodes() {
+            first.push(first[n.index()] + g.degree(n) as u32);
+        }
+        let len = first[g.num_nodes()] as usize;
+        let mut slots = Vec::with_capacity(len);
+        let mut edges = Vec::with_capacity(len);
+        // The first slot seen of each edge, until its other end pairs it.
+        let mut seen = vec![u32::MAX; g.num_edges()];
+        for n in g.nodes() {
+            for nb in g.neighbors(n) {
+                let s = slots.len() as u32;
+                let other = std::mem::replace(&mut seen[nb.edge.index()], s);
+                slots.push(Slot {
+                    to: nb.node.0,
+                    back: other,
+                });
+                edges.push(nb.edge);
+                if other != u32::MAX {
+                    slots[other as usize].back = s;
+                }
+            }
+        }
+        RouteSlots {
+            first,
+            slots,
+            edges,
+        }
+    }
+
+    /// The slots of `v`'s row.
+    #[inline]
+    pub fn row(&self, v: NodeId) -> std::ops::Range<usize> {
+        debug_assert!(v.index() + 1 < self.first.len(), "node out of range");
+        self.first[v.index()] as usize..self.first[v.index() + 1] as usize
+    }
+
+    /// Where slot `s` leads: the neighbour, and the slot its edge has in
+    /// the neighbour's row.
+    #[inline]
+    pub fn hop(&self, s: usize) -> (NodeId, usize) {
+        let slot = self.slots[s];
+        (NodeId(slot.to), slot.back as usize)
+    }
+}
+
+/// Per-node random routing tables for SybilGuard/SybilLimit random routes,
+/// over `g`'s [`RouteSlots`].
 ///
-/// `perm[v][i] = j` means a route entering node `v` through the edge at
-/// adjacency position `i` leaves through the edge at position `j`. Each
-/// `perm[v]` is a uniform random permutation drawn at construction time.
+/// For every slot `s` of node `v`'s row, `perm[s]` is the slot a route
+/// entering `v` through `s` leaves by. Each row of `perm` is a uniform
+/// random permutation of the row, drawn at construction time.
 #[derive(Clone, Debug)]
 pub struct RouteTables {
-    perm: Vec<Vec<u32>>,
-    /// For every edge id: position of the edge within `a`'s and `b`'s
-    /// adjacency lists, enabling O(1) reverse-position lookup during routing.
-    edge_pos: Vec<(u32, u32)>,
+    slots: RouteSlots,
+    perm: Vec<u32>,
 }
 
 /// A directed step used to seed a route: the node we start from and the
@@ -95,71 +164,43 @@ pub struct RouteHop {
 #[derive(Clone, Debug)]
 pub struct RouteHops<'a> {
     tables: &'a RouteTables,
-    g: &'a TemporalGraph,
     cur: NodeId,
-    /// Adjacency position in `cur` of the next edge to take.
-    out_pos: usize,
+    /// The slot of `cur`'s row the next hop leaves by.
+    out: usize,
     remaining: usize,
 }
 
 impl Iterator for RouteHops<'_> {
     type Item = RouteHop;
 
+    #[inline]
     fn next(&mut self) -> Option<RouteHop> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
-        let next = self.g.neighbors(self.cur)[self.out_pos];
+        let (to, back) = self.tables.slots.hop(self.out);
         let hop = RouteHop {
             from: self.cur,
-            to: next.node,
-            edge: next.edge,
+            to,
+            edge: self.tables.slots.edges[self.out],
         };
-        if self.remaining > 0 {
-            let in_pos = self.tables.pos_at(self.g, next.edge, next.node);
-            self.out_pos = self.tables.perm[next.node.index()][in_pos] as usize;
-        }
-        self.cur = next.node;
+        self.out = self.tables.perm[back] as usize;
+        self.cur = to;
         Some(hop)
     }
 }
 
 impl RouteTables {
-    /// Draw fresh random routing tables for `g`.
+    /// Draw fresh random routing tables for `g`: one `shuffle` of each
+    /// node's row, in node order.
     pub fn new<R: Rng + ?Sized>(g: &TemporalGraph, rng: &mut R) -> Self {
-        let mut perm = Vec::with_capacity(g.num_nodes());
+        let slots = RouteSlots::new(g);
+        let mut perm: Vec<u32> = (0..slots.slots.len() as u32).collect();
         for n in g.nodes() {
-            let d = g.degree(n);
-            let mut p: Vec<u32> = (0..d as u32).collect();
-            p.shuffle(rng);
-            perm.push(p);
+            perm[slots.row(n)].shuffle(rng);
         }
-        let mut edge_pos = vec![(u32::MAX, u32::MAX); g.num_edges()];
-        for n in g.nodes() {
-            for (i, nb) in g.neighbors(n).iter().enumerate() {
-                let e = nb.edge.index();
-                let rec = g.edge(nb.edge);
-                if rec.a == n {
-                    edge_pos[e].0 = i as u32;
-                } else {
-                    edge_pos[e].1 = i as u32;
-                }
-            }
-        }
-        RouteTables { perm, edge_pos }
-    }
-
-    /// Position of edge `e` in the adjacency list of endpoint `n`.
-    fn pos_at(&self, g: &TemporalGraph, e: EdgeId, n: NodeId) -> usize {
-        let rec = g.edge(e);
-        let (pa, pb) = self.edge_pos[e.index()];
-        if rec.a == n {
-            pa as usize
-        } else {
-            debug_assert_eq!(rec.b, n);
-            pb as usize
-        }
+        RouteTables { slots, perm }
     }
 
     /// The hops of the random route of `len` hops from `start`, one at a
@@ -168,20 +209,14 @@ impl RouteTables {
     /// Empty if the start is isolated or `len == 0`. Routes are fully
     /// deterministic: the same `start` always produces the same hops for
     /// fixed tables.
-    pub fn hops<'a>(
-        &'a self,
-        g: &'a TemporalGraph,
-        start: RouteStart,
-        len: usize,
-    ) -> RouteHops<'a> {
-        let isolated = g.neighbors(start.node).is_empty();
-        debug_assert!(isolated || start.first_edge < g.degree(start.node));
+    pub fn hops(&self, start: RouteStart, len: usize) -> RouteHops<'_> {
+        let row = self.slots.row(start.node);
+        debug_assert!(row.is_empty() || start.first_edge < row.len());
         RouteHops {
             tables: self,
-            g,
             cur: start.node,
-            out_pos: start.first_edge,
-            remaining: if isolated { 0 } else { len },
+            out: row.start + start.first_edge,
+            remaining: if row.is_empty() { 0 } else { len },
         }
     }
 
@@ -189,24 +224,17 @@ impl RouteTables {
     ///
     /// Returns the node sequence (start first, ≤ `len + 1` entries; shorter
     /// only if the start is isolated) — [`Self::hops`], collected.
-    pub fn route(&self, g: &TemporalGraph, start: RouteStart, len: usize) -> Vec<NodeId> {
+    pub fn route(&self, start: RouteStart, len: usize) -> Vec<NodeId> {
         let mut path = Vec::with_capacity(len + 1);
         path.push(start.node);
-        path.extend(self.hops(g, start, len).map(|hop| hop.to));
+        path.extend(self.hops(start, len).map(|hop| hop.to));
         path
     }
 
     /// The directed edge (`tail` of the route) traversed on the final hop of
     /// a route, as `(from, to)` — SybilLimit intersects on these tails.
-    pub fn route_tail(
-        &self,
-        g: &TemporalGraph,
-        start: RouteStart,
-        len: usize,
-    ) -> Option<(NodeId, NodeId)> {
-        self.hops(g, start, len)
-            .last()
-            .map(|hop| (hop.from, hop.to))
+    pub fn route_tail(&self, start: RouteStart, len: usize) -> Option<(NodeId, NodeId)> {
+        self.hops(start, len).last().map(|hop| (hop.from, hop.to))
     }
 }
 
@@ -281,8 +309,8 @@ mod tests {
             node: NodeId(0),
             first_edge: 0,
         };
-        let r1 = rt.route(&g, s, 10);
-        let r2 = rt.route(&g, s, 10);
+        let r1 = rt.route(s, 10);
+        let r2 = rt.route(s, 10);
         assert_eq!(r1, r2);
         assert_eq!(r1.len(), 11);
         for w in r1.windows(2) {
@@ -299,7 +327,6 @@ mod tests {
         let rt = RouteTables::new(&g, &mut rng);
         let len = 12;
         let ra = rt.route(
-            &g,
             RouteStart {
                 node: NodeId(0),
                 first_edge: 0,
@@ -307,7 +334,6 @@ mod tests {
             len,
         );
         let rb = rt.route(
-            &g,
             RouteStart {
                 node: NodeId(0),
                 first_edge: 1,
@@ -348,8 +374,8 @@ mod tests {
             node: NodeId(2),
             first_edge: 0,
         };
-        let p = rt.route(&g, s, 4);
-        let tail = rt.route_tail(&g, s, 4).unwrap();
+        let p = rt.route(s, 4);
+        let tail = rt.route_tail(s, 4).unwrap();
         assert_eq!(tail, (p[p.len() - 2], p[p.len() - 1]));
     }
 
@@ -361,8 +387,8 @@ mod tests {
         for node in g.nodes() {
             for first_edge in 0..g.degree(node) {
                 let s = RouteStart { node, first_edge };
-                let path = rt.route(&g, s, 9);
-                let hops: Vec<RouteHop> = rt.hops(&g, s, 9).collect();
+                let path = rt.route(s, 9);
+                let hops: Vec<RouteHop> = rt.hops(s, 9).collect();
                 assert_eq!(hops.len(), 9);
                 for (hop, w) in hops.iter().zip(path.windows(2)) {
                     assert_eq!((hop.from, hop.to), (w[0], w[1]));
@@ -380,7 +406,7 @@ mod tests {
             node: NodeId(0),
             first_edge: 0,
         };
-        assert_eq!(rt.hops(&isolated, s, 5).count(), 0);
+        assert_eq!(rt.hops(s, 5).count(), 0);
     }
 
     #[test]
@@ -389,7 +415,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let rt = RouteTables::new(&g, &mut rng);
         let p = rt.route(
-            &g,
             RouteStart {
                 node: NodeId(1),
                 first_edge: 0,
@@ -399,7 +424,6 @@ mod tests {
         assert_eq!(p, vec![NodeId(1)]);
         assert!(rt
             .route_tail(
-                &g,
                 RouteStart {
                     node: NodeId(1),
                     first_edge: 0

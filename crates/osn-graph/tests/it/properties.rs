@@ -23,15 +23,15 @@ proptest! {
         let tables = RouteTables::new(&g, &mut rng);
         let len = 12;
         let start_a = RouteStart { node: NodeId(0), first_edge: 0 };
-        let ra = tables.route(&g, start_a, len);
-        prop_assert_eq!(&ra, &tables.route(&g, start_a, len));
+        let ra = tables.route(start_a, len);
+        prop_assert_eq!(&ra, &tables.route(start_a, len));
         for w in ra.windows(2) {
             prop_assert!(g.has_edge(w[0], w[1]));
         }
         // Convergence: compare with a route from another node.
         let other = NodeId((n - 1) as u32);
         if g.degree(other) > 0 {
-            let rb = tables.route(&g, RouteStart { node: other, first_edge: 0 }, len);
+            let rb = tables.route(RouteStart { node: other, first_edge: 0 }, len);
             let ea: Vec<(NodeId, NodeId)> = ra.windows(2).map(|w| (w[0], w[1])).collect();
             let eb: Vec<(NodeId, NodeId)> = rb.windows(2).map(|w| (w[0], w[1])).collect();
             'outer: for (i, x) in ea.iter().enumerate() {

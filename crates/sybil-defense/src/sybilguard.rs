@@ -47,17 +47,12 @@ impl SybilGuard {
     }
 
     /// The hops of `who`'s route through its `first_edge`-th adjacency slot.
-    fn route_hops<'a>(
-        &'a self,
-        g: &'a TemporalGraph,
-        who: NodeId,
-        first_edge: usize,
-    ) -> RouteHops<'a> {
+    fn route_hops(&self, who: NodeId, first_edge: usize) -> RouteHops<'_> {
         let start = RouteStart {
             node: who,
             first_edge,
         };
-        self.tables.hops(g, start, self.route_len)
+        self.tables.hops(start, self.route_len)
     }
 }
 
@@ -79,28 +74,50 @@ impl SybilDefense for SybilGuard {
         }
         let mut crossing: Vec<(EdgeId, u32)> = (0..routes)
             .flat_map(|route| {
-                self.route_hops(g, verifier, route)
+                self.route_hops(verifier, route)
                     .map(move |hop| (hop.edge, route as u32))
             })
             .collect();
         crossing.sort_unstable();
         crossing.dedup();
+        // Index the sorted pairs by edge: `first[e]` counts the pairs of
+        // the edges before `e`.
+        let mut at = 0;
+        let first = (0..=g.num_edges() as u32)
+            .map(|e| {
+                while at < crossing.len() && crossing[at].0 < EdgeId(e) {
+                    at += 1;
+                }
+                at as u32
+            })
+            .collect();
         Box::new(VerifierRoutes {
             guard: self,
             g,
             routes,
-            crossing,
+            first,
+            routes_of: crossing.into_iter().map(|(_, route)| route).collect(),
         })
     }
 }
 
-/// SybilGuard bound to one verifier: every (edge, verifier route crossing
-/// it) pair, sorted, over the verifier's `routes` routes.
+/// SybilGuard bound to one verifier: for every edge, the verifier routes
+/// (of its `routes` routes) crossing it, in CSR form by edge id.
 struct VerifierRoutes<'a> {
     guard: &'a SybilGuard,
     g: &'a TemporalGraph,
     routes: usize,
-    crossing: Vec<(EdgeId, u32)>,
+    first: Vec<u32>, // per edge: start of its routes; `first[m]` ends the last
+    routes_of: Vec<u32>,
+}
+
+impl VerifierRoutes<'_> {
+    /// The verifier routes crossing `edge`, ascending.
+    fn crossing(&self, edge: EdgeId) -> &[u32] {
+        let e = edge.index();
+        debug_assert!(e + 1 < self.first.len(), "edge out of range");
+        &self.routes_of[self.first[e] as usize..self.first[e + 1] as usize]
+    }
 }
 
 impl PreparedVerifier for VerifierRoutes<'_> {
@@ -125,12 +142,8 @@ impl PreparedVerifier for VerifierRoutes<'_> {
             if enough(intersecting) {
                 break;
             }
-            for hop in self.guard.route_hops(self.g, suspect, e) {
-                let first = self.crossing.partition_point(|&(edge, _)| edge < hop.edge);
-                for &(edge, route) in &self.crossing[first..] {
-                    if edge != hop.edge {
-                        break;
-                    }
+            for hop in self.guard.route_hops(suspect, e) {
+                for &route in self.crossing(hop.edge) {
                     if !std::mem::replace(&mut hit[route as usize], true) {
                         intersecting += 1;
                     }

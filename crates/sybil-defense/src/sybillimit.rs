@@ -19,6 +19,7 @@
 //! verifier; judging a suspect walks the suspect's routes only.
 
 use crate::common::{PreparedVerifier, RejectAll, SybilDefense, Verdict};
+use osn_graph::walks::RouteSlots;
 use osn_graph::{NodeId, TemporalGraph};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -57,15 +58,15 @@ impl SybilLimit {
     }
 
     /// Stateless per-instance permutation: the out-position for a route
-    /// entering `node` at `in_pos` under instance `inst`. `perm` is scratch
-    /// (its contents on entry are irrelevant).
+    /// entering `node` (of `degree` slots) at `in_pos` under instance
+    /// `inst`.
     fn out_pos(
         &self,
         node: NodeId,
         degree: usize,
         in_pos: usize,
         inst: usize,
-        perm: &mut Vec<u32>,
+        walk: &mut Walk<'_>,
     ) -> usize {
         // Derive the node's permutation for this instance from a seed.
         let node_seed = self
@@ -73,54 +74,56 @@ impl SybilLimit {
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((node.0 as u64) << 20)
             .wrapping_add(inst as u64);
-        shuffled_slot(&mut StdRng::seed_from_u64(node_seed), degree, in_pos, perm)
+        let mut rng = StdRng::seed_from_u64(node_seed);
+        shuffled_slot(&mut rng, degree, in_pos, walk.rem, &mut walk.perm)
     }
 
     /// The tail (final directed edge) of the instance-`inst` route leaving
     /// `who` through its `first_edge`-th adjacency slot.
     fn route_tail(
         &self,
-        g: &TemporalGraph,
+        walk: &mut Walk<'_>,
         who: NodeId,
         first_edge: usize,
         inst: usize,
-        perm: &mut Vec<u32>,
-    ) -> Option<(NodeId, NodeId)> {
-        let nb = g.neighbors(who);
-        if nb.is_empty() {
-            return None;
-        }
+    ) -> (NodeId, NodeId) {
+        let slots = walk.slots;
         let mut prev = who;
-        let mut edge = nb[first_edge].edge;
-        let mut cur = nb[first_edge].node;
+        let (mut cur, mut back) = slots.hop(slots.row(who).start + first_edge);
         for _ in 1..self.route_len {
-            let d = g.degree(cur);
-            // Position of the incoming edge within cur's adjacency. The
-            // edge was taken from the adjacency list one hop back, so a
-            // miss means the graph is inconsistent — abandon the route.
-            let in_pos = g.neighbors(cur).iter().position(|x| x.edge == edge)?;
-            let out = self.out_pos(cur, d, in_pos, inst, perm);
-            let next = g.neighbors(cur)[out];
+            let row = slots.row(cur);
+            let out = self.out_pos(cur, row.len(), back - row.start, inst, walk);
             prev = cur;
-            edge = next.edge;
-            cur = next.node;
+            (cur, back) = slots.hop(row.start + out);
         }
-        Some((prev, cur))
+        (prev, cur)
     }
 
     /// One route tail per instance for `who`, in instance order (the
-    /// protocol runs one instance per edge slot in rotation); abandoned
-    /// routes are skipped. `who` must have at least one edge.
+    /// protocol runs one instance per edge slot in rotation). `who` must
+    /// have at least one edge.
     fn tails<'a>(
         &'a self,
-        g: &'a TemporalGraph,
+        slots: &'a RouteSlots,
+        rem: &'a Remainders,
         who: NodeId,
     ) -> impl Iterator<Item = (NodeId, NodeId)> + 'a {
-        let d = g.degree(who);
-        let mut perm = Vec::new();
-        (0..self.instances)
-            .filter_map(move |inst| self.route_tail(g, who, inst % d, inst, &mut perm))
+        let d = slots.row(who).len();
+        let mut walk = Walk {
+            slots,
+            rem,
+            perm: Vec::new(),
+        };
+        (0..self.instances).map(move |inst| self.route_tail(&mut walk, who, inst % d, inst))
     }
+}
+
+/// What one route walk reads and reuses: the graph's slots, the
+/// remainders by every degree, and a permutation buffer.
+struct Walk<'a> {
+    slots: &'a RouteSlots,
+    rem: &'a Remainders,
+    perm: Vec<u32>,
 }
 
 /// `perm[in_pos]` of the Fisher–Yates shuffle of `0..degree` that
@@ -128,15 +131,57 @@ impl SybilLimit {
 /// shuffle fixes slots from the top down (step `i` swaps slot `i` with a
 /// slot `≤ i` and never touches `i` again), so once step `in_pos` has run
 /// the wanted slot is final and the remaining draws cannot change it.
-fn shuffled_slot(rng: &mut StdRng, degree: usize, in_pos: usize, perm: &mut Vec<u32>) -> usize {
+/// Step `i` takes the same word `shuffle` does and reduces it to the
+/// same `word % (i + 1)`, through `rem`, which covers `degree`.
+fn shuffled_slot(
+    rng: &mut StdRng,
+    degree: usize,
+    in_pos: usize,
+    rem: &Remainders,
+    perm: &mut Vec<u32>,
+) -> usize {
     debug_assert!(in_pos < degree);
     perm.clear();
     perm.extend(0..degree as u32);
     for i in (in_pos.max(1)..degree).rev() {
-        let j = rng.random_range(0..=i);
+        let j = rem.of(rng.next_u64(), i + 1) as usize;
         perm.swap(i, j);
     }
     perm[in_pos] as usize
+}
+
+/// `word % d` for every `d` up to a bound, by multiplication instead of
+/// division (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+/// Computation", 2019): with `c = ⌈2¹²⁸ / d⌉`, the remainder is the top
+/// 64 bits of `(c · word mod 2¹²⁸) · d`. A 128-bit fraction is exact for
+/// every 64-bit word and every `d < 2⁶⁴`, so this is `word % d` bit for
+/// bit; `d = 1` wraps `c` to 0, which gives the remainder 0.
+struct Remainders {
+    c: Vec<u128>, // `c[d]`; `c[0]` is unused
+}
+
+impl Remainders {
+    /// The constants for every divisor in `1..=max`.
+    fn up_to(max: usize) -> Self {
+        let c = (0..=max as u128)
+            .map(|d| match d {
+                0 => 0,
+                d => (u128::MAX / d).wrapping_add(1),
+            })
+            .collect();
+        Remainders { c }
+    }
+
+    /// `word % d`, for `1 ≤ d ≤ max`.
+    #[inline]
+    fn of(&self, word: u64, d: usize) -> u64 {
+        let fraction = self.c[d].wrapping_mul(u128::from(word));
+        // The high half of the 192-bit `fraction · d`, in 64-bit limbs.
+        let d = d as u128;
+        let low = (fraction as u64 as u128) * d;
+        let high = (fraction >> 64) * d;
+        ((high + (low >> 64)) >> 64) as u64
+    }
 }
 
 impl SybilDefense for SybilLimit {
@@ -155,13 +200,18 @@ impl SybilDefense for SybilLimit {
         }
         // Balance condition (simplified): each verifier tail admits a
         // bounded number of suspect intersections.
+        let slots = RouteSlots::new(g);
+        let max_degree = g.nodes().map(|n| g.degree(n)).max().unwrap_or(0);
+        let rem = Remainders::up_to(max_degree);
         let mut tail_caps = HashMap::new();
-        for tail in self.tails(g, verifier) {
+        for tail in self.tails(&slots, &rem, verifier) {
             *tail_caps.entry(tail).or_insert(0) += 2;
         }
         Box::new(VerifierTails {
             limit: self,
             g,
+            slots,
+            rem,
             tail_caps,
         })
     }
@@ -172,6 +222,8 @@ impl SybilDefense for SybilLimit {
 struct VerifierTails<'a> {
     limit: &'a SybilLimit,
     g: &'a TemporalGraph,
+    slots: RouteSlots,
+    rem: Remainders,
     tail_caps: HashMap<(NodeId, NodeId), usize>,
 }
 
@@ -185,7 +237,7 @@ impl PreparedVerifier for VerifierTails<'_> {
         // grows, so stopping at `needed` matches cannot change the verdict.
         let mut remaining = self.tail_caps.clone();
         let mut matched = 0usize;
-        let mut tails = self.limit.tails(self.g, suspect);
+        let mut tails = self.limit.tails(&self.slots, &self.rem, suspect);
         while matched < needed {
             let Some(tail) = tails.next() else { break };
             // Tails are undirected-intersected: either direction works.
@@ -246,16 +298,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let g = generators::barabasi_albert(50, 3, Timestamp::ZERO, &mut rng);
         let sl = SybilLimit::new(&g, 9);
-        let mut perm = Vec::new();
-        let a = sl.route_tail(&g, NodeId(1), 0, 4, &mut perm);
-        let b = sl.route_tail(&g, NodeId(1), 0, 4, &mut perm);
+        let slots = RouteSlots::new(&g);
+        let d = g.degree(NodeId(1));
+        let rem = Remainders::up_to(g.nodes().map(|n| g.degree(n)).max().unwrap());
+        let mut walk = Walk {
+            slots: &slots,
+            rem: &rem,
+            perm: Vec::new(),
+        };
+        let a = sl.route_tail(&mut walk, NodeId(1), 0, 4);
+        let b = sl.route_tail(&mut walk, NodeId(1), 0, 4);
         assert_eq!(a, b, "same instance must reproduce the same route");
         // Permutation property: out positions for distinct in positions
         // are distinct.
-        let d = g.degree(NodeId(1));
         if d >= 2 {
             let outs: std::collections::HashSet<usize> = (0..d)
-                .map(|p| sl.out_pos(NodeId(1), d, p, 0, &mut perm))
+                .map(|p| sl.out_pos(NodeId(1), d, p, 0, &mut walk))
                 .collect();
             assert_eq!(outs.len(), d);
         }
@@ -263,21 +321,46 @@ mod tests {
 
     #[test]
     fn early_exit_shuffle_reads_the_full_shuffles_slot() {
+        // Every degree up to 64 at every entry slot; then degrees up to
+        // past the wild graph's hub (degree 1,018 at small) at the first
+        // two, the middle and the last slot.
+        let rem = Remainders::up_to(1_200);
+        let large = (65..=1_200usize)
+            .step_by(37)
+            .chain([1_018, 1_024, 1_025, 1_200]);
+        let cases = (1..=64usize)
+            .flat_map(|d| (0..d).map(move |in_pos| (d, in_pos)))
+            .chain(large.flat_map(|d| [0, 1, d / 2, d - 1].map(|in_pos| (d, in_pos))));
         // A dirty scratch buffer on entry must not matter either.
         let mut perm = vec![7; 100];
-        for degree in 1..=64usize {
+        for (degree, in_pos) in cases {
             for instance in 0..8u64 {
                 let seed = instance.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ degree as u64;
                 let mut full: Vec<u32> = (0..degree as u32).collect();
                 full.shuffle(&mut StdRng::seed_from_u64(seed));
-                for (in_pos, &slot) in full.iter().enumerate() {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    assert_eq!(
-                        shuffled_slot(&mut rng, degree, in_pos, &mut perm),
-                        slot as usize,
-                        "degree {degree} in_pos {in_pos} instance {instance}"
-                    );
-                }
+                let mut rng = StdRng::seed_from_u64(seed);
+                assert_eq!(
+                    shuffled_slot(&mut rng, degree, in_pos, &rem, &mut perm),
+                    full[in_pos] as usize,
+                    "degree {degree} in_pos {in_pos} instance {instance}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn remainders_equal_the_division() {
+        let rem = Remainders::up_to(4_096);
+        let mut rng = StdRng::seed_from_u64(17);
+        for d in 1..=4_096u64 {
+            let multiples = [1, 2, 3, u64::MAX / d / 2, u64::MAX / d];
+            let words = [0, 1, d - 1, d, u64::MAX, u64::MAX - 1, 1 << 63]
+                .into_iter()
+                .chain(multiples.map(|k| k * d - 1))
+                .chain(multiples.map(|k| k * d))
+                .chain((0..8).map(|_| rng.next_u64()));
+            for word in words {
+                assert_eq!(rem.of(word, d as usize), word % d, "{word} % {d}");
             }
         }
     }

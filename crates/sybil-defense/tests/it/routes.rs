@@ -102,12 +102,12 @@ proptest! {
                 let start = RouteStart { node, first_edge };
                 for len in [0, 1, 2, 7, long] {
                     let want = reference.hops(&g, start, len);
-                    let hops: Vec<RouteHop> = tables.hops(&g, start, len).collect();
+                    let hops: Vec<RouteHop> = tables.hops(start, len).collect();
                     prop_assert_eq!(&hops, &want, "{:?} len {}", start, len);
                     let nodes = std::iter::once(node).chain(want.iter().map(|hop| hop.to));
-                    prop_assert_eq!(tables.route(&g, start, len), nodes.collect::<Vec<_>>());
+                    prop_assert_eq!(tables.route(start, len), nodes.collect::<Vec<_>>());
                     prop_assert_eq!(
-                        tables.route_tail(&g, start, len),
+                        tables.route_tail(start, len),
                         want.last().map(|hop| (hop.from, hop.to))
                     );
                 }
