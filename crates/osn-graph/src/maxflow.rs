@@ -19,25 +19,30 @@ pub struct FlowNetwork {
 }
 
 impl FlowNetwork {
-    /// A network with `n` nodes and, for every `(u, v, c)` in `arcs`, an
-    /// arc `u → v` of capacity `c` paired with a zero-capacity residual
-    /// arc `v → u`. Node `u`'s range holds, in `arcs` order, the forward
-    /// arc of every `(u, ·, ·)` and the residual arc of every `(·, u, ·)`.
-    /// `arcs` is read twice (once to count, once to place), hence
-    /// `Clone`. Panics on out-of-range nodes or a negative capacity.
+    /// A network with `n` nodes and, for every `(u, v, c, r)` in `arcs`,
+    /// an arc `u → v` of capacity `c` paired with its reverse `v → u` of
+    /// capacity `r`; pushing a unit along either arc of a pair gives the
+    /// other one more unit. `(u, v, c, 0)` is a directed arc with its
+    /// residual; `(u, v, c, c)` is an undirected link of capacity `c`,
+    /// whose residuals after a net push of `x` from `u` are `c − x` and
+    /// `c + x`, as for two opposite arcs of capacity `c`. Node `u`'s range
+    /// holds, in `arcs` order, the arc of every `(u, ·, ·, ·)` and the
+    /// reverse of every `(·, u, ·, ·)`. `arcs` is read twice (once to
+    /// count, once to place), hence `Clone`. Panics on out-of-range nodes
+    /// or a negative capacity.
     pub fn from_arcs<I>(n: usize, arcs: I) -> Self
     where
-        I: IntoIterator<Item = (usize, usize, i64)>,
+        I: IntoIterator<Item = (usize, usize, i64, i64)>,
         I::IntoIter: Clone,
     {
-        // Both passes run `for_each`, not a `for` loop: a caller's
-        // `flat_map` folds each edge's arcs in one step that way, where
+        // Both passes run `for_each`, not a `for` loop: a caller's `map`
+        // or `flat_map` folds each edge's arcs in one step that way, where
         // pulling them one by one through `next` is slower.
         let arcs = arcs.into_iter();
         let mut first = vec![0u32; n + 1];
-        arcs.clone().for_each(|(u, v, c)| {
+        arcs.clone().for_each(|(u, v, c, r)| {
             assert!(u < n && v < n, "arc endpoint out of range");
-            assert!(c >= 0, "negative capacity");
+            assert!(c >= 0 && r >= 0, "negative capacity");
             first[u + 1] += 1;
             first[v + 1] += 1;
         });
@@ -52,14 +57,14 @@ impl FlowNetwork {
             first,
         };
         let mut cursor = net.first.clone();
-        arcs.for_each(|(u, v, c)| {
+        arcs.for_each(|(u, v, c, r)| {
             let fwd = cursor[u];
             cursor[u] += 1;
             let back = cursor[v];
             cursor[v] += 1;
             let (f, b) = (fwd as usize, back as usize);
             (net.to[f], net.cap[f], net.rev[f]) = (v as u32, c, back);
-            (net.to[b], net.cap[b], net.rev[b]) = (u as u32, 0, fwd);
+            (net.to[b], net.cap[b], net.rev[b]) = (u as u32, r, fwd);
         });
         net
     }
@@ -174,19 +179,20 @@ mod tests {
 
     #[test]
     fn single_arc() {
-        let mut net = FlowNetwork::from_arcs(2, [(0, 1, 5)]);
+        let mut net = FlowNetwork::from_arcs(2, [(0, 1, 5, 0)]);
         assert_eq!(net.max_flow(0, 1), 5);
     }
 
     #[test]
     fn series_takes_min() {
-        let mut net = FlowNetwork::from_arcs(3, [(0, 1, 7), (1, 2, 3)]);
+        let mut net = FlowNetwork::from_arcs(3, [(0, 1, 7, 0), (1, 2, 3, 0)]);
         assert_eq!(net.max_flow(0, 2), 3);
     }
 
     #[test]
     fn parallel_adds() {
-        let mut net = FlowNetwork::from_arcs(4, [(0, 1, 2), (1, 3, 2), (0, 2, 3), (2, 3, 3)]);
+        let mut net =
+            FlowNetwork::from_arcs(4, [(0, 1, 2, 0), (1, 3, 2, 0), (0, 2, 3, 0), (2, 3, 3, 0)]);
         assert_eq!(net.max_flow(0, 3), 5);
     }
 
@@ -196,16 +202,16 @@ mod tests {
         let mut net = FlowNetwork::from_arcs(
             6,
             [
-                (0, 1, 16),
-                (0, 2, 13),
-                (1, 2, 10),
-                (2, 1, 4),
-                (1, 3, 12),
-                (3, 2, 9),
-                (2, 4, 14),
-                (4, 3, 7),
-                (3, 5, 20),
-                (4, 5, 4),
+                (0, 1, 16, 0),
+                (0, 2, 13, 0),
+                (1, 2, 10, 0),
+                (2, 1, 4, 0),
+                (1, 3, 12, 0),
+                (3, 2, 9, 0),
+                (2, 4, 14, 0),
+                (4, 3, 7, 0),
+                (3, 5, 20, 0),
+                (4, 5, 4, 0),
             ],
         );
         assert_eq!(net.max_flow(0, 5), 23);
@@ -213,13 +219,13 @@ mod tests {
 
     #[test]
     fn disconnected_zero_flow() {
-        let mut net = FlowNetwork::from_arcs(3, [(0, 1, 10)]);
+        let mut net = FlowNetwork::from_arcs(3, [(0, 1, 10, 0)]);
         assert_eq!(net.max_flow(0, 2), 0);
     }
 
     #[test]
     fn pushing_along_the_reverse_arc_cancels_a_push() {
-        let mut net = FlowNetwork::from_arcs(2, [(0, 1, 2)]);
+        let mut net = FlowNetwork::from_arcs(2, [(0, 1, 2, 0)]);
         let arc = net.arcs_from(0).start as usize;
         let reverse = net.reverse_arc(arc);
         assert_eq!(net.arc_from_endpoint(reverse), 1);
@@ -237,17 +243,23 @@ mod tests {
 
     #[test]
     fn same_source_sink() {
-        let mut net = FlowNetwork::from_arcs(2, [(0, 1, 1)]);
+        let mut net = FlowNetwork::from_arcs(2, [(0, 1, 1, 0)]);
         assert_eq!(net.max_flow(0, 0), 0);
     }
 
     #[test]
     fn undirected_edge_flows_both_ways() {
-        let net = FlowNetwork::from_arcs(3, [(0, 1, 4), (1, 0, 4), (1, 2, 4), (2, 1, 4)]);
+        let net =
+            FlowNetwork::from_arcs(3, [(0, 1, 4, 0), (1, 0, 4, 0), (1, 2, 4, 0), (2, 1, 4, 0)]);
         assert_eq!(net.clone_flow(0, 2), 4);
         // And the reverse direction on a fresh network.
-        let mut net2 = FlowNetwork::from_arcs(3, [(0, 1, 4), (1, 0, 4), (1, 2, 4), (2, 1, 4)]);
+        let mut net2 =
+            FlowNetwork::from_arcs(3, [(0, 1, 4, 0), (1, 0, 4, 0), (1, 2, 4, 0), (2, 1, 4, 0)]);
         assert_eq!(net2.max_flow(2, 0), 4);
+        // And as one arc pair per link, each way.
+        let links = FlowNetwork::from_arcs(3, [(0, 1, 4, 4), (1, 2, 4, 4)]);
+        assert_eq!(links.clone_flow(0, 2), 4);
+        assert_eq!(links.clone_flow(2, 0), 4);
     }
 
     impl FlowNetwork {

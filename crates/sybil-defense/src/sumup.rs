@@ -62,7 +62,7 @@ impl SumUp {
             per_edge_bonus.push((tickets / edges as i64).max(0));
             tickets -= edges as i64;
         }
-        let arcs = g.edges().iter().flat_map(|e| {
+        let arcs = g.edges().iter().map(|e| {
             let (a, b) = (e.a.index(), e.b.index());
             let cap = match (dist[a], dist[b]) {
                 (Some(x), Some(y)) if x != y => {
@@ -71,8 +71,8 @@ impl SumUp {
                 }
                 _ => 1, // same-level or unreachable edges sit outside the tree
             };
-            // One arc each way: an undirected link of capacity `cap`.
-            [(a, b, cap), (b, a, cap)]
+            // One arc pair, `cap` each way: an undirected link.
+            (a, b, cap, cap)
         });
         FlowNetwork::from_arcs(g.num_nodes(), arcs)
     }

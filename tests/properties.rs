@@ -116,8 +116,8 @@ proptest! {
         let t = g.edges()[g.num_edges() - 1].b.index();
         if s == t { return Ok(()); }
         let build = || {
-            let arcs = g.edges().iter().map(|e| (e.a.index(), e.b.index()));
-            FlowNetwork::from_arcs(n, arcs.flat_map(|(a, b)| [(a, b, 1), (b, a, 1)]))
+            let links = g.edges().iter().map(|e| (e.a.index(), e.b.index(), 1, 1));
+            FlowNetwork::from_arcs(n, links)
         };
         let f_st = build().max_flow(s, t);
         let f_ts = build().max_flow(t, s);
