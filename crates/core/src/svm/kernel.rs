@@ -22,6 +22,9 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sybil_features::FeatureVector;
 
+/// Rows whose decision values one sweep of the multipliers sums.
+const ROWS: usize = 4;
+
 /// Training hyper-parameters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct KernelSvmParams {
@@ -102,13 +105,39 @@ impl KernelSvm {
             }
             s
         };
+        // `f` of rows `i..i + ROWS` in one sweep of the list: each row
+        // keeps its own sum and adds the same terms in the same order, so
+        // each is bit-equal to its `f`; the sums no longer wait on one
+        // another.
+        let f_rows = |nonzero: &[(usize, f64)], b: f64, i: usize| -> [f64; ROWS] {
+            let rows: [&[f64]; ROWS] = std::array::from_fn(|r| &k[(i + r) * n..(i + r + 1) * n]);
+            let mut s = [b; ROWS];
+            for &(j, ay) in nonzero {
+                for (s, row) in s.iter_mut().zip(rows) {
+                    *s += ay * row[j];
+                }
+            }
+            s
+        };
         let mut quiet = 0usize;
         let mut passes = 0usize;
         while quiet < params.max_quiet_passes && passes < params.max_passes {
             passes += 1;
             let mut changed = 0usize;
+            // `Some((at, sums))`: `sums[r]` is `f(at + r)` under the
+            // current multipliers and bias. An update ends it.
+            let mut batch: Option<(usize, [f64; ROWS])> = None;
             for i in 0..n {
-                let ei = f(&nonzero, b, i) - y[i];
+                let fi = match batch {
+                    Some((at, sums)) if i < at + ROWS => sums[i - at],
+                    _ if i + ROWS <= n => {
+                        let sums = f_rows(&nonzero, b, i);
+                        batch = Some((i, sums));
+                        sums[0]
+                    }
+                    _ => f(&nonzero, b, i),
+                };
+                let ei = fi - y[i];
                 let violates = (y[i] * ei < -params.tol && alpha[i] < params.c)
                     || (y[i] * ei > params.tol && alpha[i] > 0.0);
                 if !violates {
@@ -164,6 +193,7 @@ impl KernelSvm {
                 } else {
                     0.5 * (b1 + b2)
                 };
+                batch = None;
                 changed += 1;
             }
             if changed == 0 {

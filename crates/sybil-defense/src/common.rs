@@ -118,9 +118,11 @@ impl DefenseEvaluation {
 /// Run `defense` from `verifier` against the given suspect samples.
 ///
 /// The verifier is prepared once; each suspect's verdict is then
-/// independent, so both sample sets are judged in parallel
-/// (`osn_graph::par`, honoring `RENREN_THREADS`); the verdicts are tallied
-/// in suspect order, so the counts match the serial loop exactly. The
+/// independent, so both sample sets are judged as one list of tasks
+/// (`osn_graph::par::map_tasks`, honoring `RENREN_THREADS`): a worker
+/// claims the next suspect when it is free, so a run of costly suspects
+/// does not pile up on one worker. The verdicts are placed by index and
+/// tallied per set, so the counts match the serial loop exactly. The
 /// §3.1 experiment also runs whole evaluations side by side
 /// (`par::map_tasks`), so this map may run inside one of its workers;
 /// both place results by index, so the nesting moves no count.
@@ -132,8 +134,9 @@ pub fn evaluate_defense<D: SybilDefense + ?Sized>(
     honest_suspects: &[NodeId],
 ) -> DefenseEvaluation {
     let prepared = defense.prepare(g, verifier);
-    let sybil_verdicts = osn_graph::par::map_slice(sybil_suspects, |&s| prepared.judge(s));
-    let honest_verdicts = osn_graph::par::map_slice(honest_suspects, |&h| prepared.judge(h));
+    let suspects = [sybil_suspects, honest_suspects].concat();
+    let verdicts = osn_graph::par::map_tasks(suspects.len(), |i| prepared.judge(suspects[i]));
+    let (sybil_verdicts, honest_verdicts) = verdicts.split_at(sybil_suspects.len());
     DefenseEvaluation {
         sybils_accepted: sybil_verdicts
             .iter()
