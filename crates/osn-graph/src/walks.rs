@@ -66,7 +66,6 @@ pub fn walk_endpoint<R: Rng + ?Sized>(
 pub struct RouteSlots {
     first: Vec<u32>, // per node: start of its row; `first[n]` ends the last
     slots: Vec<Slot>,
-    edges: Vec<EdgeId>, // per slot: the edge it stands for
 }
 
 /// One adjacency slot: where it leads, and its edge's slot in that row.
@@ -86,7 +85,6 @@ impl RouteSlots {
         }
         let len = first[g.num_nodes()] as usize;
         let mut slots = Vec::with_capacity(len);
-        let mut edges = Vec::with_capacity(len);
         // The first slot seen of each edge, until its other end pairs it.
         let mut seen = vec![u32::MAX; g.num_edges()];
         for n in g.nodes() {
@@ -97,17 +95,12 @@ impl RouteSlots {
                     to: nb.node.0,
                     back: other,
                 });
-                edges.push(nb.edge);
                 if other != u32::MAX {
                     slots[other as usize].back = s;
                 }
             }
         }
-        RouteSlots {
-            first,
-            slots,
-            edges,
-        }
+        RouteSlots { first, slots }
     }
 
     /// The slots of `v`'s row.
@@ -126,8 +119,9 @@ impl RouteSlots {
     }
 }
 
-/// Per-node random routing tables for SybilGuard/SybilLimit random routes,
-/// over `g`'s [`RouteSlots`].
+/// Per-node random routing tables for SybilGuard's random routes, over
+/// `g`'s [`RouteSlots`]. (SybilLimit derives a permutation per route
+/// instance on demand and walks the slots itself.)
 ///
 /// For every slot `s` of node `v`'s row, `perm[s]` is the slot a route
 /// entering `v` through `s` leaves by. Each row of `perm` is a uniform
@@ -135,6 +129,7 @@ impl RouteSlots {
 #[derive(Clone, Debug)]
 pub struct RouteTables {
     slots: RouteSlots,
+    edges: Vec<EdgeId>, // per slot: the edge it stands for
     perm: Vec<u32>,
 }
 
@@ -183,7 +178,7 @@ impl Iterator for RouteHops<'_> {
         let hop = RouteHop {
             from: self.cur,
             to,
-            edge: self.tables.slots.edges[self.out],
+            edge: self.tables.edges[self.out],
         };
         self.out = self.tables.perm[back] as usize;
         self.cur = to;
@@ -196,11 +191,16 @@ impl RouteTables {
     /// node's row, in node order.
     pub fn new<R: Rng + ?Sized>(g: &TemporalGraph, rng: &mut R) -> Self {
         let slots = RouteSlots::new(g);
+        let edges = g.nodes().flat_map(|n| g.neighbors(n)).map(|nb| nb.edge);
         let mut perm: Vec<u32> = (0..slots.slots.len() as u32).collect();
         for n in g.nodes() {
             perm[slots.row(n)].shuffle(rng);
         }
-        RouteTables { slots, perm }
+        RouteTables {
+            slots,
+            edges: edges.collect(),
+            perm,
+        }
     }
 
     /// The hops of the random route of `len` hops from `start`, one at a
@@ -297,6 +297,26 @@ mod tests {
             }
             // Both consumed the same draws.
             assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn slots_are_the_adjacency_and_pair_each_edge_with_its_reverse() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut g = crate::generators::barabasi_albert(50, 3, Timestamp::ZERO, &mut rng);
+        let isolated = g.add_nodes(1);
+        let slots = RouteSlots::new(&g);
+        assert!(slots.row(isolated).is_empty());
+        for n in g.nodes() {
+            let row = slots.row(n);
+            assert_eq!(row.len(), g.degree(n));
+            for (s, nb) in row.zip(g.neighbors(n)) {
+                let (to, back) = slots.hop(s);
+                assert_eq!(to, nb.node);
+                let back_pos = back - slots.row(to).start;
+                assert_eq!(g.neighbors(to)[back_pos].edge, nb.edge);
+                assert_eq!(slots.hop(back), (n, s));
+            }
         }
     }
 

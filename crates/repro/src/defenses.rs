@@ -78,19 +78,20 @@ const WILD: usize = 0;
 const INJECTED: usize = 1;
 
 /// The ten (defense, graph) evaluations, longest first so that the short
-/// ones fill in around the long ones. Measured at `small`, one thread:
-/// SybilLimit on the wild graph ≈ 0.19 s; SumUp, SybilGuard and
-/// SybilInfer there 0.05, 0.04 and 0.02 s; SybilLimit on the injected
-/// graph ≈ 0.025 s; the rest ≤ 0.006 s each.
+/// ones fill in around the long ones. Measured at `small`/seed 3, one
+/// thread (medians of seven runs): SybilLimit on the wild graph ≈ 0.14 s;
+/// SumUp, SybilInfer and SybilGuard there 0.027, 0.024 and 0.021 s;
+/// SybilLimit on the injected graph ≈ 0.019 s; ConductanceRanking there
+/// ≈ 0.009 s; the rest ≤ 0.003 s each.
 const LONGEST_FIRST: [(Defense, usize); 10] = [
     (Defense::SybilLimit, WILD),
     (Defense::SumUp, WILD),
-    (Defense::SybilGuard, WILD),
     (Defense::SybilInfer, WILD),
+    (Defense::SybilGuard, WILD),
     (Defense::SybilLimit, INJECTED),
     (Defense::ConductanceRanking, INJECTED),
-    (Defense::SybilGuard, INJECTED),
     (Defense::SybilInfer, INJECTED),
+    (Defense::SybilGuard, INJECTED),
     (Defense::SumUp, INJECTED),
     (Defense::ConductanceRanking, WILD),
 ];

@@ -15,8 +15,12 @@
 //!
 //! Only the slot a route enters through is ever read from a permutation,
 //! so each hop runs the shuffle just far enough to fix that slot (see
-//! `shuffled_slot`). The verifier's tails are walked once per prepared
-//! verifier; judging a suspect walks the suspect's routes only.
+//! `shuffled_slot`), reducing each draw by multiplication rather than
+//! division (`Remainders`). Routes walk the graph's
+//! [`RouteSlots`], where the slot a hop
+//! enters through sits beside the one it left by. The verifier's tails
+//! are walked once per prepared verifier; judging a suspect walks the
+//! suspect's routes only.
 
 use crate::common::{PreparedVerifier, RejectAll, SybilDefense, Verdict};
 use osn_graph::walks::RouteSlots;
@@ -176,7 +180,8 @@ impl Remainders {
     #[inline]
     fn of(&self, word: u64, d: usize) -> u64 {
         let fraction = self.c[d].wrapping_mul(u128::from(word));
-        // The high half of the 192-bit `fraction · d`, in 64-bit limbs.
+        // The top 64 bits of the 192-bit `fraction · d`, from the
+        // products of `d` with `fraction`'s two 64-bit halves.
         let d = d as u128;
         let low = (fraction as u64 as u128) * d;
         let high = (fraction >> 64) * d;
