@@ -11,13 +11,14 @@
 //! terms in the same order as a sweep over every row, so the trained
 //! model is bit-identical to the dense loop's. Most rows update nothing
 //! (Table 1's six fits at `small`/seed 3 sum 500k rows and make 10,178
-//! updates), so a pass sums four consecutive rows (`ROWS`) per sweep of that
-//! list, each row in its own accumulator with the same terms in the same
-//! order; an update changes the multipliers and the bias, so it ends the
-//! batch. Moving the cap or the
-//! stopping rule changes the trained models, so it is a change of
-//! results; the counts and AUCs Table 1 and the zoo report are coarser
-//! (a cap of 150 leaves them unchanged at tiny/seed 11 and small/seed 3).
+//! updates), so a pass sums four consecutive rows (`ROWS`) per sweep of
+//! that list, each row in its own accumulator with the same terms in the
+//! same order, reading each term's four kernel values as one run of the
+//! symmetric cache; an update changes the multipliers and the bias, so
+//! it ends the batch. Moving the cap or the stopping rule changes the
+//! trained models, so it is a change of results; the counts and AUCs
+//! Table 1 and the zoo report are coarser (a cap of 150 leaves them
+//! unchanged at tiny/seed 11 and small/seed 3).
 
 use crate::svm::Scaler;
 use crate::Classifier;
@@ -112,14 +113,15 @@ impl KernelSvm {
         };
         // `f` of rows `i..i + ROWS` in one sweep of the list: each row
         // keeps its own sum and adds the same terms in the same order, so
-        // each is bit-equal to its `f`; the sums no longer wait on one
-        // another.
+        // each is bit-equal to its `f`, and the sums do not wait on one
+        // another. The cache is symmetric (both halves hold the same
+        // bits), so a term's `ROWS` kernel values are one run of row `j`.
         let f_rows = |nonzero: &[(usize, f64)], b: f64, i: usize| -> [f64; ROWS] {
-            let rows: [&[f64]; ROWS] = std::array::from_fn(|r| &k[(i + r) * n..(i + r + 1) * n]);
             let mut s = [b; ROWS];
             for &(j, ay) in nonzero {
-                for (s, row) in s.iter_mut().zip(rows) {
-                    *s += ay * row[j];
+                let run = &k[j * n + i..j * n + i + ROWS];
+                for (s, &kji) in s.iter_mut().zip(run) {
+                    *s += ay * kji;
                 }
             }
             s

@@ -115,7 +115,7 @@ fn join_in_order<T>(
     out
 }
 
-/// `(0..len).map(f).collect()` for a few tasks of uneven cost. Every
+/// `(0..len).map(f).collect()` for tasks of uneven cost. Every
 /// worker (the calling thread among them) claims the next unclaimed index
 /// from a shared counter until none is left, so list the longest tasks
 /// first. Each result is placed by its index, so the output equals the
